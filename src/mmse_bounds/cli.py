@@ -349,6 +349,8 @@ def cmd_verify(args) -> int:
           f"(n_outer={est.n_outer}, n_inner={est.n_inner}, seed={est.seed})")
     print(f"solver bounds: lower={lower.bound_value:.12g}, "
           f"upper={upper.bound_value:.12g}")
+    print(f"inner effective sample size: min={est.min_ess:.4g}, "
+          f"median={est.median_ess:.4g}, bad draws={est.bad_fraction:.3g}")
     passed = lo_ok and hi_ok
     print("PASS" if passed else "FAIL", "(bracketing at 3 standard errors)")
     return EXIT_OK if passed else EXIT_VERIFY

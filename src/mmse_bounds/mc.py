@@ -7,6 +7,13 @@ obtain if the prior were its own moment-matched Gaussian; for the families
 in this package that posterior sits on the true posterior mass at the
 noise levels of interest.
 
+The importance weights are computed in whitened coordinates: the Gaussian
+proposal and noise log densities are written in terms of the standard
+normals each proposal draw was made from, so no per-sample linear solve is
+needed. Every importance-sampling estimate reports the smallest and median
+inner effective sample size and the share of outer draws whose ESS fell
+below 1% of the inner sample count.
+
 Randomness comes from the counter-based Philox generator through
 `SeedSequence` spawning, so every estimate is bit-reproducible from the
 recorded integer seed and independent streams never overlap.
@@ -28,13 +35,23 @@ _CHUNK = 128  # outer draws processed per vectorized block
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A Monte Carlo value with its standard error and provenance."""
+    """A Monte Carlo value with its standard error and provenance.
+
+    For the importance-sampling estimates, `min_ess` and `median_ess` are the
+    smallest and the median inner effective sample size over the outer draws
+    (of every channel), and `bad_fraction` is the share of outer draws whose
+    ESS fell below 1% of n_inner. They stay NaN where no importance sampling
+    was done (`mc_kl`).
+    """
 
     value: float
     std_error: float
     n_outer: int
     n_inner: int
     seed: int
+    min_ess: float = math.nan
+    median_ess: float = math.nan
+    bad_fraction: float = math.nan
 
 
 def _rng_from(seed_seq) -> np.random.Generator:
@@ -42,10 +59,18 @@ def _rng_from(seed_seq) -> np.random.Generator:
 
 
 def _mmse_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
-    """Mean squared conditional-mean error over given (x, y) pairs.
+    """Squared conditional-mean errors and inner effective sample sizes.
 
-    Returns (squared_errors, bad_proposal_count): per-draw ||E[X|y] - x||^2
-    and how many draws had inner effective sample size below 1% of n_inner.
+    Returns (squared_errors, ess): per outer draw, ||E[X|y] - x||^2 and the
+    effective sample size (sum w)^2 / sum w^2 of its inner weights.
+
+    A proposal draw is x = m_post + L_post z with C_post = L_post L_post^T,
+    so its whitened proposal residual is exactly the drawn z, and its
+    whitened noise residual L_n^-1 (y - x) is u - A z with
+    u = L_n^-1 (y - m_post) and A = L_n^-1 L_post. The K log 2 pi terms of
+    the two Gaussian log densities cancel. K x K transforms are applied to
+    (b, n_inner, K) stacks: flattened to one tall (b*n_inner, K) product,
+    the BLAS may take a much slower threaded path.
     """
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
@@ -55,36 +80,40 @@ def _mmse_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
     w = weight_matrix(c, sigma_n)
     c_post = mmse_matrix(c, sigma_n)
     chol_post = np.linalg.cholesky(c_post)
+    chol_n = np.linalg.cholesky(sigma_n)
+    inv_chol_n = np.linalg.inv(chol_n)
+    a = inv_chol_n @ chol_post
+    # 1/2 (logdet C_post - logdet Sigma_n)
+    half_logdet_ratio = float(np.sum(np.log(np.diag(chol_post)))
+                              - np.sum(np.log(np.diag(chol_n))))
     gain = np.eye(k) - w  # posterior mean = m + (I - W)(y - m)
 
     rng = _rng_from(inner_seed)
     sq_err = np.empty(n_outer)
-    n_bad = 0
+    ess = np.empty(n_outer)
     for start in range(0, n_outer, _CHUNK):
         stop = min(start + _CHUNK, n_outer)
         yc = y[start:stop]
         b = yc.shape[0]
         m_post = m + (yc - m) @ gain.T  # (b, K)
         z = rng.standard_normal((b, n_inner, k))
-        xs = m_post[:, None, :] + z @ chol_post.T  # proposal draws
-        flat = xs.reshape(-1, k)
-        log_w = (log_density(spec, flat)
-                 + gaussian_log_density(np.zeros(k), sigma_n,
-                                        np.repeat(yc, n_inner, axis=0) - flat)
-                 - gaussian_log_density(np.zeros(k), c_post,
-                                        flat - np.repeat(m_post, n_inner, axis=0)))
-        log_w = log_w.reshape(b, n_inner)
+        xs = z @ chol_post.T
+        xs += m_post[:, None, :]  # proposal draws
+        r = z @ a.T
+        r -= ((yc - m_post) @ inv_chol_n.T)[:, None, :]  # minus the whitened y - xs
+        log_w = (log_density(spec, xs.reshape(-1, k)).reshape(b, n_inner)
+                 + 0.5 * (np.einsum("bnk,bnk->bn", z, z) - np.einsum("bnk,bnk->bn", r, r))
+                 + half_logdet_ratio)
         row_max = log_w.max(axis=1, keepdims=True)
         row_max = np.where(np.isfinite(row_max), row_max, 0.0)
         wts = np.exp(log_w - row_max)
         totals = wts.sum(axis=1)
-        sq_totals = (wts**2).sum(axis=1)
+        sq_totals = np.einsum("bn,bn->b", wts, wts)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ess = np.where(sq_totals > 0, totals**2 / sq_totals, 0.0)
-        n_bad += int(np.count_nonzero(ess < 0.01 * n_inner))
-        x_hat = (wts[:, :, None] * xs).sum(axis=1) / totals[:, None]
+            ess[start:stop] = np.where(sq_totals > 0, totals**2 / sq_totals, 0.0)
+        x_hat = (wts[:, None, :] @ xs)[:, 0, :] / totals[:, None]
         sq_err[start:stop] = np.sum((x_hat - x[start:stop]) ** 2, axis=1)
-    return sq_err, n_bad
+    return sq_err, ess
 
 
 def _check_degenerate(n_bad, n_outer, n_inner):
@@ -93,6 +122,19 @@ def _check_degenerate(n_bad, n_outer, n_inner):
             f"inner effective sample size fell below 0.01*n_inner on "
             f"{n_bad}/{n_outer} outer draws; the moment-matched proposal is a "
             f"bad fit for this prior/noise pair", bad_fraction=n_bad / n_outer)
+
+
+def _estimate(per_draw, ess, n_inner, seed) -> McEstimate:
+    """Mean of the per-outer-draw values, its standard error and the
+    importance-weight diagnostics pooled over every inner sample set."""
+    n_outer = per_draw.size
+    n_bad = int(np.count_nonzero(ess < 0.01 * n_inner))
+    _check_degenerate(n_bad, ess.size, n_inner)
+    return McEstimate(float(per_draw.mean()),
+                      float(per_draw.std(ddof=1) / math.sqrt(n_outer)),
+                      n_outer, n_inner, seed,
+                      min_ess=float(ess.min()), median_ess=float(np.median(ess)),
+                      bad_fraction=n_bad / ess.size)
 
 
 def mc_mmse(spec: PriorSpec, sigma_n, n_outer: int, n_inner: int, seed: int) -> McEstimate:
@@ -118,20 +160,20 @@ def mc_mmse(spec: PriorSpec, sigma_n, n_outer: int, n_inner: int, seed: int) -> 
     chol_n = np.linalg.cholesky(sigma_n)
     y = x + _rng_from(s_noise).standard_normal(x.shape) @ chol_n.T
 
-    sq_err, n_bad = _mmse_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
-    _check_degenerate(n_bad, n_outer, n_inner)
-    value = float(sq_err.mean())
-    std_error = float(sq_err.std(ddof=1) / math.sqrt(n_outer))
-    return McEstimate(value, std_error, n_outer, n_inner, seed)
+    sq_err, ess = _mmse_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
+    return _estimate(sq_err, ess, n_inner, seed)
 
 
 def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
                     seed: int) -> McEstimate:
     """Weighted MMSE sum across the ensemble, sharing outer x draws.
 
-    The same prior draws feed every channel (common random numbers), each
-    channel gets its own noise and inner streams, and standard errors
-    combine in quadrature: sqrt(sum_j (lambda_j SE_j)^2).
+    The same prior draws feed every channel (common random numbers) and each
+    channel gets its own noise and inner streams. Because the channels share
+    x, their errors are correlated, so the standard error is that of the
+    per-draw weighted sum sum_j lambda_j ||x_hat_j - x||^2 over the outer
+    draws, not a quadrature sum of per-channel errors. The ESS diagnostics
+    pool every channel's outer draws.
     """
     if n_outer < 100 or n_inner < 100:
         raise ValueError("n_outer and n_inner must both be >= 100")
@@ -139,21 +181,17 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     s_x, *chan_seeds = root.spawn(1 + 2 * ensemble.count)
     x = _sample_with(spec, n_outer, _rng_from(s_x))
 
-    value = 0.0
-    var = 0.0
-    total_bad = 0
+    weighted = np.zeros(n_outer)
+    ess = []
     for j, ch in enumerate(ensemble.channels):
         sigma_n = ch.noise_covariance
         s_noise, s_inner = chan_seeds[2 * j], chan_seeds[2 * j + 1]
         chol_n = np.linalg.cholesky(sigma_n)
         y = x + _rng_from(s_noise).standard_normal(x.shape) @ chol_n.T
-        sq_err, n_bad = _mmse_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
-        total_bad += n_bad
-        se_j = float(sq_err.std(ddof=1) / math.sqrt(n_outer))
-        value += ch.weight * float(sq_err.mean())
-        var += (ch.weight * se_j) ** 2
-    _check_degenerate(total_bad, n_outer * ensemble.count, n_inner)
-    return McEstimate(value, math.sqrt(var), n_outer, n_inner, seed)
+        sq_err, ess_j = _mmse_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
+        weighted += ch.weight * sq_err
+        ess.append(ess_j)
+    return _estimate(weighted, np.concatenate(ess), n_inner, seed)
 
 
 def mc_kl(spec: PriorSpec, gaussian, n: int, seed: int) -> McEstimate:

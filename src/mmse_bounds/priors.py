@@ -219,12 +219,16 @@ def log_density(spec: PriorSpec, x) -> np.ndarray:
 
 
 def gaussian_log_density(mean, cov, x) -> np.ndarray:
-    """Multivariate normal log density, row-wise."""
+    """Multivariate normal log density, row-wise.
+
+    Residuals are whitened by the inverse Cholesky factor. It is applied as
+    the short, wide product L^-1 (x - mean)^T: the tall (n, K) @ (K, K) form
+    can take a much slower threaded BLAS path at large n.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     k = x.shape[1]
     chol = np.linalg.cholesky(cov)
-    diff = x - mean
-    z = np.linalg.solve(chol, diff.T)
+    z = np.linalg.inv(chol) @ (x - mean).T
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * (k * math.log(2.0 * math.pi) + logdet + np.sum(z * z, axis=0))
 

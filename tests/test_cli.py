@@ -322,7 +322,9 @@ class TestVerifyCommand:
                        "gen-gauss:1", "--n-outer", "200", "--n-inner", "200",
                        "--seed", "2"])
         assert rc == EXIT_OK
-        assert "PASS" in capsys.readouterr().out
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1].startswith("PASS")
+        assert lines[-2].startswith("inner effective sample size: min=")
 
     def test_failure_exit_code(self, scalar_config, monkeypatch, capsys):
         def liar(spec, ensemble, n_outer, n_inner, seed):

@@ -1,5 +1,7 @@
 """Monte Carlo oracle: exactness on Gaussian priors, reproducibility, guards."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,94 @@ from mmse_bounds import (
     prior_moments,
     uniform_ball_epsilon,
 )
-from mmse_bounds.mc import _check_degenerate
-from conftest import TEST_SEED
+from mmse_bounds.gaussian import mmse_matrix, weight_matrix
+from mmse_bounds.mc import _CHUNK, _check_degenerate, _mmse_one_channel, _rng_from
+from mmse_bounds.priors import _sample_with, log_density
+from conftest import TEST_SEED, random_spd
+
+
+def _lu_gaussian_log_density(mean, cov, x):
+    """Row-wise normal log density through a general LU solve."""
+    chol = np.linalg.cholesky(cov)
+    z = np.linalg.solve(chol, (x - mean).T)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (x.shape[1] * math.log(2.0 * math.pi) + logdet + np.sum(z * z, axis=0))
+
+
+def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
+    """Reference kernel: the importance weights are the prior, noise and
+    proposal log densities of every proposal point, evaluated directly on
+    repeated copies of y and the posterior means. Same draws, same order
+    as `_mmse_one_channel`; returns (squared_errors, bad_count)."""
+    moments = prior_moments(spec)
+    m, c = moments.mean, moments.covariance
+    k = x.shape[1]
+    gain = np.eye(k) - weight_matrix(c, sigma_n)
+    c_post = mmse_matrix(c, sigma_n)
+    chol_post = np.linalg.cholesky(c_post)
+    rng = _rng_from(inner_seed)
+    sq_err = np.empty(x.shape[0])
+    n_bad = 0
+    for start in range(0, x.shape[0], _CHUNK):
+        stop = min(start + _CHUNK, x.shape[0])
+        yc = y[start:stop]
+        b = yc.shape[0]
+        m_post = m + (yc - m) @ gain.T
+        z = rng.standard_normal((b, n_inner, k))
+        xs = m_post[:, None, :] + z @ chol_post.T
+        flat = xs.reshape(-1, k)
+        log_w = (log_density(spec, flat)
+                 + _lu_gaussian_log_density(np.zeros(k), sigma_n,
+                                            np.repeat(yc, n_inner, axis=0) - flat)
+                 - _lu_gaussian_log_density(np.zeros(k), c_post,
+                                            flat - np.repeat(m_post, n_inner, axis=0)))
+        log_w = log_w.reshape(b, n_inner)
+        row_max = log_w.max(axis=1, keepdims=True)
+        row_max = np.where(np.isfinite(row_max), row_max, 0.0)
+        wts = np.exp(log_w - row_max)
+        totals = wts.sum(axis=1)
+        sq_totals = (wts**2).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ess = np.where(sq_totals > 0, totals**2 / sq_totals, 0.0)
+        n_bad += int(np.count_nonzero(ess < 0.01 * n_inner))
+        x_hat = (wts[:, :, None] * xs).sum(axis=1) / totals[:, None]
+        sq_err[start:stop] = np.sum((x_hat - x[start:stop]) ** 2, axis=1)
+    return sq_err, n_bad
+
+
+def _kernel_cases():
+    """(spec, noise scale) pairs; the low-noise ball has one bad draw."""
+    for k in (1, 2, 3, 5):
+        rng = np.random.default_rng(100 + k)
+        cov = random_spd(rng, k, 2.0)
+        yield pytest.param(PriorSpec(Gaussian(rng.normal(size=k), cov), k), 0.8,
+                           id=f"gaussian-K{k}")
+        for p in (0.7, 4.0):
+            yield pytest.param(PriorSpec(GeneralizedGaussian(p), k), 0.8,
+                               id=f"gen-gauss-{p:g}-K{k}")
+        yield pytest.param(PriorSpec(UniformBall(1.5), k), 0.8, id=f"ball-K{k}")
+    yield pytest.param(PriorSpec(UniformBall(1.5), 5), 0.001, id="ball-K5-low-noise")
+
+
+class TestKernel:
+    @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
+    def test_matches_direct_density_oracle(self, spec, noise_scale):
+        # Whitening from the drawn normals must change the per-draw errors
+        # only at rounding level and leave every bad-draw verdict alone.
+        k = spec.dimension
+        rng = np.random.default_rng(7 * k)
+        sigma_n = random_spd(rng, k, noise_scale)
+        assert k == 1 or np.any(sigma_n != np.diag(np.diag(sigma_n)))  # full noise
+        s_x, s_noise, s_inner = np.random.SeedSequence(TEST_SEED).spawn(3)
+        n_outer, n_inner = _CHUNK + 22, 300  # one full chunk and one partial
+        x = _sample_with(spec, n_outer, _rng_from(s_x))
+        y = x + (_rng_from(s_noise).standard_normal(x.shape)
+                 @ np.linalg.cholesky(sigma_n).T)
+        sq_err, ess = _mmse_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
+        ref_err, ref_bad = _oracle_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
+        np.testing.assert_allclose(sq_err, ref_err, rtol=1e-9, atol=0.0)
+        assert int(np.count_nonzero(ess < 0.01 * n_inner)) == ref_bad
+        assert np.all((ess >= 1.0) & (ess <= n_inner * (1 + 1e-12)))
 
 
 class TestGaussianExactness:
@@ -67,6 +155,55 @@ class TestReproducibility:
         a = mc_weighted_sum(spec, demo_ensemble, 120, 150, seed=7)
         b = mc_weighted_sum(spec, demo_ensemble, 120, 150, seed=7)
         assert a == b
+
+
+class TestWeightedSumStatistics:
+    def _per_channel_errors(self, spec, ensemble, n_outer, n_inner, seed):
+        # the spawn order of mc_weighted_sum: x first, then (noise, inner) per channel
+        s_x, *chan_seeds = np.random.SeedSequence(seed).spawn(1 + 2 * ensemble.count)
+        x = _sample_with(spec, n_outer, _rng_from(s_x))
+        errs, ess = [], []
+        for j, ch in enumerate(ensemble.channels):
+            chol_n = np.linalg.cholesky(ch.noise_covariance)
+            y = x + _rng_from(chan_seeds[2 * j]).standard_normal(x.shape) @ chol_n.T
+            err_j, ess_j = _mmse_one_channel(spec, ch.noise_covariance, x, y,
+                                             chan_seeds[2 * j + 1], n_inner)
+            errs.append(err_j)
+            ess.append(ess_j)
+        return np.array(errs), np.concatenate(ess)
+
+    def test_std_error_counts_the_shared_draws(self, demo_ensemble):
+        # Every channel sees the same x, so the per-channel errors are
+        # correlated and the SE must be that of the per-draw weighted sum.
+        spec = PriorSpec(GeneralizedGaussian(1.0), 3)
+        est = mc_weighted_sum(spec, demo_ensemble, 300, 400, seed=1)
+        errs, _ = self._per_channel_errors(spec, demo_ensemble, 300, 400, seed=1)
+        weights = np.array([ch.weight for ch in demo_ensemble.channels])
+        per_draw = weights @ errs
+        assert est.value == pytest.approx(per_draw.mean(), rel=1e-13)
+        assert est.std_error == pytest.approx(per_draw.std(ddof=1) / math.sqrt(300),
+                                              rel=1e-12)
+        quadrature = math.sqrt(sum((lam * e.std(ddof=1)) ** 2
+                                   for lam, e in zip(weights, errs)) / 300)
+        assert est.std_error > quadrature
+
+    def test_ess_fields_filled_and_reproducible(self, demo_ensemble):
+        spec = PriorSpec(UniformBall(2.0), 3)
+        est = mc_weighted_sum(spec, demo_ensemble, 200, 300, seed=3)
+        again = mc_weighted_sum(spec, demo_ensemble, 200, 300, seed=3)
+        _, ess = self._per_channel_errors(spec, demo_ensemble, 200, 300, seed=3)
+        assert (est.min_ess, est.median_ess, est.bad_fraction) == \
+            (again.min_ess, again.median_ess, again.bad_fraction)
+        assert est.min_ess == ess.min()
+        assert est.median_ess == np.median(ess)
+        assert est.bad_fraction == np.count_nonzero(ess < 0.01 * 300) / ess.size
+        assert 1.0 <= est.min_ess <= est.median_ess <= 300
+
+    def test_mc_mmse_reports_ess(self):
+        spec = PriorSpec(GeneralizedGaussian(1.0), 2)
+        est = mc_mmse(spec, 0.8 * np.eye(2), 150, 200, seed=42)
+        assert 1.0 <= est.min_ess <= est.median_ess <= 200
+        assert 0.0 <= est.bad_fraction <= 0.01
 
 
 class TestMcKl:

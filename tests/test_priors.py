@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import multivariate_normal
 
 from mmse_bounds import (
     DegenerateSample,
@@ -157,6 +158,16 @@ class TestGaussianFamily:
         spec = PriorSpec(Gaussian(mean, cov), 2)
         np.testing.assert_allclose(log_density(spec, x),
                                    gaussian_log_density(mean, cov, x), rtol=1e-14)
+
+    def test_gaussian_log_density_matches_scipy(self):
+        cov = np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 0.7]])
+        mean = np.array([1.0, -1.0, 0.5])
+        x = mean + 2.0 * np.random.default_rng(5).normal(size=(50, 3))
+        ref = multivariate_normal(mean, cov).logpdf(x)
+        np.testing.assert_allclose(gaussian_log_density(mean, cov, x), ref, rtol=1e-12)
+        single = gaussian_log_density(mean, cov, x[7])
+        assert single.shape == (1,)
+        assert single[0] == pytest.approx(ref[7], rel=1e-12)
 
     def test_gaussian_log_density_scalar_oracle(self):
         # N(0, 4): log f(2) = -0.5 log(8 pi) - 0.5
