@@ -69,7 +69,7 @@ class SweepRecord:
     """One sweep row: abscissa (p or R), epsilon, and the bound curves.
 
     Fields are None where undefined (no Fisher information) or where a
-    per-row solver failure left a hole.
+    BracketFailure left a hole.
     """
 
     abscissa: float
@@ -182,21 +182,24 @@ def _emit_csv(header, rows, out_path):
         sys.stdout.write(text)
 
 
-def _solve_or_none(direction, ensemble, ball, opts, label):
-    """One bound value; BracketFailure becomes None plus a stderr note."""
+def _row_value(solve, label):
+    """One bound value, `solve()`; BracketFailure becomes None plus a stderr
+    note, and NoConvergence is raised again with the row label in front."""
     try:
-        return solve_bound(direction, ensemble, ball, opts).bound_value
+        return solve()
     except BracketFailure as exc:
         print(f"warning: {label}: {exc}", file=sys.stderr)
         return None
+    except NoConvergence as exc:
+        raise NoConvergence(f"{label}: {exc}", exc.residual, exc.iterations) from exc
+
+
+def _solve_or_none(direction, ensemble, ball, opts, label):
+    return _row_value(lambda: solve_bound(direction, ensemble, ball, opts).bound_value, label)
 
 
 def _local_or_none(direction, ensemble, ball, opts, label):
-    try:
-        return local_bounds_weighted(direction, ensemble, ball, opts)[0]
-    except BracketFailure as exc:
-        print(f"warning: {label}: {exc}", file=sys.stderr)
-        return None
+    return _row_value(lambda: local_bounds_weighted(direction, ensemble, ball, opts)[0], label)
 
 
 def _sweep_p_row(p, ensemble, mu0, opts) -> SweepRecord:

@@ -44,8 +44,9 @@ class SingularReference(ValueError):
 class LostPositiveDefiniteness(ArithmeticError):
     """The inverse-form iteration matrix lost positive definiteness.
 
-    For the upper bound this signals that alpha lies beyond the feasible
-    range; the outer search catches it and shrinks the bracket.
+    Raised by `sigma_of_alpha` when Sigma_0^-1 - alpha S(Sigma) is not
+    positive definite at an iterate, as for an upper-bound alpha beyond
+    the feasible range.
     """
 
     def __init__(self, alpha, iteration):
@@ -70,8 +71,8 @@ class BracketFailure(ArithmeticError):
     """The KL gap never reached the requested radius before losing PD.
 
     Reported with the largest feasible alpha found and the KL attained
-    there, so callers can see how far the requested epsilon overshoots the
-    reachable range.
+    there. `solve_bound` no longer raises it: both bounds exist for every
+    validated input. It stays exported for callers that catch it.
     """
 
     def __init__(self, direction, epsilon, alpha_feasible, kl_feasible):

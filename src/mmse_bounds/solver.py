@@ -1,48 +1,55 @@
 """Solver for the extremal-covariance conditions.
 
-Finds (alpha, Sigma_X) such that
+The bounds are the extrema of f(Sigma) = sum_j lambda_j tr((Sigma^-1 +
+Sigma_N_j^-1)^-1) over the ball kl(Sigma, Sigma_0) <= epsilon.
 
-    Sigma_X^-1 = Sigma_0^-1 - alpha * sum_j lambda_j W_j^T W_j,
-    kl(Sigma_X, Sigma_0) = epsilon,
+* f is concave, because the parallel sum is jointly concave (Anderson &
+  Duffin 1969), and increasing in the Loewner order; its gradient is
+  S(Sigma) = sum_j lambda_j W_j^T W_j, W_j^T = (Sigma + Sigma_N_j)^-1 Sigma_N_j.
+* kl is strictly convex and tends to infinity at the boundary of the
+  positive definite cone and at infinity, so the ball is compact and
+  convex: both extrema exist for every epsilon >= 0, with the constraint
+  active, and satisfy Sigma^-1 = Sigma_0^-1 - alpha S(Sigma), kl = epsilon.
+* The upper bound (alpha > 0) maximizes a concave function over a convex
+  set, so any such point is the global maximum. The lower bound (alpha <
+  0) minimizes one: a stationary point may be a saddle or a worse local
+  minimum, so it needs a minimality check.
 
-with alpha >= 0 for the upper bound and alpha <= 0 for the lower bound.
-The extremal prior is Gaussian with covariance Sigma_X, so the bound value
-is the weighted MMSE sum evaluated at Sigma_X.
-
-Inner loop: damped fixed-point iteration on the inverse form above, with
-the damping halved while consecutive updates anti-correlate (oscillatory
-regime, which occurs for alpha > 0). Once the iteration is in the basin or
-progress stalls, a Newton solve on the packed residual finishes to full
-tolerance; plain iteration alone contracts arbitrarily slowly near a fold
-of the solution curve.
-
-Outer loop: bracket alpha by geometric expansion from 0 (shrinking on loss
-of positive definiteness), then a bracket-safeguarded secant search on
-kl - epsilon, warm-starting each covariance solve from the nearest
-previously solved alpha.
-
-Fold handling: for large epsilon the solution curve alpha -> Sigma(alpha)
-can fold back (the lower branch at small exponents does), so the kl =
-epsilon point sits where no fixed point at frozen alpha is attracting. The
-expansion detects this as an inner-loop failure with kl still short of
-epsilon and switches to Newton on the extended system {fixed point,
-kl = epsilon} with alpha free, warm-started from the stable branch; small
-warm-started alpha steps toward the fold supply closer starts when needed.
+The solver follows the bordered system {L0^T (Sigma^-1 - Sigma_0^-1 +
+alpha S) L0 = 0, kl = t^2} (Sigma_0 = L0 L0^T) in t = sqrt(kl) from the
+centre: a majorize-minimize first step onto the sphere, then tangent
+predictors and Newton correctors on the analytic Jacobian. In whitened
+coordinates X = L0^-1 Sigma L0^-T, on an orthonormal packing, the
+Jacobian's X-block is alpha times the Hessian of the Lagrangian f - (2 /
+alpha) kl, so a lower bound is checked to be a local minimum on the
+tangent space of the sphere and moved off saddles along negative
+curvature. A lower bound also tries a second start at the target, a
+descent from the centre when the path stalls at a fold, and a
+symmetry-breaking split when its answer has a repeated eigenvalue, and
+keeps the lowest. Every answer is certified before it is returned: the
+fixed-point residual, |kl - epsilon| and the sign of alpha. README "Solver
+notes" gives the details.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg import cho_factor, cho_solve
 
-from .exceptions import BracketFailure, LostPositiveDefiniteness, NoConvergence
+from .exceptions import LostPositiveDefiniteness, NoConvergence
 from .gaussian import MmseSummary, kl_same_mean_gaussians, mmse_matrix, weighted_mmse_sum
 from .problem import DivergenceBall, Problem, validate_problem
+
+_NEWTON_ITER = 12  # Newton iterations per corrector
+_PATH_TOL = 1e-9  # relative residual of a corrector short of the target
+_FINAL_TOL = 1e-13  # ... and at the target
+_FLOOR_TOL = 1e-10  # a corrector stalled below this has reached rounding
+_KICKS = 6  # escapes from saddles per corrector
+_MM_STEPS = 100  # majorize-minimize steps when the path stalls
+_SMOOTH = 4  # fixed-alpha majorize-minimize steps after a lower-bound predictor
+_SPLIT_STEPS = 10  # majorize-minimize steps from each symmetry-breaking split
 
 
 class Direction(enum.Enum):
@@ -58,11 +65,13 @@ def _as_direction(direction) -> Direction:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and iteration caps for the two-level solver.
+    """Tolerances and caps for the continuation solver.
 
-    inner_tol is a relative Frobenius tolerance on the Sigma_X fixed point;
-    outer_tol is absolute on KL - epsilon. `damping` is the step size of
-    the inner update, adapted downward while the iteration oscillates.
+    inner_tol is a relative Frobenius tolerance on the fixed point Sigma_X =
+    (Sigma_0^-1 - alpha S(Sigma_X))^-1 at the answer; outer_tol is absolute
+    on KL - epsilon. inner_max_iter caps the Jacobian evaluations of one
+    solve, outer_max_iter its continuation steps, and `damping` is the first
+    trial length of every Newton step.
     """
 
     inner_tol: float = 1e-11
@@ -82,7 +91,11 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Solved bound: multiplier, extremal covariance, value, diagnostics."""
+    """Solved bound: multiplier, extremal covariance, value, diagnostics.
+
+    inner_iterations counts Jacobian evaluations, outer_iterations
+    continuation steps.
+    """
 
     direction: Direction
     alpha: float
@@ -96,247 +109,233 @@ class BoundResult:
 
 
 class _Ctx:
-    """Per-problem constants shared by all inner iterations."""
+    """Per-solve constants (the reference and L0, the channels, the
+    orthonormal packing) and the solve's counters."""
 
-    __slots__ = ("noise", "weights", "sigma0", "sigma0_inv", "eye")
+    def __init__(self, ensemble, reference, opts):
+        sigma0 = np.asarray(reference.covariance, dtype=float)
+        self.sigma0 = 0.5 * (sigma0 + sigma0.T)
+        self.k = k = sigma0.shape[0]
+        self.l0 = np.linalg.cholesky(self.sigma0)
+        self.l0i = np.linalg.inv(self.l0)
+        self.sigma0_inv = self.l0i.T @ self.l0i
+        self.logdet0 = 2.0 * np.sum(np.log(np.diag(self.l0)))
+        self.noise, self.weights, self.opts = ensemble.noise_stack, ensemble.weights, opts
+        self.ensemble = getattr(ensemble, "ensemble", ensemble)
+        iu, ju = np.triu_indices(k)
+        self.n = n = iu.size
+        basis = np.zeros((k, k, n))  # E_ii and (E_ij + E_ji) / sqrt 2
+        val = np.where(iu == ju, 1.0, np.sqrt(0.5))
+        basis[iu, ju, np.arange(n)] = val
+        basis[ju, iu, np.arange(n)] = val
+        self.basis = basis.reshape(k * k, n)
+        self.jacobians = self.steps = 0
 
-    def __init__(self, noise, weights, sigma0, sigma0_inv):
-        self.noise = noise
-        self.weights = weights
-        self.sigma0 = sigma0
-        self.sigma0_inv = sigma0_inv
-        self.eye = np.eye(sigma0.shape[0])
+    def pack(self, m):
+        return self.basis.T @ m.ravel()
+
+    def unpack_sigma(self, v):  # packed whitened X -> L0 X L0^T
+        return self.l0 @ (self.basis @ v).reshape(self.k, self.k) @ self.l0.T
+
+    def lift(self, m):  # whitened precision-like L0^T M L0
+        return self.l0.T @ m @ self.l0
 
 
-def _make_ctx(ensemble, reference) -> _Ctx:
-    if isinstance(ensemble, Problem):
-        return _Ctx(ensemble.noise_stack, ensemble.weights,
-                    ensemble.reference.covariance, ensemble.sigma0_inv)
-    sigma0 = np.asarray(reference.covariance, dtype=float)
-    c = cho_factor(sigma0, lower=True, check_finite=False)
-    sigma0_inv = cho_solve(c, np.eye(sigma0.shape[0]), check_finite=False)
-    return _Ctx(ensemble.noise_stack, ensemble.weights, sigma0,
-                0.5 * (sigma0_inv + sigma0_inv.T))
-
-
-def _gmap(sigma, alpha, ctx, iteration):
-    """One application of Sigma -> (Sigma_0^-1 - alpha sum lambda_j W_j^T W_j)^-1."""
-    a = sigma[None, :, :] + ctx.noise
-    wt = np.linalg.solve(a, ctx.noise)  # stack of W_j^T
-    s = np.einsum("j,jik,jmk->im", ctx.weights, wt, wt)
-    m = ctx.sigma0_inv - alpha * s
-    m = 0.5 * (m + m.T)
+def _is_pd(m):
+    if not np.all(np.isfinite(m)):
+        return False
     try:
-        c = cho_factor(m, lower=True, check_finite=False)
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        raise LostPositiveDefiniteness(alpha, iteration) from None
-    new = cho_solve(c, ctx.eye, check_finite=False)
-    return 0.5 * (new + new.T)
+        return False
+    return True
 
 
-def _newton_polish(alpha, ctx, opts, sigma_start):
-    """Newton solve (hybrid Powell) of the packed fixed-point residual.
+def _gradient(ctx, sigma):
+    """((Sigma + Sigma_N_j)^-1, W_j^T W_j, S)."""
+    ai = np.linalg.inv(sigma + ctx.noise)
+    wt = ai @ ctx.noise
+    cm = wt @ wt.swapaxes(1, 2)
+    return ai, cm, np.einsum("j,jab->ab", ctx.weights, cm)
 
-    Returns (sigma, residual, evaluations) when a positive definite root
-    within inner_tol is found, else None. Indifferent to the stability of
-    the fixed point, so it reaches roots the damped iteration cannot.
-    """
-    k = ctx.sigma0.shape[0]
-    iu = np.triu_indices(k)
-    scale = max(float(np.linalg.norm(sigma_start)), 1e-300)
 
-    def fun(v):
-        s = np.zeros((k, k))
-        s[iu] = v
-        s.T[iu] = v
-        try:
-            g = _gmap(s, alpha, ctx, 0)
-        except (LostPositiveDefiniteness, np.linalg.LinAlgError):
-            return np.full(v.shape, 1e6)
-        return (g - s)[iu] / scale
+def _value(ctx, sigma):
+    return weighted_mmse_sum(sigma, ctx.ensemble).weighted_sum
 
-    sol = optimize.root(fun, sigma_start[iu], method="hybr",
-                        options={"xtol": 1e-14})
-    s = np.zeros((k, k))
-    s[iu] = sol.x
-    s.T[iu] = sol.x
-    if not np.all(np.isfinite(s)):
-        return None
+
+def _evaluate(ctx, sigma, alpha, t2):
+    """(residual, Jacobian, X^-1) of the bordered system at a positive
+    definite Sigma; the residual is formed in the original coordinates."""
+    ci = np.linalg.inv(np.linalg.cholesky(sigma))
+    si = ci.T @ ci
+    ai, cm, s = _gradient(ctx, sigma)
+    kl = 0.5 * (np.sum(ctx.sigma0_inv * sigma) - ctx.k + ctx.logdet0) + np.log(np.diag(ci)).sum()
+    res = np.append(ctx.pack(ctx.lift(si - ctx.sigma0_inv + alpha * s)), kl - t2)
+    xi = ctx.lift(si)
+    if ctx.jacobians >= ctx.opts.inner_max_iter:
+        raise NoConvergence("Jacobian evaluation cap reached")
+    ctx.jacobians += 1
+    k2, n = ctx.k * ctx.k, ctx.n
+    # kron(X^-1, X^-1) + 2 alpha sum_j lambda_j kron(L0^T A_j^-1 L0, L0^T W_j^T W_j L0)
+    g = np.einsum("j,jab,jcd->acbd", np.append(1.0, 2.0 * alpha * ctx.weights),
+                  np.concatenate([xi[None], ctx.lift(ai)]),
+                  np.concatenate([xi[None], ctx.lift(cm)])).reshape(k2, k2)
+    jac = np.zeros((n + 1, n + 1))
+    jac[:n, :n] = -ctx.basis.T @ g @ ctx.basis
+    jac[:n, n] = ctx.pack(ctx.lift(s))
+    jac[n, :n] = ctx.pack(0.5 * (np.eye(ctx.k) - xi))
+    return res, jac, xi
+
+
+def _newton_step(ctx, sigma, alpha, res, jac, fixed_alpha=False):
+    """Newton step, shortened only to keep Sigma positive definite."""
+    n = ctx.n
     try:
-        if np.linalg.eigvalsh(s)[0] <= 0.0:
+        step = (np.append(np.linalg.solve(jac[:n, :n], -res[:n]), 0.0) if fixed_alpha
+                else np.linalg.solve(jac, -res))
+    except np.linalg.LinAlgError:
+        return None
+    lam, d = ctx.opts.damping, ctx.unpack_sigma(step[:n])
+    while lam >= 1e-6:
+        if _is_pd(sigma + lam * d):
+            return sigma + lam * d, alpha + lam * step[n]
+        lam *= 0.5
+    return None
+
+
+def _correct(ctx, sigma, alpha, t2, tol, iters=_NEWTON_ITER):
+    """Newton on the bordered system at kl = t2. The residual is relative
+    to max|X^-1|; it passes below `tol`, or once it stops contracting
+    below the rounding floor. Returns (Sigma, alpha, Jacobian) or None."""
+    kl_tol = 0.1 * ctx.opts.outer_tol if tol == _FINAL_TOL else 1e-9 * t2
+    prev = np.inf
+    if not _is_pd(sigma):
+        return None
+    for _ in range(iters):
+        res, jac, xi = _evaluate(ctx, sigma, alpha, t2)
+        rel = np.linalg.norm(res[:-1]) / np.abs(xi).max()
+        if abs(res[-1]) <= kl_tol and (rel <= tol or _FLOOR_TOL > rel > 0.25 * prev):
+            return sigma, alpha, jac
+        prev = rel
+        step = _newton_step(ctx, sigma, alpha, res, jac)
+        if step is None:
             return None
-        g = _gmap(s, alpha, ctx, 0)
-    except (LostPositiveDefiniteness, np.linalg.LinAlgError):
-        return None
-    res = float(np.linalg.norm(g - s) / np.linalg.norm(s))
-    if res > opts.inner_tol:
-        return None
-    return s, res, int(sol.nfev)
+        sigma, alpha = step
+    return None
 
 
-def _fixed_point(alpha, ctx, opts, sigma_init=None, damping=None, polish=True):
-    """Damped fixed-point solve for Sigma_X at one alpha.
-
-    Iterates sigma <- sigma + d * (G(sigma) - sigma) with the damping d
-    halved while updates anti-correlate. When the residual stalls or drops
-    into the Newton basin, hands off to `_newton_polish`; with polish
-    disabled (used while marching along the stable branch) the plain
-    iteration runs alone and only attracting fixed points are reachable.
-
-    Returns (sigma, residual, iterations, final_damping). Raises
-    LostPositiveDefiniteness or NoConvergence.
-    """
-    if alpha == 0.0:
-        return ctx.sigma0.copy(), 0.0, 1, damping if damping else opts.damping
-    sigma = ctx.sigma0.copy() if sigma_init is None else np.array(sigma_init, dtype=float)
-    d = opts.damping if damping is None else min(damping, opts.damping)
-    prev_u = None
-    cooldown = 0
-    best_res = np.inf
-    best_sigma = sigma
-    no_gain = 0
-    polish_tries = 0
-    res = np.inf
-    it = 0
-    for it in range(1, opts.inner_max_iter + 1):
-        try:
-            target = _gmap(sigma, alpha, ctx, it)
-        except (LostPositiveDefiniteness, np.linalg.LinAlgError):
-            # the iterate left the feasible cone; a Newton solve from the
-            # best iterate may still reach a (possibly repelling) root
-            if polish and best_res < np.inf:
-                hit = _newton_polish(alpha, ctx, opts, best_sigma)
-                if hit is not None:
-                    return hit[0], hit[1], it + hit[2], d
-            raise
-        u = target - sigma
-        res = float(np.linalg.norm(u) / max(np.linalg.norm(sigma), 1e-300))
-        if res <= opts.inner_tol:
-            return target, res, it, d
-        if res < 0.9 * best_res:
-            no_gain = 0
-        else:
-            no_gain += 1
-        if res < best_res:
-            best_res = res
-            best_sigma = sigma
-        if polish and polish_tries < 3 and (res < 1e-5 or no_gain >= 12):
-            hit = _newton_polish(alpha, ctx, opts, best_sigma)
-            if hit is not None:
-                return hit[0], hit[1], it + hit[2], d
-            polish_tries += 1
-            no_gain = 0
-        if prev_u is not None and cooldown == 0:
-            dot = float(np.sum(u * prev_u))
-            norm_p = float(np.linalg.norm(prev_u))
-            norm_u = float(np.linalg.norm(u))
-            if norm_p > 0 and norm_u > 0:
-                rho = dot / norm_p**2
-                if rho < -0.2 and d > opts.damping * 2.0**-12:
-                    d *= 0.5
-                    cooldown = 3
-                elif rho > 0.2 and d < opts.damping:
-                    d = min(opts.damping, 2.0 * d)
-                    cooldown = 3
-        if cooldown:
-            cooldown -= 1
-        sigma = sigma + d * u
-        sigma = 0.5 * (sigma + sigma.T)
-        prev_u = u
-    if polish:
-        hit = _newton_polish(alpha, ctx, opts, best_sigma)
-        if hit is not None:
-            return hit[0], hit[1], it + hit[2], d
-    raise NoConvergence(
-        f"fixed point at alpha={alpha!r} not converged after {it} iterations "
-        f"(residual {res:.3e}, best {best_res:.3e})",
-        residual=res, iterations=it)
+def _mm_step(ctx, sigma, t2, sign, alpha=None):
+    """Majorize-minimize step (Sigma, alpha): L0 (I - alpha T(Sigma))^-1 L0^T,
+    with alpha of the direction's sign putting it on kl = t2 unless given."""
+    return _sphere(ctx, *np.linalg.eigh(ctx.lift(_gradient(ctx, sigma)[2])), t2, sign, alpha)
 
 
-def _constrained_root(ctx, epsilon, alpha0, sigma_start, opts):
-    """Newton solve of {G(Sigma; alpha) = Sigma, kl(Sigma) = epsilon}, alpha free.
+def _sphere(ctx, tau, q, t2, sign, alpha=None):
+    """(L0 q diag(1 / (1 - alpha tau)) q^T L0^T, alpha) for T = q diag(tau) q^T."""
+    if alpha is None:
+        lo, hi = 0.0, (1.0 / tau[-1] if sign > 0 else np.inf)
+        b = min(2.0 * np.sqrt(t2) / np.linalg.norm(tau), 0.5 * hi)  # first order
+        for _ in range(100):
+            x = 1.0 / (1.0 - sign * b * tau)
+            g = 0.5 * (x - 1.0 - np.log(x)).sum() - t2
+            if abs(g) <= 1e-13 * t2:
+                break
+            lo, hi = (lo, b) if g > 0 else (b, hi)
+            b_new = b - g / (0.5 * sign * (tau * x * (x - 1.0)).sum())
+            b = b_new if lo < b_new < hi else (0.5 * (lo + hi) if hi < np.inf else 2.0 * b)
+        alpha = sign * b
+    lq = ctx.l0 @ q
+    return (lq / (1.0 - alpha * tau)) @ lq.T, alpha
 
-    The extended system is regular at a fold of the alpha-parameterized
-    curve, so this reaches kl = epsilon roots past the fold. Returns
-    (alpha, sigma, residual, kl, evaluations) or None.
-    """
-    k = ctx.sigma0.shape[0]
-    iu = np.triu_indices(k)
-    scale = max(float(np.linalg.norm(ctx.sigma0)), 1e-300)
-    kl_scale = max(epsilon, 1e-6)
 
-    def fun(z):
-        s = np.zeros((k, k))
-        s[iu] = z[:-1]
-        s.T[iu] = z[:-1]
-        try:
-            g = _gmap(s, z[-1], ctx, 0)
-            kl = kl_same_mean_gaussians(s, ctx.sigma0)
-        except (LostPositiveDefiniteness, np.linalg.LinAlgError, ValueError):
-            return np.full(z.shape, 1e6)
-        out = np.empty(z.shape)
-        out[:-1] = (g - s)[iu] / scale
-        out[-1] = (kl - epsilon) / kl_scale
-        return out
-
-    z0 = np.concatenate([np.asarray(sigma_start)[iu], [alpha0]])
-    sol = optimize.root(fun, z0, method="hybr",
-                        options={"xtol": 1e-14, "maxfev": 200 * (len(z0) + 1)})
-    s = np.zeros((k, k))
-    s[iu] = sol.x[:-1]
-    s.T[iu] = sol.x[:-1]
-    alpha = float(sol.x[-1])
-    if not np.all(np.isfinite(s)) or not np.isfinite(alpha):
-        return None
-    try:
-        if np.linalg.eigvalsh(s)[0] <= 0.0:
+def _settle(ctx, sigma, alpha, t2, sign, tol, iters=_NEWTON_ITER):
+    """Correct at kl = t2; a lower bound must also make the reduced Hessian
+    (1/alpha) P^T J_XX P (P spanning the tangent space of the sphere)
+    positive semidefinite and is moved off saddles along its most negative
+    curvature. Returns (Sigma, alpha, J) or None."""
+    hit = _correct(ctx, sigma, alpha, t2, tol, iters)
+    for _ in range(_KICKS):
+        if hit is None or sign * hit[1] <= 0.0:
             return None
-        g = _gmap(s, alpha, ctx, 0)
-        kl = kl_same_mean_gaussians(s, ctx.sigma0)
-    except (LostPositiveDefiniteness, np.linalg.LinAlgError, ValueError):
-        return None
-    res = float(np.linalg.norm(g - s) / np.linalg.norm(s))
-    if res > opts.inner_tol or abs(kl - epsilon) > opts.outer_tol:
-        return None
-    return alpha, s, res, kl, int(sol.nfev)
+        if sign > 0:
+            return hit
+        sigma, alpha, jac = hit
+        g = jac[-1, :-1] / np.linalg.norm(jac[-1, :-1])
+        proj = np.eye(ctx.n) - np.outer(g, g)
+        ev, vec = np.linalg.eigh(proj @ (jac[:-1, :-1] + jac[:-1, :-1].T) @ proj / (2 * alpha))
+        if ev[0] >= -1e-9 * np.abs(ev).max():
+            return hit
+        # half-way to the edge of the cone both ways, then a
+        # majorize-minimize step back onto the sphere; keep the lower side
+        x_min = np.linalg.eigvalsh(ctx.l0i @ sigma @ ctx.l0i.T)[0]
+        dx = (ctx.basis @ vec[:, 0]).reshape(ctx.k, ctx.k)
+        d = ctx.unpack_sigma(0.5 * x_min / np.abs(np.linalg.eigvalsh(dx)).max() * vec[:, 0])
+        sigma, alpha = min((_mm_step(ctx, sigma + s * d, t2, sign) for s in (1.0, -1.0)),
+                           key=lambda c: _value(ctx, c[0]))
+        hit = _correct(ctx, sigma, alpha, t2, tol)
+    return None
 
 
-def _march_boundary(ctx, opts, epsilon, start, sign, state):
-    """Warm-started small alpha steps along the stable branch.
+def _split_start(ctx, eps):
+    """The lowest of majorize-minimize descents from the splits that spend
+    the whole radius shrinking the m steepest directions of T(Sigma_0)
+    alike, m < K: a start off the symmetric subspace a path stays in."""
+    q, best = np.linalg.eigh(ctx.lift(_gradient(ctx, ctx.sigma0)[2]))[1], None
+    for m in range(1, ctx.k):
+        start = _sphere(ctx, (np.arange(ctx.k) >= ctx.k - m).astype(float), q, eps, -1.0)
+        for _ in range(_SPLIT_STEPS):
+            start = _mm_step(ctx, start[0], eps, -1.0)
+        if best is None or _value(ctx, start[0]) < _value(ctx, best[0]):
+            best = start
+    return best
 
-    Walks from `start` = (alpha, sigma, kl) toward larger |alpha|, halving
-    the step when the plain iteration fails (the fold repels it) and
-    growing it again after successes. Returns the visited points; stops
-    once kl >= epsilon, the step underflows, or the budget runs out.
-    """
-    march_opts = replace(opts, inner_tol=max(opts.inner_tol, 1e-9),
-                         inner_max_iter=300)
-    alpha, sigma, kl = start
-    step = sign * max(0.05 * abs(alpha), 1e-3)
-    points = []
-    for _ in range(200):
-        if abs(step) < 1e-9 * max(1.0, abs(alpha)):
-            break
-        try:
-            s2, r2, it2, _ = _fixed_point(alpha + step, ctx, march_opts,
-                                          sigma_init=sigma, polish=False)
-        except (LostPositiveDefiniteness, NoConvergence):
-            step *= 0.5
+
+def _path(ctx, sign, eps):
+    """Continuation in t = sqrt(kl) from the centre; (Sigma, alpha) at t^2 = eps."""
+    n, target, h = ctx.n, np.sqrt(eps), np.sqrt(eps)
+    t, sigma, alpha, tangent = 0.0, ctx.sigma0, 0.0, None
+    while t < target:
+        if ctx.steps >= ctx.opts.outer_max_iter:
+            raise NoConvergence(f"continuation step cap {ctx.opts.outer_max_iter} reached")
+        ctx.steps += 1
+        t_new = target if target - (t + h) <= 1e-9 * target else t + h
+        if tangent is None:
+            s_p, a_p = _mm_step(ctx, ctx.sigma0, t_new**2, sign)
+        else:  # Sigma^1/2 exp(dt Sigma^-1/2 Sigma' Sigma^-1/2) Sigma^1/2 stays definite
+            c = np.linalg.cholesky(sigma)
+            ci = np.linalg.inv(c)
+            w, v = np.linalg.eigh(ci @ ctx.unpack_sigma((t_new - t) * tangent[:n]) @ ci.T)
+            s_p = (c @ v * np.exp(np.minimum(w, 30.0))) @ (c @ v).T
+            a_p = alpha + (t_new - t) * tangent[n]
+            for _ in range(_SMOOTH if sign < 0 and a_p < 0 else 0):  # descend the Lagrangian
+                s_p = _mm_step(ctx, s_p, t_new**2, sign, a_p)[0]
+        hit = _settle(ctx, s_p, a_p, t_new**2, sign,
+                      _FINAL_TOL if t_new == target else _PATH_TOL)
+        if hit is None:
+            h *= 0.5
+            if h < 1e-9 * target or ctx.jacobians > 0.8 * ctx.opts.inner_max_iter:
+                raise NoConvergence(f"continuation stalled at kl={float(t * t)!r} of {eps!r}")
             continue
-        state["inner"] += it2
-        alpha += step
-        sigma = s2
-        kl = kl_same_mean_gaussians(sigma, ctx.sigma0)
-        points.append((alpha, sigma, kl))
-        if kl >= epsilon:
-            break
-        step *= 1.4
-    return points
+        t, (sigma, alpha, jac), h = t_new, hit, 1.5 * h
+        tangent = np.linalg.solve(jac, np.append(np.zeros(n), 2.0 * t))
+    return sigma, alpha
+
+
+def _residual(ctx, sigma, alpha):
+    """||G(Sigma) - Sigma|| / ||Sigma|| for G(Sigma) = (Sigma_0^-1 - alpha
+    S(Sigma))^-1 (Frobenius). Raises LostPositiveDefiniteness."""
+    try:
+        mi = np.linalg.inv(np.linalg.cholesky(ctx.sigma0_inv - alpha * _gradient(ctx, sigma)[2]))
+    except np.linalg.LinAlgError:
+        raise LostPositiveDefiniteness(alpha, 0) from None
+    return float(np.linalg.norm(mi.T @ mi - sigma) / np.linalg.norm(sigma))
 
 
 def sigma_of_alpha(alpha, ensemble, reference, opts: SolverOptions | None = None,
                    sigma_init=None):
     """Solve the inverse-form fixed point for Sigma_X at a given alpha.
+
+    Newton on the fixed-alpha block of the solver's Jacobian.
 
     Parameters
     ----------
@@ -347,7 +346,7 @@ def sigma_of_alpha(alpha, ensemble, reference, opts: SolverOptions | None = None
     reference : GaussianReference
     opts : SolverOptions, optional
     sigma_init : (K, K) ndarray, optional
-        Warm start; defaults to Sigma_0.
+        Start; defaults to Sigma_0.
 
     Returns
     -------
@@ -358,22 +357,30 @@ def sigma_of_alpha(alpha, ensemble, reference, opts: SolverOptions | None = None
     Raises
     ------
     LostPositiveDefiniteness
-        If the iteration matrix loses positive definiteness (alpha beyond
-        the feasible range for the upper bound).
+        If Sigma_0^-1 - alpha S(Sigma) is not positive definite at an
+        iterate (alpha beyond the feasible range for the upper bound).
     NoConvergence
     """
-    opts = opts or SolverOptions()
-    ctx = _make_ctx(ensemble, reference)
-    sigma, res, it, _ = _fixed_point(alpha, ctx, opts, sigma_init=sigma_init)
-    return sigma, res, it
+    ctx = _Ctx(ensemble, reference, opts or SolverOptions())
+    if alpha == 0.0:
+        return ctx.sigma0.copy(), 0.0, 1
+    sigma = ctx.sigma0 if sigma_init is None else np.asarray(sigma_init, dtype=float)
+    for it in range(1, ctx.opts.inner_max_iter + 1):
+        res = _residual(ctx, sigma, alpha)
+        if res <= ctx.opts.inner_tol:
+            return sigma, res, it
+        r, jac, _ = _evaluate(ctx, sigma, alpha, 0.0)
+        step = _newton_step(ctx, sigma, alpha, r, jac, fixed_alpha=True)
+        if step is None:
+            break
+        sigma = 0.5 * (step[0] + step[0].T)
+    raise NoConvergence(f"fixed point at alpha={alpha!r} not converged", residual=res)
 
 
 def kl_gap(alpha, ensemble, reference, epsilon, opts: SolverOptions | None = None):
     """kl(Sigma_X(alpha), Sigma_0) - epsilon; zero at the bound solution."""
-    opts = opts or SolverOptions()
-    ctx = _make_ctx(ensemble, reference)
     sigma, _, _ = sigma_of_alpha(alpha, ensemble, reference, opts)
-    return kl_same_mean_gaussians(sigma, ctx.sigma0) - epsilon
+    return kl_same_mean_gaussians(sigma, reference.covariance) - epsilon
 
 
 def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
@@ -395,21 +402,6 @@ def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
     return float(np.linalg.norm(sigma_x - rhs) / np.linalg.norm(sigma_x))
 
 
-def _initial_step(ctx) -> float:
-    """First bracket probe: a quarter of the alpha that would cancel the
-    smallest curvature of Sigma_0^-1 if S stayed at its center value."""
-    s0 = _gmap_s(ctx.sigma0, ctx)
-    lam_min = float(np.linalg.eigvalsh(ctx.sigma0_inv)[0])
-    lam_max = float(np.linalg.eigvalsh(s0)[-1])
-    return 0.25 * lam_min / lam_max
-
-
-def _gmap_s(sigma, ctx):
-    a = sigma[None, :, :] + ctx.noise
-    wt = np.linalg.solve(a, ctx.noise)
-    return np.einsum("j,jik,jmk->im", ctx.weights, wt, wt)
-
-
 def solve_bound(direction, ensemble, ball: DivergenceBall,
                 opts: SolverOptions | None = None) -> BoundResult:
     """Solve for the upper or lower bound on the weighted MMSE sum.
@@ -425,196 +417,64 @@ def solve_bound(direction, ensemble, ball: DivergenceBall,
     Returns
     -------
     BoundResult
-        With ``|kl_at_solution - epsilon| <= opts.outer_tol`` and the
-        fixed-point residual below ``opts.inner_tol``.
+        With ``|kl_at_solution - epsilon| <= opts.outer_tol``, the
+        fixed-point residual of ``sigma_x`` below ``opts.inner_tol`` and
+        alpha of the direction's sign; a lower bound is also a local
+        minimum.
 
     Raises
     ------
-    BracketFailure
-        If epsilon exceeds the KL reachable along the solution curve even
-        with the fold continuation.
     NoConvergence
+        If no answer passes those checks.
     """
     direction = _as_direction(direction)
     opts = opts or SolverOptions()
     prob = ensemble if isinstance(ensemble, Problem) else validate_problem(ensemble, ball)
-    ctx = _make_ctx(prob, None)
+    ctx = _Ctx(prob, ball.reference, opts)
     eps = ball.epsilon
-    reference = ball.reference
 
-    def build(alpha, sigma, kl, res, total_inner, n_evals):
-        summary = weighted_mmse_sum(sigma, prob.ensemble, reference)
-        return BoundResult(
-            direction=direction,
-            alpha=alpha,
-            sigma_x=sigma,
-            bound_value=summary.weighted_sum,
-            summary=summary,
-            kl_at_solution=kl,
-            inner_iterations=total_inner,
-            outer_iterations=n_evals,
-            residuals=(res, abs(kl - eps)),
-        )
+    def build(alpha, sigma, kl, res):
+        summary = weighted_mmse_sum(sigma, prob.ensemble, ball.reference)
+        return BoundResult(direction, alpha, sigma, summary.weighted_sum, summary, kl,
+                           ctx.jacobians, ctx.steps, (res, abs(kl - eps)))
 
     if eps <= opts.outer_tol:
         # the ball is (numerically) a point; both bounds sit at the center
-        return build(0.0, ctx.sigma0.copy(), 0.0, 0.0, 1, 0)
+        return build(0.0, ctx.sigma0.copy(), 0.0, 0.0)
 
     sign = 1.0 if direction is Direction.UPPER else -1.0
-    state = {"inner": 0, "evals": 0}
-    cache = []  # (alpha, sigma, kl, res, damping)
-    value0 = weighted_mmse_sum(ctx.sigma0, prob.ensemble, reference).weighted_sum
-
-    def eval_alpha(a):
-        if state["evals"] >= opts.outer_max_iter:
-            raise NoConvergence(
-                f"outer iteration cap {opts.outer_max_iter} reached solving the "
-                f"{direction.value} bound at epsilon={eps!r}")
-        # continuation: warm-start from the Sigma_0 side (largest |alpha|
-        # not beyond |a|), where the fixed point is reliably attracting
-        starts = [(None, None)]
-        below = [e for e in cache if abs(e[0]) <= abs(a)]
-        if below:
-            nearest = max(below, key=lambda e: abs(e[0]))
-            starts = [(nearest[1], nearest[4]), (None, None)]
-        last = None
-        for sigma_init, d_init in starts:
-            try:
-                sigma, res, it, d = _fixed_point(a, ctx, opts,
-                                                 sigma_init=sigma_init, damping=d_init)
-            except (LostPositiveDefiniteness, NoConvergence) as exc:
-                last = exc
-                continue
-            state["inner"] += it
-            state["evals"] += 1
-            kl = kl_same_mean_gaussians(sigma, ctx.sigma0)
-            cache.append((a, sigma, kl, res, d))
-            return kl
-        state["evals"] += 1
-        raise last
-
-    def accept_root(r):
-        # reject extended-system roots that moved the objective the wrong
-        # way relative to the ball center (a different solution branch)
-        alpha_r, sigma_r, res_r, kl_r, nfev = r
-        value = weighted_mmse_sum(sigma_r, prob.ensemble, reference).weighted_sum
-        return sign * (value - value0) >= -1e-9 * max(1.0, abs(value0))
-
-    def fold_ladder():
-        """kl = epsilon via the extended system, warm-started from the
-        stable branch; marches closer to the fold when the first starts
-        fail. Returns (alpha, sigma, res, kl) or None."""
-        def attempt(a0, s0):
-            if state["evals"] >= opts.outer_max_iter:
-                return None
-            state["evals"] += 1
-            r = _constrained_root(ctx, eps, a0, s0, opts)
-            if r is None:
-                return None
-            state["inner"] += r[4]
-            if not accept_root(r):
-                return None
-            return r[:4]
-
-        seen = sorted((e for e in cache if e[0] != 0.0), key=lambda e: -e[2])
-        for a0, s0, kl0, _, _ in seen[:4]:
-            hit = attempt(a0, s0)
-            if hit is not None:
-                return hit
-        if not cache:
-            return None
-        frontier = max(cache, key=lambda e: abs(e[0]))
-        pts = _march_boundary(ctx, opts, eps, frontier[:3], sign, state)
-        for a0, s0, kl0 in reversed(pts[-6:]):
-            hit = attempt(a0, s0)
-            if hit is not None:
-                return hit
-        return None
-
-    # --- bracket: expand geometrically from 0 until kl >= eps, a fold
-    # blocks the iteration, or PD is lost
-    lo_a, lo_kl = 0.0, 0.0
-    hi = sign * _initial_step(ctx)
-    hi_kl = None
-    best_a, best_kl = 0.0, 0.0
-    bracketed = False
-    while True:
+    try:
+        found = [_path(ctx, sign, eps)]
+        starts = [_mm_step(ctx, ctx.sigma0, eps, sign, found[0][1])] if sign < 0 else []
+    except (NoConvergence, np.linalg.LinAlgError) as exc:
+        if sign > 0:
+            raise NoConvergence(f"upper bound at epsilon={eps!r}: {exc}") from exc
+        found, start = [], (ctx.sigma0, None)
+        for _ in range(_MM_STEPS):
+            start = _mm_step(ctx, start[0], eps, sign)
+        starts = [start]
+    for sigma, alpha in starts:
+        hit = _settle(ctx, sigma, alpha, eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
+        found += [hit[:2]] if hit is not None else []
+    found.sort(key=lambda c: -sign * _value(ctx, c[0]))
+    w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
+    if sign < 0 and ctx.k > 1 and np.min(np.diff(w)) <= 1e-6 * w[-1]:
+        # no answer, or one with a repeated eigenvalue: break the symmetry
+        hit = _settle(ctx, *_split_start(ctx, eps), eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
+        found = sorted(found + ([hit[:2]] if hit is not None else []),
+                       key=lambda c: -sign * _value(ctx, c[0]))
+    res = np.inf
+    for sigma, alpha in found:
+        sigma = 0.5 * (sigma + sigma.T)
         try:
-            hi_kl = eval_alpha(hi)
-        except NoConvergence:
-            break  # fold shadow: no attracting root at this alpha
+            res = _residual(ctx, sigma, alpha)
         except LostPositiveDefiniteness:
-            hi = 0.5 * (hi + lo_a)
-            if abs(hi - lo_a) <= 1e-13 * max(1.0, abs(lo_a)):
-                break
             continue
-        if hi_kl < lo_kl - 1e-12:
-            warnings.warn(
-                f"KL gap decreased from {lo_kl!r} to {hi_kl!r} while expanding "
-                f"alpha toward {hi!r}; proceeding with the bracketing pair",
-                RuntimeWarning)
-        if hi_kl > best_kl:
-            best_a, best_kl = hi, hi_kl
-        if hi_kl >= eps:
-            bracketed = True
-            break
-        lo_a, lo_kl = hi, hi_kl
-        hi *= 2.0
-
-    if not bracketed:
-        hit = fold_ladder()
-        if hit is not None:
-            return build(hit[0], hit[1], hit[3], hit[2], state["inner"], state["evals"])
-        raise BracketFailure(direction.value, eps, best_a, best_kl)
-
-    # --- safeguarded secant (regula falsi with Illinois weighting) on kl - eps
-    a, fa = lo_a, lo_kl - eps
-    b, fb = hi, hi_kl - eps
-    accepted = None  # (alpha, sigma, kl, res)
-    if abs(fb) <= opts.outer_tol:
-        e = next(e for e in reversed(cache) if e[0] == b)
-        accepted = (e[0], e[1], e[2], e[3])
-    side = 0
-    while accepted is None:
-        if fb != fa:
-            c = b - fb * (b - a) / (fb - fa)
-        else:
-            c = 0.5 * (a + b)
-        width = b - a
-        lo_guard = min(a, b) + 0.05 * abs(width)
-        hi_guard = max(a, b) - 0.05 * abs(width)
-        if not (lo_guard <= c <= hi_guard):
-            c = 0.5 * (a + b)
-        try:
-            kc = eval_alpha(c)
-        except (LostPositiveDefiniteness, NoConvergence) as exc:
-            # a fold crosses the bracket interior; the extended system
-            # does not care about stability, so switch to it
-            hit = fold_ladder()
-            if hit is not None:
-                return build(hit[0], hit[1], hit[3], hit[2],
-                             state["inner"], state["evals"])
-            raise NoConvergence(
-                f"inner solve failed inside the bracket at alpha={c!r} and the "
-                f"fold continuation found no kl=epsilon root") from exc
-        fc = kc - eps
-        if abs(fc) <= opts.outer_tol:
-            e = next(e for e in reversed(cache) if e[0] == c)
-            accepted = (e[0], e[1], e[2], e[3])
-            break
-        if (fc < 0) == (fa < 0):
-            a, fa = c, fc
-            if side == -1:
-                fb *= 0.5  # Illinois: relax the stagnant endpoint
-            side = -1
-        else:
-            b, fb = c, fc
-            if side == 1:
-                fa *= 0.5
-            side = 1
-
-    alpha, sigma, kl, res = accepted
-    return build(alpha, sigma, kl, res, state["inner"], state["evals"])
+        kl = kl_same_mean_gaussians(sigma, ctx.sigma0)
+        if res <= opts.inner_tol and abs(kl - eps) <= opts.outer_tol:
+            return build(float(alpha), sigma, kl, res)
+    raise NoConvergence(f"{direction.value} bound at epsilon={eps!r}: {len(found)} local "
+                        f"extrema found, none certified (residual {res:.3g})", residual=res)
 
 
 def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall,

@@ -1,0 +1,115 @@
+"""Oracles for the bound solver that share no code with it.
+
+* `scalar_ratio`: the K = 1 closed form. The feasible covariances form an
+  interval in s = sigma_x^2 / sigma_0^2 and every channel MMSE increases
+  in s, so each bound sits at an end, where s - log s - 1 = 2 epsilon.
+* `isotropic_bounds`: Sigma_0 = s0 I and one channel Sigma_N = n I. Both
+  the objective and the KL radius depend on the eigenvalues of Sigma_X
+  only. The upper bound keeps Sigma_X = r s0 I with K (r - 1 - log r) / 2
+  = epsilon. The lower bound need not: it is the least value over
+  two-level splits, m eigenvalues at u and K - m at v, both below s0, with
+  m h(u) + (K - m) h(v) = epsilon and h(s) = (s/s0 - 1 - log(s/s0)) / 2,
+  found by a one-dimensional search for each m.
+* `multistart_lower`: SLSQP from many random starts over Sigma =
+  L0 expm(M) L0^T, with the KL radius written as (tr e^M - K - tr M) / 2,
+  which stays finite at the extreme points the search visits.
+"""
+
+import numpy as np
+from scipy.optimize import brentq, minimize, minimize_scalar
+
+
+def scalar_ratio(epsilon: float, direction: str) -> float:
+    """Root of s - log s - 1 = 2 epsilon on the side matching `direction`."""
+    f = lambda s: s - np.log(s) - 1.0 - 2.0 * epsilon
+    if direction == "lower":
+        return brentq(f, 1e-300, 1.0, xtol=1e-300, rtol=8.9e-16)
+    return brentq(f, 1.0, 4.0 * epsilon + 4.0, xtol=1e-15, rtol=8.9e-16)
+
+
+def isotropic_bounds(s0, n, k, epsilon, lam=1.0):
+    """(lower, upper) for Sigma_0 = s0 I_k and one channel (n I_k, lam)."""
+    phi = lambda s: lam * s * n / (s + n)
+    upper = k * phi(s0 * scalar_ratio(epsilon / k, "upper"))
+    lower = k * phi(s0 * scalar_ratio(epsilon / k, "lower"))
+
+    def below(budget, count):
+        # the eigenvalue below s0 that spends `budget` nats on `count` copies
+        return s0 * scalar_ratio(budget / count, "lower") if budget > 0 else s0
+
+    for m in range(1, k):
+        def split(theta):
+            u = below(theta * epsilon, m)
+            v = below((1.0 - theta) * epsilon, k - m)
+            return m * phi(u) + (k - m) * phi(v)
+
+        grid = np.linspace(0.0, 1.0, 401)
+        i = int(np.argmin([split(th) for th in grid]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        best = minimize_scalar(split, bounds=(lo, hi), method="bounded",
+                               options={"xatol": 1e-13})
+        lower = min(lower, split(best.x), split(grid[i]))
+    return lower, upper
+
+
+def weighted_mmse(sigma, noise, weights):
+    return sum(w * np.trace(sigma @ np.linalg.solve(sigma + nm, nm))
+               for nm, w in zip(noise, weights))
+
+
+def multistart_lower(sigma0, noise, weights, epsilon, starts=20, seed=0):
+    """Least weighted MMSE sum that SLSQP finds on kl(Sigma, Sigma_0) =
+    epsilon from `starts` random starts, with analytic gradients."""
+    k = len(sigma0)
+    l0 = np.linalg.cholesky(sigma0)
+    iu = np.triu_indices(k)
+    twice = np.where(iu[0] == iu[1], 1.0, 2.0)  # p holds each off-diagonal once
+
+    def eig(p):
+        m = np.zeros((k, k))
+        m[iu] = p
+        w, v = np.linalg.eigh(m + np.triu(m, 1).T)
+        return np.clip(w, -30.0, 30.0), v  # keeps far line-search points finite
+
+    def value(p):
+        if not np.all(np.isfinite(p)):
+            return 1e300, np.zeros_like(p)
+        w, v = eig(p)
+        lv = l0 @ v
+        sigma = (lv * np.exp(w)) @ lv.T
+        total, grad = 0.0, np.zeros((k, k))
+        for nm, lam in zip(noise, weights):
+            wt = np.linalg.solve(sigma + nm, nm)
+            total += lam * np.trace(sigma @ wt)
+            grad += lam * wt @ wt.T  # d f / d Sigma
+        # chain rule through expm: divided differences of exp
+        ew = np.exp(w)
+        dw = w[:, None] - w[None, :]
+        same = np.abs(dw) < 1e-12
+        phi = np.where(same, ew[:, None], (ew[:, None] - ew[None, :]) / np.where(same, 1.0, dw))
+        gm = v @ (phi * (lv.T @ grad @ lv)) @ v.T
+        return total, twice * gm[iu]
+
+    def kl(p):
+        w, v = eig(p)
+        g = 0.5 * (v * (np.exp(w) - 1.0)) @ v.T
+        return 0.5 * np.sum(np.exp(w) - 1.0 - w) - epsilon, twice * g[iu]
+
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(starts):
+        # random directions, most of them shrinking, as a lower bound does
+        d = rng.normal(size=iu[0].size)
+        d[iu[0] == iu[1]] -= 2.0 * abs(rng.normal())
+        top = 30.0 / np.abs(eig(d)[0]).max()
+        scale = brentq(lambda s: kl(s * d)[0], 0.0, top)
+        try:
+            res = minimize(value, scale * d, jac=True, method="SLSQP",
+                           constraints={"type": "eq", "fun": lambda p: kl(p)[0],
+                                        "jac": lambda p: kl(p)[1]},
+                           options={"ftol": 1e-14, "maxiter": 200})
+        except np.linalg.LinAlgError:  # a start that wandered off; try the next
+            continue
+        if np.all(np.isfinite(res.x)) and abs(kl(res.x)[0]) <= 1e-9 * max(1.0, epsilon):
+            best = min(best, value(res.x)[0])
+    return best

@@ -15,7 +15,12 @@ does not account for it (re-solving at eps/2 still leaves 3.69% and
 3.29%), nor does any constant radius factor (the best-fit factor per row
 ranges from 0.15 to 0.60), nor re-weighting the channels in the
 stationarity condition alone (with lambda^2, sqrt(lambda) or unit weights
-the p = 10 lower bound still misses by 10.9-11.4%). A1 is asserted as
+the p = 10 lower bound still misses by 10.9-11.4%), nor restricting
+Sigma_X to isotropic or diagonal matrices (0.8158 / 2.0022 and 0.8151 /
+2.0030 at p = 10, against the reference's 0.9157 / 1.8303 and this
+package's 0.8105 / 2.0168), nor one radius for both directions (the
+best-fit radius is 0.602 eps for the lower bound and 0.552 eps for the
+upper at p = 10, 0.525 eps and 0.152 eps at p = 0.51). A1 is asserted as
 written and fails honestly on those two columns; every cross-check of
 this implementation (scalar analytic oracles, Monte Carlo bracketing, the
 saddle-point property, and an independent derivative-free search over

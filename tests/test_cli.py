@@ -12,6 +12,7 @@ from mmse_bounds import (
     DivergenceBall,
     GaussianReference,
     McEstimate,
+    NoConvergence,
     load_config,
     save_config,
 )
@@ -270,6 +271,40 @@ class TestSweepP:
             assert line.split(",")[2] == ""   # lower column empty
             assert line.split(",")[3] != ""   # upper still solved
         assert "warning" in captured.err
+
+    def test_no_convergence_names_the_row(self, scalar_config, monkeypatch, capsys):
+        real = cli.solve_bound
+
+        def lower_fails(direction, ensemble, ball, opts=None):
+            if str(getattr(direction, "value", direction)) == "lower":
+                raise NoConvergence("no answer passed the checks")
+            return real(direction, ensemble, ball, opts)
+
+        monkeypatch.setattr(cli, "solve_bound", lower_fails)
+        rc = cli.main(["sweep-p", "--config", scalar_config, "--grid", "0.51"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_SOLVER
+        assert "solver error: p=0.51 lower: no answer passed the checks" in err
+
+    @pytest.mark.parametrize("sigma0", ["0.01", "0.05", "0.2", "1"])
+    def test_scenario_config_sweeps(self, tmp_path, capsys, sigma0):
+        # isotropic sensor fields; at p = 0.51 their lower bounds need the
+        # solver to leave the symmetric stationary point
+        path = str(tmp_path / "field.json")
+        assert cli.main(["scenario", "--distances", "1,2,4", "--rho0", "1",
+                         "--gamma", "1", "--m", "2", "--sigma0", sigma0,
+                         "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        rc = cli.main(["sweep-p", "--config", path, "--grid", "0.51:10:5"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_OK, captured.err
+        lines = captured.out.strip().split("\n")
+        assert lines[0] == self.HEADER and len(lines) == 6
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert all(c != "" for c in cells[2:6])  # the four bound columns
+            lower, upper, lmmse = float(cells[2]), float(cells[3]), float(cells[6])
+            assert lower <= lmmse <= upper
 
     def test_ordering_violation_aborts(self, scalar_config, monkeypatch, capsys):
         real = cli.solve_bound

@@ -1,4 +1,4 @@
-"""Bound solver: analytic oracles, postconditions, fold regression.
+"""Bound solver: analytic oracles, postconditions, frozen regression cases.
 
 Analytic oracles used here:
 
@@ -6,16 +6,19 @@ Analytic oracles used here:
   s = sigma_x^2/sigma_0^2 and every channel MMSE is strictly increasing in
   s, so each bound sits at the endpoint where s - log s - 1 = 2 epsilon;
   the smaller root gives the lower bound, the larger the upper.
-* Isotropic K >= 2 (Sigma_0 = a I, all Sigma_N_j = b_j I): the extremal
-  covariance stays isotropic, reducing to the same scalar equation with
-  2 epsilon / K on the right-hand side.
+* Isotropic K >= 2 (Sigma_0 = a I, all Sigma_N_j = b_j I): the upper
+  bound's extremal covariance stays isotropic, reducing to the same scalar
+  equation with 2 epsilon / K on the right-hand side. The lower bound's
+  need not: past some radius shrinking a few eigenvalues further costs
+  less than shrinking all alike, and the isotropic point is a saddle.
+  `oracles.isotropic_bounds` takes the least two-level split instead; at
+  the small radius of `test_isotropic_k3` that is the isotropic point.
 
 Both are independent of the solver's own fixed-point machinery.
 """
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from mmse_bounds import (
     BoundResult,
@@ -36,6 +39,7 @@ from mmse_bounds import (
     validate_problem,
 )
 from conftest import isotropic_ball
+from oracles import isotropic_bounds, multistart_lower, scalar_ratio
 
 # Frozen regression values for the bundled four-channel ensemble with
 # reference N(0, 56.55016038553131 I_3) and epsilon = 0.5956003879952156.
@@ -46,14 +50,6 @@ HARD_EPS = 0.5956003879952156
 HARD_VAR = 56.55016038553131
 HARD_LOWER = 14.7818631962
 HARD_UPPER = 20.1322578679
-
-
-def scalar_ratio(epsilon: float, direction: str) -> float:
-    """Root of s - log s - 1 = 2 epsilon on the side matching `direction`."""
-    f = lambda s: s - np.log(s) - 1.0 - 2.0 * epsilon
-    if direction == "lower":
-        return brentq(f, 1e-12, 1.0, xtol=1e-15, rtol=8.9e-16)
-    return brentq(f, 1.0, 1e12, xtol=1e-15, rtol=8.9e-16)
 
 
 class TestScalarOracle:
@@ -264,3 +260,136 @@ class TestOptions:
         ball = isotropic_ball(3, HARD_VAR, 0.2)
         res = solve_bound("upper", demo_ensemble, ball, opts)
         assert abs(res.kl_at_solution - 0.2) <= 1e-6
+
+
+def _solve(direction, sigma0, noise, weights, epsilon):
+    ens = ChannelEnsemble.from_arrays(noise, weights)
+    sigma0 = np.asarray(sigma0, dtype=float)
+    ball = DivergenceBall(GaussianReference(np.zeros(len(sigma0)), sigma0), epsilon)
+    return solve_bound(direction, ens, ball)
+
+
+# Hard lower bounds, written out from the benchmark corpus (perfbench
+# make_corpus(seed, batches)[batch][index]). Every value was confirmed by
+# the multi-start search in oracles.py (60 starts for the K = 5 saddle
+# case); test_search_agrees repeats that for two of the K <= 3 ones.
+SADDLE_CASE = dict(  # make_corpus(305, 6)[2][20]; a path alone ends on a saddle
+    sigma0=[[3.803132636841565, -3.0110152921022473, -1.8263508687354326,
+             0.15402226506420272, -2.6133471007138924],
+            [-3.0110152921022473, 7.6303910677075475, 1.1353204845805993,
+             -0.504927847519874, 0.08510875492385725],
+            [-1.8263508687354326, 1.1353204845805993, 5.882780064214713,
+             -0.49045830963182135, -0.4830429430932198],
+            [0.15402226506420272, -0.504927847519874, -0.49045830963182135,
+             5.476978543743051, -0.23506311955932468],
+            [-2.6133471007138924, 0.08510875492385725, -0.4830429430932198,
+             -0.23506311955932468, 4.355365453144643]],
+    noise=[[[0.15774777838593945, -0.012838081907254228, -0.017493955633942168,
+             -0.009023818953129703, 0.003489587243915594],
+            [-0.012838081907254228, 0.1747750238753392, -0.011336236483262492,
+             -0.0034033277589445785, 0.004204604496907843],
+            [-0.017493955633942168, -0.011336236483262492, 0.1563874591730969,
+             -0.0012159927858880013, 0.015620338713210166],
+            [-0.009023818953129703, -0.0034033277589445785, -0.0012159927858880013,
+             0.17986101319811515, -0.0024076889659358906],
+            [0.003489587243915594, 0.004204604496907843, 0.015620338713210166,
+             -0.0024076889659358906, 0.17264884643074493]]],
+    weights=[7.800737653289715],
+    epsilon=1.8941148073687148,
+)
+SADDLE_LOWER = 4.66181348718
+
+TWO_MINIMA_CASE = dict(  # make_corpus(308, 6)[3][14]; the path alone ends at 833.900
+    sigma0=[[1929.6683095383544, 802.2512870167961, -1983.5945704628507],
+            [802.2512870167961, 386.10216559283606, -898.8134049489122],
+            [-1983.5945704628507, -898.8134049489122, 2871.8297611675375]],
+    noise=[[[18.61535862274783, 2.4333122967754246, -20.079982587237772],
+            [2.4333122967754246, 1.1440599251826458, -1.710061302169354],
+            [-20.079982587237772, -1.710061302169354, 25.982043705743525]],
+           [[14053.560245166958, 22592.413743972957, 1122.0265414027156],
+            [22592.413743972957, 36359.65067482596, 1813.56532514445],
+            [1122.0265414027156, 1813.56532514445, 99.42196883430728]],
+           [[59.42451220407962, -10.667289982369521, -96.95539355918483],
+            [-10.667289982369521, 3.0372327303622173, 20.35899287428414],
+            [-96.95539355918483, 20.35899287428414, 175.72291666012356]],
+           [[626.9189293243147, 706.3871149584281, -529.9958275820208],
+            [706.3871149584281, 912.5546196177065, -650.0983699159023],
+            [-529.9958275820208, -650.0983699159023, 518.9085966959883]],
+           [[36.03452227189631, 84.73187149811041, 33.55870436370344],
+            [84.73187149811041, 204.89764133255875, 80.08196911102502],
+            [33.55870436370344, 80.08196911102502, 32.20895526403721]]],
+    weights=[9.516511840877222, 0.3280023555104484, 6.459615859855256,
+             6.20035317105634, 6.403157336295727],
+    epsilon=2.5080292754044633,
+)
+TWO_MINIMA_LOWER = 826.675931758
+
+FOLD_CASE = dict(  # make_corpus(302, 10)[4][6]; alpha folds along the path
+    sigma0=[[1982.2623052326553, -5465.780298501908],
+            [-5465.780298501908, 15658.237944186581]],
+    noise=[[[76337.590402755, -30213.092709491168],
+            [-30213.092709491168, 12004.338262146233]],
+           [[14.259807613977735, 17.032365399147842],
+            [17.032365399147842, 21.57802683228201]]],
+    weights=[0.10751302464074465, 0.4229853058968038],
+)
+FOLD_LOWER = {2.2: 7.556220098, 3.6: 4.923690356, 4.2: 2.968008048,
+              4.633692788139616: 2.018183096}
+
+
+class TestFrozenCases:
+    def test_saddle_case(self):
+        res = _solve("lower", **SADDLE_CASE)
+        assert res.bound_value == pytest.approx(SADDLE_LOWER, rel=1e-8)
+
+    def test_two_minima_case(self):
+        res = _solve("lower", **TWO_MINIMA_CASE)
+        assert res.bound_value == pytest.approx(TWO_MINIMA_LOWER, rel=1e-8)
+
+    @pytest.mark.parametrize("epsilon", sorted(FOLD_LOWER))
+    def test_fold_case(self, epsilon):
+        res = _solve("lower", epsilon=epsilon, **FOLD_CASE)
+        assert res.bound_value == pytest.approx(FOLD_LOWER[epsilon], rel=1e-8)
+        assert res.alpha < 0
+
+    @pytest.mark.parametrize("direction, expect", [("lower", 16.3051981401),
+                                                   ("upper", 17.5965292806)])
+    def test_scalar_high_snr(self, direction, expect):
+        s0, sn, lam, epsilon = 1099.0, 9.80, 1.80, 0.663
+        res = _solve(direction, [[s0]], [[[sn]]], [lam], epsilon)
+        s = scalar_ratio(epsilon, direction) * s0
+        assert lam * s * sn / (s + sn) == pytest.approx(expect, rel=1e-10)
+        assert res.bound_value == pytest.approx(expect, rel=1e-8)
+
+    def test_isotropic_saddle(self):
+        # the isotropic stationary point, value 0.288007, is a saddle here
+        res = _solve("lower", 10.0 * np.eye(3), [0.1 * np.eye(3)], [1.0], 1.0)
+        assert res.bound_value == pytest.approx(0.281936931333, rel=1e-8)
+        assert np.ptp(np.linalg.eigvalsh(res.sigma_x)) > 1.0
+
+    @pytest.mark.parametrize("case, epsilon, expect", [
+        (TWO_MINIMA_CASE, None, TWO_MINIMA_LOWER),
+        (FOLD_CASE, 3.6, FOLD_LOWER[3.6]),
+    ])
+    def test_search_agrees(self, case, epsilon, expect):
+        case = dict(case, **({} if epsilon is None else {"epsilon": epsilon}))
+        best = multistart_lower(np.asarray(case["sigma0"]), np.asarray(case["noise"]),
+                                case["weights"], case["epsilon"], starts=20)
+        assert best == pytest.approx(expect, rel=1e-8)
+
+
+class TestIsotropicOracle:
+    @pytest.mark.parametrize("k, epsilon, expect", [(3, 3.0, 0.206232167218),
+                                                    (3, 1.0, 0.281936931333),
+                                                    (2, 2.0, 0.139407724934)])
+    def test_two_level_split(self, k, epsilon, expect):
+        lower, _ = isotropic_bounds(10.0, 0.1, k, epsilon)
+        assert lower == pytest.approx(expect, rel=1e-10)
+        res = _solve("lower", 10.0 * np.eye(k), [0.1 * np.eye(k)], [1.0], epsilon)
+        assert res.bound_value == pytest.approx(expect, rel=1e-8)
+
+    def test_symmetric_at_small_radius(self):
+        a, b, lam, epsilon = 2.0, 0.7, 1.3, 0.3
+        s = scalar_ratio(epsilon / 3.0, "lower")
+        lower, _ = isotropic_bounds(a, b, 3, epsilon, lam)
+        assert lower == pytest.approx(lam * 3.0 * (s * a * b) / (s * a + b), rel=1e-12)
