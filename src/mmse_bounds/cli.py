@@ -13,15 +13,13 @@ Exit codes: 0 success, 1 config/validation error, 2 solver failure,
 
 CSV output uses 15 significant digits, '.' decimal point, ',' separator,
 and a mandatory header row; identical inputs produce byte-identical
-output. Grid rows are computed concurrently but always emitted in grid
-order.
+output. Grid rows are computed one after another, in grid order.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,11 +230,6 @@ def _sweep_ball_row(r, ensemble, mu0, opts) -> SweepRecord:
     return SweepRecord(r, eps, lower, upper, lmmse=lmmse)
 
 
-def _run_sweep(grid, row_fn, workers=None):
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row_fn, grid))
-
-
 def cmd_bound(args) -> int:
     ensemble, ball = load_config(args.config)
     if args.epsilon is not None:
@@ -264,8 +257,7 @@ def cmd_sweep_p(args) -> int:
     mu0 = prob.reference.mean
     grid = parse_grid(args.grid)
     opts = SolverOptions()
-    rows = _run_sweep(grid, lambda p: _sweep_p_row(p, prob.ensemble, mu0, opts),
-                      args.workers)
+    rows = [_sweep_p_row(p, prob.ensemble, mu0, opts) for p in grid]
     for rec in rows:
         try:
             rec.check_ordering()
@@ -287,8 +279,7 @@ def cmd_sweep_ball(args) -> int:
     mu0 = prob.reference.mean
     grid = parse_grid(args.grid)
     opts = SolverOptions()
-    rows = _run_sweep(grid, lambda r: _sweep_ball_row(r, prob.ensemble, mu0, opts),
-                      args.workers)
+    rows = [_sweep_ball_row(r, prob.ensemble, mu0, opts) for r in grid]
     for rec in rows:
         try:
             rec.check_ordering()
@@ -392,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--grid", required=True,
                       help="start:stop:count or comma-separated values")
     p_sp.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p_sp.add_argument("--workers", type=int, default=None)
     p_sp.set_defaults(fn=cmd_sweep_p)
 
     p_sb = sub.add_parser("sweep-ball", help="uniform-ball radius sweep")
@@ -400,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sb.add_argument("--grid", required=True,
                       help="start:stop:count or comma-separated values")
     p_sb.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p_sb.add_argument("--workers", type=int, default=None)
     p_sb.set_defaults(fn=cmd_sweep_ball)
 
     p_v = sub.add_parser("verify", help="Monte Carlo bracketing check")

@@ -2,8 +2,9 @@
 
 Estimator gain matrices, MMSE matrices and traces, same-mean Gaussian KL
 divergence, and the exact MSE of a fixed affine estimator under an
-arbitrary Gaussian prior. All solves go through symmetric factorizations;
-KL is in nats.
+arbitrary Gaussian prior. Every Sigma_X + Sigma_N passes a Cholesky
+factorization, so is positive definite, before a system with it is
+solved; KL is in nats.
 """
 
 from __future__ import annotations
@@ -81,11 +82,15 @@ class MmseSummary:
 def weighted_mmse_sum(sigma_x, ensemble, reference=None) -> MmseSummary:
     """Weighted sum of per-channel MMSE traces for a common prior covariance.
 
+    All channels are computed at once on the (J, K, K) noise stack: one
+    batched Cholesky factorization checks that every Sigma_X + Sigma_N_j
+    is positive definite, and one batched solve gives every W_j^T.
+
     Parameters
     ----------
     sigma_x : (K, K) ndarray
         Prior covariance.
-    ensemble : ChannelEnsemble
+    ensemble : ChannelEnsemble or Problem
     reference : GaussianReference, optional
         When given, the summary also carries SNR_0 = Sigma_0^-1 Sigma_X.
     """
@@ -94,12 +99,18 @@ def weighted_mmse_sum(sigma_x, ensemble, reference=None) -> MmseSummary:
         raise DimensionMismatch(
             f"sigma_x has shape {sigma_x.shape}, ensemble dimension is "
             f"{ensemble.dimension}")
-    matrices, traces = [], []
-    for ch in ensemble.channels:
-        m = mmse_matrix(sigma_x, ch.noise_covariance)
-        matrices.append(m)
-        traces.append(float(np.trace(m)))
-    weighted = float(np.dot(ensemble.weights, traces))
+    noise = ensemble.noise_stack
+    total = sigma_x + noise
+    total = 0.5 * (total + total.swapaxes(1, 2))
+    try:
+        np.linalg.cholesky(total)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSum(f"Sigma_X + Sigma_N factorization failed: {exc}") from exc
+    # Sigma_X W_j^T with W_j^T = (Sigma_X + Sigma_N_j)^-1 Sigma_N_j
+    m = sigma_x @ np.linalg.solve(total, noise)
+    m = 0.5 * (m + m.swapaxes(1, 2))
+    traces = np.trace(m, axis1=1, axis2=2)
+    weighted = float(ensemble.weights @ traces)
     snr0 = None
     if reference is not None:
         sigma0 = np.asarray(reference.covariance, dtype=float)
@@ -108,7 +119,7 @@ def weighted_mmse_sum(sigma_x, ensemble, reference=None) -> MmseSummary:
         except np.linalg.LinAlgError as exc:
             raise SingularReference(str(exc)) from exc
         snr0 = cho_solve(c, sigma_x, check_finite=False)
-    return MmseSummary(tuple(matrices), tuple(traces), weighted, snr0)
+    return MmseSummary(tuple(m), tuple(traces.tolist()), weighted, snr0)
 
 
 def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:

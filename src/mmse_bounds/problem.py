@@ -151,6 +151,12 @@ class Problem:
             return NotImplemented
         return self.ensemble == other.ensemble and self.ball == other.ball
 
+    def single(self, j: int) -> "Problem":
+        """The one-channel problem {(Sigma_N_j, 1)} used by local bounds,
+        built from the validated arrays without validating them again."""
+        return Problem(self.ensemble.single(j), self.ball, self.noise_stack[j:j + 1],
+                       np.ones(1), self.sigma0_inv)
+
 
 def validate_problem(ensemble, ball: DivergenceBall) -> Problem:
     """Validate problem data and return an immutable handle.

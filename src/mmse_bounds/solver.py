@@ -121,7 +121,7 @@ class _Ctx:
         self.sigma0_inv = self.l0i.T @ self.l0i
         self.logdet0 = 2.0 * np.sum(np.log(np.diag(self.l0)))
         self.noise, self.weights, self.opts = ensemble.noise_stack, ensemble.weights, opts
-        self.ensemble = getattr(ensemble, "ensemble", ensemble)
+        self.ensemble = ensemble
         iu, ju = np.triu_indices(k)
         self.n = n = iu.size
         basis = np.zeros((k, k, n))  # E_ii and (E_ij + E_ji) / sqrt 2
@@ -434,7 +434,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall,
     eps = ball.epsilon
 
     def build(alpha, sigma, kl, res):
-        summary = weighted_mmse_sum(sigma, prob.ensemble, ball.reference)
+        summary = weighted_mmse_sum(sigma, prob, ball.reference)
         return BoundResult(direction, alpha, sigma, summary.weighted_sum, summary, kl,
                            ctx.jacobians, ctx.steps, (res, abs(kl - eps)))
 
@@ -456,7 +456,8 @@ def solve_bound(direction, ensemble, ball: DivergenceBall,
     for sigma, alpha in starts:
         hit = _settle(ctx, sigma, alpha, eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
         found += [hit[:2]] if hit is not None else []
-    found.sort(key=lambda c: -sign * _value(ctx, c[0]))
+    if len(found) > 1:
+        found.sort(key=lambda c: -sign * _value(ctx, c[0]))
     w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
     if sign < 0 and ctx.k > 1 and np.min(np.diff(w)) <= 1e-6 * w[-1]:
         # no answer, or one with a repeated eigenvalue: break the symmetry
@@ -482,10 +483,11 @@ def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall,
     """Bound for a single channel under the same KL constraint.
 
     Equivalent to `solve_bound` on the one-channel ensemble with weight 1;
-    the result is independent of the original channel weight.
+    the result is independent of the original channel weight. A validated
+    `Problem` gives a validated one-channel problem (`Problem.single`), so
+    only a raw `ChannelEnsemble` is validated again.
     """
-    ens = ensemble.ensemble if isinstance(ensemble, Problem) else ensemble
-    return solve_bound(direction, ens.single(channel_index), ball, opts)
+    return solve_bound(direction, ensemble.single(channel_index), ball, opts)
 
 
 def local_bounds_weighted(direction, ensemble, ball: DivergenceBall,
@@ -499,8 +501,7 @@ def local_bounds_weighted(direction, ensemble, ball: DivergenceBall,
     -------
     (value, results) : (float, tuple[BoundResult, ...])
     """
-    ens = ensemble.ensemble if isinstance(ensemble, Problem) else ensemble
-    results = tuple(local_bound(direction, ens, j, ball, opts)
-                    for j in range(ens.count))
-    value = float(np.dot(ens.weights, [r.bound_value for r in results]))
+    results = tuple(local_bound(direction, ensemble, j, ball, opts)
+                    for j in range(len(ensemble.weights)))
+    value = float(np.dot(ensemble.weights, [r.bound_value for r in results]))
     return value, results

@@ -43,3 +43,14 @@ def random_spd(rng: np.random.Generator, k: int, scale: float = 1.0) -> np.ndarr
     a = rng.normal(size=(k, k))
     m = a @ a.T + k * np.eye(k)
     return scale * k * m / np.trace(m)
+
+
+def corpus_spd(rng, k, log10_scale, log10_cond):
+    """Random rotation, smallest eigenvalue 10**log10_scale, condition
+    number 10**log10_cond, as in the benchmark corpus."""
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    t = np.sort(rng.random(k))
+    if k > 1:
+        t[0], t[-1] = 0.0, 1.0
+    m = (q * 10.0 ** (log10_scale + log10_cond * t)) @ q.T
+    return 0.5 * (m + m.T)

@@ -10,6 +10,9 @@
   two-level splits, m eigenvalues at u and K - m at v, both below s0, with
   m h(u) + (K - m) h(v) = epsilon and h(s) = (s/s0 - 1 - log(s/s0)) / 2,
   found by a one-dimensional search for each m.
+* `commuting_upper`: Sigma_0 = Q diag(s) Q^T and every Sigma_N_j =
+  Q diag(n_j) Q^T. The upper bound is Q diag(x) Q^T, with K scalar fixed
+  points that share one alpha (see its docstring).
 * `multistart_lower`: SLSQP from many random starts over Sigma =
   L0 expm(M) L0^T, with the KL radius written as (tr e^M - K - tr M) / 2,
   which stays finite at the extreme points the search visits.
@@ -50,6 +53,51 @@ def isotropic_bounds(s0, n, k, epsilon, lam=1.0):
                                options={"xatol": 1e-13})
         lower = min(lower, split(best.x), split(grid[i]))
     return lower, upper
+
+
+def commuting_upper(s, n, weights, epsilon):
+    """Eigenvalues x of the upper-bound covariance Q diag(x) Q^T when
+    Sigma_0 = Q diag(s) Q^T and Sigma_N_j = Q diag(n[j]) Q^T.
+
+    The maximizer is unique: if there were two, their midpoint would be
+    at least as good (f is concave) and strictly inside the ball (kl is
+    strictly convex), and a small Loewner increase of it would stay in the
+    ball and be strictly better (f is strictly increasing). The maps
+    Sigma -> Q D Q^T Sigma Q D Q^T with D = diag(+-1) fix every input and
+    leave f and kl unchanged, so they fix the maximizer, which is
+    therefore diagonal in Q. Its eigenvalues solve, for one alpha > 0,
+
+        1/x_k - 1/s_k + alpha sum_j lambda_j n_jk^2 / (x_k + n_jk)^2 = 0,
+
+    whose left side is strictly decreasing in x_k and positive at s_k, so
+    x_k is its unique root above s_k; alpha is then the root of
+    sum_k (x_k/s_k - 1 - log(x_k/s_k)) / 2 = epsilon, increasing in alpha.
+
+    The lower bound is left out: for alpha < 0 the scalar equation can
+    have several positive roots, and the minimizer of a concave function
+    need not be unique, so it need not commute with the inputs (the
+    isotropic case already splits, see `isotropic_bounds`).
+    """
+    s, n, lam = np.asarray(s, float), np.asarray(n, float), np.asarray(weights, float)
+
+    def root(k, alpha):
+        g = lambda x: 1.0 / x - 1.0 / s[k] + alpha * np.sum(lam * n[:, k]**2 / (x + n[:, k])**2)
+        hi = 2.0 * s[k]
+        while g(hi) > 0.0:
+            hi *= 2.0
+        return brentq(g, s[k], hi, xtol=1e-300, rtol=8.9e-16)
+
+    def x_of(alpha):
+        return np.array([root(k, alpha) for k in range(s.size)])
+
+    def gap(alpha):
+        r = x_of(alpha) / s
+        return 0.5 * np.sum(r - 1.0 - np.log(r)) - epsilon
+
+    hi = 1.0
+    while gap(hi) < 0.0:
+        hi *= 2.0
+    return x_of(brentq(gap, 0.0, hi, xtol=1e-300, rtol=8.9e-16))
 
 
 def weighted_mmse(sigma, noise, weights):

@@ -13,10 +13,14 @@ from mmse_bounds import (
     GaussianReference,
     McEstimate,
     NoConvergence,
+    gen_gauss_covariance,
+    gen_gauss_epsilon,
     load_config,
+    local_bounds_weighted,
     save_config,
+    validate_problem,
 )
-from mmse_bounds import cli
+from mmse_bounds import cli, solver
 from mmse_bounds.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -236,7 +240,7 @@ class TestSweepP:
 
     def test_byte_stable_and_out_file(self, scalar_config, tmp_path, capsys):
         args = ["sweep-p", "--config", scalar_config, "--grid", "1:3:3"]
-        cli.main(args + ["--workers", "2"])
+        cli.main(args)
         first = capsys.readouterr().out
         cli.main(args)
         second = capsys.readouterr().out
@@ -318,6 +322,33 @@ class TestSweepP:
         rc = cli.main(["sweep-p", "--config", scalar_config, "--grid", "1:1:1"])
         assert rc == EXIT_SOLVER
         assert "ordering violation" in capsys.readouterr().err
+
+    def test_local_bounds_reuse_the_validated_problem(self, demo_config, demo_ensemble,
+                                                      monkeypatch, capsys):
+        # each subcommand validates its config and each row its ball once;
+        # the local bounds of a row reuse the row's validated problem
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return validate_problem(*args, **kwargs)
+
+        for module in (cli, solver):
+            monkeypatch.setattr(module, "validate_problem", counted)
+        assert cli.main(["sweep-p", "--config", demo_config, "--grid", "0.51:10:5"]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert len(calls) == 6
+        assert cli.main(["sweep-ball", "--config", demo_config, "--grid", "0.1:40:5"]) == EXIT_OK
+        assert len(calls) == 12
+        monkeypatch.undo()
+        # the local columns equal the solves that validate every channel
+        for p, row in zip(parse_grid("0.51:10:5"), rows):
+            ball = DivergenceBall(GaussianReference(np.zeros(3),
+                                                    gen_gauss_covariance(p, 3) * np.eye(3)),
+                                  gen_gauss_epsilon(p, 3))
+            for col, direction in ((4, "lower"), (5, "upper")):
+                value = local_bounds_weighted(direction, demo_ensemble, ball)[0]
+                assert row[col] == "%.15g" % value
 
 
 class TestSweepBall:

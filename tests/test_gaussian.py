@@ -4,19 +4,27 @@ import numpy as np
 import pytest
 
 from mmse_bounds import (
+    ChannelEnsemble,
     DimensionMismatch,
+    DivergenceBall,
     GaussianReference,
     LinearEstimator,
     SingularReference,
+    SingularSum,
     kl_same_mean_gaussians,
     linear_estimate,
     linear_estimator_mse,
     mmse_matrix,
     mmse_trace,
     weight_matrix,
+    validate_problem,
     weighted_mmse_sum,
 )
-from conftest import TEST_SEED, random_spd
+from conftest import TEST_SEED, corpus_spd, random_spd
+
+
+def rel_error(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
 
 
 class TestScalarOracles:
@@ -94,6 +102,54 @@ class TestWeightedSum:
     def test_dimension_guard(self, demo_ensemble):
         with pytest.raises(DimensionMismatch):
             weighted_mmse_sum(np.eye(2), demo_ensemble)
+
+
+class TestStackedKernel:
+    """weighted_mmse_sum factorizes all channels at once; the per-channel
+    loop over mmse_matrix is the reference."""
+
+    # (smallest eigenvalue, condition number) as powers of ten: the corners
+    # of the corpus ranges, then random draws inside them
+    CORNERS = [(-1.0, 4.0), (2.0, 4.0), (-1.0, 0.0), (2.0, 0.0)]
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("j", [1, 5])
+    def test_matches_per_channel_loop(self, k, j):
+        rng = np.random.default_rng(TEST_SEED + 10 * k + j)
+        draws = [(a, b, c, d) for a, b in self.CORNERS for c, d in self.CORNERS]
+        draws += [tuple(rng.uniform([-1, 0, -1, 0], [2, 4, 2, 4])) for _ in range(8)]
+        for sx_scale, sx_cond, n_scale, n_cond in draws:
+            sx = corpus_spd(rng, k, sx_scale, sx_cond)
+            sigma0 = corpus_spd(rng, k, *rng.uniform([-1, 0], [2, 4]))
+            noise = [corpus_spd(rng, k, n_scale, n_cond) for _ in range(j)]
+            weights = 10.0 ** rng.uniform(-1, 1, j)
+            ens = ChannelEnsemble.from_arrays(noise, weights)
+            ref = GaussianReference(np.zeros(k), sigma0)
+            got = weighted_mmse_sum(sx, ens, ref)
+            loop = [mmse_matrix(sx, sn) for sn in noise]
+            traces = [np.trace(m) for m in loop]
+            for m, expect, tr, tr_expect in zip(got.per_channel_matrix, loop,
+                                                got.per_channel_trace, traces):
+                assert rel_error(m, expect) <= 1e-12
+                np.testing.assert_array_equal(m, m.T)
+                assert tr == pytest.approx(tr_expect, rel=1e-12)
+            assert got.weighted_sum == pytest.approx(np.dot(weights, traces), rel=1e-12)
+            assert rel_error(got.snr0, np.linalg.solve(sigma0, sx)) <= 1e-12
+            # a validated Problem carries the same stack
+            prob = validate_problem(ens, DivergenceBall(ref, 0.1))
+            assert weighted_mmse_sum(sx, prob).weighted_sum == got.weighted_sum
+
+    @pytest.mark.parametrize("bad", [1, 4])
+    def test_singular_sum_raised_for_any_channel(self, bad):
+        # Sigma_X + Sigma_N_j is indefinite for channel `bad` only
+        sx = np.diag([-2.0, 1.0, 1.0])
+        noise = [(1.0 if j == bad else 10.0) * np.eye(3) for j in range(5)]
+        ens = ChannelEnsemble.from_arrays(noise, np.ones(5))
+        mmse_matrix(sx, noise[bad - 1])  # the other channels factorize
+        with pytest.raises(SingularSum):
+            weighted_mmse_sum(sx, ens)
+        with pytest.raises(SingularSum):
+            mmse_matrix(sx, noise[bad])
 
 
 class TestAffineEstimator:

@@ -132,6 +132,16 @@ class TestEnsemble:
         np.testing.assert_array_equal(sub.noise_stack[0],
                                       demo_ensemble.noise_stack[2])
 
+    def test_problem_single_matches_validating_the_channel(self, demo_ensemble):
+        ball = isotropic_ball(3, 2.0, 0.3)
+        sub = validate_problem(demo_ensemble, ball).single(2)
+        again = validate_problem(demo_ensemble.single(2), ball)
+        assert isinstance(sub, Problem)
+        assert sub == again
+        np.testing.assert_array_equal(sub.noise_stack, again.noise_stack)
+        np.testing.assert_array_equal(sub.weights, again.weights)
+        np.testing.assert_array_equal(sub.sigma0_inv, again.sigma0_inv)
+
 
 class TestConfig:
     def test_round_trip(self, tmp_path, demo_ensemble):

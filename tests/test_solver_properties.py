@@ -24,7 +24,9 @@ from mmse_bounds import (
     opt_covariance_residual,
     solve_bound,
 )
-from oracles import isotropic_bounds, multistart_lower, scalar_ratio, weighted_mmse
+from conftest import corpus_spd
+from oracles import (commuting_upper, isotropic_bounds, multistart_lower, scalar_ratio,
+                     weighted_mmse)
 
 EXAMPLES = int(os.environ.get("PROPERTY_EXAMPLES", "25"))
 PROPERTY = settings(max_examples=EXAMPLES, derandomize=True, deadline=None,
@@ -36,15 +38,13 @@ log_weight = st.floats(-1.0, 1.0)
 epsilon = st.floats(-4.0, np.log10(5.0)).map(lambda e: float(10.0 ** e))
 
 
-def spd(rng, k, log10_scale, log10_cond):
-    """Random rotation, smallest eigenvalue 10**log10_scale, condition
-    number 10**log10_cond."""
-    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
-    t = np.sort(rng.random(k))
+def spectrum(rng, k, log10_scale, log10_cond):
+    """K eigenvalues in random order, the smallest 10**log10_scale, with
+    condition number 10**log10_cond."""
+    t = rng.random(k)
     if k > 1:
-        t[0], t[-1] = 0.0, 1.0
-    m = (q * 10.0 ** (log10_scale + log10_cond * t)) @ q.T
-    return 0.5 * (m + m.T)
+        t[:2] = 0.0, 1.0
+    return rng.permutation(10.0 ** (log10_scale + log10_cond * t))
 
 
 @st.composite
@@ -52,8 +52,8 @@ def problems(draw, k_max=6, j_max=5):
     k = draw(st.integers(1, k_max))
     j = draw(st.integers(1, j_max))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sigma0 = spd(rng, k, draw(log_scale), draw(log_cond))
-    noise = [spd(rng, k, draw(log_scale), draw(log_cond)) for _ in range(j)]
+    sigma0 = corpus_spd(rng, k, draw(log_scale), draw(log_cond))
+    noise = [corpus_spd(rng, k, draw(log_scale), draw(log_cond)) for _ in range(j)]
     weights = [10.0 ** draw(log_weight) for _ in range(j)]
     return sigma0, noise, weights, draw(epsilon)
 
@@ -110,3 +110,19 @@ def test_lower_bound_matches_multistart_search(problem):
     res, _, _ = solve("lower", *problem)
     best = multistart_lower(sigma0, noise, weights, eps, starts=20)
     assert res.bound_value <= best + 1e-7 * abs(best)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1), log_scale, log_cond,
+       st.lists(st.tuples(log_scale, log_cond, log_weight), min_size=5, max_size=5), epsilon)
+def test_commuting_oracle_upper(k, j, seed, log_s0, log_c0, channels, eps):
+    rng = np.random.default_rng(seed)
+    q, s = np.linalg.qr(rng.normal(size=(k, k)))[0], spectrum(rng, k, log_s0, log_c0)
+    n = np.array([spectrum(rng, k, ls, lc) for ls, lc, _ in channels[:j]])
+    weights = [10.0 ** lw for _, _, lw in channels[:j]]
+    x = commuting_upper(s, n, weights, eps)
+    res, _, _ = solve("upper", (q * s) @ q.T, [(q * nj) @ q.T for nj in n], weights, eps)
+    expect = sum(w * np.sum(x * nj / (x + nj)) for nj, w in zip(n, weights))
+    assert res.bound_value == pytest.approx(expect, rel=1e-9)
+    sigma = (q * x) @ q.T
+    assert np.linalg.norm(res.sigma_x - sigma) <= 1e-9 * np.linalg.norm(sigma)
