@@ -25,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import cramer_rao_lower, lmmse_upper
-from .exceptions import (
-    BracketFailure,
-    ConfigError,
-    FisherUndefined,
-    NoConvergence,
-    ProblemValidationError,
-)
+from .exceptions import ConfigError, FisherUndefined, NoConvergence, ProblemValidationError
 from .mc import mc_weighted_sum
 from .priors import (
     Gaussian,
@@ -52,7 +46,7 @@ from .problem import (
     save_config,
     validate_problem,
 )
-from .solver import SolverOptions, local_bounds_weighted, solve_bound
+from .solver import local_bounds_weighted, solve_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,8 +60,8 @@ _ORDER_SLACK = 1e-8  # relative slack for the record ordering checks
 class SweepRecord:
     """One sweep row: abscissa (p or R), epsilon, and the bound curves.
 
-    Fields are None where undefined (no Fisher information) or where a
-    BracketFailure left a hole.
+    Fields are None where a curve is undefined: cramer_rao without Fisher
+    information, and the columns a subcommand does not compute.
     """
 
     abscissa: float
@@ -180,36 +174,24 @@ def _emit_csv(header, rows, out_path):
         sys.stdout.write(text)
 
 
-def _row_value(solve, label):
-    """One bound value, `solve()`; BracketFailure becomes None plus a stderr
-    note, and NoConvergence is raised again with the row label in front."""
+def _labelled(label, solve, *args):
+    """`solve(*args)`; a NoConvergence is raised again with `label` in front."""
     try:
-        return solve()
-    except BracketFailure as exc:
-        print(f"warning: {label}: {exc}", file=sys.stderr)
-        return None
+        return solve(*args)
     except NoConvergence as exc:
         raise NoConvergence(f"{label}: {exc}", exc.residual, exc.iterations) from exc
 
 
-def _solve_or_none(direction, ensemble, ball, opts, label):
-    return _row_value(lambda: solve_bound(direction, ensemble, ball, opts).bound_value, label)
-
-
-def _local_or_none(direction, ensemble, ball, opts, label):
-    return _row_value(lambda: local_bounds_weighted(direction, ensemble, ball, opts)[0], label)
-
-
-def _sweep_p_row(p, ensemble, mu0, opts) -> SweepRecord:
+def _sweep_p_row(p, ensemble, mu0) -> SweepRecord:
     k = ensemble.dimension
     sigma0 = gen_gauss_covariance(p, k) * np.eye(k)
     eps = gen_gauss_epsilon(p, k)
     ball = DivergenceBall(GaussianReference(mu0, sigma0), eps)
     prob = validate_problem(ensemble, ball)
-    lower = _solve_or_none("lower", prob, ball, opts, f"p={p} lower")
-    upper = _solve_or_none("upper", prob, ball, opts, f"p={p} upper")
-    loc_lower = _local_or_none("lower", prob, ball, opts, f"p={p} local lower")
-    loc_upper = _local_or_none("upper", prob, ball, opts, f"p={p} local upper")
+    lower, upper = (_labelled(f"p={p} {d}", solve_bound, d, prob, ball).bound_value
+                    for d in ("lower", "upper"))
+    loc_lower, loc_upper = (_labelled(f"p={p} local {d}", local_bounds_weighted, d, prob, ball)[0]
+                            for d in ("lower", "upper"))
     lmmse = lmmse_upper(sigma0, prob.ensemble)
     try:
         cr = cramer_rao_lower(gen_gauss_fisher(p, k), prob.ensemble)
@@ -218,16 +200,35 @@ def _sweep_p_row(p, ensemble, mu0, opts) -> SweepRecord:
     return SweepRecord(p, eps, lower, upper, loc_lower, loc_upper, lmmse, cr)
 
 
-def _sweep_ball_row(r, ensemble, mu0, opts) -> SweepRecord:
+def _sweep_ball_row(r, ensemble, mu0) -> SweepRecord:
     k = ensemble.dimension
     moments = uniform_ball_moments(r, k)
     eps = uniform_ball_epsilon(r, k)
     ball = DivergenceBall(GaussianReference(mu0, moments.covariance), eps)
     prob = validate_problem(ensemble, ball)
-    lower = _solve_or_none("lower", prob, ball, opts, f"R={r} lower")
-    upper = _solve_or_none("upper", prob, ball, opts, f"R={r} upper")
+    lower, upper = (_labelled(f"R={r} {d}", solve_bound, d, prob, ball).bound_value
+                    for d in ("lower", "upper"))
     lmmse = lmmse_upper(moments.covariance, prob.ensemble)
     return SweepRecord(r, eps, lower, upper, lmmse=lmmse)
+
+
+def _sweep(args, row, abscissa, columns) -> int:
+    """One `row(x, ensemble, mu0)` per grid value x of the config's
+    ensemble, then the ordering checks, then the CSV: the abscissa under
+    the header `abscissa`, and the SweepRecord fields named in `columns`."""
+    ensemble, ball = load_config(args.config)
+    prob = validate_problem(ensemble, ball)
+    grid = parse_grid(args.grid)
+    rows = [row(x, prob.ensemble, prob.reference.mean) for x in grid]
+    for rec in rows:
+        try:
+            rec.check_ordering()
+        except ValueError as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
+    _emit_csv([abscissa, *columns],
+              [(r.abscissa, *(getattr(r, c) for c in columns)) for r in rows], args.out)
+    return EXIT_OK
 
 
 def cmd_bound(args) -> int:
@@ -235,13 +236,12 @@ def cmd_bound(args) -> int:
     if args.epsilon is not None:
         ball = DivergenceBall(ball.reference, args.epsilon)
     prob = validate_problem(ensemble, ball)
-    opts = SolverOptions()
     nominal = lmmse_upper(prob.reference.covariance, prob.ensemble)
     print(f"dimension K={prob.dimension}, channels J={prob.ensemble.count}, "
           f"epsilon={ball.epsilon:.12g}")
     print(f"nominal weighted MMSE sum at the reference: {nominal:.12g}")
     for direction in ("lower", "upper"):
-        res = solve_bound(direction, prob, ball, opts)
+        res = solve_bound(direction, prob, ball)
         print(f"{direction} bound: {res.bound_value:.12g}  "
               f"(alpha={res.alpha:.12g}, kl={res.kl_at_solution:.12g}, "
               f"kl_residual={res.residuals[1]:.3g}, "
@@ -252,45 +252,12 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sweep_p(args) -> int:
-    ensemble, ball = load_config(args.config)
-    prob = validate_problem(ensemble, ball)
-    mu0 = prob.reference.mean
-    grid = parse_grid(args.grid)
-    opts = SolverOptions()
-    rows = [_sweep_p_row(p, prob.ensemble, mu0, opts) for p in grid]
-    for rec in rows:
-        try:
-            rec.check_ordering()
-        except ValueError as exc:
-            print(f"solver error: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
-    _emit_csv(
-        ["p", "epsilon", "lower", "upper", "local_lower", "local_upper",
-         "lmmse", "cramer_rao"],
-        [(r.abscissa, r.epsilon, r.lower, r.upper, r.local_lower,
-          r.local_upper, r.lmmse, r.cramer_rao) for r in rows],
-        args.out)
-    return EXIT_OK
+    return _sweep(args, _sweep_p_row, "p", ("epsilon", "lower", "upper", "local_lower",
+                                            "local_upper", "lmmse", "cramer_rao"))
 
 
 def cmd_sweep_ball(args) -> int:
-    ensemble, ball = load_config(args.config)
-    prob = validate_problem(ensemble, ball)
-    mu0 = prob.reference.mean
-    grid = parse_grid(args.grid)
-    opts = SolverOptions()
-    rows = [_sweep_ball_row(r, prob.ensemble, mu0, opts) for r in grid]
-    for rec in rows:
-        try:
-            rec.check_ordering()
-        except ValueError as exc:
-            print(f"solver error: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
-    _emit_csv(
-        ["R", "epsilon", "lower", "upper", "lmmse"],
-        [(r.abscissa, r.epsilon, r.lower, r.upper, r.lmmse) for r in rows],
-        args.out)
-    return EXIT_OK
+    return _sweep(args, _sweep_ball_row, "R", ("epsilon", "lower", "upper", "lmmse"))
 
 
 def _parse_prior(text: str, k: int):
@@ -331,10 +298,8 @@ def cmd_verify(args) -> int:
         mu0 = np.zeros(k)
     ball = DivergenceBall(GaussianReference(mu0, sigma0), eps)
     prob = validate_problem(ensemble, ball)
-    opts = SolverOptions()
-
-    lower = solve_bound("lower", prob, ball, opts)
-    upper = solve_bound("upper", prob, ball, opts)
+    lower = solve_bound("lower", prob, ball)
+    upper = solve_bound("upper", prob, ball)
     est = mc_weighted_sum(spec, prob.ensemble, args.n_outer, args.n_inner, args.seed)
     lo_ok = lower.bound_value - 3.0 * est.std_error <= est.value
     hi_ok = est.value <= upper.bound_value + 3.0 * est.std_error
@@ -424,7 +389,7 @@ def main(argv=None) -> int:
     except (ConfigError, ProblemValidationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BracketFailure, NoConvergence) as exc:
+    except NoConvergence as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

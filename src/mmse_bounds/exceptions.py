@@ -41,23 +41,6 @@ class SingularReference(ValueError):
     """Factorization of the reference covariance failed."""
 
 
-class LostPositiveDefiniteness(ArithmeticError):
-    """The inverse-form iteration matrix lost positive definiteness.
-
-    Raised by `sigma_of_alpha` when Sigma_0^-1 - alpha S(Sigma) is not
-    positive definite at an iterate, as for an upper-bound alpha beyond
-    the feasible range.
-    """
-
-    def __init__(self, alpha, iteration):
-        super().__init__(
-            f"iteration matrix not positive definite at alpha={alpha!r} "
-            f"(inner iteration {iteration})"
-        )
-        self.alpha = alpha
-        self.iteration = iteration
-
-
 class NoConvergence(ArithmeticError):
     """An iteration hit its cap before reaching tolerance."""
 
@@ -70,9 +53,10 @@ class NoConvergence(ArithmeticError):
 class BracketFailure(ArithmeticError):
     """The KL gap never reached the requested radius before losing PD.
 
-    Reported with the largest feasible alpha found and the KL attained
-    there. `solve_bound` no longer raises it: both bounds exist for every
-    validated input. It stays exported for callers that catch it.
+    Nothing in the package raises it: both bounds exist for every validated
+    input, and `solve_bound` reports a failed solve as NoConvergence. The
+    CLI no longer catches it. It is kept only because the benchmark under
+    perfbench/ still names it among the solve failures it counts.
     """
 
     def __init__(self, direction, epsilon, alpha_feasible, kl_feasible):

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
 
 from .exceptions import (
     ConfigError,
@@ -132,7 +132,6 @@ class Problem:
     ball: DivergenceBall
     noise_stack: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    sigma0_inv: np.ndarray = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -154,8 +153,7 @@ class Problem:
     def single(self, j: int) -> "Problem":
         """The one-channel problem {(Sigma_N_j, 1)} used by local bounds,
         built from the validated arrays without validating them again."""
-        return Problem(self.ensemble.single(j), self.ball, self.noise_stack[j:j + 1],
-                       np.ones(1), self.sigma0_inv)
+        return Problem(self.ensemble.single(j), self.ball, self.noise_stack[j:j + 1], np.ones(1))
 
 
 def validate_problem(ensemble, ball: DivergenceBall) -> Problem:
@@ -219,15 +217,11 @@ def validate_problem(ensemble, ball: DivergenceBall) -> Problem:
 
     clean_ensemble = ChannelEnsemble(tuple(channels))
     clean_ball = DivergenceBall(GaussianReference(mu0, sigma0), float(ball.epsilon))
-    c, lower = cho_factor(sigma0, lower=True)
-    sigma0_inv = cho_solve((c, lower), np.eye(k))
-    sigma0_inv = 0.5 * (sigma0_inv + sigma0_inv.T)
     return Problem(
         ensemble=clean_ensemble,
         ball=clean_ball,
         noise_stack=clean_ensemble.noise_stack,
         weights=clean_ensemble.weights,
-        sigma0_inv=sigma0_inv,
     )
 
 

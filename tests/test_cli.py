@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 
 from mmse_bounds import (
-    BracketFailure,
     ChannelEnsemble,
     ConfigError,
     DivergenceBall,
+    FisherUndefined,
     GaussianReference,
     McEstimate,
     NoConvergence,
+    cramer_rao_lower,
     gen_gauss_covariance,
     gen_gauss_epsilon,
+    gen_gauss_fisher,
+    lmmse_upper,
     load_config,
     local_bounds_weighted,
     save_config,
+    solve_bound,
+    uniform_ball_epsilon,
+    uniform_ball_moments,
     validate_problem,
 )
 from mmse_bounds import cli, solver
@@ -205,7 +211,7 @@ class TestBoundCommand:
 
     def test_solver_failure_exit_code(self, scalar_config, monkeypatch, capsys):
         def boom(*a, **k):
-            raise BracketFailure("lower", 0.1, 0.0, 0.05)
+            raise NoConvergence("no answer passed the checks")
         monkeypatch.setattr(cli, "solve_bound", boom)
         rc = cli.main(["bound", "--config", scalar_config])
         assert rc == EXIT_SOLVER
@@ -257,24 +263,6 @@ class TestSweepP:
         first = lines[1].split(",")
         assert first[-1] == ""
         assert lines[2].split(",")[-1] != ""
-
-    def test_bracket_failure_hole_and_warning(self, scalar_config, monkeypatch,
-                                              capsys):
-        real = cli.solve_bound
-
-        def sometimes(direction, ensemble, ball, opts=None):
-            if str(getattr(direction, "value", direction)) == "lower":
-                raise BracketFailure("lower", ball.epsilon, 0.0, 0.0)
-            return real(direction, ensemble, ball, opts)
-
-        monkeypatch.setattr(cli, "solve_bound", sometimes)
-        rc = cli.main(["sweep-p", "--config", scalar_config, "--grid", "1,3"])
-        captured = capsys.readouterr()
-        assert rc == EXIT_OK
-        for line in captured.out.strip().split("\n")[1:]:
-            assert line.split(",")[2] == ""   # lower column empty
-            assert line.split(",")[3] != ""   # upper still solved
-        assert "warning" in captured.err
 
     def test_no_convergence_names_the_row(self, scalar_config, monkeypatch, capsys):
         real = cli.solve_bound
@@ -349,6 +337,33 @@ class TestSweepP:
             for col, direction in ((4, "lower"), (5, "upper")):
                 value = local_bounds_weighted(direction, demo_ensemble, ball)[0]
                 assert row[col] == "%.15g" % value
+
+
+class TestSweepDriver:
+    @pytest.mark.parametrize("command, grid", [("sweep-p", "0.51:10:3"),
+                                               ("sweep-ball", "0.1:40:3")])
+    def test_cells_equal_the_library_calls(self, command, grid, demo_config,
+                                           demo_ensemble, capsys):
+        # every cell is %.15g of the library call at the row's (Sigma_0, eps)
+        assert cli.main([command, "--config", demo_config, "--grid", grid]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().split("\n")
+        ens, both = demo_ensemble, ("lower", "upper")
+        for x, line in zip(parse_grid(grid), lines[1:], strict=True):
+            if command == "sweep-p":
+                sigma0, eps = gen_gauss_covariance(x, 3) * np.eye(3), gen_gauss_epsilon(x, 3)
+            else:
+                sigma0, eps = uniform_ball_moments(x, 3).covariance, uniform_ball_epsilon(x, 3)
+            ball = DivergenceBall(GaussianReference(np.zeros(3), sigma0), eps)
+            expect = [x, eps] + [solve_bound(d, ens, ball).bound_value for d in both]
+            if command == "sweep-p":
+                expect += [local_bounds_weighted(d, ens, ball)[0] for d in both]
+            expect.append(lmmse_upper(sigma0, ens))
+            if command == "sweep-p":
+                try:
+                    expect.append(cramer_rao_lower(gen_gauss_fisher(x, 3), ens))
+                except FisherUndefined:
+                    expect.append(None)
+            assert line.split(",") == ["" if v is None else "%.15g" % v for v in expect]
 
 
 class TestSweepBall:

@@ -39,8 +39,6 @@ class TestValidation:
         assert prob.dimension == 2
         assert prob.epsilon == 0.1
         assert prob.noise_stack.shape == (2, 2, 2)
-        np.testing.assert_allclose(prob.sigma0_inv, np.eye(2), atol=1e-14)
-        assert np.array_equal(prob.sigma0_inv, prob.sigma0_inv.T)
 
     def test_idempotent(self):
         prob = validate_problem(small_ensemble(), isotropic_ball(2, 1.0, 0.1))
@@ -140,7 +138,6 @@ class TestEnsemble:
         assert sub == again
         np.testing.assert_array_equal(sub.noise_stack, again.noise_stack)
         np.testing.assert_array_equal(sub.weights, again.weights)
-        np.testing.assert_array_equal(sub.sigma0_inv, again.sigma0_inv)
 
 
 class TestConfig:

@@ -14,7 +14,7 @@ Analytic oracles used here:
   `oracles.isotropic_bounds` takes the least two-level split instead; at
   the small radius of `test_isotropic_k3` that is the isotropic point.
 
-Both are independent of the solver's own fixed-point machinery.
+Both are independent of the solver's own continuation machinery.
 """
 
 import numpy as np
@@ -26,15 +26,12 @@ from mmse_bounds import (
     Direction,
     DivergenceBall,
     GaussianReference,
-    LostPositiveDefiniteness,
     SolverOptions,
-    kl_gap,
     kl_same_mean_gaussians,
     lmmse_upper,
     local_bound,
     local_bounds_weighted,
     opt_covariance_residual,
-    sigma_of_alpha,
     solve_bound,
     validate_problem,
 )
@@ -205,55 +202,12 @@ class TestOrdering:
             assert a.bound_value == pytest.approx(b.bound_value, rel=1e-10)
 
 
-class TestInnerSolve:
-    def test_sigma_of_alpha_residual(self, demo_ensemble):
-        ref = GaussianReference(np.zeros(3), HARD_VAR * np.eye(3))
-        opts = SolverOptions()
-        sigma, res, it = sigma_of_alpha(0.5, demo_ensemble, ref, opts)
-        assert res <= opts.inner_tol
-        assert it >= 1
-        assert np.linalg.eigvalsh(sigma)[0] > 0
-
-    def test_alpha_zero_returns_reference(self, demo_ensemble):
-        ref = GaussianReference(np.zeros(3), 2.0 * np.eye(3))
-        sigma, res, _ = sigma_of_alpha(0.0, demo_ensemble, ref)
-        np.testing.assert_array_equal(sigma, 2.0 * np.eye(3))
-        assert res == 0.0
-
-    def test_lost_positive_definiteness(self):
-        # scalar, sigma0 = sigma_n = 1: the inverse form needs
-        # 1 - alpha * s > 0 and s -> 1/4 at the center, so alpha = 8 exits
-        # the cone immediately
-        ens = ChannelEnsemble.from_arrays([[[1.0]]], [1.0])
-        ref = GaussianReference(np.zeros(1), np.eye(1))
-        with pytest.raises(LostPositiveDefiniteness):
-            sigma_of_alpha(8.0, ens, ref)
-
-    def test_kl_gap_at_zero(self, demo_ensemble):
-        ref = GaussianReference(np.zeros(3), HARD_VAR * np.eye(3))
-        assert kl_gap(0.0, demo_ensemble, ref, 0.3) == pytest.approx(-0.3, abs=1e-14)
-
-    def test_kl_gap_grows_with_alpha(self, demo_ensemble):
-        ref = GaussianReference(np.zeros(3), HARD_VAR * np.eye(3))
-        g0 = kl_gap(0.0, demo_ensemble, ref, 0.0)
-        g_up = kl_gap(0.2, demo_ensemble, ref, 0.0)
-        g_dn = kl_gap(-0.2, demo_ensemble, ref, 0.0)
-        assert g_up > g0
-        assert g_dn > g0  # KL is a distance: it grows on both sides
-
-
 class TestOptions:
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
             SolverOptions(inner_tol=0.0)
         with pytest.raises(ValueError):
             SolverOptions(outer_tol=-1e-9)
-        with pytest.raises(ValueError):
-            SolverOptions(inner_max_iter=0)
-        with pytest.raises(ValueError):
-            SolverOptions(damping=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(damping=1.5)
 
     def test_loose_outer_tolerance_respected(self, demo_ensemble):
         opts = SolverOptions(outer_tol=1e-6)
