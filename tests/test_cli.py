@@ -398,6 +398,14 @@ class TestVerifyCommand:
         assert rc == EXIT_OK
         assert "PASS" in out
 
+    def test_gaussian_prior_has_full_inner_ess(self, scalar_config, capsys):
+        # the proposal is the exact posterior, so every inner weight is equal
+        rc = cli.main(["verify", "--config", scalar_config, "--prior", "gaussian",
+                       "--n-outer", "150", "--n-inner", "150", "--seed", "1"])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert "inner effective sample size: min=150, median=150," in out
+
     def test_gen_gauss_prior_passes(self, scalar_config, capsys):
         rc = cli.main(["verify", "--config", scalar_config, "--prior",
                        "gen-gauss:1", "--n-outer", "200", "--n-inner", "200",

@@ -22,6 +22,7 @@ from mmse_bounds import (
     uniform_ball_epsilon,
 )
 from mmse_bounds.gaussian import mmse_matrix, weight_matrix
+from mmse_bounds import mc
 from mmse_bounds.mc import _CHUNK, _check_degenerate, _mmse_one_channel, _rng_from
 from mmse_bounds.priors import _sample_with, log_density
 from conftest import TEST_SEED, random_spd
@@ -78,7 +79,7 @@ def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
 
 def _kernel_cases():
     """(spec, noise scale) pairs; the low-noise ball has one bad draw."""
-    for k in (1, 2, 3, 5):
+    for k in (1, 2, 3, 5, 6):
         rng = np.random.default_rng(100 + k)
         cov = random_spd(rng, k, 2.0)
         yield pytest.param(PriorSpec(Gaussian(rng.normal(size=k), cov), k), 0.8,
@@ -90,25 +91,49 @@ def _kernel_cases():
     yield pytest.param(PriorSpec(UniformBall(1.5), 5), 0.001, id="ball-K5-low-noise")
 
 
+def _kernel_input(spec, noise_scale, n_outer):
+    """A full noise covariance and seeded (x, y) draws for one channel."""
+    k = spec.dimension
+    rng = np.random.default_rng(7 * k)
+    sigma_n = random_spd(rng, k, noise_scale)
+    assert k == 1 or np.any(sigma_n != np.diag(np.diag(sigma_n)))  # full noise
+    s_x, s_noise, s_inner = np.random.SeedSequence(TEST_SEED).spawn(3)
+    x = _sample_with(spec, n_outer, _rng_from(s_x))
+    y = x + (_rng_from(s_noise).standard_normal(x.shape)
+             @ np.linalg.cholesky(sigma_n).T)
+    return sigma_n, x, y, s_inner
+
+
 class TestKernel:
     @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
     def test_matches_direct_density_oracle(self, spec, noise_scale):
         # Whitening from the drawn normals must change the per-draw errors
         # only at rounding level and leave every bad-draw verdict alone.
-        k = spec.dimension
-        rng = np.random.default_rng(7 * k)
-        sigma_n = random_spd(rng, k, noise_scale)
-        assert k == 1 or np.any(sigma_n != np.diag(np.diag(sigma_n)))  # full noise
-        s_x, s_noise, s_inner = np.random.SeedSequence(TEST_SEED).spawn(3)
-        n_outer, n_inner = _CHUNK + 22, 300  # one full chunk and one partial
-        x = _sample_with(spec, n_outer, _rng_from(s_x))
-        y = x + (_rng_from(s_noise).standard_normal(x.shape)
-                 @ np.linalg.cholesky(sigma_n).T)
+        n_outer, n_inner = 150, 300  # full blocks and a partial last one
+        sigma_n, x, y, s_inner = _kernel_input(spec, noise_scale, n_outer)
         sq_err, ess = _mmse_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
         ref_err, ref_bad = _oracle_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
         np.testing.assert_allclose(sq_err, ref_err, rtol=1e-9, atol=0.0)
         assert int(np.count_nonzero(ess < 0.01 * n_inner)) == ref_bad
         assert np.all((ess >= 1.0) & (ess <= n_inner * (1 + 1e-12)))
+        if isinstance(spec.family, Gaussian):
+            # the proposal is the exact posterior, so every weight is equal
+            np.testing.assert_allclose(ess, n_inner, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
+    def test_chunk_size_changes_no_answer(self, spec, noise_scale, monkeypatch):
+        # Every block size consumes the normals in the same order, so the
+        # block size may move the per-draw errors by rounding at most.
+        n_outer, n_inner = 150, 300  # a partial last block for every size but 1
+        sigma_n, x, y, s_inner = _kernel_input(spec, noise_scale, n_outer)
+        runs = []
+        for chunk in (1, 7, 16, 32, 128):
+            monkeypatch.setattr(mc, "_CHUNK", chunk)
+            runs.append(_mmse_one_channel(spec, sigma_n, x, y, s_inner, n_inner))
+        ref_err, ref_ess = runs[-1]
+        for sq_err, ess in runs[:-1]:
+            np.testing.assert_allclose(sq_err, ref_err, rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(ess, ref_ess)
 
 
 class TestGaussianExactness:
