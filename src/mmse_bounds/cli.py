@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import cramer_rao_lower, lmmse_upper
-from .exceptions import ConfigError, FisherUndefined, NoConvergence, ProblemValidationError
+from .exceptions import (ConfigError, DegenerateWeights, FisherUndefined, NoConvergence,
+                         ProblemValidationError)
 from .mc import mc_weighted_sum
 from .priors import (
     Gaussian,
@@ -133,7 +134,7 @@ def noise_from_distances(field: SensorField, dimension: int,
 
 def parse_grid(text: str) -> np.ndarray:
     """Parse 'start:stop:count' or a comma-separated list into a strictly
-    increasing positive grid."""
+    increasing grid of positive finite values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -144,7 +145,8 @@ def parse_grid(text: str) -> np.ndarray:
             raise ConfigError(f"bad grid {text!r}: {exc}") from exc
         if count < 1:
             raise ConfigError("grid count must be >= 1")
-        grid = np.linspace(start, stop, count)
+        with np.errstate(invalid="ignore"):  # a non-finite end is rejected below
+            grid = np.linspace(start, stop, count)
     else:
         try:
             grid = np.array([float(tok) for tok in text.split(",") if tok.strip()])
@@ -152,8 +154,8 @@ def parse_grid(text: str) -> np.ndarray:
             raise ConfigError(f"bad grid {text!r}: {exc}") from exc
         if grid.size == 0:
             raise ConfigError("grid is empty")
-    if np.any(grid <= 0):
-        raise ConfigError("grid values must be positive")
+    if not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ConfigError("grid values must be positive and finite")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ConfigError("grid must be strictly increasing")
     return grid
@@ -392,6 +394,9 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except DegenerateWeights as exc:
+        print(f"verification error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 
 Estimator gain matrices, MMSE matrices and traces, same-mean Gaussian KL
 divergence, and the exact MSE of a fixed affine estimator under an
-arbitrary Gaussian prior. Every Sigma_X + Sigma_N passes a Cholesky
-factorization, so is positive definite, before a system with it is
-solved; KL is in nats.
+arbitrary Gaussian prior. Every Sigma_X + Sigma_N and every reference
+Sigma_0 passes a Cholesky factorization, so is positive definite, before
+a system with it is solved; KL is in nats.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import DimensionMismatch, SingularReference, SingularSum
 
@@ -21,6 +20,29 @@ def _check_same_shape(a, b, name_a, name_b):
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(
             f"{name_a} {a.shape} and {name_b} {b.shape} must be equal square shapes")
+
+
+def _gain_transpose(sigma_x, sigma_n):
+    """W^T = (Sigma_X + Sigma_N)^-1 Sigma_N for a (K, K) Sigma_N or a (J, K, K)
+    stack; raises SingularSum when a symmetrized sum fails its Cholesky check."""
+    total = sigma_x + sigma_n
+    total = 0.5 * (total + total.swapaxes(-1, -2))
+    try:
+        np.linalg.cholesky(total)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSum(f"Sigma_X + Sigma_N factorization failed: {exc}") from exc
+    return np.linalg.solve(total, sigma_n)
+
+
+def _reference_solve(sigma_0, sigma_x):
+    """(Sigma_0^-1 Sigma_X, log det Sigma_0) from the Cholesky factor of Sigma_0;
+    raises SingularReference when the factorization fails."""
+    try:
+        chol = np.linalg.cholesky(sigma_0)
+    except np.linalg.LinAlgError as exc:
+        raise SingularReference(f"reference covariance factorization failed: {exc}") from exc
+    ci = np.linalg.inv(chol)
+    return ci.T @ (ci @ sigma_x), 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def weight_matrix(sigma_x, sigma_n):
@@ -41,13 +63,7 @@ def weight_matrix(sigma_x, sigma_n):
     sigma_x = np.asarray(sigma_x, dtype=float)
     sigma_n = np.asarray(sigma_n, dtype=float)
     _check_same_shape(sigma_x, sigma_n, "sigma_x", "sigma_n")
-    total = sigma_x + sigma_n
-    try:
-        c = cho_factor(0.5 * (total + total.T), lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSum(f"Sigma_X + Sigma_N factorization failed: {exc}") from exc
-    # W^T = (Sigma_X + Sigma_N)^-1 Sigma_N
-    return cho_solve(c, sigma_n, check_finite=False).T
+    return _gain_transpose(sigma_x, sigma_n).T
 
 
 def mmse_matrix(sigma_x, sigma_n):
@@ -99,26 +115,11 @@ def weighted_mmse_sum(sigma_x, ensemble, reference=None) -> MmseSummary:
         raise DimensionMismatch(
             f"sigma_x has shape {sigma_x.shape}, ensemble dimension is "
             f"{ensemble.dimension}")
-    noise = ensemble.noise_stack
-    total = sigma_x + noise
-    total = 0.5 * (total + total.swapaxes(1, 2))
-    try:
-        np.linalg.cholesky(total)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSum(f"Sigma_X + Sigma_N factorization failed: {exc}") from exc
-    # Sigma_X W_j^T with W_j^T = (Sigma_X + Sigma_N_j)^-1 Sigma_N_j
-    m = sigma_x @ np.linalg.solve(total, noise)
+    m = sigma_x @ _gain_transpose(sigma_x, ensemble.noise_stack)
     m = 0.5 * (m + m.swapaxes(1, 2))
     traces = np.trace(m, axis1=1, axis2=2)
     weighted = float(ensemble.weights @ traces)
-    snr0 = None
-    if reference is not None:
-        sigma0 = np.asarray(reference.covariance, dtype=float)
-        try:
-            c = cho_factor(sigma0, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularReference(str(exc)) from exc
-        snr0 = cho_solve(c, sigma_x, check_finite=False)
+    snr0 = None if reference is None else _reference_solve(reference.covariance, sigma_x)[0]
     return MmseSummary(tuple(m), tuple(traces.tolist()), weighted, snr0)
 
 
@@ -132,16 +133,11 @@ def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:
     sigma_0 = np.asarray(sigma_0, dtype=float)
     _check_same_shape(sigma_x, sigma_0, "sigma_x", "sigma_0")
     k = sigma_x.shape[0]
-    try:
-        c0 = cho_factor(sigma_0, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularReference(f"reference covariance factorization failed: {exc}") from exc
-    snr0 = cho_solve(c0, sigma_x, check_finite=False)
+    snr0, logdet_0 = _reference_solve(sigma_0, sigma_x)
     trace = float(np.trace(snr0))
     sign_x, logdet_x = np.linalg.slogdet(sigma_x)
     if sign_x <= 0:
         raise SingularSum("sigma_x has nonpositive determinant")
-    logdet_0 = 2.0 * float(np.sum(np.log(np.diag(c0[0]))))
     value = 0.5 * (trace - k - (logdet_x - logdet_0))
     return max(value, 0.0)
 

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from .exceptions import (
     ConfigError,
@@ -44,11 +43,9 @@ def _check_spd(m, name, channel=None):
         raise NonSymmetric(f"{name} is not symmetric within tolerance", channel=channel)
     sym = 0.5 * (m + m.T)
     try:
-        cho_factor(sym, lower=True, check_finite=True)
+        np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{name} is not positive definite", channel=channel)
-    except ValueError:
-        raise NotPositiveDefinite(f"{name} has non-finite entries", channel=channel)
     return sym
 
 

@@ -6,6 +6,9 @@ failing, so a removal there would only show as a layer that reads 0.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +50,17 @@ def test_benchmark_name_is_exported(name):
 def test_cli_main_is_reachable():
     importlib.import_module("mmse_bounds.cli")  # as the benchmark loads it
     assert callable(mmse_bounds.cli.main)
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    src = os.path.dirname(os.path.dirname(mmse_bounds.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, mmse_bounds.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("module, attr", TRACED)

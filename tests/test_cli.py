@@ -8,6 +8,7 @@ import pytest
 from mmse_bounds import (
     ChannelEnsemble,
     ConfigError,
+    DegenerateWeights,
     DivergenceBall,
     FisherUndefined,
     GaussianReference,
@@ -71,6 +72,7 @@ class TestParseGrid:
         "2,1",        # not increasing
         "1,1",        # not strictly increasing
         "-1:2:3",
+        "nan", "1,inf", "0.5:inf:3",  # non-finite values
     ])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -423,6 +425,15 @@ class TestVerifyCommand:
                        "--n-outer", "150", "--n-inner", "150", "--seed", "1"])
         assert rc == EXIT_VERIFY
         assert "FAIL" in capsys.readouterr().out
+
+    def test_degenerate_weights_exit_code(self, scalar_config, monkeypatch, capsys):
+        def collapse(spec, ensemble, n_outer, n_inner, seed):
+            raise DegenerateWeights("weights collapsed", bad_fraction=0.5)
+        monkeypatch.setattr(cli, "mc_weighted_sum", collapse)
+        rc = cli.main(["verify", "--config", scalar_config, "--prior", "gaussian",
+                       "--n-outer", "150", "--n-inner", "150", "--seed", "1"])
+        assert rc == EXIT_VERIFY
+        assert "verification error: weights collapsed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("prior", ["exotic:1", "gen-gauss:abc", "gen-gauss:-1"])
     def test_bad_prior_is_config_error(self, scalar_config, prior):

@@ -60,11 +60,13 @@ class TestGeneralizedGaussian:
         assert gen_gauss_fisher(p, k) == pytest.approx(fisher, rel=1e-12)
         assert gen_gauss_epsilon(p, k) == pytest.approx(eps, abs=1e-12)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_p2_is_the_standard_gaussian(self, k):
         assert gen_gauss_covariance(2.0, k) == pytest.approx(1.0, rel=1e-13)
         assert gen_gauss_fisher(2.0, k) == pytest.approx(float(k), rel=1e-13)
-        assert gen_gauss_epsilon(2.0, k) == 0.0
+        eps = gen_gauss_epsilon(2.0, k)
+        assert eps == 0.0
+        assert type(eps) is float
 
     def test_epsilon_positive_away_from_p2(self):
         for p in (0.6, 1.0, 1.5, 3.0, 6.0):
