@@ -190,9 +190,10 @@ def _sweep_p_row(p, ensemble, mu0) -> SweepRecord:
     eps = gen_gauss_epsilon(p, k)
     ball = DivergenceBall(GaussianReference(mu0, sigma0), eps)
     prob = validate_problem(ensemble, ball)
-    lower, upper = (_labelled(f"p={p} {d}", solve_bound, d, prob, ball).bound_value
+    lower, upper = (_labelled(f"p={p} {d}", solve_bound, d, prob, prob.ball).bound_value
                     for d in ("lower", "upper"))
-    loc_lower, loc_upper = (_labelled(f"p={p} local {d}", local_bounds_weighted, d, prob, ball)[0]
+    loc_lower, loc_upper = (_labelled(f"p={p} local {d}", local_bounds_weighted, d, prob,
+                                      prob.ball)[0]
                             for d in ("lower", "upper"))
     lmmse = lmmse_upper(sigma0, prob.ensemble)
     try:
@@ -208,7 +209,7 @@ def _sweep_ball_row(r, ensemble, mu0) -> SweepRecord:
     eps = uniform_ball_epsilon(r, k)
     ball = DivergenceBall(GaussianReference(mu0, moments.covariance), eps)
     prob = validate_problem(ensemble, ball)
-    lower, upper = (_labelled(f"R={r} {d}", solve_bound, d, prob, ball).bound_value
+    lower, upper = (_labelled(f"R={r} {d}", solve_bound, d, prob, prob.ball).bound_value
                     for d in ("lower", "upper"))
     lmmse = lmmse_upper(moments.covariance, prob.ensemble)
     return SweepRecord(r, eps, lower, upper, lmmse=lmmse)
@@ -243,7 +244,7 @@ def cmd_bound(args) -> int:
           f"epsilon={ball.epsilon:.12g}")
     print(f"nominal weighted MMSE sum at the reference: {nominal:.12g}")
     for direction in ("lower", "upper"):
-        res = solve_bound(direction, prob, ball)
+        res = solve_bound(direction, prob, prob.ball)
         print(f"{direction} bound: {res.bound_value:.12g}  "
               f"(alpha={res.alpha:.12g}, kl={res.kl_at_solution:.12g}, "
               f"kl_residual={res.residuals[1]:.3g}, "
@@ -300,8 +301,8 @@ def cmd_verify(args) -> int:
         mu0 = np.zeros(k)
     ball = DivergenceBall(GaussianReference(mu0, sigma0), eps)
     prob = validate_problem(ensemble, ball)
-    lower = solve_bound("lower", prob, ball)
-    upper = solve_bound("upper", prob, ball)
+    lower = solve_bound("lower", prob, prob.ball)
+    upper = solve_bound("upper", prob, prob.ball)
     est = mc_weighted_sum(spec, prob.ensemble, args.n_outer, args.n_inner, args.seed)
     lo_ok = lower.bound_value - 3.0 * est.std_error <= est.value
     hi_ok = est.value <= upper.bound_value + 3.0 * est.std_error

@@ -30,7 +30,7 @@ class NonPositiveWeight(ProblemValidationError):
 
 
 class NegativeRadius(ProblemValidationError):
-    """The divergence-ball radius is negative."""
+    """The divergence-ball radius is not a finite nonnegative number."""
 
 
 class SingularSum(ValueError):

@@ -34,17 +34,6 @@ def _gain_transpose(sigma_x, sigma_n):
     return np.linalg.solve(total, sigma_n)
 
 
-def _reference_solve(sigma_0, sigma_x):
-    """(Sigma_0^-1 Sigma_X, log det Sigma_0) from the Cholesky factor of Sigma_0;
-    raises SingularReference when the factorization fails."""
-    try:
-        chol = np.linalg.cholesky(sigma_0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularReference(f"reference covariance factorization failed: {exc}") from exc
-    ci = np.linalg.inv(chol)
-    return ci.T @ (ci @ sigma_x), 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
 def weight_matrix(sigma_x, sigma_n):
     """Gain matrix W = Sigma_N (Sigma_X + Sigma_N)^-1.
 
@@ -84,18 +73,14 @@ def mmse_trace(sigma_x, sigma_n) -> float:
 
 @dataclass(frozen=True)
 class MmseSummary:
-    """Per-channel MMSE matrices and traces with their weighted sum.
-
-    `snr0` is Sigma_0^-1 Sigma_X when a reference was supplied, else None.
-    """
+    """Per-channel MMSE matrices and traces with their weighted sum."""
 
     per_channel_matrix: tuple
     per_channel_trace: tuple
     weighted_sum: float
-    snr0: np.ndarray | None = None
 
 
-def weighted_mmse_sum(sigma_x, ensemble, reference=None) -> MmseSummary:
+def weighted_mmse_sum(sigma_x, ensemble) -> MmseSummary:
     """Weighted sum of per-channel MMSE traces for a common prior covariance.
 
     All channels are computed at once on the (J, K, K) noise stack: one
@@ -107,8 +92,6 @@ def weighted_mmse_sum(sigma_x, ensemble, reference=None) -> MmseSummary:
     sigma_x : (K, K) ndarray
         Prior covariance.
     ensemble : ChannelEnsemble or Problem
-    reference : GaussianReference, optional
-        When given, the summary also carries SNR_0 = Sigma_0^-1 Sigma_X.
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
     if sigma_x.shape != (ensemble.dimension, ensemble.dimension):
@@ -119,22 +102,27 @@ def weighted_mmse_sum(sigma_x, ensemble, reference=None) -> MmseSummary:
     m = 0.5 * (m + m.swapaxes(1, 2))
     traces = np.trace(m, axis1=1, axis2=2)
     weighted = float(ensemble.weights @ traces)
-    snr0 = None if reference is None else _reference_solve(reference.covariance, sigma_x)[0]
-    return MmseSummary(tuple(m), tuple(traces.tolist()), weighted, snr0)
+    return MmseSummary(tuple(m), tuple(traces.tolist()), weighted)
 
 
 def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:
     """KL divergence (nats) between same-mean Gaussians N(m, Sigma_X), N(m, Sigma_0).
 
-    Equals (tr(SNR_0) - K - log det(SNR_0)) / 2 with SNR_0 = Sigma_0^-1 Sigma_X.
-    Nonnegative; zero iff the covariances coincide.
+    Equals (tr(SNR_0) - K - log det(SNR_0)) / 2 with SNR_0 = Sigma_0^-1 Sigma_X,
+    formed from the Cholesky factor of Sigma_0 (SingularReference when it
+    fails). Nonnegative; zero iff the covariances coincide.
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
     sigma_0 = np.asarray(sigma_0, dtype=float)
     _check_same_shape(sigma_x, sigma_0, "sigma_x", "sigma_0")
     k = sigma_x.shape[0]
-    snr0, logdet_0 = _reference_solve(sigma_0, sigma_x)
-    trace = float(np.trace(snr0))
+    try:
+        chol = np.linalg.cholesky(sigma_0)
+    except np.linalg.LinAlgError as exc:
+        raise SingularReference(f"reference covariance factorization failed: {exc}") from exc
+    ci = np.linalg.inv(chol)
+    logdet_0 = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    trace = float(np.trace(ci.T @ (ci @ sigma_x)))
     sign_x, logdet_x = np.linalg.slogdet(sigma_x)
     if sign_x <= 0:
         raise SingularSum("sigma_x has nonpositive determinant")

@@ -36,6 +36,7 @@ import numpy as np
 from .exceptions import DegenerateWeights
 from .gaussian import mmse_matrix, weight_matrix
 from .priors import PriorSpec, _sample_with, gaussian_log_density, log_density, prior_moments
+from .problem import ChannelEnsemble
 
 # outer draws per block. Measured CPU per mc_weighted_sum pass, against 32:
 # at n_inner = 2000, 16 and 24 equal and 128 about 20% slower; at
@@ -172,7 +173,8 @@ def _estimate(per_draw, ess, n_inner, seed) -> McEstimate:
 
 
 def mc_mmse(spec: PriorSpec, sigma_n, n_outer: int, n_inner: int, seed: int) -> McEstimate:
-    """Monte Carlo estimate of the channel MMSE under the given prior.
+    """Monte Carlo estimate of the channel MMSE under the given prior:
+    `mc_weighted_sum` on the one-channel ensemble {(Sigma_N, 1)}.
 
     Outer loop: draw (x, y = x + n). Inner loop: self-normalized importance
     sampling for E[X | Y = y]. The value is the average of
@@ -185,17 +187,8 @@ def mc_mmse(spec: PriorSpec, sigma_n, n_outer: int, n_inner: int, seed: int) -> 
         If the inner effective sample size collapses on more than 1% of
         outer draws (reported, not silently retried).
     """
-    if n_outer < 100 or n_inner < 100:
-        raise ValueError("n_outer and n_inner must both be >= 100")
-    sigma_n = np.asarray(sigma_n, dtype=float)
-    root = np.random.SeedSequence(seed)
-    s_x, s_noise, s_inner = root.spawn(3)
-    x = _sample_with(spec, n_outer, _rng_from(s_x))
-    chol_n = np.linalg.cholesky(sigma_n)
-    y = x + _rng_from(s_noise).standard_normal(x.shape) @ chol_n.T
-
-    sq_err, ess = _mmse_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
-    return _estimate(sq_err, ess, n_inner, seed)
+    return mc_weighted_sum(spec, ChannelEnsemble.from_arrays([sigma_n], [1.0]),
+                           n_outer, n_inner, seed)
 
 
 def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,

@@ -40,8 +40,8 @@ class GeneralizedGaussian:
     p: float
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError(f"exponent p must be positive, got {self.p}")
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"exponent p must be a finite positive number, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class UniformBall:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be a finite positive number, got {self.radius}")
 
 
 @dataclass(frozen=True)

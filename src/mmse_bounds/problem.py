@@ -9,6 +9,7 @@ constrains how far the true prior may sit from the reference.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,22 +154,22 @@ class Problem:
         return Problem(self.ensemble.single(j), self.ball, self.noise_stack[j:j + 1], np.ones(1))
 
 
-def validate_problem(ensemble, ball: DivergenceBall) -> Problem:
+def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
     """Validate problem data and return an immutable handle.
 
     Checks symmetry (1e-12 relative Frobenius), positive definiteness of
     every covariance, consistent dimensions, positive weights, and a
-    nonnegative radius. Matrices are symmetrized by averaging with their
-    transpose before the definiteness check. Idempotent: passing an
-    already-validated `Problem` returns an equal handle.
+    finite nonnegative radius. Matrices are symmetrized by averaging with
+    their transpose before the definiteness check. An already-validated
+    `Problem` is returned as it is.
 
     Parameters
     ----------
     ensemble : ChannelEnsemble or Problem
         Channel data, or a previously validated problem.
-    ball : DivergenceBall
-        Reference prior and radius. Ignored when `ensemble` is a `Problem`
-        and `ball` is None.
+    ball : DivergenceBall or None
+        Reference prior and radius. With a `Problem`, None or a ball equal
+        to the problem's own; any other ball raises ValueError.
 
     Returns
     -------
@@ -178,11 +179,13 @@ def validate_problem(ensemble, ball: DivergenceBall) -> Problem:
     ------
     NonSymmetric, NotPositiveDefinite, DimensionMismatch,
     NonPositiveWeight, NegativeRadius
+    ValueError
+        If a `Problem` comes with a ball other than its own.
     """
     if isinstance(ensemble, Problem):
         if ball is not None and ball != ensemble.ball:
             raise ValueError("validated problem passed with a different ball")
-        ensemble, ball = ensemble.ensemble, ensemble.ball
+        return ensemble
 
     if ensemble.count < 1:
         raise DimensionMismatch("ensemble has no channels")
@@ -209,8 +212,9 @@ def validate_problem(ensemble, ball: DivergenceBall) -> Problem:
                                     channel=j)
         channels.append(Channel(sn, float(ch.weight)))
 
-    if ball.epsilon < 0:
-        raise NegativeRadius(f"radius epsilon={ball.epsilon} is negative")
+    if not 0.0 <= ball.epsilon < math.inf:
+        raise NegativeRadius(
+            f"radius epsilon={ball.epsilon} must be a finite nonnegative number")
 
     clean_ensemble = ChannelEnsemble(tuple(channels))
     clean_ball = DivergenceBall(GaussianReference(mu0, sigma0), float(ball.epsilon))

@@ -39,12 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NoConvergence
-from .gaussian import MmseSummary, kl_same_mean_gaussians, mmse_matrix, weighted_mmse_sum
-from .problem import DivergenceBall, Problem, validate_problem
+from .gaussian import kl_same_mean_gaussians, mmse_matrix, weighted_mmse_sum
+from .problem import DivergenceBall, validate_problem
 
 _NEWTON_ITER = 12  # Newton iterations per corrector
 _MAX_JACOBIANS = 500  # Jacobian evaluations per solve
 _MAX_STEPS = 200  # continuation steps per solve
+_INNER_TOL = 1e-11  # certified relative Frobenius residual of the fixed point
+_OUTER_TOL = 1e-10  # certified |kl - epsilon|
 _DAMPING = 1.0  # first trial length of every Newton step
 _PATH_TOL = 1e-9  # relative residual of a corrector short of the target
 _FINAL_TOL = 1e-13  # ... and at the target
@@ -67,23 +69,6 @@ def _as_direction(direction) -> Direction:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Certificate tolerances of a solve.
-
-    inner_tol is a relative Frobenius tolerance on the fixed point Sigma_X =
-    (Sigma_0^-1 - alpha S(Sigma_X))^-1 at the answer; outer_tol is absolute
-    on KL - epsilon.
-    """
-
-    inner_tol: float = 1e-11
-    outer_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.inner_tol > 0 and self.outer_tol > 0):
-            raise ValueError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
 class BoundResult:
     """Solved bound: multiplier, extremal covariance, value, diagnostics.
 
@@ -95,7 +80,6 @@ class BoundResult:
     alpha: float
     sigma_x: np.ndarray
     bound_value: float
-    summary: MmseSummary
     kl_at_solution: float
     inner_iterations: int
     outer_iterations: int
@@ -103,19 +87,17 @@ class BoundResult:
 
 
 class _Ctx:
-    """Per-solve constants (the reference and L0, the channels, the
-    orthonormal packing) and the solve's counters."""
+    """Per-solve constants of a validated problem (the reference and L0,
+    the channels, the orthonormal packing) and the solve's counters."""
 
-    def __init__(self, ensemble, reference, opts):
-        sigma0 = np.asarray(reference.covariance, dtype=float)
-        self.sigma0 = 0.5 * (sigma0 + sigma0.T)
-        self.k = k = sigma0.shape[0]
+    def __init__(self, prob):
+        self.sigma0 = prob.reference.covariance
+        self.k = k = self.sigma0.shape[0]
         self.l0 = np.linalg.cholesky(self.sigma0)
         self.l0i = np.linalg.inv(self.l0)
         self.sigma0_inv = self.l0i.T @ self.l0i
         self.logdet0 = 2.0 * np.sum(np.log(np.diag(self.l0)))
-        self.noise, self.weights, self.opts = ensemble.noise_stack, ensemble.weights, opts
-        self.ensemble = ensemble
+        self.noise, self.weights, self.prob = prob.noise_stack, prob.weights, prob
         iu, ju = np.triu_indices(k)
         self.n = n = iu.size
         basis = np.zeros((k, k, n))  # E_ii and (E_ij + E_ji) / sqrt 2
@@ -154,7 +136,7 @@ def _gradient(ctx, sigma):
 
 
 def _value(ctx, sigma):
-    return weighted_mmse_sum(sigma, ctx.ensemble).weighted_sum
+    return weighted_mmse_sum(sigma, ctx.prob).weighted_sum
 
 
 def _evaluate(ctx, sigma, alpha, t2):
@@ -199,7 +181,7 @@ def _correct(ctx, sigma, alpha, t2, tol, iters=_NEWTON_ITER):
     """Newton on the bordered system at kl = t2. The residual is relative
     to max|X^-1|; it passes below `tol`, or once it stops contracting
     below the rounding floor. Returns (Sigma, alpha, Jacobian) or None."""
-    kl_tol = 0.1 * ctx.opts.outer_tol if tol == _FINAL_TOL else 1e-9 * t2
+    kl_tol = 0.1 * _OUTER_TOL if tol == _FINAL_TOL else 1e-9 * t2
     prev = np.inf
     if not _is_pd(sigma):
         return None
@@ -339,48 +321,49 @@ def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
         m = mmse_matrix(sigma_x, ch.noise_covariance)
         acc += ch.weight * (m.T @ m)
     # SNR_0^-1 = Sigma_X^-1 Sigma_0
-    snr0_inv = np.linalg.solve(sigma_x, sigma0)
-    rhs = sigma0 + alpha * acc @ snr0_inv
+    inv_snr = np.linalg.solve(sigma_x, sigma0)
+    rhs = sigma0 + alpha * acc @ inv_snr
     return float(np.linalg.norm(sigma_x - rhs) / np.linalg.norm(sigma_x))
 
 
-def solve_bound(direction, ensemble, ball: DivergenceBall,
-                opts: SolverOptions | None = None) -> BoundResult:
+def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
     """Solve for the upper or lower bound on the weighted MMSE sum.
 
     Parameters
     ----------
     direction : Direction or {"upper", "lower"}
     ensemble : ChannelEnsemble or Problem
+        Raw channel data is validated with `ball` first (`validate_problem`).
     ball : DivergenceBall
-        Reference prior and KL radius epsilon >= 0.
-    opts : SolverOptions, optional
+        Reference prior and KL radius epsilon >= 0; with a `Problem`, the
+        problem's own ball.
 
     Returns
     -------
     BoundResult
-        With ``|kl_at_solution - epsilon| <= opts.outer_tol``, the
-        fixed-point residual of ``sigma_x`` below ``opts.inner_tol`` and
-        alpha of the direction's sign; a lower bound is also a local
-        minimum.
+        With ``|kl_at_solution - epsilon| <= 1e-10``, the fixed-point
+        residual of ``sigma_x`` at most 1e-11 and alpha of the direction's
+        sign; a lower bound is also a local minimum.
 
     Raises
     ------
+    ProblemValidationError
+        If the data fail validation.
+    ValueError
+        If a `Problem` comes with a ball other than its own.
     NoConvergence
-        If no answer passes those checks.
+        If no answer passes the checks.
     """
     direction = _as_direction(direction)
-    opts = opts or SolverOptions()
-    prob = ensemble if isinstance(ensemble, Problem) else validate_problem(ensemble, ball)
-    ctx = _Ctx(prob, ball.reference, opts)
-    eps = ball.epsilon
+    prob = validate_problem(ensemble, ball)
+    ctx = _Ctx(prob)
+    eps = prob.epsilon
 
     def build(alpha, sigma, kl, res):
-        summary = weighted_mmse_sum(sigma, prob, ball.reference)
-        return BoundResult(direction, alpha, sigma, summary.weighted_sum, summary, kl,
+        return BoundResult(direction, alpha, sigma, _value(ctx, sigma), kl,
                            ctx.jacobians, ctx.steps, (res, abs(kl - eps)))
 
-    if eps <= opts.outer_tol:
+    if eps <= _OUTER_TOL:
         # the ball is (numerically) a point; both bounds sit at the center
         return build(0.0, ctx.sigma0.copy(), 0.0, 0.0)
 
@@ -411,14 +394,13 @@ def solve_bound(direction, ensemble, ball: DivergenceBall,
         sigma = 0.5 * (sigma + sigma.T)
         res = _residual(ctx, sigma, alpha)
         kl = kl_same_mean_gaussians(sigma, ctx.sigma0)
-        if res <= opts.inner_tol and abs(kl - eps) <= opts.outer_tol:
+        if res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL:
             return build(float(alpha), sigma, kl, res)
     raise NoConvergence(f"{direction.value} bound at epsilon={eps!r}: {len(found)} local "
                         f"extrema found, none certified (residual {res:.3g})", residual=res)
 
 
-def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall,
-                opts: SolverOptions | None = None) -> BoundResult:
+def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall) -> BoundResult:
     """Bound for a single channel under the same KL constraint.
 
     Equivalent to `solve_bound` on the one-channel ensemble with weight 1;
@@ -426,11 +408,10 @@ def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall,
     `Problem` gives a validated one-channel problem (`Problem.single`), so
     only a raw `ChannelEnsemble` is validated again.
     """
-    return solve_bound(direction, ensemble.single(channel_index), ball, opts)
+    return solve_bound(direction, ensemble.single(channel_index), ball)
 
 
-def local_bounds_weighted(direction, ensemble, ball: DivergenceBall,
-                          opts: SolverOptions | None = None):
+def local_bounds_weighted(direction, ensemble, ball: DivergenceBall):
     """Weighted sum of per-channel bounds: sum_j lambda_j local_bound(j).
 
     Optimizing each channel separately under the full KL budget is looser
@@ -440,7 +421,7 @@ def local_bounds_weighted(direction, ensemble, ball: DivergenceBall,
     -------
     (value, results) : (float, tuple[BoundResult, ...])
     """
-    results = tuple(local_bound(direction, ensemble, j, ball, opts)
+    results = tuple(local_bound(direction, ensemble, j, ball)
                     for j in range(len(ensemble.weights)))
     value = float(np.dot(ensemble.weights, [r.bound_value for r in results]))
     return value, results

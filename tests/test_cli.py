@@ -14,6 +14,7 @@ from mmse_bounds import (
     GaussianReference,
     McEstimate,
     NoConvergence,
+    Problem,
     cramer_rao_lower,
     gen_gauss_covariance,
     gen_gauss_epsilon,
@@ -211,6 +212,29 @@ class TestBoundCommand:
         path.write_text(json.dumps(cfg))
         assert cli.main(["bound", "--config", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_radius_rejected_before_output(self, scalar_config, capsys, epsilon):
+        rc = cli.main(["bound", "--config", scalar_config, "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        assert "must be a finite nonnegative number" in captured.err
+
+    def test_reference_asymmetric_within_tolerance(self, tmp_path, demo_ensemble, capsys):
+        # the solves read the validated (symmetrized) reference, not the raw one
+        sigma0 = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.0]])
+        skewed = sigma0.copy()
+        skewed[0, 1] += 1e-15
+        outputs = []
+        for name, s0 in (("skewed", skewed), ("symmetric", 0.5 * (skewed + skewed.T))):
+            path = tmp_path / f"{name}.json"
+            save_config(path, demo_ensemble, DivergenceBall(GaussianReference(np.zeros(3), s0),
+                                                            0.2))
+            assert cli.main(["bound", "--config", str(path)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert not np.array_equal(skewed, skewed.T)
+        assert outputs[0] == outputs[1]
+
     def test_solver_failure_exit_code(self, scalar_config, monkeypatch, capsys):
         def boom(*a, **k):
             raise NoConvergence("no answer passed the checks")
@@ -269,10 +293,10 @@ class TestSweepP:
     def test_no_convergence_names_the_row(self, scalar_config, monkeypatch, capsys):
         real = cli.solve_bound
 
-        def lower_fails(direction, ensemble, ball, opts=None):
+        def lower_fails(direction, ensemble, ball):
             if str(getattr(direction, "value", direction)) == "lower":
                 raise NoConvergence("no answer passed the checks")
-            return real(direction, ensemble, ball, opts)
+            return real(direction, ensemble, ball)
 
         monkeypatch.setattr(cli, "solve_bound", lower_fails)
         rc = cli.main(["sweep-p", "--config", scalar_config, "--grid", "0.51"])
@@ -303,10 +327,9 @@ class TestSweepP:
     def test_ordering_violation_aborts(self, scalar_config, monkeypatch, capsys):
         real = cli.solve_bound
 
-        def swapped(direction, ensemble, ball, opts=None):
+        def swapped(direction, ensemble, ball):
             name = str(getattr(direction, "value", direction))
-            return real("upper" if name == "lower" else "lower",
-                        ensemble, ball, opts)
+            return real("upper" if name == "lower" else "lower", ensemble, ball)
 
         monkeypatch.setattr(cli, "solve_bound", swapped)
         rc = cli.main(["sweep-p", "--config", scalar_config, "--grid", "1:1:1"])
@@ -316,11 +339,13 @@ class TestSweepP:
     def test_local_bounds_reuse_the_validated_problem(self, demo_config, demo_ensemble,
                                                       monkeypatch, capsys):
         # each subcommand validates its config and each row its ball once;
-        # the local bounds of a row reuse the row's validated problem
+        # the local bounds of a row reuse the row's validated problem. A
+        # call given a Problem returns it unchecked, so it is not counted
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            if not isinstance(args[0], Problem):
+                calls.append(args)
             return validate_problem(*args, **kwargs)
 
         for module in (cli, solver):
@@ -434,6 +459,18 @@ class TestVerifyCommand:
                        "--n-outer", "150", "--n-inner", "150", "--seed", "1"])
         assert rc == EXIT_VERIFY
         assert "verification error: weights collapsed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prior, message", [("uniform-ball:inf", "radius must be"),
+                                                ("gen-gauss:inf", "exponent p must be")])
+    def test_infinite_prior_parameter_rejected(self, scalar_config, capsys, recwarn, prior,
+                                               message):
+        rc = cli.main(["verify", "--config", scalar_config, "--prior", prior,
+                       "--n-outer", "150", "--n-inner", "150"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert f"error: {message} a finite positive number, got inf" in captured.err
+        assert captured.out == ""
+        assert not recwarn.list
 
     @pytest.mark.parametrize("prior", ["exotic:1", "gen-gauss:abc", "gen-gauss:-1"])
     def test_bad_prior_is_config_error(self, scalar_config, prior):

@@ -92,12 +92,6 @@ class TestWeightedSum:
                      zip(demo_ensemble.weights, demo_ensemble.noise_stack))
         assert summary.weighted_sum == pytest.approx(manual, rel=1e-14)
         assert len(summary.per_channel_trace) == 4
-        assert summary.snr0 is None
-
-    def test_snr0_with_reference(self, demo_ensemble):
-        ref = GaussianReference(np.zeros(3), 2.0 * np.eye(3))
-        summary = weighted_mmse_sum(3.0 * np.eye(3), demo_ensemble, reference=ref)
-        np.testing.assert_allclose(summary.snr0, 1.5 * np.eye(3), rtol=1e-13)
 
     def test_dimension_guard(self, demo_ensemble):
         with pytest.raises(DimensionMismatch):
@@ -125,7 +119,7 @@ class TestStackedKernel:
             weights = 10.0 ** rng.uniform(-1, 1, j)
             ens = ChannelEnsemble.from_arrays(noise, weights)
             ref = GaussianReference(np.zeros(k), sigma0)
-            got = weighted_mmse_sum(sx, ens, ref)
+            got = weighted_mmse_sum(sx, ens)
             loop = [mmse_matrix(sx, sn) for sn in noise]
             traces = [np.trace(m) for m in loop]
             for m, expect, tr, tr_expect in zip(got.per_channel_matrix, loop,
@@ -134,7 +128,6 @@ class TestStackedKernel:
                 np.testing.assert_array_equal(m, m.T)
                 assert tr == pytest.approx(tr_expect, rel=1e-12)
             assert got.weighted_sum == pytest.approx(np.dot(weights, traces), rel=1e-12)
-            assert rel_error(got.snr0, np.linalg.solve(sigma0, sx)) <= 1e-12
             # a validated Problem carries the same stack
             prob = validate_problem(ens, DivergenceBall(ref, 0.1))
             assert weighted_mmse_sum(sx, prob).weighted_sum == got.weighted_sum

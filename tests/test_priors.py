@@ -252,3 +252,11 @@ class TestSpecValidation:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             PriorSpec(GeneralizedGaussian(1.0), 0)
+
+    @pytest.mark.parametrize("family, value", [(GeneralizedGaussian, math.inf),
+                                               (GeneralizedGaussian, math.nan),
+                                               (UniformBall, math.inf),
+                                               (UniformBall, math.nan)])
+    def test_parameter_must_be_finite(self, family, value):
+        with pytest.raises(ValueError, match="finite positive"):
+            family(value)

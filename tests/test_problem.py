@@ -42,8 +42,9 @@ class TestValidation:
 
     def test_idempotent(self):
         prob = validate_problem(small_ensemble(), isotropic_ball(2, 1.0, 0.1))
-        again = validate_problem(prob, None)
-        assert again == prob
+        assert validate_problem(prob) is prob
+        assert validate_problem(prob, prob.ball) is prob
+        assert validate_problem(prob, isotropic_ball(2, 1.0, 0.1)) is prob
 
     def test_revalidation_with_other_ball_rejected(self):
         prob = validate_problem(small_ensemble(), isotropic_ball(2, 1.0, 0.1))
@@ -103,6 +104,11 @@ class TestValidation:
     def test_negative_radius(self):
         with pytest.raises(NegativeRadius):
             validate_problem(small_ensemble(), isotropic_ball(2, 1.0, -0.01))
+
+    @pytest.mark.parametrize("epsilon", [-1.0, np.nan, np.inf, -np.inf])
+    def test_radius_must_be_finite_and_nonnegative(self, epsilon):
+        with pytest.raises(NegativeRadius, match="finite nonnegative"):
+            validate_problem(small_ensemble(), isotropic_ball(2, 1.0, epsilon))
 
     def test_empty_ensemble(self):
         with pytest.raises(DimensionMismatch):

@@ -26,7 +26,6 @@ from mmse_bounds import (
     Direction,
     DivergenceBall,
     GaussianReference,
-    SolverOptions,
     kl_same_mean_gaussians,
     lmmse_upper,
     local_bound,
@@ -63,14 +62,10 @@ class TestScalarOracle:
 
     @pytest.mark.parametrize("direction", ["lower", "upper"])
     def test_tiny_epsilon(self, direction):
-        # d s / d kl ~ 1/sqrt(kl) near s = 1, so the default outer
-        # tolerance would leak ~1e-8 relative error into the value here;
-        # tighten it to keep the oracle comparison meaningful
         epsilon = 1e-6
         s0, sn, lam = 2.0, 0.5, 1.7
         ens = ChannelEnsemble.from_arrays([[[sn]]], [lam])
-        opts = SolverOptions(outer_tol=1e-13)
-        res = solve_bound(direction, ens, isotropic_ball(1, s0, epsilon), opts)
+        res = solve_bound(direction, ens, isotropic_ball(1, s0, epsilon))
         s = scalar_ratio(epsilon, direction)
         expect = lam * (s * s0 * sn) / (s * s0 + sn)
         assert res.bound_value == pytest.approx(expect, rel=1e-8)
@@ -116,15 +111,14 @@ class TestPostconditions:
     @pytest.mark.parametrize("direction, sign", [("upper", 1.0), ("lower", -1.0)])
     @pytest.mark.parametrize("epsilon", [0.05, 0.2, HARD_EPS])
     def test_solution_certificates(self, demo_ensemble, direction, sign, epsilon):
-        opts = SolverOptions()
         ball = isotropic_ball(3, HARD_VAR, epsilon)
-        res = solve_bound(direction, demo_ensemble, ball, opts)
+        res = solve_bound(direction, demo_ensemble, ball)
         assert isinstance(res, BoundResult)
-        # KL constraint active to outer tolerance
-        assert abs(res.kl_at_solution - epsilon) <= opts.outer_tol
-        assert res.residuals[1] <= opts.outer_tol
-        # fixed-point residual within inner tolerance
-        assert res.residuals[0] <= opts.inner_tol
+        # KL constraint active to the certificate's 1e-10
+        assert abs(res.kl_at_solution - epsilon) <= 1e-10
+        assert res.residuals[1] <= 1e-10
+        # fixed-point residual within the certificate's 1e-11
+        assert res.residuals[0] <= 1e-11
         # multiplier on the correct side
         assert sign * res.alpha > 0
         # independent optimality check via the additive form
@@ -202,18 +196,19 @@ class TestOrdering:
             assert a.bound_value == pytest.approx(b.bound_value, rel=1e-10)
 
 
-class TestOptions:
-    def test_rejects_bad_tolerances(self):
-        with pytest.raises(ValueError):
-            SolverOptions(inner_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(outer_tol=-1e-9)
+class TestOneInputPath:
+    """solve_bound reads only the validated problem; a ball other than the
+    problem's own is an error, not a second problem."""
 
-    def test_loose_outer_tolerance_respected(self, demo_ensemble):
-        opts = SolverOptions(outer_tol=1e-6)
-        ball = isotropic_ball(3, HARD_VAR, 0.2)
-        res = solve_bound("upper", demo_ensemble, ball, opts)
-        assert abs(res.kl_at_solution - 0.2) <= 1e-6
+    def test_other_reference_rejected(self, demo_ensemble):
+        prob = validate_problem(demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2))
+        with pytest.raises(ValueError, match="different ball"):
+            solve_bound("upper", prob, isotropic_ball(3, 5.0, 0.2))
+
+    def test_negative_radius_beside_a_problem_rejected(self, demo_ensemble):
+        prob = validate_problem(demo_ensemble, isotropic_ball(3, 1.0, 0.2))
+        with pytest.raises(ValueError):
+            solve_bound("lower", prob, DivergenceBall(prob.reference, -1.0))
 
 
 def _solve(direction, sigma0, noise, weights, epsilon):
