@@ -27,7 +27,7 @@ import numpy as np
 from .baselines import cramer_rao_lower, lmmse_upper
 from .exceptions import (ConfigError, DegenerateWeights, FisherUndefined, NoConvergence,
                          ProblemValidationError)
-from .mc import mc_weighted_sum
+from .mc import MIN_DRAWS, mc_weighted_sum
 from .priors import (
     Gaussian,
     GeneralizedGaussian,
@@ -289,6 +289,12 @@ def _parse_prior(text: str, k: int):
 
 
 def cmd_verify(args) -> int:
+    # the sampling flags are checked before the two bound solves they follow
+    for flag, value, floor in (("--n-outer", args.n_outer, MIN_DRAWS),
+                               ("--n-inner", args.n_inner, MIN_DRAWS),
+                               ("--seed", args.seed, 0)):
+        if value < floor:
+            raise ConfigError(f"{flag} must be >= {floor}, got {value}")
     ensemble, ball = load_config(args.config)
     k = ensemble.dimension
     spec, sigma0, eps = _parse_prior(args.prior, k)

@@ -21,6 +21,14 @@ the K coordinates of one point cost mostly that overhead. On whole
 coordinate planes each run covers thousands of contiguous values, and one
 block stays in cache.
 
+All channels of a weighted sum share the outer prior draws and each block
+of inner standard normals; only the noise draws are per channel. Drawing
+the normals costs about twice the rest of a channel's block, so one shared
+draw halves a four-channel run. The per-draw weighted sums stay independent
+across outer draws and each channel keeps its marginal law, so the
+estimate's mean, its self-normalized bias and its standard error keep
+their meaning (`mc_weighted_sum`).
+
 Randomness comes from the counter-based Philox generator through
 `SeedSequence` spawning, so every estimate is bit-reproducible from the
 recorded integer seed and independent streams never overlap.
@@ -42,6 +50,8 @@ from .problem import ChannelEnsemble
 # at n_inner = 2000, 16 and 24 equal and 128 about 20% slower; at
 # n_inner = 4000 (the verify default), 16 is 14% faster; at 500, 10% slower
 _CHUNK = 16
+
+MIN_DRAWS = 100  # fewest outer, inner or KL draws an estimate accepts
 
 
 @dataclass(frozen=True)
@@ -85,17 +95,26 @@ def _affine_rows(mat, z, offset):
     return out
 
 
-def _mmse_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
+def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     """Squared conditional-mean errors and inner effective sample sizes.
 
-    Returns (squared_errors, ess): per outer draw, ||E[X|y] - x||^2 and the
-    effective sample size (sum w)^2 / sum w^2 of its inner weights.
+    `noise_stack` holds the J noise covariances and `ys` yields the J
+    observation arrays, one per channel, each (n_outer, K) like `x`; it is
+    read once, so a generator lets each y go as soon as it is used. Returns
+    (squared_errors, ess), each (J, n_outer): per channel and outer draw,
+    ||E[X|y_j] - x||^2 and the effective sample size (sum w)^2 / sum w^2 of
+    its inner weights.
 
     A proposal draw is x = m_post + L_post z with C_post = L_post L_post^T,
     so its whitened proposal residual is exactly the drawn z, and its
     whitened noise residual L_n^-1 (y - x) is u - A z with
     u = L_n^-1 (y - m_post) and A = L_n^-1 L_post. The K log 2 pi terms of
     the two Gaussian log densities cancel.
+
+    Every channel reads the same inner normals: one block of z, and its
+    ||z||^2, serves all J channels, each mapping it through its own
+    (m_post, L_post); `mc_weighted_sum` says why the estimate keeps its
+    meaning.
 
     The outer draws are taken _CHUNK at a time. Each block's normals are
     drawn as (b, n_inner, K), in the order every block size shares, and
@@ -108,46 +127,48 @@ def _mmse_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
     """
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
-    k = x.shape[1]
-    n_outer = x.shape[0]
+    n_outer, k = x.shape
 
-    w = weight_matrix(c, sigma_n)
-    c_post = mmse_matrix(c, sigma_n)
-    chol_post = np.linalg.cholesky(c_post)
-    chol_n = np.linalg.cholesky(sigma_n)
-    inv_chol_n = np.linalg.inv(chol_n)
-    a = inv_chol_n @ chol_post
-    # 1/2 (logdet C_post - logdet Sigma_n)
-    half_logdet_ratio = float(np.sum(np.log(np.diag(chol_post)))
-                              - np.sum(np.log(np.diag(chol_n))))
-    gain = np.eye(k) - w  # posterior mean = m + (I - W)(y - m)
-
-    # per outer draw, over all of them at once so that no row depends on
-    # the block it falls in
-    m_post = m + (y - m) @ gain.T
-    minus_u = -((y - m_post) @ inv_chol_n.T)
+    # per channel, before any block: the transforms, and m_post and -u for
+    # all outer draws at once so that no row depends on the block it falls in
+    channels = []
+    for sigma_n, y in zip(noise_stack, ys):
+        w = weight_matrix(c, sigma_n)
+        chol_post = np.linalg.cholesky(mmse_matrix(c, sigma_n))
+        chol_n = np.linalg.cholesky(sigma_n)
+        inv_chol_n = np.linalg.inv(chol_n)
+        # 1/2 (logdet C_post - logdet Sigma_n)
+        half_logdet_ratio = float(np.sum(np.log(np.diag(chol_post)))
+                                  - np.sum(np.log(np.diag(chol_n))))
+        gain = np.eye(k) - w  # posterior mean = m + (I - W)(y - m)
+        m_post = m + (y - m) @ gain.T
+        minus_u = -((y - m_post) @ inv_chol_n.T)
+        channels.append((chol_post, inv_chol_n @ chol_post, half_logdet_ratio,
+                         m_post, minus_u))
 
     rng = _rng_from(inner_seed)
-    sq_err = np.empty(n_outer)
-    ess = np.empty(n_outer)
+    sq_err = np.empty((len(channels), n_outer))
+    ess = np.empty((len(channels), n_outer))
     for start in range(0, n_outer, _CHUNK):
         stop = min(start + _CHUNK, n_outer)
         b = stop - start
         z = np.moveaxis(rng.standard_normal((b, n_inner, k)), 2, 0).copy()
-        xs = _affine_rows(chol_post, z, m_post[start:stop])  # proposal draws, (K, b, n_inner)
-        r = _affine_rows(a, z, minus_u[start:stop])  # minus the whitened y - xs
-        log_w = (log_density(spec, xs.reshape(k, -1).T).reshape(b, n_inner)
-                 + 0.5 * (np.einsum("kbn,kbn->bn", z, z) - np.einsum("kbn,kbn->bn", r, r))
-                 + half_logdet_ratio)
-        row_max = log_w.max(axis=1, keepdims=True)
-        row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-        wts = np.exp(log_w - row_max)
-        totals = wts.sum(axis=1)
-        sq_totals = np.einsum("bn,bn->b", wts, wts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ess[start:stop] = np.where(sq_totals > 0, totals**2 / sq_totals, 0.0)
-        x_hat = (xs.transpose(1, 0, 2) @ wts[:, :, None])[:, :, 0] / totals[:, None]
-        sq_err[start:stop] = np.sum((x_hat - x[start:stop]) ** 2, axis=1)
+        z_sq = np.einsum("kbn,kbn->bn", z, z)
+        for j, (chol_post, a, half_logdet_ratio, m_post, minus_u) in enumerate(channels):
+            xs = _affine_rows(chol_post, z, m_post[start:stop])  # proposal draws, (K, b, n_inner)
+            r = _affine_rows(a, z, minus_u[start:stop])  # minus the whitened y - xs
+            log_w = (log_density(spec, xs.reshape(k, -1).T).reshape(b, n_inner)
+                     + 0.5 * (z_sq - np.einsum("kbn,kbn->bn", r, r))
+                     + half_logdet_ratio)
+            row_max = log_w.max(axis=1, keepdims=True)
+            row_max = np.where(np.isfinite(row_max), row_max, 0.0)
+            wts = np.exp(log_w - row_max)
+            totals = wts.sum(axis=1)
+            sq_totals = np.einsum("bn,bn->b", wts, wts)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ess[j, start:stop] = np.where(sq_totals > 0, totals**2 / sq_totals, 0.0)
+            x_hat = (xs.transpose(1, 0, 2) @ wts[:, :, None])[:, :, 0] / totals[:, None]
+            sq_err[j, start:stop] = np.sum((x_hat - x[start:stop]) ** 2, axis=1)
     return sq_err, ess
 
 
@@ -195,30 +216,39 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
                     seed: int) -> McEstimate:
     """Weighted MMSE sum across the ensemble, sharing outer x draws.
 
-    The same prior draws feed every channel (common random numbers) and each
-    channel gets its own noise and inner streams. Because the channels share
-    x, their errors are correlated, so the standard error is that of the
-    per-draw weighted sum sum_j lambda_j ||x_hat_j - x||^2 over the outer
-    draws, not a quadrature sum of per-channel errors. The ESS diagnostics
-    pool every channel's outer draws.
+    The same prior draws feed every channel (common random numbers), each
+    channel gets its own noise stream, and one inner stream of standard
+    normals serves every channel (see `_mmse_channels`). The per-draw sums
+    v_i = sum_j lambda_j ||x_hat_j - x_i||^2 stay independent and
+    identically distributed across outer draws i, since draw i's x, noises
+    and inner normals are its own, and each channel's (x, y_j, z) keeps its
+    marginal law, so E[v_i] (with the self-normalized bias) is what each
+    channel sampled alone would give. The standard error is therefore
+    std(v)/sqrt(n_outer) over the per-draw weighted sums; it counts the
+    correlation between channels, which a quadrature sum of per-channel
+    errors would not. The ESS diagnostics pool every channel's outer draws.
+
+    Seeds: the root spawns 1 + 2J streams, x first. Channel j draws its
+    noise from stream 1 + 2j, and the shared inner normals come from
+    stream 2 (channel 0's inner stream in the layout of one stream per
+    channel), so a one-channel estimate, `mc_mmse` among them, is the same
+    number either way.
     """
-    if n_outer < 100 or n_inner < 100:
-        raise ValueError("n_outer and n_inner must both be >= 100")
+    if n_outer < MIN_DRAWS or n_inner < MIN_DRAWS:
+        raise ValueError(f"n_outer and n_inner must both be >= {MIN_DRAWS}")
     root = np.random.SeedSequence(seed)
     s_x, *chan_seeds = root.spawn(1 + 2 * ensemble.count)
     x = _sample_with(spec, n_outer, _rng_from(s_x))
+    noise_stack = ensemble.noise_stack
+    ys = (x + _rng_from(chan_seeds[2 * j]).standard_normal(x.shape)
+          @ np.linalg.cholesky(sigma_n).T
+          for j, sigma_n in enumerate(noise_stack))
+    sq_err, ess = _mmse_channels(spec, noise_stack, x, ys, chan_seeds[1], n_inner)
 
     weighted = np.zeros(n_outer)
-    ess = []
-    for j, ch in enumerate(ensemble.channels):
-        sigma_n = ch.noise_covariance
-        s_noise, s_inner = chan_seeds[2 * j], chan_seeds[2 * j + 1]
-        chol_n = np.linalg.cholesky(sigma_n)
-        y = x + _rng_from(s_noise).standard_normal(x.shape) @ chol_n.T
-        sq_err, ess_j = _mmse_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
-        weighted += ch.weight * sq_err
-        ess.append(ess_j)
-    return _estimate(weighted, np.concatenate(ess), n_inner, seed)
+    for ch, sq_err_j in zip(ensemble.channels, sq_err):
+        weighted += ch.weight * sq_err_j
+    return _estimate(weighted, ess.ravel(), n_inner, seed)
 
 
 def mc_kl(spec: PriorSpec, gaussian, n: int, seed: int) -> McEstimate:
@@ -227,8 +257,8 @@ def mc_kl(spec: PriorSpec, gaussian, n: int, seed: int) -> McEstimate:
     Averages log prior_density(x) - log gaussian_density(x) over x drawn
     from the prior. `gaussian` is a GaussianReference.
     """
-    if n < 100:
-        raise ValueError("n must be >= 100")
+    if n < MIN_DRAWS:
+        raise ValueError(f"n must be >= {MIN_DRAWS}")
     root = np.random.SeedSequence(seed)
     x = _sample_with(spec, n, _rng_from(root))
     terms = (log_density(spec, x)

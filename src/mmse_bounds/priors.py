@@ -29,6 +29,15 @@ from .exceptions import DegenerateSample, DimensionMismatch, FisherUndefined
 from .problem import GaussianReference
 
 
+def _check_parameter(value, what, k=1):
+    """Raise ValueError unless the family parameter is finite and positive
+    and the dimension K is at least 1."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be a finite positive number, got {value}")
+    if k < 1:
+        raise ValueError(f"dimension must be >= 1, got {k}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     mean: np.ndarray
@@ -40,8 +49,7 @@ class GeneralizedGaussian:
     p: float
 
     def __post_init__(self):
-        if not 0 < self.p < math.inf:
-            raise ValueError(f"exponent p must be a finite positive number, got {self.p}")
+        _check_parameter(self.p, "exponent p")
 
 
 @dataclass(frozen=True)
@@ -49,8 +57,7 @@ class UniformBall:
     radius: float
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be a finite positive number, got {self.radius}")
+        _check_parameter(self.radius, "radius")
 
 
 @dataclass(frozen=True)
@@ -83,8 +90,7 @@ class PriorMoments:
 def gen_gauss_covariance(p: float, k: int) -> float:
     """Per-coordinate variance of the generalized Gaussian: covariance is
     sigma^2 I with sigma^2 = p^(2/p) Gamma((K+2)/p) / (K Gamma(K/p))."""
-    if not p > 0 or k < 1:
-        raise ValueError("need p > 0 and K >= 1")
+    _check_parameter(p, "exponent p", k)
     log_val = ((2.0 / p) * math.log(p) + math.lgamma((k + 2.0) / p)
                - math.log(k) - math.lgamma(k / p))
     return float(math.exp(log_val))
@@ -96,8 +102,7 @@ def gen_gauss_fisher(p: float, k: int) -> float:
     Raises FisherUndefined when (K + 2p - 2)/p <= 0, i.e. the defining
     integral diverges (possible only for K = 1 and p <= 1/2).
     """
-    if not p > 0 or k < 1:
-        raise ValueError("need p > 0 and K >= 1")
+    _check_parameter(p, "exponent p", k)
     arg = (k + 2.0 * p - 2.0) / p
     if arg <= 0:
         raise FisherUndefined(
@@ -115,8 +120,7 @@ def gen_gauss_epsilon(p: float, k: int) -> float:
     a diagnostic warning first, since the quantity is a KL divergence and a
     genuinely negative result would mean an evaluation bug.
     """
-    if not p > 0 or k < 1:
-        raise ValueError("need p > 0 and K >= 1")
+    _check_parameter(p, "exponent p", k)
     if p == 2.0:
         return 0.0  # N(0, I) is its own moment match; the formula leaves rounding noise
     sigma2 = gen_gauss_covariance(p, k)
@@ -143,8 +147,7 @@ def uniform_ball_moments(radius: float, k: int) -> PriorMoments:
     Mean zero, covariance (R^2/(K+2)) I; Fisher information undefined
     because of the density's jump at the boundary.
     """
-    if not radius > 0 or k < 1:
-        raise ValueError("need radius > 0 and K >= 1")
+    _check_parameter(radius, "radius", k)
     var = radius**2 / (k + 2.0)
     return PriorMoments(
         mean=np.zeros(k),
@@ -161,8 +164,7 @@ def uniform_ball_epsilon(radius: float, k: int) -> float:
     V_K(R) = pi^(K/2) R^K / Gamma(K/2 + 1); scale-invariant, so the value
     depends only on K.
     """
-    if not radius > 0 or k < 1:
-        raise ValueError("need radius > 0 and K >= 1")
+    _check_parameter(radius, "radius", k)
     log_vk = 0.5 * k * math.log(math.pi) + k * math.log(radius) - math.lgamma(0.5 * k + 1.0)
     value = (-log_vk + 0.5 * k * math.log(2.0 * math.pi * radius**2 / (k + 2.0))
              + 0.5 * k)

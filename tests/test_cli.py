@@ -472,6 +472,24 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert not recwarn.list
 
+    @pytest.mark.parametrize("flag, value", [("--n-outer", "99"), ("--n-inner", "50"),
+                                             ("--seed", "-1")])
+    def test_sampling_flags_checked_before_solving(self, scalar_config, monkeypatch, capsys,
+                                                   flag, value):
+        def never(*args, **kwargs):
+            raise AssertionError("no solve or estimate may run on bad sampling flags")
+        monkeypatch.setattr(cli, "solve_bound", never)
+        monkeypatch.setattr(cli, "mc_weighted_sum", never)
+        argv = {"--n-outer": "150", "--n-inner": "150", "--seed": "1"}
+        argv[flag] = value
+        rc = cli.main(["verify", "--config", scalar_config, "--prior", "gen-gauss:1",
+                       *[tok for item in argv.items() for tok in item]])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        floor = 0 if flag == "--seed" else 100
+        assert captured.err == f"error: {flag} must be >= {floor}, got {value}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("prior", ["exotic:1", "gen-gauss:abc", "gen-gauss:-1"])
     def test_bad_prior_is_config_error(self, scalar_config, prior):
         rc = cli.main(["verify", "--config", scalar_config, "--prior", prior,

@@ -23,7 +23,7 @@ from mmse_bounds import (
 )
 from mmse_bounds.gaussian import mmse_matrix, weight_matrix
 from mmse_bounds import mc
-from mmse_bounds.mc import _CHUNK, _check_degenerate, _mmse_one_channel, _rng_from
+from mmse_bounds.mc import _CHUNK, _check_degenerate, _mmse_channels, _rng_from
 from mmse_bounds.priors import _sample_with, log_density
 from conftest import TEST_SEED, random_spd
 
@@ -40,7 +40,7 @@ def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
     """Reference kernel: the importance weights are the prior, noise and
     proposal log densities of every proposal point, evaluated directly on
     repeated copies of y and the posterior means. Same draws, same order
-    as `_mmse_one_channel`; returns (squared_errors, bad_count)."""
+    as `_mmse_channels` on one channel; returns (squared_errors, bad_count)."""
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
     k = x.shape[1]
@@ -91,17 +91,19 @@ def _kernel_cases():
     yield pytest.param(PriorSpec(UniformBall(1.5), 5), 0.001, id="ball-K5-low-noise")
 
 
-def _kernel_input(spec, noise_scale, n_outer):
-    """A full noise covariance and seeded (x, y) draws for one channel."""
+def _kernel_input(spec, noise_scale, n_outer, n_channels=1):
+    """Full noise covariances and seeded (x, y_j) draws for the channels,
+    and the inner seed they share; the first channel's data do not depend
+    on n_channels."""
     k = spec.dimension
     rng = np.random.default_rng(7 * k)
-    sigma_n = random_spd(rng, k, noise_scale)
-    assert k == 1 or np.any(sigma_n != np.diag(np.diag(sigma_n)))  # full noise
-    s_x, s_noise, s_inner = np.random.SeedSequence(TEST_SEED).spawn(3)
+    noise = [random_spd(rng, k, noise_scale) for _ in range(n_channels)]
+    assert k == 1 or np.any(noise[0] != np.diag(np.diag(noise[0])))  # full noise
+    s_x, s_noise, s_inner, *more = np.random.SeedSequence(TEST_SEED).spawn(2 + n_channels)
     x = _sample_with(spec, n_outer, _rng_from(s_x))
-    y = x + (_rng_from(s_noise).standard_normal(x.shape)
-             @ np.linalg.cholesky(sigma_n).T)
-    return sigma_n, x, y, s_inner
+    ys = [x + _rng_from(s).standard_normal(x.shape) @ np.linalg.cholesky(sigma_n).T
+          for sigma_n, s in zip(noise, [s_noise, *more])]
+    return noise, x, ys, s_inner
 
 
 class TestKernel:
@@ -110,10 +112,11 @@ class TestKernel:
         # Whitening from the drawn normals must change the per-draw errors
         # only at rounding level and leave every bad-draw verdict alone.
         n_outer, n_inner = 150, 300  # full blocks and a partial last one
-        sigma_n, x, y, s_inner = _kernel_input(spec, noise_scale, n_outer)
-        sq_err, ess = _mmse_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
-        ref_err, ref_bad = _oracle_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
-        np.testing.assert_allclose(sq_err, ref_err, rtol=1e-9, atol=0.0)
+        noise, x, ys, s_inner = _kernel_input(spec, noise_scale, n_outer)
+        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
+        assert sq_err.shape == ess.shape == (1, n_outer)
+        ref_err, ref_bad = _oracle_one_channel(spec, noise[0], x, ys[0], s_inner, n_inner)
+        np.testing.assert_allclose(sq_err[0], ref_err, rtol=1e-9, atol=0.0)
         assert int(np.count_nonzero(ess < 0.01 * n_inner)) == ref_bad
         assert np.all((ess >= 1.0) & (ess <= n_inner * (1 + 1e-12)))
         if isinstance(spec.family, Gaussian):
@@ -121,19 +124,33 @@ class TestKernel:
             np.testing.assert_allclose(ess, n_inner, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
+    def test_channels_match_one_channel_kernel(self, spec, noise_scale):
+        # The shared inner block gives each channel exactly the draws it
+        # would get from a one-channel call with the same inner seed.
+        n_outer, n_inner = 150, 300
+        noise, x, ys, s_inner = _kernel_input(spec, noise_scale, n_outer, n_channels=4)
+        sq_err, ess = _mmse_channels(spec, noise, x, iter(ys), s_inner, n_inner)
+        assert sq_err.shape == ess.shape == (4, n_outer)
+        for j, (sigma_n, y) in enumerate(zip(noise, ys)):
+            err_j, ess_j = _mmse_channels(spec, [sigma_n], x, [y], s_inner, n_inner)
+            np.testing.assert_allclose(sq_err[j], err_j[0], rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(ess[j], ess_j[0])
+
+    @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
     def test_chunk_size_changes_no_answer(self, spec, noise_scale, monkeypatch):
         # Every block size consumes the normals in the same order, so the
         # block size may move the per-draw errors by rounding at most.
         n_outer, n_inner = 150, 300  # a partial last block for every size but 1
-        sigma_n, x, y, s_inner = _kernel_input(spec, noise_scale, n_outer)
-        runs = []
-        for chunk in (1, 7, 16, 32, 128):
-            monkeypatch.setattr(mc, "_CHUNK", chunk)
-            runs.append(_mmse_one_channel(spec, sigma_n, x, y, s_inner, n_inner))
-        ref_err, ref_ess = runs[-1]
-        for sq_err, ess in runs[:-1]:
-            np.testing.assert_allclose(sq_err, ref_err, rtol=1e-13, atol=0.0)
-            np.testing.assert_array_equal(ess, ref_ess)
+        for n_channels in (1, 4):
+            noise, x, ys, s_inner = _kernel_input(spec, noise_scale, n_outer, n_channels)
+            runs = []
+            for chunk in (1, 7, 16, 32, 128):
+                monkeypatch.setattr(mc, "_CHUNK", chunk)
+                runs.append(_mmse_channels(spec, noise, x, ys, s_inner, n_inner))
+            ref_err, ref_ess = runs[-1]
+            for sq_err, ess in runs[:-1]:
+                np.testing.assert_allclose(sq_err, ref_err, rtol=1e-13, atol=0.0)
+                np.testing.assert_array_equal(ess, ref_ess)
 
 
 class TestGaussianExactness:
@@ -160,6 +177,19 @@ class TestGaussianExactness:
 
 
 class TestReproducibility:
+    @pytest.mark.parametrize("seed, value, std_error, min_ess, median_ess", [
+        (42, 1.05852417483092, 0.09654067356584055, 19.81517467457099, 182.37724706396506),
+        (43, 0.8785116290451779, 0.07277704307910486, 45.2865675248786, 180.66883127743552),
+    ])
+    def test_mc_mmse_pinned(self, seed, value, std_error, min_ess, median_ess):
+        # One channel keeps the stream layout of one inner stream per
+        # channel, so these stay the numbers it gave before the channels
+        # shared their inner draws.
+        spec = PriorSpec(GeneralizedGaussian(1.0), 2)
+        est = mc_mmse(spec, np.array([[0.8, 0.3], [0.3, 0.6]]), 150, 200, seed=seed)
+        assert (est.value, est.std_error, est.min_ess, est.median_ess, est.bad_fraction) == \
+            (value, std_error, min_ess, median_ess, 0.0)
+
     def test_same_seed_bitwise(self):
         spec = PriorSpec(GeneralizedGaussian(1.0), 2)
         sigma_n = 0.8 * np.eye(2)
@@ -184,17 +214,18 @@ class TestReproducibility:
 
 class TestWeightedSumStatistics:
     def _per_channel_errors(self, spec, ensemble, n_outer, n_inner, seed):
-        # the spawn order of mc_weighted_sum: x first, then (noise, inner) per channel
+        # the spawn order of mc_weighted_sum: x first, then (noise, inner) per
+        # channel, of which channel 0's inner stream serves every channel
         s_x, *chan_seeds = np.random.SeedSequence(seed).spawn(1 + 2 * ensemble.count)
         x = _sample_with(spec, n_outer, _rng_from(s_x))
         errs, ess = [], []
         for j, ch in enumerate(ensemble.channels):
             chol_n = np.linalg.cholesky(ch.noise_covariance)
             y = x + _rng_from(chan_seeds[2 * j]).standard_normal(x.shape) @ chol_n.T
-            err_j, ess_j = _mmse_one_channel(spec, ch.noise_covariance, x, y,
-                                             chan_seeds[2 * j + 1], n_inner)
-            errs.append(err_j)
-            ess.append(ess_j)
+            err_j, ess_j = _mmse_channels(spec, [ch.noise_covariance], x, [y],
+                                          chan_seeds[1], n_inner)
+            errs.append(err_j[0])
+            ess.append(ess_j[0])
         return np.array(errs), np.concatenate(ess)
 
     def test_std_error_counts_the_shared_draws(self, demo_ensemble):

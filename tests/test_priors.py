@@ -260,3 +260,17 @@ class TestSpecValidation:
     def test_parameter_must_be_finite(self, family, value):
         with pytest.raises(ValueError, match="finite positive"):
             family(value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("closed_form, name", [(gen_gauss_covariance, "exponent p"),
+                                                   (gen_gauss_epsilon, "exponent p"),
+                                                   (gen_gauss_fisher, "exponent p"),
+                                                   (uniform_ball_epsilon, "radius"),
+                                                   (uniform_ball_moments, "radius")])
+    def test_closed_forms_need_finite_parameter(self, closed_form, name, value, recwarn):
+        # the closed forms give the family constructors' verdict, and no
+        # NaN, math domain error or RuntimeWarning on the way
+        with pytest.raises(ValueError, match=f"^{name} must be a finite positive number, "
+                                             f"got {value}$"):
+            closed_form(value, 3)
+        assert not recwarn.list
