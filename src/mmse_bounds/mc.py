@@ -14,20 +14,16 @@ needed. Every importance-sampling estimate reports the smallest and median
 inner effective sample size and the share of outer draws whose ESS fell
 below 1% of the inner sample count.
 
-The kernel works on blocks of `_CHUNK` outer draws, each held
-coordinate-major as (K, draws, n_inner). Every array operation pays a fixed
-overhead per run of its innermost loop; with K at most a handful, runs over
-the K coordinates of one point cost mostly that overhead. On whole
-coordinate planes each run covers thousands of contiguous values, and one
-block stays in cache.
+A log weight depends on the inner normals only through two quadratic
+forms in them, so the kernel gets every channel's weights from one matrix
+product per block and never builds the proposal points (`_mmse_channels`).
 
 All channels of a weighted sum share the outer prior draws and each block
-of inner standard normals; only the noise draws are per channel. Drawing
-the normals costs about twice the rest of a channel's block, so one shared
-draw halves a four-channel run. The per-draw weighted sums stay independent
-across outer draws and each channel keeps its marginal law, so the
-estimate's mean, its self-normalized bias and its standard error keep
-their meaning (`mc_weighted_sum`).
+of inner standard normals and its monomials; only the noise draws are per
+channel. The per-draw weighted sums stay independent across outer draws
+and each channel keeps its marginal law, so the estimate's mean, its
+self-normalized bias and its standard error keep their meaning
+(`mc_weighted_sum`).
 
 Randomness comes from the counter-based Philox generator through
 `SeedSequence` spawning, so every estimate is bit-reproducible from the
@@ -43,13 +39,17 @@ import numpy as np
 
 from .exceptions import DegenerateWeights
 from .gaussian import mmse_matrix, weight_matrix
-from .priors import PriorSpec, _sample_with, gaussian_log_density, log_density, prior_moments
+from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_log_density,
+                     log_density, prior_moments)
 from .problem import ChannelEnsemble
 
-# outer draws per block. Measured CPU per mc_weighted_sum pass, against 32:
-# at n_inner = 2000, 16 and 24 equal and 128 about 20% slower; at
-# n_inner = 4000 (the verify default), 16 is 14% faster; at 500, 10% slower
-_CHUNK = 16
+# outer draws per block. Measured CPU per four-channel mc_weighted_sum
+# (K = 3, 500 outer draws), against 8: at n_inner = 500, 4 is 22% slower
+# and 16 8% faster; at 2000, 4 is 5% and 16 9% slower; at 4000 (the verify
+# default), 4 is equal and 16 7% slower. A block holds its (b, P, n_inner)
+# monomials and (b, 2J, n_inner) forms, so the peak RSS of the mc_verify
+# pass grows with it: 47 MB at 4, 50 at 8 and 55 at 16
+_CHUNK = 8
 
 MIN_DRAWS = 100  # fewest outer, inner or KL draws an estimate accepts
 
@@ -79,20 +79,31 @@ def _rng_from(seed_seq) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_seq))
 
 
-def _affine_rows(mat, z, offset):
-    """offset + mat z on a coordinate-major block.
+def _features(z):
+    """Monomials of a (b, n, K) block of normals as a (b, P, n) array:
+    the rows z_i z_j for i <= j (`np.triu_indices` order), then z_1..z_K,
+    then 1, so P = K(K+1)/2 + K + 1."""
+    b, n, k = z.shape
+    n_quad = k * (k + 1) // 2
+    f = np.empty((b, n_quad + k + 1, n))
+    lin = f[:, n_quad:-1]
+    lin[...] = z.transpose(0, 2, 1)
+    row = 0
+    for i in range(k):  # z_i times z_i..z_K in one call
+        np.multiply(lin[:, i:i + 1], lin[:, i:], out=f[:, row:row + k - i])
+        row += k - i
+    f[:, -1] = 1.0
+    return f
 
-    `z` is (K, b, n) and `offset` is (b, K); coordinate i of the result is
-    offset[:, i] + sum_j mat[i, j] z[j], formed as scaled row additions
-    that skip the zero entries of mat (the triangular factors' upper half).
-    """
-    out = np.empty_like(z)
-    for i in range(z.shape[0]):
-        row = out[i]
-        row[...] = offset[:, i, None]
-        for j in np.flatnonzero(mat[i]):
-            row += mat[i, j] * z[j]
-    return out
+
+def _form_rows(quad, lin, const):
+    """Coefficients of z^T Q z + l^T z + c0 against the rows of `_features`,
+    one row per outer draw: `quad` is the symmetric (K, K) Q, `lin` the
+    (n, K) rows l and `const` the (n,) c0; returns (n, P)."""
+    iu, ju = np.triu_indices(quad.shape[0])
+    quad_row = np.where(iu == ju, 1.0, 2.0) * quad[iu, ju]
+    n = lin.shape[0]
+    return np.hstack([np.broadcast_to(quad_row, (n, iu.size)), lin, const[:, None]])
 
 
 def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
@@ -105,61 +116,68 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     ||E[X|y_j] - x||^2 and the effective sample size (sum w)^2 / sum w^2 of
     its inner weights.
 
-    A proposal draw is x = m_post + L_post z with C_post = L_post L_post^T,
-    so its whitened proposal residual is exactly the drawn z, and its
-    whitened noise residual L_n^-1 (y - x) is u - A z with
-    u = L_n^-1 (y - m_post) and A = L_n^-1 L_post. The K log 2 pi terms of
-    the two Gaussian log densities cancel.
-
-    Every channel reads the same inner normals: one block of z, and its
-    ||z||^2, serves all J channels, each mapping it through its own
-    (m_post, L_post); `mc_weighted_sum` says why the estimate keeps its
-    meaning.
+    A proposal draw is x = m_post + L_post z with C_post = L_post L_post^T.
+    Its whitened proposal residual is the drawn z and its whitened noise
+    residual L_n^-1 (y - x) is u - A z, with u = L_n^-1 (y - m_post) and
+    A = L_n^-1 L_post; the K log 2 pi terms cancel. So the log weight is
+    h(q0) + q1 for two quadratic forms in z:
+    q0 = ||W (x - c)||^2 = ||d + M z||^2, with d = W (m_post - c) and
+    M = W L_post, which the prior's density h reads
+    (`priors._quadratic_log_density`), and
+    q1 = 1/2 (||z||^2 - ||A z - u||^2) + 1/2 (logdet C_post - logdet Sigma_n).
+    Within a channel all outer draws share the quadratic coefficients;
+    only the linear and constant ones follow d and u. Each channel's
+    coefficient rows are computed for all outer draws before any block, so
+    no row depends on the block it falls in. The estimate is
+    x_hat = m_post + L_post (sum w z) / sum w; no proposal is built.
 
     The outer draws are taken _CHUNK at a time. Each block's normals are
     drawn as (b, n_inner, K), in the order every block size shares, and
-    copied once into a coordinate-major (K, b, n_inner) array, so that no
-    array operation runs over the K coordinates as its innermost loop: the
-    K x K transforms are K^2 scaled row additions (`_affine_rows`), and the
-    squared norms and the weighted means are reductions over whole
-    coordinate planes. A stacked (K, K) @ (K, b*n_inner) product measured
-    slower than these row additions.
+    expanded once into their (b, P, n_inner) monomials (`_features`); one
+    batched product with the (b, 2J, P) coefficient rows gives both forms
+    of every channel (`mc_weighted_sum` says why sharing the normals keeps
+    the estimate's meaning). Expanded, q0 can round a near-zero norm below
+    zero, so it is clipped at zero.
     """
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
+    centre, whiten, h = _quadratic_log_density(spec)
     n_outer, k = x.shape
 
-    # per channel, before any block: the transforms, and m_post and -u for
-    # all outer draws at once so that no row depends on the block it falls in
-    channels = []
+    chol_posts, m_posts, prior_rows, corr_rows = [], [], [], []
     for sigma_n, y in zip(noise_stack, ys):
         w = weight_matrix(c, sigma_n)
         chol_post = np.linalg.cholesky(mmse_matrix(c, sigma_n))
         chol_n = np.linalg.cholesky(sigma_n)
         inv_chol_n = np.linalg.inv(chol_n)
-        # 1/2 (logdet C_post - logdet Sigma_n)
         half_logdet_ratio = float(np.sum(np.log(np.diag(chol_post)))
                                   - np.sum(np.log(np.diag(chol_n))))
         gain = np.eye(k) - w  # posterior mean = m + (I - W)(y - m)
         m_post = m + (y - m) @ gain.T
-        minus_u = -((y - m_post) @ inv_chol_n.T)
-        channels.append((chol_post, inv_chol_n @ chol_post, half_logdet_ratio,
-                         m_post, minus_u))
+        u = (y - m_post) @ inv_chol_n.T
+        d = (m_post - centre) @ whiten.T
+        mz = whiten @ chol_post
+        a = inv_chol_n @ chol_post
+        prior_rows.append(_form_rows(mz.T @ mz, 2.0 * d @ mz, np.einsum("nk,nk->n", d, d)))
+        corr_rows.append(_form_rows(0.5 * (np.eye(k) - a.T @ a), u @ a,
+                                    half_logdet_ratio - 0.5 * np.einsum("nk,nk->n", u, u)))
+        chol_posts.append(chol_post)
+        m_posts.append(m_post)
+    n_ch = len(chol_posts)
+    coef = np.stack(prior_rows + corr_rows, axis=1)  # (n_outer, 2J, P)
+    del prior_rows, corr_rows
 
     rng = _rng_from(inner_seed)
-    sq_err = np.empty((len(channels), n_outer))
-    ess = np.empty((len(channels), n_outer))
+    sq_err = np.empty((n_ch, n_outer))
+    ess = np.empty((n_ch, n_outer))
     for start in range(0, n_outer, _CHUNK):
         stop = min(start + _CHUNK, n_outer)
-        b = stop - start
-        z = np.moveaxis(rng.standard_normal((b, n_inner, k)), 2, 0).copy()
-        z_sq = np.einsum("kbn,kbn->bn", z, z)
-        for j, (chol_post, a, half_logdet_ratio, m_post, minus_u) in enumerate(channels):
-            xs = _affine_rows(chol_post, z, m_post[start:stop])  # proposal draws, (K, b, n_inner)
-            r = _affine_rows(a, z, minus_u[start:stop])  # minus the whitened y - xs
-            log_w = (log_density(spec, xs.reshape(k, -1).T).reshape(b, n_inner)
-                     + 0.5 * (z_sq - np.einsum("kbn,kbn->bn", r, r))
-                     + half_logdet_ratio)
+        z = rng.standard_normal((stop - start, n_inner, k))
+        forms = coef[start:stop] @ _features(z)  # (b, 2J, n_inner)
+        q0 = forms[:, :n_ch]
+        np.maximum(q0, 0.0, out=q0)
+        for j in range(n_ch):
+            log_w = h(q0[:, j]) + forms[:, n_ch + j]
             row_max = log_w.max(axis=1, keepdims=True)
             row_max = np.where(np.isfinite(row_max), row_max, 0.0)
             wts = np.exp(log_w - row_max)
@@ -167,7 +185,8 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
             sq_totals = np.einsum("bn,bn->b", wts, wts)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ess[j, start:stop] = np.where(sq_totals > 0, totals**2 / sq_totals, 0.0)
-            x_hat = (xs.transpose(1, 0, 2) @ wts[:, :, None])[:, :, 0] / totals[:, None]
+            z_bar = (wts[:, None, :] @ z)[:, 0] / totals[:, None]
+            x_hat = m_posts[j][start:stop] + z_bar @ chol_posts[j].T
             sq_err[j, start:stop] = np.sum((x_hat - x[start:stop]) ** 2, axis=1)
     return sq_err, ess
 

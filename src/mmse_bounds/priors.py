@@ -112,6 +112,13 @@ def gen_gauss_fisher(p: float, k: int) -> float:
     return float(math.exp(log_val))
 
 
+def _gen_gauss_log_normaliser(p: float, k: int) -> float:
+    """log c_p = -log(S_{K-1} p^(K/p - 1) Gamma(K/p)), with the sphere area
+    S_{K-1} = 2 pi^(K/2) / Gamma(K/2)."""
+    log_sphere = math.log(2.0) + 0.5 * k * math.log(math.pi) - math.lgamma(0.5 * k)
+    return -(log_sphere + (k / p - 1.0) * math.log(p) + math.lgamma(k / p))
+
+
 def gen_gauss_epsilon(p: float, k: int) -> float:
     """KL divergence from the generalized Gaussian to its moment-matched
     Gaussian N(0, sigma^2(p, K) I); zero exactly at p = 2.
@@ -124,9 +131,7 @@ def gen_gauss_epsilon(p: float, k: int) -> float:
     if p == 2.0:
         return 0.0  # N(0, I) is its own moment match; the formula leaves rounding noise
     sigma2 = gen_gauss_covariance(p, k)
-    # log c_p = -log(S_{K-1} p^(K/p - 1) Gamma(K/p)), S_{K-1} = 2 pi^(K/2) / Gamma(K/2)
-    log_sphere = math.log(2.0) + 0.5 * k * math.log(math.pi) - math.lgamma(0.5 * k)
-    log_cp = -(log_sphere + (k / p - 1.0) * math.log(p) + math.lgamma(k / p))
+    log_cp = _gen_gauss_log_normaliser(p, k)
     # E||X||^p = K by the radial Gamma identity, and E||X||^2 = K sigma^2
     # by construction, so the entropy and quadratic terms reduce to -K/p
     # and K/2 exactly
@@ -195,36 +200,44 @@ def prior_moments(spec: PriorSpec) -> PriorMoments:
     raise TypeError(f"unknown prior family {fam!r}")
 
 
+def _quadratic_log_density(spec: PriorSpec):
+    """The family's log density as h(q) of one quadratic form in x.
+
+    Returns (c, W, h) with q = ||W (x - c)||^2 = (x - c)^T W^T W (x - c):
+    c = 0 and W = I for the generalized Gaussian and the ball, and c = mean
+    and W = L^-1 (C = L L^T) for the Gaussian. `h` maps an array of forms
+    to log densities; `log_density` and the Monte Carlo kernel, which forms
+    q from its own coefficients, share it.
+    """
+    k = spec.dimension
+    fam = spec.family
+    if isinstance(fam, Gaussian):
+        chol = np.linalg.cholesky(np.asarray(fam.covariance, dtype=float))
+        log_norm = -0.5 * (k * math.log(2.0 * math.pi)
+                           + 2.0 * float(np.sum(np.log(np.diag(chol)))))
+        return (np.asarray(fam.mean, dtype=float), np.linalg.inv(chol),
+                lambda q: log_norm - 0.5 * q)
+    if isinstance(fam, GeneralizedGaussian):
+        p = fam.p
+        log_cp = _gen_gauss_log_normaliser(p, k)
+        return np.zeros(k), np.eye(k), lambda q: log_cp - q ** (0.5 * p) / p
+    if isinstance(fam, UniformBall):
+        log_vk = (0.5 * k * math.log(math.pi) + k * math.log(fam.radius)
+                  - math.lgamma(0.5 * k + 1.0))
+        r_sq = fam.radius**2
+        return np.zeros(k), np.eye(k), lambda q: np.where(q <= r_sq, -log_vk, -np.inf)
+    raise TypeError(f"unknown prior family {fam!r}")
+
+
 def log_density(spec: PriorSpec, x) -> np.ndarray:
     """Log density evaluated row-wise on an (n, K) array (or a single point)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     k = spec.dimension
     if x.shape[1] != k:
         raise DimensionMismatch(f"points have dimension {x.shape[1]}, spec has {k}")
-    fam = spec.family
-    if isinstance(fam, Gaussian):
-        return gaussian_log_density(np.asarray(fam.mean, dtype=float),
-                                    np.asarray(fam.covariance, dtype=float), x)
-    if isinstance(fam, GeneralizedGaussian):
-        p = fam.p
-        log_sphere = math.log(2.0) + 0.5 * k * math.log(math.pi) - math.lgamma(0.5 * k)
-        log_cp = -(log_sphere + (k / p - 1.0) * math.log(p) + math.lgamma(k / p))
-        r = _radii(x)
-        return log_cp - r**p / p
-    if isinstance(fam, UniformBall):
-        log_vk = (0.5 * k * math.log(math.pi) + k * math.log(fam.radius)
-                  - math.lgamma(0.5 * k + 1.0))
-        inside = _radii(x) <= fam.radius
-        out = np.full(x.shape[0], -np.inf)
-        out[inside] = -log_vk
-        return out
-    raise TypeError(f"unknown prior family {fam!r}")
-
-
-def _radii(x) -> np.ndarray:
-    """Row norms of an (n, K) array; about 2.5x faster at K = 3 than
-    np.linalg.norm(x, axis=1), which squares into a temporary first."""
-    return np.sqrt(np.einsum("nk,nk->n", x, x))
+    c, w, h = _quadratic_log_density(spec)
+    r = w @ (x - c).T  # short and wide, as in gaussian_log_density
+    return h(np.einsum("kn,kn->n", r, r))
 
 
 def gaussian_log_density(mean, cov, x) -> np.ndarray:

@@ -123,6 +123,26 @@ class TestKernel:
             # the proposal is the exact posterior, so every weight is equal
             np.testing.assert_allclose(ess, n_inner, rtol=1e-12, atol=0.0)
 
+    def test_proposals_at_the_prior_centre_stay_finite(self, monkeypatch):
+        # Inner draws within 1e-8 of the z that maps to x = 0: the expanded
+        # ||x||^2 rounds below zero there, and ||x||^p of it must not be NaN.
+        spec = PriorSpec(GeneralizedGaussian(0.7), 3)
+        sigma_n = np.diag([0.5, 0.8, 1.1])
+        c = prior_moments(spec).covariance
+        x = np.tile([1.0, -2.0, 0.5], (100, 1))
+        y = x + 0.3
+        m_post = y[0] @ (np.eye(3) - weight_matrix(c, sigma_n)).T
+        z_centre = np.linalg.solve(np.linalg.cholesky(mmse_matrix(c, sigma_n)), -m_post)
+
+        class Clustered:
+            def standard_normal(self, shape):
+                return z_centre + 1e-8 * np.random.default_rng(0).standard_normal(shape)
+
+        monkeypatch.setattr(mc, "_rng_from", lambda seed: Clustered())
+        sq_err, ess = _mmse_channels(spec, [sigma_n], x, [y], None, 300)
+        assert np.all(np.isfinite(sq_err))
+        np.testing.assert_allclose(ess, 300, rtol=1e-9, atol=0.0)
+
     @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
     def test_channels_match_one_channel_kernel(self, spec, noise_scale):
         # The shared inner block gives each channel exactly the draws it
@@ -144,7 +164,7 @@ class TestKernel:
         for n_channels in (1, 4):
             noise, x, ys, s_inner = _kernel_input(spec, noise_scale, n_outer, n_channels)
             runs = []
-            for chunk in (1, 7, 16, 32, 128):
+            for chunk in (1, 7, 8, 16, 32, 128):
                 monkeypatch.setattr(mc, "_CHUNK", chunk)
                 runs.append(_mmse_channels(spec, noise, x, ys, s_inner, n_inner))
             ref_err, ref_ess = runs[-1]
@@ -178,17 +198,31 @@ class TestGaussianExactness:
 
 class TestReproducibility:
     @pytest.mark.parametrize("seed, value, std_error, min_ess, median_ess", [
-        (42, 1.05852417483092, 0.09654067356584055, 19.81517467457099, 182.37724706396506),
-        (43, 0.8785116290451779, 0.07277704307910486, 45.2865675248786, 180.66883127743552),
+        (42, 1.05852417483092, 0.09654067356584055, 19.815174674571, 182.37724706396511),
+        (43, 0.8785116290451779, 0.07277704307910486, 45.28656752487853, 180.66883127743552),
     ])
     def test_mc_mmse_pinned(self, seed, value, std_error, min_ess, median_ess):
         # One channel keeps the stream layout of one inner stream per
-        # channel, so these stay the numbers it gave before the channels
-        # shared their inner draws.
+        # channel, so value and SE stay the numbers it gave before the
+        # channels shared their inner draws. Forming the weights from
+        # quadratic forms in the normals moved the ESS in the 15th digit.
         spec = PriorSpec(GeneralizedGaussian(1.0), 2)
         est = mc_mmse(spec, np.array([[0.8, 0.3], [0.3, 0.6]]), 150, 200, seed=seed)
         assert (est.value, est.std_error, est.min_ess, est.median_ess, est.bad_fraction) == \
             (value, std_error, min_ess, median_ess, 0.0)
+
+    @pytest.mark.parametrize("family, value, std_error, bad_fraction", [
+        (GeneralizedGaussian(1.0), 8.473109589949177, 0.29224903982536904, 0.0005),
+        (UniformBall(2.0), 2.8651967402342295, 0.06228944542270584, 0.0),
+    ], ids=["gen-gauss:1", "uniform-ball:2"])
+    def test_weighted_sum_pinned(self, demo_ensemble, family, value, std_error,
+                                 bad_fraction):
+        # recorded when the kernel still formed every proposal point; the
+        # quadratic forms may move them by rounding only
+        est = mc_weighted_sum(PriorSpec(family, 3), demo_ensemble, 500, 2000, seed=42)
+        np.testing.assert_allclose((est.value, est.std_error), (value, std_error),
+                                   rtol=1e-12, atol=0.0)
+        assert est.bad_fraction == bad_fraction
 
     def test_same_seed_bitwise(self):
         spec = PriorSpec(GeneralizedGaussian(1.0), 2)

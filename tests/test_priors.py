@@ -27,6 +27,7 @@ from mmse_bounds import (
     gen_gauss_epsilon,
     gen_gauss_fisher,
     log_density,
+    mc_kl,
     moment_match,
     prior_moments,
     sample_prior,
@@ -160,6 +161,11 @@ class TestGaussianFamily:
         spec = PriorSpec(Gaussian(mean, cov), 2)
         np.testing.assert_allclose(log_density(spec, x),
                                    gaussian_log_density(mean, cov, x), rtol=1e-14)
+        cov = np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 0.7]])
+        mean = np.array([1.0, -1.0, 0.5])
+        x = mean + 2.0 * np.random.default_rng(13).normal(size=(60, 3))
+        np.testing.assert_allclose(log_density(PriorSpec(Gaussian(mean, cov), 3), x),
+                                   gaussian_log_density(mean, cov, x), rtol=1e-13, atol=0.0)
 
     def test_gaussian_log_density_matches_scipy(self):
         cov = np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 0.7]])
@@ -175,6 +181,59 @@ class TestGaussianFamily:
         # N(0, 4): log f(2) = -0.5 log(8 pi) - 0.5
         got = gaussian_log_density(np.zeros(1), 4.0 * np.eye(1), [[2.0]])
         assert got[0] == pytest.approx(-0.5 * math.log(8 * math.pi) - 0.5, rel=1e-13)
+
+
+class TestLogDensityForms:
+    # Every family's log density is read from one quadratic form in x;
+    # these compare it with the direct formula of each family.
+
+    @pytest.mark.parametrize("p, k", [(0.51, 3), (1.0, 1), (1.0, 3), (3.0, 2), (10.0, 3)])
+    def test_gen_gauss_matches_radial_formula(self, p, k):
+        x = np.vstack([np.zeros(k), 1.7 * np.random.default_rng(11).normal(size=(40, k))])
+        log_cp = ((1.0 - k / p) * math.log(p) + math.lgamma(k / 2.0) - math.log(2.0)
+                  - 0.5 * k * math.log(math.pi) - math.lgamma(k / p))
+        r = np.sqrt(np.sum(x**2, axis=1))
+        np.testing.assert_allclose(log_density(PriorSpec(GeneralizedGaussian(p), k), x),
+                                   log_cp - r**p / p, rtol=1e-13, atol=0.0)
+
+    def test_ball_matches_norm_test(self):
+        k, radius = 3, 2.0
+        x = 1.3 * np.random.default_rng(12).normal(size=(200, k))
+        log_vk = 0.5 * k * math.log(math.pi) + k * math.log(radius) - math.lgamma(0.5 * k + 1.0)
+        inside = np.linalg.norm(x, axis=1) <= radius
+        assert 0 < np.count_nonzero(inside) < len(x)
+        np.testing.assert_allclose(log_density(PriorSpec(UniformBall(radius), k), x),
+                                   np.where(inside, -log_vk, -np.inf), rtol=1e-13, atol=0.0)
+
+    def test_ball_boundary_is_inside(self):
+        # ||x|| = R exactly (3-4-5 and an axis point): on the closed ball
+        vals = log_density(PriorSpec(UniformBall(5.0), 2), [[3.0, 4.0], [0.0, -5.0]])
+        assert np.all(vals == -math.log(25.0 * math.pi))
+
+    @pytest.mark.parametrize("seed, expect", [
+        (3, {"gen-gauss:1": (0.15505263939398173, 0.00865069447675094),
+             "gen-gauss:0.7": (0.3030458615905106, 0.013174148914159547),
+             "ball": (0.4835013039865138, 0.007572371338202081),
+             "gaussian": (0.05687037483545932, 0.004403454782905812)}),
+        (7, {"gen-gauss:1": (0.15386796662674523, 0.008596562863965082),
+             "gen-gauss:0.7": (0.28242307642979925, 0.012196728462703465),
+             "ball": (0.4649956642677039, 0.0074493400474575835),
+             "gaussian": (0.05678161085367673, 0.004375490175742025)}),
+    ])
+    def test_mc_kl_pinned(self, seed, expect):
+        # values recorded when log_density still took square roots and
+        # called gaussian_log_density itself
+        cov = np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 0.7]])
+        specs = {"gen-gauss:1": PriorSpec(GeneralizedGaussian(1.0), 3),
+                 "gen-gauss:0.7": PriorSpec(GeneralizedGaussian(0.7), 2),
+                 "ball": PriorSpec(UniformBall(2.0), 3),
+                 "gaussian": PriorSpec(Gaussian(np.array([1.0, -1.0, 0.5]), cov), 3)}
+        for name, spec in specs.items():
+            mom = prior_moments(spec)
+            ref = GaussianReference(mom.mean + 0.1, 1.3 * mom.covariance)
+            est = mc_kl(spec, ref, 5000, seed)
+            np.testing.assert_allclose((est.value, est.std_error), expect[name],
+                                       rtol=1e-13, atol=0.0, err_msg=name)
 
 
 class TestSamplers:
