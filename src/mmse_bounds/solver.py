@@ -34,6 +34,7 @@ notes" gives the details.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,20 @@ class BoundResult:
     residuals: tuple[float, float]
 
 
+@functools.cache
+def _basis(k):
+    """The (K^2, K(K+1)/2) orthonormal packing E_ii, (E_ij + E_ji) / sqrt 2."""
+    iu, ju = np.triu_indices(k)
+    n = iu.size
+    basis = np.zeros((k, k, n))
+    val = np.where(iu == ju, 1.0, np.sqrt(0.5))
+    basis[iu, ju, np.arange(n)] = val
+    basis[ju, iu, np.arange(n)] = val
+    basis = basis.reshape(k * k, n)
+    basis.flags.writeable = False
+    return basis
+
+
 class _Ctx:
     """Per-solve constants of a validated problem (the reference and L0,
     the channels, the orthonormal packing) and the solve's counters."""
@@ -98,13 +113,8 @@ class _Ctx:
         self.sigma0_inv = self.l0i.T @ self.l0i
         self.logdet0 = 2.0 * np.sum(np.log(np.diag(self.l0)))
         self.noise, self.weights, self.prob = prob.noise_stack, prob.weights, prob
-        iu, ju = np.triu_indices(k)
-        self.n = n = iu.size
-        basis = np.zeros((k, k, n))  # E_ii and (E_ij + E_ji) / sqrt 2
-        val = np.where(iu == ju, 1.0, np.sqrt(0.5))
-        basis[iu, ju, np.arange(n)] = val
-        basis[ju, iu, np.arange(n)] = val
-        self.basis = basis.reshape(k * k, n)
+        self.basis = _basis(k)
+        self.n = self.basis.shape[1]
         self.jacobians = self.steps = 0
 
     def pack(self, m):
@@ -117,62 +127,77 @@ class _Ctx:
         return self.l0.T @ m @ self.l0
 
 
-def _is_pd(m):
-    if not np.all(np.isfinite(m)):
-        return False
+def _chol(m):
+    """The Cholesky factor of a finite positive definite m, else None."""
+    if not np.isfinite(m).all():
+        return None
     try:
-        np.linalg.cholesky(m)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
 
 
-def _gradient(ctx, sigma):
-    """((Sigma + Sigma_N_j)^-1, W_j^T W_j, S)."""
-    ai = np.linalg.inv(sigma + ctx.noise)
+def _gradient(ctx, ai):
+    """(W_j^T W_j, S) from A_j^-1 = (Sigma + Sigma_N_j)^-1."""
     wt = ai @ ctx.noise
     cm = wt @ wt.swapaxes(1, 2)
-    return ai, cm, np.einsum("j,jab->ab", ctx.weights, cm)
+    return cm, np.einsum("j,jab->ab", ctx.weights, cm)
+
+
+def _s(ctx, sigma):
+    """S(Sigma), the gradient of f."""
+    return _gradient(ctx, np.linalg.inv(sigma + ctx.noise))[1]
 
 
 def _value(ctx, sigma):
     return weighted_mmse_sum(sigma, ctx.prob).weighted_sum
 
 
-def _evaluate(ctx, sigma, alpha, t2):
-    """(residual, Jacobian, X^-1) of the bordered system at a positive
-    definite Sigma; the residual is formed in the original coordinates."""
-    ci = np.linalg.inv(np.linalg.cholesky(sigma))
-    si = ci.T @ ci
-    ai, cm, s = _gradient(ctx, sigma)
-    kl = 0.5 * (np.sum(ctx.sigma0_inv * sigma) - ctx.k + ctx.logdet0) + np.log(np.diag(ci)).sum()
-    res = np.append(ctx.pack(ctx.lift(si - ctx.sigma0_inv + alpha * s)), kl - t2)
-    xi = ctx.lift(si)
+def _evaluate(ctx, sigma, chol, alpha, t2):
+    """(residual, Jacobian, X^-1) of the bordered system at Sigma = chol
+    chol^T; the residual is formed in the original coordinates."""
     if ctx.jacobians >= _MAX_JACOBIANS:
-        raise NoConvergence("Jacobian evaluation cap reached")
+        raise NoConvergence("Jacobian evaluation cap reached", iterations=ctx.jacobians)
     ctx.jacobians += 1
-    k2, n = ctx.k * ctx.k, ctx.n
+    k, n, nj = ctx.k, ctx.n, ctx.weights.size
+    inv = np.linalg.inv(np.concatenate([chol[None], sigma + ctx.noise]))
+    ci = inv[0]
+    # one product L0^T (.) L0 whitens Sigma^-1, A_j^-1, Sigma^-1 again, W_j^T W_j, S and
+    # the residual; the Jacobian's einsum reads the first two runs of J + 1 as they lie
+    stack = np.empty((2 * nj + 4, k, k))
+    stack[0] = stack[nj + 1] = si = ci.T @ ci
+    stack[1:nj + 1] = inv[1:]
+    stack[nj + 2:-2], stack[-2] = _gradient(ctx, inv[1:])
+    stack[-1] = si - ctx.sigma0_inv + alpha * stack[-2]
+    stack = ctx.lift(stack)
+    kl = 0.5 * (np.sum(ctx.sigma0_inv * sigma) - ctx.k + ctx.logdet0) + np.log(ci.diagonal()).sum()
+    res = np.empty(n + 1)
+    res[:n], res[n] = ctx.pack(stack[-1]), kl - t2
+    coef = np.empty(nj + 1)
+    coef[0], coef[1:] = 1.0, 2.0 * alpha * ctx.weights
     # kron(X^-1, X^-1) + 2 alpha sum_j lambda_j kron(L0^T A_j^-1 L0, L0^T W_j^T W_j L0)
-    g = np.einsum("j,jab,jcd->acbd", np.append(1.0, 2.0 * alpha * ctx.weights),
-                  np.concatenate([xi[None], ctx.lift(ai)]),
-                  np.concatenate([xi[None], ctx.lift(cm)])).reshape(k2, k2)
-    jac = np.zeros((n + 1, n + 1))
+    g = np.einsum("j,jab,jcd->acbd", coef, stack[:nj + 1], stack[nj + 1:-2]).reshape(k * k, k * k)
+    jac = np.empty((n + 1, n + 1))
     jac[:n, :n] = -ctx.basis.T @ g @ ctx.basis
-    jac[:n, n] = ctx.pack(ctx.lift(s))
-    jac[n, :n] = ctx.pack(0.5 * (np.eye(ctx.k) - xi))
-    return res, jac, xi
+    jac[:n, n] = ctx.pack(stack[-2])
+    jac[n, :n] = ctx.pack(0.5 * (np.eye(k) - stack[0]))
+    jac[n, n] = 0.0
+    return res, jac, stack[0]
 
 
 def _newton_step(ctx, sigma, alpha, res, jac):
-    """Newton step, shortened only to keep Sigma positive definite."""
+    """Newton step, shortened only to keep Sigma positive definite; the
+    new (Sigma, alpha, chol(Sigma)) or None."""
     try:
         step = np.linalg.solve(jac, -res)
     except np.linalg.LinAlgError:
         return None
     lam, d = _DAMPING, ctx.unpack_sigma(step[:ctx.n])
     while lam >= 1e-6:
-        if _is_pd(sigma + lam * d):
-            return sigma + lam * d, alpha + lam * step[ctx.n]
+        trial = sigma + lam * d
+        chol = _chol(trial)
+        if chol is not None:
+            return trial, alpha + lam * step[ctx.n], chol
         lam *= 0.5
     return None
 
@@ -182,11 +207,11 @@ def _correct(ctx, sigma, alpha, t2, tol, iters=_NEWTON_ITER):
     to max|X^-1|; it passes below `tol`, or once it stops contracting
     below the rounding floor. Returns (Sigma, alpha, Jacobian) or None."""
     kl_tol = 0.1 * _OUTER_TOL if tol == _FINAL_TOL else 1e-9 * t2
-    prev = np.inf
-    if not _is_pd(sigma):
+    prev, chol = np.inf, _chol(sigma)
+    if chol is None:
         return None
     for _ in range(iters):
-        res, jac, xi = _evaluate(ctx, sigma, alpha, t2)
+        res, jac, xi = _evaluate(ctx, sigma, chol, alpha, t2)
         rel = np.linalg.norm(res[:-1]) / np.abs(xi).max()
         if abs(res[-1]) <= kl_tol and (rel <= tol or _FLOOR_TOL > rel > 0.25 * prev):
             return sigma, alpha, jac
@@ -194,14 +219,14 @@ def _correct(ctx, sigma, alpha, t2, tol, iters=_NEWTON_ITER):
         step = _newton_step(ctx, sigma, alpha, res, jac)
         if step is None:
             return None
-        sigma, alpha = step
+        sigma, alpha, chol = step
     return None
 
 
 def _mm_step(ctx, sigma, t2, sign, alpha=None):
     """Majorize-minimize step (Sigma, alpha): L0 (I - alpha T(Sigma))^-1 L0^T,
     with alpha of the direction's sign putting it on kl = t2 unless given."""
-    return _sphere(ctx, *np.linalg.eigh(ctx.lift(_gradient(ctx, sigma)[2])), t2, sign, alpha)
+    return _sphere(ctx, *np.linalg.eigh(ctx.lift(_s(ctx, sigma))), t2, sign, alpha)
 
 
 def _sphere(ctx, tau, q, t2, sign, alpha=None):
@@ -254,13 +279,14 @@ def _split_start(ctx, eps):
     """The lowest of majorize-minimize descents from the splits that spend
     the whole radius shrinking the m steepest directions of T(Sigma_0)
     alike, m < K: a start off the symmetric subspace a path stays in."""
-    q, best = np.linalg.eigh(ctx.lift(_gradient(ctx, ctx.sigma0)[2]))[1], None
+    q, best = np.linalg.eigh(ctx.lift(_s(ctx, ctx.sigma0)))[1], None
     for m in range(1, ctx.k):
         start = _sphere(ctx, (np.arange(ctx.k) >= ctx.k - m).astype(float), q, eps, -1.0)
         for _ in range(_SPLIT_STEPS):
             start = _mm_step(ctx, start[0], eps, -1.0)
-        if best is None or _value(ctx, start[0]) < _value(ctx, best[0]):
-            best = start
+        value = _value(ctx, start[0])
+        if best is None or value < best_value:
+            best, best_value = start, value
     return best
 
 
@@ -270,7 +296,8 @@ def _path(ctx, sign, eps):
     t, sigma, alpha, tangent = 0.0, ctx.sigma0, 0.0, None
     while t < target:
         if ctx.steps >= _MAX_STEPS:
-            raise NoConvergence(f"continuation step cap {_MAX_STEPS} reached")
+            raise NoConvergence(f"continuation step cap {_MAX_STEPS} reached",
+                                iterations=ctx.jacobians)
         ctx.steps += 1
         t_new = target if target - (t + h) <= 1e-9 * target else t + h
         if tangent is None:
@@ -288,10 +315,12 @@ def _path(ctx, sign, eps):
         if hit is None:
             h *= 0.5
             if h < 1e-9 * target or ctx.jacobians > 0.8 * _MAX_JACOBIANS:
-                raise NoConvergence(f"continuation stalled at kl={float(t * t)!r} of {eps!r}")
+                raise NoConvergence(f"continuation stalled at kl={float(t * t)!r} of {eps!r}",
+                                    iterations=ctx.jacobians)
             continue
         t, (sigma, alpha, jac), h = t_new, hit, 1.5 * h
-        tangent = np.linalg.solve(jac, np.append(np.zeros(n), 2.0 * t))
+        if t < target:
+            tangent = np.linalg.solve(jac, np.append(np.zeros(n), 2.0 * t))
     return sigma, alpha
 
 
@@ -300,7 +329,7 @@ def _residual(ctx, sigma, alpha):
     S(Sigma))^-1 (Frobenius); inf where Sigma_0^-1 - alpha S(Sigma) is not
     positive definite."""
     try:
-        mi = np.linalg.inv(np.linalg.cholesky(ctx.sigma0_inv - alpha * _gradient(ctx, sigma)[2]))
+        mi = np.linalg.inv(np.linalg.cholesky(ctx.sigma0_inv - alpha * _s(ctx, sigma)))
     except np.linalg.LinAlgError:
         return np.inf
     return float(np.linalg.norm(mi.T @ mi - sigma) / np.linalg.norm(sigma))
@@ -373,7 +402,8 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
         starts = [_mm_step(ctx, ctx.sigma0, eps, sign, found[0][1])] if sign < 0 else []
     except (NoConvergence, np.linalg.LinAlgError) as exc:
         if sign > 0:
-            raise NoConvergence(f"upper bound at epsilon={eps!r}: {exc}") from exc
+            raise NoConvergence(f"upper bound at epsilon={eps!r}: {exc}",
+                                getattr(exc, "residual", None), ctx.jacobians) from exc
         found, start = [], (ctx.sigma0, None)
         for _ in range(_MM_STEPS):
             start = _mm_step(ctx, start[0], eps, sign)
@@ -381,23 +411,28 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
     for sigma, alpha in starts:
         hit = _settle(ctx, sigma, alpha, eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
         found += [hit[:2]] if hit is not None else []
+
+    def ranked(cands):  # best first; each candidate's value is computed once
+        cands = [c if len(c) == 3 else (*c, -sign * _value(ctx, c[0])) for c in cands]
+        return sorted(cands, key=lambda c: c[2])
+
     if len(found) > 1:
-        found.sort(key=lambda c: -sign * _value(ctx, c[0]))
+        found = ranked(found)
     w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
     if sign < 0 and ctx.k > 1 and np.min(np.diff(w)) <= 1e-6 * w[-1]:
         # no answer, or one with a repeated eigenvalue: break the symmetry
         hit = _settle(ctx, *_split_start(ctx, eps), eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
-        found = sorted(found + ([hit[:2]] if hit is not None else []),
-                       key=lambda c: -sign * _value(ctx, c[0]))
+        found = ranked(found + ([hit[:2]] if hit is not None else []))
     res = np.inf
-    for sigma, alpha in found:
+    for sigma, alpha, *_ in found:
         sigma = 0.5 * (sigma + sigma.T)
         res = _residual(ctx, sigma, alpha)
         kl = kl_same_mean_gaussians(sigma, ctx.sigma0)
         if res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL:
             return build(float(alpha), sigma, kl, res)
     raise NoConvergence(f"{direction.value} bound at epsilon={eps!r}: {len(found)} local "
-                        f"extrema found, none certified (residual {res:.3g})", residual=res)
+                        f"extrema found, none certified (residual {res:.3g})", residual=res,
+                        iterations=ctx.jacobians)
 
 
 def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall) -> BoundResult:

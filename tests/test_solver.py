@@ -26,6 +26,7 @@ from mmse_bounds import (
     Direction,
     DivergenceBall,
     GaussianReference,
+    NoConvergence,
     kl_same_mean_gaussians,
     lmmse_upper,
     local_bound,
@@ -34,7 +35,8 @@ from mmse_bounds import (
     solve_bound,
     validate_problem,
 )
-from conftest import isotropic_ball
+from mmse_bounds import solver
+from conftest import isotropic_ball, random_spd
 from oracles import isotropic_bounds, multistart_lower, scalar_ratio
 
 # Frozen regression values for the bundled four-channel ensemble with
@@ -209,6 +211,66 @@ class TestOneInputPath:
         prob = validate_problem(demo_ensemble, isotropic_ball(3, 1.0, 0.2))
         with pytest.raises(ValueError):
             solve_bound("lower", prob, DivergenceBall(prob.reference, -1.0))
+
+
+class TestJacobian:
+    """The bordered Jacobian `_evaluate` assembles against a central
+    difference of its own residual, along every packed whitened coordinate
+    (Sigma moved by L0 X L0^T) and along alpha."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("j", range(1, 6))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_central_difference(self, k, j, sign):
+        rng = np.random.default_rng([k, j, sign > 0])
+        ens = ChannelEnsemble.from_arrays([random_spd(rng, k, s) for s in rng.uniform(0.3, 3.0, j)],
+                                          rng.uniform(0.2, 2.0, j))
+        ball = DivergenceBall(GaussianReference(np.zeros(k), random_spd(rng, k, 2.0)), 0.3)
+        ctx = solver._Ctx(validate_problem(ens, ball))
+        sigma, alpha, h = random_spd(rng, k, 1.5), sign * rng.uniform(0.1, 1.0), 1e-5
+
+        def residual(s, a):
+            return solver._evaluate(ctx, s, solver._chol(s), a, 0.3)[0]
+
+        jac = solver._evaluate(ctx, sigma, solver._chol(sigma), alpha, 0.3)[1]
+        fd = np.empty_like(jac)
+        for i, e in enumerate(np.eye(ctx.n)):
+            d = ctx.unpack_sigma(h * e)
+            fd[:, i] = (residual(sigma + d, alpha) - residual(sigma - d, alpha)) / (2 * h)
+        fd[:, -1] = (residual(sigma, alpha + h) - residual(sigma, alpha - h)) / (2 * h)
+        np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-7 * np.abs(jac).max())
+
+
+class TestFailureDiagnostics:
+    """Every NoConvergence from solve_bound carries the solve's Jacobian
+    evaluations, and the residual where one was measured."""
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_capped_solve(self, demo_ensemble, monkeypatch, direction):
+        monkeypatch.setattr(solver, "_MAX_JACOBIANS", 3)
+        with pytest.raises(NoConvergence) as info:
+            solve_bound(direction, demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2))
+        assert info.value.iterations == 3
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_uncertified_solve(self, demo_ensemble, monkeypatch, direction):
+        ball = isotropic_ball(3, HARD_VAR, 0.2)
+        ok = solve_bound(direction, demo_ensemble, ball)
+        monkeypatch.setattr(solver, "_INNER_TOL", -1.0)
+        with pytest.raises(NoConvergence, match="none certified") as info:
+            solve_bound(direction, demo_ensemble, ball)
+        assert info.value.iterations == ok.inner_iterations
+        assert 0.0 <= info.value.residual <= 1e-11
+
+    def test_upper_reraise_keeps_residual(self, demo_ensemble, monkeypatch):
+        def stuck(ctx, sign, eps):
+            ctx.jacobians = 7
+            raise NoConvergence("stuck", residual=0.5)
+
+        monkeypatch.setattr(solver, "_path", stuck)
+        with pytest.raises(NoConvergence, match="upper bound at epsilon=0.2: stuck") as info:
+            solve_bound("upper", demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2))
+        assert (info.value.residual, info.value.iterations) == (0.5, 7)
 
 
 def _solve(direction, sigma0, noise, weights, epsilon):
