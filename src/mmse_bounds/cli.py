@@ -11,6 +11,10 @@ scenario    write a problem config from a sensor-field description
 Exit codes: 0 success, 1 config/validation error, 2 solver failure,
 3 verification failure.
 
+sweep-p, sweep-ball and verify solve at one ball per family parameter p or
+R (`_family`): the family's moment-matched Gaussian and the exact KL to it.
+A failed sweep solve names its row (p=... or R=...).
+
 CSV output uses 15 significant digits, '.' decimal point, ',' separator,
 and a mandatory header row; identical inputs produce byte-identical
 output. Grid rows are computed one after another, in grid order.
@@ -184,45 +188,47 @@ def _labelled(label, solve, *args):
         raise NoConvergence(f"{label}: {exc}", exc.residual, exc.iterations) from exc
 
 
-def _sweep_p_row(p, ensemble, mu0) -> SweepRecord:
-    k = ensemble.dimension
-    sigma0 = gen_gauss_covariance(p, k) * np.eye(k)
-    eps = gen_gauss_epsilon(p, k)
-    ball = DivergenceBall(GaussianReference(mu0, sigma0), eps)
-    prob = validate_problem(ensemble, ball)
-    lower, upper = (_labelled(f"p={p} {d}", solve_bound, d, prob, prob.ball).bound_value
-                    for d in ("lower", "upper"))
-    loc_lower, loc_upper = (_labelled(f"p={p} local {d}", local_bounds_weighted, d, prob,
-                                      prob.ball)[0]
-                            for d in ("lower", "upper"))
-    lmmse = lmmse_upper(sigma0, prob.ensemble)
-    try:
-        cr = cramer_rao_lower(gen_gauss_fisher(p, k), prob.ensemble)
-    except FisherUndefined:
-        cr = None
-    return SweepRecord(p, eps, lower, upper, loc_lower, loc_upper, lmmse, cr)
+def _family(kind, value, k):
+    """The prior family 'gen-gauss' at p or 'uniform-ball' at R in dimension
+    K: (spec, ball, Fisher information or None). The ball is centred at the
+    family's moment match N(0, Sigma_0) with the exact KL to it as radius."""
+    if kind == "gen-gauss":
+        spec = PriorSpec(GeneralizedGaussian(value), k)
+        sigma0 = gen_gauss_covariance(value, k) * np.eye(k)
+        try:
+            fisher = gen_gauss_fisher(value, k)
+        except FisherUndefined:
+            fisher = None
+        eps = gen_gauss_epsilon(value, k)
+    else:
+        spec, fisher = PriorSpec(UniformBall(value), k), None
+        sigma0, eps = uniform_ball_moments(value, k).covariance, uniform_ball_epsilon(value, k)
+    return spec, DivergenceBall(GaussianReference(np.zeros(k), sigma0), eps), fisher
 
 
-def _sweep_ball_row(r, ensemble, mu0) -> SweepRecord:
-    k = ensemble.dimension
-    moments = uniform_ball_moments(r, k)
-    eps = uniform_ball_epsilon(r, k)
-    ball = DivergenceBall(GaussianReference(mu0, moments.covariance), eps)
-    prob = validate_problem(ensemble, ball)
-    lower, upper = (_labelled(f"R={r} {d}", solve_bound, d, prob, prob.ball).bound_value
-                    for d in ("lower", "upper"))
-    lmmse = lmmse_upper(moments.covariance, prob.ensemble)
-    return SweepRecord(r, eps, lower, upper, lmmse=lmmse)
-
-
-def _sweep(args, row, abscissa, columns) -> int:
-    """One `row(x, ensemble, mu0)` per grid value x of the config's
-    ensemble, then the ordering checks, then the CSV: the abscissa under
-    the header `abscissa`, and the SweepRecord fields named in `columns`."""
+def _sweep(args, kind, abscissa, columns) -> int:
+    """One row per grid value x of family `kind`: both bounds at its ball,
+    labelled `abscissa`=x, the local bounds where `columns` names them, the
+    LMMSE and the Cramer-Rao bound. Then the ordering checks, then the CSV:
+    x under the header `abscissa`, and the SweepRecord fields in `columns`."""
     ensemble, ball = load_config(args.config)
-    prob = validate_problem(ensemble, ball)
-    grid = parse_grid(args.grid)
-    rows = [row(x, prob.ensemble, prob.reference.mean) for x in grid]
+    base = validate_problem(ensemble, ball)
+    rows = []
+    for x in parse_grid(args.grid):
+        _, ball, fisher = _family(kind, x, base.dimension)
+        prob = validate_problem(base.ensemble, ball)
+        both = ("lower", "upper")
+        bounds = [_labelled(f"{abscissa}={x} {d}", solve_bound, d, prob, prob.ball).bound_value
+                  for d in both]
+        bounds += ([_labelled(f"{abscissa}={x} local {d}", local_bounds_weighted, d, prob,
+                              prob.ball)[0] for d in both]
+                   if "local_lower" in columns else [None, None])
+        try:
+            cr = cramer_rao_lower(fisher, prob.ensemble)
+        except FisherUndefined:
+            cr = None
+        rows.append(SweepRecord(x, ball.epsilon, *bounds,
+                                lmmse_upper(ball.reference.covariance, prob.ensemble), cr))
     for rec in rows:
         try:
             rec.check_ordering()
@@ -255,37 +261,12 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sweep_p(args) -> int:
-    return _sweep(args, _sweep_p_row, "p", ("epsilon", "lower", "upper", "local_lower",
-                                            "local_upper", "lmmse", "cramer_rao"))
+    return _sweep(args, "gen-gauss", "p", ("epsilon", "lower", "upper", "local_lower",
+                                           "local_upper", "lmmse", "cramer_rao"))
 
 
 def cmd_sweep_ball(args) -> int:
-    return _sweep(args, _sweep_ball_row, "R", ("epsilon", "lower", "upper", "lmmse"))
-
-
-def _parse_prior(text: str, k: int):
-    """'gen-gauss:p', 'uniform-ball:R', or 'gaussian' -> (spec or None, Sigma_0, eps).
-
-    For the analytic families the reference covariance and radius come from
-    the family itself; 'gaussian' keeps the config's reference and radius
-    and returns spec=None (caller builds the Gaussian spec from the config).
-    """
-    if text == "gaussian":
-        return None, None, None
-    kind, _, value = text.partition(":")
-    try:
-        val = float(value)
-    except ValueError:
-        raise ConfigError(f"prior {text!r} needs a numeric parameter") from None
-    if kind == "gen-gauss":
-        spec = PriorSpec(GeneralizedGaussian(val), k)
-        sigma0 = gen_gauss_covariance(val, k) * np.eye(k)
-        return spec, sigma0, gen_gauss_epsilon(val, k)
-    if kind == "uniform-ball":
-        spec = PriorSpec(UniformBall(val), k)
-        return spec, uniform_ball_moments(val, k).covariance, uniform_ball_epsilon(val, k)
-    raise ConfigError(f"unknown prior {text!r}; expected gen-gauss:p, "
-                      f"uniform-ball:R, or gaussian")
+    return _sweep(args, "uniform-ball", "R", ("epsilon", "lower", "upper", "lmmse"))
 
 
 def cmd_verify(args) -> int:
@@ -297,22 +278,25 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"{flag} must be >= {floor}, got {value}")
     ensemble, ball = load_config(args.config)
     k = ensemble.dimension
-    spec, sigma0, eps = _parse_prior(args.prior, k)
-    if spec is None:
+    if args.prior == "gaussian":  # the config's own reference and radius
         spec = PriorSpec(Gaussian(ball.reference.mean, ball.reference.covariance), k)
-        sigma0, eps = ball.reference.covariance, ball.epsilon
-        mu0 = ball.reference.mean
     else:
-        # the analytic families are centered at zero
-        mu0 = np.zeros(k)
-    ball = DivergenceBall(GaussianReference(mu0, sigma0), eps)
+        kind, _, value = args.prior.partition(":")
+        try:
+            value = float(value)
+        except ValueError:
+            raise ConfigError(f"prior {args.prior!r} needs a numeric parameter") from None
+        if kind not in ("gen-gauss", "uniform-ball"):
+            raise ConfigError(f"unknown prior {args.prior!r}; expected gen-gauss:p, "
+                              f"uniform-ball:R, or gaussian")
+        spec, ball, _ = _family(kind, value, k)
     prob = validate_problem(ensemble, ball)
     lower = solve_bound("lower", prob, prob.ball)
     upper = solve_bound("upper", prob, prob.ball)
     est = mc_weighted_sum(spec, prob.ensemble, args.n_outer, args.n_inner, args.seed)
     lo_ok = lower.bound_value - 3.0 * est.std_error <= est.value
     hi_ok = est.value <= upper.bound_value + 3.0 * est.std_error
-    print(f"prior {args.prior}: epsilon={eps:.12g}")
+    print(f"prior {args.prior}: epsilon={prob.epsilon:.12g}")
     print(f"monte carlo weighted sum: {est.value:.12g} +- {est.std_error:.3g} "
           f"(n_outer={est.n_outer}, n_inner={est.n_inner}, seed={est.seed})")
     print(f"solver bounds: lower={lower.bound_value:.12g}, "

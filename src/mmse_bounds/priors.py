@@ -93,7 +93,11 @@ def gen_gauss_covariance(p: float, k: int) -> float:
     _check_parameter(p, "exponent p", k)
     log_val = ((2.0 / p) * math.log(p) + math.lgamma((k + 2.0) / p)
                - math.log(k) - math.lgamma(k / p))
-    return float(math.exp(log_val))
+    try:
+        return float(math.exp(log_val))
+    except OverflowError:
+        raise ValueError(f"generalized Gaussian variance at exponent p={p}, K={k} "
+                         f"overflows double precision (log variance {log_val:.6g})") from None
 
 
 def gen_gauss_fisher(p: float, k: int) -> float:
@@ -236,23 +240,17 @@ def log_density(spec: PriorSpec, x) -> np.ndarray:
     if x.shape[1] != k:
         raise DimensionMismatch(f"points have dimension {x.shape[1]}, spec has {k}")
     c, w, h = _quadratic_log_density(spec)
-    r = w @ (x - c).T  # short and wide, as in gaussian_log_density
+    # the short, wide product W (x - c)^T: the tall (n, K) @ (K, K) form can
+    # take a much slower threaded BLAS path at large n
+    r = w @ (x - c).T
     return h(np.einsum("kn,kn->n", r, r))
 
 
 def gaussian_log_density(mean, cov, x) -> np.ndarray:
-    """Multivariate normal log density, row-wise.
-
-    Residuals are whitened by the inverse Cholesky factor. It is applied as
-    the short, wide product L^-1 (x - mean)^T: the tall (n, K) @ (K, K) form
-    can take a much slower threaded BLAS path at large n.
-    """
+    """Multivariate normal log density, row-wise: `log_density` of
+    Gaussian(mean, cov)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    k = x.shape[1]
-    chol = np.linalg.cholesky(cov)
-    z = np.linalg.inv(chol) @ (x - mean).T
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (k * math.log(2.0 * math.pi) + logdet + np.sum(z * z, axis=0))
+    return log_density(PriorSpec(Gaussian(mean, cov), x.shape[1]), x)
 
 
 def sample_prior(spec: PriorSpec, n: int, seed) -> np.ndarray:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NoConvergence
+from .exceptions import NoConvergence, SingularSum
 from .gaussian import kl_same_mean_gaussians, mmse_matrix, weighted_mmse_sum
 from .problem import DivergenceBall, validate_problem
 
@@ -48,7 +48,6 @@ _MAX_JACOBIANS = 500  # Jacobian evaluations per solve
 _MAX_STEPS = 200  # continuation steps per solve
 _INNER_TOL = 1e-11  # certified relative Frobenius residual of the fixed point
 _OUTER_TOL = 1e-10  # certified |kl - epsilon|
-_DAMPING = 1.0  # first trial length of every Newton step
 _PATH_TOL = 1e-9  # relative residual of a corrector short of the target
 _FINAL_TOL = 1e-13  # ... and at the target
 _FLOOR_TOL = 1e-10  # a corrector stalled below this has reached rounding
@@ -192,7 +191,7 @@ def _newton_step(ctx, sigma, alpha, res, jac):
         step = np.linalg.solve(jac, -res)
     except np.linalg.LinAlgError:
         return None
-    lam, d = _DAMPING, ctx.unpack_sigma(step[:ctx.n])
+    lam, d = 1.0, ctx.unpack_sigma(step[:ctx.n])
     while lam >= 1e-6:
         trial = sigma + lam * d
         chol = _chol(trial)
@@ -288,6 +287,14 @@ def _split_start(ctx, eps):
         if best is None or value < best_value:
             best, best_value = start, value
     return best
+
+
+def _descent(ctx, eps, sign):
+    """(Sigma, alpha) after _MM_STEPS majorize-minimize steps from the centre."""
+    start = (ctx.sigma0, None)
+    for _ in range(_MM_STEPS):
+        start = _mm_step(ctx, start[0], eps, sign)
+    return start
 
 
 def _path(ctx, sign, eps):
@@ -397,20 +404,26 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
         return build(0.0, ctx.sigma0.copy(), 0.0, 0.0)
 
     sign = 1.0 if direction is Direction.UPPER else -1.0
+
+    def settled(start, *args):
+        """[(Sigma, alpha)] corrected from the start(*args); [] when the
+        corrector fails or the start breaks down numerically."""
+        try:
+            hit = _settle(ctx, *start(*args), eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
+        except (np.linalg.LinAlgError, SingularSum):
+            return []
+        return [hit[:2]] if hit is not None else []
+
     try:
         found = [_path(ctx, sign, eps)]
-        starts = [_mm_step(ctx, ctx.sigma0, eps, sign, found[0][1])] if sign < 0 else []
+        starts = [(_mm_step, ctx, ctx.sigma0, eps, sign, found[0][1])] if sign < 0 else []
     except (NoConvergence, np.linalg.LinAlgError) as exc:
         if sign > 0:
             raise NoConvergence(f"upper bound at epsilon={eps!r}: {exc}",
                                 getattr(exc, "residual", None), ctx.jacobians) from exc
-        found, start = [], (ctx.sigma0, None)
-        for _ in range(_MM_STEPS):
-            start = _mm_step(ctx, start[0], eps, sign)
-        starts = [start]
-    for sigma, alpha in starts:
-        hit = _settle(ctx, sigma, alpha, eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
-        found += [hit[:2]] if hit is not None else []
+        found, starts = [], [(_descent, ctx, eps, sign)]
+    for start in starts:
+        found += settled(*start)
 
     def ranked(cands):  # best first; each candidate's value is computed once
         cands = [c if len(c) == 3 else (*c, -sign * _value(ctx, c[0])) for c in cands]
@@ -421,8 +434,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
     w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
     if sign < 0 and ctx.k > 1 and np.min(np.diff(w)) <= 1e-6 * w[-1]:
         # no answer, or one with a repeated eigenvalue: break the symmetry
-        hit = _settle(ctx, *_split_start(ctx, eps), eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
-        found = ranked(found + ([hit[:2]] if hit is not None else []))
+        found = ranked(found + settled(_split_start, ctx, eps))
     res = np.inf
     for sigma, alpha, *_ in found:
         sigma = 0.5 * (sigma + sigma.T)

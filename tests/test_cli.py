@@ -393,6 +393,32 @@ class TestSweepDriver:
             assert line.split(",") == ["" if v is None else "%.15g" % v for v in expect]
 
 
+class TestExtremeExponent:
+    @pytest.mark.parametrize("command", [["sweep-p", "--grid", "0.003"],
+                                         ["verify", "--prior", "gen-gauss:0.003"]])
+    def test_overflowing_variance_is_config_error(self, demo_config, capsys, command):
+        # below p of about 0.0039 the K = 3 variance overflows double precision
+        rc = cli.main([command[0], "--config", demo_config, *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.err.startswith("error: generalized Gaussian variance at exponent "
+                                       "p=0.003, K=3 overflows")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, err", [
+        (["sweep-p", "--grid", "0.02"], "solver error: p=0.02 lower: "),
+        (["verify", "--prior", "gen-gauss:0.02", "--n-outer", "150", "--n-inner", "150"],
+         "solver error: lower bound at epsilon="),
+    ])
+    def test_uncertified_row_is_solver_error(self, demo_config, capsys, command, err):
+        # the lower bound's path stalls and its descent meets a singular matrix
+        rc = cli.main([command[0], "--config", demo_config, *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == EXIT_SOLVER
+        assert err in captured.err
+        assert captured.out == ""
+
+
 class TestSweepBall:
     def test_csv_contract(self, scalar_config, capsys):
         rc = cli.main(["sweep-ball", "--config", scalar_config,
@@ -491,10 +517,28 @@ class TestVerifyCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize("prior", ["exotic:1", "gen-gauss:abc", "gen-gauss:-1"])
-    def test_bad_prior_is_config_error(self, scalar_config, prior):
+    def test_bad_prior_is_config_error(self, scalar_config, capsys, prior):
         rc = cli.main(["verify", "--config", scalar_config, "--prior", prior,
                        "--n-outer", "150", "--n-inner", "150"])
         assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == {
+            "exotic:1": "error: unknown prior 'exotic:1'; expected gen-gauss:p, "
+                        "uniform-ball:R, or gaussian\n",
+            "gen-gauss:abc": "error: prior 'gen-gauss:abc' needs a numeric parameter\n",
+            "gen-gauss:-1": "error: exponent p must be a finite positive number, got -1.0\n",
+        }[prior]
+
+    @pytest.mark.parametrize("prior, sweep, grid", [("gen-gauss:1", "sweep-p", "1"),
+                                                    ("uniform-ball:2", "sweep-ball", "2")])
+    def test_shares_the_sweep_ball(self, demo_config, capsys, prior, sweep, grid):
+        # verify solves at the same moment-matched ball as the sweep row
+        assert cli.main([sweep, "--config", demo_config, "--grid", grid]) == EXIT_OK
+        eps, lower, upper = capsys.readouterr().out.split("\n")[1].split(",")[1:4]
+        cli.main(["verify", "--config", demo_config, "--prior", prior,
+                  "--n-outer", "150", "--n-inner", "150"])
+        out = capsys.readouterr().out
+        assert f"prior {prior}: epsilon={float(eps):.12g}\n" in out
+        assert f"solver bounds: lower={float(lower):.12g}, upper={float(upper):.12g}\n" in out
 
 
 class TestParser:

@@ -27,6 +27,9 @@ from mmse_bounds import (
     DivergenceBall,
     GaussianReference,
     NoConvergence,
+    SingularSum,
+    gen_gauss_covariance,
+    gen_gauss_epsilon,
     kl_same_mean_gaussians,
     lmmse_upper,
     local_bound,
@@ -271,6 +274,33 @@ class TestFailureDiagnostics:
         with pytest.raises(NoConvergence, match="upper bound at epsilon=0.2: stuck") as info:
             solve_bound("upper", demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2))
         assert (info.value.residual, info.value.iterations) == (0.5, 7)
+
+    @pytest.mark.parametrize("p", [0.01, 0.02, 0.03])
+    def test_singular_descent_is_dropped(self, demo_ensemble, p):
+        # the generalized Gaussian's moment-matched balls at these p: the
+        # path stalls, and the descent from the centre meets a singular
+        # Sigma + Sigma_N, which once escaped as numpy's LinAlgError
+        ball = DivergenceBall(GaussianReference(np.zeros(3), gen_gauss_covariance(p, 3)
+                                                * np.eye(3)), gen_gauss_epsilon(p, 3))
+        with pytest.raises(NoConvergence, match="none certified") as info:
+            solve_bound("lower", demo_ensemble, ball)
+        assert info.value.iterations > 0
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, SingularSum])
+    def test_broken_down_starts_are_dropped(self, demo_ensemble, monkeypatch, error):
+        def stuck(ctx, sign, eps):
+            ctx.jacobians = 7
+            raise NoConvergence("stuck")
+
+        def breaks(*args):
+            raise error("breakdown")
+
+        monkeypatch.setattr(solver, "_path", stuck)
+        monkeypatch.setattr(solver, "_descent", breaks)
+        monkeypatch.setattr(solver, "_split_start", breaks)
+        with pytest.raises(NoConvergence, match="0 local extrema found, none certified") as info:
+            solve_bound("lower", demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2))
+        assert info.value.iterations == 7
 
 
 def _solve(direction, sigma0, noise, weights, epsilon):
