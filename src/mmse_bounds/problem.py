@@ -39,8 +39,9 @@ def _check_spd(m, name, channel=None):
     matrix after a Cholesky-based positive-definiteness check."""
     if not np.all(np.isfinite(m)):
         raise NotPositiveDefinite(f"{name} has non-finite entries", channel=channel)
-    scale = np.linalg.norm(m, "fro")
-    if scale > 0 and np.linalg.norm(m - m.T, "fro") > SYMMETRY_RTOL * scale:
+    peak = np.abs(m).max()
+    unit = m / peak if peak > 0 else m  # so that the norms cannot overflow
+    if np.linalg.norm(unit - unit.T, "fro") > SYMMETRY_RTOL * np.linalg.norm(unit, "fro"):
         raise NonSymmetric(f"{name} is not symmetric within tolerance", channel=channel)
     sym = 0.5 * (m + m.T)
     try:

@@ -27,8 +27,9 @@ curvature. A lower bound also tries a second start at the target, a
 descent from the centre when the path stalls at a fold, and a
 symmetry-breaking split when its answer has a repeated eigenvalue, and
 keeps the lowest. Every answer is certified before it is returned: the
-fixed-point residual, |kl - epsilon| and the sign of alpha. README "Solver
-notes" gives the details.
+fixed-point residual, |kl - epsilon| and the sign of alpha. A local bound
+on a reference exactly c I is solved as K scalars instead (`local_bound`),
+under the same certificate. README "Solver notes" gives the details.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numpy as np
 from .exceptions import NoConvergence, SingularSum
 from .gaussian import kl_same_mean_gaussians, mmse_matrix, weighted_mmse_sum
 from .problem import DivergenceBall, validate_problem
+from .separable import lower_candidates, upper_candidates
 
 _NEWTON_ITER = 12  # Newton iterations per corrector
 _MAX_JACOBIANS = 500  # Jacobian evaluations per solve
@@ -73,7 +75,8 @@ class BoundResult:
     """Solved bound: multiplier, extremal covariance, value, diagnostics.
 
     inner_iterations counts Jacobian evaluations, outer_iterations
-    continuation steps.
+    continuation steps; a local bound solved as K scalars (`local_bound`)
+    counts its reduced Newton iterations and no steps.
     """
 
     direction: Direction
@@ -229,21 +232,24 @@ def _mm_step(ctx, sigma, t2, sign, alpha=None):
 
 
 def _sphere(ctx, tau, q, t2, sign, alpha=None):
-    """(L0 q diag(1 / (1 - alpha tau)) q^T L0^T, alpha) for T = q diag(tau) q^T."""
-    if alpha is None:
-        lo, hi = 0.0, (1.0 / tau[-1] if sign > 0 else np.inf)
-        b = min(2.0 * np.sqrt(t2) / np.linalg.norm(tau), 0.5 * hi)  # first order
-        for _ in range(100):
-            x = 1.0 / (1.0 - sign * b * tau)
-            g = 0.5 * (x - 1.0 - np.log(x)).sum() - t2
-            if abs(g) <= 1e-13 * t2:
-                break
-            lo, hi = (lo, b) if g > 0 else (b, hi)
-            b_new = b - g / (0.5 * sign * (tau * x * (x - 1.0)).sum())
-            b = b_new if lo < b_new < hi else (0.5 * (lo + hi) if hi < np.inf else 2.0 * b)
-        alpha = sign * b
-    lq = ctx.l0 @ q
-    return (lq / (1.0 - alpha * tau)) @ lq.T, alpha
+    """(L0 q diag(1 / (1 - alpha tau)) q^T L0^T, alpha) for T = q diag(tau) q^T.
+    At extreme radii the safeguarded Newton's trial points overflow or leave
+    the domain of the log; those steps are rejected, silently."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if alpha is None:
+            lo, hi = 0.0, (1.0 / tau[-1] if sign > 0 else np.inf)
+            b = min(2.0 * np.sqrt(t2) / np.linalg.norm(tau), 0.5 * hi)  # first order
+            for _ in range(100):
+                x = 1.0 / (1.0 - sign * b * tau)
+                g = 0.5 * (x - 1.0 - np.log(x)).sum() - t2
+                if abs(g) <= 1e-13 * t2:
+                    break
+                lo, hi = (lo, b) if g > 0 else (b, hi)
+                b_new = b - g / (0.5 * sign * (tau * x * (x - 1.0)).sum())
+                b = b_new if lo < b_new < hi else (0.5 * (lo + hi) if hi < np.inf else 2.0 * b)
+            alpha = sign * b
+        lq = ctx.l0 @ q
+        return (lq / (1.0 - alpha * tau)) @ lq.T, alpha
 
 
 def _settle(ctx, sigma, alpha, t2, sign, tol, iters=_NEWTON_ITER):
@@ -447,15 +453,50 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
                         iterations=ctx.jacobians)
 
 
+def _separable(direction, prob):
+    """The one-channel bound on Sigma_0 = c I from the K-scalar candidates
+    of `separable`, as Q diag(c x) Q^T with Sigma_N = Q diag(nu) Q^T: the
+    best one that passes `solve_bound`'s certificate. None where Sigma_0 is
+    not exactly isotropic, the ball is a point, or no candidate passes."""
+    sigma0, eps = prob.reference.covariance, prob.epsilon
+    k, c = sigma0.shape[0], sigma0[0, 0]
+    if eps <= _OUTER_TOL or not np.array_equal(sigma0, c * np.eye(k)):
+        return None
+    nu, q = np.linalg.eigh(prob.noise_stack[0])
+    rho = nu / c
+    sign = 1.0 if direction is Direction.UPPER else -1.0
+    found = (upper_candidates if sign > 0 else lower_candidates)(rho, eps)
+    found = [(c * sum(xi * ri / (xi + ri) for xi, ri in zip(x, rho.tolist())), x, b, n)
+             for x, b, n in found if all(xi > 0.0 for xi in x)]  # no NaN, no underflow
+    ctx = _Ctx(prob)
+    for value, x, b, n in sorted(found, key=lambda cand: -sign * cand[0]):
+        sigma = (q * (c * np.array(x))) @ q.T
+        sigma = 0.5 * (sigma + sigma.T)
+        alpha = sign * b / c
+        res = _residual(ctx, sigma, alpha)
+        kl = kl_same_mean_gaussians(sigma, sigma0)
+        if res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL:
+            return BoundResult(direction, alpha, sigma, value, kl, n, 0, (res, abs(kl - eps)))
+    return None
+
+
 def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall) -> BoundResult:
     """Bound for a single channel under the same KL constraint.
 
-    Equivalent to `solve_bound` on the one-channel ensemble with weight 1;
-    the result is independent of the original channel weight. A validated
-    `Problem` gives a validated one-channel problem (`Problem.single`), so
-    only a raw `ChannelEnsemble` is validated again.
+    Equal to `solve_bound` on the one-channel ensemble with weight 1, to
+    rounding; the result is independent of the original channel weight. A
+    validated `Problem` gives a validated one-channel problem
+    (`Problem.single`), so only a raw `ChannelEnsemble` is validated again.
+    When the reference covariance is exactly c I, the bound is solved as K
+    scalars in the eigenbasis of the channel's noise (README "Solver
+    notes") and certified as `solve_bound` certifies its answers; its
+    `inner_iterations` count reduced Newton iterations and its
+    `outer_iterations` are 0. Otherwise, or if no such answer is
+    certified, `solve_bound` solves it.
     """
-    return solve_bound(direction, ensemble.single(channel_index), ball)
+    direction = _as_direction(direction)
+    prob = validate_problem(ensemble.single(channel_index), ball)
+    return _separable(direction, prob) or solve_bound(direction, prob, prob.ball)
 
 
 def local_bounds_weighted(direction, ensemble, ball: DivergenceBall):

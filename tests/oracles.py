@@ -13,10 +13,16 @@
 * `commuting_upper`: Sigma_0 = Q diag(s) Q^T and every Sigma_N_j =
   Q diag(n_j) Q^T. The upper bound is Q diag(x) Q^T, with K scalar fixed
   points that share one alpha (see its docstring).
+* `reduced_lower`: Sigma_0 = c I and one channel Q diag(nu) Q^T. Some
+  minimizer is Q diag(s) Q^T (eigenvalue rearrangement, README "Solver
+  notes"); this is the least value over every stationary point of the
+  K-scalar problem, found branch combination by branch combination.
 * `multistart_lower`: SLSQP from many random starts over Sigma =
   L0 expm(M) L0^T, with the KL radius written as (tr e^M - K - tr M) / 2,
   which stays finite at the extreme points the search visits.
 """
+
+import itertools
 
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
@@ -75,8 +81,9 @@ def commuting_upper(s, n, weights, epsilon):
 
     The lower bound is left out: for alpha < 0 the scalar equation can
     have several positive roots, and the minimizer of a concave function
-    need not be unique, so it need not commute with the inputs (the
-    isotropic case already splits, see `isotropic_bounds`).
+    need not be unique. For Sigma_0 = c I and one channel some minimizer
+    still commutes with Sigma_N (Lidskii's inequalities; `reduced_lower`),
+    but it may split repeated eigenvalues (see `isotropic_bounds`).
     """
     s, n, lam = np.asarray(s, float), np.asarray(n, float), np.asarray(weights, float)
 
@@ -98,6 +105,70 @@ def commuting_upper(s, n, weights, epsilon):
     while gap(hi) < 0.0:
         hi *= 2.0
     return x_of(brentq(gap, 0.0, hi, xtol=1e-300, rtol=8.9e-16))
+
+
+def reduced_lower(c, nu, epsilon, grid=120):
+    """Least sum_i s_i nu_i / (s_i + nu_i) over the stationary points of
+    that sum on sum_i (s_i/c - 1 - log(s_i/c)) / 2 = epsilon, s_i < c.
+
+    Stationarity reads a = (s_i + nu_i)^2 (c - s_i) / (c nu_i^2 s_i) for
+    one a > 0 shared by every i. Where c > 8 nu_i the right side turns at
+    s = (c -+ sqrt(c^2 - 8 c nu_i)) / 4, so s_i lies on one of three
+    monotone branches (left, middle, right), else on one. Every
+    combination of branches is tried: on the a-interval where all of its
+    branches exist, each s_i(a) is a brentq root in log s, the radius is
+    scanned on `grid` points in log a, and every sign change is refined
+    by brentq.
+    """
+    nu = np.sort(np.asarray(nu, dtype=float))
+    k = nu.size
+    def la(t, n):  # log a at s = e^t
+        s = np.exp(t)
+        return 2.0 * np.log(s + n) + np.log(c - s) - np.log(c) - 2.0 * np.log(n) - t
+
+    branches, left = [], -700.0  # per coordinate: (log s lo, log s hi) of each branch
+    for n in nu:
+        ends = [left, np.log(c) + np.log1p(-1e-15)]
+        if c > 8.0 * n:
+            root = np.sqrt(c * c - 8.0 * c * n)
+            ends[1:1] = [np.log((c - root) / 4.0), np.log((c + root) / 4.0)]
+        branches.append(list(zip(ends[:-1], ends[1:])))
+
+    def s_of(n, br, a):
+        g = lambda t: la(t, n) - np.log(a)
+        glo, ghi = g(br[0]), g(br[1])
+        if glo * ghi > 0.0:  # a at (or, by rounding, just past) an end
+            return np.exp(br[0] if abs(glo) < abs(ghi) else br[1])
+        return np.exp(brentq(g, *br, xtol=1e-15, rtol=8.9e-16))
+
+    def radius(s):
+        return 0.5 * np.sum(s / c - 1.0 - np.log(s / c))
+
+    best = np.inf
+    for combo in itertools.product(*branches):
+        # the a-interval on which every branch of the combination exists
+        lo, hi = -np.inf, np.inf
+        for n, br in zip(nu, combo):
+            e = sorted(la(t, n) for t in br)
+            lo, hi = max(lo, e[0]), min(hi, e[1])
+        if lo >= hi:
+            continue
+        # with x = s/c, log(1 - x) <= log(a c) and x - 1 - log x <= (1 - x)^2
+        # when 1 - x <= 1/2, so kl < epsilon below the first bound; x <= 81 /
+        # (a c) on a branch that reaches s = 0, so kl > epsilon above the second
+        lo = max(lo, min(0.5 * np.log(2.0 * epsilon / k), -np.log(2.0)) - np.log(c) - 1.0)
+        if any(br[0] == left for br in combo):
+            hi = min(hi, 2.0 * epsilon + 2.0 + 2.0 * np.log(9.0) - np.log(c))
+        grid_a = np.exp(np.linspace(lo, hi, grid))
+        gap = lambda a: radius(np.array([s_of(n, br, a) for n, br in zip(nu, combo)])) - epsilon
+        gaps = [gap(a) for a in grid_a]
+        for a0, a1, g0, g1 in zip(grid_a[:-1], grid_a[1:], gaps[:-1], gaps[1:]):
+            if g0 * g1 <= 0.0:
+                a = np.exp(brentq(lambda t: gap(np.exp(t)), np.log(a0), np.log(a1),
+                                  xtol=1e-15, rtol=8.9e-16))
+                s = np.array([s_of(n, br, a) for n, br in zip(nu, combo)])
+                best = min(best, float(np.sum(s * nu / (s + nu))))
+    return best
 
 
 def weighted_mmse(sigma, noise, weights):

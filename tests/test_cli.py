@@ -405,13 +405,16 @@ class TestExtremeExponent:
                                        "p=0.003, K=3 overflows")
         assert captured.out == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command, err", [
         (["sweep-p", "--grid", "0.02"], "solver error: p=0.02 lower: "),
         (["verify", "--prior", "gen-gauss:0.02", "--n-outer", "150", "--n-inner", "150"],
          "solver error: lower bound at epsilon="),
+        (["sweep-p", "--grid", "0.0039"], "solver error: p=0.0039 lower: "),
     ])
     def test_uncertified_row_is_solver_error(self, demo_config, capsys, command, err):
-        # the lower bound's path stalls and its descent meets a singular matrix
+        # the lower bound's path stalls and its descent meets a singular
+        # matrix; no numpy warning reaches the user on the way
         rc = cli.main([command[0], "--config", demo_config, *command[1:]])
         captured = capsys.readouterr()
         assert rc == EXIT_SOLVER

@@ -39,8 +39,8 @@ from mmse_bounds import (
     validate_problem,
 )
 from mmse_bounds import solver
-from conftest import isotropic_ball, random_spd
-from oracles import isotropic_bounds, multistart_lower, scalar_ratio
+from conftest import TEST_SEED, isotropic_ball, random_spd
+from oracles import isotropic_bounds, multistart_lower, reduced_lower, scalar_ratio
 
 # Frozen regression values for the bundled four-channel ensemble with
 # reference N(0, 56.55016038553131 I_3) and epsilon = 0.5956003879952156.
@@ -199,6 +199,118 @@ class TestOrdering:
             a = local_bound("upper", demo_ensemble, j, ball)
             b = local_bound("upper", reweighted, j, ball)
             assert a.bound_value == pytest.approx(b.bound_value, rel=1e-10)
+
+
+def _rotated(rng, values):
+    q, _ = np.linalg.qr(rng.normal(size=(len(values), len(values))))
+    m = (q * values) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def _separable_case(k, c, three, seed):
+    """One channel with noise eigenvalues nu on the reference c I: all
+    below c / 8 (three stationary branches each) or all above it (one)."""
+    rng = np.random.default_rng(seed)
+    nu = c * (rng.uniform(0.005, 0.1, k) if three else rng.uniform(0.2, 5.0, k))
+    return ChannelEnsemble.from_arrays([_rotated(rng, nu)], [1.0]), nu
+
+
+class TestSeparableLocal:
+    """On an exactly isotropic reference c I, `local_bound` solves the
+    one-channel problem as K scalars in the noise's eigenbasis. Some
+    extremum commutes with Sigma_N (README "Solver notes"), so it must
+    agree with the general solver on the one-channel problem and with the
+    exhaustive branch enumeration of `oracles.reduced_lower`."""
+
+    @staticmethod
+    def _check(res, direction, ens, ball):
+        """The route was taken, passes the certificate, and agrees with the
+        general solver on the one-channel problem."""
+        sign = 1.0 if direction == "upper" else -1.0
+        assert res.outer_iterations == 0 and res.inner_iterations > 0
+        assert sign * res.alpha > 0.0
+        assert res.residuals[0] <= 1e-11
+        kl = kl_same_mean_gaussians(res.sigma_x, ball.reference.covariance)
+        assert abs(kl - ball.epsilon) <= 1e-10
+        assert opt_covariance_residual(res.alpha, res.sigma_x, ens, ball.reference) <= 1e-9
+        general = solve_bound(direction, ens, ball)
+        assert res.bound_value == pytest.approx(general.bound_value, rel=1e-10)
+
+    @pytest.mark.parametrize("three", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_matches_general_solver(self, direction, k, three):
+        c, eps = 2.0, (0.05, 0.4, 1.5)[k % 3]
+        ens, _ = _separable_case(k, c, three, seed=100 * k + three)
+        ball = isotropic_ball(k, c, eps)
+        self._check(local_bound(direction, ens, 0, ball), direction, ens, ball)
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_demo_ensemble_at_p_051(self, demo_ensemble, direction):
+        ball = isotropic_ball(3, HARD_VAR, HARD_EPS)
+        for j in range(4):
+            res = local_bound(direction, demo_ensemble, j, ball)
+            self._check(res, direction, demo_ensemble.single(j), ball)
+            if direction == "lower" and j in (1, 3):
+                # the minimum puts one coordinate on the middle branch,
+                # where a(s) = (s + nu)^2 (c - s) / (c nu^2 s) increases
+                nu, q = np.linalg.eigh(demo_ensemble.noise_stack[j])
+                s = np.einsum("ai,ab,bi->i", q, res.sigma_x, q)
+                assert np.sum(2.0 * s * s - HARD_VAR * s + HARD_VAR * nu < 0.0) == 1
+
+    def test_split_example(self):
+        # README: the isotropic stationary point (0.288007) is a saddle here
+        ens = ChannelEnsemble.from_arrays([0.1 * np.eye(3)], [1.0])
+        ball = isotropic_ball(3, 10.0, 1.0)
+        res = local_bound("lower", ens, 0, ball)
+        self._check(res, "lower", ens, ball)
+        assert res.bound_value == pytest.approx(0.281936931333, rel=1e-10)
+        assert res.bound_value == pytest.approx(isotropic_bounds(10.0, 0.1, 3, 1.0)[0],
+                                                rel=1e-10)
+
+    @pytest.mark.parametrize("c, nu, eps", [
+        # the minimum is on a middle-branch stretch whose ends both have kl
+        # above eps, beside a local minimum 0.47% higher on the next stretch
+        (6.302576410499546, [0.1653090650824608, 0.2620565923772146, 0.9018348504902981],
+         4.939757617666037),
+        (1.3, [0.02, 0.05, 0.4], 0.8),
+    ])
+    def test_exhaustive_enumeration(self, c, nu, eps):
+        ens = ChannelEnsemble.from_arrays([_rotated(np.random.default_rng(7), nu)], [1.0])
+        ball = isotropic_ball(len(nu), c, eps)
+        res = local_bound("lower", ens, 0, ball)
+        self._check(res, "lower", ens, ball)
+        assert res.bound_value <= reduced_lower(c, nu, eps) * (1.0 + 1e-10)
+
+    def test_rearrangement_inequalities(self):
+        # for fixed spectra s and nu, tr((Sigma^-1 + Sigma_N^-1)^-1) lies
+        # between the commuting arrangements: s against nu (least) and s
+        # with nu (greatest), whatever the eigenvectors
+        rng = np.random.default_rng(TEST_SEED)
+        for _ in range(300):
+            k = int(rng.integers(2, 7))
+            s, nu = np.exp(rng.uniform(-4.0, 4.0, (2, k)))
+            f = np.trace(np.linalg.inv(np.linalg.inv(_rotated(rng, s))
+                                       + np.linalg.inv(_rotated(rng, nu))))
+            s, nu = np.sort(s), np.sort(nu)
+            least = np.sum(s[::-1] * nu / (s[::-1] + nu))
+            greatest = np.sum(s * nu / (s + nu))
+            assert least * (1.0 - 1e-10) <= f <= greatest * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_other_references_take_the_general_path(self, demo_ensemble, direction):
+        rng = np.random.default_rng(TEST_SEED)
+        near = 2.0 * np.eye(3)
+        near[1, 1] = np.nextafter(2.0, 3.0)  # not exactly isotropic
+        for sigma0 in (random_spd(rng, 3, 2.0), near):
+            ball = DivergenceBall(GaussianReference(np.zeros(3), sigma0), 0.3)
+            got = local_bound(direction, demo_ensemble, 2, ball)
+            want = solve_bound(direction, demo_ensemble.single(2), ball)
+            assert got.outer_iterations > 0
+            assert (got.bound_value, got.alpha, got.kl_at_solution, got.inner_iterations,
+                    got.residuals) == (want.bound_value, want.alpha, want.kl_at_solution,
+                                       want.inner_iterations, want.residuals)
+            np.testing.assert_array_equal(got.sigma_x, want.sigma_x)
 
 
 class TestOneInputPath:
