@@ -23,6 +23,7 @@ output. Grid rows are computed one after another, in grid order.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -109,10 +110,12 @@ class SensorField:
 
     def __post_init__(self):
         # d = 0 is allowed: a sensor at the source sees the base noise
-        if not self.distances or any(d < 0 for d in self.distances):
-            raise ValueError("distances must be nonnegative")
-        if self.source_power <= 0 or self.decay <= 0 or self.base_noise <= 0:
-            raise ValueError("source power, decay, and base noise must be positive")
+        if not self.distances or not all(0.0 <= d < math.inf for d in self.distances):
+            raise ValueError(f"distances must be finite and nonnegative, got {self.distances}")
+        for name, value in (("source power", self.source_power), ("decay", self.decay),
+                            ("base noise", self.base_noise)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 2.0 <= self.exponent <= 3.0:
             raise ValueError("path-loss exponent m must lie in [2, 3]")
 

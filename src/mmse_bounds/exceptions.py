@@ -26,7 +26,7 @@ class DimensionMismatch(ProblemValidationError):
 
 
 class NonPositiveWeight(ProblemValidationError):
-    """A channel weight is zero or negative."""
+    """A channel weight is not a finite positive number."""
 
 
 class NegativeRadius(ProblemValidationError):

@@ -21,6 +21,7 @@ from .exceptions import (
     NonPositiveWeight,
     NonSymmetric,
     NotPositiveDefinite,
+    ProblemValidationError,
 )
 
 SYMMETRY_RTOL = 1e-12
@@ -28,9 +29,9 @@ SYMMETRY_RTOL = 1e-12
 
 def _as_matrix(a, name, channel=None):
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{name} must be a square matrix, got shape {m.shape}",
-                                channel=channel)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionMismatch(f"{name} must be a nonempty square matrix, got shape "
+                                f"{m.shape}", channel=channel)
     return m
 
 
@@ -159,10 +160,10 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
     """Validate problem data and return an immutable handle.
 
     Checks symmetry (1e-12 relative Frobenius), positive definiteness of
-    every covariance, consistent dimensions, positive weights, and a
-    finite nonnegative radius. Matrices are symmetrized by averaging with
-    their transpose before the definiteness check. An already-validated
-    `Problem` is returned as it is.
+    every covariance, consistent nonzero dimensions, a finite mean, finite
+    positive weights, and a finite nonnegative radius. Matrices are
+    symmetrized by averaging with their transpose before the definiteness
+    check. An already-validated `Problem` is returned as it is.
 
     Parameters
     ----------
@@ -180,6 +181,8 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
     ------
     NonSymmetric, NotPositiveDefinite, DimensionMismatch,
     NonPositiveWeight, NegativeRadius
+    ProblemValidationError
+        Their base class, for a non-finite mean.
     ValueError
         If a `Problem` comes with a ball other than its own.
     """
@@ -198,6 +201,8 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
     if mu0.shape[0] != k:
         raise DimensionMismatch(
             f"reference mean has length {mu0.shape[0]}, covariance is {k}x{k}")
+    if not np.isfinite(mu0).all():
+        raise ProblemValidationError("reference mean has non-finite entries")
     sigma0 = _check_spd(sigma0, "reference covariance")
 
     channels = []
@@ -208,9 +213,9 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
                 f"channel {j} noise covariance is {sn.shape[0]}x{sn.shape[1]}, "
                 f"expected {k}x{k}", channel=j)
         sn = _check_spd(sn, f"channel {j} noise covariance", channel=j)
-        if not ch.weight > 0:
-            raise NonPositiveWeight(f"channel {j} weight {ch.weight} is not positive",
-                                    channel=j)
+        if not 0.0 < ch.weight < math.inf:
+            raise NonPositiveWeight(f"channel {j} weight {ch.weight} is not a finite "
+                                    f"positive number", channel=j)
         channels.append(Channel(sn, float(ch.weight)))
 
     if not 0.0 <= ball.epsilon < math.inf:

@@ -47,7 +47,6 @@ from .separable import lower_candidates, upper_candidates
 
 _NEWTON_ITER = 12  # Newton iterations per corrector
 _MAX_JACOBIANS = 500  # Jacobian evaluations per solve
-_MAX_STEPS = 200  # continuation steps per solve
 _INNER_TOL = 1e-11  # certified relative Frobenius residual of the fixed point
 _OUTER_TOL = 1e-10  # certified |kl - epsilon|
 _PATH_TOL = 1e-9  # relative residual of a corrector short of the target
@@ -284,23 +283,18 @@ def _split_start(ctx, eps):
     """The lowest of majorize-minimize descents from the splits that spend
     the whole radius shrinking the m steepest directions of T(Sigma_0)
     alike, m < K: a start off the symmetric subspace a path stays in."""
-    q, best = np.linalg.eigh(ctx.lift(_s(ctx, ctx.sigma0)))[1], None
-    for m in range(1, ctx.k):
-        start = _sphere(ctx, (np.arange(ctx.k) >= ctx.k - m).astype(float), q, eps, -1.0)
-        for _ in range(_SPLIT_STEPS):
-            start = _mm_step(ctx, start[0], eps, -1.0)
-        value = _value(ctx, start[0])
-        if best is None or value < best_value:
-            best, best_value = start, value
-    return best
+    q = np.linalg.eigh(ctx.lift(_s(ctx, ctx.sigma0)))[1]
+    splits = (_sphere(ctx, (np.arange(ctx.k) >= ctx.k - m).astype(float), q, eps, -1.0)[0]
+              for m in range(1, ctx.k))
+    return min((_descent(ctx, start, eps, -1.0, _SPLIT_STEPS) for start in splits),
+               key=lambda c: _value(ctx, c[0]))
 
 
-def _descent(ctx, eps, sign):
-    """(Sigma, alpha) after _MM_STEPS majorize-minimize steps from the centre."""
-    start = (ctx.sigma0, None)
-    for _ in range(_MM_STEPS):
-        start = _mm_step(ctx, start[0], eps, sign)
-    return start
+def _descent(ctx, sigma, eps, sign, steps):
+    """(Sigma, alpha) after `steps` majorize-minimize steps from sigma."""
+    for _ in range(steps):
+        sigma, alpha = _mm_step(ctx, sigma, eps, sign)
+    return sigma, alpha
 
 
 def _path(ctx, sign, eps):
@@ -308,9 +302,6 @@ def _path(ctx, sign, eps):
     n, target, h = ctx.n, np.sqrt(eps), np.sqrt(eps)
     t, sigma, alpha, tangent = 0.0, ctx.sigma0, 0.0, None
     while t < target:
-        if ctx.steps >= _MAX_STEPS:
-            raise NoConvergence(f"continuation step cap {_MAX_STEPS} reached",
-                                iterations=ctx.jacobians)
         ctx.steps += 1
         t_new = target if target - (t + h) <= 1e-9 * target else t + h
         if tangent is None:
@@ -400,54 +391,47 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
     prob = validate_problem(ensemble, ball)
     ctx = _Ctx(prob)
     eps = prob.epsilon
-
-    def build(alpha, sigma, kl, res):
-        return BoundResult(direction, alpha, sigma, _value(ctx, sigma), kl,
-                           ctx.jacobians, ctx.steps, (res, abs(kl - eps)))
-
     if eps <= _OUTER_TOL:
         # the ball is (numerically) a point; both bounds sit at the center
-        return build(0.0, ctx.sigma0.copy(), 0.0, 0.0)
+        return BoundResult(direction, 0.0, ctx.sigma0.copy(), _value(ctx, ctx.sigma0), 0.0,
+                           0, 0, (0.0, abs(eps)))
 
     sign = 1.0 if direction is Direction.UPPER else -1.0
+    found = []  # (Sigma, alpha), best first
 
-    def settled(start, *args):
-        """[(Sigma, alpha)] corrected from the start(*args); [] when the
-        corrector fails or the start breaks down numerically."""
+    def add(start, *args):
+        """Correct the start(*args) at kl = eps and rank it into `found`;
+        nothing when the corrector fails or the start breaks down."""
         try:
             hit = _settle(ctx, *start(*args), eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
         except (np.linalg.LinAlgError, SingularSum):
-            return []
-        return [hit[:2]] if hit is not None else []
+            return
+        if hit is not None:
+            found.append(hit[:2])
+            found.sort(key=lambda c: -sign * _value(ctx, c[0]))
 
     try:
-        found = [_path(ctx, sign, eps)]
-        starts = [(_mm_step, ctx, ctx.sigma0, eps, sign, found[0][1])] if sign < 0 else []
+        found.append(_path(ctx, sign, eps))
     except (NoConvergence, np.linalg.LinAlgError) as exc:
         if sign > 0:
             raise NoConvergence(f"upper bound at epsilon={eps!r}: {exc}",
                                 getattr(exc, "residual", None), ctx.jacobians) from exc
-        found, starts = [], [(_descent, ctx, eps, sign)]
-    for start in starts:
-        found += settled(*start)
-
-    def ranked(cands):  # best first; each candidate's value is computed once
-        cands = [c if len(c) == 3 else (*c, -sign * _value(ctx, c[0])) for c in cands]
-        return sorted(cands, key=lambda c: c[2])
-
-    if len(found) > 1:
-        found = ranked(found)
+        add(_descent, ctx, ctx.sigma0, eps, sign, _MM_STEPS)
+    else:
+        if sign < 0:
+            add(_mm_step, ctx, ctx.sigma0, eps, sign, found[0][1])
     w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
     if sign < 0 and ctx.k > 1 and np.min(np.diff(w)) <= 1e-6 * w[-1]:
         # no answer, or one with a repeated eigenvalue: break the symmetry
-        found = ranked(found + settled(_split_start, ctx, eps))
+        add(_split_start, ctx, eps)
     res = np.inf
-    for sigma, alpha, *_ in found:
+    for sigma, alpha in found:
         sigma = 0.5 * (sigma + sigma.T)
         res = _residual(ctx, sigma, alpha)
         kl = kl_same_mean_gaussians(sigma, ctx.sigma0)
         if res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL:
-            return build(float(alpha), sigma, kl, res)
+            return BoundResult(direction, float(alpha), sigma, _value(ctx, sigma), kl,
+                               ctx.jacobians, ctx.steps, (res, abs(kl - eps)))
     raise NoConvergence(f"{direction.value} bound at epsilon={eps!r}: {len(found)} local "
                         f"extrema found, none certified (residual {res:.3g})", residual=res,
                         iterations=ctx.jacobians)

@@ -130,6 +130,14 @@ class TestSensorField:
         dict(base_noise=0.0),
         dict(exponent=1.9),
         dict(exponent=3.1),
+        dict(distances=(1.0, float("nan"))),
+        dict(distances=(float("inf"),)),
+        dict(source_power=float("nan")),
+        dict(source_power=float("inf")),
+        dict(decay=float("nan")),
+        dict(decay=float("inf")),
+        dict(base_noise=float("nan")),
+        dict(base_noise=float("inf")),
     ])
     def test_field_validation(self, kwargs):
         base = dict(distances=(1.0,), source_power=1.0, decay=1.0,
@@ -178,6 +186,19 @@ class TestScenarioCommand:
         assert rc == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, fragment", [
+        ("--rho0", "nan", "source power"),
+        ("--gamma", "nan", "decay"),
+        ("--dimension", "0", "reference covariance"),
+    ])
+    def test_invalid_field_is_config_error(self, tmp_path, capsys, flag, value, fragment):
+        args = {"--distances": "1", "--rho0": "1", "--gamma": "1", "--m": "2",
+                "--sigma0": "1", "--out": str(tmp_path / "x.json"), flag: value}
+        rc = cli.main(["scenario", *(tok for item in args.items() for tok in item)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {fragment}")
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestBoundCommand:
     def test_runs_and_reports(self, scalar_config, capsys):
@@ -219,6 +240,22 @@ class TestBoundCommand:
         assert rc == EXIT_CONFIG
         assert captured.out == ""
         assert "must be a finite nonnegative number" in captured.err
+
+    @pytest.mark.parametrize("command, field, text, fragment", [
+        (["bound"], '"lambda": 1.0', '"lambda": 1e400', "channel 0 weight inf"),
+        (["verify", "--prior", "gaussian"], '"mu0": [0.0]', '"mu0": [NaN]', "reference mean"),
+    ])
+    def test_non_finite_data_is_config_error(self, tmp_path, scalar_config, capsys, command,
+                                             field, text, fragment):
+        raw = json.dumps(json.loads(open(scalar_config).read()))
+        assert field in raw
+        path = tmp_path / "bad.json"
+        path.write_text(raw.replace(field, text))
+        rc = cli.main([*command, "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {fragment}")
 
     def test_reference_asymmetric_within_tolerance(self, tmp_path, demo_ensemble, capsys):
         # the solves read the validated (symmetrized) reference, not the raw one

@@ -17,6 +17,7 @@ from mmse_bounds import (
     NonSymmetric,
     NotPositiveDefinite,
     Problem,
+    ProblemValidationError,
     load_config,
     problem_from_config,
     save_config,
@@ -75,6 +76,10 @@ class TestValidation:
         ens = ChannelEnsemble.from_arrays([sn], [1.0])
         with pytest.raises(NotPositiveDefinite):
             validate_problem(ens, isotropic_ball(2, 1.0, 0.1))
+        for mean in ([np.nan, 0.0], [0.0, -np.inf]):
+            ball = DivergenceBall(GaussianReference(np.array(mean), np.eye(2)), 0.1)
+            with pytest.raises(ProblemValidationError, match="reference mean"):
+                validate_problem(small_ensemble(), ball)
 
     def test_indefinite_reference(self):
         ball = DivergenceBall(GaussianReference(np.zeros(2), -np.eye(2)), 0.1)
@@ -95,11 +100,17 @@ class TestValidation:
         ens = ChannelEnsemble.from_arrays([np.ones((2, 3))], [1.0])
         with pytest.raises(DimensionMismatch):
             validate_problem(ens, isotropic_ball(2, 1.0, 0.1))
+        empty = ChannelEnsemble.from_arrays([np.eye(0)], [1.0])
+        with pytest.raises(DimensionMismatch, match="reference covariance must be a nonempty"):
+            validate_problem(empty, DivergenceBall(GaussianReference(np.zeros(0), np.eye(0)),
+                                                   0.1))
 
     def test_zero_weight(self):
-        ens = ChannelEnsemble.from_arrays([np.eye(2)], [0.0])
-        with pytest.raises(NonPositiveWeight):
-            validate_problem(ens, isotropic_ball(2, 1.0, 0.1))
+        for weight in (0.0, np.inf):
+            ens = ChannelEnsemble.from_arrays([np.eye(2), np.eye(2)], [1.0, weight])
+            with pytest.raises(NonPositiveWeight, match=f"channel 1 weight {weight}") as exc:
+                validate_problem(ens, isotropic_ball(2, 1.0, 0.1))
+            assert exc.value.channel == 1
 
     def test_negative_radius(self):
         with pytest.raises(NegativeRadius):

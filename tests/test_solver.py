@@ -425,7 +425,8 @@ def _solve(direction, sigma0, noise, weights, epsilon):
 # Hard lower bounds, written out from the benchmark corpus (perfbench
 # make_corpus(seed, batches)[batch][index]). Every value was confirmed by
 # the multi-start search in oracles.py (60 starts for the K = 5 saddle
-# case); test_search_agrees repeats that for two of the K <= 3 ones.
+# case, 20 for the descent case); test_search_agrees repeats that for two
+# of the K <= 3 ones.
 SADDLE_CASE = dict(  # make_corpus(305, 6)[2][20]; a path alone ends on a saddle
     sigma0=[[3.803132636841565, -3.0110152921022473, -1.8263508687354326,
              0.15402226506420272, -2.6133471007138924],
@@ -489,6 +490,63 @@ FOLD_CASE = dict(  # make_corpus(302, 10)[4][6]; alpha folds along the path
 FOLD_LOWER = {2.2: 7.556220098, 3.6: 4.923690356, 4.2: 2.968008048,
               4.633692788139616: 2.018183096}
 
+DESCENT_CASE = dict(  # make_corpus(323, 6)[2][23]; the path stalls, the descent answers
+    sigma0=[[39403.27481787432, 1305.871341233259, -8628.17783166404, 9893.004949883643,
+             6720.816954902337],
+            [1305.871341233259, 78.44583997706687, -291.8920312100883, 333.1401599426281,
+             229.3462293990429],
+            [-8628.17783166404, -291.8920312100883, 1904.7533640575352, -2193.8561770920924,
+             -1495.3292650371786],
+            [9893.004949883643, 333.1401599426281, -2193.8561770920924, 2579.5557668317697,
+             1762.3353488677121],
+            [6720.816954902337, 229.3462293990429, -1495.3292650371786, 1762.3353488677121,
+             1217.4539076845476]],
+    noise=[[[478.69898858625317, -262.32348329763215, 4.151287903025935, 216.7848169886704,
+             64.92464337405947],
+            [-262.32348329763215, 1503.4675586862215, -618.5181529492509,
+             -1181.7993564488434, -705.5581299885691],
+            [4.151287903025935, -618.5181529492509, 531.310202694922, 716.8419879817664,
+             227.7741521803196],
+            [216.7848169886704, -1181.7993564488434, 716.8419879817664, 1515.576910430618,
+             725.0464389630372],
+            [64.92464337405947, -705.5581299885691, 227.7741521803196, 725.0464389630372,
+             531.7826421152562]],
+           [[11.456591233349458, -20.393946736659544, -2.0826285106263134,
+             2.098490377475266, -9.833688816826434],
+            [-20.393946736659544, 63.75388577730603, 0.2314778081031108,
+             -17.832044998157645, 13.136114139949985],
+            [-2.0826285106263134, 0.2314778081031108, 11.42117482143018, 5.88845422279284,
+             4.950106207861052],
+            [2.098490377475266, -17.832044998157645, 5.88845422279284, 25.048005277286446,
+             -3.1584120134956475],
+            [-9.833688816826434, 13.136114139949985, 4.950106207861052,
+             -3.1584120134956475, 14.783060903892528]],
+           [[548.5509077122082, -821.9235733706848, 583.0359824105617, 447.3416091319548,
+             24.473966352325018],
+            [-821.9235733706848, 1938.2652954495632, -1444.624054089812, -996.27476851102,
+             49.72085951805465],
+            [583.0359824105617, -1444.624054089812, 1111.240239306834, 732.1045404231736,
+             -60.31779341757013],
+            [447.3416091319548, -996.27476851102, 732.1045404231736, 578.558002135343,
+             21.696235346905723],
+            [24.473966352325018, 49.72085951805465, -60.31779341757013, 21.696235346905723,
+             47.10267140254]],
+           [[0.5326859576256733, -0.03424417797372657, 0.0016461788678236277,
+             0.0010264430944302671, 0.0005603821806683358],
+            [-0.03424417797372657, 0.7284306873001745, -0.06592182584459527,
+             -0.03125521704053756, -0.07372453793854877],
+            [0.0016461788678236277, -0.06592182584459527, 0.6096750504229205,
+             -0.05226274088254243, 0.03702263367576142],
+            [0.0010264430944302671, -0.03125521704053756, -0.05226274088254243,
+             0.5549039774221682, -0.03639109609470706],
+            [0.0005603821806683358, -0.07372453793854877, 0.03702263367576142,
+             -0.03639109609470706, 0.5448415324173905]]],
+    weights=[0.7266819908424631, 0.48498063957271004, 0.44964116199798476,
+             3.90098862771655],
+    epsilon=2.6156583644612446,
+)
+DESCENT_LOWER = 207.000141316
+
 
 class TestFrozenCases:
     def test_saddle_case(self):
@@ -498,6 +556,20 @@ class TestFrozenCases:
     def test_two_minima_case(self):
         res = _solve("lower", **TWO_MINIMA_CASE)
         assert res.bound_value == pytest.approx(TWO_MINIMA_LOWER, rel=1e-8)
+
+    def test_descent_case(self, monkeypatch):
+        # the path stalls short of the sphere; only the descent from the
+        # centre reaches a certified answer
+        res = _solve("lower", **DESCENT_CASE)
+        assert res.bound_value == pytest.approx(DESCENT_LOWER, rel=1e-8)
+        assert res.alpha < 0
+
+        def breaks(*args):
+            raise np.linalg.LinAlgError("breakdown")
+
+        monkeypatch.setattr(solver, "_descent", breaks)
+        with pytest.raises(NoConvergence, match="0 local extrema found"):
+            _solve("lower", **DESCENT_CASE)
 
     @pytest.mark.parametrize("epsilon", sorted(FOLD_LOWER))
     def test_fold_case(self, epsilon):
