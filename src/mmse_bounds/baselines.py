@@ -32,7 +32,7 @@ def cramer_rao_lower(fisher, ensemble) -> float:
     ----------
     fisher : float
         Fisher information J of the prior; must be finite and positive.
-    ensemble : ChannelEnsemble
+    ensemble : ChannelEnsemble or Problem
 
     Raises
     ------
@@ -45,7 +45,7 @@ def cramer_rao_lower(fisher, ensemble) -> float:
             f"Cramer-Rao bound needs finite positive Fisher information, got {fisher!r}")
     k = ensemble.dimension
     total = 0.0
-    for ch in ensemble.channels:
-        trace_inv = float(np.trace(np.linalg.inv(ch.noise_covariance)))
-        total += ch.weight * k**2 / (trace_inv + fisher)
+    for w, sigma_n in zip(ensemble.weights, ensemble.noise_stack):
+        trace_inv = float(np.trace(np.linalg.inv(sigma_n)))
+        total += float(w) * k**2 / (trace_inv + fisher)
     return total

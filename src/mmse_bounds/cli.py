@@ -8,8 +8,8 @@ sweep-ball  sweep the uniform-ball radius R; three curves as CSV
 verify      Monte Carlo bracketing check for a chosen prior family
 scenario    write a problem config from a sensor-field description
 
-Exit codes: 0 success, 1 config/validation error, 2 solver failure,
-3 verification failure.
+Exit codes: 0 success, 1 config/validation or file error, 2 solver
+failure, 3 verification failure.
 
 sweep-p, sweep-ball and verify solve at one ball per family parameter p or
 R (`_family`): the family's moment-matched Gaussian and the exact KL to it.
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import cramer_rao_lower, lmmse_upper
-from .exceptions import (ConfigError, DegenerateWeights, FisherUndefined, NoConvergence,
-                         ProblemValidationError)
+from .exceptions import ConfigError, DegenerateWeights, FisherUndefined, NoConvergence
 from .mc import MIN_DRAWS, mc_weighted_sum
 from .priors import (
     Gaussian,
@@ -382,7 +381,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ProblemValidationError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoConvergence as exc:

@@ -51,24 +51,8 @@ class NoConvergence(ArithmeticError):
 
 
 class BracketFailure(ArithmeticError):
-    """The KL gap never reached the requested radius before losing PD.
-
-    Nothing in the package raises it: both bounds exist for every validated
-    input, and `solve_bound` reports a failed solve as NoConvergence. The
-    CLI no longer catches it. It is kept only because the benchmark under
-    perfbench/ still names it among the solve failures it counts.
-    """
-
-    def __init__(self, direction, epsilon, alpha_feasible, kl_feasible):
-        super().__init__(
-            f"cannot bracket {direction} bound at epsilon={epsilon!r}: "
-            f"largest feasible alpha {alpha_feasible!r} reaches KL "
-            f"{kl_feasible!r} < epsilon"
-        )
-        self.direction = direction
-        self.epsilon = epsilon
-        self.alpha_feasible = alpha_feasible
-        self.kl_feasible = kl_feasible
+    """Never raised (a failed solve is NoConvergence); kept because the
+    benchmark under perfbench/ still counts it among solve failures."""
 
 
 class FisherUndefined(ValueError):

@@ -233,7 +233,7 @@ def mc_mmse(spec: PriorSpec, sigma_n, n_outer: int, n_inner: int, seed: int) -> 
 
 def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
                     seed: int) -> McEstimate:
-    """Weighted MMSE sum across the ensemble, sharing outer x draws.
+    """Weighted MMSE sum across a ChannelEnsemble or Problem, sharing outer x draws.
 
     The same prior draws feed every channel (common random numbers), each
     channel gets its own noise stream, and one inner stream of standard
@@ -256,17 +256,17 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     if n_outer < MIN_DRAWS or n_inner < MIN_DRAWS:
         raise ValueError(f"n_outer and n_inner must both be >= {MIN_DRAWS}")
     root = np.random.SeedSequence(seed)
-    s_x, *chan_seeds = root.spawn(1 + 2 * ensemble.count)
-    x = _sample_with(spec, n_outer, _rng_from(s_x))
     noise_stack = ensemble.noise_stack
+    s_x, *chan_seeds = root.spawn(1 + 2 * len(noise_stack))
+    x = _sample_with(spec, n_outer, _rng_from(s_x))
     ys = (x + _rng_from(chan_seeds[2 * j]).standard_normal(x.shape)
           @ np.linalg.cholesky(sigma_n).T
           for j, sigma_n in enumerate(noise_stack))
     sq_err, ess = _mmse_channels(spec, noise_stack, x, ys, chan_seeds[1], n_inner)
 
     weighted = np.zeros(n_outer)
-    for ch, sq_err_j in zip(ensemble.channels, sq_err):
-        weighted += ch.weight * sq_err_j
+    for w, sq_err_j in zip(ensemble.weights, sq_err):
+        weighted += float(w) * sq_err_j
     return _estimate(weighted, ess.ravel(), n_inner, seed)
 
 

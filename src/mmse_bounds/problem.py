@@ -236,12 +236,23 @@ _TOP_KEYS = {"dimension", "mu0", "sigma0", "channels", "epsilon"}
 _CHANNEL_KEYS = {"lambda", "sigma_n"}
 
 
+def _number(value, name) -> float:
+    """A JSON number (not a boolean) as a float; ConfigError naming `name` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{name} is out of range") from None
+
+
 def problem_from_config(cfg: dict) -> tuple[ChannelEnsemble, DivergenceBall]:
     """Build (ensemble, ball) from a parsed config dict.
 
     Schema: `dimension` (int), `mu0` (length-K array), `sigma0` (K x K,
     row-major), `channels` (array of {"lambda": w, "sigma_n": K x K}),
-    `epsilon` (nonnegative real). Unknown keys are rejected.
+    `epsilon` (nonnegative real); booleans and strings are not numbers.
+    Unknown keys are rejected.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -253,7 +264,7 @@ def problem_from_config(cfg: dict) -> tuple[ChannelEnsemble, DivergenceBall]:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
 
     k = cfg["dimension"]
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ConfigError(f"dimension must be a positive integer, got {k!r}")
     mu0 = np.asarray(cfg["mu0"], dtype=float)
     if mu0.shape != (k,):
@@ -277,14 +288,10 @@ def problem_from_config(cfg: dict) -> tuple[ChannelEnsemble, DivergenceBall]:
         if sn.shape != (k, k):
             raise ConfigError(f"channel {j} sigma_n must be {k}x{k}")
         covs.append(sn)
-        weights.append(float(entry["lambda"]))
-
-    epsilon = cfg["epsilon"]
-    if not isinstance(epsilon, (int, float)):
-        raise ConfigError(f"epsilon must be a number, got {epsilon!r}")
+        weights.append(_number(entry["lambda"], f"channel {j} lambda"))
 
     ensemble = ChannelEnsemble.from_arrays(covs, weights)
-    ball = DivergenceBall(GaussianReference(mu0, sigma0), float(epsilon))
+    ball = DivergenceBall(GaussianReference(mu0, sigma0), _number(cfg["epsilon"], "epsilon"))
     return ensemble, ball
 
 

@@ -345,14 +345,14 @@ def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
     Checks Sigma_X = Sigma_0 + alpha (sum_j lambda_j MMSE_j^T MMSE_j) SNR_0^-1
     at the given point; equivalent to the inverse form Sigma_X = (Sigma_0^-1 -
     alpha S(Sigma_X))^-1 that `solve_bound` certifies, but computed without
-    the solver's code, so this is an independent verification of a solution.
-    """
+    the solver's code, so this is an independent verification of a solution
+    (`ensemble`: a ChannelEnsemble or Problem)."""
     sigma_x = np.asarray(sigma_x, dtype=float)
     sigma0 = np.asarray(reference.covariance, dtype=float)
     acc = np.zeros_like(sigma_x)
-    for ch in ensemble.channels:
-        m = mmse_matrix(sigma_x, ch.noise_covariance)
-        acc += ch.weight * (m.T @ m)
+    for w, sigma_n in zip(ensemble.weights, ensemble.noise_stack):
+        m = mmse_matrix(sigma_x, sigma_n)
+        acc += float(w) * (m.T @ m)
     # SNR_0^-1 = Sigma_X^-1 Sigma_0
     inv_snr = np.linalg.solve(sigma_x, sigma0)
     rhs = sigma0 + alpha * acc @ inv_snr
@@ -420,10 +420,11 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
     else:
         if sign < 0:
             add(_mm_step, ctx, ctx.sigma0, eps, sign, found[0][1])
-    w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
-    if sign < 0 and ctx.k > 1 and np.min(np.diff(w)) <= 1e-6 * w[-1]:
-        # no answer, or one with a repeated eigenvalue: break the symmetry
-        add(_split_start, ctx, eps)
+    if sign < 0 and ctx.k > 1:
+        w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
+        if np.min(np.diff(w)) <= 1e-6 * w[-1]:
+            # no answer, or one with a repeated eigenvalue: break the symmetry
+            add(_split_start, ctx, eps)
     res = np.inf
     for sigma, alpha in found:
         sigma = 0.5 * (sigma + sigma.T)

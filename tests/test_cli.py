@@ -257,6 +257,24 @@ class TestBoundCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {fragment}")
 
+    @pytest.mark.parametrize("command, fragment", [
+        (["bound", "--config", "{dir}"], "[Errno 21] Is a directory"),
+        (["sweep-ball", "--config", "{cfg}", "--grid", "1", "--out", "{dir}"],
+         "[Errno 21] Is a directory"),
+        (["bound", "--config", "{null}"], "channel 0 lambda must be a number, got None"),
+    ])
+    def test_unreadable_input_is_config_error(self, tmp_path, scalar_config, capsys, command,
+                                              fragment):
+        null = tmp_path / "null.json"
+        null.write_text(open(scalar_config).read().replace('"lambda": 1.0', '"lambda": null'))
+        argv = [a.format(dir=tmp_path, cfg=scalar_config, null=null) for a in command]
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {fragment}")
+        assert captured.err.count("\n") == 1
+
     def test_reference_asymmetric_within_tolerance(self, tmp_path, demo_ensemble, capsys):
         # the solves read the validated (symmetrized) reference, not the raw one
         sigma0 = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.0]])

@@ -215,6 +215,11 @@ class TestConfig:
         (lambda c: c.update(channels=[{"lambda": 1.0, "sigma_n": [[1.0]]}]),
          "sigma_n"),
         (lambda c: c.update(epsilon="big"), "epsilon"),
+        (lambda c: c.update(dimension=True), "dimension"),
+        (lambda c: c.update(epsilon=True), "epsilon must be a number, got True"),
+        *((lambda c, w=w: c["channels"][0].update({"lambda": w}), "channel 0 lambda")
+          for w in (None, [1.0], "2", True)),
+        (lambda c: c.update(epsilon=10**400), "epsilon is out of range"),
     ])
     def test_schema_rejections(self, mutate, fragment):
         cfg = self.base_cfg()

@@ -26,14 +26,18 @@ from mmse_bounds import (
     Direction,
     DivergenceBall,
     GaussianReference,
+    GeneralizedGaussian,
     NoConvergence,
+    PriorSpec,
     SingularSum,
+    cramer_rao_lower,
     gen_gauss_covariance,
     gen_gauss_epsilon,
     kl_same_mean_gaussians,
     lmmse_upper,
     local_bound,
     local_bounds_weighted,
+    mc_weighted_sum,
     opt_covariance_residual,
     solve_bound,
     validate_problem,
@@ -133,6 +137,12 @@ class TestPostconditions:
         # reported KL recomputes from sigma_x
         assert kl_same_mean_gaussians(res.sigma_x, ball.reference.covariance) \
             == pytest.approx(res.kl_at_solution, abs=1e-12)
+
+    def test_residual_off_the_domain_is_inf(self, demo_ensemble):
+        # Sigma_0^-1 - alpha S(Sigma) is not positive definite: no G(Sigma),
+        # so the certificate's residual cannot pass
+        ctx = solver._Ctx(validate_problem(demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2)))
+        assert solver._residual(ctx, np.eye(3), 1e6) == np.inf
 
     def test_fold_regression(self, demo_ensemble):
         ball = isotropic_ball(3, HARD_VAR, HARD_EPS)
@@ -312,6 +322,24 @@ class TestSeparableLocal:
                                        want.inner_iterations, want.residuals)
             np.testing.assert_array_equal(got.sigma_x, want.sigma_x)
 
+    @pytest.mark.parametrize("candidates", [[], [([1.0] * 3, 1.0, 1)]])
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_uncertified_route_falls_through(self, demo_ensemble, monkeypatch, direction,
+                                             candidates):
+        # no candidate, or only Sigma_0 itself (kl = 0): nothing passes the
+        # certificate, so the general solver answers
+        monkeypatch.setattr(solver, "lower_candidates", lambda rho, eps: candidates)
+        monkeypatch.setattr(solver, "upper_candidates", lambda rho, eps: candidates)
+        ball = isotropic_ball(3, HARD_VAR, HARD_EPS)
+        got = local_bound(direction, demo_ensemble, 1, ball)
+        want = solve_bound(direction, demo_ensemble.single(1), ball)
+        assert got.outer_iterations > 0
+        assert (got.bound_value, got.alpha, got.kl_at_solution, got.inner_iterations,
+                got.outer_iterations, got.residuals) == (
+                    want.bound_value, want.alpha, want.kl_at_solution, want.inner_iterations,
+                    want.outer_iterations, want.residuals)
+        np.testing.assert_array_equal(got.sigma_x, want.sigma_x)
+
 
 class TestOneInputPath:
     """solve_bound reads only the validated problem; a ball other than the
@@ -326,6 +354,18 @@ class TestOneInputPath:
         prob = validate_problem(demo_ensemble, isotropic_ball(3, 1.0, 0.2))
         with pytest.raises(ValueError):
             solve_bound("lower", prob, DivergenceBall(prob.reference, -1.0))
+
+    def test_every_reader_takes_a_problem(self, demo_ensemble):
+        # the readers of channel data see only weights and noise_stack, so
+        # a validated problem and its ensemble give the same numbers
+        prob = validate_problem(demo_ensemble, isotropic_ball(3, HARD_VAR, HARD_EPS))
+        res = solve_bound("upper", prob, prob.ball)
+        spec = PriorSpec(GeneralizedGaussian(1.0), 3)
+        for read in (lambda ens: cramer_rao_lower(0.7, ens),
+                     lambda ens: mc_weighted_sum(spec, ens, 120, 150, seed=7),
+                     lambda ens: opt_covariance_residual(res.alpha, res.sigma_x, ens,
+                                                         prob.reference)):
+            assert read(prob) == read(prob.ensemble)
 
 
 class TestJacobian:

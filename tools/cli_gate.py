@@ -6,8 +6,9 @@ PYTHONPATH, and prints its exit code and the SHA-256 of its stdout and of
 its stderr, then one SHA-256 over all of them. Two trees that print the
 same final hash give byte-identical output and the same exit codes on
 every command: the solver's answers through `bound`, both sweeps and
-`verify`, and the messages of a failed sweep row (exit 2) and of an
-invalid prior parameter (exit 1).
+`verify`, and the messages of a failed sweep row (exit 2), of an
+invalid prior parameter (exit 1) and of an `--out` path that cannot be
+written (exit 1).
 
 Run from anywhere, once on each tree to compare:
 
@@ -35,6 +36,7 @@ COMMANDS = [
       for prior in ("gen-gauss:1", "uniform-ball:2", "gaussian")),
     ["sweep-p", "--grid", "0.02"],  # an uncertified lower bound: exit 2
     ["sweep-p", "--grid", "0.003"],  # an overflowing prior variance: exit 1
+    ["sweep-ball", "--grid", "1", "--out", "examples"],  # a directory as --out: exit 1
 ]
 
 
