@@ -133,8 +133,6 @@ def noise_from_distances(field: SensorField, dimension: int,
             * np.eye(dimension) for d in field.distances]
     if weights is None:
         weights = [1.0] * len(covs)
-    if len(weights) != len(covs):
-        raise ValueError(f"{len(weights)} weights for {len(covs)} sensors")
     return ChannelEnsemble.from_arrays(covs, weights)
 
 

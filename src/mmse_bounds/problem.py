@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,50 +53,47 @@ def _check_spd(m, name, channel=None):
 
 
 @dataclass(frozen=True)
-class Channel:
-    """One observation channel: noise covariance and its weight in the objective."""
-
-    noise_covariance: np.ndarray
-    weight: float
-
-    def __eq__(self, other):
-        if not isinstance(other, Channel):
-            return NotImplemented
-        return (self.weight == other.weight
-                and np.array_equal(self.noise_covariance, other.noise_covariance))
-
-
-@dataclass(frozen=True)
 class ChannelEnsemble:
-    """The J channels (Sigma_N_j, lambda_j) sharing input dimension K."""
+    """The J channels (Sigma_N_j, lambda_j) sharing input dimension K: the J
+    matrices as given (once validated, one read-only (J, K, K) stack) and the
+    (J,) weights."""
 
-    channels: tuple[Channel, ...]
+    noise_covariances: tuple[np.ndarray, ...] | np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        if len(self.noise_covariances) != len(self.weights):
+            raise DimensionMismatch(f"{len(self.noise_covariances)} noise covariances for "
+                                    f"{len(self.weights)} weights")
 
     @classmethod
     def from_arrays(cls, noise_covariances, weights):
-        return cls(tuple(Channel(np.asarray(s, dtype=float), float(w))
-                         for s, w in zip(noise_covariances, weights)))
+        return cls(tuple(np.asarray(s, dtype=float) for s in noise_covariances),
+                   np.array([float(w) for w in weights]))
+
+    def __eq__(self, other):
+        if not isinstance(other, ChannelEnsemble):
+            return NotImplemented
+        return (np.array_equal(self.weights, other.weights)
+                and all(map(np.array_equal, self.noise_covariances, other.noise_covariances)))
 
     @property
     def count(self) -> int:
-        return len(self.channels)
+        return len(self.weights)
 
     @property
     def dimension(self) -> int:
-        return self.channels[0].noise_covariance.shape[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.channels])
+        return self.noise_covariances[0].shape[0]
 
     @property
     def noise_stack(self) -> np.ndarray:
-        """All noise covariances as a (J, K, K) array."""
-        return np.stack([c.noise_covariance for c in self.channels])
+        """All noise covariances as a (J, K, K) array; a validated stack as it is."""
+        return np.asarray(self.noise_covariances)
 
     def single(self, j: int) -> "ChannelEnsemble":
         """The one-channel ensemble {(Sigma_N_j, 1)} used by local bounds."""
-        return ChannelEnsemble((Channel(self.channels[j].noise_covariance, 1.0),))
+        # a view of channel j, and a read-only unit weight
+        return ChannelEnsemble(self.noise_covariances[j][None], np.broadcast_to(1.0, 1))
 
 
 @dataclass(frozen=True)
@@ -123,15 +120,19 @@ class DivergenceBall:
 
 @dataclass(frozen=True)
 class Problem:
-    """Validated problem handle with cached derived quantities.
-
-    Immutable after validation; safe to share across threads.
-    """
+    """Validated problem: a channel ensemble with one read-only (J, K, K)
+    noise stack and read-only weights, and a checked divergence ball."""
 
     ensemble: ChannelEnsemble
     ball: DivergenceBall
-    noise_stack: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+
+    @property
+    def noise_stack(self) -> np.ndarray:
+        return self.ensemble.noise_stack
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.ensemble.weights
 
     @property
     def dimension(self) -> int:
@@ -145,15 +146,10 @@ class Problem:
     def epsilon(self) -> float:
         return self.ball.epsilon
 
-    def __eq__(self, other):
-        if not isinstance(other, Problem):
-            return NotImplemented
-        return self.ensemble == other.ensemble and self.ball == other.ball
-
     def single(self, j: int) -> "Problem":
         """The one-channel problem {(Sigma_N_j, 1)} used by local bounds,
         built from the validated arrays without validating them again."""
-        return Problem(self.ensemble.single(j), self.ball, self.noise_stack[j:j + 1], np.ones(1))
+        return Problem(self.ensemble.single(j), self.ball)
 
 
 def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
@@ -205,31 +201,26 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
         raise ProblemValidationError("reference mean has non-finite entries")
     sigma0 = _check_spd(sigma0, "reference covariance")
 
-    channels = []
-    for j, ch in enumerate(ensemble.channels):
-        sn = _as_matrix(ch.noise_covariance, f"channel {j} noise covariance", channel=j)
+    stack = np.empty((ensemble.count, k, k))
+    for j, (s, w) in enumerate(zip(ensemble.noise_covariances, ensemble.weights)):
+        sn = _as_matrix(s, f"channel {j} noise covariance", channel=j)
         if sn.shape[0] != k:
             raise DimensionMismatch(
                 f"channel {j} noise covariance is {sn.shape[0]}x{sn.shape[1]}, "
                 f"expected {k}x{k}", channel=j)
-        sn = _check_spd(sn, f"channel {j} noise covariance", channel=j)
-        if not 0.0 < ch.weight < math.inf:
-            raise NonPositiveWeight(f"channel {j} weight {ch.weight} is not a finite "
+        stack[j] = _check_spd(sn, f"channel {j} noise covariance", channel=j)
+        if not 0.0 < w < math.inf:
+            raise NonPositiveWeight(f"channel {j} weight {w} is not a finite "
                                     f"positive number", channel=j)
-        channels.append(Channel(sn, float(ch.weight)))
 
     if not 0.0 <= ball.epsilon < math.inf:
         raise NegativeRadius(
             f"radius epsilon={ball.epsilon} must be a finite nonnegative number")
 
-    clean_ensemble = ChannelEnsemble(tuple(channels))
+    weights = np.array(ensemble.weights, dtype=float)
+    stack.flags.writeable = weights.flags.writeable = False
     clean_ball = DivergenceBall(GaussianReference(mu0, sigma0), float(ball.epsilon))
-    return Problem(
-        ensemble=clean_ensemble,
-        ball=clean_ball,
-        noise_stack=clean_ensemble.noise_stack,
-        weights=clean_ensemble.weights,
-    )
+    return Problem(ChannelEnsemble(stack, weights), clean_ball)
 
 
 _TOP_KEYS = {"dimension", "mu0", "sigma0", "channels", "epsilon"}
@@ -244,6 +235,12 @@ def _number(value, name) -> float:
         return float(value)
     except OverflowError:  # an integer beyond the float range
         raise ConfigError(f"{name} is out of range") from None
+
+
+def _numbers(value, name) -> np.ndarray:
+    """A nested JSON array as a float array; each entry as `_number` reads it."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([_number(v, f"{name} entry") for v in entries.flat]).reshape(entries.shape)
 
 
 def problem_from_config(cfg: dict) -> tuple[ChannelEnsemble, DivergenceBall]:
@@ -266,10 +263,10 @@ def problem_from_config(cfg: dict) -> tuple[ChannelEnsemble, DivergenceBall]:
     k = cfg["dimension"]
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ConfigError(f"dimension must be a positive integer, got {k!r}")
-    mu0 = np.asarray(cfg["mu0"], dtype=float)
+    mu0 = _numbers(cfg["mu0"], "mu0")
     if mu0.shape != (k,):
         raise ConfigError(f"mu0 must be a length-{k} array")
-    sigma0 = np.asarray(cfg["sigma0"], dtype=float)
+    sigma0 = _numbers(cfg["sigma0"], "sigma0")
     if sigma0.shape != (k, k):
         raise ConfigError(f"sigma0 must be {k}x{k}")
 
@@ -284,7 +281,7 @@ def problem_from_config(cfg: dict) -> tuple[ChannelEnsemble, DivergenceBall]:
             raise ConfigError(f"channel {j} has unknown keys: {sorted(bad)}")
         if set(entry) != _CHANNEL_KEYS:
             raise ConfigError(f"channel {j} must have keys 'lambda' and 'sigma_n'")
-        sn = np.asarray(entry["sigma_n"], dtype=float)
+        sn = _numbers(entry["sigma_n"], f"channel {j} sigma_n")
         if sn.shape != (k, k):
             raise ConfigError(f"channel {j} sigma_n must be {k}x{k}")
         covs.append(sn)
@@ -312,8 +309,8 @@ def save_config(path, ensemble: ChannelEnsemble, ball: DivergenceBall) -> None:
         "mu0": np.asarray(ball.reference.mean, dtype=float).tolist(),
         "sigma0": np.asarray(ball.reference.covariance, dtype=float).tolist(),
         "channels": [
-            {"lambda": ch.weight, "sigma_n": np.asarray(ch.noise_covariance).tolist()}
-            for ch in ensemble.channels
+            {"lambda": float(w), "sigma_n": np.asarray(sn).tolist()}
+            for sn, w in zip(ensemble.noise_covariances, ensemble.weights)
         ],
         "epsilon": float(ball.epsilon),
     }

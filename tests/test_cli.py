@@ -262,12 +262,22 @@ class TestBoundCommand:
         (["sweep-ball", "--config", "{cfg}", "--grid", "1", "--out", "{dir}"],
          "[Errno 21] Is a directory"),
         (["bound", "--config", "{null}"], "channel 0 lambda must be a number, got None"),
+        (["bound", "--config", "{true}"], "mu0 entry must be a number, got True"),
+        (["bound", "--config", "{string}"], "sigma0 entry must be a number, got '2'"),
+        (["bound", "--config", "{object}"], "sigma0 entry must be a number, got {}"),
     ])
     def test_unreadable_input_is_config_error(self, tmp_path, scalar_config, capsys, command,
                                               fragment):
-        null = tmp_path / "null.json"
-        null.write_text(open(scalar_config).read().replace('"lambda": 1.0', '"lambda": null'))
-        argv = [a.format(dir=tmp_path, cfg=scalar_config, null=null) for a in command]
+        raw = json.dumps(json.loads(open(scalar_config).read()))
+        paths = {}
+        for name, field, text in (("null", '"lambda": 1.0', '"lambda": null'),
+                                  ("true", '"mu0": [0.0]', '"mu0": [true]'),
+                                  ("string", '"sigma0": [[1.0]]', '"sigma0": [["2"]]'),
+                                  ("object", '"sigma0": [[1.0]]', '"sigma0": [[{}]]')):
+            assert field in raw
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(raw.replace(field, text))
+        argv = [a.format(dir=tmp_path, cfg=scalar_config, **paths) for a in command]
         rc = cli.main(argv)
         captured = capsys.readouterr()
         assert rc == EXIT_CONFIG

@@ -253,10 +253,10 @@ class TestWeightedSumStatistics:
         s_x, *chan_seeds = np.random.SeedSequence(seed).spawn(1 + 2 * ensemble.count)
         x = _sample_with(spec, n_outer, _rng_from(s_x))
         errs, ess = [], []
-        for j, ch in enumerate(ensemble.channels):
-            chol_n = np.linalg.cholesky(ch.noise_covariance)
+        for j, sigma_n in enumerate(ensemble.noise_stack):
+            chol_n = np.linalg.cholesky(sigma_n)
             y = x + _rng_from(chan_seeds[2 * j]).standard_normal(x.shape) @ chol_n.T
-            err_j, ess_j = _mmse_channels(spec, [ch.noise_covariance], x, [y],
+            err_j, ess_j = _mmse_channels(spec, [sigma_n], x, [y],
                                           chan_seeds[1], n_inner)
             errs.append(err_j[0])
             ess.append(ess_j[0])
@@ -268,7 +268,7 @@ class TestWeightedSumStatistics:
         spec = PriorSpec(GeneralizedGaussian(1.0), 3)
         est = mc_weighted_sum(spec, demo_ensemble, 300, 400, seed=1)
         errs, _ = self._per_channel_errors(spec, demo_ensemble, 300, 400, seed=1)
-        weights = np.array([ch.weight for ch in demo_ensemble.channels])
+        weights = demo_ensemble.weights
         per_draw = weights @ errs
         assert est.value == pytest.approx(per_draw.mean(), rel=1e-13)
         assert est.std_error == pytest.approx(per_draw.std(ddof=1) / math.sqrt(300),

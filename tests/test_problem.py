@@ -19,6 +19,7 @@ from mmse_bounds import (
     Problem,
     ProblemValidationError,
     load_config,
+    local_bound,
     problem_from_config,
     save_config,
     validate_problem,
@@ -123,7 +124,24 @@ class TestValidation:
 
     def test_empty_ensemble(self):
         with pytest.raises(DimensionMismatch):
-            validate_problem(ChannelEnsemble(()), isotropic_ball(2, 1.0, 0.1))
+            validate_problem(ChannelEnsemble.from_arrays([], []), isotropic_ball(2, 1.0, 0.1))
+
+    def test_covariance_count_must_match_weight_count(self):
+        covs = [np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)]
+        with pytest.raises(DimensionMismatch, match="3 noise covariances for 2 weights"):
+            ChannelEnsemble.from_arrays(covs, [1.0, 2.0])
+        with pytest.raises(DimensionMismatch, match="3 noise covariances for 2 weights"):
+            validate_problem(ChannelEnsemble(tuple(covs), np.array([1.0, 2.0])),
+                             isotropic_ball(2, 1.0, 0.1))
+
+    def test_one_read_only_copy_of_the_channel_data(self, demo_ensemble):
+        prob = validate_problem(demo_ensemble, isotropic_ball(3, 2.0, 0.3))
+        assert prob.noise_stack is prob.ensemble.noise_stack
+        assert prob.weights is prob.ensemble.weights
+        for data in (prob.noise_stack, prob.weights, prob.single(1).noise_stack,
+                     prob.single(1).weights):
+            with pytest.raises(ValueError, match="read-only"):
+                data[0] = 1.0
 
     def test_error_carries_channel_index(self):
         ens = ChannelEnsemble.from_arrays([np.eye(2), -np.eye(2)], [1.0, 1.0])
@@ -155,6 +173,24 @@ class TestEnsemble:
         assert sub == again
         np.testing.assert_array_equal(sub.noise_stack, again.noise_stack)
         np.testing.assert_array_equal(sub.weights, again.weights)
+
+
+    def test_single_indexes_like_the_ensemble(self, demo_ensemble):
+        ball = isotropic_ball(3, 2.0, 0.3)
+        prob = validate_problem(demo_ensemble, ball)
+        last = prob.single(-1)
+        assert last == validate_problem(demo_ensemble.single(-1), ball)
+        np.testing.assert_array_equal(last.noise_stack, prob.noise_stack[3:])
+        for direction in ("lower", "upper"):
+            a = local_bound(direction, prob, -1, ball)
+            b = local_bound(direction, demo_ensemble, -1, ball)
+            assert a.bound_value == b.bound_value
+            np.testing.assert_array_equal(a.sigma_x, b.sigma_x)
+        for source in (demo_ensemble, prob):
+            with pytest.raises(IndexError):
+                source.single(4)
+            with pytest.raises(IndexError):
+                local_bound("upper", source, 4, ball)
 
 
 class TestConfig:
@@ -220,6 +256,16 @@ class TestConfig:
         *((lambda c, w=w: c["channels"][0].update({"lambda": w}), "channel 0 lambda")
           for w in (None, [1.0], "2", True)),
         (lambda c: c.update(epsilon=10**400), "epsilon is out of range"),
+        (lambda c: c.update(mu0=[True, 0.0]), "mu0 entry must be a number, got True"),
+        (lambda c: c.update(mu0=None), "mu0 entry must be a number, got None"),
+        (lambda c: c.update(sigma0=[["2", 0.0], [0.0, 1.0]]),
+         "sigma0 entry must be a number, got '2'"),
+        (lambda c: c.update(sigma0=[[{}, 0.0], [0.0, 1.0]]),
+         "sigma0 entry must be a number, got {}"),
+        (lambda c: c["channels"][0].update(sigma_n=[[1.0, 0.0], [0.0, True]]),
+         "channel 0 sigma_n entry must be a number, got True"),
+        (lambda c: c["channels"][0].update(sigma_n=[[1.0], [0.0, 1.0]]),
+         "channel 0 sigma_n entry must be a number, got [1.0]"),
     ])
     def test_schema_rejections(self, mutate, fragment):
         cfg = self.base_cfg()
