@@ -12,7 +12,6 @@ from .baselines import cramer_rao_lower, lmmse_upper
 from .exceptions import (
     BracketFailure,
     ConfigError,
-    DegenerateSample,
     DegenerateWeights,
     DimensionMismatch,
     FisherUndefined,
@@ -26,17 +25,15 @@ from .exceptions import (
     SingularSum,
 )
 from .gaussian import (
-    LinearEstimator,
     MmseSummary,
     kl_same_mean_gaussians,
-    linear_estimate,
     linear_estimator_mse,
     mmse_matrix,
     mmse_trace,
     weight_matrix,
     weighted_mmse_sum,
 )
-from .mc import McEstimate, mc_kl, mc_mmse, mc_weighted_sum
+from .mc import McEstimate, mc_kl, mc_weighted_sum
 from .priors import (
     Gaussian,
     GeneralizedGaussian,
@@ -48,9 +45,7 @@ from .priors import (
     gen_gauss_epsilon,
     gen_gauss_fisher,
     log_density,
-    moment_match,
     prior_moments,
-    sample_prior,
     uniform_ball_epsilon,
     uniform_ball_moments,
 )
@@ -66,7 +61,6 @@ from .problem import (
 )
 from .solver import (
     BoundResult,
-    Direction,
     local_bound,
     local_bounds_weighted,
     opt_covariance_residual,
@@ -80,16 +74,13 @@ __all__ = [
     "BracketFailure",
     "ChannelEnsemble",
     "ConfigError",
-    "DegenerateSample",
     "DegenerateWeights",
     "DimensionMismatch",
-    "Direction",
     "DivergenceBall",
     "FisherUndefined",
     "Gaussian",
     "GaussianReference",
     "GeneralizedGaussian",
-    "LinearEstimator",
     "McEstimate",
     "MmseSummary",
     "NegativeRadius",
@@ -110,7 +101,6 @@ __all__ = [
     "gen_gauss_epsilon",
     "gen_gauss_fisher",
     "kl_same_mean_gaussians",
-    "linear_estimate",
     "linear_estimator_mse",
     "lmmse_upper",
     "load_config",
@@ -118,15 +108,12 @@ __all__ = [
     "local_bounds_weighted",
     "log_density",
     "mc_kl",
-    "mc_mmse",
     "mc_weighted_sum",
     "mmse_matrix",
     "mmse_trace",
-    "moment_match",
     "opt_covariance_residual",
     "prior_moments",
     "problem_from_config",
-    "sample_prior",
     "save_config",
     "solve_bound",
     "uniform_ball_epsilon",

@@ -59,10 +59,6 @@ class FisherUndefined(ValueError):
     """The prior has no finite Fisher information."""
 
 
-class DegenerateSample(ValueError):
-    """Sample covariance is numerically singular."""
-
-
 class DegenerateWeights(ArithmeticError):
     """Importance weights collapsed; the proposal is a bad fit."""
 

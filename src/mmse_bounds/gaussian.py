@@ -130,28 +130,6 @@ def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:
     return max(value, 0.0)
 
 
-@dataclass(frozen=True)
-class LinearEstimator:
-    """Affine estimator y -> (I - W) y + W mu_0."""
-
-    gain: np.ndarray
-    anchor: np.ndarray
-
-
-def linear_estimate(est: LinearEstimator, y):
-    """Apply the affine estimator to one observation or a batch.
-
-    `y` may be a length-K vector or an (n, K) batch.
-    """
-    w = np.asarray(est.gain, dtype=float)
-    mu0 = np.asarray(est.anchor, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != w.shape[0] or mu0.shape[0] != w.shape[0]:
-        raise DimensionMismatch(
-            f"estimator gain {w.shape}, anchor {mu0.shape}, observation {y.shape}")
-    return y - y @ w.T + mu0 @ w.T
-
-
 def linear_estimator_mse(w, prior_cov, sigma_n) -> float:
     """Exact MSE of the fixed affine estimator (I - W) y + W mu_0.
 

@@ -41,7 +41,6 @@ from .exceptions import DegenerateWeights
 from .gaussian import mmse_matrix, weight_matrix
 from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_log_density,
                      log_density, prior_moments)
-from .problem import ChannelEnsemble
 
 # outer draws per block. Measured CPU per four-channel mc_weighted_sum
 # (K = 3, 500 outer draws), against 8: at n_inner = 500, 4 is 22% slower
@@ -212,25 +211,6 @@ def _estimate(per_draw, ess, n_inner, seed) -> McEstimate:
                       bad_fraction=n_bad / ess.size)
 
 
-def mc_mmse(spec: PriorSpec, sigma_n, n_outer: int, n_inner: int, seed: int) -> McEstimate:
-    """Monte Carlo estimate of the channel MMSE under the given prior:
-    `mc_weighted_sum` on the one-channel ensemble {(Sigma_N, 1)}.
-
-    Outer loop: draw (x, y = x + n). Inner loop: self-normalized importance
-    sampling for E[X | Y = y]. The value is the average of
-    ||x_hat(y) - x||^2 and the standard error is the outer-sample standard
-    deviation over sqrt(n_outer).
-
-    Raises
-    ------
-    DegenerateWeights
-        If the inner effective sample size collapses on more than 1% of
-        outer draws (reported, not silently retried).
-    """
-    return mc_weighted_sum(spec, ChannelEnsemble.from_arrays([sigma_n], [1.0]),
-                           n_outer, n_inner, seed)
-
-
 def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
                     seed: int) -> McEstimate:
     """Weighted MMSE sum across a ChannelEnsemble or Problem, sharing outer x draws.
@@ -245,13 +225,13 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     channel sampled alone would give. The standard error is therefore
     std(v)/sqrt(n_outer) over the per-draw weighted sums; it counts the
     correlation between channels, which a quadrature sum of per-channel
-    errors would not. The ESS diagnostics pool every channel's outer draws.
+    errors would not. The ESS diagnostics pool every channel's outer draws;
+    an ESS under 1% of n_inner on over 1% of them raises DegenerateWeights.
 
     Seeds: the root spawns 1 + 2J streams, x first. Channel j draws its
     noise from stream 1 + 2j, and the shared inner normals come from
-    stream 2 (channel 0's inner stream in the layout of one stream per
-    channel), so a one-channel estimate, `mc_mmse` among them, is the same
-    number either way.
+    stream 2, channel 0's inner stream, so a one-channel estimate keeps
+    the one-stream-per-channel layout.
     """
     if n_outer < MIN_DRAWS or n_inner < MIN_DRAWS:
         raise ValueError(f"n_outer and n_inner must both be >= {MIN_DRAWS}")

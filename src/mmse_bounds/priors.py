@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateSample, DimensionMismatch, FisherUndefined
-from .problem import GaussianReference
+from .exceptions import DimensionMismatch, FisherUndefined
 
 
 def _check_parameter(value, what, k=1):
@@ -253,21 +252,13 @@ def gaussian_log_density(mean, cov, x) -> np.ndarray:
     return log_density(PriorSpec(Gaussian(mean, cov), x.shape[1]), x)
 
 
-def sample_prior(spec: PriorSpec, n: int, seed) -> np.ndarray:
-    """Draw n samples; deterministic for a given seed.
-
-    The generalized Gaussian is sampled radially: a uniform direction on
-    the sphere times r = (p g)^(1/p) with g ~ Gamma(K/p, 1), which follows
-    from the radial density being proportional to r^(K-1) exp(-r^p / p).
-    The ball radius uses the usual u^(1/K) volume transform.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.Generator(np.random.Philox(seed))
-    return _sample_with(spec, n, rng)
-
-
 def _sample_with(spec: PriorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n samples from `rng`. The generalized Gaussian is sampled
+    radially: a uniform direction on the sphere times r = (p g)^(1/p) with
+    g ~ Gamma(K/p, 1), which follows from the radial density being
+    proportional to r^(K-1) exp(-r^p / p). The ball radius uses the usual
+    u^(1/K) volume transform.
+    """
     k = spec.dimension
     fam = spec.family
     if isinstance(fam, Gaussian):
@@ -286,27 +277,3 @@ def _sample_with(spec: PriorSpec, n: int, rng: np.random.Generator) -> np.ndarra
         r = fam.radius * u ** (1.0 / k)
         return directions * r[:, None]
     raise TypeError(f"unknown prior family {fam!r}")
-
-
-def moment_match(samples) -> GaussianReference:
-    """Moment-matched Gaussian of an (n, K) sample: mean and biased (1/n)
-    covariance, symmetrized.
-
-    Raises DegenerateSample when the sample covariance is numerically
-    singular (smallest eigenvalue below 1e-12 of the average variance).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise DimensionMismatch(f"samples must be (n, K), got shape {samples.shape}")
-    n, k = samples.shape
-    if n < k + 1:
-        raise DegenerateSample(f"need at least K+1={k + 1} samples, got {n}")
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = centered.T @ centered / n
-    cov = 0.5 * (cov + cov.T)
-    eigs = np.linalg.eigvalsh(cov)
-    if eigs[0] < 1e-12 * max(np.trace(cov) / k, np.finfo(float).tiny):
-        raise DegenerateSample(
-            f"sample covariance is numerically singular (min eigenvalue {eigs[0]:.3e})")
-    return GaussianReference(mean, cov)

@@ -34,7 +34,6 @@ under the same certificate. README "Solver notes" gives the details.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
@@ -58,15 +57,11 @@ _SMOOTH = 4  # fixed-alpha majorize-minimize steps after a lower-bound predictor
 _SPLIT_STEPS = 10  # majorize-minimize steps from each symmetry-breaking split
 
 
-class Direction(enum.Enum):
-    UPPER = "upper"
-    LOWER = "lower"
-
-
-def _as_direction(direction) -> Direction:
-    if isinstance(direction, Direction):
-        return direction
-    return Direction(str(direction).lower())
+def _sign(direction) -> float:
+    """+1 for "upper", -1 for "lower"; a ValueError names any other value."""
+    if direction not in ("upper", "lower"):
+        raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
+    return 1.0 if direction == "upper" else -1.0
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ class BoundResult:
     counts its reduced Newton iterations and no steps.
     """
 
-    direction: Direction
+    direction: str
     alpha: float
     sigma_x: np.ndarray
     bound_value: float
@@ -364,7 +359,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
 
     Parameters
     ----------
-    direction : Direction or {"upper", "lower"}
+    direction : {"upper", "lower"}
     ensemble : ChannelEnsemble or Problem
         Raw channel data is validated with `ball` first (`validate_problem`).
     ball : DivergenceBall
@@ -383,11 +378,12 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
     ProblemValidationError
         If the data fail validation.
     ValueError
-        If a `Problem` comes with a ball other than its own.
+        If the direction is neither "upper" nor "lower", or a `Problem`
+        comes with a ball other than its own.
     NoConvergence
-        If no answer passes the checks.
+        If no answer passes the checks; the message names the bound and epsilon.
     """
-    direction = _as_direction(direction)
+    sign = _sign(direction)
     prob = validate_problem(ensemble, ball)
     ctx = _Ctx(prob)
     eps = prob.epsilon
@@ -396,7 +392,6 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
         return BoundResult(direction, 0.0, ctx.sigma0.copy(), _value(ctx, ctx.sigma0), 0.0,
                            0, 0, (0.0, abs(eps)))
 
-    sign = 1.0 if direction is Direction.UPPER else -1.0
     found = []  # (Sigma, alpha), best first
 
     def add(start, *args):
@@ -410,21 +405,24 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
             found.append(hit[:2])
             found.sort(key=lambda c: -sign * _value(ctx, c[0]))
 
-    try:
-        found.append(_path(ctx, sign, eps))
+    try:  # a failed upper path, or the Jacobian cap, ends the solve
+        try:
+            found.append(_path(ctx, sign, eps))
+        except (NoConvergence, np.linalg.LinAlgError):
+            if sign > 0:
+                raise
+            add(_descent, ctx, ctx.sigma0, eps, sign, _MM_STEPS)
+        else:
+            if sign < 0:
+                add(_mm_step, ctx, ctx.sigma0, eps, sign, found[0][1])
+        if sign < 0 and ctx.k > 1:
+            w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
+            if np.min(np.diff(w)) <= 1e-6 * w[-1]:
+                # no answer, or one with a repeated eigenvalue: break the symmetry
+                add(_split_start, ctx, eps)
     except (NoConvergence, np.linalg.LinAlgError) as exc:
-        if sign > 0:
-            raise NoConvergence(f"upper bound at epsilon={eps!r}: {exc}",
-                                getattr(exc, "residual", None), ctx.jacobians) from exc
-        add(_descent, ctx, ctx.sigma0, eps, sign, _MM_STEPS)
-    else:
-        if sign < 0:
-            add(_mm_step, ctx, ctx.sigma0, eps, sign, found[0][1])
-    if sign < 0 and ctx.k > 1:
-        w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
-        if np.min(np.diff(w)) <= 1e-6 * w[-1]:
-            # no answer, or one with a repeated eigenvalue: break the symmetry
-            add(_split_start, ctx, eps)
+        raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {exc}",
+                            getattr(exc, "residual", None), ctx.jacobians) from exc
     res = np.inf
     for sigma, alpha in found:
         sigma = 0.5 * (sigma + sigma.T)
@@ -433,7 +431,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
         if res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL:
             return BoundResult(direction, float(alpha), sigma, _value(ctx, sigma), kl,
                                ctx.jacobians, ctx.steps, (res, abs(kl - eps)))
-    raise NoConvergence(f"{direction.value} bound at epsilon={eps!r}: {len(found)} local "
+    raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {len(found)} local "
                         f"extrema found, none certified (residual {res:.3g})", residual=res,
                         iterations=ctx.jacobians)
 
@@ -449,7 +447,7 @@ def _separable(direction, prob):
         return None
     nu, q = np.linalg.eigh(prob.noise_stack[0])
     rho = nu / c
-    sign = 1.0 if direction is Direction.UPPER else -1.0
+    sign = _sign(direction)
     found = (upper_candidates if sign > 0 else lower_candidates)(rho, eps)
     found = [(c * sum(xi * ri / (xi + ri) for xi, ri in zip(x, rho.tolist())), x, b, n)
              for x, b, n in found if all(xi > 0.0 for xi in x)]  # no NaN, no underflow
@@ -478,8 +476,12 @@ def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall) -
     `inner_iterations` count reduced Newton iterations and its
     `outer_iterations` are 0. Otherwise, or if no such answer is
     certified, `solve_bound` solves it.
+
+    Parameters
+    ----------
+    direction : {"upper", "lower"}
     """
-    direction = _as_direction(direction)
+    _sign(direction)  # a ValueError before the data are validated
     prob = validate_problem(ensemble.single(channel_index), ball)
     return _separable(direction, prob) or solve_bound(direction, prob, prob.ball)
 

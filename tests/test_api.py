@@ -1,5 +1,6 @@
-"""Public surface: every exported name resolves, and the names the
-benchmark under perfbench/ reads still exist.
+"""Public surface: `__all__` is exactly PUBLIC, every exported name
+resolves, and the names the benchmark under perfbench/ reads still exist.
+A change to the public API is an edit to PUBLIC.
 
 The benchmark's tracer skips a module attribute it cannot find instead of
 failing, so a removal there would only show as a layer that reads 0.
@@ -13,6 +14,26 @@ import sys
 import pytest
 
 import mmse_bounds
+
+PUBLIC = [
+    "BoundResult", "BracketFailure", "ChannelEnsemble", "ConfigError", "DegenerateWeights",
+    "DimensionMismatch", "DivergenceBall", "FisherUndefined", "Gaussian",
+    "GaussianReference", "GeneralizedGaussian", "McEstimate", "MmseSummary",
+    "NegativeRadius", "NoConvergence", "NonPositiveWeight", "NonSymmetric",
+    "NotPositiveDefinite", "PriorMoments", "PriorSpec", "Problem",
+    "ProblemValidationError", "SingularReference", "SingularSum", "UniformBall",
+    "cramer_rao_lower", "gaussian_log_density", "gen_gauss_covariance",
+    "gen_gauss_epsilon", "gen_gauss_fisher", "kl_same_mean_gaussians",
+    "linear_estimator_mse", "lmmse_upper", "load_config", "local_bound",
+    "local_bounds_weighted", "log_density", "mc_kl", "mc_weighted_sum", "mmse_matrix",
+    "mmse_trace", "opt_covariance_residual", "prior_moments", "problem_from_config",
+    "save_config", "solve_bound", "uniform_ball_epsilon", "uniform_ball_moments",
+    "validate_problem", "weight_matrix", "weighted_mmse_sum",
+]
+
+# removed on purpose: unused by the bounds, the CLI and the benchmark
+REMOVED = ["LinearEstimator", "linear_estimate", "mc_mmse", "sample_prior",
+           "moment_match", "DegenerateSample", "Direction"]
 
 # names perfbench/workloads.py reads from the package
 BENCHMARK_NAMES = [
@@ -34,6 +55,16 @@ TRACED = [
     ("cli", "cramer_rao_lower"), ("cli", "load_config"),
     ("cli", "validate_problem"),
 ]
+
+
+def test_public_surface_is_pinned():
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 51
+    assert mmse_bounds.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_gone(name):
+    assert not hasattr(mmse_bounds, name)
 
 
 def test_all_names_resolve():

@@ -8,11 +8,9 @@ from mmse_bounds import (
     DimensionMismatch,
     DivergenceBall,
     GaussianReference,
-    LinearEstimator,
     SingularReference,
     SingularSum,
     kl_same_mean_gaussians,
-    linear_estimate,
     linear_estimator_mse,
     mmse_matrix,
     mmse_trace,
@@ -168,22 +166,6 @@ class TestAffineEstimator:
             expect = w * w * 2.0 + (1.0 - w) ** 2 * 3.0
             got = linear_estimator_mse([[w]], [[2.0]], [[3.0]])
             assert got == pytest.approx(expect, rel=1e-14)
-
-    def test_estimate_fixes_anchor(self):
-        w = np.array([[0.3, 0.1], [0.0, 0.5]])
-        mu0 = np.array([1.0, -2.0])
-        est = LinearEstimator(w, mu0)
-        np.testing.assert_allclose(linear_estimate(est, mu0), mu0, rtol=1e-14)
-
-    def test_estimate_batch(self):
-        est = LinearEstimator(np.array([[0.4]]), np.array([0.0]))
-        y = np.array([[1.0], [2.0], [-3.0]])
-        np.testing.assert_allclose(linear_estimate(est, y), 0.6 * y, rtol=1e-14)
-
-    def test_estimate_shape_guard(self):
-        est = LinearEstimator(np.eye(2), np.zeros(2))
-        with pytest.raises(DimensionMismatch):
-            linear_estimate(est, np.zeros(3))
 
     def test_mse_shape_guard(self):
         with pytest.raises(DimensionMismatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mmse_bounds import (
+    ChannelEnsemble,
     DegenerateWeights,
     Gaussian,
     GaussianReference,
@@ -15,7 +16,6 @@ from mmse_bounds import (
     gen_gauss_epsilon,
     lmmse_upper,
     mc_kl,
-    mc_mmse,
     mc_weighted_sum,
     mmse_trace,
     prior_moments,
@@ -26,6 +26,12 @@ from mmse_bounds import mc
 from mmse_bounds.mc import _CHUNK, _check_degenerate, _mmse_channels, _rng_from
 from mmse_bounds.priors import _sample_with, log_density
 from conftest import TEST_SEED, random_spd
+
+
+def _one_channel(spec, sigma_n, n_outer, n_inner, seed):
+    """The channel MMSE: `mc_weighted_sum` on the one-channel ensemble {(Sigma_N, 1)}."""
+    return mc_weighted_sum(spec, ChannelEnsemble.from_arrays([sigma_n], [1.0]),
+                           n_outer, n_inner, seed)
 
 
 def _lu_gaussian_log_density(mean, cov, x):
@@ -181,7 +187,7 @@ class TestGaussianExactness:
         cov = np.array([[2.0, 0.8], [0.8, 1.0]])
         sigma_n = np.array([[0.5, 0.1], [0.1, 0.7]])
         spec = PriorSpec(Gaussian(np.array([1.0, -1.0]), cov), 2)
-        est = mc_mmse(spec, sigma_n, n_outer=400, n_inner=1000, seed=TEST_SEED)
+        est = _one_channel(spec, sigma_n, n_outer=400, n_inner=1000, seed=TEST_SEED)
         exact = mmse_trace(cov, sigma_n)
         assert abs(est.value - exact) < 4 * est.std_error
         assert est.std_error < 0.2 * exact
@@ -207,7 +213,7 @@ class TestReproducibility:
         # channels shared their inner draws. Forming the weights from
         # quadratic forms in the normals moved the ESS in the 15th digit.
         spec = PriorSpec(GeneralizedGaussian(1.0), 2)
-        est = mc_mmse(spec, np.array([[0.8, 0.3], [0.3, 0.6]]), 150, 200, seed=seed)
+        est = _one_channel(spec, np.array([[0.8, 0.3], [0.3, 0.6]]), 150, 200, seed=seed)
         assert (est.value, est.std_error, est.min_ess, est.median_ess, est.bad_fraction) == \
             (value, std_error, min_ess, median_ess, 0.0)
 
@@ -227,16 +233,16 @@ class TestReproducibility:
     def test_same_seed_bitwise(self):
         spec = PriorSpec(GeneralizedGaussian(1.0), 2)
         sigma_n = 0.8 * np.eye(2)
-        a = mc_mmse(spec, sigma_n, 150, 200, seed=42)
-        b = mc_mmse(spec, sigma_n, 150, 200, seed=42)
+        a = _one_channel(spec, sigma_n, 150, 200, seed=42)
+        b = _one_channel(spec, sigma_n, 150, 200, seed=42)
         assert a.value == b.value
         assert a.std_error == b.std_error
 
     def test_different_seed_differs(self):
         spec = PriorSpec(GeneralizedGaussian(1.0), 2)
         sigma_n = 0.8 * np.eye(2)
-        a = mc_mmse(spec, sigma_n, 150, 200, seed=42)
-        c = mc_mmse(spec, sigma_n, 150, 200, seed=43)
+        a = _one_channel(spec, sigma_n, 150, 200, seed=42)
+        c = _one_channel(spec, sigma_n, 150, 200, seed=43)
         assert a.value != c.value
 
     def test_weighted_sum_reproducible(self, demo_ensemble):
@@ -291,7 +297,7 @@ class TestWeightedSumStatistics:
 
     def test_mc_mmse_reports_ess(self):
         spec = PriorSpec(GeneralizedGaussian(1.0), 2)
-        est = mc_mmse(spec, 0.8 * np.eye(2), 150, 200, seed=42)
+        est = _one_channel(spec, 0.8 * np.eye(2), 150, 200, seed=42)
         assert 1.0 <= est.min_ess <= est.median_ess <= 200
         assert 0.0 <= est.bad_fraction <= 0.01
 
@@ -329,9 +335,9 @@ class TestGuards:
     def test_sample_size_floors(self, demo_ensemble):
         spec = PriorSpec(GeneralizedGaussian(1.0), 3)
         with pytest.raises(ValueError):
-            mc_mmse(spec, np.eye(3), 99, 1000, seed=1)
+            _one_channel(spec, np.eye(3), 99, 1000, seed=1)
         with pytest.raises(ValueError):
-            mc_mmse(spec, np.eye(3), 1000, 99, seed=1)
+            _one_channel(spec, np.eye(3), 1000, 99, seed=1)
         with pytest.raises(ValueError):
             mc_weighted_sum(spec, demo_ensemble, 99, 1000, seed=1)
 

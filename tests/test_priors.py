@@ -1,4 +1,4 @@
-"""Prior families: frozen moment/Fisher/KL oracles, samplers, moment matching.
+"""Prior families: frozen moment/Fisher/KL oracles and samplers.
 
 Frozen constants were cross-checked against direct numerical quadrature of
 the radial integrals (E r^m, normalization, and the KL integrand itself)
@@ -14,7 +14,6 @@ from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
 from mmse_bounds import (
-    DegenerateSample,
     DimensionMismatch,
     FisherUndefined,
     Gaussian,
@@ -28,12 +27,11 @@ from mmse_bounds import (
     gen_gauss_fisher,
     log_density,
     mc_kl,
-    moment_match,
     prior_moments,
-    sample_prior,
     uniform_ball_epsilon,
     uniform_ball_moments,
 )
+from mmse_bounds.priors import _sample_with
 
 # Frozen: (p, K) -> (sigma^2, fisher, epsilon)
 GEN_GAUSS_TABLE = {
@@ -241,19 +239,24 @@ class TestLogDensityForms:
                                        rtol=1e-13, atol=0.0, err_msg=name)
 
 
+def _draw(spec, n, seed):
+    """The kernel's sampler on the Philox stream of an integer seed."""
+    return _sample_with(spec, n, np.random.Generator(np.random.Philox(seed)))
+
+
 class TestSamplers:
     def test_deterministic_for_seed(self):
         spec = PriorSpec(GeneralizedGaussian(1.0), 3)
-        a = sample_prior(spec, 50, seed=123)
-        b = sample_prior(spec, 50, seed=123)
-        c = sample_prior(spec, 50, seed=124)
+        a = _draw(spec, 50, 123)
+        b = _draw(spec, 50, 123)
+        c = _draw(spec, 50, 124)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("p", [0.51, 1.0, 3.0])
     def test_gen_gauss_moments(self, p):
         k = 3
-        x = sample_prior(PriorSpec(GeneralizedGaussian(p), k), 200000, seed=11)
+        x = _draw(PriorSpec(GeneralizedGaussian(p), k), 200000, 11)
         s2 = gen_gauss_covariance(p, k)
         # per-coordinate second moment within 2 percent at n = 2e5
         np.testing.assert_allclose((x * x).mean(axis=0), s2, rtol=0.02)
@@ -264,7 +267,7 @@ class TestSamplers:
 
     def test_ball_support_and_moments(self):
         r = 2.0
-        x = sample_prior(PriorSpec(UniformBall(r), 3), 200000, seed=11)
+        x = _draw(PriorSpec(UniformBall(r), 3), 200000, 11)
         assert np.linalg.norm(x, axis=1).max() <= r + 1e-12
         np.testing.assert_allclose((x * x).mean(axis=0), r**2 / 5.0, rtol=0.02)
         assert abs(x.mean()) < 0.01
@@ -272,40 +275,9 @@ class TestSamplers:
     def test_gaussian_family_sampling(self):
         cov = np.array([[2.0, 0.8], [0.8, 1.0]])
         mean = np.array([3.0, -1.0])
-        x = sample_prior(PriorSpec(Gaussian(mean, cov), 2), 200000, seed=5)
+        x = _draw(PriorSpec(Gaussian(mean, cov), 2), 200000, 5)
         np.testing.assert_allclose(x.mean(axis=0), mean, atol=0.02)
         np.testing.assert_allclose(np.cov(x.T, bias=True), cov, atol=0.03)
-
-    def test_n_guard(self):
-        with pytest.raises(ValueError):
-            sample_prior(PriorSpec(GeneralizedGaussian(1.0), 2), 0, seed=1)
-
-
-class TestMomentMatch:
-    def test_recovers_gaussian_moments(self):
-        cov = np.array([[2.0, 0.8], [0.8, 1.0]])
-        mean = np.array([3.0, -1.0])
-        x = sample_prior(PriorSpec(Gaussian(mean, cov), 2), 100000, seed=9)
-        ref = moment_match(x)
-        assert isinstance(ref, GaussianReference)
-        np.testing.assert_allclose(ref.mean, mean, atol=0.03)
-        np.testing.assert_allclose(ref.covariance, cov, atol=0.04)
-        assert np.array_equal(ref.covariance, ref.covariance.T)
-
-    def test_rank_deficient_sample(self):
-        rng = np.random.default_rng(0)
-        col = rng.normal(size=(100, 1))
-        x = np.hstack([col, 2.0 * col])
-        with pytest.raises(DegenerateSample):
-            moment_match(x)
-
-    def test_too_few_samples(self):
-        with pytest.raises(DegenerateSample):
-            moment_match(np.eye(3)[:2])
-
-    def test_shape_guard(self):
-        with pytest.raises(DimensionMismatch):
-            moment_match(np.zeros(10))
 
 
 class TestSpecValidation:

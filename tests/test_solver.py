@@ -23,7 +23,6 @@ import pytest
 from mmse_bounds import (
     BoundResult,
     ChannelEnsemble,
-    Direction,
     DivergenceBall,
     GaussianReference,
     GeneralizedGaussian,
@@ -179,11 +178,12 @@ class TestPostconditions:
 
     def test_direction_spellings(self, demo_ensemble):
         ball = isotropic_ball(3, HARD_VAR, 0.1)
-        a = solve_bound(Direction.UPPER, demo_ensemble, ball)
-        b = solve_bound("UPPER", demo_ensemble, ball)
-        assert a.bound_value == b.bound_value
-        with pytest.raises(ValueError):
-            solve_bound("sideways", demo_ensemble, ball)
+        assert solve_bound("upper", demo_ensemble, ball).direction == "upper"
+        for bad in ("UPPER", "sideways"):
+            with pytest.raises(ValueError, match=repr(bad)):
+                solve_bound(bad, demo_ensemble, ball)
+            with pytest.raises(ValueError, match=repr(bad)):
+                local_bound(bad, demo_ensemble, 0, ball)
 
 
 class TestOrdering:
@@ -397,15 +397,20 @@ class TestJacobian:
 
 
 class TestFailureDiagnostics:
-    """Every NoConvergence from solve_bound carries the solve's Jacobian
-    evaluations, and the residual where one was measured."""
+    """Every NoConvergence from solve_bound names the bound and epsilon, and
+    carries the solve's Jacobian evaluations and the residual where one was
+    measured."""
 
     @pytest.mark.parametrize("direction", ["lower", "upper"])
     def test_capped_solve(self, demo_ensemble, monkeypatch, direction):
-        monkeypatch.setattr(solver, "_MAX_JACOBIANS", 3)
+        # a lower bound meets the cap in a start after its path, an upper
+        # bound on its path; both messages name the bound and epsilon
+        monkeypatch.setattr(solver, "_MAX_JACOBIANS", 2)
         with pytest.raises(NoConvergence) as info:
             solve_bound(direction, demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2))
-        assert info.value.iterations == 3
+        assert str(info.value) == \
+            f"{direction} bound at epsilon=0.2: Jacobian evaluation cap reached"
+        assert info.value.iterations == 2
 
     @pytest.mark.parametrize("direction", ["lower", "upper"])
     def test_uncertified_solve(self, demo_ensemble, monkeypatch, direction):
