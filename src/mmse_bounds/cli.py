@@ -23,6 +23,7 @@ output. Grid rows are computed one after another, in grid order.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -99,10 +100,9 @@ class SweepRecord:
 @dataclass(frozen=True)
 class SensorField:
     """Isotropic power-attenuation scenario: received power at distance d
-    is rho_0^2 / (1 + gamma d^m)."""
+    is rho_0^2 / (1 + gamma d^m), and rho_0^2 cancels out of the noise."""
 
     distances: tuple[float, ...]
-    source_power: float
     decay: float
     exponent: float
     base_noise: float
@@ -111,8 +111,7 @@ class SensorField:
         # d = 0 is allowed: a sensor at the source sees the base noise
         if not self.distances or not all(0.0 <= d < math.inf for d in self.distances):
             raise ValueError(f"distances must be finite and nonnegative, got {self.distances}")
-        for name, value in (("source power", self.source_power), ("decay", self.decay),
-                            ("base noise", self.base_noise)):
+        for name, value in (("decay", self.decay), ("base noise", self.base_noise)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 2.0 <= self.exponent <= 3.0:
@@ -190,32 +189,36 @@ def _labelled(label, solve, *args):
 
 def _family(kind, value, k):
     """The prior family 'gen-gauss' at p or 'uniform-ball' at R in dimension
-    K: (spec, ball, Fisher information or None). The ball is centred at the
-    family's moment match N(0, Sigma_0) with the exact KL to it as radius."""
+    K: (spec, ball). The ball is centred at the family's moment match
+    N(0, Sigma_0) with the exact KL to it as radius."""
     if kind == "gen-gauss":
         spec = PriorSpec(GeneralizedGaussian(value), k)
-        sigma0 = gen_gauss_covariance(value, k) * np.eye(k)
-        try:
-            fisher = gen_gauss_fisher(value, k)
-        except FisherUndefined:
-            fisher = None
-        eps = gen_gauss_epsilon(value, k)
+        sigma0, eps = gen_gauss_covariance(value, k) * np.eye(k), gen_gauss_epsilon(value, k)
     else:
-        spec, fisher = PriorSpec(UniformBall(value), k), None
+        spec = PriorSpec(UniformBall(value), k)
         sigma0, eps = uniform_ball_moments(value, k).covariance, uniform_ball_epsilon(value, k)
-    return spec, DivergenceBall(GaussianReference(np.zeros(k), sigma0), eps), fisher
+    return spec, DivergenceBall(GaussianReference(np.zeros(k), sigma0), eps)
+
+
+# subcommand, help, prior family, abscissa, and the CSV columns after it
+_SWEEPS = (
+    ("sweep-p", "generalized-Gaussian exponent sweep", "gen-gauss", "p",
+     ("epsilon", "lower", "upper", "local_lower", "local_upper", "lmmse", "cramer_rao")),
+    ("sweep-ball", "uniform-ball radius sweep", "uniform-ball", "R",
+     ("epsilon", "lower", "upper", "lmmse")),
+)
 
 
 def _sweep(args, kind, abscissa, columns) -> int:
     """One row per grid value x of family `kind`: both bounds at its ball,
-    labelled `abscissa`=x, the local bounds where `columns` names them, the
-    LMMSE and the Cramer-Rao bound. Then the ordering checks, then the CSV:
-    x under the header `abscissa`, and the SweepRecord fields in `columns`."""
+    labelled `abscissa`=x, the LMMSE, and the local and Cramer-Rao bounds
+    where `columns` names them. Then the ordering checks, then the CSV: x
+    under the header `abscissa`, and the SweepRecord fields in `columns`."""
     ensemble, ball = load_config(args.config)
     base = validate_problem(ensemble, ball)
     rows = []
     for x in parse_grid(args.grid):
-        _, ball, fisher = _family(kind, x, base.dimension)
+        _, ball = _family(kind, x, base.dimension)
         prob = validate_problem(base.ensemble, ball)
         both = ("lower", "upper")
         bounds = [_labelled(f"{abscissa}={x} {d}", solve_bound, d, prob, prob.ball).bound_value
@@ -224,7 +227,8 @@ def _sweep(args, kind, abscissa, columns) -> int:
                               prob.ball)[0] for d in both]
                    if "local_lower" in columns else [None, None])
         try:
-            cr = cramer_rao_lower(fisher, prob.ensemble)
+            cr = (cramer_rao_lower(gen_gauss_fisher(x, base.dimension), prob.ensemble)
+                  if "cramer_rao" in columns else None)
         except FisherUndefined:
             cr = None
         rows.append(SweepRecord(x, ball.epsilon, *bounds,
@@ -260,15 +264,6 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_p(args) -> int:
-    return _sweep(args, "gen-gauss", "p", ("epsilon", "lower", "upper", "local_lower",
-                                           "local_upper", "lmmse", "cramer_rao"))
-
-
-def cmd_sweep_ball(args) -> int:
-    return _sweep(args, "uniform-ball", "R", ("epsilon", "lower", "upper", "lmmse"))
-
-
 def cmd_verify(args) -> int:
     # the sampling flags are checked before the two bound solves they follow
     for flag, value, floor in (("--n-outer", args.n_outer, MIN_DRAWS),
@@ -289,7 +284,7 @@ def cmd_verify(args) -> int:
         if kind not in ("gen-gauss", "uniform-ball"):
             raise ConfigError(f"unknown prior {args.prior!r}; expected gen-gauss:p, "
                               f"uniform-ball:R, or gaussian")
-        spec, ball, _ = _family(kind, value, k)
+        spec, ball = _family(kind, value, k)
     prob = validate_problem(ensemble, ball)
     lower = solve_bound("lower", prob, prob.ball)
     upper = solve_bound("upper", prob, prob.ball)
@@ -310,7 +305,7 @@ def cmd_verify(args) -> int:
 
 def cmd_scenario(args) -> int:
     distances = tuple(float(tok) for tok in args.distances.split(",") if tok.strip())
-    field = SensorField(distances, args.rho0, args.gamma, args.m, args.sigma0)
+    field = SensorField(distances, args.gamma, args.m, args.sigma0)
     weights = None
     if args.weights:
         weights = [float(tok) for tok in args.weights.split(",") if tok.strip()]
@@ -336,19 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the config's KL radius")
     p_bound.set_defaults(fn=cmd_bound)
 
-    p_sp = sub.add_parser("sweep-p", help="generalized-Gaussian exponent sweep")
-    p_sp.add_argument("--config", required=True)
-    p_sp.add_argument("--grid", required=True,
-                      help="start:stop:count or comma-separated values")
-    p_sp.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p_sp.set_defaults(fn=cmd_sweep_p)
-
-    p_sb = sub.add_parser("sweep-ball", help="uniform-ball radius sweep")
-    p_sb.add_argument("--config", required=True)
-    p_sb.add_argument("--grid", required=True,
-                      help="start:stop:count or comma-separated values")
-    p_sb.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p_sb.set_defaults(fn=cmd_sweep_ball)
+    for name, help_text, kind, abscissa, columns in _SWEEPS:
+        p_sw = sub.add_parser(name, help=help_text)
+        p_sw.add_argument("--config", required=True)
+        p_sw.add_argument("--grid", required=True,
+                          help="start:stop:count or comma-separated values")
+        p_sw.add_argument("--out", default=None, help="CSV path (default stdout)")
+        p_sw.set_defaults(fn=functools.partial(_sweep, kind=kind, abscissa=abscissa,
+                                               columns=columns))
 
     p_v = sub.add_parser("verify", help="Monte Carlo bracketing check")
     p_v.add_argument("--config", required=True)
@@ -361,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sc = sub.add_parser("scenario", help="write a sensor-field config")
     p_sc.add_argument("--distances", required=True, help="comma-separated meters")
-    p_sc.add_argument("--rho0", type=float, required=True, help="source power rho_0^2")
     p_sc.add_argument("--gamma", type=float, required=True, help="decay coefficient")
     p_sc.add_argument("--m", type=float, required=True, help="path-loss exponent in [2,3]")
     p_sc.add_argument("--sigma0", type=float, required=True, help="base noise sigma_0^2")

@@ -110,7 +110,8 @@ def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:
 
     Equals (tr(SNR_0) - K - log det(SNR_0)) / 2 with SNR_0 = Sigma_0^-1 Sigma_X,
     formed from the Cholesky factor of Sigma_0 (SingularReference when it
-    fails). Nonnegative; zero iff the covariances coincide.
+    fails). SingularSum when Sigma_X fails its own Cholesky check or has a
+    nonpositive determinant. Nonnegative; zero iff the covariances coincide.
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
     sigma_0 = np.asarray(sigma_0, dtype=float)
@@ -120,6 +121,10 @@ def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:
         chol = np.linalg.cholesky(sigma_0)
     except np.linalg.LinAlgError as exc:
         raise SingularReference(f"reference covariance factorization failed: {exc}") from exc
+    try:  # an even count of negative eigenvalues passes the determinant sign
+        np.linalg.cholesky(sigma_x)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSum(f"sigma_x factorization failed: {exc}") from exc
     ci = np.linalg.inv(chol)
     logdet_0 = 2.0 * float(np.sum(np.log(np.diag(chol))))
     trace = float(np.trace(ci.T @ (ci @ sigma_x)))

@@ -73,17 +73,13 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class PriorMoments:
-    """First two moments plus Fisher information and the KL radius.
-
-    `fisher` and `epsilon_to_best_gaussian` are None when undefined for the
-    family (e.g. the uniform ball's density has a boundary discontinuity,
-    so its Fisher information does not exist).
-    """
+    """First two moments: the family's moment-matched Gaussian N(mean,
+    covariance). The KL radius and the Fisher information have their own
+    functions (`gen_gauss_epsilon`, `uniform_ball_epsilon`,
+    `gen_gauss_fisher`)."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    fisher: float | None
-    epsilon_to_best_gaussian: float | None
 
 
 def gen_gauss_covariance(p: float, k: int) -> float:
@@ -150,19 +146,10 @@ def gen_gauss_epsilon(p: float, k: int) -> float:
 
 
 def uniform_ball_moments(radius: float, k: int) -> PriorMoments:
-    """Moments of the uniform distribution on the K-ball of given radius.
-
-    Mean zero, covariance (R^2/(K+2)) I; Fisher information undefined
-    because of the density's jump at the boundary.
-    """
+    """Moments of the uniform distribution on the K-ball of given radius:
+    mean zero, covariance (R^2/(K+2)) I."""
     _check_parameter(radius, "radius", k)
-    var = radius**2 / (k + 2.0)
-    return PriorMoments(
-        mean=np.zeros(k),
-        covariance=var * np.eye(k),
-        fisher=None,
-        epsilon_to_best_gaussian=uniform_ball_epsilon(radius, k),
-    )
+    return PriorMoments(np.zeros(k), radius**2 / (k + 2.0) * np.eye(k))
 
 
 def uniform_ball_epsilon(radius: float, k: int) -> float:
@@ -189,15 +176,9 @@ def prior_moments(spec: PriorSpec) -> PriorMoments:
         if mean.shape != (k,) or cov.shape != (k, k):
             raise DimensionMismatch(
                 f"Gaussian family shapes {mean.shape}, {cov.shape} do not match K={k}")
-        return PriorMoments(mean, cov, fisher=None, epsilon_to_best_gaussian=0.0)
+        return PriorMoments(mean, cov)
     if isinstance(fam, GeneralizedGaussian):
-        sigma2 = gen_gauss_covariance(fam.p, k)
-        try:
-            fisher = gen_gauss_fisher(fam.p, k)
-        except FisherUndefined:
-            fisher = None
-        return PriorMoments(np.zeros(k), sigma2 * np.eye(k), fisher,
-                            gen_gauss_epsilon(fam.p, k))
+        return PriorMoments(np.zeros(k), gen_gauss_covariance(fam.p, k) * np.eye(k))
     if isinstance(fam, UniformBall):
         return uniform_ball_moments(fam.radius, k)
     raise TypeError(f"unknown prior family {fam!r}")

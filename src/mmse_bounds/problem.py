@@ -181,11 +181,15 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
         Their base class, for a non-finite mean.
     ValueError
         If a `Problem` comes with a ball other than its own.
+    TypeError
+        If a `ChannelEnsemble` comes without a ball.
     """
     if isinstance(ensemble, Problem):
         if ball is not None and ball != ensemble.ball:
             raise ValueError("validated problem passed with a different ball")
         return ensemble
+    if ball is None:
+        raise TypeError("a ChannelEnsemble needs a DivergenceBall")
 
     if ensemble.count < 1:
         raise DimensionMismatch("ensemble has no channels")

@@ -98,23 +98,23 @@ class TestSweepRecord:
 class TestSensorField:
     def test_noise_oracle(self):
         # sigma_n^2 = sigma_0^2 (1 + gamma d^m): d=3, gamma=1, m=2 -> 10 I
-        field = SensorField((3.0,), 1.0, 1.0, 2.0, 1.0)
+        field = SensorField((3.0,), 1.0, 2.0, 1.0)
         ens = noise_from_distances(field, 3)
         np.testing.assert_allclose(ens.noise_stack[0], 10.0 * np.eye(3), rtol=1e-15)
 
     def test_zero_distance_sensor_sees_base_noise(self):
-        field = SensorField((0.0, 2.0), 1.0, 0.5, 2.5, 0.3)
+        field = SensorField((0.0, 2.0), 0.5, 2.5, 0.3)
         ens = noise_from_distances(field, 2)
         np.testing.assert_allclose(ens.noise_stack[0], 0.3 * np.eye(2), rtol=1e-15)
 
     def test_noise_grows_with_distance(self):
-        field = SensorField((1.0, 2.0, 5.0), 1.0, 0.8, 2.0, 0.5)
+        field = SensorField((1.0, 2.0, 5.0), 0.8, 2.0, 0.5)
         traces = [np.trace(sn) for sn in noise_from_distances(field, 3).noise_stack]
         assert traces == sorted(traces)
         assert traces[0] < traces[-1]
 
     def test_weights_default_and_override(self):
-        field = SensorField((1.0, 2.0), 1.0, 1.0, 2.0, 1.0)
+        field = SensorField((1.0, 2.0), 1.0, 2.0, 1.0)
         np.testing.assert_array_equal(noise_from_distances(field, 2).weights,
                                       [1.0, 1.0])
         ens = noise_from_distances(field, 2, weights=[0.3, 0.7])
@@ -125,23 +125,19 @@ class TestSensorField:
     @pytest.mark.parametrize("kwargs", [
         dict(distances=()),
         dict(distances=(-1.0,)),
-        dict(source_power=0.0),
         dict(decay=-0.1),
         dict(base_noise=0.0),
         dict(exponent=1.9),
         dict(exponent=3.1),
         dict(distances=(1.0, float("nan"))),
         dict(distances=(float("inf"),)),
-        dict(source_power=float("nan")),
-        dict(source_power=float("inf")),
         dict(decay=float("nan")),
         dict(decay=float("inf")),
         dict(base_noise=float("nan")),
         dict(base_noise=float("inf")),
     ])
     def test_field_validation(self, kwargs):
-        base = dict(distances=(1.0,), source_power=1.0, decay=1.0,
-                    exponent=2.0, base_noise=1.0)
+        base = dict(distances=(1.0,), decay=1.0, exponent=2.0, base_noise=1.0)
         base.update(kwargs)
         with pytest.raises(ValueError):
             SensorField(**base)
@@ -151,7 +147,7 @@ class TestScenarioCommand:
     def test_writes_loadable_config(self, tmp_path, capsys):
         out = tmp_path / "field.json"
         rc = cli.main([
-            "scenario", "--distances", "0,1.5,4", "--rho0", "2.0",
+            "scenario", "--distances", "0,1.5,4",
             "--gamma", "0.5", "--m", "2.5", "--sigma0", "0.8",
             "--out", str(out), "--epsilon", "0.25",
         ])
@@ -169,7 +165,7 @@ class TestScenarioCommand:
     def test_dimension_and_weights(self, tmp_path):
         out = tmp_path / "field.json"
         rc = cli.main([
-            "scenario", "--distances", "1,2", "--rho0", "1", "--gamma", "1",
+            "scenario", "--distances", "1,2", "--gamma", "1",
             "--m", "2", "--sigma0", "1", "--out", str(out),
             "--dimension", "2", "--weights", "0.2,0.8",
         ])
@@ -180,19 +176,18 @@ class TestScenarioCommand:
 
     def test_bad_exponent_is_config_error(self, tmp_path, capsys):
         rc = cli.main([
-            "scenario", "--distances", "1", "--rho0", "1", "--gamma", "1",
+            "scenario", "--distances", "1", "--gamma", "1",
             "--m", "3.5", "--sigma0", "1", "--out", str(tmp_path / "x.json"),
         ])
         assert rc == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, fragment", [
-        ("--rho0", "nan", "source power"),
         ("--gamma", "nan", "decay"),
         ("--dimension", "0", "reference covariance"),
     ])
     def test_invalid_field_is_config_error(self, tmp_path, capsys, flag, value, fragment):
-        args = {"--distances": "1", "--rho0": "1", "--gamma": "1", "--m": "2",
+        args = {"--distances": "1", "--gamma": "1", "--m": "2",
                 "--sigma0": "1", "--out": str(tmp_path / "x.json"), flag: value}
         rc = cli.main(["scenario", *(tok for item in args.items() for tok in item)])
         assert rc == EXIT_CONFIG
@@ -374,8 +369,8 @@ class TestSweepP:
         # isotropic sensor fields; at p = 0.51 their lower bounds need the
         # solver to leave the symmetric stationary point
         path = str(tmp_path / "field.json")
-        assert cli.main(["scenario", "--distances", "1,2,4", "--rho0", "1",
-                         "--gamma", "1", "--m", "2", "--sigma0", sigma0,
+        assert cli.main(["scenario", "--distances", "1,2,4", "--gamma", "1",
+                         "--m", "2", "--sigma0", sigma0,
                          "--out", path]) == EXIT_OK
         capsys.readouterr()
         rc = cli.main(["sweep-p", "--config", path, "--grid", "0.51:10:5"])

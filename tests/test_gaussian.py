@@ -73,6 +73,12 @@ class TestMatrixIdentities:
         after = kl_same_mean_gaussians(a @ sx @ a.T, a @ s0 @ a.T)
         assert after == pytest.approx(before, rel=1e-9)
 
+    @pytest.mark.parametrize("sigma_x", [-np.eye(2), [[1.0, 5.0], [-5.0, 1.0]]])
+    def test_kl_rejects_a_non_covariance(self, sigma_x):
+        # both have determinant sign +1, which slogdet alone would accept
+        with pytest.raises(SingularSum):
+            kl_same_mean_gaussians(sigma_x, np.eye(2))
+
     def test_kl_singular_reference(self):
         with pytest.raises(SingularReference):
             kl_same_mean_gaussians(np.eye(2), np.zeros((2, 2)))

@@ -48,6 +48,11 @@ class TestValidation:
         assert validate_problem(prob, prob.ball) is prob
         assert validate_problem(prob, isotropic_ball(2, 1.0, 0.1)) is prob
 
+    def test_raw_ensemble_needs_a_ball(self):
+        # the ball=None default is for an already-validated Problem only
+        with pytest.raises(TypeError, match="ChannelEnsemble needs a DivergenceBall"):
+            validate_problem(small_ensemble())
+
     def test_revalidation_with_other_ball_rejected(self):
         prob = validate_problem(small_ensemble(), isotropic_ball(2, 1.0, 0.1))
         with pytest.raises(ValueError):

@@ -663,3 +663,27 @@ class TestIsotropicOracle:
         s = scalar_ratio(epsilon / 3.0, "lower")
         lower, _ = isotropic_bounds(a, b, 3, epsilon, lam)
         assert lower == pytest.approx(lam * 3.0 * (s * a * b) / (s * a + b), rel=1e-12)
+
+
+class TestSymmetryMechanisms:
+    """Symmetric inputs on the joint route, where the continuation path
+    from Sigma_0 never leaves the inputs' symmetry and other starts decide
+    the answer."""
+
+    def test_split_start(self):
+        # the path keeps three equal eigenvalues; only the split start off
+        # the isotropic subspace reaches the two-level minimum
+        expect = isotropic_bounds(10.0, 0.1, 3, 4.0)[0]
+        assert expect == pytest.approx(0.1798265013358, rel=1e-10)
+        res = _solve("lower", 10.0 * np.eye(3), [0.1 * np.eye(3)], [1.0], 4.0)
+        assert res.bound_value == pytest.approx(expect, rel=1e-10)
+
+    def test_saddle_escape(self):
+        # every input is diagonal, so the path stays diagonal and ends on a
+        # saddle; the escape along its most negative curvature leaves it
+        sigma0, noise = 0.5 * np.eye(2), [np.diag([0.01, 0.03]), np.diag([0.03, 0.01])]
+        res = _solve("lower", sigma0, noise, [1.0, 1.0], 1.0)
+        assert res.bound_value == pytest.approx(0.0569394396620, rel=1e-10)
+        assert abs(res.sigma_x[0, 1]) > 0.1
+        best = multistart_lower(sigma0, np.array(noise), [1.0, 1.0], 1.0, starts=20)
+        assert best == pytest.approx(0.0569394396620, rel=1e-8)

@@ -8,6 +8,11 @@ and the bytes of `sigma_x`, in corpus order, with each failure marked in
 its place. Two trees that print the same hash give bitwise-identical
 answers and the same failures on every solve.
 
+A second SHA-256, the `answers` line, leaves the two iteration counts
+out: `bound_value`, `alpha`, `sigma_x` and the failure markers only. A
+change that moves Jacobian counts but no answer keeps that line and
+changes only the first.
+
 Run from the repository root, once on each tree to compare:
 
     python tools/corpus_gate.py 301 331
@@ -35,8 +40,9 @@ BATCHES = 6  # per seed: 6 x 30 (K, J) cells, 360 solves
 
 
 def gate(seed_lo, seed_hi):
-    """(hex digest, solves, failures) over seeds seed_lo..seed_hi - 1."""
-    digest, solves, failures = hashlib.sha256(), 0, []
+    """(hex digest, answers hex digest, solves, failures) over seeds
+    seed_lo..seed_hi - 1."""
+    digest, answers, solves, failures = hashlib.sha256(), hashlib.sha256(), 0, []
     for seed in range(seed_lo, seed_hi):
         for b, batch in enumerate(make_corpus(seed, BATCHES)):
             for i, p in enumerate(batch):
@@ -50,12 +56,16 @@ def gate(seed_lo, seed_hi):
                     except NoConvergence as exc:
                         failures.append((seed, b, i, direction))
                         print(f"FAIL ({seed},{b},{i}) {direction}: {exc}")
-                        digest.update(f"fail {seed} {b} {i} {direction}".encode())
+                        marker = f"fail {seed} {b} {i} {direction}".encode()
+                        digest.update(marker)
+                        answers.update(marker)
                         continue
+                    sigma_x = res.sigma_x.astype("<f8").tobytes(order="C")
                     digest.update(struct.pack("<2d2q", res.bound_value, res.alpha,
                                               res.inner_iterations, res.outer_iterations))
-                    digest.update(res.sigma_x.astype("<f8").tobytes(order="C"))
-    return digest.hexdigest(), solves, failures
+                    digest.update(sigma_x)
+                    answers.update(struct.pack("<2d", res.bound_value, res.alpha) + sigma_x)
+    return digest.hexdigest(), answers.hexdigest(), solves, failures
 
 
 def main(argv=None) -> int:
@@ -66,10 +76,11 @@ def main(argv=None) -> int:
     if args.seed_hi <= args.seed_lo:
         parser.error("SEED_HI must be greater than SEED_LO")
     t0 = time.perf_counter()
-    hexdigest, solves, failures = gate(args.seed_lo, args.seed_hi)
+    hexdigest, answers, solves, failures = gate(args.seed_lo, args.seed_hi)
     print(f"seeds {args.seed_lo}-{args.seed_hi - 1}: {solves} solves, "
           f"{len(failures)} failed, {time.perf_counter() - t0:.1f} s")
     print(f"sha256 {hexdigest}")
+    print(f"answers sha256 {answers}")
     return 0
 
 
