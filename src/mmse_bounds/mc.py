@@ -17,6 +17,12 @@ below 1% of the inner sample count.
 A log weight depends on the inner normals only through two quadratic
 forms in them, so the kernel gets every channel's weights from one matrix
 product per block and never builds the proposal points (`_mmse_channels`).
+The inner normals come in antithetic pairs z and -z (Hammersley and Morton,
+1956): only half of them are drawn and expanded into monomials, and the
+forms at -z come from the same product through coefficient rows whose
+linear part is negated. Where every weight is equal, as for a Gaussian
+prior, the pairs cancel and an even n_inner gives the posterior mean
+exactly.
 
 All channels of a weighted sum share the outer prior draws and each block
 of inner standard normals and its monomials; only the noise draws are per
@@ -42,12 +48,15 @@ from .gaussian import mmse_matrix, weight_matrix
 from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_log_density,
                      log_density, prior_moments)
 
-# outer draws per block. Measured CPU per four-channel mc_weighted_sum
-# (K = 3, 500 outer draws), against 8: at n_inner = 500, 4 is 22% slower
-# and 16 8% faster; at 2000, 4 is 5% and 16 9% slower; at 4000 (the verify
-# default), 4 is equal and 16 7% slower. A block holds its (b, P, n_inner)
-# monomials and (b, 2J, n_inner) forms, so the peak RSS of the mc_verify
-# pass grows with it: 47 MB at 4, 50 at 8 and 55 at 16
+# outer draws per block. A block holds its (b, n_plus, K) normals, their
+# (b, P, n_plus) monomials and (b, 4J, n_plus) forms, with n_plus =
+# ceil(n_inner/2), and its (b, n_inner) weights. Measured CPU per four-channel mc_weighted_sum
+# (K = 3, 500 outer draws), against 8: at n_inner = 500, 4 is 35% slower
+# and 16 15% faster; at 2000, 4 is 6% slower and 16 6% faster; at 4000
+# (the verify default), 4 is 1% slower and 16 6% faster, the last two
+# inside the quartile spread. The mc_verify pass (500 x 2000) takes the
+# same CPU at 8 and 16, and its peak RSS is 40.5 MB at 4, 41.3 at 8 and
+# 43.4 at 16
 _CHUNK = 8
 
 MIN_DRAWS = 100  # fewest outer, inner or KL draws an estimate accepts
@@ -78,31 +87,29 @@ def _rng_from(seed_seq) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_seq))
 
 
-def _features(z):
-    """Monomials of a (b, n, K) block of normals as a (b, P, n) array:
-    the rows z_i z_j for i <= j (`np.triu_indices` order), then z_1..z_K,
-    then 1, so P = K(K+1)/2 + K + 1."""
-    b, n, k = z.shape
+def _features(z, out):
+    """Monomials of a (b, n, K) block of normals, written into the (b, P, n)
+    array `out`: the rows z_i z_j for i <= j (`np.triu_indices` order),
+    then z_1..z_K, then 1, so P = K(K+1)/2 + K + 1."""
+    k = z.shape[2]
     n_quad = k * (k + 1) // 2
-    f = np.empty((b, n_quad + k + 1, n))
-    lin = f[:, n_quad:-1]
+    lin = out[:, n_quad:-1]
     lin[...] = z.transpose(0, 2, 1)
     row = 0
     for i in range(k):  # z_i times z_i..z_K in one call
-        np.multiply(lin[:, i:i + 1], lin[:, i:], out=f[:, row:row + k - i])
+        np.multiply(lin[:, i:i + 1], lin[:, i:], out=out[:, row:row + k - i])
         row += k - i
-    f[:, -1] = 1.0
-    return f
+    out[:, -1] = 1.0
 
 
-def _form_rows(quad, lin, const):
+def _form_rows(quad, lin, const, out):
     """Coefficients of z^T Q z + l^T z + c0 against the rows of `_features`,
-    one row per outer draw: `quad` is the symmetric (K, K) Q, `lin` the
-    (n, K) rows l and `const` the (n,) c0; returns (n, P)."""
+    one row per outer draw, written into the (n, P) array `out`: `quad` is
+    the symmetric (K, K) Q, `lin` the (n, K) rows l and `const` the (n,) c0."""
     iu, ju = np.triu_indices(quad.shape[0])
-    quad_row = np.where(iu == ju, 1.0, 2.0) * quad[iu, ju]
-    n = lin.shape[0]
-    return np.hstack([np.broadcast_to(quad_row, (n, iu.size)), lin, const[:, None]])
+    out[:, :iu.size] = np.where(iu == ju, 1.0, 2.0) * quad[iu, ju]
+    out[:, iu.size:-1] = lin
+    out[:, -1] = const
 
 
 def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
@@ -127,24 +134,39 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     Within a channel all outer draws share the quadratic coefficients;
     only the linear and constant ones follow d and u. Each channel's
     coefficient rows are computed for all outer draws before any block, so
-    no row depends on the block it falls in. The estimate is
-    x_hat = m_post + L_post (sum w z) / sum w; no proposal is built.
+    no row depends on the block it falls in.
 
-    The outer draws are taken _CHUNK at a time. Each block's normals are
-    drawn as (b, n_inner, K), in the order every block size shares, and
-    expanded once into their (b, P, n_inner) monomials (`_features`); one
-    batched product with the (b, 2J, P) coefficient rows gives both forms
-    of every channel (`mc_weighted_sum` says why sharing the normals keeps
-    the estimate's meaning). Expanded, q0 can round a near-zero norm below
-    zero, so it is clipped at zero.
+    The inner points are antithetic pairs: per outer draw, n_plus =
+    ceil(n_inner/2) normals z and the first n_inner of [z, -z], so an odd
+    n_inner drops the last -z. A form at -z is the form at z with its linear
+    coefficients negated, so only z is expanded into monomials, and the
+    coefficient rows are stacked once as an (n_outer, 4J, P) array: per
+    channel q0(+z), q0(-z), q1(+z), q1(-z). One batched product with a
+    block's (b, P, n_plus) monomials then gives every form at both signs,
+    each channel's q0 and q1 a contiguous (b, 2 n_plus) run over the inner
+    points. The estimate is x_hat = m_post + L_post (sum (w+ - w-) z) / sum w,
+    with w+ and w- the weights at z and -z; no proposal is built.
+
+    The outer draws are taken _CHUNK at a time, each block's normals drawn
+    as (b, n_plus, K), in the order every block size shares
+    (`mc_weighted_sum` says why sharing them across channels keeps the
+    estimate's meaning).
+    The block buffers (normals, monomials, forms, weights) are allocated
+    once per call. Expanded, q0 can round a near-zero norm below zero, so
+    it is clipped at zero.
     """
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
     centre, whiten, h = _quadratic_log_density(spec)
     n_outer, k = x.shape
+    n_ch = len(noise_stack)
+    n_quad = k * (k + 1) // 2
+    n_plus = (n_inner + 1) // 2
+    n_minus = n_inner - n_plus
 
-    chol_posts, m_posts, prior_rows, corr_rows = [], [], [], []
-    for sigma_n, y in zip(noise_stack, ys):
+    coef = np.empty((n_outer, 4 * n_ch, n_quad + k + 1))
+    chol_posts, m_posts = [], []
+    for j, (sigma_n, y) in enumerate(zip(noise_stack, ys)):
         w = weight_matrix(c, sigma_n)
         chol_post = np.linalg.cholesky(mmse_matrix(c, sigma_n))
         chol_n = np.linalg.cholesky(sigma_n)
@@ -157,34 +179,47 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
         d = (m_post - centre) @ whiten.T
         mz = whiten @ chol_post
         a = inv_chol_n @ chol_post
-        prior_rows.append(_form_rows(mz.T @ mz, 2.0 * d @ mz, np.einsum("nk,nk->n", d, d)))
-        corr_rows.append(_form_rows(0.5 * (np.eye(k) - a.T @ a), u @ a,
-                                    half_logdet_ratio - 0.5 * np.einsum("nk,nk->n", u, u)))
+        _form_rows(mz.T @ mz, 2.0 * d @ mz, np.einsum("nk,nk->n", d, d), coef[:, 4 * j])
+        _form_rows(0.5 * (np.eye(k) - a.T @ a), u @ a,
+                   half_logdet_ratio - 0.5 * np.einsum("nk,nk->n", u, u), coef[:, 4 * j + 2])
         chol_posts.append(chol_post)
         m_posts.append(m_post)
-    n_ch = len(chol_posts)
-    coef = np.stack(prior_rows + corr_rows, axis=1)  # (n_outer, 2J, P)
-    del prior_rows, corr_rows
+    coef[:, 1::2] = coef[:, 0::2]
+    coef[:, 1::2, n_quad:-1] *= -1.0  # the rows at -z
+
+    size = min(_CHUNK, n_outer)
+    z_buf = np.empty((size, n_plus, k))
+    feat_buf = np.empty((size, n_quad + k + 1, n_plus))
+    forms_buf = np.empty((size, 4 * n_ch, n_plus))
+    pairs = forms_buf.reshape(size, 2 * n_ch, 2 * n_plus)  # q0_j at 2j, q1_j at 2j+1
+    wts_buf = np.empty((size, n_inner))
+    diff_buf = np.empty((size, n_plus))
 
     rng = _rng_from(inner_seed)
     sq_err = np.empty((n_ch, n_outer))
     ess = np.empty((n_ch, n_outer))
     for start in range(0, n_outer, _CHUNK):
         stop = min(start + _CHUNK, n_outer)
-        z = rng.standard_normal((stop - start, n_inner, k))
-        forms = coef[start:stop] @ _features(z)  # (b, 2J, n_inner)
-        q0 = forms[:, :n_ch]
-        np.maximum(q0, 0.0, out=q0)
+        b = stop - start
+        z = z_buf[:b]
+        rng.standard_normal(out=z)
+        _features(z, feat_buf[:b])
+        np.matmul(coef[start:stop], feat_buf[:b], out=forms_buf[:b])
+        q0s = pairs[:b, 0::2]
+        np.maximum(q0s, 0.0, out=q0s)
+        wts, diff = wts_buf[:b], diff_buf[:b]
         for j in range(n_ch):
-            log_w = h(q0[:, j]) + forms[:, n_ch + j]
-            row_max = log_w.max(axis=1, keepdims=True)
-            row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-            wts = np.exp(log_w - row_max)
+            np.add(h(pairs[:b, 2 * j, :n_inner]), pairs[:b, 2 * j + 1, :n_inner], out=wts)
+            row_max = wts.max(axis=1, keepdims=True)
+            wts -= np.where(np.isfinite(row_max), row_max, 0.0)
+            np.exp(wts, out=wts)
             totals = wts.sum(axis=1)
             sq_totals = np.einsum("bn,bn->b", wts, wts)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ess[j, start:stop] = np.where(sq_totals > 0, totals**2 / sq_totals, 0.0)
-            z_bar = (wts[:, None, :] @ z)[:, 0] / totals[:, None]
+            np.subtract(wts[:, :n_minus], wts[:, n_plus:], out=diff[:, :n_minus])
+            diff[:, n_minus:] = wts[:, n_minus:n_plus]  # a z without its -z
+            z_bar = (diff[:, None] @ z)[:, 0] / totals[:, None]
             x_hat = m_posts[j][start:stop] + z_bar @ chol_posts[j].T
             sq_err[j, start:stop] = np.sum((x_hat - x[start:stop]) ** 2, axis=1)
     return sq_err, ess

@@ -23,7 +23,7 @@ from mmse_bounds import (
 )
 from mmse_bounds.gaussian import mmse_matrix, weight_matrix
 from mmse_bounds import mc
-from mmse_bounds.mc import _CHUNK, _check_degenerate, _mmse_channels, _rng_from
+from mmse_bounds.mc import _check_degenerate, _mmse_channels, _rng_from
 from mmse_bounds.priors import _sample_with, log_density
 from conftest import TEST_SEED, random_spd
 
@@ -46,22 +46,26 @@ def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
     """Reference kernel: the importance weights are the prior, noise and
     proposal log densities of every proposal point, evaluated directly on
     repeated copies of y and the posterior means. Same draws, same order
-    as `_mmse_channels` on one channel; returns (squared_errors, bad_count)."""
+    and the same antithetic point set as `_mmse_channels` on one channel:
+    per block (b, ceil(n_inner/2), K) normals z from the generator
+    `mc._rng_from` gives, and the points [z, -z][:n_inner]. Returns
+    (squared_errors, ess)."""
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
     k = x.shape[1]
     gain = np.eye(k) - weight_matrix(c, sigma_n)
     c_post = mmse_matrix(c, sigma_n)
     chol_post = np.linalg.cholesky(c_post)
-    rng = _rng_from(inner_seed)
+    rng = mc._rng_from(inner_seed)
     sq_err = np.empty(x.shape[0])
-    n_bad = 0
-    for start in range(0, x.shape[0], _CHUNK):
-        stop = min(start + _CHUNK, x.shape[0])
+    ess = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], mc._CHUNK):
+        stop = min(start + mc._CHUNK, x.shape[0])
         yc = y[start:stop]
         b = yc.shape[0]
         m_post = m + (yc - m) @ gain.T
-        z = rng.standard_normal((b, n_inner, k))
+        z = rng.standard_normal((b, (n_inner + 1) // 2, k))
+        z = np.concatenate([z, -z], axis=1)[:, :n_inner]
         xs = m_post[:, None, :] + z @ chol_post.T
         flat = xs.reshape(-1, k)
         log_w = (log_density(spec, flat)
@@ -76,11 +80,10 @@ def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
         totals = wts.sum(axis=1)
         sq_totals = (wts**2).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ess = np.where(sq_totals > 0, totals**2 / sq_totals, 0.0)
-        n_bad += int(np.count_nonzero(ess < 0.01 * n_inner))
+            ess[start:stop] = np.where(sq_totals > 0, totals**2 / sq_totals, 0.0)
         x_hat = (wts[:, :, None] * xs).sum(axis=1) / totals[:, None]
         sq_err[start:stop] = np.sum((x_hat - x[start:stop]) ** 2, axis=1)
-    return sq_err, n_bad
+    return sq_err, ess
 
 
 def _kernel_cases():
@@ -115,19 +118,39 @@ def _kernel_input(spec, noise_scale, n_outer, n_channels=1):
 class TestKernel:
     @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
     def test_matches_direct_density_oracle(self, spec, noise_scale):
-        # Whitening from the drawn normals must change the per-draw errors
-        # only at rounding level and leave every bad-draw verdict alone.
-        n_outer, n_inner = 150, 300  # full blocks and a partial last one
+        # Whitening from the drawn normals and the stacked rows at -z must
+        # change the per-draw errors only at rounding level and leave every
+        # bad-draw verdict alone; an odd n_inner drops the last -z.
+        n_outer = 150  # full blocks and a partial last one
         noise, x, ys, s_inner = _kernel_input(spec, noise_scale, n_outer)
-        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
-        assert sq_err.shape == ess.shape == (1, n_outer)
-        ref_err, ref_bad = _oracle_one_channel(spec, noise[0], x, ys[0], s_inner, n_inner)
-        np.testing.assert_allclose(sq_err[0], ref_err, rtol=1e-9, atol=0.0)
-        assert int(np.count_nonzero(ess < 0.01 * n_inner)) == ref_bad
-        assert np.all((ess >= 1.0) & (ess <= n_inner * (1 + 1e-12)))
-        if isinstance(spec.family, Gaussian):
-            # the proposal is the exact posterior, so every weight is equal
-            np.testing.assert_allclose(ess, n_inner, rtol=1e-12, atol=0.0)
+        for n_inner in (300, 301):
+            sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
+            assert sq_err.shape == ess.shape == (1, n_outer)
+            ref_err, ref_ess = _oracle_one_channel(spec, noise[0], x, ys[0], s_inner, n_inner)
+            np.testing.assert_allclose(sq_err[0], ref_err, rtol=1e-9, atol=0.0)
+            assert int(np.count_nonzero(ess < 0.01 * n_inner)) == \
+                int(np.count_nonzero(ref_ess < 0.01 * n_inner))
+            assert np.all((ess >= 1.0) & (ess <= n_inner * (1 + 1e-12)))
+            if isinstance(spec.family, Gaussian):
+                # the proposal is the exact posterior, so every weight is equal
+                np.testing.assert_allclose(ess, n_inner, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_channels", [1, 4])
+    def test_gaussian_prior_estimate_is_the_posterior_mean(self, n_channels):
+        # With a Gaussian prior every weight is equal, and an even n_inner
+        # pairs each z with -z, so sum z = 0 and x_hat = m_post exactly.
+        k = 3
+        rng = np.random.default_rng(11)
+        spec = PriorSpec(Gaussian(rng.normal(size=k), random_spd(rng, k, 2.0)), k)
+        noise, x, ys, s_inner = _kernel_input(spec, 0.8, 150, n_channels)
+        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, 300)
+        c = spec.family.covariance
+        for j, (sigma_n, y) in enumerate(zip(noise, ys)):
+            m_post = spec.family.mean + (y - spec.family.mean) @ (
+                np.eye(k) - weight_matrix(c, sigma_n)).T
+            np.testing.assert_allclose(sq_err[j], np.sum((m_post - x) ** 2, axis=1),
+                                       rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ess, 300, rtol=1e-12, atol=0.0)
 
     def test_proposals_at_the_prior_centre_stay_finite(self, monkeypatch):
         # Inner draws within 1e-8 of the z that maps to x = 0: the expanded
@@ -141,13 +164,24 @@ class TestKernel:
         z_centre = np.linalg.solve(np.linalg.cholesky(mmse_matrix(c, sigma_n)), -m_post)
 
         class Clustered:
-            def standard_normal(self, shape):
-                return z_centre + 1e-8 * np.random.default_rng(0).standard_normal(shape)
+            def standard_normal(self, size=None, out=None):
+                shape = size if out is None else out.shape
+                z = z_centre + 1e-8 * np.random.default_rng(0).standard_normal(shape)
+                if out is None:
+                    return z
+                out[...] = z
+                return out
 
         monkeypatch.setattr(mc, "_rng_from", lambda seed: Clustered())
         sq_err, ess = _mmse_channels(spec, [sigma_n], x, [y], None, 300)
         assert np.all(np.isfinite(sq_err))
-        np.testing.assert_allclose(ess, 300, rtol=1e-9, atol=0.0)
+        # The +z half sits at the centre, where the expanded ||x||^2 is its
+        # rounding (about 1e-15 against a true 1e-16) and ||x||^0.7 of it
+        # moves those log weights by about 1e-5; the -z half lands away
+        # from the centre, so the weights are not all equal.
+        ref_err, ref_ess = _oracle_one_channel(spec, sigma_n, x, y, None, 300)
+        np.testing.assert_allclose(sq_err[0], ref_err, rtol=1e-6, atol=0.0)
+        np.testing.assert_allclose(ess[0], ref_ess, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
     def test_channels_match_one_channel_kernel(self, spec, noise_scale):
@@ -204,27 +238,24 @@ class TestGaussianExactness:
 
 class TestReproducibility:
     @pytest.mark.parametrize("seed, value, std_error, min_ess, median_ess", [
-        (42, 1.05852417483092, 0.09654067356584055, 19.815174674571, 182.37724706396511),
-        (43, 0.8785116290451779, 0.07277704307910486, 45.28656752487853, 180.66883127743552),
-    ])
+        (42, 1.048260891288714, 0.0970111744031677, 48.97834888943239, 183.22059429705297),
+        (43, 0.8739084764499142, 0.0727568932812023, 32.81026955454934, 180.8037537202004),
+    ], ids=["seed-42", "seed-43"])
     def test_mc_mmse_pinned(self, seed, value, std_error, min_ess, median_ess):
         # One channel keeps the stream layout of one inner stream per
-        # channel, so value and SE stay the numbers it gave before the
-        # channels shared their inner draws. Forming the weights from
-        # quadratic forms in the normals moved the ESS in the 15th digit.
+        # channel; the values are those of the antithetic inner points.
         spec = PriorSpec(GeneralizedGaussian(1.0), 2)
         est = _one_channel(spec, np.array([[0.8, 0.3], [0.3, 0.6]]), 150, 200, seed=seed)
         assert (est.value, est.std_error, est.min_ess, est.median_ess, est.bad_fraction) == \
             (value, std_error, min_ess, median_ess, 0.0)
 
     @pytest.mark.parametrize("family, value, std_error, bad_fraction", [
-        (GeneralizedGaussian(1.0), 8.473109589949177, 0.29224903982536904, 0.0005),
-        (UniformBall(2.0), 2.8651967402342295, 0.06228944542270584, 0.0),
+        (GeneralizedGaussian(1.0), 8.396116724596403, 0.28664470130426556, 0.0),
+        (UniformBall(2.0), 2.864229947239714, 0.06217888255731487, 0.0),
     ], ids=["gen-gauss:1", "uniform-ball:2"])
     def test_weighted_sum_pinned(self, demo_ensemble, family, value, std_error,
                                  bad_fraction):
-        # recorded when the kernel still formed every proposal point; the
-        # quadratic forms may move them by rounding only
+        # the values of the antithetic inner points
         est = mc_weighted_sum(PriorSpec(family, 3), demo_ensemble, 500, 2000, seed=42)
         np.testing.assert_allclose((est.value, est.std_error), (value, std_error),
                                    rtol=1e-12, atol=0.0)
