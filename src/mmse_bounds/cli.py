@@ -148,8 +148,11 @@ def parse_grid(text: str) -> np.ndarray:
             raise ConfigError(f"bad grid {text!r}: {exc}") from exc
         if count < 1:
             raise ConfigError("grid count must be >= 1")
-        with np.errstate(invalid="ignore"):  # a non-finite end is rejected below
-            grid = np.linspace(start, stop, count)
+        try:
+            with np.errstate(invalid="ignore"):  # a non-finite end is rejected below
+                grid = np.linspace(start, stop, count)
+        except MemoryError:
+            raise ConfigError(f"grid {text!r} has too many points to allocate") from None
     else:
         try:
             grid = np.array([float(tok) for tok in text.split(",") if tok.strip()])

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateWeights
+from .exceptions import DegenerateWeights, DimensionMismatch
 from .gaussian import mmse_matrix, weight_matrix
 from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_log_density,
                      log_density, prior_moments)
@@ -246,6 +246,12 @@ def _estimate(per_draw, ess, n_inner, seed) -> McEstimate:
                       bad_fraction=n_bad / ess.size)
 
 
+def _check_dimension(spec, k, what):
+    """DimensionMismatch naming both dimensions unless the prior's is k."""
+    if spec.dimension != k:
+        raise DimensionMismatch(f"prior has dimension {spec.dimension}, {what} dimension is {k}")
+
+
 def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
                     seed: int) -> McEstimate:
     """Weighted MMSE sum across a ChannelEnsemble or Problem, sharing outer x draws.
@@ -270,6 +276,7 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     """
     if n_outer < MIN_DRAWS or n_inner < MIN_DRAWS:
         raise ValueError(f"n_outer and n_inner must both be >= {MIN_DRAWS}")
+    _check_dimension(spec, ensemble.dimension, "ensemble")
     root = np.random.SeedSequence(seed)
     noise_stack = ensemble.noise_stack
     s_x, *chan_seeds = root.spawn(1 + 2 * len(noise_stack))
@@ -293,6 +300,7 @@ def mc_kl(spec: PriorSpec, gaussian, n: int, seed: int) -> McEstimate:
     """
     if n < MIN_DRAWS:
         raise ValueError(f"n must be >= {MIN_DRAWS}")
+    _check_dimension(spec, np.shape(gaussian.covariance)[0], "Gaussian")
     root = np.random.SeedSequence(seed)
     x = _sample_with(spec, n, _rng_from(root))
     terms = (log_density(spec, x)

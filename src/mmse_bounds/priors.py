@@ -20,6 +20,7 @@ zero-mean Gaussian, so epsilon here is always the KL to the moment match.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -145,11 +146,28 @@ def gen_gauss_epsilon(p: float, k: int) -> float:
     return max(value, 0.0)
 
 
+def _ball_variance(radius: float, k: int) -> float:
+    """R^2/(K+2), the per-coordinate variance of the uniform K-ball. Raises
+    ValueError naming R and K where it or 2 pi R^2, the largest term of
+    `uniform_ball_epsilon`, leaves the normal double range."""
+    _check_parameter(radius, "radius", k)
+    with np.errstate(over="ignore"):  # a numpy radius; a Python float raises instead
+        try:
+            r2 = radius**2
+        except OverflowError:
+            r2 = math.inf
+        in_range = (sys.float_info.min <= r2 / (k + 2.0)
+                    and 2.0 * math.pi * r2 <= sys.float_info.max)
+    if not in_range:
+        raise ValueError(f"uniform ball at radius R={radius}, K={k}: R^2/(K+2) or 2 pi R^2 "
+                         f"leaves the normal double range")
+    return r2 / (k + 2.0)
+
+
 def uniform_ball_moments(radius: float, k: int) -> PriorMoments:
     """Moments of the uniform distribution on the K-ball of given radius:
     mean zero, covariance (R^2/(K+2)) I."""
-    _check_parameter(radius, "radius", k)
-    return PriorMoments(np.zeros(k), radius**2 / (k + 2.0) * np.eye(k))
+    return PriorMoments(np.zeros(k), _ball_variance(radius, k) * np.eye(k))
 
 
 def uniform_ball_epsilon(radius: float, k: int) -> float:
@@ -159,7 +177,7 @@ def uniform_ball_epsilon(radius: float, k: int) -> float:
     V_K(R) = pi^(K/2) R^K / Gamma(K/2 + 1); scale-invariant, so the value
     depends only on K.
     """
-    _check_parameter(radius, "radius", k)
+    _ball_variance(radius, k)
     log_vk = 0.5 * k * math.log(math.pi) + k * math.log(radius) - math.lgamma(0.5 * k + 1.0)
     value = (-log_vk + 0.5 * k * math.log(2.0 * math.pi * radius**2 / (k + 2.0))
              + 0.5 * k)

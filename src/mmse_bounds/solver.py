@@ -27,13 +27,16 @@ curvature. A lower bound also tries a second start at the target, a
 descent from the centre when the path stalls at a fold, and a
 symmetry-breaking split when its answer has a repeated eigenvalue, and
 keeps the lowest. Every answer is certified before it is returned: the
-fixed-point residual, |kl - epsilon| and the sign of alpha. A local bound
-on a reference exactly c I is solved as K scalars instead (`local_bound`),
-under the same certificate. README "Solver notes" gives the details.
+fixed-point residual, |kl - epsilon| and the sign of alpha. A one-channel
+problem on a reference exactly c I, such as a local bound, is solved as K
+scalars first (`separable`), under the same certificate; continuation runs
+only if none of its candidates passes. README "Solver notes" gives the
+details.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -69,7 +72,7 @@ class BoundResult:
     """Solved bound: multiplier, extremal covariance, value, diagnostics.
 
     inner_iterations counts Jacobian evaluations, outer_iterations
-    continuation steps; a local bound solved as K scalars (`local_bound`)
+    continuation steps; a one-channel problem on c I solved as K scalars
     counts its reduced Newton iterations and no steps.
     """
 
@@ -357,6 +360,11 @@ def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
 def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
     """Solve for the upper or lower bound on the weighted MMSE sum.
 
+    One channel on a reference exactly c I is solved as K scalars first
+    (README "Solver notes"; `inner_iterations` counts reduced Newton
+    iterations, `outer_iterations` is 0); other problems, or one whose K
+    scalar candidates all fail the certificate, by continuation.
+
     Parameters
     ----------
     direction : {"upper", "lower"}
@@ -392,6 +400,11 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
         return BoundResult(direction, 0.0, ctx.sigma0.copy(), _value(ctx, ctx.sigma0), 0.0,
                            0, 0, (0.0, abs(eps)))
 
+    if prob.weights.size == 1 and np.array_equal(ctx.sigma0, ctx.sigma0[0, 0] * np.eye(ctx.k)):
+        # one channel on c I: the K-scalar candidates, continuation only if none passes
+        with contextlib.suppress(NoConvergence):
+            return _certify(direction, ctx, eps, _separable(ctx, sign, eps))
+
     found = []  # (Sigma, alpha), best first
 
     def add(start, *args):
@@ -423,67 +436,49 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
     except (NoConvergence, np.linalg.LinAlgError) as exc:
         raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {exc}",
                             getattr(exc, "residual", None), ctx.jacobians) from exc
+    return _certify(direction, ctx, eps, [(s, a, None, ctx.jacobians) for s, a in found])
+
+
+def _certify(direction, ctx, eps, found):
+    """The first of the best-first candidates (Sigma, alpha, value, inner
+    iterations) that passes the certificate once Sigma is symmetrized: a
+    fixed-point residual of at most 1e-11 and |kl - epsilon| <= 1e-10. A
+    value of None is f at the symmetrized Sigma. NoConvergence if none passes."""
     res = np.inf
-    for sigma, alpha in found:
+    for sigma, alpha, value, inner in found:
         sigma = 0.5 * (sigma + sigma.T)
         res = _residual(ctx, sigma, alpha)
         kl = kl_same_mean_gaussians(sigma, ctx.sigma0)
         if res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL:
-            return BoundResult(direction, float(alpha), sigma, _value(ctx, sigma), kl,
-                               ctx.jacobians, ctx.steps, (res, abs(kl - eps)))
+            return BoundResult(direction, float(alpha), sigma,
+                               _value(ctx, sigma) if value is None else value, kl, inner,
+                               ctx.steps, (res, abs(kl - eps)))
     raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {len(found)} local "
                         f"extrema found, none certified (residual {res:.3g})", residual=res,
                         iterations=ctx.jacobians)
 
 
-def _separable(direction, prob):
-    """The one-channel bound on Sigma_0 = c I from the K-scalar candidates
-    of `separable`, as Q diag(c x) Q^T with Sigma_N = Q diag(nu) Q^T: the
-    best one that passes `solve_bound`'s certificate. None where Sigma_0 is
-    not exactly isotropic, the ball is a point, or no candidate passes."""
-    sigma0, eps = prob.reference.covariance, prob.epsilon
-    k, c = sigma0.shape[0], sigma0[0, 0]
-    if eps <= _OUTER_TOL or not np.array_equal(sigma0, c * np.eye(k)):
-        return None
-    nu, q = np.linalg.eigh(prob.noise_stack[0])
+def _separable(ctx, sign, eps):
+    """The candidates of a one-channel problem on Sigma_0 = c I from the
+    K-scalar stationary points of `separable`, best first: (Q diag(c x) Q^T,
+    alpha, value, reduced Newton iterations) with Sigma_N = Q diag(nu) Q^T,
+    the value scaled by the channel weight lambda and alpha by 1 / lambda."""
+    c, lam = ctx.sigma0[0, 0], ctx.weights[0]
+    nu, q = np.linalg.eigh(ctx.noise[0])
     rho = nu / c
-    sign = _sign(direction)
     found = (upper_candidates if sign > 0 else lower_candidates)(rho, eps)
-    found = [(c * sum(xi * ri / (xi + ri) for xi, ri in zip(x, rho.tolist())), x, b, n)
+    found = [(lam * c * sum(xi * ri / (xi + ri) for xi, ri in zip(x, rho.tolist())), x, b, n)
              for x, b, n in found if all(xi > 0.0 for xi in x)]  # no NaN, no underflow
-    ctx = _Ctx(prob)
-    for value, x, b, n in sorted(found, key=lambda cand: -sign * cand[0]):
-        sigma = (q * (c * np.array(x))) @ q.T
-        sigma = 0.5 * (sigma + sigma.T)
-        alpha = sign * b / c
-        res = _residual(ctx, sigma, alpha)
-        kl = kl_same_mean_gaussians(sigma, sigma0)
-        if res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL:
-            return BoundResult(direction, alpha, sigma, value, kl, n, 0, (res, abs(kl - eps)))
-    return None
+    return [((q * (c * np.array(x))) @ q.T, sign * b / c / lam, value, n)
+            for value, x, b, n in sorted(found, key=lambda cand: -sign * cand[0])]
 
 
 def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall) -> BoundResult:
-    """Bound for a single channel under the same KL constraint.
-
-    Equal to `solve_bound` on the one-channel ensemble with weight 1, to
-    rounding; the result is independent of the original channel weight. A
-    validated `Problem` gives a validated one-channel problem
-    (`Problem.single`), so only a raw `ChannelEnsemble` is validated again.
-    When the reference covariance is exactly c I, the bound is solved as K
-    scalars in the eigenbasis of the channel's noise (README "Solver
-    notes") and certified as `solve_bound` certifies its answers; its
-    `inner_iterations` count reduced Newton iterations and its
-    `outer_iterations` are 0. Otherwise, or if no such answer is
-    certified, `solve_bound` solves it.
-
-    Parameters
-    ----------
-    direction : {"upper", "lower"}
-    """
-    _sign(direction)  # a ValueError before the data are validated
-    prob = validate_problem(ensemble.single(channel_index), ball)
-    return _separable(direction, prob) or solve_bound(direction, prob, prob.ball)
+    """Bound for a single channel under the same KL constraint: `solve_bound`
+    on the channel alone with weight 1 (`single`; a validated `Problem` is
+    not validated again), so independent of the channel's weight, and on a
+    reference exactly c I solved as K scalars. direction: "upper" or "lower"."""
+    return solve_bound(direction, ensemble.single(channel_index), ball)
 
 
 def local_bounds_weighted(direction, ensemble, ball: DivergenceBall):

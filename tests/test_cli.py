@@ -79,6 +79,18 @@ class TestParseGrid:
         with pytest.raises(ConfigError):
             parse_grid(bad)
 
+    def test_unallocatable_grid_is_config_error(self, demo_config, capsys, monkeypatch):
+        # as numpy fails on 1:2:1000000000000; nothing here allocates that much
+        def no_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(np, "linspace", no_memory)
+        rc = cli.main(["sweep-p", "--config", demo_config, "--grid", "1:2:1000000000000"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.err == "error: grid '1:2:1000000000000' has too many points to allocate\n"
+        assert captured.out == ""
+
 
 class TestSweepRecord:
     def test_ok_with_holes(self):
@@ -479,6 +491,25 @@ class TestExtremeExponent:
         captured = capsys.readouterr()
         assert rc == EXIT_SOLVER
         assert err in captured.err
+        assert captured.out == ""
+
+
+class TestExtremeRadius:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, radius", [
+        (["verify", "--prior", "uniform-ball:1e200"], "1e+200"),
+        (["sweep-ball", "--grid", "1e200"], "1e+200"),
+        (["sweep-ball", "--grid", "1e154"], "1e+154"),  # 2 pi R^2 overflows
+        (["sweep-ball", "--grid", "1e-160"], "1e-160"),  # R^2 is subnormal
+        (["sweep-ball", "--grid", "1e-200"], "1e-200"),  # R^2 underflows to 0
+    ])
+    def test_radius_outside_double_range_is_config_error(self, demo_config, capsys, command,
+                                                        radius):
+        rc = cli.main([command[0], "--config", demo_config, *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.err == (f"error: uniform ball at radius R={radius}, K=3: R^2/(K+2) "
+                                f"or 2 pi R^2 leaves the normal double range\n")
         assert captured.out == ""
 
 

@@ -8,6 +8,7 @@ import pytest
 from mmse_bounds import (
     ChannelEnsemble,
     DegenerateWeights,
+    DimensionMismatch,
     Gaussian,
     GaussianReference,
     GeneralizedGaussian,
@@ -371,6 +372,17 @@ class TestGuards:
             _one_channel(spec, np.eye(3), 1000, 99, seed=1)
         with pytest.raises(ValueError):
             mc_weighted_sum(spec, demo_ensemble, 99, 1000, seed=1)
+
+    def test_prior_dimension_must_match(self, demo_ensemble):
+        # K = 2 priors against the K = 3 ensemble and a K = 3 Gaussian
+        for family in (GeneralizedGaussian(1.0), UniformBall(2.0)):
+            spec = PriorSpec(family, 2)
+            with pytest.raises(DimensionMismatch, match="prior has dimension 2, ensemble "
+                                                        "dimension is 3"):
+                mc_weighted_sum(spec, demo_ensemble, 100, 100, seed=1)
+            with pytest.raises(DimensionMismatch, match="prior has dimension 2, Gaussian "
+                                                        "dimension is 3"):
+                mc_kl(spec, GaussianReference(np.zeros(3), np.eye(3)), 100, seed=1)
 
     def test_degenerate_threshold(self):
         # raises strictly above 1% of outer draws, never at or below

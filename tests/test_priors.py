@@ -7,6 +7,7 @@ for every value pinned here.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,13 @@ class TestUniformBall:
         vals = log_density(spec, [[0.0, 0.0], [1.9, 0.0], [2.1, 0.0]])
         assert vals[0] == vals[1] == pytest.approx(-math.log(4 * math.pi), rel=1e-13)
         assert vals[2] == -np.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("radius", [1e200, np.float64(1e200), 1e154, 1e-160, 1e-200])
+    def test_radius_outside_double_range(self, radius):
+        for fn in (uniform_ball_moments, uniform_ball_epsilon):
+            with pytest.raises(ValueError, match=re.escape(f"radius R={radius}, K=3")):
+                fn(radius, 3)
 
     def test_argument_guards(self):
         with pytest.raises(ValueError):

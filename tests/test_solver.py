@@ -17,6 +17,8 @@ Analytic oracles used here:
 Both are independent of the solver's own continuation machinery.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,12 @@ def _rotated(rng, values):
     return 0.5 * (m + m.T)
 
 
+def _halves(noise):
+    """One channel as two half-weight copies: J = 2 with the same f, which
+    `solve_bound` solves by continuation on any reference."""
+    return ChannelEnsemble.from_arrays([noise, noise], [0.5, 0.5])
+
+
 def _separable_case(k, c, three, seed):
     """One channel with noise eigenvalues nu on the reference c I: all
     below c / 8 (three stationary branches each) or all above it (one)."""
@@ -226,16 +234,16 @@ def _separable_case(k, c, three, seed):
 
 
 class TestSeparableLocal:
-    """On an exactly isotropic reference c I, `local_bound` solves the
-    one-channel problem as K scalars in the noise's eigenbasis. Some
-    extremum commutes with Sigma_N (README "Solver notes"), so it must
-    agree with the general solver on the one-channel problem and with the
+    """On an exactly isotropic reference c I, `solve_bound`, and so
+    `local_bound`, solves a one-channel problem as K scalars in the noise's
+    eigenbasis. Some extremum commutes with Sigma_N (README "Solver
+    notes"), so it must agree with continuation on the same f and with the
     exhaustive branch enumeration of `oracles.reduced_lower`."""
 
     @staticmethod
     def _check(res, direction, ens, ball):
-        """The route was taken, passes the certificate, and agrees with the
-        general solver on the one-channel problem."""
+        """The route was taken, passes the certificate, and agrees with
+        continuation on the same f: the channel as two half-weight copies."""
         sign = 1.0 if direction == "upper" else -1.0
         assert res.outer_iterations == 0 and res.inner_iterations > 0
         assert sign * res.alpha > 0.0
@@ -243,7 +251,8 @@ class TestSeparableLocal:
         kl = kl_same_mean_gaussians(res.sigma_x, ball.reference.covariance)
         assert abs(kl - ball.epsilon) <= 1e-10
         assert opt_covariance_residual(res.alpha, res.sigma_x, ens, ball.reference) <= 1e-9
-        general = solve_bound(direction, ens, ball)
+        general = solve_bound(direction, _halves(ens.noise_stack[0]), ball)
+        assert general.outer_iterations > 0
         assert res.bound_value == pytest.approx(general.bound_value, rel=1e-10)
 
     @pytest.mark.parametrize("three", [True, False])
@@ -322,12 +331,30 @@ class TestSeparableLocal:
                                        want.inner_iterations, want.residuals)
             np.testing.assert_array_equal(got.sigma_x, want.sigma_x)
 
+    @pytest.mark.parametrize("isotropic", [True, False])
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_local_bound_is_solve_bound_on_one_channel(self, demo_ensemble, direction,
+                                                       isotropic):
+        # one route per problem, whichever function is called
+        sigma0 = (HARD_VAR * np.eye(3) if isotropic
+                  else random_spd(np.random.default_rng(TEST_SEED), 3, HARD_VAR))
+        ball = DivergenceBall(GaussianReference(np.zeros(3), sigma0), HARD_EPS)
+        for j in range(demo_ensemble.count):
+            got = local_bound(direction, demo_ensemble, j, ball)
+            want = solve_bound(direction, demo_ensemble.single(j), ball)
+            assert (got.outer_iterations == 0) == isotropic
+            for field in dataclasses.fields(BoundResult):
+                if field.name == "sigma_x":
+                    np.testing.assert_array_equal(got.sigma_x, want.sigma_x)
+                else:
+                    assert getattr(got, field.name) == getattr(want, field.name), field.name
+
     @pytest.mark.parametrize("candidates", [[], [([1.0] * 3, 1.0, 1)]])
     @pytest.mark.parametrize("direction", ["lower", "upper"])
     def test_uncertified_route_falls_through(self, demo_ensemble, monkeypatch, direction,
                                              candidates):
         # no candidate, or only Sigma_0 itself (kl = 0): nothing passes the
-        # certificate, so the general solver answers
+        # certificate, so continuation answers
         monkeypatch.setattr(solver, "lower_candidates", lambda rho, eps: candidates)
         monkeypatch.setattr(solver, "upper_candidates", lambda rho, eps: candidates)
         ball = isotropic_ball(3, HARD_VAR, HARD_EPS)
@@ -655,8 +682,11 @@ class TestIsotropicOracle:
     def test_two_level_split(self, k, epsilon, expect):
         lower, _ = isotropic_bounds(10.0, 0.1, k, epsilon)
         assert lower == pytest.approx(expect, rel=1e-10)
-        res = _solve("lower", 10.0 * np.eye(k), [0.1 * np.eye(k)], [1.0], epsilon)
-        assert res.bound_value == pytest.approx(expect, rel=1e-8)
+        # one channel (the K-scalar route) and two half-weight copies (continuation)
+        for j in (1, 2):
+            res = _solve("lower", 10.0 * np.eye(k), [0.1 * np.eye(k)] * j, [1.0 / j] * j,
+                         epsilon)
+            assert res.bound_value == pytest.approx(expect, rel=1e-8)
 
     def test_symmetric_at_small_radius(self):
         a, b, lam, epsilon = 2.0, 0.7, 1.3, 0.3
@@ -672,10 +702,12 @@ class TestSymmetryMechanisms:
 
     def test_split_start(self):
         # the path keeps three equal eigenvalues; only the split start off
-        # the isotropic subspace reaches the two-level minimum
+        # the isotropic subspace reaches the two-level minimum (one channel
+        # as two half-weight copies, so that continuation solves it)
         expect = isotropic_bounds(10.0, 0.1, 3, 4.0)[0]
         assert expect == pytest.approx(0.1798265013358, rel=1e-10)
-        res = _solve("lower", 10.0 * np.eye(3), [0.1 * np.eye(3)], [1.0], 4.0)
+        res = _solve("lower", 10.0 * np.eye(3), [0.1 * np.eye(3)] * 2, [0.5, 0.5], 4.0)
+        assert res.outer_iterations > 0
         assert res.bound_value == pytest.approx(expect, rel=1e-10)
 
     def test_saddle_escape(self):

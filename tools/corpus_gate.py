@@ -11,7 +11,9 @@ answers and the same failures on every solve.
 A second SHA-256, the `answers` line, leaves the two iteration counts
 out: `bound_value`, `alpha`, `sigma_x` and the failure markers only. A
 change that moves Jacobian counts but no answer keeps that line and
-changes only the first.
+changes only the first. Last comes the same answers hash for each (K, J)
+cell of the corpus, so a change that moves one cell on purpose can show
+that every other cell is bitwise unchanged.
 
 Run from the repository root, once on each tree to compare:
 
@@ -40,15 +42,17 @@ BATCHES = 6  # per seed: 6 x 30 (K, J) cells, 360 solves
 
 
 def gate(seed_lo, seed_hi):
-    """(hex digest, answers hex digest, solves, failures) over seeds
-    seed_lo..seed_hi - 1."""
+    """(hex digest, answers hex digest, {(K, J): answers hex digest}, solves,
+    failures) over seeds seed_lo..seed_hi - 1."""
     digest, answers, solves, failures = hashlib.sha256(), hashlib.sha256(), 0, []
+    cells = {}
     for seed in range(seed_lo, seed_hi):
         for b, batch in enumerate(make_corpus(seed, BATCHES)):
             for i, p in enumerate(batch):
                 ball = DivergenceBall(GaussianReference(p["mu0"], p["sigma0"]), p["epsilon"])
                 prob = validate_problem(ChannelEnsemble.from_arrays(p["noise"], p["weights"]),
                                         ball)
+                cell = cells.setdefault((len(p["sigma0"]), len(p["noise"])), hashlib.sha256())
                 for direction in ("lower", "upper"):
                     solves += 1
                     try:
@@ -57,15 +61,17 @@ def gate(seed_lo, seed_hi):
                         failures.append((seed, b, i, direction))
                         print(f"FAIL ({seed},{b},{i}) {direction}: {exc}")
                         marker = f"fail {seed} {b} {i} {direction}".encode()
-                        digest.update(marker)
-                        answers.update(marker)
+                        for h in (digest, answers, cell):
+                            h.update(marker)
                         continue
                     sigma_x = res.sigma_x.astype("<f8").tobytes(order="C")
                     digest.update(struct.pack("<2d2q", res.bound_value, res.alpha,
                                               res.inner_iterations, res.outer_iterations))
                     digest.update(sigma_x)
-                    answers.update(struct.pack("<2d", res.bound_value, res.alpha) + sigma_x)
-    return digest.hexdigest(), answers.hexdigest(), solves, failures
+                    for h in (answers, cell):
+                        h.update(struct.pack("<2d", res.bound_value, res.alpha) + sigma_x)
+    return (digest.hexdigest(), answers.hexdigest(),
+            {kj: h.hexdigest() for kj, h in sorted(cells.items())}, solves, failures)
 
 
 def main(argv=None) -> int:
@@ -76,11 +82,13 @@ def main(argv=None) -> int:
     if args.seed_hi <= args.seed_lo:
         parser.error("SEED_HI must be greater than SEED_LO")
     t0 = time.perf_counter()
-    hexdigest, answers, solves, failures = gate(args.seed_lo, args.seed_hi)
+    hexdigest, answers, cells, solves, failures = gate(args.seed_lo, args.seed_hi)
     print(f"seeds {args.seed_lo}-{args.seed_hi - 1}: {solves} solves, "
           f"{len(failures)} failed, {time.perf_counter() - t0:.1f} s")
     print(f"sha256 {hexdigest}")
     print(f"answers sha256 {answers}")
+    for (k, j), cell in cells.items():
+        print(f"K={k} J={j} answers sha256 {cell}")
     return 0
 
 
