@@ -17,6 +17,12 @@ below 1% of the inner sample count.
 A log weight depends on the inner normals only through two quadratic
 forms in them, so the kernel gets every channel's weights from one matrix
 product per block and never builds the proposal points (`_mmse_channels`).
+Each step from those forms to the weights' sums, ESS and signed
+differences runs once per block over all channels, in buffers allocated
+once per call; only the estimate itself is taken channel by channel. The
+uniform ball's points off its support are masked to weight 0 rather
+than given log weight -inf, which numpy's `exp` takes a slow path on.
+
 The inner normals come in antithetic pairs z and -z (Hammersley and Morton,
 1956): only half of them are drawn and expanded into monomials, and the
 forms at -z come from the same product through coefficient rows whose
@@ -50,8 +56,11 @@ from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_l
 
 # outer draws per block. A block holds its (b, n_plus, K) normals, their
 # (b, P, n_plus) monomials and (b, 4J, n_plus) forms, with n_plus =
-# ceil(n_inner/2), and its (b, n_inner) weights. Measured CPU per four-channel mc_weighted_sum
-# (K = 3, 500 outer draws), against 8: at n_inner = 500, 4 is 35% slower
+# ceil(n_inner/2), its (b, J, n_inner) weights and, for the ball, their
+# (b, J, n_inner) support mask; the signed weight differences reuse the
+# forms' storage. Measured on the kernel that took the channels of a
+# block one at a time: CPU per four-channel mc_weighted_sum (K = 3, 500
+# outer draws), against 8: at n_inner = 500, 4 is 35% slower
 # and 16 15% faster; at 2000, 4 is 6% slower and 16 6% faster; at 4000
 # (the verify default), 4 is 1% slower and 16 6% faster, the last two
 # inside the quartile spread. The mc_verify pass (500 x 2000) takes the
@@ -140,31 +149,44 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     ceil(n_inner/2) normals z and the first n_inner of [z, -z], so an odd
     n_inner drops the last -z. A form at -z is the form at z with its linear
     coefficients negated, so only z is expanded into monomials, and the
-    coefficient rows are stacked once as an (n_outer, 4J, P) array: per
-    channel q0(+z), q0(-z), q1(+z), q1(-z). One batched product with a
-    block's (b, P, n_plus) monomials then gives every form at both signs,
-    each channel's q0 and q1 a contiguous (b, 2 n_plus) run over the inner
-    points. The estimate is x_hat = m_post + L_post (sum (w+ - w-) z) / sum w,
-    with w+ and w- the weights at z and -z; no proposal is built.
+    coefficient rows are stacked once as an (n_outer, 4J, P) array: q0 at
+    +z and -z for every channel, then q1 at +z and -z for every channel.
+    One batched product with a block's (b, P, n_plus) monomials then gives
+    every form at both signs, and q0 and q1 are each a (b, J, 2 n_plus)
+    view whose rows run over a channel's inner points. Each weight step
+    (h(q0) + q1 written in place, the row max, exp, the sums, the squared
+    sums and ESS, w+ - w-) is then one call per block for all J channels.
+    For the ball, h is -log V everywhere and the points with q0 > R^2 are
+    masked: pushed 1e300 down for the row max, then multiplied by the 0/1
+    mask before exp and after it, so no -inf reaches exp and every
+    weight is bitwise what -inf would have given.
+
+    The estimate is x_hat = m_post + L_post (sum (w+ - w-) z) / sum w, with
+    w+ and w- the weights at z and -z; no proposal is built. It stays one
+    (b, 1, n_plus) @ (b, n_plus, K) product per channel: one stacked
+    (b, J, n_plus) product rounds differently from the one-channel call
+    (3e-13 relative), and a one-channel estimate must not depend on the
+    channels it is computed with (`test_channels_match_one_channel_kernel`).
 
     The outer draws are taken _CHUNK at a time, each block's normals drawn
     as (b, n_plus, K), in the order every block size shares
     (`mc_weighted_sum` says why sharing them across channels keeps the
-    estimate's meaning).
-    The block buffers (normals, monomials, forms, weights) are allocated
-    once per call. Expanded, q0 can round a near-zero norm below zero, so
-    it is clipped at zero.
+    estimate's meaning). Expanded, q0 can round a near-zero norm below
+    zero, so it is clipped at zero. A draw whose inner weights all vanish
+    (for the ball, every inner point off the support) has no estimate, so
+    any such draw raises DegenerateWeights naming their count.
     """
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
-    centre, whiten, h = _quadratic_log_density(spec)
+    centre, whiten, h, q_max = _quadratic_log_density(spec)
+    bounded = q_max < math.inf
     n_outer, k = x.shape
     n_ch = len(noise_stack)
     n_quad = k * (k + 1) // 2
     n_plus = (n_inner + 1) // 2
     n_minus = n_inner - n_plus
 
-    coef = np.empty((n_outer, 4 * n_ch, n_quad + k + 1))
+    coef = np.empty((n_outer, 2, n_ch, 2, n_quad + k + 1))
     chol_posts, m_posts = [], []
     for j, (sigma_n, y) in enumerate(zip(noise_stack, ys)):
         w = weight_matrix(c, sigma_n)
@@ -179,25 +201,27 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
         d = (m_post - centre) @ whiten.T
         mz = whiten @ chol_post
         a = inv_chol_n @ chol_post
-        _form_rows(mz.T @ mz, 2.0 * d @ mz, np.einsum("nk,nk->n", d, d), coef[:, 4 * j])
+        _form_rows(mz.T @ mz, 2.0 * d @ mz, np.einsum("nk,nk->n", d, d), coef[:, 0, j, 0])
         _form_rows(0.5 * (np.eye(k) - a.T @ a), u @ a,
-                   half_logdet_ratio - 0.5 * np.einsum("nk,nk->n", u, u), coef[:, 4 * j + 2])
+                   half_logdet_ratio - 0.5 * np.einsum("nk,nk->n", u, u), coef[:, 1, j, 0])
         chol_posts.append(chol_post)
         m_posts.append(m_post)
-    coef[:, 1::2] = coef[:, 0::2]
-    coef[:, 1::2, n_quad:-1] *= -1.0  # the rows at -z
+    coef[..., 1, :] = coef[..., 0, :]
+    coef[..., 1, n_quad:-1] *= -1.0  # the rows at -z
+    coef = coef.reshape(n_outer, 4 * n_ch, n_quad + k + 1)
 
     size = min(_CHUNK, n_outer)
     z_buf = np.empty((size, n_plus, k))
     feat_buf = np.empty((size, n_quad + k + 1, n_plus))
     forms_buf = np.empty((size, 4 * n_ch, n_plus))
-    pairs = forms_buf.reshape(size, 2 * n_ch, 2 * n_plus)  # q0_j at 2j, q1_j at 2j+1
-    wts_buf = np.empty((size, n_inner))
-    diff_buf = np.empty((size, n_plus))
+    forms = forms_buf.reshape(size, 2, n_ch, 2 * n_plus)  # q0 at [:, 0], q1 at [:, 1]
+    wts_buf = np.empty((size, n_ch, n_inner))
+    inside_buf = np.empty((size, n_ch, n_inner), dtype=bool) if bounded else None
 
     rng = _rng_from(inner_seed)
     sq_err = np.empty((n_ch, n_outer))
     ess = np.empty((n_ch, n_outer))
+    n_empty = 0
     for start in range(0, n_outer, _CHUNK):
         stop = min(start + _CHUNK, n_outer)
         b = stop - start
@@ -205,23 +229,37 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
         rng.standard_normal(out=z)
         _features(z, feat_buf[:b])
         np.matmul(coef[start:stop], feat_buf[:b], out=forms_buf[:b])
-        q0s = pairs[:b, 0::2]
-        np.maximum(q0s, 0.0, out=q0s)
-        wts, diff = wts_buf[:b], diff_buf[:b]
+        q0, q1 = forms[:b, 0, :, :n_inner], forms[:b, 1, :, :n_inner]
+        wts = np.maximum(q0, 0.0, out=wts_buf[:b])
+        if bounded:
+            inside = np.less_equal(wts, q_max, out=inside_buf[:b])
+        np.add(h(wts), q1, out=wts)
+        if bounded:  # the row max over the support: the rest go 1e300 down (q0 is spent)
+            wts -= np.multiply(np.logical_not(inside, out=q0), 1e300, out=q0)
+        wts -= wts.max(axis=2, keepdims=True)
+        if bounded:  # exp sees 0, not a huge negative, off the support
+            wts *= inside
+        np.exp(wts, out=wts)
+        if bounded:
+            wts *= inside
+        totals = wts.sum(axis=2)
+        empty = np.count_nonzero(~(totals > 0))
+        if empty:
+            n_empty += empty
+            continue  # the call raises below
+        ess[:, start:stop] = (totals**2 / np.einsum("bjn,bjn->bj", wts, wts)).T
+        diff = forms[:b, 0, :, :n_plus]  # q0's storage again
+        np.subtract(wts[..., :n_minus], wts[..., n_plus:], out=diff[..., :n_minus])
+        diff[..., n_minus:] = wts[..., n_minus:n_plus]  # a z without its -z
         for j in range(n_ch):
-            np.add(h(pairs[:b, 2 * j, :n_inner]), pairs[:b, 2 * j + 1, :n_inner], out=wts)
-            row_max = wts.max(axis=1, keepdims=True)
-            wts -= np.where(np.isfinite(row_max), row_max, 0.0)
-            np.exp(wts, out=wts)
-            totals = wts.sum(axis=1)
-            sq_totals = np.einsum("bn,bn->b", wts, wts)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ess[j, start:stop] = np.where(sq_totals > 0, totals**2 / sq_totals, 0.0)
-            np.subtract(wts[:, :n_minus], wts[:, n_plus:], out=diff[:, :n_minus])
-            diff[:, n_minus:] = wts[:, n_minus:n_plus]  # a z without its -z
-            z_bar = (diff[:, None] @ z)[:, 0] / totals[:, None]
+            z_bar = (diff[:, j:j + 1] @ z)[:, 0] / totals[:, j, None]
             x_hat = m_posts[j][start:stop] + z_bar @ chol_posts[j].T
             sq_err[j, start:stop] = np.sum((x_hat - x[start:stop]) ** 2, axis=1)
+    if n_empty:
+        raise DegenerateWeights(
+            f"every inner importance weight vanished on {n_empty}/{n_ch * n_outer} outer "
+            f"draws; the moment-matched proposal is a bad fit for this prior/noise pair",
+            bad_fraction=n_empty / (n_ch * n_outer))
     return sq_err, ess
 
 
@@ -267,7 +305,8 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     std(v)/sqrt(n_outer) over the per-draw weighted sums; it counts the
     correlation between channels, which a quadrature sum of per-channel
     errors would not. The ESS diagnostics pool every channel's outer draws;
-    an ESS under 1% of n_inner on over 1% of them raises DegenerateWeights.
+    an ESS under 1% of n_inner on over 1% of them raises DegenerateWeights,
+    and so does any draw whose inner weights all vanish.
 
     Seeds: the root spawns 1 + 2J streams, x first. Channel j draws its
     noise from stream 1 + 2j, and the shared inner normals come from

@@ -205,11 +205,15 @@ def prior_moments(spec: PriorSpec) -> PriorMoments:
 def _quadratic_log_density(spec: PriorSpec):
     """The family's log density as h(q) of one quadratic form in x.
 
-    Returns (c, W, h) with q = ||W (x - c)||^2 = (x - c)^T W^T W (x - c):
+    Returns (c, W, h, q_max) with q = ||W (x - c)||^2 = (x - c)^T W^T W (x - c):
     c = 0 and W = I for the generalized Gaussian and the ball, and c = mean
-    and W = L^-1 (C = L L^T) for the Gaussian. `h` maps an array of forms
-    to log densities; `log_density` and the Monte Carlo kernel, which forms
-    q from its own coefficients, share it.
+    and W = L^-1 (C = L L^T) for the Gaussian. `h` overwrites an array of
+    forms with their log densities on the support q <= q_max (R^2 for the
+    ball, inf otherwise) and returns it, in the arithmetic of the plain
+    expressions: for the generalized Gaussian `log_cp - q ** (p/2) / p`,
+    whose in-place `**=` takes the same np.sqrt and np.square paths at
+    p = 1 and 4. Off the support the caller decides: `log_density` gives
+    -inf there, and the Monte Carlo kernel masks those points before `exp`.
     """
     k = spec.dimension
     fam = spec.family
@@ -217,17 +221,31 @@ def _quadratic_log_density(spec: PriorSpec):
         chol = np.linalg.cholesky(np.asarray(fam.covariance, dtype=float))
         log_norm = -0.5 * (k * math.log(2.0 * math.pi)
                            + 2.0 * float(np.sum(np.log(np.diag(chol)))))
-        return (np.asarray(fam.mean, dtype=float), np.linalg.inv(chol),
-                lambda q: log_norm - 0.5 * q)
+
+        def h(q):
+            q *= 0.5
+            return np.subtract(log_norm, q, out=q)
+
+        return np.asarray(fam.mean, dtype=float), np.linalg.inv(chol), h, math.inf
     if isinstance(fam, GeneralizedGaussian):
         p = fam.p
         log_cp = _gen_gauss_log_normaliser(p, k)
-        return np.zeros(k), np.eye(k), lambda q: log_cp - q ** (0.5 * p) / p
+
+        def h(q):
+            q **= 0.5 * p
+            q /= p
+            return np.subtract(log_cp, q, out=q)
+
+        return np.zeros(k), np.eye(k), h, math.inf
     if isinstance(fam, UniformBall):
         log_vk = (0.5 * k * math.log(math.pi) + k * math.log(fam.radius)
                   - math.lgamma(0.5 * k + 1.0))
-        r_sq = fam.radius**2
-        return np.zeros(k), np.eye(k), lambda q: np.where(q <= r_sq, -log_vk, -np.inf)
+
+        def h(q):
+            q.fill(-log_vk)
+            return q
+
+        return np.zeros(k), np.eye(k), h, fam.radius**2
     raise TypeError(f"unknown prior family {fam!r}")
 
 
@@ -237,11 +255,17 @@ def log_density(spec: PriorSpec, x) -> np.ndarray:
     k = spec.dimension
     if x.shape[1] != k:
         raise DimensionMismatch(f"points have dimension {x.shape[1]}, spec has {k}")
-    c, w, h = _quadratic_log_density(spec)
+    c, w, h, q_max = _quadratic_log_density(spec)
     # the short, wide product W (x - c)^T: the tall (n, K) @ (K, K) form can
     # take a much slower threaded BLAS path at large n
     r = w @ (x - c).T
-    return h(np.einsum("kn,kn->n", r, r))
+    q = np.einsum("kn,kn->n", r, r)
+    if q_max == math.inf:
+        return h(q)
+    outside = ~(q <= q_max)  # before h writes over q
+    log_p = h(q)
+    log_p[outside] = -np.inf
+    return log_p
 
 
 def gaussian_log_density(mean, cov, x) -> np.ndarray:

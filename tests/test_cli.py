@@ -580,6 +580,19 @@ class TestVerifyCommand:
         assert rc == EXIT_VERIFY
         assert "verification error: weights collapsed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vanished_weights_are_one_error_line(self, demo_config, capsys):
+        # At R = 1e-20 every inner point falls off the ball: one
+        # verification error line, and no numpy warning before it
+        rc = cli.main(["verify", "--config", demo_config, "--prior", "uniform-ball:1e-20",
+                       "--n-outer", "100", "--n-inner", "100"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_VERIFY
+        assert captured.err == ("verification error: every inner importance weight vanished "
+                                "on 400/400 outer draws; the moment-matched proposal is a bad "
+                                "fit for this prior/noise pair\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("prior, message", [("uniform-ball:inf", "radius must be"),
                                                 ("gen-gauss:inf", "exponent p must be")])
     def test_infinite_prior_parameter_rejected(self, scalar_config, capsys, recwarn, prior,

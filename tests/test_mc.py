@@ -116,6 +116,23 @@ def _kernel_input(spec, noise_scale, n_outer, n_channels=1):
     return noise, x, ys, s_inner
 
 
+
+def _mostly_outside_ball(n_outer):
+    """(spec, noise, x, ys) for a K = 3 unit ball and four full noise
+    covariances, each y placed so that its proposal is centred at 1.1 times
+    the radius: about 3/4 of the inner points fall off the support, and
+    every draw keeps some on it."""
+    k = 3
+    spec = PriorSpec(UniformBall(1.0), k)
+    c = prior_moments(spec).covariance
+    rng = np.random.default_rng(5)
+    noise = [random_spd(rng, k, 0.2) for _ in range(4)]
+    u = rng.standard_normal((n_outer, k))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    ys = [np.linalg.solve(np.eye(k) - weight_matrix(c, sigma_n), 1.1 * u.T).T
+          for sigma_n in noise]
+    return spec, noise, 0.9 * u, ys
+
 class TestKernel:
     @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
     def test_matches_direct_density_oracle(self, spec, noise_scale):
@@ -196,6 +213,34 @@ class TestKernel:
             err_j, ess_j = _mmse_channels(spec, [sigma_n], x, [y], s_inner, n_inner)
             np.testing.assert_allclose(sq_err[j], err_j[0], rtol=1e-13, atol=0.0)
             np.testing.assert_array_equal(ess[j], ess_j[0])
+
+    def test_ball_with_most_points_off_the_support(self):
+        # The ball's off-support points are masked, not given -inf: against
+        # the direct densities, which give them -inf, and bitwise against
+        # each channel's own call, with an odd n_inner.
+        n_outer, n_inner = 150, 301
+        spec, noise, x, ys = _mostly_outside_ball(n_outer)
+        s_inner = np.random.SeedSequence(TEST_SEED)
+        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
+        assert np.all(ess < 0.5 * n_inner)  # ESS <= the number of nonzero weights
+        for j, (sigma_n, y) in enumerate(zip(noise, ys)):
+            ref_err, ref_ess = _oracle_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
+            np.testing.assert_allclose(sq_err[j], ref_err, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(ess[j], ref_ess, rtol=1e-9, atol=0.0)
+            err_j, ess_j = _mmse_channels(spec, [sigma_n], x, [y], s_inner, n_inner)
+            np.testing.assert_array_equal(sq_err[j], err_j[0])
+            np.testing.assert_array_equal(ess[j], ess_j[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_draws_without_weight_raise(self):
+        # A y far outside the ball puts every inner point off the support,
+        # so that draw has no estimate; the call names how many such draws
+        # there are over all channels, with no numpy warning on the way.
+        spec, noise, x, ys = _mostly_outside_ball(100)
+        ys[1][[3, 50, 97]] = 100.0
+        with pytest.raises(DegenerateWeights, match="vanished on 3/400 outer draws") as exc:
+            _mmse_channels(spec, noise, x, ys, np.random.SeedSequence(TEST_SEED), 301)
+        assert exc.value.bad_fraction == 3 / 400
 
     @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
     def test_chunk_size_changes_no_answer(self, spec, noise_scale, monkeypatch):

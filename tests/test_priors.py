@@ -32,7 +32,7 @@ from mmse_bounds import (
     uniform_ball_epsilon,
     uniform_ball_moments,
 )
-from mmse_bounds.priors import _sample_with
+from mmse_bounds.priors import _gen_gauss_log_normaliser, _quadratic_log_density, _sample_with
 
 # Frozen: (p, K) -> (sigma^2, fisher, epsilon)
 GEN_GAUSS_TABLE = {
@@ -196,6 +196,17 @@ class TestLogDensityForms:
         r = np.sqrt(np.sum(x**2, axis=1))
         np.testing.assert_allclose(log_density(PriorSpec(GeneralizedGaussian(p), k), x),
                                    log_cp - r**p / p, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("p", [0.51, 1.0, 3.0, 4.0, 10.0])
+    def test_in_place_h_keeps_the_plain_expression(self, p):
+        # h writes over its forms; numpy's in-place ** takes the sqrt
+        # (p = 1) and square (p = 4) paths of the plain **, so the Monte
+        # Carlo log weights are bitwise those of the expression
+        q = 4.0 * np.random.default_rng(14).random(500)
+        _, _, h, q_max = _quadratic_log_density(PriorSpec(GeneralizedGaussian(p), 3))
+        expected = _gen_gauss_log_normaliser(p, 3) - q ** (0.5 * p) / p
+        np.testing.assert_array_equal(h(q), expected)
+        assert q_max == math.inf
 
     def test_ball_matches_norm_test(self):
         k, radius = 3, 2.0

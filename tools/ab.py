@@ -1,0 +1,272 @@
+"""Paired CPU comparison of two trees of this repository, task by task.
+
+    python tools/ab.py PARENT_DIR CHANGE_DIR [--rounds 15] > rows.json
+
+Starts one persistent worker process per tree. Each worker imports the
+`mmse_bounds` package from its own tree's `src/` and runs every task once
+untimed before any sample is kept. Then, for each round, the driver asks
+each worker in turn for one sample of each task; which side goes first
+alternates by round, so a drift in the machine's speed falls on both
+sides alike. A sample is the CPU time (`time.process_time`, every thread
+of the worker) of the calls into the package.
+
+Tasks (inputs from `perfbench.workloads`, which this tool imports and
+does not change):
+
+* `mc_verify_pass`: `cli.main verify` on the demo problem for each prior
+  of the perfbench `mc_verify` pass, at its draw counts and seed 301;
+  the pass's CPU and each prior's.
+* `kernel_K3_J1`, `kernel_K3_J4`: one `mc._mmse_channels` call with a
+  generalized Gaussian p = 1 prior in K = 3, on the first demo noise
+  covariance or on all four, 256 outer x 2000 inner draws; CPU per
+  million inner samples (outer x inner x channels).
+
+Every task also reports exact counts and a digest of its answers, so a
+row says whether both trees computed the same thing. A task that fails
+in one tree (a private function that is missing or has a new signature)
+is reported under `errors` with its message, never dropped silently.
+
+The output is one JSON object: `rows`, one per metric, each with its
+unit, both sides' median and quartiles, the number of paired samples,
+how many pairs the change won (ties count for neither side) and
+parent_over_change, the ratio of the medians; plus `counts` and
+`errors`. Run it with the same directory on both sides (an A/A run) to
+see each task's noise floor on the machine at hand.
+
+Standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+VERIFY_SEED = 301
+KERNEL_K, KERNEL_P = 3, 1.0
+KERNEL_N_OUTER, KERNEL_N_INNER = 256, 2000
+KERNEL_CHANNELS = {"kernel_K3_J1": 1, "kernel_K3_J4": 4}
+
+
+def _digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else part.tobytes())
+    return h.hexdigest()[:16]
+
+
+class Worker:
+    """The worker side: imports one tree's package and runs tasks on request."""
+
+    def __init__(self, tree, config_path):
+        sys.path[:0] = [str(Path(tree).resolve() / "src"), str(ROOT)]
+        import numpy as np
+        import mmse_bounds
+        import mmse_bounds.cli
+        from perfbench import workloads
+
+        origin = Path(mmse_bounds.__file__).resolve()
+        if Path(tree).resolve() not in origin.parents:
+            raise ImportError(f"mmse_bounds resolved to {origin}, not under {tree}")
+        self.np, self.mb, self.wl = np, mmse_bounds, workloads
+        self.config_path = config_path
+        self.kernel_inputs = {name: self._kernel_input(j) for name, j in KERNEL_CHANNELS.items()}
+
+    def _kernel_input(self, n_channels):
+        """(spec, noise covariances, x, ys, inner seed): seeded prior draws,
+        made here with numpy so both trees get the same inputs."""
+        np, mb = self.np, self.mb
+        rng = np.random.default_rng(20)
+        z = rng.standard_normal((KERNEL_N_OUTER, KERNEL_K))
+        radius = (KERNEL_P * rng.gamma(KERNEL_K / KERNEL_P, size=KERNEL_N_OUTER)) ** (1 / KERNEL_P)
+        x = z / np.linalg.norm(z, axis=1, keepdims=True) * radius[:, None]
+        noise = [np.array(m) for m in self.wl.DEMO_NOISE[:n_channels]]
+        ys = [x + rng.standard_normal(x.shape) @ np.linalg.cholesky(s).T for s in noise]
+        spec = mb.PriorSpec(mb.GeneralizedGaussian(KERNEL_P), KERNEL_K)
+        return spec, noise, x, ys, np.random.SeedSequence(21)
+
+    def _verify(self, prior):
+        wl = self.wl
+        argv = ["verify", "--config", self.config_path, "--prior", prior,
+                "--n-outer", str(wl.VERIFY_N_OUTER), "--n-inner", str(wl.VERIFY_N_INNER),
+                "--seed", str(VERIFY_SEED)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            t0 = time.process_time()
+            code = self.mb.cli.main(argv)
+            cpu = time.process_time() - t0
+        return cpu, code, out.getvalue() + err.getvalue()
+
+    def mc_verify_pass(self):
+        wl = self.wl
+        metrics, texts = {}, []
+        for prior in wl.VERIFY_PRIORS:
+            cpu, code, text = self._verify(prior)
+            metrics[f"verify_{prior}_cpu_ms"] = 1e3 * cpu
+            texts.append(f"exit {code}\n{text}".encode())
+        metrics = {"mc_verify_pass_cpu_ms": sum(metrics.values()), **metrics}
+        inner = (len(wl.VERIFY_PRIORS) * wl.VERIFY_N_OUTER * wl.VERIFY_N_INNER
+                 * len(wl.DEMO_WEIGHTS))
+        return metrics, {"inner_samples": inner, "output_sha256": _digest(*texts)}
+
+    def kernel(self, name):
+        spec, noise, x, ys, seed = self.kernel_inputs[name]
+        t0 = time.process_time()
+        sq_err, ess = self.mb.mc._mmse_channels(spec, noise, x, ys, seed, KERNEL_N_INNER)
+        cpu = time.process_time() - t0
+        inner = KERNEL_N_OUTER * KERNEL_N_INNER * len(noise)
+        return ({f"{name}_cpu_ms_per_million_inner_samples": 1e3 * cpu / (inner / 1e6)},
+                {"inner_samples": inner, "answers_sha256": _digest(sq_err, ess)})
+
+    def normals_per_pass(self):
+        """Standard normal values one mc_verify pass draws, counted through a
+        wrapped `mc._rng_from` (untimed)."""
+        mc, count = self.mb.mc, [0]
+        real = mc._rng_from
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, *args, **kwargs):
+                values = self.gen.standard_normal(*args, **kwargs)
+                count[0] += values.size
+                return values
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+        mc._rng_from = lambda seed: Counting(real(seed))
+        try:
+            for prior in self.wl.VERIFY_PRIORS:
+                self._verify(prior)
+        finally:
+            mc._rng_from = real
+        return count[0]
+
+    def run(self, task):
+        if task == "mc_verify_pass":
+            return self.mc_verify_pass()
+        if task == "normals_per_pass":
+            return {}, {"normals_per_pass": self.normals_per_pass()}
+        return self.kernel(task)
+
+
+def worker_main(tree, config_path):
+    """Answer one JSON line per task name read from stdin."""
+    worker = Worker(tree, config_path)
+    for line in sys.stdin:
+        task = line.strip()
+        try:
+            metrics, counts = worker.run(task)
+            reply = {"metrics": metrics, "counts": counts}
+        except Exception as exc:  # reported by the driver as this task's error
+            reply = {"error": f"{type(exc).__name__}: {exc}"}
+        sys.stdout.write(json.dumps(reply) + "\n")
+        sys.stdout.flush()
+
+
+class Side:
+    """The driver's handle on one worker process."""
+
+    def __init__(self, tree, config_path):
+        self.proc = subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree), config_path],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def ask(self, task):
+        self.proc.stdin.write(task + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"worker exited with code {self.proc.wait()} on task {task}")
+        return json.loads(line)
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait(timeout=60)
+
+
+def _quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def compare(parent_dir, change_dir, rounds):
+    tasks = ["mc_verify_pass", *KERNEL_CHANNELS]
+    samples = {}  # metric -> ([parent samples], [change samples])
+    counts = {}  # task -> [parent counts, change counts]
+    errors = {}  # task -> {side: message}
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = str(Path(tmp) / "demo.json")
+        sys.path.insert(0, str(ROOT))
+        from perfbench import workloads
+        Path(config_path).write_text(json.dumps(workloads.demo_config(), indent=2) + "\n")
+        sides = [Side(parent_dir, config_path), Side(change_dir, config_path)]
+        try:
+            for task in ["normals_per_pass", *tasks]:  # warm-up, untimed
+                for i, side in enumerate(sides):
+                    reply = side.ask(task)
+                    if "error" in reply:
+                        errors.setdefault(task, {})[("parent", "change")[i]] = reply["error"]
+                    else:
+                        counts.setdefault(task, [None, None])[i] = reply["counts"]
+            for r in range(rounds):
+                order = (0, 1) if r % 2 == 0 else (1, 0)
+                for task in tasks:
+                    if task in errors:
+                        continue
+                    for i in order:
+                        reply = sides[i].ask(task)
+                        if "error" in reply:
+                            raise RuntimeError(f"{task} failed in {(parent_dir, change_dir)[i]} "
+                                               f"after its warm-up: {reply['error']}")
+                        for name, value in reply["metrics"].items():
+                            samples.setdefault(name, ([], []))[i].append(value)
+                print(f"round {r + 1}/{rounds}", file=sys.stderr, flush=True)
+        finally:
+            for side in sides:
+                side.close()
+    rows = []
+    for name, (parent, change) in samples.items():
+        won = sum(c < p for p, c in zip(parent, change))
+        rows.append({"name": name, "unit": "ms", "better": "lower",
+                     "parent": _quartiles(parent), "change": _quartiles(change),
+                     "samples": len(parent), "change_won": won,
+                     "parent_over_change": round(statistics.median(parent)
+                                                 / statistics.median(change), 3)})
+    same = {task: pair[0] == pair[1] for task, pair in counts.items()}
+    return {"rows": rows, "counts": counts, "same_counts_and_answers": same,
+            "errors": errors}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("--rounds", type=int, default=15)
+    args = parser.parse_args(argv)
+    for tree in (args.parent_dir, args.change_dir):
+        if not (Path(tree) / "src" / "mmse_bounds").is_dir():
+            parser.error(f"{tree} has no src/mmse_bounds")
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
+    print(json.dumps(compare(args.parent_dir, args.change_dir, args.rounds), indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--worker":
+        worker_main(sys.argv[2], sys.argv[3])
+    else:
+        sys.exit(main())
