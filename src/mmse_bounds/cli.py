@@ -23,10 +23,10 @@ output. Grid rows are computed one after another, in grid order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,80 +59,40 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 
-_ORDER_SLACK = 1e-8  # relative slack for the record ordering checks
+_ORDER_SLACK = 1e-8  # relative slack for the sweep-row ordering checks
+# (x, y) column pairs that a sweep row must keep as x <= y, checked in this order
+_ORDERINGS = (("lower", "upper"), ("local_lower", "lower"), ("upper", "local_upper"),
+              ("lower", "lmmse"), ("lmmse", "upper"))
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One sweep row: abscissa (p or R), epsilon, and the bound curves.
-
-    Fields are None where a curve is undefined: cramer_rao without Fisher
-    information, and the columns a subcommand does not compute.
-    """
-
-    abscissa: float
-    epsilon: float
-    lower: float | None
-    upper: float | None
-    local_lower: float | None = None
-    local_upper: float | None = None
-    lmmse: float | None = None
-    cramer_rao: float | None = None
-
-    def check_ordering(self):
-        """Raise ValueError when the defined fields violate the orderings
-        lower <= lmmse <= upper, local_lower <= lower, upper <= local_upper."""
-        def leq(x, y, what):
-            if x is not None and y is not None:
-                slack = _ORDER_SLACK * max(abs(x), abs(y), 1.0)
-                if x > y + slack:
-                    raise ValueError(
-                        f"ordering violation at abscissa {self.abscissa}: "
-                        f"{what} ({x!r} > {y!r})")
-
-        leq(self.lower, self.upper, "lower > upper")
-        leq(self.local_lower, self.lower, "local_lower > lower")
-        leq(self.upper, self.local_upper, "upper > local_upper")
-        leq(self.lower, self.lmmse, "lower > lmmse")
-        leq(self.lmmse, self.upper, "lmmse > upper")
+def ordering_violation(row, abscissa):
+    """The first pair of `_ORDERINGS` whose columns `row` defines with x > y
+    beyond the slack, as a message naming the row at `abscissa`; else None."""
+    for a, b in _ORDERINGS:
+        x, y = row.get(a), row.get(b)
+        if x is not None and y is not None and x > y + _ORDER_SLACK * max(abs(x), abs(y), 1.0):
+            return f"ordering violation at abscissa {row[abscissa]}: {a} > {b} ({x!r} > {y!r})"
+    return None
 
 
-@dataclass(frozen=True)
-class SensorField:
-    """Isotropic power-attenuation scenario: received power at distance d
-    is rho_0^2 / (1 + gamma d^m), and rho_0^2 cancels out of the noise."""
-
-    distances: tuple[float, ...]
-    decay: float
-    exponent: float
-    base_noise: float
-
-    def __post_init__(self):
-        # d = 0 is allowed: a sensor at the source sees the base noise
-        if not self.distances or not all(0.0 <= d < math.inf for d in self.distances):
-            raise ValueError(f"distances must be finite and nonnegative, got {self.distances}")
-        for name, value in (("decay", self.decay), ("base noise", self.base_noise)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not 2.0 <= self.exponent <= 3.0:
-            raise ValueError("path-loss exponent m must lie in [2, 3]")
-
-
-def noise_from_distances(field: SensorField, dimension: int,
+def noise_from_distances(distances, decay, exponent, base_noise, dimension,
                          weights=None) -> ChannelEnsemble:
-    """Channel ensemble for a sensor field.
+    """Channel ensemble for an isotropic power-attenuation sensor field.
 
-    The attenuation model gives received power rho_j^2 = rho_0^2/(1 + gamma
-    d_j^m); normalizing each channel to unit gain (Y = X + N) scales the
-    noise by rho_0^2/rho_j^2, so Sigma_N_j = sigma_0^2 (1 + gamma d_j^m) I
-    and the source power cancels out of the covariances. Weights default
-    to 1 for every sensor.
-    """
-    covs = [field.base_noise * (1.0 + field.decay * d**field.exponent)
-            * np.eye(dimension) for d in field.distances]
-    if weights is None:
-        weights = [1.0] * len(covs)
-    return ChannelEnsemble.from_arrays(covs, weights)
+    Received power at distance d_j is rho_0^2/(1 + gamma d_j^m), gamma =
+    `decay` and m = `exponent`; at unit gain (Y = X + N) the noise is
+    Sigma_N_j = sigma_0^2 (1 + gamma d_j^m) I with sigma_0^2 = `base_noise`,
+    and the source power rho_0^2 cancels. Weights default to 1 per sensor."""
+    # d = 0 is allowed: a sensor at the source sees the base noise
+    if not distances or not all(0.0 <= d < math.inf for d in distances):
+        raise ValueError(f"distances must be finite and nonnegative, got {distances}")
+    for name, value in (("decay", decay), ("base noise", base_noise)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not 2.0 <= exponent <= 3.0:
+        raise ValueError("path-loss exponent m must lie in [2, 3]")
+    covs = [base_noise * (1.0 + decay * d**exponent) * np.eye(dimension) for d in distances]
+    return ChannelEnsemble.from_arrays(covs, [1.0] * len(covs) if weights is None else weights)
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -172,8 +132,9 @@ def _fmt(x) -> str:
 
 
 def _emit_csv(header, rows, out_path):
+    """`rows`, dicts keyed by column, as CSV under `header`; a missing key is empty."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(_fmt(row.get(c)) for c in header) for row in rows)
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -213,37 +174,32 @@ _SWEEPS = (
 
 
 def _sweep(args, kind, abscissa, columns) -> int:
-    """One row per grid value x of family `kind`: both bounds at its ball,
-    labelled `abscissa`=x, the LMMSE, and the local and Cramer-Rao bounds
-    where `columns` names them. Then the ordering checks, then the CSV: x
-    under the header `abscissa`, and the SweepRecord fields in `columns`."""
-    ensemble, ball = load_config(args.config)
-    base = validate_problem(ensemble, ball)
+    """One row per grid value x of family `kind`, a dict keyed by CSV column:
+    x under `abscissa`, epsilon, both bounds (solves labelled `abscissa`=x),
+    the local and Cramer-Rao bounds where `columns` names them, and the
+    LMMSE. Then the ordering checks, then the CSV."""
+    base = validate_problem(*load_config(args.config))
     rows = []
     for x in parse_grid(args.grid):
         _, ball = _family(kind, x, base.dimension)
         prob = validate_problem(base.ensemble, ball)
-        both = ("lower", "upper")
-        bounds = [_labelled(f"{abscissa}={x} {d}", solve_bound, d, prob, prob.ball).bound_value
-                  for d in both]
-        bounds += ([_labelled(f"{abscissa}={x} local {d}", local_bounds_weighted, d, prob,
-                              prob.ball)[0] for d in both]
-                   if "local_lower" in columns else [None, None])
-        try:
-            cr = (cramer_rao_lower(gen_gauss_fisher(x, base.dimension), prob.ensemble)
-                  if "cramer_rao" in columns else None)
-        except FisherUndefined:
-            cr = None
-        rows.append(SweepRecord(x, ball.epsilon, *bounds,
-                                lmmse_upper(ball.reference.covariance, prob.ensemble), cr))
-    for rec in rows:
-        try:
-            rec.check_ordering()
-        except ValueError as exc:
-            print(f"solver error: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
-    _emit_csv([abscissa, *columns],
-              [(r.abscissa, *(getattr(r, c) for c in columns)) for r in rows], args.out)
+        row = {abscissa: x, "epsilon": ball.epsilon}
+        for d in ("lower", "upper"):
+            row[d] = _labelled(f"{abscissa}={x} {d}", solve_bound, d, prob, prob.ball).bound_value
+        if "local_lower" in columns:
+            for d in ("lower", "upper"):
+                row[f"local_{d}"] = _labelled(f"{abscissa}={x} local {d}", local_bounds_weighted,
+                                              d, prob, prob.ball)[0]
+        if "cramer_rao" in columns:  # left empty where the Fisher information is undefined
+            with contextlib.suppress(FisherUndefined):
+                row["cramer_rao"] = cramer_rao_lower(gen_gauss_fisher(x, base.dimension),
+                                                     prob.ensemble)
+        row["lmmse"] = lmmse_upper(ball.reference.covariance, prob.ensemble)
+        rows.append(row)
+    for violation in filter(None, (ordering_violation(row, abscissa) for row in rows)):
+        print(f"solver error: {violation}", file=sys.stderr)
+        return EXIT_SOLVER
+    _emit_csv([abscissa, *columns], rows, args.out)
     return EXIT_OK
 
 
@@ -297,8 +253,7 @@ def cmd_verify(args) -> int:
     print(f"prior {args.prior}: epsilon={prob.epsilon:.12g}")
     print(f"monte carlo weighted sum: {est.value:.12g} +- {est.std_error:.3g} "
           f"(n_outer={est.n_outer}, n_inner={est.n_inner}, seed={est.seed})")
-    print(f"solver bounds: lower={lower.bound_value:.12g}, "
-          f"upper={upper.bound_value:.12g}")
+    print(f"solver bounds: lower={lower.bound_value:.12g}, upper={upper.bound_value:.12g}")
     print(f"inner effective sample size: min={est.min_ess:.4g}, "
           f"median={est.median_ess:.4g}, bad draws={est.bad_fraction:.3g}")
     passed = lo_ok and hi_ok
@@ -307,18 +262,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    k = args.dimension
+    if k < 1:
+        raise ConfigError(f"--dimension must be >= 1, got {k}")
     distances = tuple(float(tok) for tok in args.distances.split(",") if tok.strip())
-    field = SensorField(distances, args.gamma, args.m, args.sigma0)
     weights = None
     if args.weights:
         weights = [float(tok) for tok in args.weights.split(",") if tok.strip()]
-    ensemble = noise_from_distances(field, args.dimension, weights)
-    k = args.dimension
-    ball = DivergenceBall(GaussianReference(np.zeros(k), np.eye(k)), args.epsilon)
+    try:
+        ensemble = noise_from_distances(distances, args.gamma, args.m, args.sigma0, k, weights)
+        ball = DivergenceBall(GaussianReference(np.zeros(k), np.eye(k)), args.epsilon)
+    except MemoryError:
+        raise ConfigError(f"--dimension {k} is too large to allocate") from None
     validate_problem(ensemble, ball)
     save_config(args.out, ensemble, ball)
-    print(f"wrote {args.out}: {len(distances)} channels, K={k}, "
-          f"epsilon={args.epsilon}")
+    print(f"wrote {args.out}: {len(distances)} channels, K={k}, epsilon={args.epsilon}")
     return EXIT_OK
 
 

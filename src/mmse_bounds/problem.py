@@ -83,12 +83,22 @@ class ChannelEnsemble:
 
     @property
     def dimension(self) -> int:
+        if not len(self.noise_covariances):
+            raise DimensionMismatch("ensemble has no channels")
         return self.noise_covariances[0].shape[0]
 
     @property
     def noise_stack(self) -> np.ndarray:
-        """All noise covariances as a (J, K, K) array; a validated stack as it is."""
-        return np.asarray(self.noise_covariances)
+        """All noise covariances as a (J, K, K) array; a validated stack as it is.
+        A shape that differs from channel 0's is a DimensionMismatch naming the
+        first channel that has one."""
+        covs = self.noise_covariances
+        if not isinstance(covs, np.ndarray):  # as given, not yet one stack
+            for j, s in enumerate(covs):
+                if np.shape(s) != np.shape(covs[0]):
+                    raise DimensionMismatch(f"channel {j} noise covariance has shape {np.shape(s)}"
+                                            f", channel 0 has {np.shape(covs[0])}", channel=j)
+        return np.asarray(covs)
 
     def single(self, j: int) -> "ChannelEnsemble":
         """The one-channel ensemble {(Sigma_N_j, 1)} used by local bounds."""

@@ -34,9 +34,8 @@ from mmse_bounds.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VERIFY,
-    SensorField,
-    SweepRecord,
     noise_from_distances,
+    ordering_violation,
     parse_grid,
 )
 from conftest import isotropic_ball
@@ -93,46 +92,49 @@ class TestParseGrid:
 
 
 class TestSweepRecord:
+    # a sweep row is a dict keyed by CSV column; a missing column is a hole
     def test_ok_with_holes(self):
-        SweepRecord(1.0, 0.1, None, 2.0, lmmse=1.5).check_ordering()
-        SweepRecord(1.0, 0.1, 1.0, 2.0).check_ordering()
+        assert ordering_violation({"p": 1.0, "epsilon": 0.1, "upper": 2.0, "lmmse": 1.5},
+                                  "p") is None
+        assert ordering_violation({"p": 1.0, "epsilon": 0.1, "lower": 1.0, "upper": 2.0},
+                                  "p") is None
 
     def test_violation_raises(self):
-        with pytest.raises(ValueError, match="ordering violation"):
-            SweepRecord(1.0, 0.1, 2.0, 1.0).check_ordering()
-        with pytest.raises(ValueError, match="local_lower"):
-            SweepRecord(1.0, 0.1, 1.0, 2.0, local_lower=1.5).check_ordering()
+        row = {"p": 1.0, "epsilon": 0.1, "lower": 2.0, "upper": 1.0}
+        assert ordering_violation(row, "p") == (
+            "ordering violation at abscissa 1.0: lower > upper (2.0 > 1.0)")
+        row = {"R": 1.0, "epsilon": 0.1, "lower": 1.0, "upper": 2.0, "local_lower": 1.5}
+        assert ordering_violation(row, "R") == (
+            "ordering violation at abscissa 1.0: local_lower > lower (1.5 > 1.0)")
 
     def test_slack_tolerates_roundoff(self):
-        SweepRecord(1.0, 0.1, 1.0 + 1e-10, 1.0).check_ordering()
+        row = {"p": 1.0, "epsilon": 0.1, "lower": 1.0 + 1e-10, "upper": 1.0}
+        assert ordering_violation(row, "p") is None
 
 
 class TestSensorField:
     def test_noise_oracle(self):
         # sigma_n^2 = sigma_0^2 (1 + gamma d^m): d=3, gamma=1, m=2 -> 10 I
-        field = SensorField((3.0,), 1.0, 2.0, 1.0)
-        ens = noise_from_distances(field, 3)
+        ens = noise_from_distances((3.0,), 1.0, 2.0, 1.0, 3)
         np.testing.assert_allclose(ens.noise_stack[0], 10.0 * np.eye(3), rtol=1e-15)
 
     def test_zero_distance_sensor_sees_base_noise(self):
-        field = SensorField((0.0, 2.0), 0.5, 2.5, 0.3)
-        ens = noise_from_distances(field, 2)
+        ens = noise_from_distances((0.0, 2.0), 0.5, 2.5, 0.3, 2)
         np.testing.assert_allclose(ens.noise_stack[0], 0.3 * np.eye(2), rtol=1e-15)
 
     def test_noise_grows_with_distance(self):
-        field = SensorField((1.0, 2.0, 5.0), 0.8, 2.0, 0.5)
-        traces = [np.trace(sn) for sn in noise_from_distances(field, 3).noise_stack]
+        ens = noise_from_distances((1.0, 2.0, 5.0), 0.8, 2.0, 0.5, 3)
+        traces = [np.trace(sn) for sn in ens.noise_stack]
         assert traces == sorted(traces)
         assert traces[0] < traces[-1]
 
     def test_weights_default_and_override(self):
-        field = SensorField((1.0, 2.0), 1.0, 2.0, 1.0)
-        np.testing.assert_array_equal(noise_from_distances(field, 2).weights,
-                                      [1.0, 1.0])
-        ens = noise_from_distances(field, 2, weights=[0.3, 0.7])
+        field = ((1.0, 2.0), 1.0, 2.0, 1.0, 2)
+        np.testing.assert_array_equal(noise_from_distances(*field).weights, [1.0, 1.0])
+        ens = noise_from_distances(*field, weights=[0.3, 0.7])
         np.testing.assert_array_equal(ens.weights, [0.3, 0.7])
         with pytest.raises(ValueError):
-            noise_from_distances(field, 2, weights=[1.0])
+            noise_from_distances(*field, weights=[1.0])
 
     @pytest.mark.parametrize("kwargs", [
         dict(distances=()),
@@ -149,10 +151,10 @@ class TestSensorField:
         dict(base_noise=float("inf")),
     ])
     def test_field_validation(self, kwargs):
-        base = dict(distances=(1.0,), decay=1.0, exponent=2.0, base_noise=1.0)
+        base = dict(distances=(1.0,), decay=1.0, exponent=2.0, base_noise=1.0, dimension=2)
         base.update(kwargs)
         with pytest.raises(ValueError):
-            SensorField(**base)
+            noise_from_distances(**base)
 
 
 class TestScenarioCommand:
@@ -196,7 +198,8 @@ class TestScenarioCommand:
 
     @pytest.mark.parametrize("flag, value, fragment", [
         ("--gamma", "nan", "decay"),
-        ("--dimension", "0", "reference covariance"),
+        ("--dimension", "0", "--dimension must be >= 1, got 0"),
+        ("--dimension", "-1", "--dimension must be >= 1, got -1"),
     ])
     def test_invalid_field_is_config_error(self, tmp_path, capsys, flag, value, fragment):
         args = {"--distances": "1", "--gamma": "1", "--m": "2",
@@ -205,6 +208,21 @@ class TestScenarioCommand:
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {fragment}")
         assert not (tmp_path / "x.json").exists()
+
+    def test_unallocatable_dimension_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # as numpy fails on np.eye(100000); nothing here allocates that much
+        def no_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(np, "eye", no_memory)
+        out = tmp_path / "x.json"
+        rc = cli.main(["scenario", "--distances", "1", "--gamma", "1", "--m", "2",
+                       "--sigma0", "1", "--out", str(out), "--dimension", "100000"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.err == "error: --dimension 100000 is too large to allocate\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestBoundCommand:

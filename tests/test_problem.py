@@ -11,18 +11,24 @@ from mmse_bounds import (
     ConfigError,
     DimensionMismatch,
     DivergenceBall,
+    Gaussian,
     GaussianReference,
     NegativeRadius,
     NonPositiveWeight,
     NonSymmetric,
     NotPositiveDefinite,
     Problem,
+    PriorSpec,
     ProblemValidationError,
+    cramer_rao_lower,
+    lmmse_upper,
     load_config,
     local_bound,
+    mc_weighted_sum,
     problem_from_config,
     save_config,
     validate_problem,
+    weighted_mmse_sum,
 )
 from conftest import DEMO_NOISE, DEMO_WEIGHTS, isotropic_ball
 
@@ -156,6 +162,25 @@ class TestValidation:
 
 
 class TestEnsemble:
+    @pytest.mark.parametrize("read", [
+        lambda ens: weighted_mmse_sum(np.eye(2), ens),
+        lambda ens: lmmse_upper(np.eye(2), ens),
+        lambda ens: cramer_rao_lower(1.0, ens),
+        lambda ens: mc_weighted_sum(PriorSpec(Gaussian(np.zeros(2), np.eye(2)), 2), ens,
+                                    100, 100, 0),
+    ], ids=["weighted_mmse_sum", "lmmse_upper", "cramer_rao_lower", "mc_weighted_sum"])
+    def test_raw_shape_mismatch_names_the_channel(self, read):
+        # an unvalidated ensemble holds its matrices as given
+        ens = ChannelEnsemble.from_arrays([np.eye(2), 2.0 * np.eye(2), np.eye(3)], [1.0] * 3)
+        match = r"channel 2 noise covariance has shape \(3, 3\), channel 0 has \(2, 2\)"
+        with pytest.raises(DimensionMismatch, match=match) as exc:
+            read(ens)
+        assert exc.value.channel == 2
+
+    def test_raw_empty_ensemble_has_no_dimension(self):
+        with pytest.raises(DimensionMismatch, match="ensemble has no channels"):
+            ChannelEnsemble.from_arrays([], []).dimension
+
     def test_properties(self, demo_ensemble):
         assert demo_ensemble.count == 4
         assert demo_ensemble.dimension == 3

@@ -1,14 +1,22 @@
-"""Byte gate over the paper's CLI commands.
+"""Byte gate over the CLI's five subcommands.
 
-Runs each command below on `examples/paper_fig1.json`, each in its own
-`python -m mmse_bounds.cli` subprocess with the tree's `src` first on
-PYTHONPATH, and prints its exit code and the SHA-256 of its stdout and of
-its stderr, then one SHA-256 over all of them. Two trees that print the
-same final hash give byte-identical output and the same exit codes on
-every command: the solver's answers through `bound`, both sweeps and
-`verify`, and the messages of a failed sweep row (exit 2), of an
-invalid prior parameter (exit 1) and of an `--out` path that cannot be
-written (exit 1).
+Runs each command below in its own `python -m mmse_bounds.cli` subprocess
+with the tree's `src` first on PYTHONPATH, and prints its exit code and
+the SHA-256 of its stdout and of its stderr. The nine paper commands run
+on `examples/paper_fig1.json` from the repository root, and the tool
+prints one SHA-256 over their lines. Then come an unknown prior family
+(exit 1) and two `scenario` runs, each in a fresh temporary working
+directory with the relative `--out field.json`, so the printed path is
+the same on every tree; a `scenario` line also gives the SHA-256 of the
+config it wrote (`none` when it wrote none). The last line is one SHA-256
+over every command line.
+
+Two trees that print the same final hash give byte-identical output and
+the same exit codes on every command: the solver's answers through
+`bound`, both sweeps and `verify`, the config `scenario` writes, and the
+messages of a failed sweep row (exit 2), of an invalid prior parameter or
+family (exit 1), of an `--out` path that cannot be written (exit 1) and of
+a negative sensor distance (exit 1).
 
 Run from anywhere, once on each tree to compare:
 
@@ -23,12 +31,14 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = "examples/paper_fig1.json"  # relative to ROOT, so messages match across trees
+OUT = "field.json"  # relative to a scratch working directory, likewise
 
-COMMANDS = [
+PAPER_COMMANDS = [
     ["bound"],
     ["sweep-p", "--grid", "0.51:10:25"],
     ["sweep-ball", "--grid", "0.1:40:25"],
@@ -38,23 +48,42 @@ COMMANDS = [
     ["sweep-p", "--grid", "0.003"],  # an overflowing prior variance: exit 1
     ["sweep-ball", "--grid", "1", "--out", "examples"],  # a directory as --out: exit 1
 ]
+SCENARIO = ["scenario", "--gamma", "0.5", "--m", "2.5", "--sigma0", "0.8", "--out", OUT]
+MORE_COMMANDS = [
+    ["verify", "--prior", "laplace:1"],  # an unknown prior family: exit 1
+    [*SCENARIO, "--distances", "0,1.5,4", "--dimension", "2", "--epsilon", "0.25",
+     "--weights", "0.2,0.3,0.5"],
+    [*SCENARIO, "--distances", "1,-1"],  # a negative distance: exit 1
+]
 
 
 def run(command):
-    """(exit code, stdout SHA-256, stderr SHA-256) of one CLI command."""
+    """(exit code, stdout SHA-256, stderr SHA-256, written config SHA-256
+    or None) of one CLI command; `scenario` runs in a scratch directory,
+    every other subcommand on CONFIG from ROOT."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = [sys.executable, "-m", "mmse_bounds.cli", command[0], "--config", CONFIG,
-            *command[1:]]
-    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, check=False)
+    with tempfile.TemporaryDirectory() as scratch:
+        if command[0] == "scenario":
+            cwd, args = Path(scratch), command
+        else:
+            cwd, args = ROOT, [command[0], "--config", CONFIG, *command[1:]]
+        proc = subprocess.run([sys.executable, "-m", "mmse_bounds.cli", *args], cwd=cwd,
+                              env=env, capture_output=True, check=False)
+        written = Path(scratch) / OUT
+        config = hashlib.sha256(written.read_bytes()).hexdigest() if written.exists() else None
     return (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
-            hashlib.sha256(proc.stderr).hexdigest())
+            hashlib.sha256(proc.stderr).hexdigest(), config)
 
 
 def main() -> int:
     total = hashlib.sha256()
-    for command in COMMANDS:
-        code, out, err = run(command)
+    for i, command in enumerate(PAPER_COMMANDS + MORE_COMMANDS):
+        if i == len(PAPER_COMMANDS):
+            print(f"paper commands sha256 {total.hexdigest()}")
+        code, out, err, config = run(command)
         line = f"{' '.join(command)}: exit {code} stdout {out} stderr {err}"
+        if command[0] == "scenario":
+            line += f" config {config or 'none'}"
         print(line)
         total.update(line.encode() + b"\n")
     print(f"sha256 {total.hexdigest()}")
