@@ -48,9 +48,11 @@ def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
     proposal log densities of every proposal point, evaluated directly on
     repeated copies of y and the posterior means. Same draws, same order
     and the same antithetic point set as `_mmse_channels` on one channel:
-    per block (b, ceil(n_inner/2), K) normals z from the generator
-    `mc._rng_from` gives, and the points [z, -z][:n_inner]. Returns
-    (squared_errors, ess)."""
+    per block one (ceil(n_inner/2), K) pool z, then one Gaussian (K, K)
+    matrix per outer draw, both from the generator `mc._rng_from` gives;
+    draw i turns the pool by the Q_i of that matrix's QR, with the signs of
+    diag(R) folded in, and its points are m_post + L_post (z' Q_i)^T for
+    the rows z' of [z, -z][:n_inner]. Returns (squared_errors, ess)."""
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
     k = x.shape[1]
@@ -65,9 +67,13 @@ def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
         yc = y[start:stop]
         b = yc.shape[0]
         m_post = m + (yc - m) @ gain.T
-        z = rng.standard_normal((b, (n_inner + 1) // 2, k))
-        z = np.concatenate([z, -z], axis=1)[:, :n_inner]
-        xs = m_post[:, None, :] + z @ chol_post.T
+        z = rng.standard_normal(((n_inner + 1) // 2, k))
+        z = np.concatenate([z, -z])[:n_inner]
+        rot = []
+        for gauss in rng.standard_normal((b, k, k)):
+            q, r = np.linalg.qr(gauss)
+            rot.append(q @ np.diag(np.sign(np.diag(r))))
+        xs = np.stack([m_post[i] + z @ rot[i] @ chol_post.T for i in range(b)])
         flat = xs.reshape(-1, k)
         log_w = (log_density(spec, flat)
                  + _lu_gaussian_log_density(np.zeros(k), sigma_n,
@@ -173,6 +179,8 @@ class TestKernel:
     def test_proposals_at_the_prior_centre_stay_finite(self, monkeypatch):
         # Inner draws within 1e-8 of the z that maps to x = 0: the expanded
         # ||x||^2 rounds below zero there, and ||x||^p of it must not be NaN.
+        # The (b, K, K) matrices the rotations come from are identities, so
+        # every draw keeps the pool as it is.
         spec = PriorSpec(GeneralizedGaussian(0.7), 3)
         sigma_n = np.diag([0.5, 0.8, 1.1])
         c = prior_moments(spec).covariance
@@ -184,6 +192,8 @@ class TestKernel:
         class Clustered:
             def standard_normal(self, size=None, out=None):
                 shape = size if out is None else out.shape
+                if len(shape) == 3:
+                    return np.broadcast_to(np.eye(3), shape).copy()
                 z = z_centre + 1e-8 * np.random.default_rng(0).standard_normal(shape)
                 if out is None:
                     return z
@@ -244,19 +254,37 @@ class TestKernel:
 
     @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
     def test_chunk_size_changes_no_answer(self, spec, noise_scale, monkeypatch):
-        # Every block size consumes the normals in the same order, so the
-        # block size may move the per-draw errors by rounding at most.
-        n_outer, n_inner = 150, 300  # a partial last block for every size but 1
+        # The block size decides which draws share a pool, so it changes the
+        # answers; but every block size that holds all the outer draws makes
+        # one block of them, takes the same pool and rotations from the
+        # inner stream, and may move the per-draw errors by rounding at most.
+        n_outer, n_inner = 150, 300
         for n_channels in (1, 4):
             noise, x, ys, s_inner = _kernel_input(spec, noise_scale, n_outer, n_channels)
             runs = []
-            for chunk in (1, 7, 8, 16, 32, 128):
+            for chunk in (150, 151, 256, 1024):
                 monkeypatch.setattr(mc, "_CHUNK", chunk)
                 runs.append(_mmse_channels(spec, noise, x, ys, s_inner, n_inner))
-            ref_err, ref_ess = runs[-1]
-            for sq_err, ess in runs[:-1]:
+            ref_err, ref_ess = runs[0]
+            for sq_err, ess in runs[1:]:
                 np.testing.assert_allclose(sq_err, ref_err, rtol=1e-13, atol=0.0)
                 np.testing.assert_array_equal(ess, ref_ess)
+
+    @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
+    def test_outer_prefix_keeps_its_answers(self, spec, noise_scale):
+        # A draw's pool and rotation depend only on the draws before it, so
+        # the first 75 outer draws of a 150-draw call give bitwise the
+        # answers of a call on those 75 draws alone; the 75-draw call ends
+        # in a partial block that the 150-draw call fills. (At 300 draws
+        # the low-noise ball's input has a draw whose weights all vanish.)
+        n_inner = 300
+        for n_channels in (1, 4):
+            noise, x, ys, s_inner = _kernel_input(spec, noise_scale, 150, n_channels)
+            sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
+            part_err, part_ess = _mmse_channels(spec, noise, x[:75], [y[:75] for y in ys],
+                                                s_inner, n_inner)
+            np.testing.assert_array_equal(part_err, sq_err[:, :75])
+            np.testing.assert_array_equal(part_ess, ess[:, :75])
 
 
 class TestGaussianExactness:
@@ -284,24 +312,26 @@ class TestGaussianExactness:
 
 class TestReproducibility:
     @pytest.mark.parametrize("seed, value, std_error, min_ess, median_ess", [
-        (42, 1.048260891288714, 0.0970111744031677, 48.97834888943239, 183.22059429705297),
-        (43, 0.8739084764499142, 0.0727568932812023, 32.81026955454934, 180.8037537202004),
+        (42, 1.0525073337016237, 0.09694701735567512, 28.33118651018399, 182.59757618432928),
+        (43, 0.8701152496831389, 0.07132271758202209, 16.900948247146406, 180.74014962758267),
     ], ids=["seed-42", "seed-43"])
     def test_mc_mmse_pinned(self, seed, value, std_error, min_ess, median_ess):
         # One channel keeps the stream layout of one inner stream per
-        # channel; the values are those of the antithetic inner points.
+        # channel; the values are those of the antithetic inner points of
+        # one pool per block, rotated per draw.
         spec = PriorSpec(GeneralizedGaussian(1.0), 2)
         est = _one_channel(spec, np.array([[0.8, 0.3], [0.3, 0.6]]), 150, 200, seed=seed)
         assert (est.value, est.std_error, est.min_ess, est.median_ess, est.bad_fraction) == \
             (value, std_error, min_ess, median_ess, 0.0)
 
     @pytest.mark.parametrize("family, value, std_error, bad_fraction", [
-        (GeneralizedGaussian(1.0), 8.396116724596403, 0.28664470130426556, 0.0),
-        (UniformBall(2.0), 2.864229947239714, 0.06217888255731487, 0.0),
+        (GeneralizedGaussian(1.0), 8.390767712236794, 0.28648927488852605, 0.0),
+        (UniformBall(2.0), 2.8660109209580016, 0.062040394101067306, 0.0),
     ], ids=["gen-gauss:1", "uniform-ball:2"])
     def test_weighted_sum_pinned(self, demo_ensemble, family, value, std_error,
                                  bad_fraction):
-        # the values of the antithetic inner points
+        # the values of the antithetic inner points of one pool per block,
+        # rotated per draw
         est = mc_weighted_sum(PriorSpec(family, 3), demo_ensemble, 500, 2000, seed=42)
         np.testing.assert_allclose((est.value, est.std_error), (value, std_error),
                                    rtol=1e-12, atol=0.0)
@@ -371,6 +401,19 @@ class TestWeightedSumStatistics:
         assert est.median_ess == np.median(ess)
         assert est.bad_fraction == np.count_nonzero(ess < 0.01 * 300) / ess.size
         assert 1.0 <= est.min_ess <= est.median_ess <= 300
+
+    @pytest.mark.parametrize("family", [GeneralizedGaussian(1.0), UniformBall(2.0)],
+                             ids=["gen-gauss:1", "uniform-ball:2"])
+    def test_std_error_covers_the_spread_over_seeds(self, family):
+        # The draws of a block share one pool of inner normals, so they are
+        # not independent; std(v)/sqrt(n_outer) must still be the estimate's
+        # spread over seeds. With 30 estimates the ratio's own sampling
+        # spread is about 0.13.
+        spec = PriorSpec(family, 2)
+        sigma_n = np.array([[0.8, 0.3], [0.3, 0.6]])
+        ests = [_one_channel(spec, sigma_n, 200, 200, seed=s) for s in range(1, 31)]
+        spread = np.std([e.value for e in ests], ddof=1)
+        assert 0.7 <= spread / np.mean([e.std_error for e in ests]) <= 1.4
 
     def test_mc_mmse_reports_ess(self):
         spec = PriorSpec(GeneralizedGaussian(1.0), 2)

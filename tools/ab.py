@@ -20,6 +20,13 @@ does not change):
   generalized Gaussian p = 1 prior in K = 3, on the first demo noise
   covariance or on all four, 256 outer x 2000 inner draws; CPU per
   million inner samples (outer x inner x channels).
+* `kernel_K1_J4`, `kernel_K6_J4`: the same call in K = 1 and K = 6, on
+  four seeded random noise covariances with trace about 3K (the demo
+  covariances' scale).
+
+Two counts come from one untimed `mc_verify` pass: `normals_per_pass`,
+the standard normal values drawn through `mc._rng_from`, and
+`monomials_per_pass`, the monomial values written by `mc._features`.
 
 Every task also reports exact counts and a digest of its answers, so a
 row says whether both trees computed the same thing. A task that fails
@@ -53,9 +60,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 VERIFY_SEED = 301
-KERNEL_K, KERNEL_P = 3, 1.0
+KERNEL_P = 1.0
 KERNEL_N_OUTER, KERNEL_N_INNER = 256, 2000
-KERNEL_CHANNELS = {"kernel_K3_J1": 1, "kernel_K3_J4": 4}
+KERNEL_SHAPES = {"kernel_K3_J1": (3, 1), "kernel_K3_J4": (3, 4),  # name -> (K, J)
+                 "kernel_K1_J4": (1, 4), "kernel_K6_J4": (6, 4)}
 
 
 def _digest(*parts):
@@ -80,19 +88,34 @@ class Worker:
             raise ImportError(f"mmse_bounds resolved to {origin}, not under {tree}")
         self.np, self.mb, self.wl = np, mmse_bounds, workloads
         self.config_path = config_path
-        self.kernel_inputs = {name: self._kernel_input(j) for name, j in KERNEL_CHANNELS.items()}
+        self.kernel_inputs = {name: self._kernel_input(*shape)
+                              for name, shape in KERNEL_SHAPES.items()}
 
-    def _kernel_input(self, n_channels):
+    def _noise(self, k, n_channels):
+        """The first demo noise covariances in K = 3; elsewhere seeded random
+        ones with trace about 3k."""
+        np = self.np
+        if k == 3:
+            return [np.array(m) for m in self.wl.DEMO_NOISE[:n_channels]]
+        rng = np.random.default_rng(22)
+        noise = []
+        for _ in range(n_channels):
+            a = rng.standard_normal((k, k))
+            m = a @ a.T + k * np.eye(k)
+            noise.append(3.0 * k * m / np.trace(m))
+        return noise
+
+    def _kernel_input(self, k, n_channels):
         """(spec, noise covariances, x, ys, inner seed): seeded prior draws,
         made here with numpy so both trees get the same inputs."""
         np, mb = self.np, self.mb
         rng = np.random.default_rng(20)
-        z = rng.standard_normal((KERNEL_N_OUTER, KERNEL_K))
-        radius = (KERNEL_P * rng.gamma(KERNEL_K / KERNEL_P, size=KERNEL_N_OUTER)) ** (1 / KERNEL_P)
+        z = rng.standard_normal((KERNEL_N_OUTER, k))
+        radius = (KERNEL_P * rng.gamma(k / KERNEL_P, size=KERNEL_N_OUTER)) ** (1 / KERNEL_P)
         x = z / np.linalg.norm(z, axis=1, keepdims=True) * radius[:, None]
-        noise = [np.array(m) for m in self.wl.DEMO_NOISE[:n_channels]]
+        noise = self._noise(k, n_channels)
         ys = [x + rng.standard_normal(x.shape) @ np.linalg.cholesky(s).T for s in noise]
-        spec = mb.PriorSpec(mb.GeneralizedGaussian(KERNEL_P), KERNEL_K)
+        spec = mb.PriorSpec(mb.GeneralizedGaussian(KERNEL_P), k)
         return spec, noise, x, ys, np.random.SeedSequence(21)
 
     def _verify(self, prior):
@@ -128,11 +151,12 @@ class Worker:
         return ({f"{name}_cpu_ms_per_million_inner_samples": 1e3 * cpu / (inner / 1e6)},
                 {"inner_samples": inner, "answers_sha256": _digest(sq_err, ess)})
 
-    def normals_per_pass(self):
+    def draw_counts(self):
         """Standard normal values one mc_verify pass draws, counted through a
-        wrapped `mc._rng_from` (untimed)."""
-        mc, count = self.mb.mc, [0]
-        real = mc._rng_from
+        wrapped `mc._rng_from`, and monomial values it writes, counted
+        through a wrapped `mc._features` (untimed)."""
+        mc, count, monomials = self.mb.mc, [0], [0]
+        real, real_features = mc._rng_from, mc._features
 
         class Counting:
             def __init__(self, gen):
@@ -146,19 +170,24 @@ class Worker:
             def __getattr__(self, name):
                 return getattr(self.gen, name)
 
+        def counting_features(z, out):
+            monomials[0] += out.size
+            return real_features(z, out)
+
         mc._rng_from = lambda seed: Counting(real(seed))
+        mc._features = counting_features
         try:
             for prior in self.wl.VERIFY_PRIORS:
                 self._verify(prior)
         finally:
-            mc._rng_from = real
-        return count[0]
+            mc._rng_from, mc._features = real, real_features
+        return {"normals_per_pass": count[0], "monomials_per_pass": monomials[0]}
 
     def run(self, task):
         if task == "mc_verify_pass":
             return self.mc_verify_pass()
-        if task == "normals_per_pass":
-            return {}, {"normals_per_pass": self.normals_per_pass()}
+        if task == "draw_counts":
+            return {}, self.draw_counts()
         return self.kernel(task)
 
 
@@ -203,7 +232,7 @@ def _quartiles(values):
 
 
 def compare(parent_dir, change_dir, rounds):
-    tasks = ["mc_verify_pass", *KERNEL_CHANNELS]
+    tasks = ["mc_verify_pass", *KERNEL_SHAPES]
     samples = {}  # metric -> ([parent samples], [change samples])
     counts = {}  # task -> [parent counts, change counts]
     errors = {}  # task -> {side: message}
@@ -214,7 +243,7 @@ def compare(parent_dir, change_dir, rounds):
         Path(config_path).write_text(json.dumps(workloads.demo_config(), indent=2) + "\n")
         sides = [Side(parent_dir, config_path), Side(change_dir, config_path)]
         try:
-            for task in ["normals_per_pass", *tasks]:  # warm-up, untimed
+            for task in ["draw_counts", *tasks]:  # warm-up, untimed
                 for i, side in enumerate(sides):
                     reply = side.ask(task)
                     if "error" in reply:
