@@ -25,6 +25,7 @@ from .exceptions import (
     SingularSum,
 )
 from .gaussian import (
+    Gaussian,
     MmseSummary,
     kl_same_mean_gaussians,
     linear_estimator_mse,
@@ -35,9 +36,7 @@ from .gaussian import (
 )
 from .mc import McEstimate, mc_kl, mc_weighted_sum
 from .priors import (
-    Gaussian,
     GeneralizedGaussian,
-    PriorMoments,
     PriorSpec,
     UniformBall,
     gaussian_log_density,
@@ -88,7 +87,6 @@ __all__ = [
     "NonPositiveWeight",
     "NonSymmetric",
     "NotPositiveDefinite",
-    "PriorMoments",
     "PriorSpec",
     "Problem",
     "ProblemValidationError",

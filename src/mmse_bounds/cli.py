@@ -32,9 +32,9 @@ import numpy as np
 
 from .baselines import cramer_rao_lower, lmmse_upper
 from .exceptions import ConfigError, DegenerateWeights, FisherUndefined, NoConvergence
+from .gaussian import Gaussian
 from .mc import MIN_DRAWS, mc_weighted_sum
 from .priors import (
-    Gaussian,
     GeneralizedGaussian,
     PriorSpec,
     UniformBall,
@@ -44,14 +44,7 @@ from .priors import (
     uniform_ball_epsilon,
     uniform_ball_moments,
 )
-from .problem import (
-    ChannelEnsemble,
-    DivergenceBall,
-    GaussianReference,
-    load_config,
-    save_config,
-    validate_problem,
-)
+from .problem import ChannelEnsemble, DivergenceBall, load_config, save_config, validate_problem
 from .solver import local_bounds_weighted, solve_bound
 
 EXIT_OK = 0
@@ -157,11 +150,10 @@ def _family(kind, value, k):
     N(0, Sigma_0) with the exact KL to it as radius."""
     if kind == "gen-gauss":
         spec = PriorSpec(GeneralizedGaussian(value), k)
-        sigma0, eps = gen_gauss_covariance(value, k) * np.eye(k), gen_gauss_epsilon(value, k)
-    else:
-        spec = PriorSpec(UniformBall(value), k)
-        sigma0, eps = uniform_ball_moments(value, k).covariance, uniform_ball_epsilon(value, k)
-    return spec, DivergenceBall(GaussianReference(np.zeros(k), sigma0), eps)
+        match = Gaussian(np.zeros(k), gen_gauss_covariance(value, k) * np.eye(k))
+        return spec, DivergenceBall(match, gen_gauss_epsilon(value, k))
+    spec = PriorSpec(UniformBall(value), k)
+    return spec, DivergenceBall(uniform_ball_moments(value, k), uniform_ball_epsilon(value, k))
 
 
 # subcommand, help, prior family, abscissa, and the CSV columns after it
@@ -231,10 +223,8 @@ def cmd_verify(args) -> int:
         if value < floor:
             raise ConfigError(f"{flag} must be >= {floor}, got {value}")
     ensemble, ball = load_config(args.config)
-    k = ensemble.dimension
-    if args.prior == "gaussian":  # the config's own reference and radius
-        spec = PriorSpec(Gaussian(ball.reference.mean, ball.reference.covariance), k)
-    else:
+    spec = None  # for the gaussian prior, the config's own validated reference, at its radius
+    if args.prior != "gaussian":
         kind, _, value = args.prior.partition(":")
         try:
             value = float(value)
@@ -243,8 +233,9 @@ def cmd_verify(args) -> int:
         if kind not in ("gen-gauss", "uniform-ball"):
             raise ConfigError(f"unknown prior {args.prior!r}; expected gen-gauss:p, "
                               f"uniform-ball:R, or gaussian")
-        spec, ball = _family(kind, value, k)
+        spec, ball = _family(kind, value, ensemble.dimension)
     prob = validate_problem(ensemble, ball)
+    spec = spec or PriorSpec(prob.reference, prob.dimension)
     lower = solve_bound("lower", prob, prob.ball)
     upper = solve_bound("upper", prob, prob.ball)
     est = mc_weighted_sum(spec, prob.ensemble, args.n_outer, args.n_inner, args.seed)
@@ -271,7 +262,7 @@ def cmd_scenario(args) -> int:
         weights = [float(tok) for tok in args.weights.split(",") if tok.strip()]
     try:
         ensemble = noise_from_distances(distances, args.gamma, args.m, args.sigma0, k, weights)
-        ball = DivergenceBall(GaussianReference(np.zeros(k), np.eye(k)), args.epsilon)
+        ball = DivergenceBall(Gaussian(np.zeros(k), np.eye(k)), args.epsilon)
     except MemoryError:
         raise ConfigError(f"--dimension {k} is too large to allocate") from None
     validate_problem(ensemble, ball)

@@ -1,4 +1,10 @@
-"""Closed-form Gaussian quantities.
+"""Gaussians and their closed-form quantities.
+
+`Gaussian(mean, covariance)` is N(m, C) in each of its roles: the
+reference P_0 at the centre of a KL ball, a prior family's moment match,
+and the Gaussian prior family itself. Its one check (`_checked`) and the
+covariance check it shares with every noise covariance (`_check_spd`)
+live here too.
 
 Estimator gain matrices, MMSE matrices and traces, same-mean Gaussian KL
 divergence, and the exact MSE of a fixed affine estimator under an
@@ -13,7 +19,65 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, SingularReference, SingularSum
+from .exceptions import (DimensionMismatch, NonSymmetric, NotPositiveDefinite,
+                         ProblemValidationError, SingularReference, SingularSum)
+
+SYMMETRY_RTOL = 1e-12
+
+
+def _as_matrix(a, name, channel=None):
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionMismatch(f"{name} must be a nonempty square matrix, got shape "
+                                f"{m.shape}", channel=channel)
+    return m
+
+
+def _check_spd(m, name, channel=None):
+    """Validate symmetry to relative tolerance, then return the symmetrized
+    matrix and its Cholesky factor, which checks positive definiteness."""
+    if not np.all(np.isfinite(m)):
+        raise NotPositiveDefinite(f"{name} has non-finite entries", channel=channel)
+    peak = np.abs(m).max()
+    unit = m / peak if peak > 0 else m  # so that the norms cannot overflow
+    if np.linalg.norm(unit - unit.T, "fro") > SYMMETRY_RTOL * np.linalg.norm(unit, "fro"):
+        raise NonSymmetric(f"{name} is not symmetric within tolerance", channel=channel)
+    sym = 0.5 * (m + m.T)
+    try:
+        return sym, np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(f"{name} is not positive definite", channel=channel)
+
+
+@dataclass(frozen=True)
+class Gaussian:
+    """N(mean, covariance): a reference prior P_0, a moment match, or the
+    Gaussian prior family. Two are equal when both arrays are."""
+
+    mean: np.ndarray
+    covariance: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, Gaussian):
+            return NotImplemented
+        return (np.array_equal(self.mean, other.mean)
+                and np.array_equal(self.covariance, other.covariance))
+
+
+def _checked(g: Gaussian, name: str):
+    """(mean, covariance, Cholesky factor) of `g` as float arrays: the mean
+    flattened, the covariance symmetrized. DimensionMismatch unless the
+    covariance is a nonempty square matrix and the mean has its size,
+    ProblemValidationError for a non-finite mean, and the `_check_spd`
+    errors for the covariance; `name` ("reference", say) leads each message."""
+    mean = np.asarray(g.mean, dtype=float).reshape(-1)
+    cov = _as_matrix(g.covariance, f"{name} covariance")
+    k = cov.shape[0]
+    if mean.shape[0] != k:
+        raise DimensionMismatch(f"{name} mean has length {mean.shape[0]}, covariance is {k}x{k}")
+    if not np.isfinite(mean).all():
+        raise ProblemValidationError(f"{name} mean has non-finite entries")
+    return (mean, *_check_spd(cov, f"{name} covariance"))
 
 
 def _check_same_shape(a, b, name_a, name_b):

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateWeights, DimensionMismatch
-from .gaussian import mmse_matrix, weight_matrix
+from .gaussian import _checked, mmse_matrix, weight_matrix
 from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_log_density,
                      log_density, prior_moments)
 
@@ -389,16 +389,16 @@ def mc_kl(spec: PriorSpec, gaussian, n: int, seed: int) -> McEstimate:
     """Monte Carlo KL divergence from the prior to a Gaussian.
 
     Averages log prior_density(x) - log gaussian_density(x) over x drawn
-    from the prior. `gaussian` is a GaussianReference.
+    from the prior. `gaussian` is a `Gaussian`, checked as a Gaussian prior
+    is (DimensionMismatch, NotPositiveDefinite and the like).
     """
     if n < MIN_DRAWS:
         raise ValueError(f"n must be >= {MIN_DRAWS}")
-    _check_dimension(spec, np.shape(gaussian.covariance)[0], "Gaussian")
+    mean, cov, _ = _checked(gaussian, "Gaussian")
+    _check_dimension(spec, len(mean), "Gaussian")
     root = np.random.SeedSequence(seed)
     x = _sample_with(spec, n, _rng_from(root))
-    terms = (log_density(spec, x)
-             - gaussian_log_density(np.asarray(gaussian.mean, dtype=float),
-                                    np.asarray(gaussian.covariance, dtype=float), x))
+    terms = log_density(spec, x) - gaussian_log_density(mean, cov, x)
     value = float(terms.mean())
     std_error = float(terms.std(ddof=1) / math.sqrt(n))
     return McEstimate(value, std_error, n, 0, seed)

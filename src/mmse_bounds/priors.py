@@ -4,7 +4,9 @@ Gaussian approximation, log densities, and samplers.
 Families
 --------
 Gaussian(mean, covariance)
-    The reference family itself.
+    The reference family itself: `gaussian.Gaussian`, the same class as a
+    ball's reference and as the moment match `prior_moments` returns.
+    Checked where it is used, by the check a reference passes.
 GeneralizedGaussian(p)
     Radially symmetric density c_p exp(-||x||^p / p); standard Gaussian at
     p = 2, heavy-tailed for p < 2, compactly concentrated for p > 2.
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, FisherUndefined
+from .gaussian import Gaussian, _checked
 
 
 def _check_parameter(value, what, k=1):
@@ -36,12 +39,6 @@ def _check_parameter(value, what, k=1):
         raise ValueError(f"{what} must be a finite positive number, got {value}")
     if k < 1:
         raise ValueError(f"dimension must be >= 1, got {k}")
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    mean: np.ndarray
-    covariance: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -72,15 +69,14 @@ class PriorSpec:
             raise ValueError("dimension must be >= 1")
 
 
-@dataclass(frozen=True)
-class PriorMoments:
-    """First two moments: the family's moment-matched Gaussian N(mean,
-    covariance). The KL radius and the Fisher information have their own
-    functions (`gen_gauss_epsilon`, `uniform_ball_epsilon`,
-    `gen_gauss_fisher`)."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
+def _gaussian_prior(spec: PriorSpec):
+    """A Gaussian family's checked (mean, covariance, Cholesky factor)
+    (`gaussian._checked`); DimensionMismatch unless its dimension is K."""
+    mean, cov, chol = _checked(spec.family, "Gaussian prior")
+    if len(mean) != spec.dimension:
+        raise DimensionMismatch(f"Gaussian prior has dimension {len(mean)}, "
+                                f"spec has {spec.dimension}")
+    return mean, cov, chol
 
 
 def gen_gauss_covariance(p: float, k: int) -> float:
@@ -164,10 +160,10 @@ def _ball_variance(radius: float, k: int) -> float:
     return r2 / (k + 2.0)
 
 
-def uniform_ball_moments(radius: float, k: int) -> PriorMoments:
+def uniform_ball_moments(radius: float, k: int) -> Gaussian:
     """Moments of the uniform distribution on the K-ball of given radius:
     mean zero, covariance (R^2/(K+2)) I."""
-    return PriorMoments(np.zeros(k), _ball_variance(radius, k) * np.eye(k))
+    return Gaussian(np.zeros(k), _ball_variance(radius, k) * np.eye(k))
 
 
 def uniform_ball_epsilon(radius: float, k: int) -> float:
@@ -184,19 +180,16 @@ def uniform_ball_epsilon(radius: float, k: int) -> float:
     return max(value, 0.0)
 
 
-def prior_moments(spec: PriorSpec) -> PriorMoments:
-    """Analytic moments for any family."""
+def prior_moments(spec: PriorSpec) -> Gaussian:
+    """The family's moment match N(mean, covariance): its first two moments.
+    The KL radius and the Fisher information have their own functions
+    (`gen_gauss_epsilon`, `uniform_ball_epsilon`, `gen_gauss_fisher`)."""
     k = spec.dimension
     fam = spec.family
     if isinstance(fam, Gaussian):
-        mean = np.asarray(fam.mean, dtype=float).reshape(-1)
-        cov = np.asarray(fam.covariance, dtype=float)
-        if mean.shape != (k,) or cov.shape != (k, k):
-            raise DimensionMismatch(
-                f"Gaussian family shapes {mean.shape}, {cov.shape} do not match K={k}")
-        return PriorMoments(mean, cov)
+        return Gaussian(*_gaussian_prior(spec)[:2])
     if isinstance(fam, GeneralizedGaussian):
-        return PriorMoments(np.zeros(k), gen_gauss_covariance(fam.p, k) * np.eye(k))
+        return Gaussian(np.zeros(k), gen_gauss_covariance(fam.p, k) * np.eye(k))
     if isinstance(fam, UniformBall):
         return uniform_ball_moments(fam.radius, k)
     raise TypeError(f"unknown prior family {fam!r}")
@@ -218,7 +211,7 @@ def _quadratic_log_density(spec: PriorSpec):
     k = spec.dimension
     fam = spec.family
     if isinstance(fam, Gaussian):
-        chol = np.linalg.cholesky(np.asarray(fam.covariance, dtype=float))
+        mean, _, chol = _gaussian_prior(spec)
         log_norm = -0.5 * (k * math.log(2.0 * math.pi)
                            + 2.0 * float(np.sum(np.log(np.diag(chol)))))
 
@@ -226,7 +219,7 @@ def _quadratic_log_density(spec: PriorSpec):
             q *= 0.5
             return np.subtract(log_norm, q, out=q)
 
-        return np.asarray(fam.mean, dtype=float), np.linalg.inv(chol), h, math.inf
+        return mean, np.linalg.inv(chol), h, math.inf
     if isinstance(fam, GeneralizedGaussian):
         p = fam.p
         log_cp = _gen_gauss_log_normaliser(p, k)
@@ -285,9 +278,8 @@ def _sample_with(spec: PriorSpec, n: int, rng: np.random.Generator) -> np.ndarra
     k = spec.dimension
     fam = spec.family
     if isinstance(fam, Gaussian):
-        chol = np.linalg.cholesky(np.asarray(fam.covariance, dtype=float))
-        z = rng.standard_normal((n, k))
-        return np.asarray(fam.mean, dtype=float) + z @ chol.T
+        mean, _, chol = _gaussian_prior(spec)
+        return mean + rng.standard_normal((n, k)) @ chol.T
     z = rng.standard_normal((n, k))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     directions = z / norms

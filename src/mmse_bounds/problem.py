@@ -3,7 +3,10 @@
 A problem consists of J additive-Gaussian-noise channels Y_j = X + N_j
 with noise covariances Sigma_N_j and positive weights lambda_j, a Gaussian
 reference prior N(mu_0, Sigma_0), and a KL-divergence radius epsilon that
-constrains how far the true prior may sit from the reference.
+constrains how far the true prior may sit from the reference. The
+reference is a `gaussian.Gaussian` (`GaussianReference` is the same
+class), and `validate_problem` checks it and every noise covariance with
+the checks in `gaussian.py` that a Gaussian prior passes too.
 """
 
 from __future__ import annotations
@@ -14,42 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    ConfigError,
-    DimensionMismatch,
-    NegativeRadius,
-    NonPositiveWeight,
-    NonSymmetric,
-    NotPositiveDefinite,
-    ProblemValidationError,
-)
+from .exceptions import ConfigError, DimensionMismatch, NegativeRadius, NonPositiveWeight
+from .gaussian import Gaussian, _as_matrix, _check_spd, _checked
 
-SYMMETRY_RTOL = 1e-12
-
-
-def _as_matrix(a, name, channel=None):
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise DimensionMismatch(f"{name} must be a nonempty square matrix, got shape "
-                                f"{m.shape}", channel=channel)
-    return m
-
-
-def _check_spd(m, name, channel=None):
-    """Validate symmetry to relative tolerance, then return the symmetrized
-    matrix after a Cholesky-based positive-definiteness check."""
-    if not np.all(np.isfinite(m)):
-        raise NotPositiveDefinite(f"{name} has non-finite entries", channel=channel)
-    peak = np.abs(m).max()
-    unit = m / peak if peak > 0 else m  # so that the norms cannot overflow
-    if np.linalg.norm(unit - unit.T, "fro") > SYMMETRY_RTOL * np.linalg.norm(unit, "fro"):
-        raise NonSymmetric(f"{name} is not symmetric within tolerance", channel=channel)
-    sym = 0.5 * (m + m.T)
-    try:
-        np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(f"{name} is not positive definite", channel=channel)
-    return sym
+GaussianReference = Gaussian  # the reference's former class name, still read by perfbench
 
 
 @dataclass(frozen=True)
@@ -107,24 +78,10 @@ class ChannelEnsemble:
 
 
 @dataclass(frozen=True)
-class GaussianReference:
-    """Reference prior P_0 = N(mu_0, Sigma_0)."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussianReference):
-            return NotImplemented
-        return (np.array_equal(self.mean, other.mean)
-                and np.array_equal(self.covariance, other.covariance))
-
-
-@dataclass(frozen=True)
 class DivergenceBall:
     """KL ball of radius epsilon (nats) centered at the reference prior."""
 
-    reference: GaussianReference
+    reference: Gaussian
     epsilon: float
 
 
@@ -149,7 +106,7 @@ class Problem:
         return self.ensemble.dimension
 
     @property
-    def reference(self) -> GaussianReference:
+    def reference(self) -> Gaussian:
         return self.ball.reference
 
     @property
@@ -204,16 +161,8 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
     if ensemble.count < 1:
         raise DimensionMismatch("ensemble has no channels")
 
-    ref = ball.reference
-    mu0 = np.asarray(ref.mean, dtype=float).reshape(-1)
-    sigma0 = _as_matrix(ref.covariance, "reference covariance")
-    k = sigma0.shape[0]
-    if mu0.shape[0] != k:
-        raise DimensionMismatch(
-            f"reference mean has length {mu0.shape[0]}, covariance is {k}x{k}")
-    if not np.isfinite(mu0).all():
-        raise ProblemValidationError("reference mean has non-finite entries")
-    sigma0 = _check_spd(sigma0, "reference covariance")
+    mu0, sigma0, _ = _checked(ball.reference, "reference")
+    k = len(mu0)
 
     stack = np.empty((ensemble.count, k, k))
     for j, (s, w) in enumerate(zip(ensemble.noise_covariances, ensemble.weights)):
@@ -222,7 +171,7 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
             raise DimensionMismatch(
                 f"channel {j} noise covariance is {sn.shape[0]}x{sn.shape[1]}, "
                 f"expected {k}x{k}", channel=j)
-        stack[j] = _check_spd(sn, f"channel {j} noise covariance", channel=j)
+        stack[j] = _check_spd(sn, f"channel {j} noise covariance", channel=j)[0]
         if not 0.0 < w < math.inf:
             raise NonPositiveWeight(f"channel {j} weight {w} is not a finite "
                                     f"positive number", channel=j)
@@ -233,7 +182,7 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
 
     weights = np.array(ensemble.weights, dtype=float)
     stack.flags.writeable = weights.flags.writeable = False
-    clean_ball = DivergenceBall(GaussianReference(mu0, sigma0), float(ball.epsilon))
+    clean_ball = DivergenceBall(Gaussian(mu0, sigma0), float(ball.epsilon))
     return Problem(ChannelEnsemble(stack, weights), clean_ball)
 
 
@@ -302,7 +251,7 @@ def problem_from_config(cfg: dict) -> tuple[ChannelEnsemble, DivergenceBall]:
         weights.append(_number(entry["lambda"], f"channel {j} lambda"))
 
     ensemble = ChannelEnsemble.from_arrays(covs, weights)
-    ball = DivergenceBall(GaussianReference(mu0, sigma0), _number(cfg["epsilon"], "epsilon"))
+    ball = DivergenceBall(Gaussian(mu0, sigma0), _number(cfg["epsilon"], "epsilon"))
     return ensemble, ball
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mmse_bounds
@@ -21,7 +22,7 @@ PUBLIC = [
     "DimensionMismatch", "DivergenceBall", "FisherUndefined", "Gaussian",
     "GaussianReference", "GeneralizedGaussian", "McEstimate", "MmseSummary",
     "NegativeRadius", "NoConvergence", "NonPositiveWeight", "NonSymmetric",
-    "NotPositiveDefinite", "PriorMoments", "PriorSpec", "Problem",
+    "NotPositiveDefinite", "PriorSpec", "Problem",
     "ProblemValidationError", "SingularReference", "SingularSum", "UniformBall",
     "cramer_rao_lower", "gaussian_log_density", "gen_gauss_covariance",
     "gen_gauss_epsilon", "gen_gauss_fisher", "kl_same_mean_gaussians",
@@ -34,7 +35,7 @@ PUBLIC = [
 
 # removed on purpose: unused by the bounds, the CLI and the benchmark
 REMOVED = ["LinearEstimator", "linear_estimate", "mc_mmse", "sample_prior",
-           "moment_match", "DegenerateSample", "Direction"]
+           "moment_match", "DegenerateSample", "Direction", "PriorMoments"]
 
 # names perfbench/workloads.py reads from the package
 BENCHMARK_NAMES = [
@@ -64,8 +65,18 @@ DEMO_CONFIG = str(Path(__file__).resolve().parents[1] / "examples" / "paper_fig1
 
 
 def test_public_surface_is_pinned():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 51
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 50
     assert mmse_bounds.__all__ == PUBLIC
+
+
+def test_one_gaussian_type():
+    # the reference, the moment match and the Gaussian prior are one class
+    assert mmse_bounds.GaussianReference is mmse_bounds.Gaussian
+    spec = mmse_bounds.PriorSpec(mmse_bounds.UniformBall(2.0), 2)
+    ball = mmse_bounds.DivergenceBall(mmse_bounds.prior_moments(spec), 0.1)
+    ensemble = mmse_bounds.ChannelEnsemble.from_arrays([np.eye(2)], [1.0])
+    prob = mmse_bounds.validate_problem(ensemble, ball)
+    assert prob.reference == ball.reference
 
 
 @pytest.mark.parametrize("name", REMOVED)

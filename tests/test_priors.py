@@ -15,11 +15,13 @@ from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
 from mmse_bounds import (
+    ChannelEnsemble,
     DimensionMismatch,
     FisherUndefined,
     Gaussian,
     GaussianReference,
     GeneralizedGaussian,
+    NotPositiveDefinite,
     PriorSpec,
     UniformBall,
     gaussian_log_density,
@@ -28,6 +30,7 @@ from mmse_bounds import (
     gen_gauss_fisher,
     log_density,
     mc_kl,
+    mc_weighted_sum,
     prior_moments,
     uniform_ball_epsilon,
     uniform_ball_moments,
@@ -153,6 +156,35 @@ class TestGaussianFamily:
     def test_shape_guard(self):
         with pytest.raises(DimensionMismatch):
             prior_moments(PriorSpec(Gaussian(np.zeros(3), np.eye(2)), 2))
+
+    @pytest.mark.parametrize("mean, cov, error", [
+        ([5.0], np.eye(2), DimensionMismatch),  # not broadcast to (5, 5)
+        (np.zeros(3), np.eye(3), DimensionMismatch),  # a K = 3 Gaussian in K = 2
+        (np.zeros(2), 1.0, DimensionMismatch),  # a scalar, not a K x K matrix
+        (np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefinite),
+    ], ids=["short-mean", "wrong-dimension", "scalar-covariance", "indefinite"])
+    @pytest.mark.parametrize("entry", [
+        lambda g: prior_moments(PriorSpec(g, 2)),
+        lambda g: log_density(PriorSpec(g, 2), [[5.0, 5.0]]),
+        lambda g: _draw(PriorSpec(g, 2), 10, 0),
+        lambda g: mc_weighted_sum(PriorSpec(g, 2), ChannelEnsemble.from_arrays([np.eye(2)], [1.0]),
+                                  100, 100, 0),
+        lambda g: mc_kl(PriorSpec(g, 2), Gaussian(np.zeros(2), np.eye(2)), 100, 0),
+        lambda g: mc_kl(PriorSpec(GeneralizedGaussian(1.0), 2), g, 100, 0),
+    ], ids=["prior_moments", "log_density", "_sample_with", "mc_weighted_sum",
+            "mc_kl-prior", "mc_kl-reference"])
+    def test_every_entry_checks_the_gaussian(self, entry, mean, cov, error):
+        # the check a reference passes in validate_problem, with its error types
+        with pytest.raises(error):
+            entry(Gaussian(np.asarray(mean), cov))
+
+    def test_families_compare_by_value(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        spec = PriorSpec(Gaussian(np.array([1.0, -1.0]), cov), 2)
+        assert spec == PriorSpec(Gaussian(np.array([1.0, -1.0]), cov.copy()), 2)
+        assert spec != PriorSpec(Gaussian(np.array([1.0, 0.0]), cov), 2)
+        assert Gaussian(np.zeros(2), cov) == Gaussian(np.zeros(2), cov.copy())
+        assert Gaussian(np.zeros(2), cov) != Gaussian(np.zeros(2), 2.0 * cov)
 
     def test_log_density_matches_helper(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
