@@ -43,9 +43,5 @@ def cramer_rao_lower(fisher, ensemble) -> float:
     if fisher is None or not np.isfinite(fisher) or fisher <= 0:
         raise FisherUndefined(
             f"Cramer-Rao bound needs finite positive Fisher information, got {fisher!r}")
-    k = ensemble.dimension
-    total = 0.0
-    for w, sigma_n in zip(ensemble.weights, ensemble.noise_stack):
-        trace_inv = float(np.trace(np.linalg.inv(sigma_n)))
-        total += float(w) * k**2 / (trace_inv + fisher)
-    return total
+    trace_inv = np.trace(np.linalg.inv(ensemble.noise_stack), axis1=1, axis2=2)
+    return float(np.sum(ensemble.weights * ensemble.dimension**2 / (trace_inv + fisher)))

@@ -33,15 +33,20 @@ def _as_matrix(a, name, channel=None):
     return m
 
 
+def _check_symmetric(m, name, channel=None):
+    """NonSymmetric naming `name` unless |m - m^T| <= SYMMETRY_RTOL |m| (Frobenius)."""
+    peak = np.abs(m).max()
+    unit = m / peak if peak > 0 else m  # so that the norms cannot overflow
+    if np.linalg.norm(unit - unit.T, "fro") > SYMMETRY_RTOL * np.linalg.norm(unit, "fro"):
+        raise NonSymmetric(f"{name} is not symmetric within tolerance", channel=channel)
+
+
 def _check_spd(m, name, channel=None):
     """Validate symmetry to relative tolerance, then return the symmetrized
     matrix and its Cholesky factor, which checks positive definiteness."""
     if not np.all(np.isfinite(m)):
         raise NotPositiveDefinite(f"{name} has non-finite entries", channel=channel)
-    peak = np.abs(m).max()
-    unit = m / peak if peak > 0 else m  # so that the norms cannot overflow
-    if np.linalg.norm(unit - unit.T, "fro") > SYMMETRY_RTOL * np.linalg.norm(unit, "fro"):
-        raise NonSymmetric(f"{name} is not symmetric within tolerance", channel=channel)
+    _check_symmetric(m, name, channel)
     sym = 0.5 * (m + m.T)
     try:
         return sym, np.linalg.cholesky(sym)
@@ -106,28 +111,32 @@ def weight_matrix(sigma_x, sigma_n):
 
     Parameters
     ----------
-    sigma_x, sigma_n : (K, K) ndarray
-        Prior and noise covariances, symmetric positive definite.
+    sigma_x : (K, K) ndarray
+        Prior covariance, symmetric positive definite.
+    sigma_n : (K, K) or (J, K, K) ndarray
+        One noise covariance or a stack of J, symmetric positive definite.
 
     Returns
     -------
-    (K, K) ndarray
+    ndarray of sigma_n's shape: W, or the J gains W_j
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
     sigma_n = np.asarray(sigma_n, dtype=float)
-    _check_same_shape(sigma_x, sigma_n, "sigma_x", "sigma_n")
-    return _gain_transpose(sigma_x, sigma_n).T
+    _check_same_shape(sigma_x, sigma_n[0] if sigma_n.ndim == 3 else sigma_n,
+                      "sigma_x", "sigma_n")
+    return _gain_transpose(sigma_x, sigma_n).swapaxes(-1, -2)
 
 
 def mmse_matrix(sigma_x, sigma_n):
-    """MMSE matrix Sigma_X (Sigma_X + Sigma_N)^-1 Sigma_N.
+    """MMSE matrix Sigma_X (Sigma_X + Sigma_N)^-1 Sigma_N, for a (K, K)
+    Sigma_N or, one per channel, a (J, K, K) stack.
 
     Equals Sigma_X W^T and, algebraically, (Sigma_X^-1 + Sigma_N^-1)^-1;
     symmetric positive definite for SPD inputs.
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
-    m = sigma_x @ weight_matrix(sigma_x, sigma_n).T
-    return 0.5 * (m + m.T)
+    m = sigma_x @ weight_matrix(sigma_x, sigma_n).swapaxes(-1, -2)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def mmse_trace(sigma_x, sigma_n) -> float:
@@ -147,9 +156,9 @@ class MmseSummary:
 def weighted_mmse_sum(sigma_x, ensemble) -> MmseSummary:
     """Weighted sum of per-channel MMSE traces for a common prior covariance.
 
-    All channels are computed at once on the (J, K, K) noise stack: one
-    batched Cholesky factorization checks that every Sigma_X + Sigma_N_j
-    is positive definite, and one batched solve gives every W_j^T.
+    All channels are computed at once: `mmse_matrix` on the ensemble's
+    (J, K, K) noise stack checks every Sigma_X + Sigma_N_j with one batched
+    Cholesky factorization and gives every W_j^T with one batched solve.
 
     Parameters
     ----------
@@ -162,8 +171,7 @@ def weighted_mmse_sum(sigma_x, ensemble) -> MmseSummary:
         raise DimensionMismatch(
             f"sigma_x has shape {sigma_x.shape}, ensemble dimension is "
             f"{ensemble.dimension}")
-    m = sigma_x @ _gain_transpose(sigma_x, ensemble.noise_stack)
-    m = 0.5 * (m + m.swapaxes(1, 2))
+    m = mmse_matrix(sigma_x, ensemble.noise_stack)
     traces = np.trace(m, axis1=1, axis2=2)
     weighted = float(ensemble.weights @ traces)
     return MmseSummary(tuple(m), tuple(traces.tolist()), weighted)
@@ -175,11 +183,15 @@ def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:
     Equals (tr(SNR_0) - K - log det(SNR_0)) / 2 with SNR_0 = Sigma_0^-1 Sigma_X,
     formed from the Cholesky factor of Sigma_0 (SingularReference when it
     fails). SingularSum when Sigma_X fails its own Cholesky check or has a
-    nonpositive determinant. Nonnegative; zero iff the covariances coincide.
+    nonpositive determinant. NonSymmetric, naming the argument, for either
+    not symmetric to SYMMETRY_RTOL, since a Cholesky factorization reads
+    one triangle. Nonnegative; zero iff the covariances coincide.
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
     sigma_0 = np.asarray(sigma_0, dtype=float)
     _check_same_shape(sigma_x, sigma_0, "sigma_x", "sigma_0")
+    _check_symmetric(sigma_x, "sigma_x")
+    _check_symmetric(sigma_0, "sigma_0")
     k = sigma_x.shape[0]
     try:
         chol = np.linalg.cholesky(sigma_0)

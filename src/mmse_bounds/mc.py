@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateWeights, DimensionMismatch
-from .gaussian import _checked, mmse_matrix, weight_matrix
+from .gaussian import _checked, _gain_transpose
 from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_log_density,
                      log_density, prior_moments)
 
@@ -128,9 +128,9 @@ def _rotations(rng, b, k):
 def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     """Squared conditional-mean errors and inner effective sample sizes.
 
-    `noise_stack` holds the J noise covariances and `ys` yields the J
-    observation arrays, one per channel, each (n_outer, K) like `x`; it is
-    read once, so a generator lets each y go as soon as it is used. Returns
+    `noise_stack` holds the J noise covariances and `ys` the J observation
+    arrays, one per channel, each (n_outer, K) like `x`: a list, an
+    iterator or a (J, n_outer, K) array, stacked once. Returns
     (squared_errors, ess), each (J, n_outer): per channel and outer draw,
     ||E[X|y_j] - x||^2 and the effective sample size (sum w)^2 / sum w^2 of
     its inner weights.
@@ -148,7 +148,10 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     for q0 and 1/2 (I - A^T A) for q1, kept as one (2, J, K, K) array;
     only the linear rows and constants follow d and u, kept per draw as
     (n_outer, 2, J, K) and (n_outer, 2, J) arrays computed before any
-    block, so no coefficient depends on the block its draw falls in.
+    block, so no coefficient depends on the block its draw falls in. That
+    set-up runs on the (J, K, K) stacks at once, with one Sigma_X + Sigma_N
+    solve per channel giving both W^T and the MMSE matrix C_post; each
+    stacked product makes the same per-channel calls a loop would.
 
     The outer draws are taken _CHUNK at a time, and the draws of a block
     share one pool of n_plus = ceil(n_inner/2) inner normals z, each draw
@@ -206,32 +209,24 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     n_plus = (n_inner + 1) // 2
     n_minus = n_inner - n_plus
 
-    quad = np.empty((2, n_ch, k, k))
-    lin = np.empty((n_outer, 2, n_ch, k))
-    const = np.empty((n_outer, 2, n_ch))
-    chol_posts = np.empty((n_ch, k, k))
-    m_posts = np.empty((n_outer, n_ch, k))
-    for j, (sigma_n, y) in enumerate(zip(noise_stack, ys)):
-        w = weight_matrix(c, sigma_n)
-        chol_post = np.linalg.cholesky(mmse_matrix(c, sigma_n))
-        chol_n = np.linalg.cholesky(sigma_n)
-        inv_chol_n = np.linalg.inv(chol_n)
-        half_logdet_ratio = float(np.sum(np.log(np.diag(chol_post)))
-                                  - np.sum(np.log(np.diag(chol_n))))
-        gain = np.eye(k) - w  # posterior mean = m + (I - W)(y - m)
-        m_post = m + (y - m) @ gain.T
-        u = (y - m_post) @ inv_chol_n.T
-        d = (m_post - centre) @ whiten.T
-        mz = whiten @ chol_post
-        a = inv_chol_n @ chol_post
-        quad[0, j] = mz.T @ mz
-        quad[1, j] = 0.5 * (np.eye(k) - a.T @ a)
-        lin[:, 0, j] = 2.0 * d @ mz
-        lin[:, 1, j] = u @ a
-        const[:, 0, j] = np.einsum("nk,nk->n", d, d)
-        const[:, 1, j] = half_logdet_ratio - 0.5 * np.einsum("nk,nk->n", u, u)
-        chol_posts[j] = chol_post
-        m_posts[:, j] = m_post
+    gain_t = _gain_transpose(c, noise_stack)
+    c_post = c @ gain_t  # the MMSE matrices, as `mmse_matrix` forms them
+    chol_posts = np.linalg.cholesky(0.5 * (c_post + c_post.swapaxes(1, 2)))
+    chol_n = np.linalg.cholesky(noise_stack)
+    inv_chol_n = np.linalg.inv(chol_n)
+    half_logdet_ratio = (np.log(np.diagonal(chol_posts, axis1=1, axis2=2)).sum(axis=1)
+                         - np.log(np.diagonal(chol_n, axis1=1, axis2=2)).sum(axis=1))
+    y = np.stack(list(ys))
+    m_posts = m + (y - m) @ (np.eye(k) - gain_t)  # m + (I - W)(y - m)
+    u = (y - m_posts) @ inv_chol_n.swapaxes(1, 2)
+    d = (m_posts - centre) @ whiten.T
+    mz = whiten @ chol_posts
+    a = inv_chol_n @ chol_posts
+    quad = np.stack([mz.swapaxes(1, 2) @ mz, 0.5 * (np.eye(k) - a.swapaxes(1, 2) @ a)])
+    lin = np.stack([2.0 * d @ mz, u @ a]).transpose(2, 0, 1, 3)  # (n_outer, 2, J, K)
+    const = np.stack([np.einsum("jnk,jnk->jn", d, d), half_logdet_ratio[:, None]
+                      - 0.5 * np.einsum("jnk,jnk->jn", u, u)]).transpose(2, 0, 1)
+    m_posts = m_posts.swapaxes(0, 1)  # (n_outer, J, K), as the blocks read it
 
     # A block's coefficient rows against the rows of `_features`: the
     # upper triangle of each rotated S, off-diagonal entries doubled, then
@@ -341,9 +336,10 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     """Weighted MMSE sum across a ChannelEnsemble or Problem, sharing outer x draws.
 
     The same prior draws feed every channel (common random numbers), each
-    channel gets its own noise stream, and one inner stream of standard
-    normals serves every channel (see `_mmse_channels`). The per-draw sums
-    v_i = sum_j lambda_j ||x_hat_j - x_i||^2 are identically distributed
+    channel gets its own noise stream, whose normals go through their
+    channels' noise factors in one stacked product, and one inner stream of
+    standard normals serves every channel (see `_mmse_channels`). The
+    per-draw sums v_i = sum_j lambda_j ||x_hat_j - x_i||^2 are identically distributed
     across outer draws i, and each channel's (x, y_j, inner points) keeps
     its marginal law, so E[v_i] (with the self-normalized bias) is what
     each channel sampled alone would give. Draws in different blocks of
@@ -374,14 +370,11 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     noise_stack = ensemble.noise_stack
     s_x, *chan_seeds = root.spawn(1 + 2 * len(noise_stack))
     x = _sample_with(spec, n_outer, _rng_from(s_x))
-    ys = (x + _rng_from(chan_seeds[2 * j]).standard_normal(x.shape)
-          @ np.linalg.cholesky(sigma_n).T
-          for j, sigma_n in enumerate(noise_stack))
+    normals = np.stack([_rng_from(chan_seeds[2 * j]).standard_normal(x.shape)
+                        for j in range(len(noise_stack))])
+    ys = x + normals @ np.linalg.cholesky(noise_stack).swapaxes(1, 2)
     sq_err, ess = _mmse_channels(spec, noise_stack, x, ys, chan_seeds[1], n_inner)
-
-    weighted = np.zeros(n_outer)
-    for w, sq_err_j in zip(ensemble.weights, sq_err):
-        weighted += float(w) * sq_err_j
+    weighted = np.sum(ensemble.weights[:, None] * sq_err, axis=0)
     return _estimate(weighted, ess.ravel(), n_inner, seed)
 
 

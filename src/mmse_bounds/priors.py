@@ -166,17 +166,20 @@ def uniform_ball_moments(radius: float, k: int) -> Gaussian:
     return Gaussian(np.zeros(k), _ball_variance(radius, k) * np.eye(k))
 
 
+def _ball_log_volume(radius: float, k: int) -> float:
+    """log V_K(R), with V_K(R) = pi^(K/2) R^K / Gamma(K/2 + 1)."""
+    return 0.5 * k * math.log(math.pi) + k * math.log(radius) - math.lgamma(0.5 * k + 1.0)
+
+
 def uniform_ball_epsilon(radius: float, k: int) -> float:
     """KL from Uniform(B_K(R)) to its moment match N(0, (R^2/(K+2)) I).
 
-    Closed form -log V_K(R) + (K/2) log(2 pi R^2/(K+2)) + K/2 with
-    V_K(R) = pi^(K/2) R^K / Gamma(K/2 + 1); scale-invariant, so the value
-    depends only on K.
+    Closed form -log V_K(R) + (K/2) log(2 pi R^2/(K+2)) + K/2
+    (`_ball_log_volume`); scale-invariant, so the value depends only on K.
     """
     _ball_variance(radius, k)
-    log_vk = 0.5 * k * math.log(math.pi) + k * math.log(radius) - math.lgamma(0.5 * k + 1.0)
-    value = (-log_vk + 0.5 * k * math.log(2.0 * math.pi * radius**2 / (k + 2.0))
-             + 0.5 * k)
+    value = (-_ball_log_volume(radius, k)
+             + 0.5 * k * math.log(2.0 * math.pi * radius**2 / (k + 2.0)) + 0.5 * k)
     return max(value, 0.0)
 
 
@@ -231,8 +234,7 @@ def _quadratic_log_density(spec: PriorSpec):
 
         return np.zeros(k), np.eye(k), h, math.inf
     if isinstance(fam, UniformBall):
-        log_vk = (0.5 * k * math.log(math.pi) + k * math.log(fam.radius)
-                  - math.lgamma(0.5 * k + 1.0))
+        log_vk = _ball_log_volume(fam.radius, k)
 
         def h(q):
             q.fill(-log_vk)

@@ -3,10 +3,16 @@
 A problem consists of J additive-Gaussian-noise channels Y_j = X + N_j
 with noise covariances Sigma_N_j and positive weights lambda_j, a Gaussian
 reference prior N(mu_0, Sigma_0), and a KL-divergence radius epsilon that
-constrains how far the true prior may sit from the reference. The
-reference is a `gaussian.Gaussian` (`GaussianReference` is the same
-class), and `validate_problem` checks it and every noise covariance with
-the checks in `gaussian.py` that a Gaussian prior passes too.
+constrains how far the true prior may sit from the reference.
+
+A `ChannelEnsemble` checks its channels where it is built, by
+`from_arrays` or its bare constructor, and holds them as one read-only
+(J, K, K) stack of symmetrized noise covariances with read-only (J,)
+weights; no reader of channel data sees anything else. The reference is
+a `gaussian.Gaussian` (`GaussianReference` is the same class), and
+`validate_problem` checks it, its agreement with the channels' K and the
+radius. The covariance checks are the ones in `gaussian.py` that a
+Gaussian prior passes too.
 """
 
 from __future__ import annotations
@@ -25,28 +31,48 @@ GaussianReference = Gaussian  # the reference's former class name, still read by
 
 @dataclass(frozen=True)
 class ChannelEnsemble:
-    """The J channels (Sigma_N_j, lambda_j) sharing input dimension K: the J
-    matrices as given (once validated, one read-only (J, K, K) stack) and the
-    (J,) weights."""
+    """The J >= 1 channels (Sigma_N_j, lambda_j) sharing input dimension K,
+    checked where they are built: one read-only (J, K, K) float stack of
+    symmetrized noise covariances and read-only (J,) weights. A matrix that
+    is not square or of channel 0's shape (DimensionMismatch), asymmetric
+    (NonSymmetric) or not finite positive definite (NotPositiveDefinite), or
+    a weight that is not finite and positive (NonPositiveWeight), names its
+    channel."""
 
-    noise_covariances: tuple[np.ndarray, ...] | np.ndarray
+    noise_covariances: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        if len(self.noise_covariances) != len(self.weights):
-            raise DimensionMismatch(f"{len(self.noise_covariances)} noise covariances for "
-                                    f"{len(self.weights)} weights")
+        covs, weights = self.noise_covariances, np.array(self.weights, dtype=float)
+        if len(covs) != len(weights):
+            raise DimensionMismatch(f"{len(covs)} noise covariances for {len(weights)} weights")
+        if not len(weights):
+            raise DimensionMismatch("ensemble has no channels")
+        for j, (s, w) in enumerate(zip(covs, weights)):
+            name = f"channel {j} noise covariance"
+            sn = _as_matrix(s, name, channel=j)
+            if j == 0:
+                stack = np.empty((len(weights), *sn.shape))
+            elif sn.shape != stack.shape[1:]:
+                raise DimensionMismatch(f"{name} has shape {sn.shape}, channel 0 has "
+                                        f"{stack.shape[1:]}", channel=j)
+            stack[j] = _check_spd(sn, name, channel=j)[0]
+            if not 0.0 < w < math.inf:
+                raise NonPositiveWeight(f"channel {j} weight {w} is not a finite "
+                                        f"positive number", channel=j)
+        stack.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "noise_covariances", stack)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def from_arrays(cls, noise_covariances, weights):
-        return cls(tuple(np.asarray(s, dtype=float) for s in noise_covariances),
-                   np.array([float(w) for w in weights]))
+        return cls(tuple(noise_covariances), [float(w) for w in weights])
 
     def __eq__(self, other):
         if not isinstance(other, ChannelEnsemble):
             return NotImplemented
         return (np.array_equal(self.weights, other.weights)
-                and all(map(np.array_equal, self.noise_covariances, other.noise_covariances)))
+                and np.array_equal(self.noise_covariances, other.noise_covariances))
 
     @property
     def count(self) -> int:
@@ -54,27 +80,16 @@ class ChannelEnsemble:
 
     @property
     def dimension(self) -> int:
-        if not len(self.noise_covariances):
-            raise DimensionMismatch("ensemble has no channels")
-        return self.noise_covariances[0].shape[0]
+        return self.noise_covariances.shape[1]
 
     @property
     def noise_stack(self) -> np.ndarray:
-        """All noise covariances as a (J, K, K) array; a validated stack as it is.
-        A shape that differs from channel 0's is a DimensionMismatch naming the
-        first channel that has one."""
-        covs = self.noise_covariances
-        if not isinstance(covs, np.ndarray):  # as given, not yet one stack
-            for j, s in enumerate(covs):
-                if np.shape(s) != np.shape(covs[0]):
-                    raise DimensionMismatch(f"channel {j} noise covariance has shape {np.shape(s)}"
-                                            f", channel 0 has {np.shape(covs[0])}", channel=j)
-        return np.asarray(covs)
+        """All noise covariances as one read-only (J, K, K) array."""
+        return self.noise_covariances
 
     def single(self, j: int) -> "ChannelEnsemble":
         """The one-channel ensemble {(Sigma_N_j, 1)} used by local bounds."""
-        # a view of channel j, and a read-only unit weight
-        return ChannelEnsemble(self.noise_covariances[j][None], np.broadcast_to(1.0, 1))
+        return ChannelEnsemble(self.noise_covariances[j][None], [1.0])
 
 
 @dataclass(frozen=True)
@@ -114,19 +129,20 @@ class Problem:
         return self.ball.epsilon
 
     def single(self, j: int) -> "Problem":
-        """The one-channel problem {(Sigma_N_j, 1)} used by local bounds,
-        built from the validated arrays without validating them again."""
+        """The one-channel problem {(Sigma_N_j, 1)} used by local bounds, on
+        the same ball; only its one channel is checked again (a few µs)."""
         return Problem(self.ensemble.single(j), self.ball)
 
 
 def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
-    """Validate problem data and return an immutable handle.
+    """Validate a ball for an ensemble, whose channels were checked when it
+    was built, and return an immutable handle.
 
-    Checks symmetry (1e-12 relative Frobenius), positive definiteness of
-    every covariance, consistent nonzero dimensions, a finite mean, finite
-    positive weights, and a finite nonnegative radius. Matrices are
-    symmetrized by averaging with their transpose before the definiteness
-    check. An already-validated `Problem` is returned as it is.
+    Checks the reference as `gaussian._checked` does (symmetry to 1e-12
+    relative Frobenius, which it symmetrizes away, positive definiteness, a
+    finite mean of the covariance's size), that its K is the channels' and
+    that the radius is finite and nonnegative. An already-validated
+    `Problem` is returned as it is.
 
     Parameters
     ----------
@@ -142,8 +158,7 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
 
     Raises
     ------
-    NonSymmetric, NotPositiveDefinite, DimensionMismatch,
-    NonPositiveWeight, NegativeRadius
+    NonSymmetric, NotPositiveDefinite, DimensionMismatch, NegativeRadius
     ProblemValidationError
         Their base class, for a non-finite mean.
     ValueError
@@ -158,32 +173,14 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
     if ball is None:
         raise TypeError("a ChannelEnsemble needs a DivergenceBall")
 
-    if ensemble.count < 1:
-        raise DimensionMismatch("ensemble has no channels")
-
     mu0, sigma0, _ = _checked(ball.reference, "reference")
-    k = len(mu0)
-
-    stack = np.empty((ensemble.count, k, k))
-    for j, (s, w) in enumerate(zip(ensemble.noise_covariances, ensemble.weights)):
-        sn = _as_matrix(s, f"channel {j} noise covariance", channel=j)
-        if sn.shape[0] != k:
-            raise DimensionMismatch(
-                f"channel {j} noise covariance is {sn.shape[0]}x{sn.shape[1]}, "
-                f"expected {k}x{k}", channel=j)
-        stack[j] = _check_spd(sn, f"channel {j} noise covariance", channel=j)[0]
-        if not 0.0 < w < math.inf:
-            raise NonPositiveWeight(f"channel {j} weight {w} is not a finite "
-                                    f"positive number", channel=j)
-
+    if len(mu0) != ensemble.dimension:
+        raise DimensionMismatch(f"reference is {len(mu0)}x{len(mu0)}, the channels are "
+                                f"{ensemble.dimension}x{ensemble.dimension}")
     if not 0.0 <= ball.epsilon < math.inf:
         raise NegativeRadius(
             f"radius epsilon={ball.epsilon} must be a finite nonnegative number")
-
-    weights = np.array(ensemble.weights, dtype=float)
-    stack.flags.writeable = weights.flags.writeable = False
-    clean_ball = DivergenceBall(Gaussian(mu0, sigma0), float(ball.epsilon))
-    return Problem(ChannelEnsemble(stack, weights), clean_ball)
+    return Problem(ensemble, DivergenceBall(Gaussian(mu0, sigma0), float(ball.epsilon)))
 
 
 _TOP_KEYS = {"dimension", "mu0", "sigma0", "channels", "epsilon"}
@@ -272,7 +269,7 @@ def save_config(path, ensemble: ChannelEnsemble, ball: DivergenceBall) -> None:
         "mu0": np.asarray(ball.reference.mean, dtype=float).tolist(),
         "sigma0": np.asarray(ball.reference.covariance, dtype=float).tolist(),
         "channels": [
-            {"lambda": float(w), "sigma_n": np.asarray(sn).tolist()}
+            {"lambda": float(w), "sigma_n": sn.tolist()}
             for sn, w in zip(ensemble.noise_covariances, ensemble.weights)
         ],
         "epsilon": float(ball.epsilon),

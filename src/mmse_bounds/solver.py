@@ -347,10 +347,8 @@ def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
     (`ensemble`: a ChannelEnsemble or Problem)."""
     sigma_x = np.asarray(sigma_x, dtype=float)
     sigma0 = np.asarray(reference.covariance, dtype=float)
-    acc = np.zeros_like(sigma_x)
-    for w, sigma_n in zip(ensemble.weights, ensemble.noise_stack):
-        m = mmse_matrix(sigma_x, sigma_n)
-        acc += float(w) * (m.T @ m)
+    m = mmse_matrix(sigma_x, ensemble.noise_stack)
+    acc = np.sum(ensemble.weights[:, None, None] * (m.swapaxes(1, 2) @ m), axis=0)
     # SNR_0^-1 = Sigma_X^-1 Sigma_0
     inv_snr = np.linalg.solve(sigma_x, sigma0)
     rhs = sigma0 + alpha * acc @ inv_snr
@@ -475,9 +473,10 @@ def _separable(ctx, sign, eps):
 
 def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall) -> BoundResult:
     """Bound for a single channel under the same KL constraint: `solve_bound`
-    on the channel alone with weight 1 (`single`; a validated `Problem` is
-    not validated again), so independent of the channel's weight, and on a
-    reference exactly c I solved as K scalars. direction: "upper" or "lower"."""
+    on the channel alone with weight 1 (`single`; a validated `Problem`'s
+    ball is not validated again), so independent of the channel's weight,
+    and on a reference exactly c I solved as K scalars. direction: "upper"
+    or "lower"."""
     return solve_bound(direction, ensemble.single(channel_index), ball)
 
 

@@ -8,6 +8,7 @@ from mmse_bounds import (
     DimensionMismatch,
     DivergenceBall,
     GaussianReference,
+    NonSymmetric,
     SingularReference,
     SingularSum,
     kl_same_mean_gaussians,
@@ -75,9 +76,22 @@ class TestMatrixIdentities:
 
     @pytest.mark.parametrize("sigma_x", [-np.eye(2), [[1.0, 5.0], [-5.0, 1.0]]])
     def test_kl_rejects_a_non_covariance(self, sigma_x):
-        # both have determinant sign +1, which slogdet alone would accept
-        with pytest.raises(SingularSum):
+        # both have determinant sign +1, which slogdet alone would accept; the
+        # second is not symmetric, so is rejected before any factorization
+        error = SingularSum if np.array_equal(sigma_x, np.transpose(sigma_x)) else NonSymmetric
+        with pytest.raises(error):
             kl_same_mean_gaussians(sigma_x, np.eye(2))
+
+    @pytest.mark.parametrize("sigma_x, sigma_0, name", [
+        ([[1.0, 5.0], [0.0, 1.0]], np.eye(2), "sigma_x"),
+        (np.eye(2), [[1.0, 5.0], [0.0, 1.0]], "sigma_0"),
+        (np.eye(2), [[1.0, 0.0], [3.0, 1.0]], "sigma_0"),
+    ])
+    def test_kl_rejects_an_asymmetric_argument(self, sigma_x, sigma_0, name):
+        # a Cholesky factorization reads one triangle: the first two gave
+        # 0.0, the third SingularReference
+        with pytest.raises(NonSymmetric, match=f"{name} is not symmetric"):
+            kl_same_mean_gaussians(sigma_x, sigma_0)
 
     def test_kl_singular_reference(self):
         with pytest.raises(SingularReference):
@@ -126,6 +140,10 @@ class TestStackedKernel:
             got = weighted_mmse_sum(sx, ens)
             loop = [mmse_matrix(sx, sn) for sn in noise]
             traces = [np.trace(m) for m in loop]
+            # the stack argument makes the same per-channel calls as the loop
+            np.testing.assert_array_equal(mmse_matrix(sx, ens.noise_stack), loop)
+            np.testing.assert_array_equal(weight_matrix(sx, ens.noise_stack),
+                                          [weight_matrix(sx, sn) for sn in noise])
             for m, expect, tr, tr_expect in zip(got.per_channel_matrix, loop,
                                                 got.per_channel_trace, traces):
                 assert rel_error(m, expect) <= 1e-12

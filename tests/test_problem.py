@@ -11,24 +11,18 @@ from mmse_bounds import (
     ConfigError,
     DimensionMismatch,
     DivergenceBall,
-    Gaussian,
     GaussianReference,
     NegativeRadius,
     NonPositiveWeight,
     NonSymmetric,
     NotPositiveDefinite,
     Problem,
-    PriorSpec,
     ProblemValidationError,
-    cramer_rao_lower,
-    lmmse_upper,
     load_config,
     local_bound,
-    mc_weighted_sum,
     problem_from_config,
     save_config,
     validate_problem,
-    weighted_mmse_sum,
 )
 from conftest import DEMO_NOISE, DEMO_WEIGHTS, isotropic_ball
 
@@ -73,21 +67,18 @@ class TestValidation:
 
     def test_nonsymmetric_noise(self):
         sn = np.array([[2.0, 0.5], [0.3, 1.0]])
-        ens = ChannelEnsemble.from_arrays([sn], [1.0])
         with pytest.raises(NonSymmetric):
-            validate_problem(ens, isotropic_ball(2, 1.0, 0.1))
+            ChannelEnsemble.from_arrays([sn], [1.0])
 
     def test_indefinite_noise(self):
         sn = np.array([[1.0, 2.0], [2.0, 1.0]])
-        ens = ChannelEnsemble.from_arrays([sn], [1.0])
         with pytest.raises(NotPositiveDefinite):
-            validate_problem(ens, isotropic_ball(2, 1.0, 0.1))
+            ChannelEnsemble.from_arrays([sn], [1.0])
 
     def test_nonfinite_entries(self):
         sn = np.array([[1.0, 0.0], [0.0, np.inf]])
-        ens = ChannelEnsemble.from_arrays([sn], [1.0])
         with pytest.raises(NotPositiveDefinite):
-            validate_problem(ens, isotropic_ball(2, 1.0, 0.1))
+            ChannelEnsemble.from_arrays([sn], [1.0])
         for mean in ([np.nan, 0.0], [0.0, -np.inf]):
             ball = DivergenceBall(GaussianReference(np.array(mean), np.eye(2)), 0.1)
             with pytest.raises(ProblemValidationError, match="reference mean"):
@@ -99,9 +90,11 @@ class TestValidation:
             validate_problem(small_ensemble(), ball)
 
     def test_dimension_mismatch_channel(self):
-        ens = ChannelEnsemble.from_arrays([np.eye(2), np.eye(3)], [1.0, 1.0])
         with pytest.raises(DimensionMismatch):
-            validate_problem(ens, isotropic_ball(2, 1.0, 0.1))
+            ChannelEnsemble.from_arrays([np.eye(2), np.eye(3)], [1.0, 1.0])
+        with pytest.raises(DimensionMismatch, match="reference is 2x2, the channels are 3x3"):
+            validate_problem(ChannelEnsemble.from_arrays([np.eye(3)], [1.0]),
+                             isotropic_ball(2, 1.0, 0.1))
 
     def test_dimension_mismatch_mean(self):
         ball = DivergenceBall(GaussianReference(np.zeros(3), np.eye(2)), 0.1)
@@ -109,19 +102,18 @@ class TestValidation:
             validate_problem(small_ensemble(), ball)
 
     def test_nonsquare_matrix(self):
-        ens = ChannelEnsemble.from_arrays([np.ones((2, 3))], [1.0])
         with pytest.raises(DimensionMismatch):
-            validate_problem(ens, isotropic_ball(2, 1.0, 0.1))
-        empty = ChannelEnsemble.from_arrays([np.eye(0)], [1.0])
+            ChannelEnsemble.from_arrays([np.ones((2, 3))], [1.0])
+        with pytest.raises(DimensionMismatch, match="channel 0 noise covariance must be a non"):
+            ChannelEnsemble.from_arrays([np.eye(0)], [1.0])
         with pytest.raises(DimensionMismatch, match="reference covariance must be a nonempty"):
-            validate_problem(empty, DivergenceBall(GaussianReference(np.zeros(0), np.eye(0)),
-                                                   0.1))
+            validate_problem(small_ensemble(),
+                             DivergenceBall(GaussianReference(np.zeros(0), np.eye(0)), 0.1))
 
     def test_zero_weight(self):
         for weight in (0.0, np.inf):
-            ens = ChannelEnsemble.from_arrays([np.eye(2), np.eye(2)], [1.0, weight])
             with pytest.raises(NonPositiveWeight, match=f"channel 1 weight {weight}") as exc:
-                validate_problem(ens, isotropic_ball(2, 1.0, 0.1))
+                ChannelEnsemble.from_arrays([np.eye(2), np.eye(2)], [1.0, weight])
             assert exc.value.channel == 1
 
     def test_negative_radius(self):
@@ -155,27 +147,42 @@ class TestValidation:
                 data[0] = 1.0
 
     def test_error_carries_channel_index(self):
-        ens = ChannelEnsemble.from_arrays([np.eye(2), -np.eye(2)], [1.0, 1.0])
         with pytest.raises(NotPositiveDefinite) as exc:
-            validate_problem(ens, isotropic_ball(2, 1.0, 0.1))
+            ChannelEnsemble.from_arrays([np.eye(2), -np.eye(2)], [1.0, 1.0])
         assert exc.value.channel == 1
 
 
 class TestEnsemble:
-    @pytest.mark.parametrize("read", [
-        lambda ens: weighted_mmse_sum(np.eye(2), ens),
-        lambda ens: lmmse_upper(np.eye(2), ens),
-        lambda ens: cramer_rao_lower(1.0, ens),
-        lambda ens: mc_weighted_sum(PriorSpec(Gaussian(np.zeros(2), np.eye(2)), 2), ens,
-                                    100, 100, 0),
-    ], ids=["weighted_mmse_sum", "lmmse_upper", "cramer_rao_lower", "mc_weighted_sum"])
-    def test_raw_shape_mismatch_names_the_channel(self, read):
-        # an unvalidated ensemble holds its matrices as given
-        ens = ChannelEnsemble.from_arrays([np.eye(2), 2.0 * np.eye(2), np.eye(3)], [1.0] * 3)
+    def test_shape_mismatch_names_the_channel(self):
         match = r"channel 2 noise covariance has shape \(3, 3\), channel 0 has \(2, 2\)"
         with pytest.raises(DimensionMismatch, match=match) as exc:
-            read(ens)
+            ChannelEnsemble.from_arrays([np.eye(2), 2.0 * np.eye(2), np.eye(3)], [1.0] * 3)
         assert exc.value.channel == 2
+
+    @pytest.mark.parametrize("noise, weights, error, channel", [
+        ([np.eye(2), -0.5 * np.eye(2)], [1.0, 1.0], NotPositiveDefinite, 1),
+        ([np.eye(2)], [-3.0], NonPositiveWeight, 0),
+        ([np.eye(2), 2.0 * np.eye(2), [[1.0, 0.5], [0.0, 1.0]]], [1.0] * 3, NonSymmetric, 2),
+    ], ids=["indefinite", "negative_weight", "asymmetric"])
+    def test_bad_channel_is_rejected_where_the_ensemble_is_built(self, noise, weights, error,
+                                                                 channel):
+        # so no reader (weighted_mmse_sum, lmmse_upper, cramer_rao_lower,
+        # mc_weighted_sum, opt_covariance_residual) is handed it
+        for build in (ChannelEnsemble.from_arrays,
+                      lambda n, w: ChannelEnsemble(tuple(map(np.asarray, n)), np.asarray(w))):
+            with pytest.raises(error, match=f"channel {channel} ") as exc:
+                build(noise, weights)
+            assert exc.value.channel == channel
+
+    def test_built_ensemble_is_one_read_only_stack(self):
+        sn = [[2, 1], [1, 2]]  # integers
+        for ens in (ChannelEnsemble.from_arrays([sn, np.eye(2)], [1, 2]),
+                    ChannelEnsemble((np.array(sn), np.eye(2)), np.array([1, 2]))):
+            for data, shape in ((ens.noise_covariances, (2, 2, 2)), (ens.weights, (2,))):
+                assert data.dtype == float and data.shape == shape
+                with pytest.raises(ValueError, match="read-only"):
+                    data[0] = 1.0
+            assert ens.noise_stack is ens.noise_covariances
 
     def test_raw_empty_ensemble_has_no_dimension(self):
         with pytest.raises(DimensionMismatch, match="ensemble has no channels"):
