@@ -11,18 +11,24 @@ from mmse_bounds import (
     ConfigError,
     DimensionMismatch,
     DivergenceBall,
+    Gaussian,
     GaussianReference,
     NegativeRadius,
     NonPositiveWeight,
     NonSymmetric,
     NotPositiveDefinite,
     Problem,
+    PriorSpec,
     ProblemValidationError,
+    cramer_rao_lower,
+    lmmse_upper,
     load_config,
     local_bound,
+    mc_weighted_sum,
     problem_from_config,
     save_config,
     validate_problem,
+    weighted_mmse_sum,
 )
 from conftest import DEMO_NOISE, DEMO_WEIGHTS, isotropic_ball
 
@@ -153,10 +159,18 @@ class TestValidation:
 
 
 class TestEnsemble:
-    def test_shape_mismatch_names_the_channel(self):
+    @pytest.mark.parametrize("read", [
+        lambda ens: weighted_mmse_sum(np.eye(2), ens),
+        lambda ens: lmmse_upper(np.eye(2), ens),
+        lambda ens: cramer_rao_lower(1.0, ens),
+        lambda ens: mc_weighted_sum(PriorSpec(Gaussian(np.zeros(2), np.eye(2)), 2), ens,
+                                    100, 100, 0),
+    ], ids=["weighted_mmse_sum", "lmmse_upper", "cramer_rao_lower", "mc_weighted_sum"])
+    def test_raw_shape_mismatch_names_the_channel(self, read):
+        # a ragged ensemble is rejected where it is built, so no reader receives one
         match = r"channel 2 noise covariance has shape \(3, 3\), channel 0 has \(2, 2\)"
         with pytest.raises(DimensionMismatch, match=match) as exc:
-            ChannelEnsemble.from_arrays([np.eye(2), 2.0 * np.eye(2), np.eye(3)], [1.0] * 3)
+            read(ChannelEnsemble.from_arrays([np.eye(2), 2.0 * np.eye(2), np.eye(3)], [1.0] * 3))
         assert exc.value.channel == 2
 
     @pytest.mark.parametrize("noise, weights, error, channel", [
