@@ -31,7 +31,8 @@ import sys
 import numpy as np
 
 from .baselines import cramer_rao_lower, lmmse_upper
-from .exceptions import ConfigError, DegenerateWeights, FisherUndefined, NoConvergence
+from .exceptions import (ConfigError, DegenerateWeights, FisherUndefined, NoConvergence,
+                         NoiseLost)
 from .gaussian import Gaussian
 from .mc import MIN_DRAWS, mc_weighted_sum
 from .priors import (
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except DegenerateWeights as exc:
+    except (DegenerateWeights, NoiseLost) as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

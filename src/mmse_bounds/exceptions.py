@@ -67,5 +67,10 @@ class DegenerateWeights(ArithmeticError):
         self.bad_fraction = bad_fraction
 
 
+class NoiseLost(ArithmeticError):
+    """Observations y = x + n rounded the drawn noise away: the prior's
+    draws are too large against the noise for double precision."""
+
+
 class ConfigError(ValueError):
     """A problem config file is malformed or violates the schema."""

@@ -17,12 +17,15 @@ below 1% of the inner sample count.
 A log weight depends on the inner normals only through two quadratic
 forms in them, so the kernel gets every channel's weights from one
 broadcast matrix product per block and never builds the proposal points
-(`_mmse_channels`).
-Each step from those forms to the weights' sums, ESS and signed
-differences runs once per block over all channels, in buffers allocated
-once per call; only the estimate itself is taken channel by channel. The
-uniform ball's points off its support are masked to weight 0 rather
-than given log weight -inf, which numpy's `exp` takes a slow path on.
+(`_mmse_channels`). Each (draw, channel) row of log weights is shifted by
+its value at the proposal mean, which the forms' constant terms already
+hold, so no row max is taken, and the constants that self-normalization
+cancels are never computed; the rare row whose weight sum then leaves a
+safe range is redone at its exact row max. Each step from those forms to
+the weights' sums, ESS and the two antithetic sums runs once per block
+over all channels, in buffers allocated once per call. The uniform
+ball's points off its support are masked to weight 0 rather than given
+log weight -inf, which numpy's `exp` takes a slow path on.
 
 The outer draws of a block share one pool of inner normals, expanded into
 monomials once, and each draw turns the pool by its own Haar-random
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateWeights, DimensionMismatch
+from .exceptions import DegenerateWeights, DimensionMismatch, NoiseLost
 from .gaussian import _checked, _gain_transpose
 from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_log_density,
                      log_density, prior_moments)
@@ -66,15 +69,26 @@ from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_l
 # pool: changing it changes every Monte Carlo answer (within its SE), not
 # only the speed. A block holds its (n_plus, K) pool, with n_plus =
 # ceil(n_inner/2), the pool's (P, n_plus) monomials, its (b, 4J, P)
-# coefficient rows and (b, 4J, n_plus) forms, its (b, J, n_inner) weights
-# and, for the ball, their (b, J, n_inner) support mask; the signed weight
-# differences reuse the forms' storage. Measured with tools/ab.py on two
-# cores, against 8 (6 rounds): the mc_verify pass (500 x 2000) takes 1.17x
-# the CPU at 4 and 0.84x at 16, and its peak RSS is 40.6 MB at 4, 41.3 at
-# 8 and 42.9 at 16
+# coefficient rows and (b, 4J, n_plus) forms, whose q1 half the weights
+# overwrite, and, for the ball, the weights' (b, J, 2 n_plus) support
+# mask. Measured with tools/ab.py on two cores, against 8 (6 rounds),
+# before the weights moved into the forms' storage: the mc_verify pass
+# (500 x 2000) takes 1.17x the CPU at 4 and 0.84x at 16, and its peak RSS
+# is 40.6 MB at 4, 41.3 at 8 and 42.9 at 16
 _CHUNK = 8
 
+# blocks whose rotations come from one QR call (`_pools_and_rotations`)
+_QR_BLOCKS = 8
+
+# the range a row's weight sum must fall in after the shift at the
+# proposal mean; a row outside it is redone at its exact row max
+_SAFE_SUMS = (1e-100, 1e100)
+
 MIN_DRAWS = 100  # fewest outer, inner or KL draws an estimate accepts
+
+# the largest share of its norm by which a draw's noise y - x may differ
+# from the noise drawn; each squared error moves by about that share
+_NOISE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -117,12 +131,35 @@ def _features(z, out):
     out[-1] = 1.0
 
 
-def _rotations(rng, b, k):
-    """b Haar-random (K, K) orthogonal matrices: QR of Gaussian matrices
-    with the signs of diag(R) folded into Q (Mezzadri, Notices AMS 2007)."""
-    q, r = np.linalg.qr(rng.standard_normal((b, k, k)))
+def _rotations(gauss):
+    """Haar-random (K, K) orthogonal matrices from a (n, K, K) stack of
+    Gaussian ones: QR with the signs of diag(R) folded into Q (Mezzadri,
+    Notices AMS 2007). A stacked call factors each matrix as a call on it
+    alone would, bitwise."""
+    q, r = np.linalg.qr(gauss)
     q *= np.copysign(1.0, np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     return q
+
+
+def _pools_and_rotations(rng, n_outer, n_plus, k):
+    """Yield (start, stop, pool, rotations) per block of _CHUNK outer draws.
+
+    Per block the inner stream gives the (n_plus, K) pool of normals, then
+    one Gaussian (K, K) matrix per draw. The blocks are drawn _QR_BLOCKS at
+    a time, in that order, and their matrices turned into rotations by one
+    QR call (`_rotations`); a pool is written over when the next blocks
+    are drawn."""
+    pools = np.empty((min(_QR_BLOCKS, math.ceil(n_outer / _CHUNK)), n_plus, k))
+    for first in range(0, n_outer, _QR_BLOCKS * _CHUNK):
+        starts = range(first, min(first + _QR_BLOCKS * _CHUNK, n_outer), _CHUNK)
+        gauss = []
+        for pool, start in zip(pools, starts):
+            rng.standard_normal(out=pool)
+            gauss.append(rng.standard_normal((min(start + _CHUNK, n_outer) - start, k, k)))
+        rot = _rotations(np.concatenate(gauss))
+        for pool, start in zip(pools, starts):
+            stop = min(start + _CHUNK, n_outer)
+            yield start, stop, pool, rot[start - first:stop - first]
 
 
 def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
@@ -139,14 +176,19 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     Its whitened proposal residual is the drawn z and its whitened noise
     residual L_n^-1 (y - x) is u - A z, with u = L_n^-1 (y - m_post) and
     A = L_n^-1 L_post; the K log 2 pi terms cancel. So the log weight is
-    h(q0) + q1 for two quadratic forms in z:
-    q0 = ||W (x - c)||^2 = ||d + M z||^2, with d = W (m_post - c) and
-    M = W L_post, which the prior's density h reads
-    (`priors._quadratic_log_density`), and
-    q1 = 1/2 (||z||^2 - ||A z - u||^2) + 1/2 (logdet C_post - logdet Sigma_n).
-    Within a channel all outer draws share the quadratic matrices, M^T M
-    for q0 and 1/2 (I - A^T A) for q1, kept as one (2, J, K, K) array;
-    only the linear rows and constants follow d and u, kept per draw as
+    log_norm - g(q0) + 1/2 (||z||^2 - ||A z - u||^2) plus a constant, for
+    the quadratic form q0 = ||W (x - c)||^2 = ||d + M z||^2, with
+    d = W (m_post - c) and M = W L_post, which the prior's density reads
+    (`priors._quadratic_log_density`). Self-normalized weights are free of
+    any factor common to a (draw, channel) row, so the kernel shifts each
+    row by its log weight at the proposal mean z = 0: the weight is
+    exp(q1 - g(q0)), with q1 = 1/2 z^T (I - A^T A) z + u^T A z + g(||d||^2),
+    so the exponent is 0 at z = 0, and the log-determinant ratio, the
+    1/2 ||u||^2 and log_norm drop out. For the ball, g is None and the
+    weight is exp(q1) on the support q0 <= R^2 and 0 off it. Within a channel all
+    outer draws share the quadratic matrices, M^T M for q0 and
+    1/2 (I - A^T A) for q1, kept as one (2, J, K, K) array; only the
+    linear rows and constants follow d and u, kept per draw as
     (n_outer, 2, J, K) and (n_outer, 2, J) arrays computed before any
     block, so no coefficient depends on the block its draw falls in. That
     set-up runs on the (J, K, K) stacks at once, with one Sigma_X + Sigma_N
@@ -155,44 +197,45 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
 
     The outer draws are taken _CHUNK at a time, and the draws of a block
     share one pool of n_plus = ceil(n_inner/2) inner normals z, each draw
-    turning it by its own Haar-random rotation Q_i: per block the inner
-    stream gives the (n_plus, K) pool, then the b rotations
-    (`_rotations`). Draw i's inner points are the rows of z Q_i and
-    -z Q_i, the first n_inner of them, so an odd n_inner drops the last
-    -z Q_i. For any orthogonal Q_i the rows of z Q_i are iid N(0, I), so
-    given x and y each draw's estimate has the law a fresh draw of normals
-    would give; the draws of a block are correlated only through the
-    pool's rotation-invariant statistics. The pool is expanded into
-    monomials once per block, as a (P, n_plus) array, and the rotation
-    goes into the coefficients instead: a form z S z^T + l z^T at the row
-    z Q_i is z (Q_i S Q_i^T) z^T + (l Q_i^T) z^T, K x K work per draw and
-    channel rather than per inner point. A form at -z is the form at z
-    with its linear coefficients negated, so a block's rows are written
-    as (b, 4J, P): q0 at +z and -z for
-    every channel, then q1 at +z and -z for every channel. One broadcast
-    product with the pool's monomials then gives every form at both
-    signs, and q0 and q1 are each a (b, J, 2 n_plus) view whose rows run
-    over a channel's inner points. Each weight step (h(q0) + q1 written in
-    place, the row max, exp, the sums, the squared sums and ESS, w+ - w-)
-    is then one call per block for all J channels. For the ball, h is
-    -log V everywhere and the points with q0 > R^2 are masked: pushed
-    1e300 down for the row max, then multiplied by the 0/1 mask before exp
-    and after it, so no -inf reaches exp and every weight is bitwise what
-    -inf would have given.
+    turning it by its own Haar-random rotation Q_i (`_pools_and_rotations`).
+    Draw i's inner points are the rows of z Q_i and -z Q_i, the first
+    n_inner of them, so an odd n_inner drops the last -z Q_i. For any
+    orthogonal Q_i the rows of z Q_i are iid N(0, I), so given x and y
+    each draw's estimate has the law a fresh draw of normals would give;
+    the draws of a block are correlated only through the pool's
+    rotation-invariant statistics. The pool is expanded into monomials
+    once per block, as a (P, n_plus) array, and the rotation goes into the
+    coefficients instead: a form z S z^T + l z^T at the row z Q_i is
+    z (Q_i S Q_i^T) z^T + (l Q_i^T) z^T, K x K work per draw and channel
+    rather than per inner point. A form at -z is the form at z with its
+    linear coefficients negated, so a block's rows are written as
+    (b, 2, J, 2, P): q0 at +z and -z for every channel, then q1 at +z and
+    -z for every channel. One broadcast product with the pool's monomials
+    then gives every form at both signs, and q0 and q1 are each a
+    (b, J, 2 n_plus) view whose rows run over a channel's points at +z,
+    then at -z. Each weight step (g(q0) subtracted from q1 in place, exp,
+    the sums, the squared sums and ESS) is then one call per block for all
+    J channels, and the weight of the -z an odd n_inner drops is set to 0.
+    For the ball, q1 is multiplied by the 0/1 support mask before exp and
+    the weights after it, so no -inf reaches exp.
+
+    The shift at z = 0 keeps a row's weights in range while the proposal
+    sits on the row's mass. A row whose weight sum leaves [1e-100, 1e100]
+    (_SAFE_SUMS; inf or 0 included) is worked again from its forms,
+    shifted by its exact maximum log weight on the support.
 
     The estimate is x_hat = m_post + L_post (z_bar Q_i)^T, with z_bar =
-    (sum (w+ - w-) z) / sum w in pool coordinates and w+ and w- the weights
-    at z Q_i and -z Q_i; no proposal is built. z_bar stays one broadcast
-    (b, 1, n_plus) @ (n_plus, K) product per channel: one stacked product
-    over the channels rounds differently from the one-channel call, and a
-    one-channel estimate must not depend on the channels it is computed
-    with (`test_channels_match_one_channel_kernel`); nor, as one
-    (b, n_plus) @ (n_plus, K) product would, on the size of its block.
-    The turn by Q_i, the map by L_post and the squared error are then
-    einsums over all channels, which sum each entry in the same order
-    whatever J and b. Since a draw's normals depend only on the draws
-    before it, the first n draws of a call give bitwise the answers of a
-    call on those n draws alone.
+    (sum w+ z - sum w- z) / sum w in pool coordinates and w+ and w- the
+    weights at z Q_i and -z Q_i; no proposal is built. Both sums come from
+    one broadcast (b, J, 2, n_plus) @ (n_plus, K) product, which makes one
+    (2, n_plus) @ (n_plus, K) call per draw and channel whatever J and b,
+    so a one-channel estimate does not depend on the channels it is
+    computed with (`test_channels_match_one_channel_kernel`) nor on the
+    size of its block. The turn by Q_i, the map by L_post and the squared
+    error are then einsums over all channels, which sum each entry in the
+    same order whatever J and b. Since a draw's normals depend only on the
+    draws before it, the first n draws of a call give bitwise the answers
+    of a call on those n draws alone.
 
     Expanded, q0 can round a near-zero norm below zero, so it is clipped
     at zero. A draw whose inner weights all vanish (for the ball, every
@@ -201,21 +244,17 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     """
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
-    centre, whiten, h, q_max = _quadratic_log_density(spec)
-    bounded = q_max < math.inf
+    centre, whiten, g, _, q_max = _quadratic_log_density(spec)
     n_outer, k = x.shape
     n_ch = len(noise_stack)
     n_quad = k * (k + 1) // 2
     n_plus = (n_inner + 1) // 2
-    n_minus = n_inner - n_plus
+    odd = n_inner % 2 == 1
 
     gain_t = _gain_transpose(c, noise_stack)
     c_post = c @ gain_t  # the MMSE matrices, as `mmse_matrix` forms them
     chol_posts = np.linalg.cholesky(0.5 * (c_post + c_post.swapaxes(1, 2)))
-    chol_n = np.linalg.cholesky(noise_stack)
-    inv_chol_n = np.linalg.inv(chol_n)
-    half_logdet_ratio = (np.log(np.diagonal(chol_posts, axis1=1, axis2=2)).sum(axis=1)
-                         - np.log(np.diagonal(chol_n, axis1=1, axis2=2)).sum(axis=1))
+    inv_chol_n = np.linalg.inv(np.linalg.cholesky(noise_stack))
     y = np.stack(list(ys))
     m_posts = m + (y - m) @ (np.eye(k) - gain_t)  # m + (I - W)(y - m)
     u = (y - m_posts) @ inv_chol_n.swapaxes(1, 2)
@@ -224,8 +263,9 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     a = inv_chol_n @ chol_posts
     quad = np.stack([mz.swapaxes(1, 2) @ mz, 0.5 * (np.eye(k) - a.swapaxes(1, 2) @ a)])
     lin = np.stack([2.0 * d @ mz, u @ a]).transpose(2, 0, 1, 3)  # (n_outer, 2, J, K)
-    const = np.stack([np.einsum("jnk,jnk->jn", d, d), half_logdet_ratio[:, None]
-                      - 0.5 * np.einsum("jnk,jnk->jn", u, u)]).transpose(2, 0, 1)
+    q0_mean = np.einsum("jnk,jnk->jn", d, d)  # q0 at z = 0
+    shift = np.zeros_like(q0_mean) if g is None else g(q0_mean.copy())
+    const = np.stack([q0_mean, shift]).transpose(2, 0, 1)  # (n_outer, 2, J)
     m_posts = m_posts.swapaxes(0, 1)  # (n_outer, J, K), as the blocks read it
 
     # A block's coefficient rows against the rows of `_features`: the
@@ -235,24 +275,19 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     doubled = np.where(iu == ju, 1.0, 2.0)
     sign = np.array([[1.0], [-1.0]])  # the rows at +z and at -z
     size = min(_CHUNK, n_outer)
-    z = np.empty((n_plus, k))
     feat = np.empty((n_quad + k + 1, n_plus))
     rows_buf = np.empty((size, 2, n_ch, 2, n_quad + k + 1))
     rows = rows_buf.reshape(size, 4 * n_ch, n_quad + k + 1)
-    forms_buf = np.empty((size, 4 * n_ch, n_plus))
-    forms = forms_buf.reshape(size, 2, n_ch, 2 * n_plus)  # q0 at [:, 0], q1 at [:, 1]
-    wts_buf = np.empty((size, n_ch, n_inner))
-    inside_buf = np.empty((size, n_ch, n_inner), dtype=bool) if bounded else None
+    forms_buf = np.empty((size, 2, n_ch, 2, n_plus))  # q0 at [:, 0], q1 at [:, 1]
+    products = forms_buf.reshape(size, 4 * n_ch, n_plus)
+    forms = forms_buf.reshape(size, 2, n_ch, 2 * n_plus)
+    inside_buf = np.empty((size, n_ch, 2 * n_plus), dtype=bool) if g is None else None
 
-    rng = _rng_from(inner_seed)
     sq_err = np.empty((n_ch, n_outer))
     ess = np.empty((n_ch, n_outer))
     n_empty = 0
-    for start in range(0, n_outer, _CHUNK):
-        stop = min(start + _CHUNK, n_outer)
+    for start, stop, z, rot in _pools_and_rotations(_rng_from(inner_seed), n_outer, n_plus, k):
         b = stop - start
-        rng.standard_normal(out=z)
-        rot = _rotations(rng, b, k)
         _features(z, feat)
         rot_t = rot.transpose(0, 2, 1)[:, None, None]
         block_rows = rows_buf[:b]
@@ -265,32 +300,31 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
         # (b 4J, P) @ (P, n_plus): that larger product crosses OpenBLAS's
         # threading threshold, and on two cores the mc_verify pass then
         # took 316 ms of CPU against 142 (tools/ab.py, 4 rounds).
-        np.matmul(rows[:b], feat, out=forms_buf[:b])
-        q0, q1 = forms[:b, 0, :, :n_inner], forms[:b, 1, :, :n_inner]
-        wts = np.maximum(q0, 0.0, out=wts_buf[:b])
-        if bounded:
-            inside = np.less_equal(wts, q_max, out=inside_buf[:b])
-        np.add(h(wts), q1, out=wts)
-        if bounded:  # the row max over the support: the rest go 1e300 down (q0 is spent)
-            wts -= np.multiply(np.logical_not(inside, out=q0), 1e300, out=q0)
-        wts -= wts.max(axis=2, keepdims=True)
-        if bounded:  # exp sees 0, not a huge negative, off the support
-            wts *= inside
-        np.exp(wts, out=wts)
-        if bounded:
-            wts *= inside
-        totals = wts.sum(axis=2)
+        np.matmul(rows[:b], feat, out=products[:b])
+        q0, wts = forms[:b, 0], forms[:b, 1]  # the weights overwrite q1
+        with np.errstate(over="ignore"):  # an overflowing row is redone below
+            if g is None:
+                inside = np.less_equal(q0, q_max, out=inside_buf[:b])
+                wts *= inside
+                np.exp(wts, out=wts)
+                wts *= inside
+            else:
+                wts -= g(np.maximum(q0, 0.0, out=q0))
+                np.exp(wts, out=wts)
+            if odd:
+                wts[..., -1] = 0.0  # the -z an odd n_inner drops
+            totals = wts.sum(axis=2)
+        redo = ~((totals >= _SAFE_SUMS[0]) & (totals <= _SAFE_SUMS[1]))
+        if redo.any():
+            _redo_at_row_max(redo, wts, totals, rows_buf[:b], feat, g, q_max, odd)
         empty = np.count_nonzero(~(totals > 0))
         if empty:
             n_empty += empty
             continue  # the call raises below
         ess[:, start:stop] = (totals**2 / np.einsum("bjn,bjn->bj", wts, wts)).T
-        diff = forms[:b, 0, :, :n_plus]  # q0's storage again
-        np.subtract(wts[..., :n_minus], wts[..., n_plus:], out=diff[..., :n_minus])
-        diff[..., n_minus:] = wts[..., n_minus:n_plus]  # a z without its -z
-        z_bar = np.empty((b, n_ch, k))  # in pool coordinates
-        for j in range(n_ch):
-            np.divide((diff[:, j:j + 1] @ z)[:, 0], totals[:, j, None], out=z_bar[:, j])
+        sums = forms_buf[:b, 1] @ z  # sum w z over +z and over -z: (b, J, 2, K)
+        z_bar = np.subtract(sums[:, :, 0], sums[:, :, 1], out=sums[:, :, 0])
+        z_bar /= totals[..., None]  # in pool coordinates
         z_bar = np.einsum("bjk,bkm->bjm", z_bar, rot)  # z_bar Q_i
         err = np.einsum("bjk,jmk->bjm", z_bar, chol_posts)
         err += m_posts[start:stop]
@@ -302,6 +336,27 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
             f"draws; the moment-matched proposal is a bad fit for this prior/noise pair",
             bad_fraction=n_empty / (n_ch * n_outer))
     return sq_err, ess
+
+
+def _redo_at_row_max(redo, wts, totals, block_rows, feat, g, q_max, odd):
+    """Work the (draw, channel) rows flagged in `redo` again from their
+    coefficient rows, each shifted by its exact maximum log weight on the
+    support, writing their weights into `wts` and their sums into `totals`.
+    A row with no point on the support keeps weight 0."""
+    bi, ji = np.nonzero(redo)
+    again = (block_rows[bi, :, ji] @ feat).reshape(len(bi), 2, -1)  # q0, q1 at +-z
+    q0, log_w = again[:, 0], again[:, 1]
+    if g is None:
+        log_w[~(q0 <= q_max)] = -np.inf
+    else:
+        log_w -= g(np.maximum(q0, 0.0, out=q0))
+    if odd:
+        log_w[:, -1] = -np.inf
+    top = log_w.max(axis=1, keepdims=True)
+    log_w -= np.where(top > -np.inf, top, 0.0)
+    np.exp(log_w, out=log_w)
+    wts[bi, ji] = log_w
+    totals[bi, ji] = log_w.sum(axis=1)
 
 
 def _check_degenerate(n_bad, n_outer, n_inner):
@@ -331,6 +386,19 @@ def _check_dimension(spec, k, what):
         raise DimensionMismatch(f"prior has dimension {spec.dimension}, {what} dimension is {k}")
 
 
+def _check_noise_kept(carried, noise):
+    """NoiseLost unless every draw's noise y - x is its drawn noise to
+    within _NOISE_RTOL of its norm: prior draws far larger than the noise
+    round y = x + n back towards x."""
+    miss = np.linalg.norm(carried - noise, axis=2)
+    n_lost = np.count_nonzero(~(miss <= _NOISE_RTOL * np.linalg.norm(noise, axis=2)))
+    if n_lost:
+        raise NoiseLost(
+            f"y = x + n lost the drawn noise on {n_lost}/{miss.size} outer draws (off by "
+            f"more than {_NOISE_RTOL:g} of its norm): the prior's draws are too large "
+            f"against the noise for double precision")
+
+
 def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
                     seed: int) -> McEstimate:
     """Weighted MMSE sum across a ChannelEnsemble or Problem, sharing outer x draws.
@@ -354,7 +422,8 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     per-channel errors would not. The ESS diagnostics pool every channel's
     outer draws; an ESS under 1% of n_inner on over 1% of them raises
     DegenerateWeights, and so does any draw whose inner weights all
-    vanish.
+    vanish. A draw whose y = x + n no longer carries its noise, since the
+    prior's draws dwarf it, raises NoiseLost.
 
     Seeds: the root spawns 1 + 2J streams, x first. Channel j draws its
     noise from stream 1 + 2j, and the shared inner stream is stream 2,
@@ -372,7 +441,9 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     x = _sample_with(spec, n_outer, _rng_from(s_x))
     normals = np.stack([_rng_from(chan_seeds[2 * j]).standard_normal(x.shape)
                         for j in range(len(noise_stack))])
-    ys = x + normals @ np.linalg.cholesky(noise_stack).swapaxes(1, 2)
+    noise = normals @ np.linalg.cholesky(noise_stack).swapaxes(1, 2)
+    ys = x + noise
+    _check_noise_kept(ys - x, noise)
     sq_err, ess = _mmse_channels(spec, noise_stack, x, ys, chan_seeds[1], n_inner)
     weighted = np.sum(ensemble.weights[:, None] * sq_err, axis=0)
     return _estimate(weighted, ess.ravel(), n_inner, seed)

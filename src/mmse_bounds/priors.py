@@ -199,17 +199,20 @@ def prior_moments(spec: PriorSpec) -> Gaussian:
 
 
 def _quadratic_log_density(spec: PriorSpec):
-    """The family's log density as h(q) of one quadratic form in x.
+    """The family's log density as log_norm - g(q) of one quadratic form in x.
 
-    Returns (c, W, h, q_max) with q = ||W (x - c)||^2 = (x - c)^T W^T W (x - c):
-    c = 0 and W = I for the generalized Gaussian and the ball, and c = mean
-    and W = L^-1 (C = L L^T) for the Gaussian. `h` overwrites an array of
-    forms with their log densities on the support q <= q_max (R^2 for the
-    ball, inf otherwise) and returns it, in the arithmetic of the plain
-    expressions: for the generalized Gaussian `log_cp - q ** (p/2) / p`,
-    whose in-place `**=` takes the same np.sqrt and np.square paths at
-    p = 1 and 4. Off the support the caller decides: `log_density` gives
-    -inf there, and the Monte Carlo kernel masks those points before `exp`.
+    Returns (c, W, g, log_norm, q_max) with q = ||W (x - c)||^2 =
+    (x - c)^T W^T W (x - c): c = 0 and W = I for the generalized Gaussian
+    and the ball, and c = mean and W = L^-1 (C = L L^T) for the Gaussian.
+    On the support q <= q_max (R^2 for the ball, inf otherwise) the log
+    density is log_norm - g(q), where `g` overwrites an array of forms with
+    the part that varies and returns it, in the arithmetic of the plain
+    expressions: `q ** (p/2) * (1/p)` for the generalized Gaussian, whose
+    in-place `**=` takes the same np.sqrt and np.square paths at p = 1 and
+    4, and `q * 0.5` for the Gaussian. The ball's density is constant on
+    its support, so its `g` is None. The Monte Carlo kernel reads g alone,
+    since log_norm cancels from self-normalized weights; `log_density`
+    adds it back, and gives -inf off the support.
     """
     k = spec.dimension
     fam = spec.family
@@ -218,29 +221,22 @@ def _quadratic_log_density(spec: PriorSpec):
         log_norm = -0.5 * (k * math.log(2.0 * math.pi)
                            + 2.0 * float(np.sum(np.log(np.diag(chol)))))
 
-        def h(q):
+        def g(q):
             q *= 0.5
-            return np.subtract(log_norm, q, out=q)
-
-        return mean, np.linalg.inv(chol), h, math.inf
-    if isinstance(fam, GeneralizedGaussian):
-        p = fam.p
-        log_cp = _gen_gauss_log_normaliser(p, k)
-
-        def h(q):
-            q **= 0.5 * p
-            q /= p
-            return np.subtract(log_cp, q, out=q)
-
-        return np.zeros(k), np.eye(k), h, math.inf
-    if isinstance(fam, UniformBall):
-        log_vk = _ball_log_volume(fam.radius, k)
-
-        def h(q):
-            q.fill(-log_vk)
             return q
 
-        return np.zeros(k), np.eye(k), h, fam.radius**2
+        return mean, np.linalg.inv(chol), g, log_norm, math.inf
+    if isinstance(fam, GeneralizedGaussian):
+        half_p, inv_p = 0.5 * fam.p, 1.0 / fam.p
+
+        def g(q):
+            q **= half_p
+            q *= inv_p
+            return q
+
+        return np.zeros(k), np.eye(k), g, _gen_gauss_log_normaliser(fam.p, k), math.inf
+    if isinstance(fam, UniformBall):
+        return np.zeros(k), np.eye(k), None, -_ball_log_volume(fam.radius, k), fam.radius**2
     raise TypeError(f"unknown prior family {fam!r}")
 
 
@@ -250,17 +246,14 @@ def log_density(spec: PriorSpec, x) -> np.ndarray:
     k = spec.dimension
     if x.shape[1] != k:
         raise DimensionMismatch(f"points have dimension {x.shape[1]}, spec has {k}")
-    c, w, h, q_max = _quadratic_log_density(spec)
+    c, w, g, log_norm, q_max = _quadratic_log_density(spec)
     # the short, wide product W (x - c)^T: the tall (n, K) @ (K, K) form can
     # take a much slower threaded BLAS path at large n
     r = w @ (x - c).T
     q = np.einsum("kn,kn->n", r, r)
-    if q_max == math.inf:
-        return h(q)
-    outside = ~(q <= q_max)  # before h writes over q
-    log_p = h(q)
-    log_p[outside] = -np.inf
-    return log_p
+    if g is not None:
+        return np.subtract(log_norm, g(q), out=q)
+    return np.where(q <= q_max, log_norm, -np.inf)
 
 
 def gaussian_log_density(mean, cov, x) -> np.ndarray:

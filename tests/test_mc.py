@@ -24,6 +24,7 @@ from mmse_bounds import (
 )
 from mmse_bounds.gaussian import mmse_matrix, weight_matrix
 from mmse_bounds import mc
+from mmse_bounds.exceptions import NoiseLost
 from mmse_bounds.mc import _check_degenerate, _mmse_channels, _rng_from
 from mmse_bounds.priors import _sample_with, log_density
 from conftest import TEST_SEED, random_spd
@@ -139,6 +140,20 @@ def _mostly_outside_ball(n_outer):
           for sigma_n in noise]
     return spec, noise, 0.9 * u, ys
 
+def _recorded_redos(monkeypatch):
+    """A list that collects each block's (b, J) mask of rows sent to
+    `mc._redo_at_row_max`."""
+    redone = []
+    real = mc._redo_at_row_max
+
+    def recording(redo, *args):
+        redone.append(redo.copy())
+        return real(redo, *args)
+
+    monkeypatch.setattr(mc, "_redo_at_row_max", recording)
+    return redone
+
+
 class TestKernel:
     @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
     def test_matches_direct_density_oracle(self, spec, noise_scale):
@@ -252,6 +267,42 @@ class TestKernel:
             _mmse_channels(spec, noise, x, ys, np.random.SeedSequence(TEST_SEED), 301)
         assert exc.value.bad_fraction == 3 / 400
 
+    @pytest.mark.parametrize("n_inner", [300, 301])
+    @pytest.mark.parametrize("n_channels", [1, 4])
+    @pytest.mark.parametrize("spec", [
+        PriorSpec(GeneralizedGaussian(0.7), 3), PriorSpec(UniformBall(1.5), 3),
+        PriorSpec(Gaussian(np.array([0.5, -1.0, 0.2]), random_spd(np.random.default_rng(3),
+                                                                   3, 2.0)), 3),
+    ], ids=["gen-gauss-0.7", "ball", "gaussian"])
+    def test_exact_row_max_matches_the_shift(self, spec, n_channels, n_inner, monkeypatch):
+        # With an empty safe window every (draw, channel) row is worked
+        # again at its exact row max; the answers stay those of the shift
+        # at the proposal mean, for either parity of n_inner.
+        noise, x, ys, s_inner = _kernel_input(spec, 0.8, 150, n_channels)
+        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
+        redone = _recorded_redos(monkeypatch)
+        monkeypatch.setattr(mc, "_SAFE_SUMS", (math.inf, 0.0))
+        all_err, all_ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
+        assert all(r.all() for r in redone) and sum(r.size for r in redone) == sq_err.size
+        np.testing.assert_allclose(all_err, sq_err, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(all_ess, ess, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_far_from_the_shift_are_redone(self, monkeypatch):
+        # y far out in a p = 10 prior's tail: the log weights at the inner
+        # points exceed the one at the proposal mean by more than exp can
+        # hold, so those rows leave the safe window and are redone at their
+        # row max, with no numpy warning, as the direct densities give.
+        spec = PriorSpec(GeneralizedGaussian(10.0), 3)
+        noise, x, ys, s_inner = _kernel_input(spec, 0.8, 150)
+        ys[0][:10] = 5.0
+        redone = _recorded_redos(monkeypatch)
+        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, 301)
+        assert sum(int(r.sum()) for r in redone) == 10
+        ref_err, ref_ess = _oracle_one_channel(spec, noise[0], x, ys[0], s_inner, 301)
+        np.testing.assert_allclose(sq_err[0], ref_err, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(ess[0], ref_ess, rtol=1e-9, atol=0.0)
+
     @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
     def test_chunk_size_changes_no_answer(self, spec, noise_scale, monkeypatch):
         # The block size decides which draws share a pool, so it changes the
@@ -312,13 +363,14 @@ class TestGaussianExactness:
 
 class TestReproducibility:
     @pytest.mark.parametrize("seed, value, std_error, min_ess, median_ess", [
-        (42, 1.0525073337016237, 0.09694701735567512, 28.33118651018399, 182.59757618432928),
-        (43, 0.8701152496831389, 0.07132271758202209, 16.900948247146406, 180.74014962758267),
+        (42, 1.0525073337016235, 0.09694701735567512, 28.33118651018402, 182.59757618432934),
+        (43, 0.8701152496831389, 0.07132271758202209, 16.900948247146385, 180.74014962758275),
     ], ids=["seed-42", "seed-43"])
     def test_mc_mmse_pinned(self, seed, value, std_error, min_ess, median_ess):
         # One channel keeps the stream layout of one inner stream per
         # channel; the values are those of the antithetic inner points of
-        # one pool per block, rotated per draw.
+        # one pool per block, rotated per draw, with each row's weights
+        # shifted at the proposal mean.
         spec = PriorSpec(GeneralizedGaussian(1.0), 2)
         est = _one_channel(spec, np.array([[0.8, 0.3], [0.3, 0.6]]), 150, 200, seed=seed)
         assert (est.value, est.std_error, est.min_ess, est.median_ess, est.bad_fraction) == \
@@ -479,3 +531,14 @@ class TestGuards:
             _check_degenerate(n_bad=11, n_outer=1000, n_inner=500)
         assert exc.value.bad_fraction == pytest.approx(0.011)
         _check_degenerate(n_bad=0, n_outer=1000, n_inner=500)
+
+    def test_noise_rounded_away_is_named(self, demo_ensemble):
+        # p = 0.02 draws reach about 1e24, so y = x + n rounds back to x;
+        # the estimate read 0 +- 0 at full ESS, though lmmse_upper is 21.23
+        spec = PriorSpec(GeneralizedGaussian(0.02), 3)
+        with pytest.raises(NoiseLost, match="lost the drawn noise on 800/800 outer draws"):
+            mc_weighted_sum(spec, demo_ensemble, 200, 300, seed=1)
+        # at p = 0.1 the draws reach about 1e6 and each keeps its noise to 1e-9
+        est = mc_weighted_sum(PriorSpec(GeneralizedGaussian(0.1), 3), demo_ensemble,
+                              100, 100, seed=1)
+        assert est.value > 0

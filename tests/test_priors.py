@@ -231,14 +231,18 @@ class TestLogDensityForms:
 
     @pytest.mark.parametrize("p", [0.51, 1.0, 3.0, 4.0, 10.0])
     def test_in_place_h_keeps_the_plain_expression(self, p):
-        # h writes over its forms; numpy's in-place ** takes the sqrt
+        # g writes over its forms; numpy's in-place ** takes the sqrt
         # (p = 1) and square (p = 4) paths of the plain **, so the Monte
-        # Carlo log weights are bitwise those of the expression
+        # Carlo log weights are bitwise those of the expression, and the
+        # log density adds the normaliser back
         q = 4.0 * np.random.default_rng(14).random(500)
-        _, _, h, q_max = _quadratic_log_density(PriorSpec(GeneralizedGaussian(p), 3))
-        expected = _gen_gauss_log_normaliser(p, 3) - q ** (0.5 * p) / p
-        np.testing.assert_array_equal(h(q), expected)
-        assert q_max == math.inf
+        spec = PriorSpec(GeneralizedGaussian(p), 3)
+        _, _, g, log_norm, q_max = _quadratic_log_density(spec)
+        expected = q ** (0.5 * p) * (1.0 / p)
+        np.testing.assert_array_equal(g(q.copy()), expected)
+        assert log_norm == _gen_gauss_log_normaliser(p, 3) and q_max == math.inf
+        x = np.sqrt(q)[:, None] * np.eye(3)[[0]]
+        np.testing.assert_array_equal(log_density(spec, x), log_norm - (x[:, 0] ** 2) ** (0.5 * p) * (1.0 / p))
 
     def test_ball_matches_norm_test(self):
         k, radius = 3, 2.0

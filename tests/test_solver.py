@@ -44,7 +44,7 @@ from mmse_bounds import (
     validate_problem,
 )
 from mmse_bounds import solver
-from conftest import TEST_SEED, isotropic_ball, random_spd
+from conftest import TEST_SEED, corpus_spd, isotropic_ball, random_spd
 from oracles import isotropic_bounds, multistart_lower, reduced_lower, scalar_ratio
 
 # Frozen regression values for the bundled four-channel ensemble with
@@ -673,6 +673,37 @@ class TestFrozenCases:
         best = multistart_lower(np.asarray(case["sigma0"]), np.asarray(case["noise"]),
                                 case["weights"], case["epsilon"], starts=20)
         assert best == pytest.approx(expect, rel=1e-8)
+
+
+# Lower bounds the solver does not certify (ROADMAP items 2 and 4), frozen
+# from tests/test_solver_properties.py::test_certificates: (K, rng seed,
+# (log10 smallest eigenvalue, log10 condition number) of Sigma_0 and then
+# of each Sigma_N, weights, epsilon, the isotropic oracle's value or None),
+# built with conftest.corpus_spd as the property's `problems` strategy
+# builds them. Both raise the same NoConvergence on the commit before the
+# one that froze them; a solver that certifies them turns the strict xfail
+# into a failure, so the mark comes off with the fix.
+UNCERTIFIED_LOWER = [
+    pytest.param(3, 0, [(0.0, 4.0), (0.0, 1.0), (0.0, 0.0), (0.0, 0.0)], [1.0, 1.0, 1.0],
+                 4.869675251658631, None, id="K3-J3-cond1e4-jacobian-cap"),
+    pytest.param(3, 0, [(2.0, 0.0), (0.0, 0.0), (0.0, 0.0)], [1.0, 1.0],
+                 4.869675251658631, isotropic_bounds(100.0, 1.0, 3, 4.869675251658631, 2.0)[0],
+                 id="K3-J2-isotropic-no-extremum"),
+]
+
+
+class TestUncertifiedPropertyExamples:
+    @pytest.mark.xfail(raises=NoConvergence, strict=True,
+                       reason="lower bound not certified: ROADMAP items 2 and 4")
+    @pytest.mark.parametrize("k, seed, spectra, weights, epsilon, expect", UNCERTIFIED_LOWER)
+    def test_lower_bound_is_certified(self, k, seed, spectra, weights, epsilon, expect):
+        rng = np.random.default_rng(seed)
+        sigma0, *noise = [corpus_spd(rng, k, *spectrum) for spectrum in spectra]
+        res = _solve("lower", sigma0, noise, weights, epsilon)
+        assert abs(kl_same_mean_gaussians(res.sigma_x, sigma0) - epsilon) <= 1e-10
+        assert res.alpha < 0
+        if expect is not None:
+            assert res.bound_value == pytest.approx(expect, rel=1e-8)
 
 
 class TestIsotropicOracle:

@@ -7,6 +7,20 @@ a named case in test_solver.py instead.
 The examples are derandomized, so tier-1 runs the same small set every
 time. For a longer search, raise PROPERTY_EXAMPLES in the environment,
 e.g. ``PROPERTY_EXAMPLES=500 python -m pytest tests/test_solver_properties.py``.
+
+Hypothesis (6.131 on) also draws 5-15% of its values from the numeric
+literals it finds in the loaded non-test modules, here
+src/mmse_bounds/*.py, so an edit to any constant of the package, even in
+the Monte Carlo code, used to change every example drawn here. With the
+Hypothesis 6.155 pool, adding 1e-100 and 1e100 to `mc.py` and dropping
+1e300 made `test_certificates` draw problems at epsilon 4.2-5 (K 2-3,
+J 2-3, most Sigma_N about I, Sigma_0 about 100 I or of condition number
+1e4) whose lower bounds the solver does not certify, on the commit
+before as well (ROADMAP items 2 and 4). This module therefore empties
+that pool (`_no_package_literals`), so the examples depend on this file
+and the Hypothesis version alone; the two failing examples Hypothesis
+reported are frozen in test_solver.py (`TestUncertifiedPropertyExamples`).
+Never shape code or literals to steer the examples.
 """
 
 import os
@@ -28,6 +42,21 @@ from conftest import corpus_spd
 from oracles import (commuting_upper, isotropic_bounds, multistart_lower, scalar_ratio,
                      weighted_mmse)
 
+
+def _no_package_literals():
+    """Give Hypothesis an empty pool of the package's literals; a
+    Hypothesis without the pool has nothing to empty."""
+    try:
+        from hypothesis.internal.conjecture import providers
+        from hypothesis.internal.constants_ast import Constants
+    except ImportError:
+        return
+    if hasattr(providers, "_get_local_constants"):
+        empty = Constants()
+        providers._get_local_constants = lambda: empty
+
+
+_no_package_literals()
 EXAMPLES = int(os.environ.get("PROPERTY_EXAMPLES", "25"))
 PROPERTY = settings(max_examples=EXAMPLES, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])

@@ -23,6 +23,10 @@ does not change):
 * `kernel_K1_J4`, `kernel_K6_J4`: the same call in K = 1 and K = 6, on
   four seeded random noise covariances with trace about 3K (the demo
   covariances' scale).
+* `kernel_ball_K3_J4`: the `kernel_K3_J4` call with a uniform ball
+  R = 2 prior, whose weights take the support mask instead of `g`.
+* `kernel_K3_J4_odd`: the `kernel_K3_J4` call at n_inner = 2001, whose
+  last -z gets weight 0.
 
 Two counts come from one untimed `mc_verify` pass: `normals_per_pass`,
 the standard normal values drawn through `mc._rng_from`, and
@@ -60,10 +64,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 VERIFY_SEED = 301
-KERNEL_P = 1.0
-KERNEL_N_OUTER, KERNEL_N_INNER = 256, 2000
-KERNEL_SHAPES = {"kernel_K3_J1": (3, 1), "kernel_K3_J4": (3, 4),  # name -> (K, J)
-                 "kernel_K1_J4": (1, 4), "kernel_K6_J4": (6, 4)}
+KERNEL_P, KERNEL_RADIUS = 1.0, 2.0  # the generalized Gaussian's p, the ball's R
+KERNEL_N_OUTER = 256
+KERNELS = {  # name -> (prior family, K, J, n_inner)
+    "kernel_K3_J1": ("gen-gauss", 3, 1, 2000), "kernel_K3_J4": ("gen-gauss", 3, 4, 2000),
+    "kernel_K1_J4": ("gen-gauss", 1, 4, 2000), "kernel_K6_J4": ("gen-gauss", 6, 4, 2000),
+    "kernel_ball_K3_J4": ("uniform-ball", 3, 4, 2000),
+    "kernel_K3_J4_odd": ("gen-gauss", 3, 4, 2001),
+}
 
 
 def _digest(*parts):
@@ -88,8 +96,7 @@ class Worker:
             raise ImportError(f"mmse_bounds resolved to {origin}, not under {tree}")
         self.np, self.mb, self.wl = np, mmse_bounds, workloads
         self.config_path = config_path
-        self.kernel_inputs = {name: self._kernel_input(*shape)
-                              for name, shape in KERNEL_SHAPES.items()}
+        self.kernel_inputs = {name: self._kernel_input(*case) for name, case in KERNELS.items()}
 
     def _noise(self, k, n_channels):
         """The first demo noise covariances in K = 3; elsewhere seeded random
@@ -105,18 +112,23 @@ class Worker:
             noise.append(3.0 * k * m / np.trace(m))
         return noise
 
-    def _kernel_input(self, k, n_channels):
-        """(spec, noise covariances, x, ys, inner seed): seeded prior draws,
-        made here with numpy so both trees get the same inputs."""
+    def _kernel_input(self, family, k, n_channels, n_inner):
+        """(spec, noise covariances, x, ys, inner seed, n_inner): seeded
+        prior draws, made here with numpy so both trees get the same
+        inputs."""
         np, mb = self.np, self.mb
         rng = np.random.default_rng(20)
         z = rng.standard_normal((KERNEL_N_OUTER, k))
-        radius = (KERNEL_P * rng.gamma(k / KERNEL_P, size=KERNEL_N_OUTER)) ** (1 / KERNEL_P)
+        if family == "gen-gauss":
+            radius = (KERNEL_P * rng.gamma(k / KERNEL_P, size=KERNEL_N_OUTER)) ** (1 / KERNEL_P)
+            spec = mb.PriorSpec(mb.GeneralizedGaussian(KERNEL_P), k)
+        else:
+            radius = KERNEL_RADIUS * rng.random(KERNEL_N_OUTER) ** (1 / k)
+            spec = mb.PriorSpec(mb.UniformBall(KERNEL_RADIUS), k)
         x = z / np.linalg.norm(z, axis=1, keepdims=True) * radius[:, None]
         noise = self._noise(k, n_channels)
         ys = [x + rng.standard_normal(x.shape) @ np.linalg.cholesky(s).T for s in noise]
-        spec = mb.PriorSpec(mb.GeneralizedGaussian(KERNEL_P), k)
-        return spec, noise, x, ys, np.random.SeedSequence(21)
+        return spec, noise, x, ys, np.random.SeedSequence(21), n_inner
 
     def _verify(self, prior):
         wl = self.wl
@@ -143,11 +155,11 @@ class Worker:
         return metrics, {"inner_samples": inner, "output_sha256": _digest(*texts)}
 
     def kernel(self, name):
-        spec, noise, x, ys, seed = self.kernel_inputs[name]
+        spec, noise, x, ys, seed, n_inner = self.kernel_inputs[name]
         t0 = time.process_time()
-        sq_err, ess = self.mb.mc._mmse_channels(spec, noise, x, ys, seed, KERNEL_N_INNER)
+        sq_err, ess = self.mb.mc._mmse_channels(spec, noise, x, ys, seed, n_inner)
         cpu = time.process_time() - t0
-        inner = KERNEL_N_OUTER * KERNEL_N_INNER * len(noise)
+        inner = KERNEL_N_OUTER * n_inner * len(noise)
         return ({f"{name}_cpu_ms_per_million_inner_samples": 1e3 * cpu / (inner / 1e6)},
                 {"inner_samples": inner, "answers_sha256": _digest(sq_err, ess)})
 
@@ -232,7 +244,7 @@ def _quartiles(values):
 
 
 def compare(parent_dir, change_dir, rounds):
-    tasks = ["mc_verify_pass", *KERNEL_SHAPES]
+    tasks = ["mc_verify_pass", *KERNELS]
     samples = {}  # metric -> ([parent samples], [change samples])
     counts = {}  # task -> [parent counts, change counts]
     errors = {}  # task -> {side: message}
