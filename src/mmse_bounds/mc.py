@@ -71,13 +71,15 @@ from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_l
 # ceil(n_inner/2), the pool's (P, n_plus) monomials, its (b, 4J, P)
 # coefficient rows and (b, 4J, n_plus) forms, whose q1 half the weights
 # overwrite, and, for the ball, the weights' (b, J, 2 n_plus) support
-# mask. Measured with tools/ab.py on two cores, against 8 (6 rounds),
-# before the weights moved into the forms' storage: the mc_verify pass
-# (500 x 2000) takes 1.17x the CPU at 4 and 0.84x at 16, and its peak RSS
-# is 40.6 MB at 4, 41.3 at 8 and 42.9 at 16
+# mask. At 4 and 16, against 8, the kernel's CPU for the mc_verify
+# pass's two priors (500 x 2000 draws, demo ensemble, two cores, 20
+# alternating rounds) is 1.23x and 0.83x, and the pass's peak RSS 40.1,
+# 40.5 and 41.7 MB at 4, 8 and 16
 _CHUNK = 8
 
-# blocks whose rotations come from one QR call (`_pools_and_rotations`)
+# blocks whose rotations come from one QR call (`_pools_and_rotations`);
+# any count gives bitwise the same rotations. Timed as for _CHUNK (30
+# rounds): 1.11x the kernel's CPU at 1, 1.02x at 4 and 0.99x at 16
 _QR_BLOCKS = 8
 
 # the range a row's weight sum must fall in after the shift at the
@@ -87,8 +89,10 @@ _SAFE_SUMS = (1e-100, 1e100)
 MIN_DRAWS = 100  # fewest outer, inner or KL draws an estimate accepts
 
 # the largest share of its norm by which a draw's noise y - x may differ
-# from the noise drawn; each squared error moves by about that share
-_NOISE_RTOL = 1e-6
+# from the noise drawn. Rounding y = x + n moves it by about |x| 1e-16;
+# at 200 x 300 draws on the demo ensemble the largest share is 2e-7 at
+# gen-gauss p = 0.07, 2e-4 at 0.05 and over 0.03 at 0.04
+_NOISE_RTOL = 1e-3
 
 
 @dataclass(frozen=True)

@@ -538,7 +538,8 @@ class TestGuards:
         spec = PriorSpec(GeneralizedGaussian(0.02), 3)
         with pytest.raises(NoiseLost, match="lost the drawn noise on 800/800 outer draws"):
             mc_weighted_sum(spec, demo_ensemble, 200, 300, seed=1)
-        # at p = 0.1 the draws reach about 1e6 and each keeps its noise to 1e-9
-        est = mc_weighted_sum(PriorSpec(GeneralizedGaussian(0.1), 3), demo_ensemble,
-                              100, 100, seed=1)
-        assert est.value > 0
+        # at p = 0.05 rounding moves some draws' noise by up to 6e-5 of its
+        # norm, which leaves the estimate's error far below its SE
+        est = mc_weighted_sum(PriorSpec(GeneralizedGaussian(0.05), 3), demo_ensemble,
+                              200, 300, seed=1)
+        assert est.value > 10 * est.std_error > 0
