@@ -17,6 +17,7 @@ from .exceptions import (
     FisherUndefined,
     NegativeRadius,
     NoConvergence,
+    NoiseLost,
     NonPositiveWeight,
     NonSymmetric,
     NotPositiveDefinite,
@@ -84,6 +85,7 @@ __all__ = [
     "MmseSummary",
     "NegativeRadius",
     "NoConvergence",
+    "NoiseLost",
     "NonPositiveWeight",
     "NonSymmetric",
     "NotPositiveDefinite",

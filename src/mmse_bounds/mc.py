@@ -49,7 +49,8 @@ std(v)/sqrt(n_outer) stays the standard error (`mc_weighted_sum`).
 
 Randomness comes from the counter-based Philox generator through
 `SeedSequence` spawning, so every estimate is bit-reproducible from the
-recorded integer seed and independent streams never overlap.
+recorded integer seed and independent streams never overlap; the
+"Seeds" paragraph of `mc_weighted_sum` lays the streams out.
 """
 
 from __future__ import annotations
@@ -71,16 +72,11 @@ from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_l
 # ceil(n_inner/2), the pool's (P, n_plus) monomials, its (b, 4J, P)
 # coefficient rows and (b, 4J, n_plus) forms, whose q1 half the weights
 # overwrite, and, for the ball, the weights' (b, J, 2 n_plus) support
-# mask. At 4 and 16, against 8, the kernel's CPU for the mc_verify
-# pass's two priors (500 x 2000 draws, demo ensemble, two cores, 20
-# alternating rounds) is 1.23x and 0.83x, and the pass's peak RSS 40.1,
-# 40.5 and 41.7 MB at 4, 8 and 16
+# mask. At 4 and 16, against 8, the CPU of tools/ab.py's mc_verify pass
+# (two priors, 500 x 2000 draws, demo ensemble, two cores, 30 alternating
+# rounds) is 1.17x and 0.91x, and the pass's peak RSS 40.6, 41.1 and
+# 42.2 MB at 4, 8 and 16
 _CHUNK = 8
-
-# blocks whose rotations come from one QR call (`_pools_and_rotations`);
-# any count gives bitwise the same rotations. Timed as for _CHUNK (30
-# rounds): 1.11x the kernel's CPU at 1, 1.02x at 4 and 0.99x at 16
-_QR_BLOCKS = 8
 
 # the range a row's weight sum must fall in after the shift at the
 # proposal mean; a row outside it is redone at its exact row max
@@ -145,28 +141,7 @@ def _rotations(gauss):
     return q
 
 
-def _pools_and_rotations(rng, n_outer, n_plus, k):
-    """Yield (start, stop, pool, rotations) per block of _CHUNK outer draws.
-
-    Per block the inner stream gives the (n_plus, K) pool of normals, then
-    one Gaussian (K, K) matrix per draw. The blocks are drawn _QR_BLOCKS at
-    a time, in that order, and their matrices turned into rotations by one
-    QR call (`_rotations`); a pool is written over when the next blocks
-    are drawn."""
-    pools = np.empty((min(_QR_BLOCKS, math.ceil(n_outer / _CHUNK)), n_plus, k))
-    for first in range(0, n_outer, _QR_BLOCKS * _CHUNK):
-        starts = range(first, min(first + _QR_BLOCKS * _CHUNK, n_outer), _CHUNK)
-        gauss = []
-        for pool, start in zip(pools, starts):
-            rng.standard_normal(out=pool)
-            gauss.append(rng.standard_normal((min(start + _CHUNK, n_outer) - start, k, k)))
-        rot = _rotations(np.concatenate(gauss))
-        for pool, start in zip(pools, starts):
-            stop = min(start + _CHUNK, n_outer)
-            yield start, stop, pool, rot[start - first:stop - first]
-
-
-def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
+def _mmse_channels(spec, noise_stack, x, ys, inner_seed, rotation_seed, n_inner):
     """Squared conditional-mean errors and inner effective sample sizes.
 
     `noise_stack` holds the J noise covariances and `ys` the J observation
@@ -174,7 +149,9 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     iterator or a (J, n_outer, K) array, stacked once. Returns
     (squared_errors, ess), each (J, n_outer): per channel and outer draw,
     ||E[X|y_j] - x||^2 and the effective sample size (sum w)^2 / sum w^2 of
-    its inner weights.
+    its inner weights. `inner_seed` seeds the pools of inner normals and
+    `rotation_seed` the rotations (the "Seeds" paragraph of
+    `mc_weighted_sum`).
 
     A proposal draw is x = m_post + L_post z with C_post = L_post L_post^T.
     Its whitened proposal residual is the drawn z and its whitened noise
@@ -201,7 +178,8 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
 
     The outer draws are taken _CHUNK at a time, and the draws of a block
     share one pool of n_plus = ceil(n_inner/2) inner normals z, each draw
-    turning it by its own Haar-random rotation Q_i (`_pools_and_rotations`).
+    turning it by its own Haar-random rotation Q_i; one `_rotations` call
+    makes every draw's Q_i before the first block.
     Draw i's inner points are the rows of z Q_i and -z Q_i, the first
     n_inner of them, so an odd n_inner drops the last -z Q_i. For any
     orthogonal Q_i the rows of z Q_i are iid N(0, I), so given x and y
@@ -290,9 +268,14 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, n_inner):
     sq_err = np.empty((n_ch, n_outer))
     ess = np.empty((n_ch, n_outer))
     n_empty = 0
-    for start, stop, z, rot in _pools_and_rotations(_rng_from(inner_seed), n_outer, n_plus, k):
+    rotations = _rotations(_rng_from(rotation_seed).standard_normal((n_outer, k, k)))
+    rng = _rng_from(inner_seed)
+    z = np.empty((n_plus, k))
+    for start in range(0, n_outer, _CHUNK):
+        stop = min(start + _CHUNK, n_outer)
         b = stop - start
-        _features(z, feat)
+        _features(rng.standard_normal(out=z), feat)
+        rot = rotations[start:stop]
         rot_t = rot.transpose(0, 2, 1)[:, None, None]
         block_rows = rows_buf[:b]
         np.multiply((rot[:, None, None] @ quad @ rot_t)[..., None, iu, ju], doubled,
@@ -420,7 +403,7 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     correlated only through the pool's rotation-invariant statistics. The
     standard error is std(v)/sqrt(n_outer) over the per-draw weighted
     sums: at 500 x 2000 draws on the demo ensemble, the cluster-robust
-    variance from block sums is 0.999-1.007 times the per-draw one over 60
+    variance from block sums is 0.997-1.004 times the per-draw one over 60
     seeds, as it is for independent draws (`tools/mc_stats.py`). It counts
     the correlation between channels, which a quadrature sum of
     per-channel errors would not. The ESS diagnostics pool every channel's
@@ -429,12 +412,14 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     vanish. A draw whose y = x + n no longer carries its noise, since the
     prior's draws dwarf it, raises NoiseLost.
 
-    Seeds: the root spawns 1 + 2J streams, x first. Channel j draws its
-    noise from stream 1 + 2j, and the shared inner stream is stream 2,
-    channel 0's inner stream, so a one-channel estimate keeps the
-    one-stream-per-channel layout. The inner stream gives, per block, the
-    pool of normals and then the Gaussian matrices of its draws'
-    rotations.
+    Seeds: the root spawns 1 + 2J streams. Stream 0 draws x, and
+    channel j draws its noise from stream 1 + 2j. Stream 2, channel 0's
+    inner stream, gives every channel's inner pools: one (ceil(n_inner/2),
+    K) block of normals per block of `_CHUNK` outer draws, in block order.
+    Its first spawned child gives the rotations: one Gaussian (K, K)
+    matrix per outer draw, in draw order. Neither stream depends on J, so
+    a one-channel estimate keeps the one-stream-per-channel layout, and
+    the first n draws get the pools and rotations of a call on n draws.
     """
     if n_outer < MIN_DRAWS or n_inner < MIN_DRAWS:
         raise ValueError(f"n_outer and n_inner must both be >= {MIN_DRAWS}")
@@ -448,7 +433,8 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     noise = normals @ np.linalg.cholesky(noise_stack).swapaxes(1, 2)
     ys = x + noise
     _check_noise_kept(ys - x, noise)
-    sq_err, ess = _mmse_channels(spec, noise_stack, x, ys, chan_seeds[1], n_inner)
+    sq_err, ess = _mmse_channels(spec, noise_stack, x, ys, chan_seeds[1],
+                                 chan_seeds[1].spawn(1)[0], n_inner)
     weighted = np.sum(ensemble.weights[:, None] * sq_err, axis=0)
     return _estimate(weighted, ess.ravel(), n_inner, seed)
 

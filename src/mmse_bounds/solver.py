@@ -416,24 +416,26 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
             found.append(hit[:2])
             found.sort(key=lambda c: -sign * _value(ctx, c[0]))
 
-    try:  # a failed upper path, or the Jacobian cap, ends the solve
-        try:
-            found.append(_path(ctx, sign, eps))
-        except (NoConvergence, np.linalg.LinAlgError):
-            if sign > 0:
-                raise
-            add(_descent, ctx, ctx.sigma0, eps, sign, _MM_STEPS)
-        else:
-            if sign < 0:
-                add(_mm_step, ctx, ctx.sigma0, eps, sign, found[0][1])
-        if sign < 0 and ctx.k > 1:
-            w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
-            if np.min(np.diff(w)) <= 1e-6 * w[-1]:
-                # no answer, or one with a repeated eigenvalue: break the symmetry
-                add(_split_start, ctx, eps)
-    except (NoConvergence, np.linalg.LinAlgError) as exc:
-        raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {exc}",
-                            getattr(exc, "residual", None), ctx.jacobians) from exc
+    # at extreme radii the search's trial points overflow; the certificate decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:  # a failed upper path, or the Jacobian cap, ends the solve
+            try:
+                found.append(_path(ctx, sign, eps))
+            except (NoConvergence, np.linalg.LinAlgError):
+                if sign > 0:
+                    raise
+                add(_descent, ctx, ctx.sigma0, eps, sign, _MM_STEPS)
+            else:
+                if sign < 0:
+                    add(_mm_step, ctx, ctx.sigma0, eps, sign, found[0][1])
+            if sign < 0 and ctx.k > 1:
+                w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
+                if np.min(np.diff(w)) <= 1e-6 * w[-1]:
+                    # no answer, or one with a repeated eigenvalue: break the symmetry
+                    add(_split_start, ctx, eps)
+        except (NoConvergence, np.linalg.LinAlgError) as exc:
+            raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {exc}",
+                                getattr(exc, "residual", None), ctx.jacobians) from exc
     return _certify(direction, ctx, eps, [(s, a, None, ctx.jacobians) for s, a in found])
 
 

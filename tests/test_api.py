@@ -21,7 +21,7 @@ PUBLIC = [
     "BoundResult", "BracketFailure", "ChannelEnsemble", "ConfigError", "DegenerateWeights",
     "DimensionMismatch", "DivergenceBall", "FisherUndefined", "Gaussian",
     "GaussianReference", "GeneralizedGaussian", "McEstimate", "MmseSummary",
-    "NegativeRadius", "NoConvergence", "NonPositiveWeight", "NonSymmetric",
+    "NegativeRadius", "NoConvergence", "NoiseLost", "NonPositiveWeight", "NonSymmetric",
     "NotPositiveDefinite", "PriorSpec", "Problem",
     "ProblemValidationError", "SingularReference", "SingularSum", "UniformBall",
     "cramer_rao_lower", "gaussian_log_density", "gen_gauss_covariance",
@@ -65,7 +65,7 @@ DEMO_CONFIG = str(Path(__file__).resolve().parents[1] / "examples" / "paper_fig1
 
 
 def test_public_surface_is_pinned():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 50
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 51
     assert mmse_bounds.__all__ == PUBLIC
 
 

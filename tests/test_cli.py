@@ -241,6 +241,17 @@ class TestBoundCommand:
         wider = capsys.readouterr().out
         assert base != wider
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("epsilon", ["1000", "1e5", "1e300"])
+    def test_huge_radius_is_one_solver_error(self, demo_config, capsys, epsilon):
+        # the lower bound's trial points overflow at these radii; the search
+        # passes over them, the certificate rejects what is left, and no
+        # numpy warning reaches the user
+        rc = cli.main(["bound", "--config", demo_config, "--epsilon", epsilon])
+        err = capsys.readouterr().err
+        assert rc == EXIT_SOLVER
+        assert err.count("\n") == 1 and err.startswith("solver error: lower bound at epsilon=")
+
     def test_missing_config(self, capsys):
         rc = cli.main(["bound", "--config", "/nonexistent/c.json"])
         assert rc == EXIT_CONFIG

@@ -44,16 +44,17 @@ def _lu_gaussian_log_density(mean, cov, x):
     return -0.5 * (x.shape[1] * math.log(2.0 * math.pi) + logdet + np.sum(z * z, axis=0))
 
 
-def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
+def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, rotation_seed, n_inner):
     """Reference kernel: the importance weights are the prior, noise and
     proposal log densities of every proposal point, evaluated directly on
     repeated copies of y and the posterior means. Same draws, same order
-    and the same antithetic point set as `_mmse_channels` on one channel:
-    per block one (ceil(n_inner/2), K) pool z, then one Gaussian (K, K)
-    matrix per outer draw, both from the generator `mc._rng_from` gives;
-    draw i turns the pool by the Q_i of that matrix's QR, with the signs of
-    diag(R) folded in, and its points are m_post + L_post (z' Q_i)^T for
-    the rows z' of [z, -z][:n_inner]. Returns (squared_errors, ess)."""
+    and the same antithetic point set as `_mmse_channels` on one channel,
+    each stream from the generator `mc._rng_from` gives: the inner stream
+    draws one (ceil(n_inner/2), K) pool z per block, and the rotation
+    stream one Gaussian (K, K) matrix per outer draw. Draw i turns its
+    block's pool by the Q_i of its matrix's QR, with the signs of diag(R)
+    folded in, and its points are m_post + L_post (z' Q_i)^T for the rows
+    z' of [z, -z][:n_inner]. Returns (squared_errors, ess)."""
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
     k = x.shape[1]
@@ -61,6 +62,10 @@ def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
     c_post = mmse_matrix(c, sigma_n)
     chol_post = np.linalg.cholesky(c_post)
     rng = mc._rng_from(inner_seed)
+    rot = []
+    for gauss in mc._rng_from(rotation_seed).standard_normal((x.shape[0], k, k)):
+        q, r = np.linalg.qr(gauss)
+        rot.append(q @ np.diag(np.sign(np.diag(r))))
     sq_err = np.empty(x.shape[0])
     ess = np.empty(x.shape[0])
     for start in range(0, x.shape[0], mc._CHUNK):
@@ -70,11 +75,7 @@ def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, n_inner):
         m_post = m + (yc - m) @ gain.T
         z = rng.standard_normal(((n_inner + 1) // 2, k))
         z = np.concatenate([z, -z])[:n_inner]
-        rot = []
-        for gauss in rng.standard_normal((b, k, k)):
-            q, r = np.linalg.qr(gauss)
-            rot.append(q @ np.diag(np.sign(np.diag(r))))
-        xs = np.stack([m_post[i] + z @ rot[i] @ chol_post.T for i in range(b)])
+        xs = np.stack([m_post[i] + z @ rot[start + i] @ chol_post.T for i in range(b)])
         flat = xs.reshape(-1, k)
         log_w = (log_density(spec, flat)
                  + _lu_gaussian_log_density(np.zeros(k), sigma_n,
@@ -110,8 +111,8 @@ def _kernel_cases():
 
 def _kernel_input(spec, noise_scale, n_outer, n_channels=1):
     """Full noise covariances and seeded (x, y_j) draws for the channels,
-    and the inner seed they share; the first channel's data do not depend
-    on n_channels."""
+    and the inner and rotation seeds they share; the first channel's data
+    do not depend on n_channels."""
     k = spec.dimension
     rng = np.random.default_rng(7 * k)
     noise = [random_spd(rng, k, noise_scale) for _ in range(n_channels)]
@@ -120,7 +121,7 @@ def _kernel_input(spec, noise_scale, n_outer, n_channels=1):
     x = _sample_with(spec, n_outer, _rng_from(s_x))
     ys = [x + _rng_from(s).standard_normal(x.shape) @ np.linalg.cholesky(sigma_n).T
           for sigma_n, s in zip(noise, [s_noise, *more])]
-    return noise, x, ys, s_inner
+    return noise, x, ys, s_inner, s_inner.spawn(1)[0]
 
 
 
@@ -161,11 +162,12 @@ class TestKernel:
         # change the per-draw errors only at rounding level and leave every
         # bad-draw verdict alone; an odd n_inner drops the last -z.
         n_outer = 150  # full blocks and a partial last one
-        noise, x, ys, s_inner = _kernel_input(spec, noise_scale, n_outer)
+        noise, x, ys, s_inner, s_rot = _kernel_input(spec, noise_scale, n_outer)
         for n_inner in (300, 301):
-            sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
+            sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, s_rot, n_inner)
             assert sq_err.shape == ess.shape == (1, n_outer)
-            ref_err, ref_ess = _oracle_one_channel(spec, noise[0], x, ys[0], s_inner, n_inner)
+            ref_err, ref_ess = _oracle_one_channel(spec, noise[0], x, ys[0], s_inner, s_rot,
+                                                   n_inner)
             np.testing.assert_allclose(sq_err[0], ref_err, rtol=1e-9, atol=0.0)
             assert int(np.count_nonzero(ess < 0.01 * n_inner)) == \
                 int(np.count_nonzero(ref_ess < 0.01 * n_inner))
@@ -181,8 +183,8 @@ class TestKernel:
         k = 3
         rng = np.random.default_rng(11)
         spec = PriorSpec(Gaussian(rng.normal(size=k), random_spd(rng, k, 2.0)), k)
-        noise, x, ys, s_inner = _kernel_input(spec, 0.8, 150, n_channels)
-        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, 300)
+        noise, x, ys, s_inner, s_rot = _kernel_input(spec, 0.8, 150, n_channels)
+        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, s_rot, 300)
         c = spec.family.covariance
         for j, (sigma_n, y) in enumerate(zip(noise, ys)):
             m_post = spec.family.mean + (y - spec.family.mean) @ (
@@ -194,7 +196,7 @@ class TestKernel:
     def test_proposals_at_the_prior_centre_stay_finite(self, monkeypatch):
         # Inner draws within 1e-8 of the z that maps to x = 0: the expanded
         # ||x||^2 rounds below zero there, and ||x||^p of it must not be NaN.
-        # The (b, K, K) matrices the rotations come from are identities, so
+        # The (n_outer, K, K) matrices the rotations come from are identities, so
         # every draw keeps the pool as it is.
         spec = PriorSpec(GeneralizedGaussian(0.7), 3)
         sigma_n = np.diag([0.5, 0.8, 1.1])
@@ -216,13 +218,13 @@ class TestKernel:
                 return out
 
         monkeypatch.setattr(mc, "_rng_from", lambda seed: Clustered())
-        sq_err, ess = _mmse_channels(spec, [sigma_n], x, [y], None, 300)
+        sq_err, ess = _mmse_channels(spec, [sigma_n], x, [y], None, None, 300)
         assert np.all(np.isfinite(sq_err))
         # The +z half sits at the centre, where the expanded ||x||^2 is its
         # rounding (about 1e-15 against a true 1e-16) and ||x||^0.7 of it
         # moves those log weights by about 1e-5; the -z half lands away
         # from the centre, so the weights are not all equal.
-        ref_err, ref_ess = _oracle_one_channel(spec, sigma_n, x, y, None, 300)
+        ref_err, ref_ess = _oracle_one_channel(spec, sigma_n, x, y, None, None, 300)
         np.testing.assert_allclose(sq_err[0], ref_err, rtol=1e-6, atol=0.0)
         np.testing.assert_allclose(ess[0], ref_ess, rtol=1e-6, atol=0.0)
 
@@ -231,11 +233,11 @@ class TestKernel:
         # The shared inner block gives each channel exactly the draws it
         # would get from a one-channel call with the same inner seed.
         n_outer, n_inner = 150, 300
-        noise, x, ys, s_inner = _kernel_input(spec, noise_scale, n_outer, n_channels=4)
-        sq_err, ess = _mmse_channels(spec, noise, x, iter(ys), s_inner, n_inner)
+        noise, x, ys, s_inner, s_rot = _kernel_input(spec, noise_scale, n_outer, n_channels=4)
+        sq_err, ess = _mmse_channels(spec, noise, x, iter(ys), s_inner, s_rot, n_inner)
         assert sq_err.shape == ess.shape == (4, n_outer)
         for j, (sigma_n, y) in enumerate(zip(noise, ys)):
-            err_j, ess_j = _mmse_channels(spec, [sigma_n], x, [y], s_inner, n_inner)
+            err_j, ess_j = _mmse_channels(spec, [sigma_n], x, [y], s_inner, s_rot, n_inner)
             np.testing.assert_allclose(sq_err[j], err_j[0], rtol=1e-13, atol=0.0)
             np.testing.assert_array_equal(ess[j], ess_j[0])
 
@@ -246,13 +248,15 @@ class TestKernel:
         n_outer, n_inner = 150, 301
         spec, noise, x, ys = _mostly_outside_ball(n_outer)
         s_inner = np.random.SeedSequence(TEST_SEED)
-        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
+        s_rot = s_inner.spawn(1)[0]
+        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, s_rot, n_inner)
         assert np.all(ess < 0.5 * n_inner)  # ESS <= the number of nonzero weights
         for j, (sigma_n, y) in enumerate(zip(noise, ys)):
-            ref_err, ref_ess = _oracle_one_channel(spec, sigma_n, x, y, s_inner, n_inner)
+            ref_err, ref_ess = _oracle_one_channel(spec, sigma_n, x, y, s_inner, s_rot,
+                                                   n_inner)
             np.testing.assert_allclose(sq_err[j], ref_err, rtol=1e-9, atol=0.0)
             np.testing.assert_allclose(ess[j], ref_ess, rtol=1e-9, atol=0.0)
-            err_j, ess_j = _mmse_channels(spec, [sigma_n], x, [y], s_inner, n_inner)
+            err_j, ess_j = _mmse_channels(spec, [sigma_n], x, [y], s_inner, s_rot, n_inner)
             np.testing.assert_array_equal(sq_err[j], err_j[0])
             np.testing.assert_array_equal(ess[j], ess_j[0])
 
@@ -264,7 +268,8 @@ class TestKernel:
         spec, noise, x, ys = _mostly_outside_ball(100)
         ys[1][[3, 50, 97]] = 100.0
         with pytest.raises(DegenerateWeights, match="vanished on 3/400 outer draws") as exc:
-            _mmse_channels(spec, noise, x, ys, np.random.SeedSequence(TEST_SEED), 301)
+            _mmse_channels(spec, noise, x, ys, np.random.SeedSequence(TEST_SEED),
+                           np.random.SeedSequence(TEST_SEED).spawn(1)[0], 301)
         assert exc.value.bad_fraction == 3 / 400
 
     @pytest.mark.parametrize("n_inner", [300, 301])
@@ -278,11 +283,11 @@ class TestKernel:
         # With an empty safe window every (draw, channel) row is worked
         # again at its exact row max; the answers stay those of the shift
         # at the proposal mean, for either parity of n_inner.
-        noise, x, ys, s_inner = _kernel_input(spec, 0.8, 150, n_channels)
-        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
+        noise, x, ys, s_inner, s_rot = _kernel_input(spec, 0.8, 150, n_channels)
+        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, s_rot, n_inner)
         redone = _recorded_redos(monkeypatch)
         monkeypatch.setattr(mc, "_SAFE_SUMS", (math.inf, 0.0))
-        all_err, all_ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
+        all_err, all_ess = _mmse_channels(spec, noise, x, ys, s_inner, s_rot, n_inner)
         assert all(r.all() for r in redone) and sum(r.size for r in redone) == sq_err.size
         np.testing.assert_allclose(all_err, sq_err, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(all_ess, ess, rtol=1e-12, atol=0.0)
@@ -294,12 +299,12 @@ class TestKernel:
         # hold, so those rows leave the safe window and are redone at their
         # row max, with no numpy warning, as the direct densities give.
         spec = PriorSpec(GeneralizedGaussian(10.0), 3)
-        noise, x, ys, s_inner = _kernel_input(spec, 0.8, 150)
+        noise, x, ys, s_inner, s_rot = _kernel_input(spec, 0.8, 150)
         ys[0][:10] = 5.0
         redone = _recorded_redos(monkeypatch)
-        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, 301)
+        sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, s_rot, 301)
         assert sum(int(r.sum()) for r in redone) == 10
-        ref_err, ref_ess = _oracle_one_channel(spec, noise[0], x, ys[0], s_inner, 301)
+        ref_err, ref_ess = _oracle_one_channel(spec, noise[0], x, ys[0], s_inner, s_rot, 301)
         np.testing.assert_allclose(sq_err[0], ref_err, rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(ess[0], ref_ess, rtol=1e-9, atol=0.0)
 
@@ -307,15 +312,16 @@ class TestKernel:
     def test_chunk_size_changes_no_answer(self, spec, noise_scale, monkeypatch):
         # The block size decides which draws share a pool, so it changes the
         # answers; but every block size that holds all the outer draws makes
-        # one block of them, takes the same pool and rotations from the
-        # inner stream, and may move the per-draw errors by rounding at most.
+        # one block of them, takes the same pool from the inner stream and
+        # the same rotations, and may move the per-draw errors by rounding
+        # at most.
         n_outer, n_inner = 150, 300
         for n_channels in (1, 4):
-            noise, x, ys, s_inner = _kernel_input(spec, noise_scale, n_outer, n_channels)
+            noise, x, ys, s_inner, s_rot = _kernel_input(spec, noise_scale, n_outer, n_channels)
             runs = []
             for chunk in (150, 151, 256, 1024):
                 monkeypatch.setattr(mc, "_CHUNK", chunk)
-                runs.append(_mmse_channels(spec, noise, x, ys, s_inner, n_inner))
+                runs.append(_mmse_channels(spec, noise, x, ys, s_inner, s_rot, n_inner))
             ref_err, ref_ess = runs[0]
             for sq_err, ess in runs[1:]:
                 np.testing.assert_allclose(sq_err, ref_err, rtol=1e-13, atol=0.0)
@@ -330,12 +336,24 @@ class TestKernel:
         # the low-noise ball's input has a draw whose weights all vanish.)
         n_inner = 300
         for n_channels in (1, 4):
-            noise, x, ys, s_inner = _kernel_input(spec, noise_scale, 150, n_channels)
-            sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, n_inner)
+            noise, x, ys, s_inner, s_rot = _kernel_input(spec, noise_scale, 150, n_channels)
+            sq_err, ess = _mmse_channels(spec, noise, x, ys, s_inner, s_rot, n_inner)
             part_err, part_ess = _mmse_channels(spec, noise, x[:75], [y[:75] for y in ys],
-                                                s_inner, n_inner)
+                                                s_inner, s_rot, n_inner)
             np.testing.assert_array_equal(part_err, sq_err[:, :75])
             np.testing.assert_array_equal(part_ess, ess[:, :75])
+
+    def test_one_qr_call_per_kernel_call(self, monkeypatch):
+        # Every draw's rotation comes from one stacked `_rotations` call,
+        # however many blocks of _CHUNK draws the 150 draws fill.
+        spec = PriorSpec(GeneralizedGaussian(0.7), 3)
+        noise, x, ys, s_inner, s_rot = _kernel_input(spec, 0.8, 150, n_channels=4)
+        calls = []
+        real = mc._rotations
+        monkeypatch.setattr(mc, "_rotations",
+                            lambda gauss: calls.append(gauss.shape) or real(gauss))
+        _mmse_channels(spec, noise, x, ys, s_inner, s_rot, 300)
+        assert calls == [(150, 3, 3)]
 
 
 class TestGaussianExactness:
@@ -363,8 +381,8 @@ class TestGaussianExactness:
 
 class TestReproducibility:
     @pytest.mark.parametrize("seed, value, std_error, min_ess, median_ess", [
-        (42, 1.0525073337016235, 0.09694701735567512, 28.33118651018402, 182.59757618432934),
-        (43, 0.8701152496831389, 0.07132271758202209, 16.900948247146385, 180.74014962758275),
+        (42, 1.0544693741748659, 0.09767200667290668, 39.404037130112954, 182.4059986841475),
+        (43, 0.8763227417038816, 0.07173349946275007, 65.41499539735938, 179.78156470619834),
     ], ids=["seed-42", "seed-43"])
     def test_mc_mmse_pinned(self, seed, value, std_error, min_ess, median_ess):
         # One channel keeps the stream layout of one inner stream per
@@ -377,13 +395,13 @@ class TestReproducibility:
             (value, std_error, min_ess, median_ess, 0.0)
 
     @pytest.mark.parametrize("family, value, std_error, bad_fraction", [
-        (GeneralizedGaussian(1.0), 8.390767712236794, 0.28648927488852605, 0.0),
-        (UniformBall(2.0), 2.8660109209580016, 0.062040394101067306, 0.0),
+        (GeneralizedGaussian(1.0), 8.419184536157445, 0.287581353911115, 0.0005),
+        (UniformBall(2.0), 2.8667969568063225, 0.06209300394797277, 0.0),
     ], ids=["gen-gauss:1", "uniform-ball:2"])
     def test_weighted_sum_pinned(self, demo_ensemble, family, value, std_error,
                                  bad_fraction):
         # the values of the antithetic inner points of one pool per block,
-        # rotated per draw
+        # rotated per draw by a rotation from a stream of its own
         est = mc_weighted_sum(PriorSpec(family, 3), demo_ensemble, 500, 2000, seed=42)
         np.testing.assert_allclose((est.value, est.std_error), (value, std_error),
                                    rtol=1e-12, atol=0.0)
@@ -413,16 +431,16 @@ class TestReproducibility:
 
 class TestWeightedSumStatistics:
     def _per_channel_errors(self, spec, ensemble, n_outer, n_inner, seed):
-        # the spawn order of mc_weighted_sum: x first, then (noise, inner) per
-        # channel, of which channel 0's inner stream serves every channel
+        # the seeds of mc_weighted_sum, as its "Seeds" paragraph lays them out
         s_x, *chan_seeds = np.random.SeedSequence(seed).spawn(1 + 2 * ensemble.count)
+        s_rot = chan_seeds[1].spawn(1)[0]
         x = _sample_with(spec, n_outer, _rng_from(s_x))
         errs, ess = [], []
         for j, sigma_n in enumerate(ensemble.noise_stack):
             chol_n = np.linalg.cholesky(sigma_n)
             y = x + _rng_from(chan_seeds[2 * j]).standard_normal(x.shape) @ chol_n.T
             err_j, ess_j = _mmse_channels(spec, [sigma_n], x, [y],
-                                          chan_seeds[1], n_inner)
+                                          chan_seeds[1], s_rot, n_inner)
             errs.append(err_j[0])
             ess.append(ess_j[0])
         return np.array(errs), np.concatenate(ess)

@@ -28,14 +28,18 @@ does not change):
 * `kernel_K3_J4_odd`: the `kernel_K3_J4` call at n_inner = 2001, whose
   last -z gets weight 0.
 
-Two counts come from one untimed `mc_verify` pass: `normals_per_pass`,
-the standard normal values drawn through `mc._rng_from`, and
-`monomials_per_pass`, the monomial values written by `mc._features`.
+Three counts come from one untimed `mc_verify` pass: `normals_per_pass`,
+the standard normal values drawn through `mc._rng_from`,
+`monomials_per_pass`, the monomial values written by `mc._features`, and
+`qr_calls_per_pass`, the calls to `mc._rotations`.
 
 Every task also reports exact counts and a digest of its answers, so a
-row says whether both trees computed the same thing. A task that fails
-in one tree (a private function that is missing or has a new signature)
-is reported under `errors` with its message, never dropped silently.
+row says whether both trees computed the same thing. A kernel task passes
+`_mmse_channels` a rotation seed where the tree's signature takes one
+(`rotation_seed`, spawned from the inner seed as `mc_weighted_sum`
+spawns it). A task that fails in one tree (a private function that is
+missing or has a new signature) is reported under `errors` with its
+message, never dropped silently.
 
 The output is one JSON object: `rows`, one per metric, each with its
 unit, both sides' median and quartiles, the number of paired samples,
@@ -52,6 +56,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import statistics
@@ -113,9 +118,10 @@ class Worker:
         return noise
 
     def _kernel_input(self, family, k, n_channels, n_inner):
-        """(spec, noise covariances, x, ys, inner seed, n_inner): seeded
-        prior draws, made here with numpy so both trees get the same
-        inputs."""
+        """(spec, noise covariances, x, ys, seeds, n_inner): seeded prior
+        draws, made here with numpy so both trees get the same inputs, and
+        the seeds the tree's `_mmse_channels` takes: the inner seed, then
+        the rotation seed where it takes one."""
         np, mb = self.np, self.mb
         rng = np.random.default_rng(20)
         z = rng.standard_normal((KERNEL_N_OUTER, k))
@@ -128,7 +134,10 @@ class Worker:
         x = z / np.linalg.norm(z, axis=1, keepdims=True) * radius[:, None]
         noise = self._noise(k, n_channels)
         ys = [x + rng.standard_normal(x.shape) @ np.linalg.cholesky(s).T for s in noise]
-        return spec, noise, x, ys, np.random.SeedSequence(21), n_inner
+        seeds = [np.random.SeedSequence(21)]
+        if "rotation_seed" in inspect.signature(mb.mc._mmse_channels).parameters:
+            seeds.append(seeds[0].spawn(1)[0])
+        return spec, noise, x, ys, seeds, n_inner
 
     def _verify(self, prior):
         wl = self.wl
@@ -155,9 +164,9 @@ class Worker:
         return metrics, {"inner_samples": inner, "output_sha256": _digest(*texts)}
 
     def kernel(self, name):
-        spec, noise, x, ys, seed, n_inner = self.kernel_inputs[name]
+        spec, noise, x, ys, seeds, n_inner = self.kernel_inputs[name]
         t0 = time.process_time()
-        sq_err, ess = self.mb.mc._mmse_channels(spec, noise, x, ys, seed, n_inner)
+        sq_err, ess = self.mb.mc._mmse_channels(spec, noise, x, ys, *seeds, n_inner)
         cpu = time.process_time() - t0
         inner = KERNEL_N_OUTER * n_inner * len(noise)
         return ({f"{name}_cpu_ms_per_million_inner_samples": 1e3 * cpu / (inner / 1e6)},
@@ -165,10 +174,11 @@ class Worker:
 
     def draw_counts(self):
         """Standard normal values one mc_verify pass draws, counted through a
-        wrapped `mc._rng_from`, and monomial values it writes, counted
-        through a wrapped `mc._features` (untimed)."""
-        mc, count, monomials = self.mb.mc, [0], [0]
-        real, real_features = mc._rng_from, mc._features
+        wrapped `mc._rng_from`, monomial values it writes, counted through a
+        wrapped `mc._features`, and its QR calls, counted through a wrapped
+        `mc._rotations` (untimed)."""
+        mc, count, monomials, qr_calls = self.mb.mc, [0], [0], [0]
+        real, real_features, real_rotations = mc._rng_from, mc._features, mc._rotations
 
         class Counting:
             def __init__(self, gen):
@@ -186,14 +196,20 @@ class Worker:
             monomials[0] += out.size
             return real_features(z, out)
 
+        def counting_rotations(gauss):
+            qr_calls[0] += 1
+            return real_rotations(gauss)
+
         mc._rng_from = lambda seed: Counting(real(seed))
         mc._features = counting_features
+        mc._rotations = counting_rotations
         try:
             for prior in self.wl.VERIFY_PRIORS:
                 self._verify(prior)
         finally:
-            mc._rng_from, mc._features = real, real_features
-        return {"normals_per_pass": count[0], "monomials_per_pass": monomials[0]}
+            mc._rng_from, mc._features, mc._rotations = real, real_features, real_rotations
+        return {"normals_per_pass": count[0], "monomials_per_pass": monomials[0],
+                "qr_calls_per_pass": qr_calls[0]}
 
     def run(self, task):
         if task == "mc_verify_pass":
