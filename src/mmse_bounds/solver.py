@@ -23,9 +23,10 @@ coordinates X = L0^-1 Sigma L0^-T, on an orthonormal packing, the
 Jacobian's X-block is alpha times the Hessian of the Lagrangian f - (2 /
 alpha) kl, so a lower bound is checked to be a local minimum on the
 tangent space of the sphere and moved off saddles along negative
-curvature. A lower bound also tries a second start at the target, a
-descent from the centre when the path stalls at a fold, and a
-symmetry-breaking split when its answer has a repeated eigenvalue, and
+curvature. A lower bound also tries a start at the target, unless its path
+reached the target in one step, which is such a start, with a certified
+answer; a descent from the centre when the path stalls at a fold; and a
+symmetry-breaking split when its answer has a repeated eigenvalue; and
 keeps the lowest. Every answer is certified before it is returned: the
 fixed-point residual, |kl - epsilon| and the sign of alpha. A one-channel
 problem on a reference exactly c I, such as a local bound, is solved as K
@@ -114,7 +115,7 @@ class _Ctx:
         self.noise, self.weights, self.prob = prob.noise_stack, prob.weights, prob
         self.basis = _basis(k)
         self.n = self.basis.shape[1]
-        self.jacobians = self.steps = 0
+        self.jacobians, self.steps, self.checked = 0, 0, {}  # checked: `_certify`'s outcomes
 
     def pack(self, m):
         return self.basis.T @ m.ravel()
@@ -425,8 +426,13 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
                 if sign > 0:
                     raise
                 add(_descent, ctx, ctx.sigma0, eps, sign, _MM_STEPS)
-            else:
-                if sign < 0:
+            else:  # a one-step path's predictor was a majorize-minimize start at the target,
+                try:  # so the start runs again only after more steps or for an uncertified answer
+                    again = sign < 0 and (ctx.steps > 1 or not _certify(
+                        direction, ctx, eps, [(*found[0], None, ctx.jacobians)]))
+                except NoConvergence:
+                    again = True
+                if again:
                     add(_mm_step, ctx, ctx.sigma0, eps, sign, found[0][1])
             if sign < 0 and ctx.k > 1:
                 w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
@@ -443,16 +449,20 @@ def _certify(direction, ctx, eps, found):
     """The first of the best-first candidates (Sigma, alpha, value, inner
     iterations) that passes the certificate once Sigma is symmetrized: a
     fixed-point residual of at most 1e-11 and |kl - epsilon| <= 1e-10. A
-    value of None is f at the symmetrized Sigma. NoConvergence if none passes."""
+    value of None is f at the symmetrized Sigma. Each candidate (Sigma, alpha)
+    is checked once per solve (`ctx.checked`). NoConvergence if none passes."""
     res = np.inf
     for sigma, alpha, value, inner in found:
-        sigma = 0.5 * (sigma + sigma.T)
-        res = _residual(ctx, sigma, alpha)
-        kl = kl_same_mean_gaussians(sigma, ctx.sigma0)
-        if res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL:
-            return BoundResult(direction, float(alpha), sigma,
-                               _value(ctx, sigma) if value is None else value, kl, inner,
-                               ctx.steps, (res, abs(kl - eps)))
+        key = sigma.tobytes(), alpha
+        if key not in ctx.checked:
+            s = 0.5 * (sigma + sigma.T)
+            res, kl = _residual(ctx, s, alpha), kl_same_mean_gaussians(s, ctx.sigma0)
+            ok = res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL
+            ctx.checked[key] = s, res, kl, ok and (_value(ctx, s) if value is None else value)
+        sigma, res, kl, value = ctx.checked[key]
+        if value is not False:
+            return BoundResult(direction, float(alpha), sigma, value, kl, inner, ctx.steps,
+                               (res, abs(kl - eps)))
     raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {len(found)} local "
                         f"extrema found, none certified (residual {res:.3g})", residual=res,
                         iterations=ctx.jacobians)

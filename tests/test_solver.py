@@ -443,10 +443,21 @@ class TestFailureDiagnostics:
     def test_uncertified_solve(self, demo_ensemble, monkeypatch, direction):
         ball = isotropic_ball(3, HARD_VAR, 0.2)
         ok = solve_bound(direction, demo_ensemble, ball)
+        calls, evaluate = [0], solver._evaluate
+
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(solver, "_evaluate", counted)
         monkeypatch.setattr(solver, "_INNER_TOL", -1.0)
         with pytest.raises(NoConvergence, match="none certified") as info:
             solve_bound(direction, demo_ensemble, ball)
-        assert info.value.iterations == ok.inner_iterations
+        assert info.value.iterations == calls[0]
+        if direction == "upper":
+            assert calls[0] == ok.inner_iterations
+        else:  # the one-step path's answer fails, so the start at the target runs too
+            assert calls[0] > ok.inner_iterations
         assert 0.0 <= info.value.residual <= 1e-11
 
     def test_upper_reraise_keeps_residual(self, demo_ensemble, monkeypatch):
@@ -562,6 +573,18 @@ FOLD_CASE = dict(  # make_corpus(302, 10)[4][6]; alpha folds along the path
 FOLD_LOWER = {2.2: 7.556220098, 3.6: 4.923690356, 4.2: 2.968008048,
               4.633692788139616: 2.018183096}
 
+ONE_STEP_CASE = dict(  # make_corpus(311, 6)[1][6]; the one-step path's answer is uncertified
+    sigma0=[[22783.571085626398, 7216.600804102449],
+            [7216.600804102449, 2289.877514950199]],
+    noise=[[[0.19912080058829038, 0.11917537298169903],
+            [0.11917537298169903, 0.48723891611959225]],
+           [[25.017769506411188, -10.249570279938691],
+            [-10.249570279938691, 4.548674740192456]]],
+    weights=[0.18454787805897285, 0.4752275471968908],
+    epsilon=1.46617255577089,
+)
+ONE_STEP_LOWER = 0.4712549519659837
+
 DESCENT_CASE = dict(  # make_corpus(323, 6)[2][23]; the path stalls, the descent answers
     sigma0=[[39403.27481787432, 1305.871341233259, -8628.17783166404, 9893.004949883643,
              6720.816954902337],
@@ -626,8 +649,34 @@ class TestFrozenCases:
         assert res.bound_value == pytest.approx(SADDLE_LOWER, rel=1e-8)
 
     def test_two_minima_case(self):
+        # the path takes more than one step, so the start at the target runs
+        # and finds the lower minimum
         res = _solve("lower", **TWO_MINIMA_CASE)
         assert res.bound_value == pytest.approx(TWO_MINIMA_LOWER, rel=1e-8)
+        assert res.outer_iterations > 1
+
+    def test_one_step_case(self):
+        # the path reaches the target in one step, but only the start at the
+        # target gives an answer that passes the certificate
+        res = _solve("lower", **ONE_STEP_CASE)
+        assert res.bound_value == pytest.approx(ONE_STEP_LOWER, rel=1e-8)
+        assert res.outer_iterations == 1
+
+    def test_one_step_path_is_the_start(self, demo_ensemble, monkeypatch):
+        # a one-step path's predictor is the majorize-minimize step from the
+        # centre onto the target sphere; with a certified answer no second
+        # start at the target runs
+        calls, mm_step = [], solver._mm_step
+
+        def counted(*args):
+            calls.append(args)
+            return mm_step(*args)
+
+        monkeypatch.setattr(solver, "_mm_step", counted)
+        res = solve_bound("lower", demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2))
+        assert res.outer_iterations == 1
+        (ctx, sigma, t2, sign), = calls  # its one step, from the centre onto kl = 0.2
+        assert sigma is ctx.sigma0 and t2 == pytest.approx(0.2, rel=1e-15) and sign == -1.0
 
     def test_descent_case(self, monkeypatch):
         # the path stalls short of the sphere; only the descent from the

@@ -1,6 +1,6 @@
 """Paired CPU comparison of two trees of this repository, task by task.
 
-    python tools/ab.py PARENT_DIR CHANGE_DIR [--rounds 15] > rows.json
+    python tools/ab.py PARENT_DIR CHANGE_DIR [--rounds 15] [--tasks T1,T2] > rows.json
 
 Starts one persistent worker process per tree. Each worker imports the
 `mmse_bounds` package from its own tree's `src/` and runs every task once
@@ -28,10 +28,33 @@ does not change):
 * `kernel_K3_J4_odd`: the `kernel_K3_J4` call at n_inner = 2001, whose
   last -z gets weight 0.
 
-Three counts come from one untimed `mc_verify` pass: `normals_per_pass`,
-the standard normal values drawn through `mc._rng_from`,
-`monomials_per_pass`, the monomial values written by `mc._features`, and
-`qr_calls_per_pass`, the calls to `mc._rotations`.
+Solver tasks, on the perfbench demo problem (its four channels,
+reference N(0, I), epsilon = 0.2) unless named otherwise:
+
+* `evaluate`: `solver._evaluate`, one G evaluation with its Jacobian, at
+  the lower bound's first predictor (the majorize-minimize step from the
+  centre onto the sphere); CPU per call, 200 calls a sample.
+* `correct`: `solver._correct` at the target from that predictor; CPU per
+  call, 40 calls a sample.
+* `demo_lower`, `demo_upper`: `solve_bound` in each direction; CPU per
+  solve, 10 solves a sample.
+* `paper_sweeps_pass`: `cli.main` for each command of the perfbench
+  `paper_sweeps` pass, with its CSV written to a scratch directory; CPU
+  per pass.
+* `sweep_ball_lower`: the 25 joint lower bounds of `sweep-ball --grid
+  0.1:40:25` (the uniform-ball balls of `cli.parse_grid`'s grid); CPU of
+  the 25 solves.
+
+Each solver task reports its exact Jacobian count (`jacobians`: per call
+or solve, or over all of the task's solves; `paper_sweeps_pass` counts
+through a wrapped `solver._evaluate` on its untimed first run) and a
+digest of its answers.
+
+When `mc_verify_pass` runs, three counts come from one untimed
+`mc_verify` pass: `normals_per_pass`, the standard normal values drawn
+through `mc._rng_from`, `monomials_per_pass`, the monomial values
+written by `mc._features`, and `qr_calls_per_pass`, the calls to
+`mc._rotations`.
 
 Every task also reports exact counts and a digest of its answers, so a
 row says whether both trees computed the same thing. A kernel task passes
@@ -45,8 +68,15 @@ The output is one JSON object: `rows`, one per metric, each with its
 unit, both sides' median and quartiles, the number of paired samples,
 how many pairs the change won (ties count for neither side) and
 parent_over_change, the ratio of the medians; plus `counts` and
-`errors`. Run it with the same directory on both sides (an A/A run) to
-see each task's noise floor on the machine at hand.
+`errors`. `--tasks` picks a comma-separated subset of the tasks.
+
+The noise floor of a task on the machine at hand comes from an A/A run:
+two copies of the same tree (for example two `git archive` extracts of
+one commit), never the same directory on both sides. A same-directory
+run understates the floor: two copies whose package code was identical
+once read a Monte Carlo kernel row 0.918x and another 1.05x, where the
+same-directory run stayed within 0.98-1.013x, a per-process bias of up
+to 8%.
 
 Standard library and numpy only.
 """
@@ -71,6 +101,10 @@ ROOT = Path(__file__).resolve().parent.parent
 VERIFY_SEED = 301
 KERNEL_P, KERNEL_RADIUS = 1.0, 2.0  # the generalized Gaussian's p, the ball's R
 KERNEL_N_OUTER = 256
+SOLVER_REPS = {"evaluate": 200, "correct": 40, "demo_lower": 10, "demo_upper": 10}
+SWEEP_BALL_GRID = "0.1:40:25"
+SOLVER_TASKS = ("evaluate", "correct", "demo_lower", "demo_upper", "paper_sweeps_pass",
+                "sweep_ball_lower")
 KERNELS = {  # name -> (prior family, K, J, n_inner)
     "kernel_K3_J1": ("gen-gauss", 3, 1, 2000), "kernel_K3_J4": ("gen-gauss", 3, 4, 2000),
     "kernel_K1_J4": ("gen-gauss", 1, 4, 2000), "kernel_K6_J4": ("gen-gauss", 6, 4, 2000),
@@ -102,6 +136,14 @@ class Worker:
         self.np, self.mb, self.wl = np, mmse_bounds, workloads
         self.config_path = config_path
         self.kernel_inputs = {name: self._kernel_input(*case) for name, case in KERNELS.items()}
+        ensemble = mmse_bounds.ChannelEnsemble.from_arrays(
+            [np.array(m) for m in workloads.DEMO_NOISE], workloads.DEMO_WEIGHTS)
+        self.demo = mmse_bounds.validate_problem(ensemble, mmse_bounds.DivergenceBall(
+            mmse_bounds.GaussianReference(np.zeros(3), np.eye(3)), workloads.DEMO_EPSILON))
+        self.balls = [mmse_bounds.DivergenceBall(mmse_bounds.uniform_ball_moments(r, 3),
+                                                 mmse_bounds.uniform_ball_epsilon(r, 3))
+                      for r in mmse_bounds.cli.parse_grid(SWEEP_BALL_GRID)]
+        self.sweeps_counted = False  # paper_sweeps_pass counts its Jacobians once
 
     def _noise(self, k, n_channels):
         """The first demo noise covariances in K = 3; elsewhere seeded random
@@ -211,11 +253,99 @@ class Worker:
         return {"normals_per_pass": count[0], "monomials_per_pass": monomials[0],
                 "qr_calls_per_pass": qr_calls[0]}
 
+    def _predictor(self):
+        """(context, Sigma, alpha, t^2): the demo lower bound's first predictor."""
+        solver, eps = self.mb.solver, self.demo.epsilon
+        ctx = solver._Ctx(self.demo)
+        t2 = self.np.sqrt(eps) ** 2
+        return (ctx, *solver._mm_step(ctx, ctx.sigma0, t2, -1.0), t2)
+
+    def evaluate(self):
+        ctx, sigma, alpha, t2 = self._predictor()
+        chol = self.np.linalg.cholesky(sigma)
+        reps = SOLVER_REPS["evaluate"]
+        t0 = time.process_time()
+        for _ in range(reps):
+            out = self.mb.solver._evaluate(ctx, sigma, chol, alpha, t2)
+        cpu = time.process_time() - t0
+        return ({"evaluate_cpu_us_per_call": 1e6 * cpu / reps},
+                {"jacobians": ctx.jacobians // reps, "answers_sha256": _digest(*out)})
+
+    def correct(self):
+        solver, reps = self.mb.solver, SOLVER_REPS["correct"]
+        ctx, sigma, alpha, t2 = self._predictor()
+        t0 = time.process_time()
+        for _ in range(reps):
+            ctx.jacobians = 0
+            out = solver._correct(ctx, sigma, alpha, t2, solver._FINAL_TOL)
+        cpu = time.process_time() - t0
+        return ({"correct_cpu_us_per_call": 1e6 * cpu / reps},
+                {"jacobians": ctx.jacobians,
+                 "answers_sha256": _digest(*(self.np.asarray(v) for v in out))})
+
+    def demo_solve(self, direction):
+        reps = SOLVER_REPS[f"demo_{direction}"]
+        t0 = time.process_time()
+        for _ in range(reps):
+            res = self.mb.solve_bound(direction, self.demo, self.demo.ball)
+        cpu = time.process_time() - t0
+        return ({f"demo_{direction}_cpu_ms_per_solve": 1e3 * cpu / reps},
+                {"jacobians": res.inner_iterations, "steps": res.outer_iterations,
+                 "answers_sha256": _digest(self.np.array([res.bound_value, res.alpha]),
+                                           res.sigma_x)})
+
+    def paper_sweeps_pass(self):
+        """The perfbench paper_sweeps commands; their Jacobians are counted
+        through a wrapped `solver._evaluate` on the first run only."""
+        solver, count = self.mb.solver, not self.sweeps_counted
+        real, calls, cpu, texts = solver._evaluate, [0], 0.0, []
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        if count:
+            solver._evaluate = counting
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                for sub, grid in self.wl.SWEEPS:
+                    out_csv = Path(tmp) / f"{sub}.csv"
+                    argv = [sub, "--config", self.config_path, "--grid", grid,
+                            "--out", str(out_csv)]
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        t0 = time.process_time()
+                        code = self.mb.cli.main(argv)
+                        cpu += time.process_time() - t0
+                    csv = out_csv.read_bytes() if out_csv.exists() else b""
+                    texts.append(f"exit {code}\n{out.getvalue()}{err.getvalue()}".encode() + csv)
+        finally:
+            solver._evaluate = real
+        self.sweeps_counted = True
+        counts = {"answers_sha256": _digest(*texts)}
+        if count:
+            counts["jacobians"] = calls[0]
+        return {"paper_sweeps_pass_cpu_ms": 1e3 * cpu}, counts
+
+    def sweep_ball_lower(self):
+        mb, demo = self.mb, self.demo
+        t0 = time.process_time()
+        results = [mb.solve_bound("lower", demo.ensemble, ball) for ball in self.balls]
+        cpu = time.process_time() - t0
+        return ({"sweep_ball_lower_cpu_ms": 1e3 * cpu},
+                {"jacobians": sum(r.inner_iterations for r in results),
+                 "answers_sha256": _digest(*(self.np.append(r.sigma_x, [r.bound_value, r.alpha])
+                                             for r in results))})
+
     def run(self, task):
         if task == "mc_verify_pass":
             return self.mc_verify_pass()
         if task == "draw_counts":
             return {}, self.draw_counts()
+        if task in ("demo_lower", "demo_upper"):
+            return self.demo_solve(task[5:])
+        if task in SOLVER_TASKS:
+            return getattr(self, task)()
         return self.kernel(task)
 
 
@@ -259,8 +389,10 @@ def _quartiles(values):
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def compare(parent_dir, change_dir, rounds):
-    tasks = ["mc_verify_pass", *KERNELS]
+ALL_TASKS = ("mc_verify_pass", *KERNELS, *SOLVER_TASKS)
+
+
+def compare(parent_dir, change_dir, rounds, tasks=ALL_TASKS):
     samples = {}  # metric -> ([parent samples], [change samples])
     counts = {}  # task -> [parent counts, change counts]
     errors = {}  # task -> {side: message}
@@ -271,7 +403,8 @@ def compare(parent_dir, change_dir, rounds):
         Path(config_path).write_text(json.dumps(workloads.demo_config(), indent=2) + "\n")
         sides = [Side(parent_dir, config_path), Side(change_dir, config_path)]
         try:
-            for task in ["draw_counts", *tasks]:  # warm-up, untimed
+            untimed = ["draw_counts"] if "mc_verify_pass" in tasks else []
+            for task in [*untimed, *tasks]:  # warm-up, untimed
                 for i, side in enumerate(sides):
                     reply = side.ask(task)
                     if "error" in reply:
@@ -297,7 +430,8 @@ def compare(parent_dir, change_dir, rounds):
     rows = []
     for name, (parent, change) in samples.items():
         won = sum(c < p for p, c in zip(parent, change))
-        rows.append({"name": name, "unit": "ms", "better": "lower",
+        rows.append({"name": name, "unit": "us" if "_cpu_us_" in name else "ms",
+                     "better": "lower",
                      "parent": _quartiles(parent), "change": _quartiles(change),
                      "samples": len(parent), "change_won": won,
                      "parent_over_change": round(statistics.median(parent)
@@ -312,13 +446,18 @@ def main(argv=None) -> int:
     parser.add_argument("parent_dir")
     parser.add_argument("change_dir")
     parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--tasks", default=",".join(ALL_TASKS),
+                        help="comma-separated tasks to run (default: all)")
     args = parser.parse_args(argv)
+    tasks = args.tasks.split(",")
+    if unknown := set(tasks) - set(ALL_TASKS):
+        parser.error(f"unknown tasks {sorted(unknown)}; choose from {', '.join(ALL_TASKS)}")
     for tree in (args.parent_dir, args.change_dir):
         if not (Path(tree) / "src" / "mmse_bounds").is_dir():
             parser.error(f"{tree} has no src/mmse_bounds")
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
-    print(json.dumps(compare(args.parent_dir, args.change_dir, args.rounds), indent=1))
+    print(json.dumps(compare(args.parent_dir, args.change_dir, args.rounds, tasks), indent=1))
     return 0
 
 
