@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,7 +115,7 @@ class _Ctx:
         self.noise, self.weights, self.prob = prob.noise_stack, prob.weights, prob
         self.basis = _basis(k)
         self.n = self.basis.shape[1]
-        self.jacobians, self.steps, self.checked = 0, 0, {}  # checked: `_certify`'s outcomes
+        self.jacobians = self.steps = 0
 
     def pack(self, m):
         return self.basis.T @ m.ravel()
@@ -404,7 +404,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
         with contextlib.suppress(NoConvergence):
             return _certify(direction, ctx, eps, _separable(ctx, sign, eps))
 
-    found = []  # (Sigma, alpha), best first
+    found, path = [], None  # (Sigma, alpha), best first; path: one-step candidate, its result
 
     def add(start, *args):
         """Correct the start(*args) at kl = eps and rank it into `found`;
@@ -427,12 +427,10 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
                     raise
                 add(_descent, ctx, ctx.sigma0, eps, sign, _MM_STEPS)
             else:  # a one-step path's predictor was a majorize-minimize start at the target,
-                try:  # so the start runs again only after more steps or for an uncertified answer
-                    again = sign < 0 and (ctx.steps > 1 or not _certify(
-                        direction, ctx, eps, [(*found[0], None, ctx.jacobians)]))
-                except NoConvergence:
-                    again = True
-                if again:
+                if sign < 0 and ctx.steps == 1:  # so it runs again only for an uncertified answer
+                    with contextlib.suppress(NoConvergence):
+                        path = found[0], _certify(direction, ctx, eps, [(*found[0], None, 0)])
+                if sign < 0 and path is None:
                     add(_mm_step, ctx, ctx.sigma0, eps, sign, found[0][1])
             if sign < 0 and ctx.k > 1:
                 w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
@@ -442,27 +440,28 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
         except (NoConvergence, np.linalg.LinAlgError) as exc:
             raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {exc}",
                                 getattr(exc, "residual", None), ctx.jacobians) from exc
-    return _certify(direction, ctx, eps, [(s, a, None, ctx.jacobians) for s, a in found])
+    if path is None:
+        return _certify(direction, ctx, eps, [(s, a, None, ctx.jacobians) for s, a in found])
+    with contextlib.suppress(NoConvergence):  # certified once; only a split start can rank above
+        return _certify(direction, ctx, eps, [(*c, None, ctx.jacobians) for c in found[:1]
+                                              if c is not path[0]])
+    return replace(path[1], inner_iterations=ctx.jacobians)
 
 
 def _certify(direction, ctx, eps, found):
     """The first of the best-first candidates (Sigma, alpha, value, inner
     iterations) that passes the certificate once Sigma is symmetrized: a
     fixed-point residual of at most 1e-11 and |kl - epsilon| <= 1e-10. A
-    value of None is f at the symmetrized Sigma. Each candidate (Sigma, alpha)
-    is checked once per solve (`ctx.checked`). NoConvergence if none passes."""
+    value of None is f at the symmetrized Sigma. NoConvergence if none passes."""
     res = np.inf
     for sigma, alpha, value, inner in found:
-        key = sigma.tobytes(), alpha
-        if key not in ctx.checked:
-            s = 0.5 * (sigma + sigma.T)
-            res, kl = _residual(ctx, s, alpha), kl_same_mean_gaussians(s, ctx.sigma0)
-            ok = res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL
-            ctx.checked[key] = s, res, kl, ok and (_value(ctx, s) if value is None else value)
-        sigma, res, kl, value = ctx.checked[key]
-        if value is not False:
-            return BoundResult(direction, float(alpha), sigma, value, kl, inner, ctx.steps,
-                               (res, abs(kl - eps)))
+        sigma = 0.5 * (sigma + sigma.T)
+        res = _residual(ctx, sigma, alpha)
+        kl = kl_same_mean_gaussians(sigma, ctx.sigma0)
+        if res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL:
+            return BoundResult(direction, float(alpha), sigma,
+                               _value(ctx, sigma) if value is None else value, kl, inner,
+                               ctx.steps, (res, abs(kl - eps)))
     raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {len(found)} local "
                         f"extrema found, none certified (residual {res:.3g})", residual=res,
                         iterations=ctx.jacobians)

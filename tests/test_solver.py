@@ -460,6 +460,17 @@ class TestFailureDiagnostics:
             assert calls[0] > ok.inner_iterations
         assert 0.0 <= info.value.residual <= 1e-11
 
+    @pytest.mark.parametrize("channels", ["all", "one"])
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_kl_miss_is_uncertified(self, demo_ensemble, monkeypatch, direction, channels):
+        # the certificate's kl reads 1 too far, so no answer passes: not the
+        # path's, not a start's, not one of the K scalars of one channel on c I
+        kl = solver.kl_same_mean_gaussians
+        monkeypatch.setattr(solver, "kl_same_mean_gaussians", lambda s, s0: kl(s, s0) + 1.0)
+        ensemble = demo_ensemble if channels == "all" else demo_ensemble.single(1)
+        with pytest.raises(NoConvergence, match="none certified"):
+            solve_bound(direction, ensemble, isotropic_ball(3, HARD_VAR, 0.2))
+
     def test_upper_reraise_keeps_residual(self, demo_ensemble, monkeypatch):
         def stuck(ctx, sign, eps):
             ctx.jacobians = 7

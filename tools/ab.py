@@ -1,6 +1,6 @@
 """Paired CPU comparison of two trees of this repository, task by task.
 
-    python tools/ab.py PARENT_DIR CHANGE_DIR [--rounds 15] [--tasks T1,T2] > rows.json
+    python tools/ab.py PARENT_DIR CHANGE_DIR [--rounds 15] > rows.json
 
 Starts one persistent worker process per tree. Each worker imports the
 `mmse_bounds` package from its own tree's `src/` and runs every task once
@@ -50,11 +50,10 @@ or solve, or over all of the task's solves; `paper_sweeps_pass` counts
 through a wrapped `solver._evaluate` on its untimed first run) and a
 digest of its answers.
 
-When `mc_verify_pass` runs, three counts come from one untimed
-`mc_verify` pass: `normals_per_pass`, the standard normal values drawn
-through `mc._rng_from`, `monomials_per_pass`, the monomial values
-written by `mc._features`, and `qr_calls_per_pass`, the calls to
-`mc._rotations`.
+Three counts come from one untimed `mc_verify` pass: `normals_per_pass`,
+the standard normal values drawn through `mc._rng_from`,
+`monomials_per_pass`, the monomial values written by `mc._features`, and
+`qr_calls_per_pass`, the calls to `mc._rotations`.
 
 Every task also reports exact counts and a digest of its answers, so a
 row says whether both trees computed the same thing. A kernel task passes
@@ -68,7 +67,7 @@ The output is one JSON object: `rows`, one per metric, each with its
 unit, both sides' median and quartiles, the number of paired samples,
 how many pairs the change won (ties count for neither side) and
 parent_over_change, the ratio of the medians; plus `counts` and
-`errors`. `--tasks` picks a comma-separated subset of the tasks.
+`errors`.
 
 The noise floor of a task on the machine at hand comes from an A/A run:
 two copies of the same tree (for example two `git archive` extracts of
@@ -389,10 +388,8 @@ def _quartiles(values):
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-ALL_TASKS = ("mc_verify_pass", *KERNELS, *SOLVER_TASKS)
-
-
-def compare(parent_dir, change_dir, rounds, tasks=ALL_TASKS):
+def compare(parent_dir, change_dir, rounds):
+    tasks = ["mc_verify_pass", *KERNELS, *SOLVER_TASKS]
     samples = {}  # metric -> ([parent samples], [change samples])
     counts = {}  # task -> [parent counts, change counts]
     errors = {}  # task -> {side: message}
@@ -403,8 +400,7 @@ def compare(parent_dir, change_dir, rounds, tasks=ALL_TASKS):
         Path(config_path).write_text(json.dumps(workloads.demo_config(), indent=2) + "\n")
         sides = [Side(parent_dir, config_path), Side(change_dir, config_path)]
         try:
-            untimed = ["draw_counts"] if "mc_verify_pass" in tasks else []
-            for task in [*untimed, *tasks]:  # warm-up, untimed
+            for task in ["draw_counts", *tasks]:  # warm-up, untimed
                 for i, side in enumerate(sides):
                     reply = side.ask(task)
                     if "error" in reply:
@@ -446,18 +442,13 @@ def main(argv=None) -> int:
     parser.add_argument("parent_dir")
     parser.add_argument("change_dir")
     parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--tasks", default=",".join(ALL_TASKS),
-                        help="comma-separated tasks to run (default: all)")
     args = parser.parse_args(argv)
-    tasks = args.tasks.split(",")
-    if unknown := set(tasks) - set(ALL_TASKS):
-        parser.error(f"unknown tasks {sorted(unknown)}; choose from {', '.join(ALL_TASKS)}")
     for tree in (args.parent_dir, args.change_dir):
         if not (Path(tree) / "src" / "mmse_bounds").is_dir():
             parser.error(f"{tree} has no src/mmse_bounds")
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
-    print(json.dumps(compare(args.parent_dir, args.change_dir, args.rounds, tasks), indent=1))
+    print(json.dumps(compare(args.parent_dir, args.change_dir, args.rounds), indent=1))
     return 0
 
 
