@@ -266,7 +266,6 @@ def cmd_scenario(args) -> int:
         ball = DivergenceBall(Gaussian(np.zeros(k), np.eye(k)), args.epsilon)
     except MemoryError:
         raise ConfigError(f"--dimension {k} is too large to allocate") from None
-    validate_problem(ensemble, ball)
     save_config(args.out, ensemble, ball)
     print(f"wrote {args.out}: {len(distances)} channels, K={k}, epsilon={args.epsilon}")
     return EXIT_OK

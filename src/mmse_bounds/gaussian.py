@@ -71,18 +71,21 @@ class Gaussian:
 
 def _checked(g: Gaussian, name: str):
     """(mean, covariance, Cholesky factor) of `g` as float arrays: the mean
-    flattened, the covariance symmetrized. DimensionMismatch unless the
-    covariance is a nonempty square matrix and the mean has its size,
-    ProblemValidationError for a non-finite mean, and the `_check_spd`
+    a read-only flattened copy, the covariance a read-only symmetrized one,
+    so no later write to the caller's arrays reaches them. DimensionMismatch
+    unless the covariance is a nonempty square matrix and the mean has its
+    size, ProblemValidationError for a non-finite mean, and the `_check_spd`
     errors for the covariance; `name` ("reference", say) leads each message."""
-    mean = np.asarray(g.mean, dtype=float).reshape(-1)
+    mean = np.array(g.mean, dtype=float).reshape(-1)
     cov = _as_matrix(g.covariance, f"{name} covariance")
     k = cov.shape[0]
     if mean.shape[0] != k:
         raise DimensionMismatch(f"{name} mean has length {mean.shape[0]}, covariance is {k}x{k}")
     if not np.isfinite(mean).all():
         raise ProblemValidationError(f"{name} mean has non-finite entries")
-    return (mean, *_check_spd(cov, f"{name} covariance"))
+    sym, chol = _check_spd(cov, f"{name} covariance")
+    mean.flags.writeable = sym.flags.writeable = False
+    return mean, sym, chol
 
 
 def _check_same_shape(a, b, name_a, name_b):
@@ -182,10 +185,10 @@ def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:
 
     Equals (tr(SNR_0) - K - log det(SNR_0)) / 2 with SNR_0 = Sigma_0^-1 Sigma_X,
     formed from the Cholesky factor of Sigma_0 (SingularReference when it
-    fails). SingularSum when Sigma_X fails its own Cholesky check or has a
-    nonpositive determinant. NonSymmetric, naming the argument, for either
-    not symmetric to SYMMETRY_RTOL, since a Cholesky factorization reads
-    one triangle. Nonnegative; zero iff the covariances coincide.
+    fails); log det Sigma_X comes from its own Cholesky factor (SingularSum
+    when it fails). NonSymmetric, naming the argument, for either not
+    symmetric to SYMMETRY_RTOL, since a Cholesky factorization reads one
+    triangle. Nonnegative; zero iff the covariances coincide.
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
     sigma_0 = np.asarray(sigma_0, dtype=float)
@@ -197,16 +200,14 @@ def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:
         chol = np.linalg.cholesky(sigma_0)
     except np.linalg.LinAlgError as exc:
         raise SingularReference(f"reference covariance factorization failed: {exc}") from exc
-    try:  # an even count of negative eigenvalues passes the determinant sign
-        np.linalg.cholesky(sigma_x)
+    try:
+        chol_x = np.linalg.cholesky(sigma_x)
     except np.linalg.LinAlgError as exc:
         raise SingularSum(f"sigma_x factorization failed: {exc}") from exc
     ci = np.linalg.inv(chol)
     logdet_0 = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    logdet_x = 2.0 * float(np.sum(np.log(np.diag(chol_x))))
     trace = float(np.trace(ci.T @ (ci @ sigma_x)))
-    sign_x, logdet_x = np.linalg.slogdet(sigma_x)
-    if sign_x <= 0:
-        raise SingularSum("sigma_x has nonpositive determinant")
     value = 0.5 * (trace - k - (logdet_x - logdet_0))
     return max(value, 0.0)
 

@@ -6,7 +6,6 @@ Families
 Gaussian(mean, covariance)
     The reference family itself: `gaussian.Gaussian`, the same class as a
     ball's reference and as the moment match `prior_moments` returns.
-    Checked where it is used, by the check a reference passes.
 GeneralizedGaussian(p)
     Radially symmetric density c_p exp(-||x||^p / p); standard Gaussian at
     p = 2, heavy-tailed for p < 2, compactly concentrated for p > 2.
@@ -17,6 +16,10 @@ All gamma-function arithmetic runs in log space: Gamma(K/p) overflows in
 double precision for small p. The best Gaussian approximation (in
 D_KL(P || Q) over Gaussians Q) of a zero-mean family is the moment-matched
 zero-mean Gaussian, so epsilon here is always the KL to the moment match.
+
+A `PriorSpec` checks its family and K where it is built, as a ball checks
+its reference: a Gaussian family passes that same check and is held as
+read-only copies, so no reader checks it again.
 """
 
 from __future__ import annotations
@@ -59,24 +62,27 @@ class UniformBall:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """A prior family instance in dimension K."""
+    """A prior family instance in dimension K, checked where it is built:
+    K an integer >= 1 (ValueError naming it), the family one of the three
+    (TypeError), and a Gaussian family checked as a reference is
+    (`gaussian._checked`, held as its read-only copies) and of dimension K
+    (DimensionMismatch)."""
 
     family: Gaussian | GeneralizedGaussian | UniformBall
     dimension: int
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-
-
-def _gaussian_prior(spec: PriorSpec):
-    """A Gaussian family's checked (mean, covariance, Cholesky factor)
-    (`gaussian._checked`); DimensionMismatch unless its dimension is K."""
-    mean, cov, chol = _checked(spec.family, "Gaussian prior")
-    if len(mean) != spec.dimension:
-        raise DimensionMismatch(f"Gaussian prior has dimension {len(mean)}, "
-                                f"spec has {spec.dimension}")
-    return mean, cov, chol
+        k, fam = self.dimension, self.family
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {k!r}")
+        if isinstance(fam, Gaussian):
+            mean, cov, _ = _checked(fam, "Gaussian prior")
+            if len(mean) != k:
+                raise DimensionMismatch(f"Gaussian prior has dimension {len(mean)}, "
+                                        f"spec has {k}")
+            object.__setattr__(self, "family", Gaussian(mean, cov))
+        elif not isinstance(fam, (GeneralizedGaussian, UniformBall)):
+            raise TypeError(f"unknown prior family {fam!r}")
 
 
 def gen_gauss_covariance(p: float, k: int) -> float:
@@ -190,12 +196,10 @@ def prior_moments(spec: PriorSpec) -> Gaussian:
     k = spec.dimension
     fam = spec.family
     if isinstance(fam, Gaussian):
-        return Gaussian(*_gaussian_prior(spec)[:2])
+        return fam
     if isinstance(fam, GeneralizedGaussian):
         return Gaussian(np.zeros(k), gen_gauss_covariance(fam.p, k) * np.eye(k))
-    if isinstance(fam, UniformBall):
-        return uniform_ball_moments(fam.radius, k)
-    raise TypeError(f"unknown prior family {fam!r}")
+    return uniform_ball_moments(fam.radius, k)
 
 
 def _quadratic_log_density(spec: PriorSpec):
@@ -217,7 +221,7 @@ def _quadratic_log_density(spec: PriorSpec):
     k = spec.dimension
     fam = spec.family
     if isinstance(fam, Gaussian):
-        mean, _, chol = _gaussian_prior(spec)
+        chol = np.linalg.cholesky(fam.covariance)
         log_norm = -0.5 * (k * math.log(2.0 * math.pi)
                            + 2.0 * float(np.sum(np.log(np.diag(chol)))))
 
@@ -225,7 +229,7 @@ def _quadratic_log_density(spec: PriorSpec):
             q *= 0.5
             return q
 
-        return mean, np.linalg.inv(chol), g, log_norm, math.inf
+        return fam.mean, np.linalg.inv(chol), g, log_norm, math.inf
     if isinstance(fam, GeneralizedGaussian):
         half_p, inv_p = 0.5 * fam.p, 1.0 / fam.p
 
@@ -235,9 +239,7 @@ def _quadratic_log_density(spec: PriorSpec):
             return q
 
         return np.zeros(k), np.eye(k), g, _gen_gauss_log_normaliser(fam.p, k), math.inf
-    if isinstance(fam, UniformBall):
-        return np.zeros(k), np.eye(k), None, -_ball_log_volume(fam.radius, k), fam.radius**2
-    raise TypeError(f"unknown prior family {fam!r}")
+    return np.zeros(k), np.eye(k), None, -_ball_log_volume(fam.radius, k), fam.radius**2
 
 
 def log_density(spec: PriorSpec, x) -> np.ndarray:
@@ -273,8 +275,7 @@ def _sample_with(spec: PriorSpec, n: int, rng: np.random.Generator) -> np.ndarra
     k = spec.dimension
     fam = spec.family
     if isinstance(fam, Gaussian):
-        mean, _, chol = _gaussian_prior(spec)
-        return mean + rng.standard_normal((n, k)) @ chol.T
+        return fam.mean + rng.standard_normal((n, k)) @ np.linalg.cholesky(fam.covariance).T
     z = rng.standard_normal((n, k))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     directions = z / norms
@@ -282,8 +283,6 @@ def _sample_with(spec: PriorSpec, n: int, rng: np.random.Generator) -> np.ndarra
         g = rng.gamma(shape=k / fam.p, scale=1.0, size=n)
         r = (fam.p * g) ** (1.0 / fam.p)
         return directions * r[:, None]
-    if isinstance(fam, UniformBall):
-        u = rng.random(n)
-        r = fam.radius * u ** (1.0 / k)
-        return directions * r[:, None]
-    raise TypeError(f"unknown prior family {fam!r}")
+    u = rng.random(n)
+    r = fam.radius * u ** (1.0 / k)
+    return directions * r[:, None]

@@ -5,14 +5,16 @@ with noise covariances Sigma_N_j and positive weights lambda_j, a Gaussian
 reference prior N(mu_0, Sigma_0), and a KL-divergence radius epsilon that
 constrains how far the true prior may sit from the reference.
 
-A `ChannelEnsemble` checks its channels where it is built, by
-`from_arrays` or its bare constructor, and holds them as one read-only
-(J, K, K) stack of symmetrized noise covariances with read-only (J,)
-weights; no reader of channel data sees anything else. The reference is
-a `gaussian.Gaussian` (`GaussianReference` is the same class), and
-`validate_problem` checks it, its agreement with the channels' K and the
-radius. The covariance checks are the ones in `gaussian.py` that a
-Gaussian prior passes too.
+Every input checks itself where it is built. A `ChannelEnsemble`, by
+`from_arrays` or its bare constructor, holds its channels as one
+read-only (J, K, K) stack of symmetrized noise covariances with read-only
+(J,) weights; no reader of channel data sees anything else. A
+`DivergenceBall` checks its reference, a `gaussian.Gaussian`
+(`GaussianReference` is the same class), and holds it as read-only
+copies, and checks its radius. A `Problem` checks that the ball's K is
+the channels'. The covariance checks are the ones in `gaussian.py` that
+a Gaussian prior passes too, and `validate_problem` only pairs a checked
+ensemble with a checked ball.
 """
 
 from __future__ import annotations
@@ -94,19 +96,38 @@ class ChannelEnsemble:
 
 @dataclass(frozen=True)
 class DivergenceBall:
-    """KL ball of radius epsilon (nats) centered at the reference prior."""
+    """KL ball of radius epsilon (nats) centered at the reference prior,
+    checked where it is built: the reference as `gaussian._checked` checks
+    it (symmetry to 1e-12 relative Frobenius, which it symmetrizes away,
+    positive definiteness, a finite mean of the covariance's size), held as
+    read-only float copies, and a finite nonnegative radius (NegativeRadius),
+    held as a float."""
 
     reference: Gaussian
     epsilon: float
+
+    def __post_init__(self):
+        mean, cov, _ = _checked(self.reference, "reference")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise NegativeRadius(
+                f"radius epsilon={self.epsilon} must be a finite nonnegative number")
+        object.__setattr__(self, "reference", Gaussian(mean, cov))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
 @dataclass(frozen=True)
 class Problem:
     """Validated problem: a channel ensemble with one read-only (J, K, K)
-    noise stack and read-only weights, and a checked divergence ball."""
+    noise stack and read-only weights, and a checked divergence ball whose
+    reference has the channels' K (DimensionMismatch otherwise)."""
 
     ensemble: ChannelEnsemble
     ball: DivergenceBall
+
+    def __post_init__(self):
+        k, n = len(self.reference.mean), self.dimension
+        if k != n:
+            raise DimensionMismatch(f"reference is {k}x{k}, the channels are {n}x{n}")
 
     @property
     def noise_stack(self) -> np.ndarray:
@@ -130,19 +151,14 @@ class Problem:
 
     def single(self, j: int) -> "Problem":
         """The one-channel problem {(Sigma_N_j, 1)} used by local bounds, on
-        the same ball; only its one channel is checked again (a few µs)."""
+        the same ball; only its one channel is checked again."""
         return Problem(self.ensemble.single(j), self.ball)
 
 
 def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
-    """Validate a ball for an ensemble, whose channels were checked when it
-    was built, and return an immutable handle.
-
-    Checks the reference as `gaussian._checked` does (symmetry to 1e-12
-    relative Frobenius, which it symmetrizes away, positive definiteness, a
-    finite mean of the covariance's size), that its K is the channels' and
-    that the radius is finite and nonnegative. An already-validated
-    `Problem` is returned as it is.
+    """Pair an ensemble with a ball, each checked where it was built, and
+    return an immutable handle. `Problem` checks that their K agree; an
+    already-validated `Problem` is returned as it is.
 
     Parameters
     ----------
@@ -158,9 +174,8 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
 
     Raises
     ------
-    NonSymmetric, NotPositiveDefinite, DimensionMismatch, NegativeRadius
-    ProblemValidationError
-        Their base class, for a non-finite mean.
+    DimensionMismatch
+        If the reference's K is not the channels'.
     ValueError
         If a `Problem` comes with a ball other than its own.
     TypeError
@@ -172,15 +187,7 @@ def validate_problem(ensemble, ball: DivergenceBall | None = None) -> Problem:
         return ensemble
     if ball is None:
         raise TypeError("a ChannelEnsemble needs a DivergenceBall")
-
-    mu0, sigma0, _ = _checked(ball.reference, "reference")
-    if len(mu0) != ensemble.dimension:
-        raise DimensionMismatch(f"reference is {len(mu0)}x{len(mu0)}, the channels are "
-                                f"{ensemble.dimension}x{ensemble.dimension}")
-    if not 0.0 <= ball.epsilon < math.inf:
-        raise NegativeRadius(
-            f"radius epsilon={ball.epsilon} must be a finite nonnegative number")
-    return Problem(ensemble, DivergenceBall(Gaussian(mu0, sigma0), float(ball.epsilon)))
+    return Problem(ensemble, ball)
 
 
 _TOP_KEYS = {"dimension", "mu0", "sigma0", "channels", "epsilon"}

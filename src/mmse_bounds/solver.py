@@ -368,7 +368,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
     ----------
     direction : {"upper", "lower"}
     ensemble : ChannelEnsemble or Problem
-        Raw channel data is validated with `ball` first (`validate_problem`).
+        Raw channel data is paired with `ball` first (`validate_problem`).
     ball : DivergenceBall
         Reference prior and KL radius epsilon >= 0; with a `Problem`, the
         problem's own ball.
@@ -382,8 +382,8 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
 
     Raises
     ------
-    ProblemValidationError
-        If the data fail validation.
+    DimensionMismatch
+        If the ball's K is not the channels'.
     ValueError
         If the direction is neither "upper" nor "lower", or a `Problem`
         comes with a ball other than its own.

@@ -178,6 +178,20 @@ class TestGaussianFamily:
         with pytest.raises(error):
             entry(Gaussian(np.asarray(mean), cov))
 
+    def test_checked_once_where_the_spec_is_built(self):
+        # the spec holds read-only copies, so a later write to the caller's
+        # arrays reaches no reader, and no reader checks the family again
+        mean, cov = np.array([1.0, -1.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
+        spec = PriorSpec(Gaussian(mean, cov), 2)
+        for data in (spec.family.mean, spec.family.covariance,
+                     prior_moments(spec).mean, prior_moments(spec).covariance):
+            with pytest.raises(ValueError, match="read-only"):
+                data[0] = 0.0
+        mean[0], cov[0, 0] = np.nan, -1.0
+        np.testing.assert_array_equal(prior_moments(spec).mean, [1.0, -1.0])
+        assert prior_moments(spec).covariance[0, 0] == 2.0
+        assert np.isfinite(log_density(spec, [[0.0, 0.0]])).all()
+
     def test_families_compare_by_value(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
         spec = PriorSpec(Gaussian(np.array([1.0, -1.0]), cov), 2)
@@ -333,6 +347,26 @@ class TestSpecValidation:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             PriorSpec(GeneralizedGaussian(1.0), 0)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_dimension_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match=f"dimension must be an integer >= 1, got {k!r}"):
+            PriorSpec(GeneralizedGaussian(1.0), k)
+
+    def test_numpy_integer_dimension(self):
+        spec = PriorSpec(UniformBall(1.0), np.int64(2))
+        assert prior_moments(spec).covariance.shape == (2, 2)
+
+    @pytest.mark.parametrize("family", [None, "laplace", {"p": 1.0}])
+    def test_unknown_family_rejected_where_built(self, family):
+        with pytest.raises(TypeError, match="unknown prior family"):
+            PriorSpec(family, 2)
+
+    @pytest.mark.parametrize("family", [GeneralizedGaussian(1.0), UniformBall(1.0),
+                                        Gaussian(np.zeros(2), np.eye(2))])
+    def test_log_density_rejects_points_of_another_dimension(self, family):
+        with pytest.raises(DimensionMismatch, match="points have dimension 3, spec has 2"):
+            log_density(PriorSpec(family, 2), np.zeros((4, 3)))
 
     @pytest.mark.parametrize("family, value", [(GeneralizedGaussian, math.inf),
                                                (GeneralizedGaussian, math.nan),

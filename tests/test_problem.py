@@ -86,13 +86,13 @@ class TestValidation:
         with pytest.raises(NotPositiveDefinite):
             ChannelEnsemble.from_arrays([sn], [1.0])
         for mean in ([np.nan, 0.0], [0.0, -np.inf]):
-            ball = DivergenceBall(GaussianReference(np.array(mean), np.eye(2)), 0.1)
             with pytest.raises(ProblemValidationError, match="reference mean"):
+                ball = DivergenceBall(GaussianReference(np.array(mean), np.eye(2)), 0.1)
                 validate_problem(small_ensemble(), ball)
 
     def test_indefinite_reference(self):
-        ball = DivergenceBall(GaussianReference(np.zeros(2), -np.eye(2)), 0.1)
         with pytest.raises(NotPositiveDefinite):
+            ball = DivergenceBall(GaussianReference(np.zeros(2), -np.eye(2)), 0.1)
             validate_problem(small_ensemble(), ball)
 
     def test_dimension_mismatch_channel(self):
@@ -103,8 +103,8 @@ class TestValidation:
                              isotropic_ball(2, 1.0, 0.1))
 
     def test_dimension_mismatch_mean(self):
-        ball = DivergenceBall(GaussianReference(np.zeros(3), np.eye(2)), 0.1)
         with pytest.raises(DimensionMismatch):
+            ball = DivergenceBall(GaussianReference(np.zeros(3), np.eye(2)), 0.1)
             validate_problem(small_ensemble(), ball)
 
     def test_nonsquare_matrix(self):
@@ -151,6 +151,27 @@ class TestValidation:
                      prob.single(1).weights):
             with pytest.raises(ValueError, match="read-only"):
                 data[0] = 1.0
+
+    def test_ball_holds_read_only_copies(self):
+        # as the channel stack does: a later write to the caller's mean or
+        # covariance reaches neither the ball nor a problem built on it
+        mean, cov = np.array([1.0, -1.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
+        ball = DivergenceBall(Gaussian(mean, cov), 0.1)
+        prob = validate_problem(small_ensemble(), ball)
+        for data in (ball.reference.mean, ball.reference.covariance,
+                     prob.reference.mean, prob.reference.covariance):
+            with pytest.raises(ValueError, match="read-only"):
+                data[0] = 0.0
+        mean[0], cov[0, 0] = np.nan, -1.0
+        for ref in (ball.reference, prob.reference):
+            np.testing.assert_array_equal(ref.mean, [1.0, -1.0])
+            np.testing.assert_array_equal(ref.covariance, [[2.0, 0.5], [0.5, 1.0]])
+
+    def test_ball_and_problem_check_where_built(self):
+        with pytest.raises(NegativeRadius, match="finite nonnegative"):
+            isotropic_ball(2, 1.0, -1.0)
+        with pytest.raises(DimensionMismatch, match="reference is 2x2, the channels are 3x3"):
+            Problem(ChannelEnsemble.from_arrays([np.eye(3)], [1.0]), isotropic_ball(2, 1.0, 0.1))
 
     def test_error_carries_channel_index(self):
         with pytest.raises(NotPositiveDefinite) as exc:
@@ -296,6 +317,7 @@ class TestConfig:
         (lambda c: c.update(sigma0=[[1.0]]), "sigma0"),
         (lambda c: c.update(channels=[]), "channels"),
         (lambda c: c.update(channels="x"), "channels"),
+        (lambda c: c.update(channels=[[1.0]]), "channel 0 must be an object"),
         (lambda c: c.update(channels=[{"lambda": 1.0}]), "channel 0"),
         (lambda c: c.update(channels=[{"lambda": 1.0, "sigma_n": [[1.0]],
                                        "tag": "a"}]), "channel 0"),

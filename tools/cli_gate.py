@@ -5,18 +5,20 @@ with the tree's `src` first on PYTHONPATH, and prints its exit code and
 the SHA-256 of its stdout and of its stderr. The nine paper commands run
 on `examples/paper_fig1.json` from the repository root, and the tool
 prints one SHA-256 over their lines. Then come an unknown prior family
-(exit 1) and three `scenario` runs, each in a fresh temporary working
-directory with the relative `--out field.json`, so the printed path is
-the same on every tree; a `scenario` line also gives the SHA-256 of the
-config it wrote (`none` when it wrote none). The last line is one SHA-256
-over every command line.
+(exit 1), a negative `bound --epsilon` (exit 1) and four `scenario`
+runs, each in a fresh temporary working directory with the relative
+`--out field.json`, so the printed path is the same on every tree; a
+`scenario` line also gives the SHA-256 of the config it wrote (`none`
+when it wrote none). The last line is one SHA-256 over every command
+line.
 
 Two trees that print the same final hash give byte-identical output and
 the same exit codes on every command: the solver's answers through
 `bound`, both sweeps and `verify`, the config `scenario` writes, and the
 messages of a failed sweep row (exit 2), of an invalid prior parameter or
 family (exit 1), of an `--out` path that cannot be written (exit 1), of
-a negative sensor distance (exit 1) and of a zero channel weight (exit 1).
+a negative KL radius (exit 1), of a negative sensor distance (exit 1)
+and of a zero channel weight (exit 1).
 
 Run from anywhere, once on each tree to compare:
 
@@ -51,10 +53,12 @@ PAPER_COMMANDS = [
 SCENARIO = ["scenario", "--gamma", "0.5", "--m", "2.5", "--sigma0", "0.8", "--out", OUT]
 MORE_COMMANDS = [
     ["verify", "--prior", "laplace:1"],  # an unknown prior family: exit 1
+    ["bound", "--epsilon", "-1"],  # a negative radius: exit 1
     [*SCENARIO, "--distances", "0,1.5,4", "--dimension", "2", "--epsilon", "0.25",
      "--weights", "0.2,0.3,0.5"],
     [*SCENARIO, "--distances", "1,-1"],  # a negative distance: exit 1
     [*SCENARIO, "--distances", "0,1.5,4", "--weights", "0,0.3,0.5"],  # a zero weight: exit 1
+    [*SCENARIO, "--distances", "0,1.5,4", "--epsilon", "-1"],  # a negative radius: exit 1
 ]
 
 
