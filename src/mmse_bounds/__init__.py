@@ -35,12 +35,11 @@ from .gaussian import (
     weight_matrix,
     weighted_mmse_sum,
 )
-from .mc import McEstimate, mc_kl, mc_weighted_sum
+from .mc import McEstimate, mc_weighted_sum
 from .priors import (
     GeneralizedGaussian,
     PriorSpec,
     UniformBall,
-    gaussian_log_density,
     gen_gauss_covariance,
     gen_gauss_epsilon,
     gen_gauss_fisher,
@@ -96,7 +95,6 @@ __all__ = [
     "SingularSum",
     "UniformBall",
     "cramer_rao_lower",
-    "gaussian_log_density",
     "gen_gauss_covariance",
     "gen_gauss_epsilon",
     "gen_gauss_fisher",
@@ -107,7 +105,6 @@ __all__ = [
     "local_bound",
     "local_bounds_weighted",
     "log_density",
-    "mc_kl",
     "mc_weighted_sum",
     "mmse_matrix",
     "mmse_trace",

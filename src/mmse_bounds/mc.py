@@ -1,4 +1,4 @@
-"""Monte Carlo oracle: estimates of true MMSEs and KL divergences.
+"""Monte Carlo oracle: estimates of true MMSEs.
 
 Built to verify the analytic machinery independently, at desk scale. The
 conditional mean E[X | Y = y] is approximated by self-normalized
@@ -61,9 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateWeights, DimensionMismatch, NoiseLost
-from .gaussian import _checked, _gain_transpose
-from .priors import (PriorSpec, _quadratic_log_density, _sample_with, gaussian_log_density,
-                     log_density, prior_moments)
+from .gaussian import _gain_transpose
+from .priors import PriorSpec, _quadratic_log_density, _sample_with, prior_moments
 
 # outer draws per block. The draws of a block share one pool of inner
 # normals, so _CHUNK also decides which draws are correlated through a
@@ -82,7 +81,7 @@ _CHUNK = 8
 # proposal mean; a row outside it is redone at its exact row max
 _SAFE_SUMS = (1e-100, 1e100)
 
-MIN_DRAWS = 100  # fewest outer, inner or KL draws an estimate accepts
+MIN_DRAWS = 100  # fewest outer or inner draws an estimate accepts
 
 # the largest share of its norm by which a draw's noise y - x may differ
 # from the noise drawn. Rounding y = x + n moves it by about |x| 1e-16;
@@ -95,11 +94,10 @@ _NOISE_RTOL = 1e-3
 class McEstimate:
     """A Monte Carlo value with its standard error and provenance.
 
-    For the importance-sampling estimates, `min_ess` and `median_ess` are the
-    smallest and the median inner effective sample size over the outer draws
-    (of every channel), and `bad_fraction` is the share of outer draws whose
-    ESS fell below 1% of n_inner. They stay NaN where no importance sampling
-    was done (`mc_kl`).
+    `min_ess` and `median_ess` are the smallest and the median inner
+    effective sample size over the outer draws (of every channel), and
+    `bad_fraction` is the share of outer draws whose ESS fell below 1% of
+    n_inner.
     """
 
     value: float
@@ -107,9 +105,9 @@ class McEstimate:
     n_outer: int
     n_inner: int
     seed: int
-    min_ess: float = math.nan
-    median_ess: float = math.nan
-    bad_fraction: float = math.nan
+    min_ess: float
+    median_ess: float
+    bad_fraction: float
 
 
 def _rng_from(seed_seq) -> np.random.Generator:
@@ -367,12 +365,6 @@ def _estimate(per_draw, ess, n_inner, seed) -> McEstimate:
                       bad_fraction=n_bad / ess.size)
 
 
-def _check_dimension(spec, k, what):
-    """DimensionMismatch naming both dimensions unless the prior's is k."""
-    if spec.dimension != k:
-        raise DimensionMismatch(f"prior has dimension {spec.dimension}, {what} dimension is {k}")
-
-
 def _check_noise_kept(carried, noise):
     """NoiseLost unless every draw's noise y - x is its drawn noise to
     within _NOISE_RTOL of its norm: prior draws far larger than the noise
@@ -423,7 +415,9 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     """
     if n_outer < MIN_DRAWS or n_inner < MIN_DRAWS:
         raise ValueError(f"n_outer and n_inner must both be >= {MIN_DRAWS}")
-    _check_dimension(spec, ensemble.dimension, "ensemble")
+    if spec.dimension != ensemble.dimension:
+        raise DimensionMismatch(f"prior has dimension {spec.dimension}, ensemble dimension is "
+                                f"{ensemble.dimension}")
     root = np.random.SeedSequence(seed)
     noise_stack = ensemble.noise_stack
     s_x, *chan_seeds = root.spawn(1 + 2 * len(noise_stack))
@@ -437,22 +431,3 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
                                  chan_seeds[1].spawn(1)[0], n_inner)
     weighted = np.sum(ensemble.weights[:, None] * sq_err, axis=0)
     return _estimate(weighted, ess.ravel(), n_inner, seed)
-
-
-def mc_kl(spec: PriorSpec, gaussian, n: int, seed: int) -> McEstimate:
-    """Monte Carlo KL divergence from the prior to a Gaussian.
-
-    Averages log prior_density(x) - log gaussian_density(x) over x drawn
-    from the prior. `gaussian` is a `Gaussian`, checked as a Gaussian prior
-    is (DimensionMismatch, NotPositiveDefinite and the like).
-    """
-    if n < MIN_DRAWS:
-        raise ValueError(f"n must be >= {MIN_DRAWS}")
-    mean, cov, _ = _checked(gaussian, "Gaussian")
-    _check_dimension(spec, len(mean), "Gaussian")
-    root = np.random.SeedSequence(seed)
-    x = _sample_with(spec, n, _rng_from(root))
-    terms = log_density(spec, x) - gaussian_log_density(mean, cov, x)
-    value = float(terms.mean())
-    std_error = float(terms.std(ddof=1) / math.sqrt(n))
-    return McEstimate(value, std_error, n, 0, seed)

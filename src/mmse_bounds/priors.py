@@ -258,13 +258,6 @@ def log_density(spec: PriorSpec, x) -> np.ndarray:
     return np.where(q <= q_max, log_norm, -np.inf)
 
 
-def gaussian_log_density(mean, cov, x) -> np.ndarray:
-    """Multivariate normal log density, row-wise: `log_density` of
-    Gaussian(mean, cov)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return log_density(PriorSpec(Gaussian(mean, cov), x.shape[1]), x)
-
-
 def _sample_with(spec: PriorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n samples from `rng`. The generalized Gaussian is sampled
     radially: a uniform direction on the sphere times r = (p g)^(1/p) with

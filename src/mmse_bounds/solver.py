@@ -27,8 +27,10 @@ curvature. A lower bound also tries a start at the target, unless its path
 reached the target in one step, which is such a start, with a certified
 answer; a descent from the centre when the path stalls at a fold; and a
 symmetry-breaking split when its answer has a repeated eigenvalue; and
-keeps the lowest. Every answer is certified before it is returned: the
-fixed-point residual, |kl - epsilon| and the sign of alpha. A one-channel
+keeps the lowest. Each candidate is certified once, as it joins the
+solve's one ranked list, from the solve's own context: the fixed-point
+residual and |kl - epsilon| (the sign of alpha is kept by the search); the
+answer is the first certified candidate in rank order. A one-channel
 problem on a reference exactly c I, such as a local bound, is solved as K
 scalars first (`separable`), under the same certificate; continuation runs
 only if none of its candidates passes. README "Solver notes" gives the
@@ -37,14 +39,13 @@ details.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import NoConvergence, SingularSum
-from .gaussian import kl_same_mean_gaussians, mmse_matrix, weighted_mmse_sum
+from .gaussian import mmse_matrix
 from .problem import DivergenceBall, validate_problem
 from .separable import lower_candidates, upper_candidates
 
@@ -102,8 +103,9 @@ def _basis(k):
 
 
 class _Ctx:
-    """Per-solve constants of a validated problem (the reference and L0,
-    the channels, the orthonormal packing) and the solve's counters."""
+    """Per-solve constants of a validated problem (the reference, L0 and
+    log det Sigma_0, the channels, the orthonormal packing) and the solve's
+    counters: everything the search and the certificate read."""
 
     def __init__(self, prob):
         self.sigma0 = prob.reference.covariance
@@ -112,7 +114,7 @@ class _Ctx:
         self.l0i = np.linalg.inv(self.l0)
         self.sigma0_inv = self.l0i.T @ self.l0i
         self.logdet0 = 2.0 * np.sum(np.log(np.diag(self.l0)))
-        self.noise, self.weights, self.prob = prob.noise_stack, prob.weights, prob
+        self.noise, self.weights = prob.noise_stack, prob.weights
         self.basis = _basis(k)
         self.n = self.basis.shape[1]
         self.jacobians = self.steps = 0
@@ -150,7 +152,14 @@ def _s(ctx, sigma):
 
 
 def _value(ctx, sigma):
-    return weighted_mmse_sum(sigma, ctx.prob).weighted_sum
+    """f(Sigma) = sum_j lambda_j tr(MMSE_j)."""
+    return float(ctx.weights @ np.trace(mmse_matrix(sigma, ctx.noise), axis1=1, axis2=2))
+
+
+def _kl(ctx, sigma, ci):
+    """kl(Sigma, Sigma_0) from ci = chol(Sigma)^-1."""
+    return (0.5 * (np.sum(ctx.sigma0_inv * sigma) - ctx.k + ctx.logdet0)
+            + np.log(ci.diagonal()).sum())
 
 
 def _evaluate(ctx, sigma, chol, alpha, t2):
@@ -170,7 +179,7 @@ def _evaluate(ctx, sigma, chol, alpha, t2):
     stack[nj + 2:-2], stack[-2] = _gradient(ctx, inv[1:])
     stack[-1] = si - ctx.sigma0_inv + alpha * stack[-2]
     stack = ctx.lift(stack)
-    kl = 0.5 * (np.sum(ctx.sigma0_inv * sigma) - ctx.k + ctx.logdet0) + np.log(ci.diagonal()).sum()
+    kl = _kl(ctx, sigma, ci)
     res = np.empty(n + 1)
     res[:n], res[n] = ctx.pack(stack[-1]), kl - t2
     coef = np.empty(nj + 1)
@@ -399,72 +408,78 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
         return BoundResult(direction, 0.0, ctx.sigma0.copy(), _value(ctx, ctx.sigma0), 0.0,
                            0, 0, (0.0, abs(eps)))
 
-    if prob.weights.size == 1 and np.array_equal(ctx.sigma0, ctx.sigma0[0, 0] * np.eye(ctx.k)):
-        # one channel on c I: the K-scalar candidates, continuation only if none passes
-        with contextlib.suppress(NoConvergence):
-            return _certify(direction, ctx, eps, _separable(ctx, sign, eps))
+    found = []  # (value or None, Sigma, BoundResult or residual), best first
 
-    found, path = [], None  # (Sigma, alpha), best first; path: one-step candidate, its result
+    def offer(sigma, alpha, value=None, inner=None):
+        """Certify the candidate (Sigma, alpha) and rank it into `found` by its
+        value, else by f at Sigma as given; its BoundResult or residual."""
+        cert = _certify(direction, ctx, eps, sigma, alpha, value, inner)
+        found.append((value, sigma, cert))
+        if len(found) > 1:  # a lone candidate needs no rank
+            found.sort(key=lambda c: -sign * (_value(ctx, c[1]) if c[0] is None else c[0]))
+        return cert
+
+    if ctx.weights.size == 1 and np.array_equal(ctx.sigma0, ctx.sigma0[0, 0] * np.eye(ctx.k)):
+        # one channel on c I: the K-scalar candidates, continuation only if none passes
+        for candidate in _separable(ctx, sign, eps):
+            if isinstance(cert := offer(*candidate), BoundResult):
+                return cert
+        found.clear()
 
     def add(start, *args):
-        """Correct the start(*args) at kl = eps and rank it into `found`;
-        nothing when the corrector fails or the start breaks down."""
+        """Correct the start(*args) at kl = eps and offer it; nothing when
+        the corrector fails or the start breaks down."""
         try:
             hit = _settle(ctx, *start(*args), eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
         except (np.linalg.LinAlgError, SingularSum):
             return
         if hit is not None:
-            found.append(hit[:2])
-            found.sort(key=lambda c: -sign * _value(ctx, c[0]))
+            offer(*hit[:2])
 
     # at extreme radii the search's trial points overflow; the certificate decides
     with np.errstate(over="ignore", invalid="ignore"):
         try:  # a failed upper path, or the Jacobian cap, ends the solve
             try:
-                found.append(_path(ctx, sign, eps))
+                sigma, alpha = _path(ctx, sign, eps)
             except (NoConvergence, np.linalg.LinAlgError):
                 if sign > 0:
                     raise
                 add(_descent, ctx, ctx.sigma0, eps, sign, _MM_STEPS)
             else:  # a one-step path's predictor was a majorize-minimize start at the target,
-                if sign < 0 and ctx.steps == 1:  # so it runs again only for an uncertified answer
-                    with contextlib.suppress(NoConvergence):
-                        path = found[0], _certify(direction, ctx, eps, [(*found[0], None, 0)])
-                if sign < 0 and path is None:
-                    add(_mm_step, ctx, ctx.sigma0, eps, sign, found[0][1])
+                cert = offer(sigma, alpha)  # so it runs again only for an uncertified answer
+                if sign < 0 and not (ctx.steps == 1 and isinstance(cert, BoundResult)):
+                    add(_mm_step, ctx, ctx.sigma0, eps, sign, alpha)
             if sign < 0 and ctx.k > 1:
-                w = np.linalg.eigvalsh(ctx.l0i @ found[0][0] @ ctx.l0i.T) if found else [0.0, 0.0]
+                w = np.linalg.eigvalsh(ctx.l0i @ found[0][1] @ ctx.l0i.T) if found else [0.0, 0.0]
                 if np.min(np.diff(w)) <= 1e-6 * w[-1]:
                     # no answer, or one with a repeated eigenvalue: break the symmetry
                     add(_split_start, ctx, eps)
         except (NoConvergence, np.linalg.LinAlgError) as exc:
             raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {exc}",
                                 getattr(exc, "residual", None), ctx.jacobians) from exc
-    if path is None:
-        return _certify(direction, ctx, eps, [(s, a, None, ctx.jacobians) for s, a in found])
-    with contextlib.suppress(NoConvergence):  # certified once; only a split start can rank above
-        return _certify(direction, ctx, eps, [(*c, None, ctx.jacobians) for c in found[:1]
-                                              if c is not path[0]])
-    return replace(path[1], inner_iterations=ctx.jacobians)
-
-
-def _certify(direction, ctx, eps, found):
-    """The first of the best-first candidates (Sigma, alpha, value, inner
-    iterations) that passes the certificate once Sigma is symmetrized: a
-    fixed-point residual of at most 1e-11 and |kl - epsilon| <= 1e-10. A
-    value of None is f at the symmetrized Sigma. NoConvergence if none passes."""
-    res = np.inf
-    for sigma, alpha, value, inner in found:
-        sigma = 0.5 * (sigma + sigma.T)
-        res = _residual(ctx, sigma, alpha)
-        kl = kl_same_mean_gaussians(sigma, ctx.sigma0)
-        if res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL:
-            return BoundResult(direction, float(alpha), sigma,
-                               _value(ctx, sigma) if value is None else value, kl, inner,
-                               ctx.steps, (res, abs(kl - eps)))
+    for _, _, cert in found:
+        if isinstance(cert, BoundResult):
+            return replace(cert, inner_iterations=ctx.jacobians)
+    res = found[-1][2] if found else np.inf
     raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {len(found)} local "
                         f"extrema found, none certified (residual {res:.3g})", residual=res,
                         iterations=ctx.jacobians)
+
+
+def _certify(direction, ctx, eps, sigma, alpha, value=None, inner=None):
+    """The candidate (Sigma, alpha) as a BoundResult if, once Sigma is
+    symmetrized, it passes the certificate: a fixed-point residual of at
+    most 1e-11 and |kl - epsilon| <= 1e-10; else its residual. A value of
+    None is f at the symmetrized Sigma; `inner` is the answer's
+    inner_iterations, which continuation sets when it returns the answer."""
+    sigma = 0.5 * (sigma + sigma.T)
+    res, chol = _residual(ctx, sigma, alpha), _chol(sigma)
+    kl = np.inf if chol is None else float(_kl(ctx, sigma, np.linalg.inv(chol)))
+    if not (res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL):
+        return res
+    return BoundResult(direction, float(alpha), sigma,
+                       _value(ctx, sigma) if value is None else value, kl, inner, ctx.steps,
+                       (res, abs(kl - eps)))
 
 
 def _separable(ctx, sign, eps):

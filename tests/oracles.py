@@ -20,12 +20,21 @@
 * `multistart_lower`: SLSQP from many random starts over Sigma =
   L0 expm(M) L0^T, with the KL radius written as (tr e^M - K - tr M) / 2,
   which stays finite at the extreme points the search visits.
+* `mc_kl`: the Monte Carlo KL divergence from a prior family to a
+  Gaussian, the oracle of the analytic KL radii (`gen_gauss_epsilon`,
+  `uniform_ball_epsilon`). It draws with the package's sampler and reads
+  the package's `log_density` on both sides.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import brentq, minimize, minimize_scalar
+
+from mmse_bounds import PriorSpec, log_density
+from mmse_bounds.mc import MIN_DRAWS, _rng_from
+from mmse_bounds.priors import _sample_with
 
 
 def scalar_ratio(epsilon: float, direction: str) -> float:
@@ -232,3 +241,17 @@ def multistart_lower(sigma0, noise, weights, epsilon, starts=20, seed=0):
         if np.all(np.isfinite(res.x)) and abs(kl(res.x)[0]) <= 1e-9 * max(1.0, epsilon):
             best = min(best, value(res.x)[0])
     return best
+
+
+def mc_kl(spec, gaussian, n, seed):
+    """(value, standard error) of the Monte Carlo KL divergence from the
+    prior `spec` to the Gaussian `gaussian`: the mean of log p(x) - log q(x)
+    over n >= 100 draws x of the prior from the Philox stream of `seed`.
+    The Gaussian is checked as a Gaussian prior of the prior's dimension
+    (`PriorSpec`), and both densities are `log_density`."""
+    if n < MIN_DRAWS:
+        raise ValueError(f"n must be >= {MIN_DRAWS}")
+    reference = PriorSpec(gaussian, spec.dimension)
+    x = _sample_with(spec, n, _rng_from(np.random.SeedSequence(seed)))
+    terms = log_density(spec, x) - log_density(reference, x)
+    return float(terms.mean()), float(terms.std(ddof=1) / math.sqrt(n))

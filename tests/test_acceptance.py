@@ -48,7 +48,6 @@ from mmse_bounds import (
     linear_estimator_mse,
     lmmse_upper,
     local_bounds_weighted,
-    mc_kl,
     mc_weighted_sum,
     prior_moments,
     solve_bound,
@@ -58,6 +57,7 @@ from mmse_bounds import (
 )
 from mmse_bounds import cli
 from conftest import TEST_SEED, random_spd
+from oracles import mc_kl
 
 HERE = Path(__file__).parent
 REFERENCE_CSV = HERE / "data" / "reference_curves.csv"
@@ -346,9 +346,9 @@ def test_a7_invariant_suite(capsys):
                       uniform_ball_epsilon(2.0, k)))
         for spec, eps_true in cases:
             mom = prior_moments(spec)
-            est = mc_kl(spec, GaussianReference(mom.mean, mom.covariance),
-                        20000, seed=7)
-            max_z = max(max_z, abs(est.value - eps_true) / est.std_error)
+            value, std_error = mc_kl(spec, GaussianReference(mom.mean, mom.covariance),
+                                     20000, seed=7)
+            max_z = max(max_z, abs(value - eps_true) / std_error)
     mc_ok = max_z <= 3.0
 
     ok = (max_kl_gap <= kl_tol and max_fp_res <= fp_tol and ordering_ok

@@ -593,7 +593,7 @@ class TestVerifyCommand:
 
     def test_failure_exit_code(self, scalar_config, monkeypatch, capsys):
         def liar(spec, ensemble, n_outer, n_inner, seed):
-            return McEstimate(1e9, 1e-12, n_outer, n_inner, seed)
+            return McEstimate(1e9, 1e-12, n_outer, n_inner, seed, n_inner, n_inner, 0.0)
         monkeypatch.setattr(cli, "mc_weighted_sum", liar)
         rc = cli.main(["verify", "--config", scalar_config, "--prior", "gaussian",
                        "--n-outer", "150", "--n-inner", "150", "--seed", "1"])

@@ -24,18 +24,17 @@ from mmse_bounds import (
     NotPositiveDefinite,
     PriorSpec,
     UniformBall,
-    gaussian_log_density,
     gen_gauss_covariance,
     gen_gauss_epsilon,
     gen_gauss_fisher,
     log_density,
-    mc_kl,
     mc_weighted_sum,
     prior_moments,
     uniform_ball_epsilon,
     uniform_ball_moments,
 )
 from mmse_bounds.priors import _gen_gauss_log_normaliser, _quadratic_log_density, _sample_with
+from oracles import mc_kl
 
 # Frozen: (p, K) -> (sigma^2, fisher, epsilon)
 GEN_GAUSS_TABLE = {
@@ -217,16 +216,17 @@ class TestGaussianFamily:
     def test_gaussian_log_density_matches_scipy(self):
         cov = np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 0.7]])
         mean = np.array([1.0, -1.0, 0.5])
+        spec = PriorSpec(Gaussian(mean, cov), 3)
         x = mean + 2.0 * np.random.default_rng(5).normal(size=(50, 3))
         ref = multivariate_normal(mean, cov).logpdf(x)
-        np.testing.assert_allclose(gaussian_log_density(mean, cov, x), ref, rtol=1e-12)
-        single = gaussian_log_density(mean, cov, x[7])
+        np.testing.assert_allclose(log_density(spec, x), ref, rtol=1e-12)
+        single = log_density(spec, x[7])
         assert single.shape == (1,)
         assert single[0] == pytest.approx(ref[7], rel=1e-12)
 
     def test_gaussian_log_density_scalar_oracle(self):
         # N(0, 4): log f(2) = -0.5 log(8 pi) - 0.5
-        got = gaussian_log_density(np.zeros(1), 4.0 * np.eye(1), [[2.0]])
+        got = log_density(PriorSpec(Gaussian(np.zeros(1), 4.0 * np.eye(1)), 1), [[2.0]])
         assert got[0] == pytest.approx(-0.5 * math.log(8 * math.pi) - 0.5, rel=1e-13)
 
 
@@ -293,8 +293,7 @@ class TestLogDensityForms:
         for name, spec in specs.items():
             mom = prior_moments(spec)
             ref = GaussianReference(mom.mean + 0.1, 1.3 * mom.covariance)
-            est = mc_kl(spec, ref, 5000, seed)
-            np.testing.assert_allclose((est.value, est.std_error), expect[name],
+            np.testing.assert_allclose(mc_kl(spec, ref, 5000, seed), expect[name],
                                        rtol=1e-13, atol=0.0, err_msg=name)
 
 

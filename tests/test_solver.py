@@ -463,10 +463,11 @@ class TestFailureDiagnostics:
     @pytest.mark.parametrize("channels", ["all", "one"])
     @pytest.mark.parametrize("direction", ["lower", "upper"])
     def test_kl_miss_is_uncertified(self, demo_ensemble, monkeypatch, direction, channels):
-        # the certificate's kl reads 1 too far, so no answer passes: not the
-        # path's, not a start's, not one of the K scalars of one channel on c I
-        kl = solver.kl_same_mean_gaussians
-        monkeypatch.setattr(solver, "kl_same_mean_gaussians", lambda s, s0: kl(s, s0) + 1.0)
+        # the certificate's epsilon reads 1 too far, so no answer passes: not
+        # the path's, not a start's, not one of the K scalars of one channel on c I
+        certify = solver._certify
+        monkeypatch.setattr(solver, "_certify", lambda direction, ctx, eps, *rest:
+                            certify(direction, ctx, eps + 1.0, *rest))
         ensemble = demo_ensemble if channels == "all" else demo_ensemble.single(1)
         with pytest.raises(NoConvergence, match="none certified"):
             solve_bound(direction, ensemble, isotropic_ball(3, HARD_VAR, 0.2))

@@ -37,6 +37,7 @@ from mmse_bounds import (
     kl_same_mean_gaussians,
     opt_covariance_residual,
     solve_bound,
+    weighted_mmse_sum,
 )
 from conftest import corpus_spd
 from oracles import (commuting_upper, isotropic_bounds, multistart_lower, scalar_ratio,
@@ -103,6 +104,11 @@ def test_certificates(problem):
         res, ens, ball = solve(direction, *problem)
         kl = kl_same_mean_gaussians(res.sigma_x, sigma0)
         assert abs(kl - eps) <= 1e-10
+        # the certificate's own kl and value, against the public functions
+        assert abs(res.kl_at_solution - kl) <= 1e-12
+        # the K-scalar route's value is analytic, so equal only to rounding
+        assert res.bound_value == pytest.approx(weighted_mmse_sum(res.sigma_x, ens).weighted_sum,
+                                                rel=1e-12)
         assert opt_covariance_residual(res.alpha, res.sigma_x, ens, ball.reference) <= 1e-8
         assert sign * res.alpha > 0
         values[direction] = res.bound_value

@@ -38,6 +38,10 @@ reference N(0, I), epsilon = 0.2) unless named otherwise:
   call, 40 calls a sample.
 * `demo_lower`, `demo_upper`: `solve_bound` in each direction; CPU per
   solve, 10 solves a sample.
+* `local_lower`, `local_upper`: `local_bound` in each direction on the
+  demo channel 1 and the ball of `cli._family("gen-gauss", 1.0, 3)`, a
+  reference exactly c I, so the K-scalar route; CPU per solve, 20 solves
+  a sample.
 * `paper_sweeps_pass`: `cli.main` for each command of the perfbench
   `paper_sweeps` pass, with its CSV written to a scratch directory; CPU
   per pass.
@@ -47,8 +51,9 @@ reference N(0, I), epsilon = 0.2) unless named otherwise:
 
 Each solver task reports its exact Jacobian count (`jacobians`: per call
 or solve, or over all of the task's solves; `paper_sweeps_pass` counts
-through a wrapped `solver._evaluate` on its untimed first run) and a
-digest of its answers.
+through a wrapped `solver._evaluate` on its untimed first run; a solve
+task reports its answer's `inner_iterations`, which a K-scalar answer
+counts in reduced Newton iterations) and a digest of its answers.
 
 Three counts come from one untimed `mc_verify` pass: `normals_per_pass`,
 the standard normal values drawn through `mc._rng_from`,
@@ -100,10 +105,12 @@ ROOT = Path(__file__).resolve().parent.parent
 VERIFY_SEED = 301
 KERNEL_P, KERNEL_RADIUS = 1.0, 2.0  # the generalized Gaussian's p, the ball's R
 KERNEL_N_OUTER = 256
-SOLVER_REPS = {"evaluate": 200, "correct": 40, "demo_lower": 10, "demo_upper": 10}
+SOLVER_REPS = {"evaluate": 200, "correct": 40, "demo_lower": 10, "demo_upper": 10,
+               "local_lower": 20, "local_upper": 20}
 SWEEP_BALL_GRID = "0.1:40:25"
-SOLVER_TASKS = ("evaluate", "correct", "demo_lower", "demo_upper", "paper_sweeps_pass",
-                "sweep_ball_lower")
+LOCAL_CHANNEL = 1
+SOLVER_TASKS = ("evaluate", "correct", "demo_lower", "demo_upper", "local_lower", "local_upper",
+                "paper_sweeps_pass", "sweep_ball_lower")
 KERNELS = {  # name -> (prior family, K, J, n_inner)
     "kernel_K3_J1": ("gen-gauss", 3, 1, 2000), "kernel_K3_J4": ("gen-gauss", 3, 4, 2000),
     "kernel_K1_J4": ("gen-gauss", 1, 4, 2000), "kernel_K6_J4": ("gen-gauss", 6, 4, 2000),
@@ -142,6 +149,7 @@ class Worker:
         self.balls = [mmse_bounds.DivergenceBall(mmse_bounds.uniform_ball_moments(r, 3),
                                                  mmse_bounds.uniform_ball_epsilon(r, 3))
                       for r in mmse_bounds.cli.parse_grid(SWEEP_BALL_GRID)]
+        self.local_ball = mmse_bounds.cli._family("gen-gauss", 1.0, 3)[1]
         self.sweeps_counted = False  # paper_sweeps_pass counts its Jacobians once
 
     def _noise(self, k, n_channels):
@@ -282,14 +290,15 @@ class Worker:
                 {"jacobians": ctx.jacobians,
                  "answers_sha256": _digest(*(self.np.asarray(v) for v in out))})
 
-    def demo_solve(self, direction):
-        reps = SOLVER_REPS[f"demo_{direction}"]
+    def solves(self, task, solve, *args):
+        """CPU per call of solve(*args), SOLVER_REPS[task] calls a sample."""
+        reps = SOLVER_REPS[task]
         t0 = time.process_time()
         for _ in range(reps):
-            res = self.mb.solve_bound(direction, self.demo, self.demo.ball)
+            res = solve(*args)
         cpu = time.process_time() - t0
-        return ({f"demo_{direction}_cpu_ms_per_solve": 1e3 * cpu / reps},
-                {"jacobians": res.inner_iterations, "steps": res.outer_iterations,
+        return ({f"{task}_cpu_ms_per_solve": 1e3 * cpu / reps},
+                {"inner_iterations": res.inner_iterations, "steps": res.outer_iterations,
                  "answers_sha256": _digest(self.np.array([res.bound_value, res.alpha]),
                                            res.sigma_x)})
 
@@ -342,7 +351,10 @@ class Worker:
         if task == "draw_counts":
             return {}, self.draw_counts()
         if task in ("demo_lower", "demo_upper"):
-            return self.demo_solve(task[5:])
+            return self.solves(task, self.mb.solve_bound, task[5:], self.demo, self.demo.ball)
+        if task in ("local_lower", "local_upper"):
+            return self.solves(task, self.mb.local_bound, task[6:], self.demo.ensemble,
+                               LOCAL_CHANNEL, self.local_ball)
         if task in SOLVER_TASKS:
             return getattr(self, task)()
         return self.kernel(task)
