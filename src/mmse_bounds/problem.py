@@ -10,18 +10,18 @@ Every input checks itself where it is built. A `ChannelEnsemble`, by
 read-only (J, K, K) stack of symmetrized noise covariances with read-only
 (J,) weights; no reader of channel data sees anything else. A
 `DivergenceBall` checks its reference, a `gaussian.Gaussian`
-(`GaussianReference` is the same class), and holds it as read-only
-copies, and checks its radius. A `Problem` checks that the ball's K is
-the channels'. The covariance checks are the ones in `gaussian.py` that
-a Gaussian prior passes too, and `validate_problem` only pairs a checked
-ensemble with a checked ball.
+(`GaussianReference` is the same class), holds it as read-only copies
+with the check's Cholesky factor, and checks its radius. A `Problem`
+checks that the ball's K is the channels'. The covariance checks are the
+ones in `gaussian.py` that a Gaussian prior passes too, and
+`validate_problem` only pairs a checked ensemble with a checked ball.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,18 +101,22 @@ class DivergenceBall:
     it (symmetry to 1e-12 relative Frobenius, which it symmetrizes away,
     positive definiteness, a finite mean of the covariance's size), held as
     read-only float copies, and a finite nonnegative radius (NegativeRadius),
-    held as a float."""
+    held as a float. The check's Cholesky factor of the reference covariance
+    is kept, read-only, as `reference_chol`."""
 
     reference: Gaussian
     epsilon: float
+    reference_chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean, cov, _ = _checked(self.reference, "reference")
+        mean, cov, chol = _checked(self.reference, "reference")
         if not 0.0 <= self.epsilon < math.inf:
             raise NegativeRadius(
                 f"radius epsilon={self.epsilon} must be a finite nonnegative number")
+        chol.flags.writeable = False
         object.__setattr__(self, "reference", Gaussian(mean, cov))
         object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "reference_chol", chol)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ some Q diag(s) Q^T (README "Solver notes"). In x_i = s_i / c and rho_i =
 nu_i / c the problem is to extremize sum_i x_i rho_i / (x_i + rho_i) on
 sum_i (x_i - 1 - log x_i) / 2 = epsilon. `upper_candidates` and
 `lower_candidates` return its stationary points of each direction's sign
-of alpha; `solver.solve_bound` certifies the best one.
+of alpha; `solver.solve_bound` certifies the best one. It calls them for
+K >= 2 only: a K = 1 bound is an end of the interval the ball is.
 """
 
 from __future__ import annotations

@@ -18,28 +18,36 @@ Sigma_N_j^-1)^-1) over the ball kl(Sigma, Sigma_0) <= epsilon.
 The solver follows the bordered system {L0^T (Sigma^-1 - Sigma_0^-1 +
 alpha S) L0 = 0, kl = t^2} (Sigma_0 = L0 L0^T) in t = sqrt(kl) from the
 centre: a majorize-minimize first step onto the sphere, then tangent
-predictors and Newton correctors on the analytic Jacobian. In whitened
-coordinates X = L0^-1 Sigma L0^-T, on an orthonormal packing, the
-Jacobian's X-block is alpha times the Hessian of the Lagrangian f - (2 /
-alpha) kl, so a lower bound is checked to be a local minimum on the
-tangent space of the sphere and moved off saddles along negative
-curvature. A lower bound also tries a start at the target, unless its path
-reached the target in one step, which is such a start, with a certified
-answer; a descent from the centre when the path stalls at a fold; and a
-symmetry-breaking split when its answer has a repeated eigenvalue; and
-keeps the lowest. Each candidate is certified once, as it joins the
-solve's one ranked list, from the solve's own context: the fixed-point
-residual and |kl - epsilon| (the sign of alpha is kept by the search); the
-answer is the first certified candidate in rank order. A one-channel
-problem on a reference exactly c I, such as a local bound, is solved as K
-scalars first (`separable`), under the same certificate; continuation runs
-only if none of its candidates passes. README "Solver notes" gives the
+predictors and Newton correctors on the analytic Jacobian. An evaluation
+gives the residual and the whitened matrices the Jacobian is made of;
+the Jacobian itself is assembled only where it is read: for a Newton
+step, for the tangent short of the target and for a lower bound's
+minimality check. In whitened coordinates X = L0^-1 Sigma L0^-T, on an
+orthonormal packing, the Jacobian's X-block is alpha times the Hessian of
+the Lagrangian f - (2 / alpha) kl, so a lower bound is checked to be a
+local minimum on the tangent space of the sphere and moved off saddles
+along negative curvature. A lower bound also tries a start at the target,
+unless its path reached the target in one step, which is such a start,
+with a certified answer; a descent from the centre when the path stalls at
+a fold; and a symmetry-breaking split when its answer has a repeated
+eigenvalue; and keeps the lowest. Each candidate is certified once, as it
+joins the solve's one ranked list, from the solve's own context: the
+fixed-point residual and |kl - epsilon| (the sign of alpha is kept by the
+search); the answer is the first certified candidate in rank order.
+
+Two kinds of problem are solved in closed form first, under the same
+certificate, and go to continuation only if their candidate fails it. For
+K = 1 the ball is an interval in Sigma / Sigma_0 and f increases along it,
+so each bound is an end of the interval (`_interval_end`). A one-channel
+problem on a reference exactly c I, such as a local bound, with K >= 2 is
+solved as K scalars (`separable`). README "Solver notes" gives the
 details.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,6 +68,7 @@ _KICKS = 6  # escapes from saddles per corrector
 _MM_STEPS = 100  # majorize-minimize steps when the path stalls
 _SMOOTH = 4  # fixed-alpha majorize-minimize steps after a lower-bound predictor
 _SPLIT_STEPS = 10  # majorize-minimize steps from each symmetry-breaking split
+_ROOT_ITER = 100  # cap on the Newton iterations for the end of a K = 1 ball
 
 
 def _sign(direction) -> float:
@@ -74,8 +83,10 @@ class BoundResult:
     """Solved bound: multiplier, extremal covariance, value, diagnostics.
 
     inner_iterations counts Jacobian evaluations, outer_iterations
-    continuation steps; a one-channel problem on c I solved as K scalars
-    counts its reduced Newton iterations and no steps.
+    continuation steps; a K = 1 problem solved at the end of its interval
+    counts the Newton iterations of the end, and a one-channel problem on
+    c I solved as K scalars its reduced Newton iterations, both with no
+    steps.
     """
 
     direction: str
@@ -110,7 +121,7 @@ class _Ctx:
     def __init__(self, prob):
         self.sigma0 = prob.reference.covariance
         self.k = k = self.sigma0.shape[0]
-        self.l0 = np.linalg.cholesky(self.sigma0)
+        self.l0 = prob.ball.reference_chol
         self.l0i = np.linalg.inv(self.l0)
         self.sigma0_inv = self.l0i.T @ self.l0i
         self.logdet0 = 2.0 * np.sum(np.log(np.diag(self.l0)))
@@ -163,16 +174,20 @@ def _kl(ctx, sigma, ci):
 
 
 def _evaluate(ctx, sigma, chol, alpha, t2):
-    """(residual, Jacobian, X^-1) of the bordered system at Sigma = chol
-    chol^T; the residual is formed in the original coordinates."""
+    """(residual, whitened stack) of the bordered system at Sigma = chol
+    chol^T, counted against the cap of Jacobian evaluations; the residual is
+    formed in the original coordinates. The stack is L0^T (.) L0 of Sigma^-1,
+    the A_j^-1, Sigma^-1 again, the W_j^T W_j, S and the residual's matrix:
+    stack[0] is X^-1, and `_jacobian` assembles the Jacobian from the stack
+    where one is read."""
     if ctx.jacobians >= _MAX_JACOBIANS:
         raise NoConvergence("Jacobian evaluation cap reached", iterations=ctx.jacobians)
     ctx.jacobians += 1
     k, n, nj = ctx.k, ctx.n, ctx.weights.size
     inv = np.linalg.inv(np.concatenate([chol[None], sigma + ctx.noise]))
     ci = inv[0]
-    # one product L0^T (.) L0 whitens Sigma^-1, A_j^-1, Sigma^-1 again, W_j^T W_j, S and
-    # the residual; the Jacobian's einsum reads the first two runs of J + 1 as they lie
+    # one product L0^T (.) L0 whitens all of them; the Jacobian's einsum reads the
+    # first two runs of J + 1 as they lie
     stack = np.empty((2 * nj + 4, k, k))
     stack[0] = stack[nj + 1] = si = ci.T @ ci
     stack[1:nj + 1] = inv[1:]
@@ -182,6 +197,12 @@ def _evaluate(ctx, sigma, chol, alpha, t2):
     kl = _kl(ctx, sigma, ci)
     res = np.empty(n + 1)
     res[:n], res[n] = ctx.pack(stack[-1]), kl - t2
+    return res, stack
+
+
+def _jacobian(ctx, alpha, stack):
+    """The bordered Jacobian at the point `_evaluate` left `stack` for."""
+    k, n, nj = ctx.k, ctx.n, ctx.weights.size
     coef = np.empty(nj + 1)
     coef[0], coef[1:] = 1.0, 2.0 * alpha * ctx.weights
     # kron(X^-1, X^-1) + 2 alpha sum_j lambda_j kron(L0^T A_j^-1 L0, L0^T W_j^T W_j L0)
@@ -191,7 +212,7 @@ def _evaluate(ctx, sigma, chol, alpha, t2):
     jac[:n, n] = ctx.pack(stack[-2])
     jac[n, :n] = ctx.pack(0.5 * (np.eye(k) - stack[0]))
     jac[n, n] = 0.0
-    return res, jac, stack[0]
+    return jac
 
 
 def _newton_step(ctx, sigma, alpha, res, jac):
@@ -214,22 +235,24 @@ def _newton_step(ctx, sigma, alpha, res, jac):
 def _correct(ctx, sigma, alpha, t2, tol, iters=_NEWTON_ITER):
     """Newton on the bordered system at kl = t2. The residual is relative
     to max|X^-1|; it passes below `tol`, or once it stops contracting
-    below the rounding floor. Returns (Sigma, alpha, Jacobian) or None."""
+    below the rounding floor. Returns (Sigma, alpha, the evaluation's
+    whitened stack) or None, after at most `iters` evaluations."""
     kl_tol = 0.1 * _OUTER_TOL if tol == _FINAL_TOL else 1e-9 * t2
     prev, chol = np.inf, _chol(sigma)
     if chol is None:
         return None
-    for _ in range(iters):
-        res, jac, xi = _evaluate(ctx, sigma, chol, alpha, t2)
-        rel = np.linalg.norm(res[:-1]) / np.abs(xi).max()
+    for i in range(1, iters + 1):
+        res, stack = _evaluate(ctx, sigma, chol, alpha, t2)
+        rel = np.linalg.norm(res[:-1]) / np.abs(stack[0]).max()
         if abs(res[-1]) <= kl_tol and (rel <= tol or _FLOOR_TOL > rel > 0.25 * prev):
-            return sigma, alpha, jac
+            return sigma, alpha, stack
+        if i == iters:  # no Newton step that nothing would evaluate
+            return None
         prev = rel
-        step = _newton_step(ctx, sigma, alpha, res, jac)
+        step = _newton_step(ctx, sigma, alpha, res, _jacobian(ctx, alpha, stack))
         if step is None:
             return None
         sigma, alpha, chol = step
-    return None
 
 
 def _mm_step(ctx, sigma, t2, sign, alpha=None):
@@ -259,23 +282,26 @@ def _sphere(ctx, tau, q, t2, sign, alpha=None):
         return (lq / (1.0 - alpha * tau)) @ lq.T, alpha
 
 
-def _settle(ctx, sigma, alpha, t2, sign, tol, iters=_NEWTON_ITER):
+def _settle(ctx, sigma, alpha, t2, sign, tol, iters=_NEWTON_ITER, tangent=False):
     """Correct at kl = t2; a lower bound must also make the reduced Hessian
     (1/alpha) P^T J_XX P (P spanning the tangent space of the sphere)
     positive semidefinite and is moved off saddles along its most negative
-    curvature. Returns (Sigma, alpha, J) or None."""
+    curvature. Returns (Sigma, alpha, J) or None; J, the Jacobian at the
+    answer, is built for a lower bound's check or when `tangent` asks for
+    it, and is None otherwise."""
     hit = _correct(ctx, sigma, alpha, t2, tol, iters)
     for _ in range(_KICKS):
         if hit is None or sign * hit[1] <= 0.0:
             return None
+        sigma, alpha, stack = hit
         if sign > 0:
-            return hit
-        sigma, alpha, jac = hit
+            return sigma, alpha, _jacobian(ctx, alpha, stack) if tangent else None
+        jac = _jacobian(ctx, alpha, stack)
         g = jac[-1, :-1] / np.linalg.norm(jac[-1, :-1])
         proj = np.eye(ctx.n) - np.outer(g, g)
         ev, vec = np.linalg.eigh(proj @ (jac[:-1, :-1] + jac[:-1, :-1].T) @ proj / (2 * alpha))
         if ev[0] >= -1e-9 * np.abs(ev).max():
-            return hit
+            return sigma, alpha, jac
         # half-way to the edge of the cone both ways, then a
         # majorize-minimize step back onto the sphere; keep the lower side
         x_min = np.linalg.eigvalsh(ctx.l0i @ sigma @ ctx.l0i.T)[0]
@@ -323,7 +349,7 @@ def _path(ctx, sign, eps):
             for _ in range(_SMOOTH if sign < 0 and a_p < 0 else 0):  # descend the Lagrangian
                 s_p = _mm_step(ctx, s_p, t_new**2, sign, a_p)[0]
         hit = _settle(ctx, s_p, a_p, t_new**2, sign,
-                      _FINAL_TOL if t_new == target else _PATH_TOL)
+                      _FINAL_TOL if t_new == target else _PATH_TOL, tangent=t_new < target)
         if hit is None:
             h *= 0.5
             if h < 1e-9 * target or ctx.jacobians > 0.8 * _MAX_JACOBIANS:
@@ -336,12 +362,12 @@ def _path(ctx, sign, eps):
     return sigma, alpha
 
 
-def _residual(ctx, sigma, alpha):
+def _residual(ctx, sigma, alpha, s):
     """||G(Sigma) - Sigma|| / ||Sigma|| for G(Sigma) = (Sigma_0^-1 - alpha
-    S(Sigma))^-1 (Frobenius); inf where Sigma_0^-1 - alpha S(Sigma) is not
-    positive definite."""
+    S(Sigma))^-1 (Frobenius), given s = S(Sigma); inf where Sigma_0^-1 -
+    alpha S(Sigma) is not positive definite."""
     try:
-        mi = np.linalg.inv(np.linalg.cholesky(ctx.sigma0_inv - alpha * _s(ctx, sigma)))
+        mi = np.linalg.inv(np.linalg.cholesky(ctx.sigma0_inv - alpha * s))
     except np.linalg.LinAlgError:
         return np.inf
     return float(np.linalg.norm(mi.T @ mi - sigma) / np.linalg.norm(sigma))
@@ -368,10 +394,11 @@ def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
 def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
     """Solve for the upper or lower bound on the weighted MMSE sum.
 
-    One channel on a reference exactly c I is solved as K scalars first
-    (README "Solver notes"; `inner_iterations` counts reduced Newton
-    iterations, `outer_iterations` is 0); other problems, or one whose K
-    scalar candidates all fail the certificate, by continuation.
+    A K = 1 problem is solved at an end of its interval first, and one
+    channel on a reference exactly c I as K scalars (README "Solver notes";
+    `inner_iterations` counts their Newton iterations, `outer_iterations`
+    is 0); other problems, or one whose closed-form candidates all fail
+    the certificate, by continuation.
 
     Parameters
     ----------
@@ -408,23 +435,29 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
         return BoundResult(direction, 0.0, ctx.sigma0.copy(), _value(ctx, ctx.sigma0), 0.0,
                            0, 0, (0.0, abs(eps)))
 
-    found = []  # (value or None, Sigma, BoundResult or residual), best first
+    found = []  # [rank or None, Sigma, BoundResult or residual], best first
 
     def offer(sigma, alpha, value=None, inner=None):
         """Certify the candidate (Sigma, alpha) and rank it into `found` by its
-        value, else by f at Sigma as given; its BoundResult or residual."""
+        value, else by f at Sigma as given; its BoundResult or residual. A
+        lone candidate needs no rank; each gets its rank once, when there are
+        two."""
         cert = _certify(direction, ctx, eps, sigma, alpha, value, inner)
-        found.append((value, sigma, cert))
-        if len(found) > 1:  # a lone candidate needs no rank
-            found.sort(key=lambda c: -sign * (_value(ctx, c[1]) if c[0] is None else c[0]))
+        found.append([value, sigma, cert])
+        if len(found) > 1:
+            for c in found:
+                if c[0] is None:
+                    c[0] = _value(ctx, c[1])
+            found.sort(key=lambda c: -sign * c[0])
         return cert
 
-    if ctx.weights.size == 1 and np.array_equal(ctx.sigma0, ctx.sigma0[0, 0] * np.eye(ctx.k)):
-        # one channel on c I: the K-scalar candidates, continuation only if none passes
-        for candidate in _separable(ctx, sign, eps):
-            if isinstance(cert := offer(*candidate), BoundResult):
-                return cert
-        found.clear()
+    if ctx.k == 1:
+        # the ball is an interval and f increases along it: the bound is its end
+        closed_form = _interval_end(ctx, sign, eps)
+    elif ctx.weights.size == 1 and np.array_equal(ctx.sigma0, ctx.sigma0[0, 0] * np.eye(ctx.k)):
+        closed_form = _separable(ctx, sign, eps)  # one channel on c I: K scalars
+    else:
+        closed_form = []
 
     def add(start, *args):
         """Correct the start(*args) at kl = eps and offer it; nothing when
@@ -436,8 +469,13 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
         if hit is not None:
             offer(*hit[:2])
 
-    # at extreme radii the search's trial points overflow; the certificate decides
+    # at extreme radii the search's trial points overflow, and a tiny candidate's
+    # norms underflow; the certificate decides
     with np.errstate(over="ignore", invalid="ignore"):
+        for candidate in closed_form:  # continuation runs only if none passes
+            if isinstance(cert := offer(*candidate), BoundResult):
+                return cert
+        found.clear()
         try:  # a failed upper path, or the Jacobian cap, ends the solve
             try:
                 sigma, alpha = _path(ctx, sign, eps)
@@ -469,17 +507,70 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
 def _certify(direction, ctx, eps, sigma, alpha, value=None, inner=None):
     """The candidate (Sigma, alpha) as a BoundResult if, once Sigma is
     symmetrized, it passes the certificate: a fixed-point residual of at
-    most 1e-11 and |kl - epsilon| <= 1e-10; else its residual. A value of
-    None is f at the symmetrized Sigma; `inner` is the answer's
-    inner_iterations, which continuation sets when it returns the answer."""
+    most 1e-11 and |kl - epsilon| <= 1e-10; else its residual (inf where
+    Sigma is not positive definite). A value of None is f at the
+    symmetrized Sigma; `inner` is the answer's inner_iterations, which
+    continuation sets when it returns the answer."""
     sigma = 0.5 * (sigma + sigma.T)
-    res, chol = _residual(ctx, sigma, alpha), _chol(sigma)
-    kl = np.inf if chol is None else float(_kl(ctx, sigma, np.linalg.inv(chol)))
+    chol = _chol(sigma)
+    if chol is None:
+        return np.inf
+    a = sigma + ctx.noise
+    inv = np.linalg.inv(np.concatenate([chol[None], a]))  # chol^-1 and every A_j^-1
+    res = _residual(ctx, sigma, alpha, _gradient(ctx, inv[1:])[1])
+    kl = float(_kl(ctx, sigma, inv[0]))
     if not (res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL):
         return res
-    return BoundResult(direction, float(alpha), sigma,
-                       _value(ctx, sigma) if value is None else value, kl, inner, ctx.steps,
+    if value is None:  # f through the solve `mmse_matrix` makes; the trace needs no symmetrizing
+        value = float(ctx.weights @ np.trace(sigma @ np.linalg.solve(a, ctx.noise),
+                                             axis1=1, axis2=2))
+    return BoundResult(direction, float(alpha), sigma, value, kl, inner, ctx.steps,
                        (res, abs(kl - eps)))
+
+
+def _interval_end(ctx, sign, eps):
+    """The one candidate of a K = 1 problem, as a list: the ball is the
+    interval r - 1 - log r <= 2 epsilon in r = Sigma / Sigma_0 and f
+    increases in Sigma, so each bound sits at an end, x = r c with c =
+    Sigma_0. [([[x]], alpha, value, Newton iterations of the root)] with
+    alpha = (1/c - 1/x) / S(x), S(x) = sum_j lambda_j (n_j / (x + n_j))^2,
+    and the value sum_j lambda_j x n_j / (x + n_j), in Python floats; empty
+    where x or S(x) is 0 or alpha overflows."""
+    r, iterations = _ratio(sign, eps)
+    c, x = float(ctx.sigma0[0, 0]), r * float(ctx.sigma0[0, 0])
+    channels = list(zip(ctx.weights.tolist(), ctx.noise[:, 0, 0].tolist()))
+    try:
+        alpha = (1.0 / c - 1.0 / x) / sum(w * (n / (x + n)) ** 2 for w, n in channels)
+    except ZeroDivisionError:
+        return []
+    if not math.isfinite(alpha):
+        return []
+    return [(np.array([[x]]), alpha, sum(w * x * n / (x + n) for w, n in channels), iterations)]
+
+
+def _ratio(sign, eps):
+    """(r, Newton iterations): the root of r - 1 - log r = 2 epsilon above 1
+    (sign > 0) or below it, by Newton in Python floats on v = r - 1 above
+    and v = log r below, where the equation reads v - log1p(v) = 2 epsilon
+    and expm1(v) - v = 2 epsilon. Both sides are convex in v and at least 2
+    epsilon at |v| = 2 sqrt(epsilon) + 2 epsilon, so Newton from there
+    moves monotonically onto the root. It stops after a step below 4e-15 (1
+    + |v|), the scale of r's rounding, or at a step no shorter than the one
+    before (rounding), which it does not take."""
+    v = sign * (2.0 * math.sqrt(eps) + 2.0 * eps)
+    prev = math.inf
+    for n in range(1, _ROOT_ITER + 1):
+        if sign > 0:
+            step = (v - math.log1p(v) - 2.0 * eps) * (1.0 + v) / v
+        else:
+            e = math.expm1(v)
+            step = (e - v - 2.0 * eps) / e
+        if not abs(step) < prev:
+            break
+        v, prev = v - step, abs(step)
+        if prev <= 4e-15 * (1.0 + abs(v)):
+            break
+    return (1.0 + v if sign > 0 else math.exp(v)), n
 
 
 def _separable(ctx, sign, eps):
@@ -501,8 +592,8 @@ def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall) -
     """Bound for a single channel under the same KL constraint: `solve_bound`
     on the channel alone with weight 1 (`single`; a validated `Problem`'s
     ball is not validated again), so independent of the channel's weight,
-    and on a reference exactly c I solved as K scalars. direction: "upper"
-    or "lower"."""
+    and, for K >= 2 on a reference exactly c I, solved as K scalars.
+    direction: "upper" or "lower"."""
     return solve_bound(direction, ensemble.single(channel_index), ball)
 
 

@@ -38,10 +38,13 @@ from mmse_bounds.priors import _sample_with
 
 
 def scalar_ratio(epsilon: float, direction: str) -> float:
-    """Root of s - log s - 1 = 2 epsilon on the side matching `direction`."""
+    """Root of s - log s - 1 = 2 epsilon on the side matching `direction`.
+    Below 1 the root is exp(s - 1 - 2 epsilon), so it lies between
+    exp(-1 - 2 epsilon) and exp(-2 epsilon)."""
     f = lambda s: s - np.log(s) - 1.0 - 2.0 * epsilon
     if direction == "lower":
-        return brentq(f, 1e-300, 1.0, xtol=1e-300, rtol=8.9e-16)
+        return brentq(f, np.exp(-1.0 - 2.0 * epsilon), np.exp(-2.0 * epsilon), xtol=1e-300,
+                      rtol=8.9e-16)
     return brentq(f, 1.0, 4.0 * epsilon + 4.0, xtol=1e-15, rtol=8.9e-16)
 
 

@@ -105,6 +105,41 @@ class TestScalarOracle:
                                    atol=1e-12)
 
 
+class TestIntervalEnd:
+    """A K = 1 bound is an end of the interval the ball is, solved without
+    continuation: the closed form to rounding, with the certificate passed."""
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 0.3, 5.0, 50.0])
+    @pytest.mark.parametrize("j", range(1, 6))
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_closed_form(self, direction, j, epsilon):
+        rng = np.random.default_rng([TEST_SEED, j])
+        s0 = 10.0 ** rng.uniform(-2.0, 2.0)
+        sns, lams = 10.0 ** rng.uniform(-2.0, 2.0, j), rng.uniform(0.2, 2.0, j)
+        ball = isotropic_ball(1, s0, epsilon)
+        res = solve_bound(direction, ChannelEnsemble.from_arrays([[[v]] for v in sns], lams),
+                          ball)
+        x = scalar_ratio(epsilon, direction) * s0
+        assert res.bound_value == pytest.approx(np.sum(lams * x * sns / (x + sns)), rel=1e-13)
+        assert res.outer_iterations == 0 and res.inner_iterations > 0
+        assert (1.0 if direction == "upper" else -1.0) * res.alpha > 0.0
+        assert res.residuals[0] <= 1e-11 and res.residuals[1] <= 1e-10
+        kl = kl_same_mean_gaussians(res.sigma_x, ball.reference.covariance)
+        assert abs(kl - epsilon) <= 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_underflow_falls_through(self, j):
+        # the lower end r = exp(-2001) underflows to 0: no candidate, and
+        # continuation finds none either; one message, no numpy warning
+        ens = ChannelEnsemble.from_arrays([[[v]] for v in (0.5, 2.0, 7.0)[:j]],
+                                          [1.0, 0.3, 2.0][:j])
+        with pytest.raises(NoConvergence) as info:
+            solve_bound("lower", ens, isotropic_ball(1, 2.0, 1000.0))
+        assert str(info.value).startswith("lower bound at epsilon=1000.0: ")
+        assert str(info.value).count("bound at epsilon") == 1
+
+
 class TestPointBall:
     def test_zero_epsilon_collapses_to_reference(self, demo_ensemble):
         ball = isotropic_ball(3, 5.0, 0.0)
@@ -143,7 +178,7 @@ class TestPostconditions:
         # Sigma_0^-1 - alpha S(Sigma) is not positive definite: no G(Sigma),
         # so the certificate's residual cannot pass
         ctx = solver._Ctx(validate_problem(demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2)))
-        assert solver._residual(ctx, np.eye(3), 1e6) == np.inf
+        assert solver._residual(ctx, np.eye(3), 1e6, solver._s(ctx, np.eye(3))) == np.inf
 
     def test_fold_regression(self, demo_ensemble):
         ball = isotropic_ball(3, HARD_VAR, HARD_EPS)
@@ -236,14 +271,16 @@ def _separable_case(k, c, three, seed):
 class TestSeparableLocal:
     """On an exactly isotropic reference c I, `solve_bound`, and so
     `local_bound`, solves a one-channel problem as K scalars in the noise's
-    eigenbasis. Some extremum commutes with Sigma_N (README "Solver
-    notes"), so it must agree with continuation on the same f and with the
+    eigenbasis (K = 1 at the end of its interval). Some extremum commutes
+    with Sigma_N (README "Solver notes"), so it must agree with
+    continuation on the same f (K = 1: with the closed form) and with the
     exhaustive branch enumeration of `oracles.reduced_lower`."""
 
     @staticmethod
     def _check(res, direction, ens, ball):
         """The route was taken, passes the certificate, and agrees with
-        continuation on the same f: the channel as two half-weight copies."""
+        continuation on the same f (the channel as two half-weight copies)
+        or, for K = 1, which has no continuation, with the closed form."""
         sign = 1.0 if direction == "upper" else -1.0
         assert res.outer_iterations == 0 and res.inner_iterations > 0
         assert sign * res.alpha > 0.0
@@ -251,6 +288,11 @@ class TestSeparableLocal:
         kl = kl_same_mean_gaussians(res.sigma_x, ball.reference.covariance)
         assert abs(kl - ball.epsilon) <= 1e-10
         assert opt_covariance_residual(res.alpha, res.sigma_x, ens, ball.reference) <= 1e-9
+        if ens.dimension == 1:
+            x = scalar_ratio(ball.epsilon, direction) * ball.reference.covariance[0, 0]
+            n = ens.noise_stack[0, 0, 0]
+            assert res.bound_value == pytest.approx(x * n / (x + n), rel=1e-12)
+            return
         general = solve_bound(direction, _halves(ens.noise_stack[0]), ball)
         assert general.outer_iterations > 0
         assert res.bound_value == pytest.approx(general.bound_value, rel=1e-10)
@@ -396,9 +438,9 @@ class TestOneInputPath:
 
 
 class TestJacobian:
-    """The bordered Jacobian `_evaluate` assembles against a central
-    difference of its own residual, along every packed whitened coordinate
-    (Sigma moved by L0 X L0^T) and along alpha."""
+    """The bordered Jacobian `_jacobian` assembles from an evaluation
+    against a central difference of `_evaluate`'s residual, along every
+    packed whitened coordinate (Sigma moved by L0 X L0^T) and along alpha."""
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("j", range(1, 6))
@@ -414,7 +456,8 @@ class TestJacobian:
         def residual(s, a):
             return solver._evaluate(ctx, s, solver._chol(s), a, 0.3)[0]
 
-        jac = solver._evaluate(ctx, sigma, solver._chol(sigma), alpha, 0.3)[1]
+        jac = solver._jacobian(ctx, alpha,
+                               solver._evaluate(ctx, sigma, solver._chol(sigma), alpha, 0.3)[1])
         fd = np.empty_like(jac)
         for i, e in enumerate(np.eye(ctx.n)):
             d = ctx.unpack_sigma(h * e)

@@ -31,17 +31,25 @@ does not change):
 Solver tasks, on the perfbench demo problem (its four channels,
 reference N(0, I), epsilon = 0.2) unless named otherwise:
 
-* `evaluate`: `solver._evaluate`, one G evaluation with its Jacobian, at
-  the lower bound's first predictor (the majorize-minimize step from the
-  centre onto the sphere); CPU per call, 200 calls a sample.
+* `evaluate`: one G evaluation with its Jacobian, at the lower bound's
+  first predictor (the majorize-minimize step from the centre onto the
+  sphere): `solver._evaluate`, then `solver._jacobian` on the whitened
+  stack it returns where the tree has `_jacobian` (a tree without it
+  assembles the Jacobian inside `_evaluate`); CPU per call, 200 calls a
+  sample. The digest covers the residual and the Jacobian.
 * `correct`: `solver._correct` at the target from that predictor; CPU per
-  call, 40 calls a sample.
+  call, 40 calls a sample. The digest covers the corrected Sigma and
+  alpha, which every tree returns first.
 * `demo_lower`, `demo_upper`: `solve_bound` in each direction; CPU per
   solve, 10 solves a sample.
 * `local_lower`, `local_upper`: `local_bound` in each direction on the
   demo channel 1 and the ball of `cli._family("gen-gauss", 1.0, 3)`, a
   reference exactly c I, so the K-scalar route; CPU per solve, 20 solves
   a sample.
+* `corpus_k1`, `corpus_k4`: `solve_bound` on one problem of the perfbench
+  `solve_corpus` corpus (`make_corpus(301, 1)`, its K = 1 or K = 4 cell
+  with J = 4 channels), lower then upper; CPU per solve, 20 or 10 pairs of
+  solves a sample.
 * `paper_sweeps_pass`: `cli.main` for each command of the perfbench
   `paper_sweeps` pass, with its CSV written to a scratch directory; CPU
   per pass.
@@ -106,11 +114,13 @@ VERIFY_SEED = 301
 KERNEL_P, KERNEL_RADIUS = 1.0, 2.0  # the generalized Gaussian's p, the ball's R
 KERNEL_N_OUTER = 256
 SOLVER_REPS = {"evaluate": 200, "correct": 40, "demo_lower": 10, "demo_upper": 10,
-               "local_lower": 20, "local_upper": 20}
+               "local_lower": 20, "local_upper": 20, "corpus_k1": 20, "corpus_k4": 10}
 SWEEP_BALL_GRID = "0.1:40:25"
 LOCAL_CHANNEL = 1
+CORPUS_SEED = 301
+CORPUS_CELLS = {"corpus_k1": (1, 4), "corpus_k4": (4, 4)}  # task -> (K, J)
 SOLVER_TASKS = ("evaluate", "correct", "demo_lower", "demo_upper", "local_lower", "local_upper",
-                "paper_sweeps_pass", "sweep_ball_lower")
+                *CORPUS_CELLS, "paper_sweeps_pass", "sweep_ball_lower")
 KERNELS = {  # name -> (prior family, K, J, n_inner)
     "kernel_K3_J1": ("gen-gauss", 3, 1, 2000), "kernel_K3_J4": ("gen-gauss", 3, 4, 2000),
     "kernel_K1_J4": ("gen-gauss", 1, 4, 2000), "kernel_K6_J4": ("gen-gauss", 6, 4, 2000),
@@ -150,6 +160,14 @@ class Worker:
                                                  mmse_bounds.uniform_ball_epsilon(r, 3))
                       for r in mmse_bounds.cli.parse_grid(SWEEP_BALL_GRID)]
         self.local_ball = mmse_bounds.cli._family("gen-gauss", 1.0, 3)[1]
+        corpus = workloads.make_corpus(CORPUS_SEED, 1)[0]
+        self.corpus = {}
+        for task, shape in CORPUS_CELLS.items():
+            p, = (p for p in corpus if (len(p["sigma0"]), len(p["noise"])) == shape)
+            self.corpus[task] = mmse_bounds.validate_problem(
+                mmse_bounds.ChannelEnsemble.from_arrays(p["noise"], p["weights"]),
+                mmse_bounds.DivergenceBall(mmse_bounds.GaussianReference(p["mu0"], p["sigma0"]),
+                                           p["epsilon"]))
         self.sweeps_counted = False  # paper_sweeps_pass counts its Jacobians once
 
     def _noise(self, k, n_channels):
@@ -268,15 +286,18 @@ class Worker:
         return (ctx, *solver._mm_step(ctx, ctx.sigma0, t2, -1.0), t2)
 
     def evaluate(self):
+        solver = self.mb.solver
         ctx, sigma, alpha, t2 = self._predictor()
         chol = self.np.linalg.cholesky(sigma)
         reps = SOLVER_REPS["evaluate"]
+        jacobian = getattr(solver, "_jacobian", None)
         t0 = time.process_time()
         for _ in range(reps):
-            out = self.mb.solver._evaluate(ctx, sigma, chol, alpha, t2)
+            out = solver._evaluate(ctx, sigma, chol, alpha, t2)
+            jac = out[1] if jacobian is None else jacobian(ctx, alpha, out[1])
         cpu = time.process_time() - t0
         return ({"evaluate_cpu_us_per_call": 1e6 * cpu / reps},
-                {"jacobians": ctx.jacobians // reps, "answers_sha256": _digest(*out)})
+                {"jacobians": ctx.jacobians // reps, "answers_sha256": _digest(out[0], jac)})
 
     def correct(self):
         solver, reps = self.mb.solver, SOLVER_REPS["correct"]
@@ -288,7 +309,7 @@ class Worker:
         cpu = time.process_time() - t0
         return ({"correct_cpu_us_per_call": 1e6 * cpu / reps},
                 {"jacobians": ctx.jacobians,
-                 "answers_sha256": _digest(*(self.np.asarray(v) for v in out))})
+                 "answers_sha256": _digest(*(self.np.asarray(v) for v in out[:2]))})
 
     def solves(self, task, solve, *args):
         """CPU per call of solve(*args), SOLVER_REPS[task] calls a sample."""
@@ -301,6 +322,20 @@ class Worker:
                 {"inner_iterations": res.inner_iterations, "steps": res.outer_iterations,
                  "answers_sha256": _digest(self.np.array([res.bound_value, res.alpha]),
                                            res.sigma_x)})
+
+    def corpus_solves(self, task):
+        """CPU per solve of the task's corpus problem, lower then upper,
+        SOLVER_REPS[task] times a sample."""
+        np, prob, reps = self.np, self.corpus[task], SOLVER_REPS[task]
+        t0 = time.process_time()
+        for _ in range(reps):
+            results = [self.mb.solve_bound(d, prob, prob.ball) for d in ("lower", "upper")]
+        cpu = time.process_time() - t0
+        return ({f"{task}_cpu_ms_per_solve": 1e3 * cpu / (2 * reps)},
+                {"inner_iterations": [r.inner_iterations for r in results],
+                 "steps": [r.outer_iterations for r in results],
+                 "answers_sha256": _digest(*(np.append(r.sigma_x, [r.bound_value, r.alpha])
+                                             for r in results))})
 
     def paper_sweeps_pass(self):
         """The perfbench paper_sweeps commands; their Jacobians are counted
@@ -355,6 +390,8 @@ class Worker:
         if task in ("local_lower", "local_upper"):
             return self.solves(task, self.mb.local_bound, task[6:], self.demo.ensemble,
                                LOCAL_CHANNEL, self.local_ball)
+        if task in CORPUS_CELLS:
+            return self.corpus_solves(task)
         if task in SOLVER_TASKS:
             return getattr(self, task)()
         return self.kernel(task)
