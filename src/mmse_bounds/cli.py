@@ -17,7 +17,8 @@ A failed sweep solve names its row (p=... or R=...).
 
 CSV output uses 15 significant digits, '.' decimal point, ',' separator,
 and a mandatory header row; identical inputs produce byte-identical
-output. Grid rows are computed one after another, in grid order.
+output. Grid rows are computed one after another, in grid order; each
+row's joint bounds after the first start from the previous row's answers.
 """
 
 from __future__ import annotations
@@ -137,12 +138,20 @@ def _emit_csv(header, rows, out_path):
         sys.stdout.write(text)
 
 
-def _labelled(label, solve, *args):
-    """`solve(*args)`; a NoConvergence is raised again with `label` in front."""
+def _labelled(label, solve, *args, **kwargs):
+    """`solve(*args, **kwargs)`; a NoConvergence is raised again with `label`
+    in front."""
     try:
-        return solve(*args)
+        return solve(*args, **kwargs)
     except NoConvergence as exc:
         raise NoConvergence(f"{label}: {exc}", exc.residual, exc.iterations) from exc
+
+
+def _recoloured(sigma, l0_prev, l0):
+    """Sigma carried from the reference L0_prev L0_prev^T to L0 L0^T, with the
+    same whitened X: M Sigma M^T, M = L0 L0_prev^-1."""
+    m = l0 @ np.linalg.inv(l0_prev)
+    return m @ sigma @ m.T
 
 
 def _family(kind, value, k):
@@ -170,15 +179,22 @@ def _sweep(args, kind, abscissa, columns) -> int:
     """One row per grid value x of family `kind`, a dict keyed by CSV column:
     x under `abscissa`, epsilon, both bounds (solves labelled `abscissa`=x),
     the local and Cramer-Rao bounds where `columns` names them, and the
-    LMMSE. Then the ordering checks, then the CSV."""
+    LMMSE. Then the ordering checks, then the CSV. From the second row on,
+    each joint bound starts from the row before's answer, recoloured to
+    this row's reference."""
     base = validate_problem(*load_config(args.config))
     rows = []
+    previous = {}  # direction -> (the previous row's answer, its reference's L0)
     for x in parse_grid(args.grid):
         _, ball = _family(kind, x, base.dimension)
         prob = validate_problem(base.ensemble, ball)
         row = {abscissa: x, "epsilon": ball.epsilon}
+        l0 = ball.reference_chol
         for d in ("lower", "upper"):
-            row[d] = _labelled(f"{abscissa}={x} {d}", solve_bound, d, prob, prob.ball).bound_value
+            warm = {"start": _recoloured(*previous[d], l0)} if d in previous else {}
+            res = _labelled(f"{abscissa}={x} {d}", solve_bound, d, prob, prob.ball, **warm)
+            previous[d] = res.sigma_x, l0
+            row[d] = res.bound_value
         if "local_lower" in columns:
             for d in ("lower", "upper"):
                 row[f"local_{d}"] = _labelled(f"{abscissa}={x} local {d}", local_bounds_weighted,

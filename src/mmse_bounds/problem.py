@@ -90,8 +90,15 @@ class ChannelEnsemble:
         return self.noise_covariances
 
     def single(self, j: int) -> "ChannelEnsemble":
-        """The one-channel ensemble {(Sigma_N_j, 1)} used by local bounds."""
-        return ChannelEnsemble(self.noise_covariances[j][None], [1.0])
+        """The one-channel ensemble {(Sigma_N_j, 1)} used by local bounds: a
+        read-only view of channel j of the checked stack, not checked again
+        (its symmetrized form is itself, bitwise)."""
+        one = object.__new__(ChannelEnsemble)
+        weights = np.ones(1)
+        weights.flags.writeable = False
+        object.__setattr__(one, "noise_covariances", self.noise_covariances[j][None])
+        object.__setattr__(one, "weights", weights)
+        return one
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,11 @@ a fold; and a symmetry-breaking split when its answer has a repeated
 eigenvalue; and keeps the lowest. Each candidate is certified once, as it
 joins the solve's one ranked list, from the solve's own context: the
 fixed-point residual and |kl - epsilon| (the sign of alpha is kept by the
-search); the answer is the first certified candidate in rank order.
+search); the answer is the first certified candidate in rank order. A
+given start near the answer (a sweep's previous row) replaces the path
+and the start at the target: one majorize-minimize step puts it on the
+sphere and a corrector settles it; a lower bound keeps the split, and an
+uncertified warm candidate gives way to the solve from the centre.
 
 Two kinds of problem are solved in closed form first, under the same
 certificate, and go to continuation only if their candidate fails it. For
@@ -86,7 +90,7 @@ class BoundResult:
     continuation steps; a K = 1 problem solved at the end of its interval
     counts the Newton iterations of the end, and a one-channel problem on
     c I solved as K scalars its reduced Newton iterations, both with no
-    steps.
+    steps. An answer from a given start takes no step either.
     """
 
     direction: str
@@ -365,12 +369,15 @@ def _path(ctx, sign, eps):
 def _residual(ctx, sigma, alpha, s):
     """||G(Sigma) - Sigma|| / ||Sigma|| for G(Sigma) = (Sigma_0^-1 - alpha
     S(Sigma))^-1 (Frobenius), given s = S(Sigma); inf where Sigma_0^-1 -
-    alpha S(Sigma) is not positive definite."""
+    alpha S(Sigma) is not positive definite. Both norms read their matrix
+    scaled by the power of two of max|Sigma|: exact, and the squares of a
+    tiny Sigma's entries do not underflow."""
     try:
         mi = np.linalg.inv(np.linalg.cholesky(ctx.sigma0_inv - alpha * s))
     except np.linalg.LinAlgError:
         return np.inf
-    return float(np.linalg.norm(mi.T @ mi - sigma) / np.linalg.norm(sigma))
+    scale = np.ldexp(1.0, -np.frexp(np.abs(sigma).max())[1])
+    return float(np.linalg.norm(scale * (mi.T @ mi - sigma)) / np.linalg.norm(scale * sigma))
 
 
 def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
@@ -391,14 +398,14 @@ def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
     return float(np.linalg.norm(sigma_x - rhs) / np.linalg.norm(sigma_x))
 
 
-def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
+def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundResult:
     """Solve for the upper or lower bound on the weighted MMSE sum.
 
     A K = 1 problem is solved at an end of its interval first, and one
     channel on a reference exactly c I as K scalars (README "Solver notes";
     `inner_iterations` counts their Newton iterations, `outer_iterations`
     is 0); other problems, or one whose closed-form candidates all fail
-    the certificate, by continuation.
+    the certificate, by continuation, or from `start` where one is given.
 
     Parameters
     ----------
@@ -408,6 +415,15 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
     ball : DivergenceBall
         Reference prior and KL radius epsilon >= 0; with a `Problem`, the
         problem's own ball.
+    start : (K, K) array or None
+        A covariance near the answer, such as a sweep's previous answer
+        recoloured to this ball. It replaces the continuation: one
+        majorize-minimize step puts it on the sphere, a corrector settles
+        it, and a lower bound still tries the split where the answer has a
+        repeated eigenvalue. If it gives no certified answer, the problem
+        is solved as without `start`, bitwise, and `inner_iterations`
+        counts both attempts. None (the default) is the solve from the
+        centre.
 
     Returns
     -------
@@ -476,17 +492,28 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
             if isinstance(cert := offer(*candidate), BoundResult):
                 return cert
         found.clear()
+        warm_jacobians = 0  # of an uncertified warm candidate
         try:  # a failed upper path, or the Jacobian cap, ends the solve
-            try:
-                sigma, alpha = _path(ctx, sign, eps)
-            except (NoConvergence, np.linalg.LinAlgError):
-                if sign > 0:
-                    raise
-                add(_descent, ctx, ctx.sigma0, eps, sign, _MM_STEPS)
-            else:  # a one-step path's predictor was a majorize-minimize start at the target,
-                cert = offer(sigma, alpha)  # so it runs again only for an uncertified answer
-                if sign < 0 and not (ctx.steps == 1 and isinstance(cert, BoundResult)):
-                    add(_mm_step, ctx, ctx.sigma0, eps, sign, alpha)
+            warm = start is not None
+            if warm:  # the warm candidate replaces the path and its start
+                add(_mm_step, ctx, np.asarray(start, dtype=float), eps, sign)
+                if not (found and isinstance(found[0][2], BoundResult)):
+                    # solved from the centre as without a start, on a budget of its own
+                    found.clear()
+                    warm, warm_jacobians, ctx.jacobians = False, ctx.jacobians, 0
+            if not warm:
+                try:
+                    sigma, alpha = _path(ctx, sign, eps)
+                except (NoConvergence, np.linalg.LinAlgError):
+                    if sign > 0:
+                        raise
+                    add(_descent, ctx, ctx.sigma0, eps, sign, _MM_STEPS)
+                else:
+                    # a one-step path's predictor was a majorize-minimize start at the
+                    # target, so it runs again only for an uncertified answer
+                    cert = offer(sigma, alpha)
+                    if sign < 0 and not (ctx.steps == 1 and isinstance(cert, BoundResult)):
+                        add(_mm_step, ctx, ctx.sigma0, eps, sign, alpha)
             if sign < 0 and ctx.k > 1:
                 w = np.linalg.eigvalsh(ctx.l0i @ found[0][1] @ ctx.l0i.T) if found else [0.0, 0.0]
                 if np.min(np.diff(w)) <= 1e-6 * w[-1]:
@@ -494,14 +521,15 @@ def solve_bound(direction, ensemble, ball: DivergenceBall) -> BoundResult:
                     add(_split_start, ctx, eps)
         except (NoConvergence, np.linalg.LinAlgError) as exc:
             raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {exc}",
-                                getattr(exc, "residual", None), ctx.jacobians) from exc
+                                getattr(exc, "residual", None),
+                                ctx.jacobians + warm_jacobians) from exc
     for _, _, cert in found:
         if isinstance(cert, BoundResult):
-            return replace(cert, inner_iterations=ctx.jacobians)
+            return replace(cert, inner_iterations=ctx.jacobians + warm_jacobians)
     res = found[-1][2] if found else np.inf
     raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {len(found)} local "
                         f"extrema found, none certified (residual {res:.3g})", residual=res,
-                        iterations=ctx.jacobians)
+                        iterations=ctx.jacobians + warm_jacobians)
 
 
 def _certify(direction, ctx, eps, sigma, alpha, value=None, inner=None):

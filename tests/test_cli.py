@@ -467,22 +467,56 @@ class TestSweepP:
                 assert row[col] == "%.15g" % value
 
 
+def _recoloured(sigma, l0_prev, l0):
+    """M Sigma M^T with M = L0 L0_prev^-1: an answer on the previous row's
+    reference carried to this row's, as a sweep's warm start."""
+    m = l0 @ np.linalg.inv(l0_prev)
+    return m @ sigma @ m.T
+
+
+def _sweep_solves(monkeypatch, argv):
+    """Run a sweep and return its joint solves in call order, each as
+    (direction, problem, whether it was given a start, its BoundResult)."""
+    calls, real = [], cli.solve_bound
+
+    def recorded(direction, prob, ball, **kwargs):
+        res = real(direction, prob, ball, **kwargs)
+        calls.append((direction, prob, "start" in kwargs, res))
+        return res
+
+    monkeypatch.setattr(cli, "solve_bound", recorded)
+    assert cli.main(argv) == EXIT_OK
+    monkeypatch.undo()
+    return calls
+
+
 class TestSweepDriver:
     @pytest.mark.parametrize("command, grid", [("sweep-p", "0.51:10:3"),
                                                ("sweep-ball", "0.1:40:3")])
     def test_cells_equal_the_library_calls(self, command, grid, demo_config,
                                            demo_ensemble, capsys):
-        # every cell is %.15g of the library call at the row's (Sigma_0, eps)
+        # every cell is %.15g of the library call at the row's (Sigma_0, eps),
+        # the joint bounds from the second row on started from the row
+        # before's answer; those are also the cold solves to 1e-12
         assert cli.main([command, "--config", demo_config, "--grid", grid]) == EXIT_OK
         lines = capsys.readouterr().out.strip().split("\n")
-        ens, both = demo_ensemble, ("lower", "upper")
+        ens, both, previous = demo_ensemble, ("lower", "upper"), {}
         for x, line in zip(parse_grid(grid), lines[1:], strict=True):
             if command == "sweep-p":
                 sigma0, eps = gen_gauss_covariance(x, 3) * np.eye(3), gen_gauss_epsilon(x, 3)
             else:
                 sigma0, eps = uniform_ball_moments(x, 3).covariance, uniform_ball_epsilon(x, 3)
             ball = DivergenceBall(GaussianReference(np.zeros(3), sigma0), eps)
-            expect = [x, eps] + [solve_bound(d, ens, ball).bound_value for d in both]
+            expect = [x, eps]
+            for d in both:
+                start = {}
+                if d in previous:
+                    start["start"] = _recoloured(*previous[d], ball.reference_chol)
+                res = solve_bound(d, ens, ball, **start)
+                cold = solve_bound(d, ens, ball).bound_value
+                assert res.bound_value == pytest.approx(cold, rel=1e-12, abs=0.0)
+                previous[d] = res.sigma_x, ball.reference_chol
+                expect.append(res.bound_value)
             if command == "sweep-p":
                 expect += [local_bounds_weighted(d, ens, ball)[0] for d in both]
             expect.append(lmmse_upper(sigma0, ens))
@@ -492,6 +526,41 @@ class TestSweepDriver:
                 except FisherUndefined:
                     expect.append(None)
             assert line.split(",") == ["" if v is None else "%.15g" % v for v in expect]
+
+    @pytest.mark.parametrize("sigma0", ["0.01", "1"])
+    def test_warm_rows_on_an_isotropic_field_equal_the_cold_solves(self, tmp_path, capsys,
+                                                                   monkeypatch, sigma0):
+        # on an isotropic field the warm lower bound follows the symmetric
+        # branch; only the split at a repeated eigenvalue leaves it, as the
+        # cold solve does (without it the warm cells sit up to 1e-4 above)
+        path = str(tmp_path / "field.json")
+        assert cli.main(["scenario", "--distances", "1,2,4", "--gamma", "1", "--m", "2",
+                         "--sigma0", sigma0, "--out", path]) == EXIT_OK
+        calls = _sweep_solves(monkeypatch,
+                              ["sweep-ball", "--config", path, "--grid", "0.1:40:25"])
+        capsys.readouterr()
+        assert len(calls) == 50 and sum(warm for _, _, warm, _ in calls) == 48
+        for direction, prob, _, res in calls:
+            cold = solve_bound(direction, prob, prob.ball)
+            assert res.bound_value == pytest.approx(cold.bound_value, rel=1e-12, abs=0.0)
+
+    def test_uncertified_warm_row_is_solved_cold(self, demo_config, capsys, monkeypatch):
+        # on this grid one warm candidate fails the certificate; its row is
+        # then the cold solve, bitwise, and counts the Jacobians of both
+        calls = _sweep_solves(monkeypatch,
+                              ["sweep-ball", "--config", demo_config, "--grid", "1:1000:10"])
+        capsys.readouterr()
+        fallen_back = 0
+        for direction, prob, warm, res in calls:
+            cold = solve_bound(direction, prob, prob.ball)
+            assert res.bound_value == pytest.approx(cold.bound_value, rel=1e-12, abs=0.0)
+            if warm and res.outer_iterations > 0:  # a certified warm answer takes no step
+                fallen_back += 1
+                assert res.bound_value == cold.bound_value
+                np.testing.assert_array_equal(res.sigma_x, cold.sigma_x)
+                assert res.outer_iterations == cold.outer_iterations
+                assert res.inner_iterations > cold.inner_iterations
+        assert fallen_back == 1
 
 
 class TestExtremeExponent:

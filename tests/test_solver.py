@@ -127,6 +127,19 @@ class TestIntervalEnd:
         kl = kl_same_mean_gaussians(res.sigma_x, ball.reference.covariance)
         assert abs(kl - epsilon) <= 1e-10
 
+    @pytest.mark.parametrize("epsilon", [187.0, 200.0, 300.0])
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_tiny_lower_end_is_certified(self, j, epsilon):
+        # the end lies below 1e-162, where the squares in the residual's
+        # norms would underflow unless Sigma's scale is divided out first
+        sns, lams = np.array([0.5, 2.0, 7.0][:j]), np.array([1.0, 0.3, 2.0][:j])
+        ens = ChannelEnsemble.from_arrays([[[v]] for v in sns], lams)
+        res = solve_bound("lower", ens, isotropic_ball(1, 1.7, epsilon))
+        x = scalar_ratio(epsilon, "lower") * 1.7
+        assert res.sigma_x[0, 0] == pytest.approx(x, rel=1e-13)
+        assert res.bound_value == pytest.approx(np.sum(lams * x * sns / (x + sns)), rel=1e-13)
+        assert res.residuals[0] <= 1e-11 and res.residuals[1] <= 1e-10
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("j", [1, 3])
     def test_underflow_falls_through(self, j):

@@ -54,8 +54,10 @@ reference N(0, I), epsilon = 0.2) unless named otherwise:
   `paper_sweeps` pass, with its CSV written to a scratch directory; CPU
   per pass.
 * `sweep_ball_lower`: the 25 joint lower bounds of `sweep-ball --grid
-  0.1:40:25` (the uniform-ball balls of `cli.parse_grid`'s grid); CPU of
-  the 25 solves.
+  0.1:40:25` (the uniform-ball balls of `cli.parse_grid`'s grid), solved
+  as the sweep solves them: where the tree's `solve_bound` takes a
+  `start`, each row after the first starts from the previous answer
+  recoloured to its reference (`cli._recoloured`); CPU of the 25 solves.
 
 Each solver task reports its exact Jacobian count (`jacobians`: per call
 or solve, or over all of the task's solves; `paper_sweeps_pass` counts
@@ -372,8 +374,16 @@ class Worker:
 
     def sweep_ball_lower(self):
         mb, demo = self.mb, self.demo
+        warm = "start" in inspect.signature(mb.solve_bound).parameters
         t0 = time.process_time()
-        results = [mb.solve_bound("lower", demo.ensemble, ball) for ball in self.balls]
+        results = []
+        for ball in self.balls:
+            start = {}
+            if warm and results:
+                start["start"] = mb.cli._recoloured(results[-1].sigma_x, l0_prev,
+                                                    ball.reference_chol)
+            results.append(mb.solve_bound("lower", demo.ensemble, ball, **start))
+            l0_prev = ball.reference_chol
         cpu = time.process_time() - t0
         return ({"sweep_ball_lower_cpu_ms": 1e3 * cpu},
                 {"jacobians": sum(r.inner_iterations for r in results),
