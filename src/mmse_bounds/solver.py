@@ -37,10 +37,12 @@ search); the answer is the first certified candidate in rank order. A
 given start near the answer (a sweep's previous row) replaces the path
 and the start at the target: one majorize-minimize step puts it on the
 sphere and a corrector settles it; a lower bound keeps the split, and an
-uncertified warm candidate gives way to the solve from the centre.
+uncertified warm candidate gives way to the solve from the centre. All of
+a solve's attempts share one budget of 500 Jacobian evaluations.
 
 Two kinds of problem are solved in closed form first, under the same
-certificate, and go to continuation only if their candidate fails it. For
+certificate: the first of their candidates that passes it is the answer,
+without the ranked list, and continuation runs only if none passes. For
 K = 1 the ball is an interval in Sigma / Sigma_0 and f increases along it,
 so each bound is an end of the interval (`_interval_end`). A one-channel
 problem on a reference exactly c I, such as a local bound, with K >= 2 is
@@ -56,7 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import NoConvergence, SingularSum
+from .exceptions import DimensionMismatch, NoConvergence, SingularSum
 from .gaussian import mmse_matrix
 from .problem import DivergenceBall, validate_problem
 from .separable import lower_candidates, upper_candidates
@@ -421,9 +423,10 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
         majorize-minimize step puts it on the sphere, a corrector settles
         it, and a lower bound still tries the split where the answer has a
         repeated eigenvalue. If it gives no certified answer, the problem
-        is solved as without `start`, bitwise, and `inner_iterations`
-        counts both attempts. None (the default) is the solve from the
-        centre.
+        is solved as without `start`, on the rest of the same budget of
+        500 Jacobian evaluations: bitwise the same answer unless the two
+        attempts together exhaust it, with `inner_iterations` counting
+        both. None (the default) is the solve from the centre.
 
     Returns
     -------
@@ -435,7 +438,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
     Raises
     ------
     DimensionMismatch
-        If the ball's K is not the channels'.
+        If the ball's K is not the channels', or `start` is not (K, K).
     ValueError
         If the direction is neither "upper" nor "lower", or a `Problem`
         comes with a ball other than its own.
@@ -445,21 +448,24 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
     sign = _sign(direction)
     prob = validate_problem(ensemble, ball)
     ctx = _Ctx(prob)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (ctx.k, ctx.k):
+            raise DimensionMismatch(f"start has shape {start.shape}, expected {(ctx.k, ctx.k)}")
     eps = prob.epsilon
     if eps <= _OUTER_TOL:
         # the ball is (numerically) a point; both bounds sit at the center
         return BoundResult(direction, 0.0, ctx.sigma0.copy(), _value(ctx, ctx.sigma0), 0.0,
                            0, 0, (0.0, abs(eps)))
 
-    found = []  # [rank or None, Sigma, BoundResult or residual], best first
+    found = []  # [f or None, Sigma, BoundResult or residual], best first
 
-    def offer(sigma, alpha, value=None, inner=None):
-        """Certify the candidate (Sigma, alpha) and rank it into `found` by its
-        value, else by f at Sigma as given; its BoundResult or residual. A
-        lone candidate needs no rank; each gets its rank once, when there are
-        two."""
-        cert = _certify(direction, ctx, eps, sigma, alpha, value, inner)
-        found.append([value, sigma, cert])
+    def offer(sigma, alpha):
+        """Certify the candidate (Sigma, alpha) and rank it into `found` by f
+        at Sigma as given; its BoundResult or residual. A lone candidate
+        needs no f; each gets its f once, when there are two."""
+        cert = _certify(direction, ctx, eps, sigma, alpha)
+        found.append([None, sigma, cert])
         if len(found) > 1:
             for c in found:
                 if c[0] is None:
@@ -476,32 +482,26 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
         closed_form = []
 
     def add(start, *args):
-        """Correct the start(*args) at kl = eps and offer it; nothing when
-        the corrector fails or the start breaks down."""
+        """Correct the start(*args) at kl = eps and offer it; its BoundResult
+        or residual, None when the corrector fails or the start breaks down."""
         try:
             hit = _settle(ctx, *start(*args), eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
         except (np.linalg.LinAlgError, SingularSum):
-            return
-        if hit is not None:
-            offer(*hit[:2])
+            return None
+        return None if hit is None else offer(*hit[:2])
 
     # at extreme radii the search's trial points overflow, and a tiny candidate's
     # norms underflow; the certificate decides
     with np.errstate(over="ignore", invalid="ignore"):
         for candidate in closed_form:  # continuation runs only if none passes
-            if isinstance(cert := offer(*candidate), BoundResult):
+            if isinstance(cert := _certify(direction, ctx, eps, *candidate), BoundResult):
                 return cert
-        found.clear()
-        warm_jacobians = 0  # of an uncertified warm candidate
         try:  # a failed upper path, or the Jacobian cap, ends the solve
-            warm = start is not None
-            if warm:  # the warm candidate replaces the path and its start
-                add(_mm_step, ctx, np.asarray(start, dtype=float), eps, sign)
-                if not (found and isinstance(found[0][2], BoundResult)):
-                    # solved from the centre as without a start, on a budget of its own
-                    found.clear()
-                    warm, warm_jacobians, ctx.jacobians = False, ctx.jacobians, 0
-            if not warm:
+            if start is not None:  # the warm candidate replaces the path and its start
+                if not isinstance(add(_mm_step, ctx, start, eps, sign), BoundResult):
+                    found.clear()  # solved from the centre as without a start
+                    start = None
+            if start is None:
                 try:
                     sigma, alpha = _path(ctx, sign, eps)
                 except (NoConvergence, np.linalg.LinAlgError):
@@ -521,24 +521,24 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
                     add(_split_start, ctx, eps)
         except (NoConvergence, np.linalg.LinAlgError) as exc:
             raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {exc}",
-                                getattr(exc, "residual", None),
-                                ctx.jacobians + warm_jacobians) from exc
+                                getattr(exc, "residual", None), ctx.jacobians) from exc
     for _, _, cert in found:
         if isinstance(cert, BoundResult):
-            return replace(cert, inner_iterations=ctx.jacobians + warm_jacobians)
+            return replace(cert, inner_iterations=ctx.jacobians)
     res = found[-1][2] if found else np.inf
     raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {len(found)} local "
                         f"extrema found, none certified (residual {res:.3g})", residual=res,
-                        iterations=ctx.jacobians + warm_jacobians)
+                        iterations=ctx.jacobians)
 
 
 def _certify(direction, ctx, eps, sigma, alpha, value=None, inner=None):
     """The candidate (Sigma, alpha) as a BoundResult if, once Sigma is
     symmetrized, it passes the certificate: a fixed-point residual of at
     most 1e-11 and |kl - epsilon| <= 1e-10; else its residual (inf where
-    Sigma is not positive definite). A value of None is f at the
-    symmetrized Sigma; `inner` is the answer's inner_iterations, which
-    continuation sets when it returns the answer."""
+    Sigma is not positive definite). A closed form gives its value and
+    iteration count; a continuation candidate's value is f at the
+    symmetrized Sigma, and the solve sets its inner_iterations when it
+    returns it."""
     sigma = 0.5 * (sigma + sigma.T)
     chol = _chol(sigma)
     if chol is None:

@@ -25,6 +25,7 @@ import pytest
 from mmse_bounds import (
     BoundResult,
     ChannelEnsemble,
+    DimensionMismatch,
     DivergenceBall,
     GaussianReference,
     GeneralizedGaussian,
@@ -41,6 +42,8 @@ from mmse_bounds import (
     mc_weighted_sum,
     opt_covariance_residual,
     solve_bound,
+    uniform_ball_epsilon,
+    uniform_ball_moments,
     validate_problem,
 )
 from mmse_bounds import solver
@@ -564,6 +567,33 @@ class TestFailureDiagnostics:
         with pytest.raises(NoConvergence, match="0 local extrema found, none certified") as info:
             solve_bound("lower", demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2))
         assert info.value.iterations == 7
+
+
+class TestStart:
+    """A given start is checked where it is given and shares the solve's
+    one Jacobian budget with the solve from the centre it may give way to."""
+
+    def test_start_of_another_shape(self, demo_ensemble):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^start has shape \(2, 2\), expected \(3, 3\)$"):
+            solve_bound("lower", demo_ensemble, isotropic_ball(3, 1.0, 0.1), start=np.eye(2))
+
+    def test_fallback_spends_no_more_than_the_cap(self, demo_ensemble, monkeypatch):
+        # the R = 112 lower bound of `sweep-ball --grid 1:1000:10`, started from
+        # the R = 1 answer recoloured: the warm candidate fails the certificate
+        # after 36 Jacobians and the solve from the centre takes 85 more
+        balls = [DivergenceBall(uniform_ball_moments(r, 3), uniform_ball_epsilon(r, 3))
+                 for r in (1.0, 112.0)]
+        m = balls[1].reference_chol @ np.linalg.inv(balls[0].reference_chol)
+        start = m @ solve_bound("lower", demo_ensemble, balls[0]).sigma_x @ m.T
+        assert solve_bound("lower", demo_ensemble, balls[1], start=start).inner_iterations == 121
+        monkeypatch.setattr(solver, "_MAX_JACOBIANS", 100)
+        try:
+            spent = solve_bound("lower", demo_ensemble, balls[1], start=start).inner_iterations
+        except NoConvergence as exc:
+            assert str(exc).startswith("lower bound at epsilon=")
+            spent = exc.iterations
+        assert spent <= 100
 
 
 def _solve(direction, sigma0, noise, weights, epsilon):

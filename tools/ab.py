@@ -34,9 +34,8 @@ reference N(0, I), epsilon = 0.2) unless named otherwise:
 * `evaluate`: one G evaluation with its Jacobian, at the lower bound's
   first predictor (the majorize-minimize step from the centre onto the
   sphere): `solver._evaluate`, then `solver._jacobian` on the whitened
-  stack it returns where the tree has `_jacobian` (a tree without it
-  assembles the Jacobian inside `_evaluate`); CPU per call, 200 calls a
-  sample. The digest covers the residual and the Jacobian.
+  stack it returns; CPU per call, 200 calls a sample. The digest covers
+  the residual and the Jacobian.
 * `correct`: `solver._correct` at the target from that predictor; CPU per
   call, 40 calls a sample. The digest covers the corrected Sigma and
   alpha, which every tree returns first.
@@ -55,9 +54,9 @@ reference N(0, I), epsilon = 0.2) unless named otherwise:
   per pass.
 * `sweep_ball_lower`: the 25 joint lower bounds of `sweep-ball --grid
   0.1:40:25` (the uniform-ball balls of `cli.parse_grid`'s grid), solved
-  as the sweep solves them: where the tree's `solve_bound` takes a
-  `start`, each row after the first starts from the previous answer
-  recoloured to its reference (`cli._recoloured`); CPU of the 25 solves.
+  as the sweep solves them: each row after the first starts from the
+  previous answer recoloured to its reference (`cli._recoloured`); CPU of
+  the 25 solves.
 
 Each solver task reports its exact Jacobian count (`jacobians`: per call
 or solve, or over all of the task's solves; `paper_sweeps_pass` counts
@@ -72,11 +71,10 @@ the standard normal values drawn through `mc._rng_from`,
 
 Every task also reports exact counts and a digest of its answers, so a
 row says whether both trees computed the same thing. A kernel task passes
-`_mmse_channels` a rotation seed where the tree's signature takes one
-(`rotation_seed`, spawned from the inner seed as `mc_weighted_sum`
-spawns it). A task that fails in one tree (a private function that is
-missing or has a new signature) is reported under `errors` with its
-message, never dropped silently.
+`_mmse_channels` a rotation seed spawned from the inner seed as
+`mc_weighted_sum` spawns it. A task that fails in one tree (a private
+function that is missing or has a new signature) is reported under
+`errors` with its message, never dropped silently.
 
 The output is one JSON object: `rows`, one per metric, each with its
 unit, both sides' median and quartiles, the number of paired samples,
@@ -100,7 +98,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import inspect
 import io
 import json
 import statistics
@@ -189,8 +186,8 @@ class Worker:
     def _kernel_input(self, family, k, n_channels, n_inner):
         """(spec, noise covariances, x, ys, seeds, n_inner): seeded prior
         draws, made here with numpy so both trees get the same inputs, and
-        the seeds the tree's `_mmse_channels` takes: the inner seed, then
-        the rotation seed where it takes one."""
+        the seeds `_mmse_channels` takes: the inner seed, then the rotation
+        seed."""
         np, mb = self.np, self.mb
         rng = np.random.default_rng(20)
         z = rng.standard_normal((KERNEL_N_OUTER, k))
@@ -203,9 +200,8 @@ class Worker:
         x = z / np.linalg.norm(z, axis=1, keepdims=True) * radius[:, None]
         noise = self._noise(k, n_channels)
         ys = [x + rng.standard_normal(x.shape) @ np.linalg.cholesky(s).T for s in noise]
-        seeds = [np.random.SeedSequence(21)]
-        if "rotation_seed" in inspect.signature(mb.mc._mmse_channels).parameters:
-            seeds.append(seeds[0].spawn(1)[0])
+        seed = np.random.SeedSequence(21)
+        seeds = [seed, seed.spawn(1)[0]]
         return spec, noise, x, ys, seeds, n_inner
 
     def _verify(self, prior):
@@ -292,11 +288,10 @@ class Worker:
         ctx, sigma, alpha, t2 = self._predictor()
         chol = self.np.linalg.cholesky(sigma)
         reps = SOLVER_REPS["evaluate"]
-        jacobian = getattr(solver, "_jacobian", None)
         t0 = time.process_time()
         for _ in range(reps):
             out = solver._evaluate(ctx, sigma, chol, alpha, t2)
-            jac = out[1] if jacobian is None else jacobian(ctx, alpha, out[1])
+            jac = solver._jacobian(ctx, alpha, out[1])
         cpu = time.process_time() - t0
         return ({"evaluate_cpu_us_per_call": 1e6 * cpu / reps},
                 {"jacobians": ctx.jacobians // reps, "answers_sha256": _digest(out[0], jac)})
@@ -374,15 +369,12 @@ class Worker:
 
     def sweep_ball_lower(self):
         mb, demo = self.mb, self.demo
-        warm = "start" in inspect.signature(mb.solve_bound).parameters
         t0 = time.process_time()
         results = []
         for ball in self.balls:
-            start = {}
-            if warm and results:
-                start["start"] = mb.cli._recoloured(results[-1].sigma_x, l0_prev,
-                                                    ball.reference_chol)
-            results.append(mb.solve_bound("lower", demo.ensemble, ball, **start))
+            start = (mb.cli._recoloured(results[-1].sigma_x, l0_prev, ball.reference_chol)
+                     if results else None)
+            results.append(mb.solve_bound("lower", demo.ensemble, ball, start=start))
             l0_prev = ball.reference_chol
         cpu = time.process_time() - t0
         return ({"sweep_ball_lower_cpu_ms": 1e3 * cpu},

@@ -5,9 +5,11 @@ with the tree's `src` first on PYTHONPATH, and prints its exit code and
 the SHA-256 of its stdout and of its stderr. The nine paper commands run
 on `examples/paper_fig1.json` from the repository root, and the tool
 prints one SHA-256 over their lines. Then come an unknown prior family
-(exit 1), a negative `bound --epsilon` (exit 1) and four `scenario`
-runs, each in a fresh temporary working directory with the relative
-`--out field.json`, so the printed path is the same on every tree; a
+(exit 1), a negative `bound --epsilon` (exit 1), four `scenario` runs,
+each in a fresh temporary working directory with the relative `--out
+field.json`, so the printed path is the same on every tree, and a
+`sweep-ball` grid on which one row's start from the row before fails
+the certificate and that row is solved from the centre. A
 `scenario` line also gives the SHA-256 of the config it wrote (`none`
 when it wrote none). The last line is one SHA-256 over every command
 line.
@@ -59,6 +61,7 @@ MORE_COMMANDS = [
     [*SCENARIO, "--distances", "1,-1"],  # a negative distance: exit 1
     [*SCENARIO, "--distances", "0,1.5,4", "--weights", "0,0.3,0.5"],  # a zero weight: exit 1
     [*SCENARIO, "--distances", "0,1.5,4", "--epsilon", "-1"],  # a negative radius: exit 1
+    ["sweep-ball", "--grid", "1:1000:10"],  # a start that fails the certificate, at R = 112
 ]
 
 
