@@ -1,13 +1,22 @@
-"""A one-channel bound on an isotropic reference, as K scalars.
+"""The closed forms: the problems whose extrema reduce to scalars.
 
-With Sigma_0 = c I and Sigma_N = Q diag(nu) Q^T, both extrema of tr((Sigma^-1
-+ Sigma_N^-1)^-1) over the ball kl(Sigma, c I) <= epsilon are attained at
-some Q diag(s) Q^T (README "Solver notes"). In x_i = s_i / c and rho_i =
-nu_i / c the problem is to extremize sum_i x_i rho_i / (x_i + rho_i) on
-sum_i (x_i - 1 - log x_i) / 2 = epsilon. `upper_candidates` and
-`lower_candidates` return its stationary points of each direction's sign
-of alpha; `solver.solve_bound` certifies the best one. It calls them for
-K >= 2 only: a K = 1 bound is an end of the interval the ball is.
+`closed_forms` is the one entry: `solver.solve_bound` calls it before
+any continuation, certifies the candidates it returns, best first, and
+answers with the first that passes. Two classes of problem reduce:
+
+* K = 1 (any J): the ball is the interval r - 1 - log r <= 2 epsilon in
+  r = Sigma / Sigma_0 and f increases along it, so each bound is an end,
+  a scalar Newton root (`_interval_end`). It is the only candidate, so an
+  end that leaves the double range fails at once, by name.
+* One channel on a reference exactly c I, with Sigma_N = Q diag(nu) Q^T:
+  both extrema of tr((Sigma^-1 + Sigma_N^-1)^-1) over the ball kl(Sigma,
+  c I) <= epsilon are attained at some Q diag(s) Q^T (README "Solver
+  notes"). In x_i = s_i / c and rho_i = nu_i / c the problem is to
+  extremize sum_i x_i rho_i / (x_i + rho_i) on sum_i (x_i - 1 - log x_i)
+  / 2 = epsilon. `upper_candidates` and `lower_candidates` return its
+  stationary points of each direction's sign of alpha (`_one_channel`).
+
+Every other problem has no closed form and goes to continuation.
 """
 
 from __future__ import annotations
@@ -16,7 +25,10 @@ import math
 
 import numpy as np
 
+from .exceptions import NoConvergence
+
 _MAX_ITER = 40  # Newton iterations per solve
+_ROOT_ITER = 100  # cap on the Newton iterations for the end of a K = 1 ball
 _M_PIECES = 8  # pieces of each middle-branch segment of the lower bound's chain
 _M_ENDS = np.linspace(0.0, 1.0, _M_PIECES + 1)
 # the chain's brackets take logit 0 and 1, and a candidate may overflow;
@@ -162,3 +174,78 @@ def lower_candidates(rho, eps):
     found = (_newton(y_s, u_s, rho, eps, -1.0, box)
              for y_s, u_s, box in zip(y0.tolist(), u0.tolist(), boxes))
     return [(x, b, n + its) for x, b, its in filter(None, found)]
+
+
+def closed_forms(sigma0, noise, weights, sign, eps):
+    """The closed-form candidates [(Sigma, alpha, value, iterations)] of
+    the problem with reference covariance sigma0, noise stack (J, K, K)
+    and weights (J,), in the direction of `sign`, best first: the end of
+    the interval for K = 1, the K-scalar stationary points for one channel
+    on sigma0 exactly c I, and none for any other problem. iterations
+    counts the scalar Newton iterations. A K = 1 end that is not a finite
+    double raises NoConvergence: nothing else can be the answer."""
+    c = sigma0[0, 0]
+    if sigma0.shape[0] == 1:
+        return _interval_end(float(c), noise[:, 0, 0].tolist(), weights.tolist(), sign, eps)
+    if weights.size == 1 and np.array_equal(sigma0, c * np.eye(sigma0.shape[0])):
+        return _one_channel(c, noise[0], weights[0], sign, eps)
+    return []
+
+
+def _interval_end(c, noise, weights, sign, eps):
+    """The one candidate of a K = 1 problem, as a list: each bound sits at
+    an end of the interval, x = r c with r from `_ratio`. [([[x]], alpha,
+    value, Newton iterations of the root)] with alpha = (1/c - 1/x) / S(x),
+    S(x) = sum_j lambda_j (n_j / (x + n_j))^2, and the value sum_j lambda_j
+    x n_j / (x + n_j), in Python floats. Where x or S(x) is 0 or alpha
+    overflows, NoConvergence."""
+    r, iterations = _ratio(sign, eps)
+    x = r * c
+    channels = list(zip(weights, noise))
+    try:
+        alpha = (1.0 / c - 1.0 / x) / sum(w * (n / (x + n)) ** 2 for w, n in channels)
+    except ZeroDivisionError:  # x or S(x) is 0
+        alpha = sign * math.inf
+    if not math.isfinite(alpha):
+        raise NoConvergence(f"the end of the interval leaves the double range (Sigma = {x!r}, "
+                            f"alpha = {alpha!r})")
+    return [(np.array([[x]]), alpha, sum(w * x * n / (x + n) for w, n in channels), iterations)]
+
+
+def _ratio(sign, eps):
+    """(r, Newton iterations): the root of r - 1 - log r = 2 epsilon above 1
+    (sign > 0) or below it, by Newton in Python floats on v = r - 1 above
+    and v = log r below, where the equation reads v - log1p(v) = 2 epsilon
+    and expm1(v) - v = 2 epsilon. Both sides are convex in v and at least 2
+    epsilon at |v| = 2 sqrt(epsilon) + 2 epsilon, so Newton from there
+    moves monotonically onto the root. It stops after a step below 4e-15 (1
+    + |v|), the scale of r's rounding, or at a step no shorter than the one
+    before (rounding), which it does not take."""
+    v = sign * (2.0 * math.sqrt(eps) + 2.0 * eps)
+    prev = math.inf
+    for n in range(1, _ROOT_ITER + 1):
+        if sign > 0:
+            step = (v - math.log1p(v) - 2.0 * eps) * (1.0 + v) / v
+        else:
+            e = math.expm1(v)
+            step = (e - v - 2.0 * eps) / e
+        if not abs(step) < prev:
+            break
+        v, prev = v - step, abs(step)
+        if prev <= 4e-15 * (1.0 + abs(v)):
+            break
+    return (1.0 + v if sign > 0 else math.exp(v)), n
+
+
+def _one_channel(c, noise, lam, sign, eps):
+    """The candidates of one channel of weight lam on Sigma_0 = c I from the
+    K-scalar stationary points, best first: (Q diag(c x) Q^T, alpha, value,
+    reduced Newton iterations) with Sigma_N = Q diag(nu) Q^T, the value
+    scaled by lam and alpha by 1 / lam."""
+    nu, q = np.linalg.eigh(noise)
+    rho = nu / c
+    found = (upper_candidates if sign > 0 else lower_candidates)(rho, eps)
+    found = [(lam * c * sum(xi * ri / (xi + ri) for xi, ri in zip(x, rho.tolist())), x, b, n)
+             for x, b, n in found if all(xi > 0.0 for xi in x)]  # no NaN, no underflow
+    return [((q * (c * np.array(x))) @ q.T, sign * b / c / lam, value, n)
+            for value, x, b, n in sorted(found, key=lambda cand: -sign * cand[0])]

@@ -40,20 +40,16 @@ sphere and a corrector settles it; a lower bound keeps the split, and an
 uncertified warm candidate gives way to the solve from the centre. All of
 a solve's attempts share one budget of 500 Jacobian evaluations.
 
-Two kinds of problem are solved in closed form first, under the same
-certificate: the first of their candidates that passes it is the answer,
-without the ranked list, and continuation runs only if none passes. For
-K = 1 the ball is an interval in Sigma / Sigma_0 and f increases along it,
-so each bound is an end of the interval (`_interval_end`). A one-channel
-problem on a reference exactly c I, such as a local bound, with K >= 2 is
-solved as K scalars (`separable`). README "Solver notes" gives the
-details.
+Before any of this, `separable.closed_forms` gives the candidates of the
+problems that reduce to scalars (K = 1, and one channel on a reference
+exactly c I); the first that passes the same certificate is the answer,
+without the ranked list, and continuation runs only if none passes.
+README "Solver notes" gives the details.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,7 +57,7 @@ import numpy as np
 from .exceptions import DimensionMismatch, NoConvergence, SingularSum
 from .gaussian import mmse_matrix
 from .problem import DivergenceBall, validate_problem
-from .separable import lower_candidates, upper_candidates
+from .separable import closed_forms
 
 _NEWTON_ITER = 12  # Newton iterations per corrector
 _MAX_JACOBIANS = 500  # Jacobian evaluations per solve
@@ -74,7 +70,6 @@ _KICKS = 6  # escapes from saddles per corrector
 _MM_STEPS = 100  # majorize-minimize steps when the path stalls
 _SMOOTH = 4  # fixed-alpha majorize-minimize steps after a lower-bound predictor
 _SPLIT_STEPS = 10  # majorize-minimize steps from each symmetry-breaking split
-_ROOT_ITER = 100  # cap on the Newton iterations for the end of a K = 1 ball
 
 
 def _sign(direction) -> float:
@@ -238,12 +233,13 @@ def _newton_step(ctx, sigma, alpha, res, jac):
     return None
 
 
-def _correct(ctx, sigma, alpha, t2, tol, iters=_NEWTON_ITER):
+def _correct(ctx, sigma, alpha, t2, final, iters=_NEWTON_ITER):
     """Newton on the bordered system at kl = t2. The residual is relative
-    to max|X^-1|; it passes below `tol`, or once it stops contracting
-    below the rounding floor. Returns (Sigma, alpha, the evaluation's
-    whitened stack) or None, after at most `iters` evaluations."""
-    kl_tol = 0.1 * _OUTER_TOL if tol == _FINAL_TOL else 1e-9 * t2
+    to max|X^-1|; it passes below the target's tolerances where `final`,
+    else below the path's, or once it stops contracting below the rounding
+    floor. Returns (Sigma, alpha, the evaluation's whitened stack) or None,
+    after at most `iters` evaluations."""
+    tol, kl_tol = (_FINAL_TOL, 0.1 * _OUTER_TOL) if final else (_PATH_TOL, 1e-9 * t2)
     prev, chol = np.inf, _chol(sigma)
     if chol is None:
         return None
@@ -288,20 +284,20 @@ def _sphere(ctx, tau, q, t2, sign, alpha=None):
         return (lq / (1.0 - alpha * tau)) @ lq.T, alpha
 
 
-def _settle(ctx, sigma, alpha, t2, sign, tol, iters=_NEWTON_ITER, tangent=False):
-    """Correct at kl = t2; a lower bound must also make the reduced Hessian
-    (1/alpha) P^T J_XX P (P spanning the tangent space of the sphere)
-    positive semidefinite and is moved off saddles along its most negative
-    curvature. Returns (Sigma, alpha, J) or None; J, the Jacobian at the
-    answer, is built for a lower bound's check or when `tangent` asks for
-    it, and is None otherwise."""
-    hit = _correct(ctx, sigma, alpha, t2, tol, iters)
+def _settle(ctx, sigma, alpha, t2, sign, final, iters=_NEWTON_ITER):
+    """Correct at kl = t2 (`final`: the target); a lower bound must also
+    make the reduced Hessian (1/alpha) P^T J_XX P (P spanning the tangent
+    space of the sphere) positive semidefinite and is moved off saddles
+    along its most negative curvature. Returns (Sigma, alpha, J) or None;
+    J, the Jacobian at the answer, is built for a lower bound's check or
+    for the tangent short of the target, and is None otherwise."""
+    hit = _correct(ctx, sigma, alpha, t2, final, iters)
     for _ in range(_KICKS):
         if hit is None or sign * hit[1] <= 0.0:
             return None
         sigma, alpha, stack = hit
         if sign > 0:
-            return sigma, alpha, _jacobian(ctx, alpha, stack) if tangent else None
+            return sigma, alpha, None if final else _jacobian(ctx, alpha, stack)
         jac = _jacobian(ctx, alpha, stack)
         g = jac[-1, :-1] / np.linalg.norm(jac[-1, :-1])
         proj = np.eye(ctx.n) - np.outer(g, g)
@@ -315,7 +311,7 @@ def _settle(ctx, sigma, alpha, t2, sign, tol, iters=_NEWTON_ITER, tangent=False)
         d = ctx.unpack_sigma(0.5 * x_min / np.abs(np.linalg.eigvalsh(dx)).max() * vec[:, 0])
         sigma, alpha = min((_mm_step(ctx, sigma + s * d, t2, sign) for s in (1.0, -1.0)),
                            key=lambda c: _value(ctx, c[0]))
-        hit = _correct(ctx, sigma, alpha, t2, tol)
+        hit = _correct(ctx, sigma, alpha, t2, final)
     return None
 
 
@@ -326,14 +322,14 @@ def _split_start(ctx, eps):
     q = np.linalg.eigh(ctx.lift(_s(ctx, ctx.sigma0)))[1]
     splits = (_sphere(ctx, (np.arange(ctx.k) >= ctx.k - m).astype(float), q, eps, -1.0)[0]
               for m in range(1, ctx.k))
-    return min((_descent(ctx, start, eps, -1.0, _SPLIT_STEPS) for start in splits),
+    return min((_descent(ctx, start, eps, _SPLIT_STEPS) for start in splits),
                key=lambda c: _value(ctx, c[0]))
 
 
-def _descent(ctx, sigma, eps, sign, steps):
-    """(Sigma, alpha) after `steps` majorize-minimize steps from sigma."""
+def _descent(ctx, sigma, eps, steps):
+    """(Sigma, alpha) after `steps` lower-bound majorize-minimize steps from sigma."""
     for _ in range(steps):
-        sigma, alpha = _mm_step(ctx, sigma, eps, sign)
+        sigma, alpha = _mm_step(ctx, sigma, eps, -1.0)
     return sigma, alpha
 
 
@@ -354,8 +350,7 @@ def _path(ctx, sign, eps):
             a_p = alpha + (t_new - t) * tangent[n]
             for _ in range(_SMOOTH if sign < 0 and a_p < 0 else 0):  # descend the Lagrangian
                 s_p = _mm_step(ctx, s_p, t_new**2, sign, a_p)[0]
-        hit = _settle(ctx, s_p, a_p, t_new**2, sign,
-                      _FINAL_TOL if t_new == target else _PATH_TOL, tangent=t_new < target)
+        hit = _settle(ctx, s_p, a_p, t_new**2, sign, t_new == target)
         if hit is None:
             h *= 0.5
             if h < 1e-9 * target or ctx.jacobians > 0.8 * _MAX_JACOBIANS:
@@ -403,11 +398,12 @@ def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
 def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundResult:
     """Solve for the upper or lower bound on the weighted MMSE sum.
 
-    A K = 1 problem is solved at an end of its interval first, and one
-    channel on a reference exactly c I as K scalars (README "Solver notes";
-    `inner_iterations` counts their Newton iterations, `outer_iterations`
-    is 0); other problems, or one whose closed-form candidates all fail
-    the certificate, by continuation, or from `start` where one is given.
+    The candidates of `separable.closed_forms` come first: a K = 1
+    problem's interval end, and one channel on a reference exactly c I as
+    K scalars (README "Solver notes"; `inner_iterations` counts their
+    Newton iterations, `outer_iterations` is 0). Other problems, or one
+    whose closed-form candidates all fail the certificate, are solved by
+    continuation, or from `start` where one is given.
 
     Parameters
     ----------
@@ -443,7 +439,9 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
         If the direction is neither "upper" nor "lower", or a `Problem`
         comes with a ball other than its own.
     NoConvergence
-        If no answer passes the checks; the message names the bound and epsilon.
+        If no answer passes the checks, or at once, with no Jacobian
+        evaluated, if a K = 1 end leaves the double range; the message
+        names the bound and epsilon.
     """
     sign = _sign(direction)
     prob = validate_problem(ensemble, ball)
@@ -473,19 +471,11 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
             found.sort(key=lambda c: -sign * c[0])
         return cert
 
-    if ctx.k == 1:
-        # the ball is an interval and f increases along it: the bound is its end
-        closed_form = _interval_end(ctx, sign, eps)
-    elif ctx.weights.size == 1 and np.array_equal(ctx.sigma0, ctx.sigma0[0, 0] * np.eye(ctx.k)):
-        closed_form = _separable(ctx, sign, eps)  # one channel on c I: K scalars
-    else:
-        closed_form = []
-
     def add(start, *args):
         """Correct the start(*args) at kl = eps and offer it; its BoundResult
         or residual, None when the corrector fails or the start breaks down."""
         try:
-            hit = _settle(ctx, *start(*args), eps, sign, _FINAL_TOL, 3 * _NEWTON_ITER)
+            hit = _settle(ctx, *start(*args), eps, sign, True, 3 * _NEWTON_ITER)
         except (np.linalg.LinAlgError, SingularSum):
             return None
         return None if hit is None else offer(*hit[:2])
@@ -493,21 +483,23 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
     # at extreme radii the search's trial points overflow, and a tiny candidate's
     # norms underflow; the certificate decides
     with np.errstate(over="ignore", invalid="ignore"):
-        for candidate in closed_form:  # continuation runs only if none passes
-            if isinstance(cert := _certify(direction, ctx, eps, *candidate), BoundResult):
-                return cert
-        try:  # a failed upper path, or the Jacobian cap, ends the solve
-            if start is not None:  # the warm candidate replaces the path and its start
-                if not isinstance(add(_mm_step, ctx, start, eps, sign), BoundResult):
-                    found.clear()  # solved from the centre as without a start
-                    start = None
-            if start is None:
+        # a K = 1 end past the double range, a failed upper path, or the
+        # Jacobian cap, ends the solve
+        try:
+            for candidate in closed_forms(ctx.sigma0, ctx.noise, ctx.weights, sign, eps):
+                if isinstance(cert := _certify(direction, ctx, eps, *candidate), BoundResult):
+                    return cert
+            # continuation, unless a warm candidate given by `start` is certified:
+            # it replaces the path and its start
+            if start is None or not isinstance(add(_mm_step, ctx, start, eps, sign),
+                                               BoundResult):
+                found.clear()  # solved from the centre as without a start
                 try:
                     sigma, alpha = _path(ctx, sign, eps)
                 except (NoConvergence, np.linalg.LinAlgError):
                     if sign > 0:
                         raise
-                    add(_descent, ctx, ctx.sigma0, eps, sign, _MM_STEPS)
+                    add(_descent, ctx, ctx.sigma0, eps, _MM_STEPS)
                 else:
                     # a one-step path's predictor was a majorize-minimize start at the
                     # target, so it runs again only for an uncertified answer
@@ -554,66 +546,6 @@ def _certify(direction, ctx, eps, sigma, alpha, value=None, inner=None):
                                              axis1=1, axis2=2))
     return BoundResult(direction, float(alpha), sigma, value, kl, inner, ctx.steps,
                        (res, abs(kl - eps)))
-
-
-def _interval_end(ctx, sign, eps):
-    """The one candidate of a K = 1 problem, as a list: the ball is the
-    interval r - 1 - log r <= 2 epsilon in r = Sigma / Sigma_0 and f
-    increases in Sigma, so each bound sits at an end, x = r c with c =
-    Sigma_0. [([[x]], alpha, value, Newton iterations of the root)] with
-    alpha = (1/c - 1/x) / S(x), S(x) = sum_j lambda_j (n_j / (x + n_j))^2,
-    and the value sum_j lambda_j x n_j / (x + n_j), in Python floats; empty
-    where x or S(x) is 0 or alpha overflows."""
-    r, iterations = _ratio(sign, eps)
-    c, x = float(ctx.sigma0[0, 0]), r * float(ctx.sigma0[0, 0])
-    channels = list(zip(ctx.weights.tolist(), ctx.noise[:, 0, 0].tolist()))
-    try:
-        alpha = (1.0 / c - 1.0 / x) / sum(w * (n / (x + n)) ** 2 for w, n in channels)
-    except ZeroDivisionError:
-        return []
-    if not math.isfinite(alpha):
-        return []
-    return [(np.array([[x]]), alpha, sum(w * x * n / (x + n) for w, n in channels), iterations)]
-
-
-def _ratio(sign, eps):
-    """(r, Newton iterations): the root of r - 1 - log r = 2 epsilon above 1
-    (sign > 0) or below it, by Newton in Python floats on v = r - 1 above
-    and v = log r below, where the equation reads v - log1p(v) = 2 epsilon
-    and expm1(v) - v = 2 epsilon. Both sides are convex in v and at least 2
-    epsilon at |v| = 2 sqrt(epsilon) + 2 epsilon, so Newton from there
-    moves monotonically onto the root. It stops after a step below 4e-15 (1
-    + |v|), the scale of r's rounding, or at a step no shorter than the one
-    before (rounding), which it does not take."""
-    v = sign * (2.0 * math.sqrt(eps) + 2.0 * eps)
-    prev = math.inf
-    for n in range(1, _ROOT_ITER + 1):
-        if sign > 0:
-            step = (v - math.log1p(v) - 2.0 * eps) * (1.0 + v) / v
-        else:
-            e = math.expm1(v)
-            step = (e - v - 2.0 * eps) / e
-        if not abs(step) < prev:
-            break
-        v, prev = v - step, abs(step)
-        if prev <= 4e-15 * (1.0 + abs(v)):
-            break
-    return (1.0 + v if sign > 0 else math.exp(v)), n
-
-
-def _separable(ctx, sign, eps):
-    """The candidates of a one-channel problem on Sigma_0 = c I from the
-    K-scalar stationary points of `separable`, best first: (Q diag(c x) Q^T,
-    alpha, value, reduced Newton iterations) with Sigma_N = Q diag(nu) Q^T,
-    the value scaled by the channel weight lambda and alpha by 1 / lambda."""
-    c, lam = ctx.sigma0[0, 0], ctx.weights[0]
-    nu, q = np.linalg.eigh(ctx.noise[0])
-    rho = nu / c
-    found = (upper_candidates if sign > 0 else lower_candidates)(rho, eps)
-    found = [(lam * c * sum(xi * ri / (xi + ri) for xi, ri in zip(x, rho.tolist())), x, b, n)
-             for x, b, n in found if all(xi > 0.0 for xi in x)]  # no NaN, no underflow
-    return [((q * (c * np.array(x))) @ q.T, sign * b / c / lam, value, n)
-            for value, x, b, n in sorted(found, key=lambda cand: -sign * cand[0])]
 
 
 def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall) -> BoundResult:

@@ -46,7 +46,7 @@ from mmse_bounds import (
     uniform_ball_moments,
     validate_problem,
 )
-from mmse_bounds import solver
+from mmse_bounds import separable, solver
 from conftest import TEST_SEED, corpus_spd, isotropic_ball, random_spd
 from oracles import isotropic_bounds, multistart_lower, reduced_lower, scalar_ratio
 
@@ -154,6 +154,23 @@ class TestIntervalEnd:
             solve_bound("lower", ens, isotropic_ball(1, 2.0, 1000.0))
         assert str(info.value).startswith("lower bound at epsilon=1000.0: ")
         assert str(info.value).count("bound at epsilon") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction, s0, noise, epsilon", [
+        ("lower", 2.0, (0.5,), 1000.0),  # the end underflows to 0
+        ("lower", 2.0, (0.5, 2.0, 7.0), 1000.0),
+        ("lower", 1.7, (0.5, 2.0), 356.0),  # a subnormal end: 1 / x overflows
+        ("upper", 1e300, (1.0,), 800.0),  # S at the end underflows to 0
+        ("upper", 1.0, (1e-200,), 1e-9),  # alpha about 1e395
+    ])
+    def test_end_past_the_double_range_fails_at_once(self, direction, s0, noise, epsilon):
+        # the end is the only answer, so no continuation runs after it
+        ens = ChannelEnsemble.from_arrays([[[v]] for v in noise], [1.0, 0.3, 2.0][:len(noise)])
+        with pytest.raises(NoConvergence) as info:
+            solve_bound(direction, ens, isotropic_ball(1, s0, epsilon))
+        assert str(info.value).startswith(f"{direction} bound at epsilon={epsilon!r}: the end "
+                                          "of the interval leaves the double range (Sigma = ")
+        assert info.value.iterations == 0
 
 
 class TestPointBall:
@@ -413,8 +430,8 @@ class TestSeparableLocal:
                                              candidates):
         # no candidate, or only Sigma_0 itself (kl = 0): nothing passes the
         # certificate, so continuation answers
-        monkeypatch.setattr(solver, "lower_candidates", lambda rho, eps: candidates)
-        monkeypatch.setattr(solver, "upper_candidates", lambda rho, eps: candidates)
+        monkeypatch.setattr(separable, "lower_candidates", lambda rho, eps: candidates)
+        monkeypatch.setattr(separable, "upper_candidates", lambda rho, eps: candidates)
         ball = isotropic_ball(3, HARD_VAR, HARD_EPS)
         got = local_bound(direction, demo_ensemble, 1, ball)
         want = solve_bound(direction, demo_ensemble.single(1), ball)

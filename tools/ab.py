@@ -36,9 +36,9 @@ reference N(0, I), epsilon = 0.2) unless named otherwise:
   sphere): `solver._evaluate`, then `solver._jacobian` on the whitened
   stack it returns; CPU per call, 200 calls a sample. The digest covers
   the residual and the Jacobian.
-* `correct`: `solver._correct` at the target from that predictor; CPU per
-  call, 40 calls a sample. The digest covers the corrected Sigma and
-  alpha, which every tree returns first.
+* `correct`: `solver._correct` at the target (`final` true) from that
+  predictor; CPU per call, 40 calls a sample. The digest covers the
+  corrected Sigma and alpha, which every tree returns first.
 * `demo_lower`, `demo_upper`: `solve_bound` in each direction; CPU per
   solve, 10 solves a sample.
 * `local_lower`, `local_upper`: `local_bound` in each direction on the
@@ -302,7 +302,7 @@ class Worker:
         t0 = time.process_time()
         for _ in range(reps):
             ctx.jacobians = 0
-            out = solver._correct(ctx, sigma, alpha, t2, solver._FINAL_TOL)
+            out = solver._correct(ctx, sigma, alpha, t2, True)
         cpu = time.process_time() - t0
         return ({"correct_cpu_us_per_call": 1e6 * cpu / reps},
                 {"jacobians": ctx.jacobians,

@@ -11,16 +11,21 @@ field.json`, so the printed path is the same on every tree, and a
 `sweep-ball` grid on which one row's start from the row before fails
 the certificate and that row is solved from the centre. A
 `scenario` line also gives the SHA-256 of the config it wrote (`none`
-when it wrote none). The last line is one SHA-256 over every command
-line.
+when it wrote none). Last come three `bound` runs, each on a config a
+`scenario` run wrote in the same temporary directory, which reach the
+closed forms: a K = 1 config (the end of its interval), a one-channel
+K = 3 config on the reference I (K scalars), and the K = 1 config at an
+epsilon whose lower end leaves the double range (exit 2). The last line
+is one SHA-256 over every command line.
 
 Two trees that print the same final hash give byte-identical output and
 the same exit codes on every command: the solver's answers through
-`bound`, both sweeps and `verify`, the config `scenario` writes, and the
-messages of a failed sweep row (exit 2), of an invalid prior parameter or
-family (exit 1), of an `--out` path that cannot be written (exit 1), of
-a negative KL radius (exit 1), of a negative sensor distance (exit 1)
-and of a zero channel weight (exit 1).
+`bound` (on the paper config and on both closed forms), both sweeps and
+`verify`, the config `scenario` writes, and the messages of a failed
+sweep row (exit 2), of an invalid prior parameter or family (exit 1), of
+an `--out` path that cannot be written (exit 1), of a negative KL radius
+(exit 1), of a negative sensor distance (exit 1), of a zero channel
+weight (exit 1) and of a K = 1 bound past the double range (exit 2).
 
 Run from anywhere, once on each tree to compare:
 
@@ -63,20 +68,35 @@ MORE_COMMANDS = [
     [*SCENARIO, "--distances", "0,1.5,4", "--epsilon", "-1"],  # a negative radius: exit 1
     ["sweep-ball", "--grid", "1:1000:10"],  # a start that fails the certificate, at R = 112
 ]
+K1 = [*SCENARIO, "--distances", "0,1.5,4", "--dimension", "1", "--epsilon", "0.25",
+      "--weights", "0.2,0.3,0.5"]
+ONE_CHANNEL = [*SCENARIO, "--distances", "1.5", "--dimension", "3", "--epsilon", "0.25"]
+CLOSED_FORM_COMMANDS = [  # (scenario, the bound run on the config it wrote)
+    (K1, ["bound", "--config", OUT]),
+    (ONE_CHANNEL, ["bound", "--config", OUT]),
+    (K1, ["bound", "--config", OUT, "--epsilon", "1000"]),  # a lower end that underflows: exit 2
+]
 
 
-def run(command):
+def run(command, then=None):
     """(exit code, stdout SHA-256, stderr SHA-256, written config SHA-256
     or None) of one CLI command; `scenario` runs in a scratch directory,
-    every other subcommand on CONFIG from ROOT."""
+    every other subcommand on CONFIG from ROOT. `then` is a command run
+    after `scenario`, in its directory; the exit code and hashes are then
+    that command's."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def cli(args, cwd):
+        return subprocess.run([sys.executable, "-m", "mmse_bounds.cli", *args], cwd=cwd,
+                              env=env, capture_output=True, check=False)
+
     with tempfile.TemporaryDirectory() as scratch:
         if command[0] == "scenario":
-            cwd, args = Path(scratch), command
+            proc = cli(command, scratch)
         else:
-            cwd, args = ROOT, [command[0], "--config", CONFIG, *command[1:]]
-        proc = subprocess.run([sys.executable, "-m", "mmse_bounds.cli", *args], cwd=cwd,
-                              env=env, capture_output=True, check=False)
+            proc = cli([command[0], "--config", CONFIG, *command[1:]], ROOT)
+        if then is not None:
+            proc = cli(then, scratch)
         written = Path(scratch) / OUT
         config = hashlib.sha256(written.read_bytes()).hexdigest() if written.exists() else None
     return (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
@@ -92,6 +112,12 @@ def main() -> int:
         line = f"{' '.join(command)}: exit {code} stdout {out} stderr {err}"
         if command[0] == "scenario":
             line += f" config {config or 'none'}"
+        print(line)
+        total.update(line.encode() + b"\n")
+    for command, then in CLOSED_FORM_COMMANDS:
+        code, out, err, config = run(command, then)
+        line = (f"{' '.join(command)} && {' '.join(then)}: exit {code} stdout {out} "
+                f"stderr {err} config {config or 'none'}")
         print(line)
         total.update(line.encode() + b"\n")
     print(f"sha256 {total.hexdigest()}")
