@@ -221,15 +221,21 @@ def cmd_bound(args) -> int:
     print(f"dimension K={prob.dimension}, channels J={prob.ensemble.count}, "
           f"epsilon={ball.epsilon:.12g}")
     print(f"nominal weighted MMSE sum at the reference: {nominal:.12g}")
-    for direction in ("lower", "upper"):
-        res = solve_bound(direction, prob, prob.ball)
+    code = EXIT_OK
+    for direction in ("lower", "upper"):  # a failed bound does not hide the other
+        try:
+            res = solve_bound(direction, prob, prob.ball)
+        except NoConvergence as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
+            code = EXIT_SOLVER
+            continue
         print(f"{direction} bound: {res.bound_value:.12g}  "
               f"(alpha={res.alpha:.12g}, kl={res.kl_at_solution:.12g}, "
               f"kl_residual={res.residuals[1]:.3g}, "
               f"fixed_point_residual={res.residuals[0]:.3g}, "
               f"inner_iterations={res.inner_iterations}, "
               f"outer_iterations={res.outer_iterations})")
-    return EXIT_OK
+    return code
 
 
 def cmd_verify(args) -> int:

@@ -45,14 +45,34 @@ problems that reduce to scalars (K = 1, and one channel on a reference
 exactly c I); the first that passes the same certificate is the answer,
 without the ranked list, and continuation runs only if none passes.
 README "Solver notes" gives the details.
+
+A solve is a few hundred LAPACK calls on K <= 6 matrices, so numpy's
+per-call overhead, not arithmetic, sets its cost. The solver therefore
+calls numpy.linalg's own LAPACK gufuncs (the private
+`numpy.linalg._umath_linalg`, named once, below) without the wrapper:
+bitwise numpy.linalg's results. A gufunc reports a LAPACK failure as an
+all-NaN output and the floating-point invalid flag, not as LinAlgError:
+`_solve`, `_eigh` and `_eigvalsh` hand a NaN answer back to numpy.linalg,
+which raises exactly where LAPACK failed; `_chol` gives None and
+`_residual` inf (silently, outside a solve too); the other calls cannot
+fail, as their comments say. An evaluation also writes its products into
+its stack and Jacobian, and reuses one per-solve buffer for the matrices
+it inverts. Two bit-level traps: the negated packing must keep the
+transposed layout of `basis.T` (BLAS runs another kernel on a contiguous
+copy, which moved every K = 5 and K = 6 corpus answer), and the scalars
+of `_sphere`'s Newton loop must stay numpy scalars (in Python floats its
+division by zero raises ZeroDivisionError at extreme radii).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg as _gufuncs
 
 from .exceptions import DimensionMismatch, NoConvergence, SingularSum
 from .gaussian import mmse_matrix
@@ -70,6 +90,37 @@ _KICKS = 6  # escapes from saddles per corrector
 _MM_STEPS = 100  # majorize-minimize steps when the path stalls
 _SMOOTH = 4  # fixed-alpha majorize-minimize steps after a lower-bound predictor
 _SPLIT_STEPS = 10  # majorize-minimize steps from each symmetry-breaking split
+
+# numpy.linalg's own LAPACK gufuncs without its wrapper: a LAPACK failure is
+# an all-NaN output and the invalid flag (which a solve ignores), and each
+# caller reads it as the module docstring says
+_inv = functools.partial(_gufuncs.inv, signature="d->d")
+_solve_stack = functools.partial(_gufuncs.solve, signature="dd->d")
+_cholesky = functools.partial(_gufuncs.cholesky_lo, signature="d->d")
+
+
+def _solve(a, b):
+    """np.linalg.solve(a, b) for a vector b."""
+    x = _gufuncs.solve1(a, b, signature="dd->d")
+    return np.linalg.solve(a, b) if math.isnan(x[0]) else x
+
+
+def _eigh(a):
+    """np.linalg.eigh(a)."""
+    w, v = _gufuncs.eigh_lo(a, signature="d->dd")
+    return np.linalg.eigh(a) if math.isnan(w[0]) else (w, v)
+
+
+def _eigvalsh(a):
+    """np.linalg.eigvalsh(a)."""
+    w = _gufuncs.eigvalsh_lo(a, signature="d->d")
+    return np.linalg.eigvalsh(a) if math.isnan(w[0]) else w
+
+
+def _norm(x):
+    """np.linalg.norm(x), the Frobenius norm, summed as numpy sums it."""
+    x = x.ravel("K")
+    return np.sqrt(x.dot(x))
 
 
 def _sign(direction) -> float:
@@ -116,51 +167,67 @@ def _basis(k):
 
 class _Ctx:
     """Per-solve constants of a validated problem (the reference, L0 and
-    log det Sigma_0, the channels, the orthonormal packing) and the solve's
-    counters: everything the search and the certificate read."""
+    log det Sigma_0, the channels, the orthonormal packing and identities),
+    the solve's counters and its buffer: everything the search and the
+    certificate read."""
 
     def __init__(self, prob):
         self.sigma0 = prob.reference.covariance
         self.k = k = self.sigma0.shape[0]
         self.l0 = prob.ball.reference_chol
-        self.l0i = np.linalg.inv(self.l0)
+        self.l0i = _inv(self.l0)  # a Cholesky factor: triangular, positive diagonal
         self.sigma0_inv = self.l0i.T @ self.l0i
         self.logdet0 = 2.0 * np.sum(np.log(np.diag(self.l0)))
         self.noise, self.weights = prob.noise_stack, prob.weights
         self.basis = _basis(k)
+        # keeps the transposed layout: BLAS runs another kernel on a contiguous copy
+        self.neg_basis_t = -self.basis.T
         self.n = self.basis.shape[1]
+        self.eye_k, self.eye_n = np.eye(k), np.eye(self.n)
+        # [chol(Sigma), Sigma + Sigma_N_j] of `_inverses`, read before it is filled again
+        self.buf = np.empty((self.weights.size + 1, k, k))
         self.jacobians = self.steps = 0
 
-    def pack(self, m):
-        return self.basis.T @ m.ravel()
+    def pack(self, m, out=None):
+        return np.matmul(self.basis.T, m.ravel(), out=out)
 
     def unpack_sigma(self, v):  # packed whitened X -> L0 X L0^T
         return self.l0 @ (self.basis @ v).reshape(self.k, self.k) @ self.l0.T
 
-    def lift(self, m):  # whitened precision-like L0^T M L0
-        return self.l0.T @ m @ self.l0
+    def lift(self, m, out=None):  # whitened precision-like L0^T M L0
+        return np.matmul(self.l0.T @ m, self.l0, out=out)
 
 
 def _chol(m):
     """The Cholesky factor of a finite positive definite m, else None."""
     if not np.isfinite(m).all():
         return None
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return None
+    c = _cholesky(m)
+    return None if math.isnan(c[0, 0]) else c  # of a finite m, NaN is LAPACK's failure
 
 
-def _gradient(ctx, ai):
-    """(W_j^T W_j, S) from A_j^-1 = (Sigma + Sigma_N_j)^-1."""
+def _gradient(ctx, ai, cm=None):
+    """S from A_j^-1 = (Sigma + Sigma_N_j)^-1, with the W_j^T W_j written to
+    `cm` where given."""
     wt = ai @ ctx.noise
-    cm = wt @ wt.swapaxes(1, 2)
-    return cm, np.einsum("j,jab->ab", ctx.weights, cm)
+    return np.einsum("j,jab->ab", ctx.weights, np.matmul(wt, wt.swapaxes(1, 2), out=cm))
+
+
+def _inverses(ctx, sigma, chol):
+    """chol^-1 and every A_j^-1 = (Sigma + Sigma_N_j)^-1 from one stacked
+    inverse of the solve's buffer, which keeps the A_j. A Cholesky factor,
+    and A_j with Sigma positive definite, are invertible: LAPACK cannot fail."""
+    buf = ctx.buf
+    buf[0] = chol
+    np.add(sigma, ctx.noise, out=buf[1:])
+    return _inv(buf)
 
 
 def _s(ctx, sigma):
-    """S(Sigma), the gradient of f."""
-    return _gradient(ctx, np.linalg.inv(sigma + ctx.noise))[1]
+    """S(Sigma), the gradient of f: all NaN where a Sigma + Sigma_N_j is
+    singular, and a start that gives it is dropped (`_eigh` raises, or the
+    corrector finds no finite Sigma)."""
+    return _gradient(ctx, _inv(sigma + ctx.noise))
 
 
 def _value(ctx, sigma):
@@ -170,7 +237,7 @@ def _value(ctx, sigma):
 
 def _kl(ctx, sigma, ci):
     """kl(Sigma, Sigma_0) from ci = chol(Sigma)^-1."""
-    return (0.5 * (np.sum(ctx.sigma0_inv * sigma) - ctx.k + ctx.logdet0)
+    return (0.5 * ((ctx.sigma0_inv * sigma).sum() - ctx.k + ctx.logdet0)
             + np.log(ci.diagonal()).sum())
 
 
@@ -185,19 +252,21 @@ def _evaluate(ctx, sigma, chol, alpha, t2):
         raise NoConvergence("Jacobian evaluation cap reached", iterations=ctx.jacobians)
     ctx.jacobians += 1
     k, n, nj = ctx.k, ctx.n, ctx.weights.size
-    inv = np.linalg.inv(np.concatenate([chol[None], sigma + ctx.noise]))
+    inv = _inverses(ctx, sigma, chol)
     ci = inv[0]
     # one product L0^T (.) L0 whitens all of them; the Jacobian's einsum reads the
     # first two runs of J + 1 as they lie
     stack = np.empty((2 * nj + 4, k, k))
-    stack[0] = stack[nj + 1] = si = ci.T @ ci
+    si = np.matmul(ci.T, ci, out=stack[0])
+    stack[nj + 1] = si
     stack[1:nj + 1] = inv[1:]
-    stack[nj + 2:-2], stack[-2] = _gradient(ctx, inv[1:])
-    stack[-1] = si - ctx.sigma0_inv + alpha * stack[-2]
-    stack = ctx.lift(stack)
-    kl = _kl(ctx, sigma, ci)
+    stack[-2] = _gradient(ctx, inv[1:], stack[nj + 2:-2])
+    np.subtract(si, ctx.sigma0_inv, out=stack[-1])
+    stack[-1] += alpha * stack[-2]
+    ctx.lift(stack, out=stack)
     res = np.empty(n + 1)
-    res[:n], res[n] = ctx.pack(stack[-1]), kl - t2
+    ctx.pack(stack[-1], out=res[:n])
+    res[n] = _kl(ctx, sigma, ci) - t2
     return res, stack
 
 
@@ -209,9 +278,9 @@ def _jacobian(ctx, alpha, stack):
     # kron(X^-1, X^-1) + 2 alpha sum_j lambda_j kron(L0^T A_j^-1 L0, L0^T W_j^T W_j L0)
     g = np.einsum("j,jab,jcd->acbd", coef, stack[:nj + 1], stack[nj + 1:-2]).reshape(k * k, k * k)
     jac = np.empty((n + 1, n + 1))
-    jac[:n, :n] = -ctx.basis.T @ g @ ctx.basis
-    jac[:n, n] = ctx.pack(stack[-2])
-    jac[n, :n] = ctx.pack(0.5 * (np.eye(k) - stack[0]))
+    np.matmul(ctx.neg_basis_t @ g, ctx.basis, out=jac[:n, :n])
+    ctx.pack(stack[-2], out=jac[:n, n])
+    ctx.pack(0.5 * (ctx.eye_k - stack[0]), out=jac[n, :n])
     jac[n, n] = 0.0
     return jac
 
@@ -220,16 +289,17 @@ def _newton_step(ctx, sigma, alpha, res, jac):
     """Newton step, shortened only to keep Sigma positive definite; the
     new (Sigma, alpha, chol(Sigma)) or None."""
     try:
-        step = np.linalg.solve(jac, -res)
-    except np.linalg.LinAlgError:
+        step = _solve(jac, -res)
+    except LinAlgError:
         return None
     lam, d = 1.0, ctx.unpack_sigma(step[:ctx.n])
+    trial = sigma + d  # lam = 1
     while lam >= 1e-6:
-        trial = sigma + lam * d
         chol = _chol(trial)
         if chol is not None:
             return trial, alpha + lam * step[ctx.n], chol
         lam *= 0.5
+        trial = sigma + lam * d
     return None
 
 
@@ -245,7 +315,7 @@ def _correct(ctx, sigma, alpha, t2, final, iters=_NEWTON_ITER):
         return None
     for i in range(1, iters + 1):
         res, stack = _evaluate(ctx, sigma, chol, alpha, t2)
-        rel = np.linalg.norm(res[:-1]) / np.abs(stack[0]).max()
+        rel = _norm(res[:-1]) / np.abs(stack[0]).max()
         if abs(res[-1]) <= kl_tol and (rel <= tol or _FLOOR_TOL > rel > 0.25 * prev):
             return sigma, alpha, stack
         if i == iters:  # no Newton step that nothing would evaluate
@@ -260,17 +330,18 @@ def _correct(ctx, sigma, alpha, t2, final, iters=_NEWTON_ITER):
 def _mm_step(ctx, sigma, t2, sign, alpha=None):
     """Majorize-minimize step (Sigma, alpha): L0 (I - alpha T(Sigma))^-1 L0^T,
     with alpha of the direction's sign putting it on kl = t2 unless given."""
-    return _sphere(ctx, *np.linalg.eigh(ctx.lift(_s(ctx, sigma))), t2, sign, alpha)
+    return _sphere(ctx, *_eigh(ctx.lift(_s(ctx, sigma))), t2, sign, alpha)
 
 
 def _sphere(ctx, tau, q, t2, sign, alpha=None):
     """(L0 q diag(1 / (1 - alpha tau)) q^T L0^T, alpha) for T = q diag(tau) q^T.
     At extreme radii the safeguarded Newton's trial points overflow or leave
-    the domain of the log; those steps are rejected, silently."""
+    the domain of the log; those steps are rejected, silently. Its scalars
+    stay numpy scalars: in Python floats a division by zero raises."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if alpha is None:
             lo, hi = 0.0, (1.0 / tau[-1] if sign > 0 else np.inf)
-            b = min(2.0 * np.sqrt(t2) / np.linalg.norm(tau), 0.5 * hi)  # first order
+            b = min(2.0 * np.sqrt(t2) / _norm(tau), 0.5 * hi)  # first order
             for _ in range(100):
                 x = 1.0 / (1.0 - sign * b * tau)
                 g = 0.5 * (x - 1.0 - np.log(x)).sum() - t2
@@ -299,16 +370,16 @@ def _settle(ctx, sigma, alpha, t2, sign, final, iters=_NEWTON_ITER):
         if sign > 0:
             return sigma, alpha, None if final else _jacobian(ctx, alpha, stack)
         jac = _jacobian(ctx, alpha, stack)
-        g = jac[-1, :-1] / np.linalg.norm(jac[-1, :-1])
-        proj = np.eye(ctx.n) - np.outer(g, g)
-        ev, vec = np.linalg.eigh(proj @ (jac[:-1, :-1] + jac[:-1, :-1].T) @ proj / (2 * alpha))
+        g = jac[-1, :-1] / _norm(jac[-1, :-1])
+        proj = ctx.eye_n - np.outer(g, g)
+        ev, vec = _eigh(proj @ (jac[:-1, :-1] + jac[:-1, :-1].T) @ proj / (2 * alpha))
         if ev[0] >= -1e-9 * np.abs(ev).max():
             return sigma, alpha, jac
         # half-way to the edge of the cone both ways, then a
         # majorize-minimize step back onto the sphere; keep the lower side
-        x_min = np.linalg.eigvalsh(ctx.l0i @ sigma @ ctx.l0i.T)[0]
+        x_min = _eigvalsh(ctx.l0i @ sigma @ ctx.l0i.T)[0]
         dx = (ctx.basis @ vec[:, 0]).reshape(ctx.k, ctx.k)
-        d = ctx.unpack_sigma(0.5 * x_min / np.abs(np.linalg.eigvalsh(dx)).max() * vec[:, 0])
+        d = ctx.unpack_sigma(0.5 * x_min / np.abs(_eigvalsh(dx)).max() * vec[:, 0])
         sigma, alpha = min((_mm_step(ctx, sigma + s * d, t2, sign) for s in (1.0, -1.0)),
                            key=lambda c: _value(ctx, c[0]))
         hit = _correct(ctx, sigma, alpha, t2, final)
@@ -319,7 +390,7 @@ def _split_start(ctx, eps):
     """The lowest of majorize-minimize descents from the splits that spend
     the whole radius shrinking the m steepest directions of T(Sigma_0)
     alike, m < K: a start off the symmetric subspace a path stays in."""
-    q = np.linalg.eigh(ctx.lift(_s(ctx, ctx.sigma0)))[1]
+    q = _eigh(ctx.lift(_s(ctx, ctx.sigma0)))[1]
     splits = (_sphere(ctx, (np.arange(ctx.k) >= ctx.k - m).astype(float), q, eps, -1.0)[0]
               for m in range(1, ctx.k))
     return min((_descent(ctx, start, eps, _SPLIT_STEPS) for start in splits),
@@ -343,9 +414,9 @@ def _path(ctx, sign, eps):
         if tangent is None:
             s_p, a_p = _mm_step(ctx, ctx.sigma0, t_new**2, sign)
         else:  # Sigma^1/2 exp(dt Sigma^-1/2 Sigma' Sigma^-1/2) Sigma^1/2 stays definite
-            c = np.linalg.cholesky(sigma)
-            ci = np.linalg.inv(c)
-            w, v = np.linalg.eigh(ci @ ctx.unpack_sigma((t_new - t) * tangent[:n]) @ ci.T)
+            c = _cholesky(sigma)  # a corrected Sigma: positive definite
+            ci = _inv(c)
+            w, v = _eigh(ci @ ctx.unpack_sigma((t_new - t) * tangent[:n]) @ ci.T)
             s_p = (c @ v * np.exp(np.minimum(w, 30.0))) @ (c @ v).T
             a_p = alpha + (t_new - t) * tangent[n]
             for _ in range(_SMOOTH if sign < 0 and a_p < 0 else 0):  # descend the Lagrangian
@@ -359,7 +430,7 @@ def _path(ctx, sign, eps):
             continue
         t, (sigma, alpha, jac), h = t_new, hit, 1.5 * h
         if t < target:
-            tangent = np.linalg.solve(jac, np.append(np.zeros(n), 2.0 * t))
+            tangent = _solve(jac, np.append(np.zeros(n), 2.0 * t))
     return sigma, alpha
 
 
@@ -369,12 +440,13 @@ def _residual(ctx, sigma, alpha, s):
     alpha S(Sigma) is not positive definite. Both norms read their matrix
     scaled by the power of two of max|Sigma|: exact, and the squares of a
     tiny Sigma's entries do not underflow."""
-    try:
-        mi = np.linalg.inv(np.linalg.cholesky(ctx.sigma0_inv - alpha * s))
-    except np.linalg.LinAlgError:
+    with np.errstate(invalid="ignore"):  # LAPACK's failure is read below, silently
+        c = _cholesky(ctx.sigma0_inv - alpha * s)
+    if math.isnan(c[0, 0]):
         return np.inf
+    mi = _inv(c)  # a Cholesky factor
     scale = np.ldexp(1.0, -np.frexp(np.abs(sigma).max())[1])
-    return float(np.linalg.norm(scale * (mi.T @ mi - sigma)) / np.linalg.norm(scale * sigma))
+    return float(_norm(scale * (mi.T @ mi - sigma)) / _norm(scale * sigma))
 
 
 def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
@@ -476,7 +548,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
         or residual, None when the corrector fails or the start breaks down."""
         try:
             hit = _settle(ctx, *start(*args), eps, sign, True, 3 * _NEWTON_ITER)
-        except (np.linalg.LinAlgError, SingularSum):
+        except (LinAlgError, SingularSum):
             return None
         return None if hit is None else offer(*hit[:2])
 
@@ -496,7 +568,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
                 found.clear()  # solved from the centre as without a start
                 try:
                     sigma, alpha = _path(ctx, sign, eps)
-                except (NoConvergence, np.linalg.LinAlgError):
+                except (NoConvergence, LinAlgError):
                     if sign > 0:
                         raise
                     add(_descent, ctx, ctx.sigma0, eps, _MM_STEPS)
@@ -507,11 +579,11 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
                     if sign < 0 and not (ctx.steps == 1 and isinstance(cert, BoundResult)):
                         add(_mm_step, ctx, ctx.sigma0, eps, sign, alpha)
             if sign < 0 and ctx.k > 1:
-                w = np.linalg.eigvalsh(ctx.l0i @ found[0][1] @ ctx.l0i.T) if found else [0.0, 0.0]
+                w = _eigvalsh(ctx.l0i @ found[0][1] @ ctx.l0i.T) if found else [0.0, 0.0]
                 if np.min(np.diff(w)) <= 1e-6 * w[-1]:
                     # no answer, or one with a repeated eigenvalue: break the symmetry
                     add(_split_start, ctx, eps)
-        except (NoConvergence, np.linalg.LinAlgError) as exc:
+        except (NoConvergence, LinAlgError) as exc:
             raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {exc}",
                                 getattr(exc, "residual", None), ctx.jacobians) from exc
     for _, _, cert in found:
@@ -535,14 +607,15 @@ def _certify(direction, ctx, eps, sigma, alpha, value=None, inner=None):
     chol = _chol(sigma)
     if chol is None:
         return np.inf
-    a = sigma + ctx.noise
-    inv = np.linalg.inv(np.concatenate([chol[None], a]))  # chol^-1 and every A_j^-1
-    res = _residual(ctx, sigma, alpha, _gradient(ctx, inv[1:])[1])
+    inv = _inverses(ctx, sigma, chol)
+    res = _residual(ctx, sigma, alpha, _gradient(ctx, inv[1:]))
     kl = float(_kl(ctx, sigma, inv[0]))
     if not (res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL):
         return res
-    if value is None:  # f through the solve `mmse_matrix` makes; the trace needs no symmetrizing
-        value = float(ctx.weights @ np.trace(sigma @ np.linalg.solve(a, ctx.noise),
+    if value is None:
+        # f through the solve `mmse_matrix` makes, of the A_j (positive definite) that the
+        # buffer still holds; the trace needs no symmetrizing
+        value = float(ctx.weights @ np.trace(sigma @ _solve_stack(ctx.buf[1:], ctx.noise),
                                              axis1=1, axis2=2))
     return BoundResult(direction, float(alpha), sigma, value, kl, inner, ctx.steps,
                        (res, abs(kl - eps)))

@@ -242,15 +242,40 @@ class TestBoundCommand:
         assert base != wider
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("epsilon", ["1000", "1e5", "1e300"])
-    def test_huge_radius_is_one_solver_error(self, demo_config, capsys, epsilon):
+    @pytest.mark.parametrize("epsilon, failed", [("1000", ["lower"]),
+                                                 ("1e5", ["lower", "upper"]),
+                                                 ("1e300", ["lower", "upper"])],
+                             ids=["1000", "1e5", "1e300"])
+    def test_huge_radius_is_one_solver_error(self, demo_config, capsys, epsilon, failed):
         # the lower bound's trial points overflow at these radii; the search
         # passes over them, the certificate rejects what is left, and no
-        # numpy warning reaches the user
+        # numpy warning reaches the user. Each failed bound is one solver
+        # error line, and a certified upper bound is still printed
         rc = cli.main(["bound", "--config", demo_config, "--epsilon", epsilon])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert rc == EXIT_SOLVER
-        assert err.count("\n") == 1 and err.startswith("solver error: lower bound at epsilon=")
+        lines = err.splitlines()
+        assert len(lines) == len(failed)
+        for line, direction in zip(lines, failed):
+            assert line.startswith(f"solver error: {direction} bound at epsilon=")
+        assert ("upper bound: " in out) == ("upper" not in failed)
+        assert "lower bound: " not in out
+
+    def test_lower_end_past_the_double_range_keeps_the_upper_bound(self, tmp_path, capsys):
+        config = tmp_path / "field.json"
+        assert cli.main(["scenario", "--distances", "0,1.5,4", "--gamma", "0.5", "--m", "2.5",
+                         "--sigma0", "0.8", "--dimension", "1", "--weights", "0.2,0.3,0.5",
+                         "--out", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        rc = cli.main(["bound", "--config", str(config), "--epsilon", "1000"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_SOLVER
+        assert err.splitlines() == [
+            "solver error: lower bound at epsilon=1000.0: the end of the interval leaves "
+            "the double range (Sigma = 0.0, alpha = -inf)"]
+        ensemble, ball = load_config(config)
+        upper = solve_bound("upper", ensemble, DivergenceBall(ball.reference, 1000.0))
+        assert f"upper bound: {upper.bound_value:.12g}  " in out
 
     def test_missing_config(self, capsys):
         rc = cli.main(["bound", "--config", "/nonexistent/c.json"])

@@ -499,6 +499,84 @@ class TestJacobian:
         np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-7 * np.abs(jac).max())
 
 
+class TestLapackHelpers:
+    """The solver calls numpy.linalg's LAPACK gufuncs without numpy's
+    wrapper. Each helper must give numpy.linalg's bits and keep the failure
+    branch its call sites took with numpy, so a numpy that renames or
+    changes the private gufuncs fails here."""
+
+    @staticmethod
+    def _same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_bitwise_numpy_linalg(self, k):
+        rng = np.random.default_rng([TEST_SEED, k])
+        spd = random_spd(rng, k, 1.5)
+        a = rng.normal(size=(k, k))
+        sym, b = a + a.T, rng.normal(size=k)
+        self._same(solver._cholesky(spd), np.linalg.cholesky(spd))
+        self._same(solver._chol(spd), np.linalg.cholesky(spd))
+        self._same(solver._inv(a), np.linalg.inv(a))
+        self._same(solver._solve(a, b), np.linalg.solve(a, b))
+        for m in (spd, sym):
+            for got, want in zip(solver._eigh(m), np.linalg.eigh(m)):
+                self._same(got, want)
+            self._same(solver._eigvalsh(m), np.linalg.eigvalsh(m))
+        for x in (b, a, np.zeros(k)):
+            self._same(solver._norm(x), np.linalg.norm(x))
+
+    @pytest.mark.parametrize("j", range(1, 6))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_evaluation_stack(self, k, j):
+        # the (J + 1, K, K) stack of chol(Sigma) and every Sigma + Sigma_N_j that
+        # an evaluation and the certificate invert, and the certificate's solve
+        rng = np.random.default_rng([TEST_SEED, k, j])
+        ens = ChannelEnsemble.from_arrays([random_spd(rng, k, s) for s in rng.uniform(0.3, 3, j)],
+                                          rng.uniform(0.2, 2.0, j))
+        ball = DivergenceBall(GaussianReference(np.zeros(k), random_spd(rng, k, 2.0)), 0.3)
+        ctx = solver._Ctx(validate_problem(ens, ball))
+        sigma = random_spd(rng, k, 1.5)
+        chol = solver._chol(sigma)
+        a = sigma + ctx.noise
+        self._same(solver._inverses(ctx, sigma, chol),
+                   np.linalg.inv(np.concatenate([chol[None], a])))
+        self._same(solver._solve_stack(ctx.buf[1:], ctx.noise), np.linalg.solve(a, ctx.noise))
+        self._same(ctx.l0i, np.linalg.inv(ctx.l0))
+        # the negated packing keeps the transposed layout BLAS reads (a copy
+        # in C order moved every K = 5 and K = 6 corpus answer)
+        assert ctx.neg_basis_t.flags.f_contiguous
+        assert ctx.neg_basis_t.flags.c_contiguous == (k == 1)
+
+    def test_chol_fails_to_none(self):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with np.errstate(invalid="ignore"):  # as inside solve_bound
+            assert solver._chol(indefinite) is None
+            assert solver._chol(np.array([[-1.0]])) is None
+        assert solver._chol(np.array([[np.inf, 0.0], [0.0, 1.0]])) is None
+
+    @pytest.mark.parametrize("helper, numpy_call, args", [
+        ("_solve", np.linalg.solve, (np.zeros((3, 3)), np.ones(3))),
+        ("_eigh", np.linalg.eigh, (np.full((3, 3), np.nan),)),
+        ("_eigvalsh", np.linalg.eigvalsh, (np.full((3, 3), np.nan),)),
+    ])
+    def test_lapack_failure_raises_where_numpy_raised(self, helper, numpy_call, args):
+        with pytest.raises(np.linalg.LinAlgError):
+            numpy_call(*args)
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            getattr(solver, helper)(*args)
+
+    def test_nan_without_lapack_failure_is_returned(self):
+        # numpy returns NaN here without raising, and so do the helpers
+        m = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        for got, want in zip(solver._eigh(m), np.linalg.eigh(m)):
+            self._same(got, want)
+        self._same(solver._eigvalsh(m), np.linalg.eigvalsh(m))
+        self._same(solver._solve(m, np.ones(2)), np.linalg.solve(m, np.ones(2)))
+
+
 class TestFailureDiagnostics:
     """Every NoConvergence from solve_bound names the bound and epsilon, and
     carries the solve's Jacobian evaluations and the residual where one was

@@ -39,6 +39,10 @@ reference N(0, I), epsilon = 0.2) unless named otherwise:
 * `correct`: `solver._correct` at the target (`final` true) from that
   predictor; CPU per call, 40 calls a sample. The digest covers the
   corrected Sigma and alpha, which every tree returns first.
+* `certify`: one `solver._certify` of the demo lower bound's answer (its
+  Sigma and alpha, solved untimed), the check every candidate of every
+  route passes once; CPU per call, 200 calls a sample. The digest covers
+  the BoundResult's floats and Sigma.
 * `demo_lower`, `demo_upper`: `solve_bound` in each direction; CPU per
   solve, 10 solves a sample.
 * `local_lower`, `local_upper`: `local_bound` in each direction on the
@@ -112,14 +116,15 @@ ROOT = Path(__file__).resolve().parent.parent
 VERIFY_SEED = 301
 KERNEL_P, KERNEL_RADIUS = 1.0, 2.0  # the generalized Gaussian's p, the ball's R
 KERNEL_N_OUTER = 256
-SOLVER_REPS = {"evaluate": 200, "correct": 40, "demo_lower": 10, "demo_upper": 10,
-               "local_lower": 20, "local_upper": 20, "corpus_k1": 20, "corpus_k4": 10}
+SOLVER_REPS = {"evaluate": 200, "correct": 40, "certify": 200, "demo_lower": 10,
+               "demo_upper": 10, "local_lower": 20, "local_upper": 20, "corpus_k1": 20,
+               "corpus_k4": 10}
 SWEEP_BALL_GRID = "0.1:40:25"
 LOCAL_CHANNEL = 1
 CORPUS_SEED = 301
 CORPUS_CELLS = {"corpus_k1": (1, 4), "corpus_k4": (4, 4)}  # task -> (K, J)
-SOLVER_TASKS = ("evaluate", "correct", "demo_lower", "demo_upper", "local_lower", "local_upper",
-                *CORPUS_CELLS, "paper_sweeps_pass", "sweep_ball_lower")
+SOLVER_TASKS = ("evaluate", "correct", "certify", "demo_lower", "demo_upper", "local_lower",
+                "local_upper", *CORPUS_CELLS, "paper_sweeps_pass", "sweep_ball_lower")
 KERNELS = {  # name -> (prior family, K, J, n_inner)
     "kernel_K3_J1": ("gen-gauss", 3, 1, 2000), "kernel_K3_J4": ("gen-gauss", 3, 4, 2000),
     "kernel_K1_J4": ("gen-gauss", 1, 4, 2000), "kernel_K6_J4": ("gen-gauss", 6, 4, 2000),
@@ -307,6 +312,18 @@ class Worker:
         return ({"correct_cpu_us_per_call": 1e6 * cpu / reps},
                 {"jacobians": ctx.jacobians,
                  "answers_sha256": _digest(*(self.np.asarray(v) for v in out[:2]))})
+
+    def certify(self):
+        solver, reps, eps = self.mb.solver, SOLVER_REPS["certify"], self.demo.epsilon
+        answer = self.mb.solve_bound("lower", self.demo, self.demo.ball)
+        ctx = solver._Ctx(self.demo)
+        t0 = time.process_time()
+        for _ in range(reps):
+            cert = solver._certify("lower", ctx, eps, answer.sigma_x, answer.alpha)
+        cpu = time.process_time() - t0
+        floats = [cert.alpha, cert.bound_value, cert.kl_at_solution, *cert.residuals]
+        return ({"certify_cpu_us_per_call": 1e6 * cpu / reps},
+                {"answers_sha256": _digest(self.np.array(floats), cert.sigma_x)})
 
     def solves(self, task, solve, *args):
         """CPU per call of solve(*args), SOLVER_REPS[task] calls a sample."""

@@ -15,8 +15,9 @@ when it wrote none). Last come three `bound` runs, each on a config a
 `scenario` run wrote in the same temporary directory, which reach the
 closed forms: a K = 1 config (the end of its interval), a one-channel
 K = 3 config on the reference I (K scalars), and the K = 1 config at an
-epsilon whose lower end leaves the double range (exit 2). The last line
-is one SHA-256 over every command line.
+epsilon whose lower end leaves the double range (exit 2, and the upper
+bound is still printed). The last line is one SHA-256 over every
+command line.
 
 Two trees that print the same final hash give byte-identical output and
 the same exit codes on every command: the solver's answers through
