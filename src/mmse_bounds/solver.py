@@ -55,9 +55,18 @@ all-NaN output and the floating-point invalid flag, not as LinAlgError:
 `_solve`, `_eigh` and `_eigvalsh` hand a NaN answer back to numpy.linalg,
 which raises exactly where LAPACK failed; `_chol` gives None and
 `_residual` inf (silently, outside a solve too); the other calls cannot
-fail, as their comments say. An evaluation also writes its products into
-its stack and Jacobian, and reuses one per-solve buffer for the matrices
-it inverts. Two bit-level traps: the negated packing must keep the
+fail, as their comments say. Likewise einsum is numpy's C `c_einsum`
+(`_einsum`, what `np.einsum` calls without `optimize`), and `.sum()`,
+`.all()`, `.max()` and `np.min` are the ufunc reductions they call
+(`_sum`, `_all`, `_max`, `_min`, at axis None), bitwise the same without
+the Python layers. An evaluation writes its products into its stack and
+Jacobian. What a call uses and drops (the matrices it inverts, the
+Jacobian's coefficients, Kronecker sum and projected product) is scratch
+that `_Ctx` holds for the solve; what a call returns (an evaluation's
+residual and stack, a Jacobian) is fresh, since callers hold two at once:
+a residual written into scratch failed every case of the Jacobian's
+central-difference test, which holds the residuals at Sigma + d and
+Sigma - d together. Two bit-level traps: the negated packing must keep the
 transposed layout of `basis.T` (BLAS runs another kernel on a contiguous
 copy, which moved every K = 5 and K = 6 corpus answer), and the scalars
 of `_sphere`'s Newton loop must stay numpy scalars (in Python floats its
@@ -71,6 +80,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy._core.multiarray import c_einsum as _einsum
 from numpy.linalg import LinAlgError
 from numpy.linalg import _umath_linalg as _gufuncs
 
@@ -97,6 +107,10 @@ _SPLIT_STEPS = 10  # majorize-minimize steps from each symmetry-breaking split
 _inv = functools.partial(_gufuncs.inv, signature="d->d")
 _solve_stack = functools.partial(_gufuncs.solve, signature="dd->d")
 _cholesky = functools.partial(_gufuncs.cholesky_lo, signature="d->d")
+# the ufunc reductions that ndarray.sum, .all and .max and np.min call, without
+# numpy/_core/_methods.py; each call passes axis None, as those do
+_sum, _all = np.add.reduce, np.logical_and.reduce
+_max, _min = np.maximum.reduce, np.minimum.reduce
 
 
 def _solve(a, b):
@@ -152,8 +166,11 @@ class BoundResult:
 
 
 @functools.cache
-def _basis(k):
-    """The (K^2, K(K+1)/2) orthonormal packing E_ii, (E_ij + E_ji) / sqrt 2."""
+def _packing(k):
+    """The (K^2, K(K+1)/2) orthonormal packing E_ii, (E_ij + E_ji) / sqrt 2,
+    its transpose and negated transpose, I_K and I_n, all read-only. The
+    negation keeps the transposed layout: BLAS runs another kernel on a
+    contiguous copy."""
     iu, ju = np.triu_indices(k)
     n = iu.size
     basis = np.zeros((k, k, n))
@@ -161,66 +178,79 @@ def _basis(k):
     basis[iu, ju, np.arange(n)] = val
     basis[ju, iu, np.arange(n)] = val
     basis = basis.reshape(k * k, n)
-    basis.flags.writeable = False
-    return basis
+    consts = (basis, basis.T, -basis.T, np.eye(k), np.eye(n))
+    for a in consts:
+        a.flags.writeable = False
+    return consts
 
 
 class _Ctx:
     """Per-solve constants of a validated problem (the reference, L0 and
     log det Sigma_0, the channels, the orthonormal packing and identities),
-    the solve's counters and its buffer: everything the search and the
-    certificate read."""
+    the solve's counters and its scratch: everything the search and the
+    certificate read. The scratch holds what a call uses and drops; an
+    array a call returns is never scratch, since callers hold two at once."""
 
     def __init__(self, prob):
         self.sigma0 = prob.reference.covariance
         self.k = k = self.sigma0.shape[0]
         self.l0 = prob.ball.reference_chol
+        self.l0t = self.l0.T
         self.l0i = _inv(self.l0)  # a Cholesky factor: triangular, positive diagonal
         self.sigma0_inv = self.l0i.T @ self.l0i
-        self.logdet0 = 2.0 * np.sum(np.log(np.diag(self.l0)))
+        self.logdet0 = 2.0 * _sum(np.log(np.diag(self.l0)), None)
         self.noise, self.weights = prob.noise_stack, prob.weights
-        self.basis = _basis(k)
-        # keeps the transposed layout: BLAS runs another kernel on a contiguous copy
-        self.neg_basis_t = -self.basis.T
-        self.n = self.basis.shape[1]
-        self.eye_k, self.eye_n = np.eye(k), np.eye(self.n)
-        # [chol(Sigma), Sigma + Sigma_N_j] of `_inverses`, read before it is filled again
-        self.buf = np.empty((self.weights.size + 1, k, k))
+        self.nj = nj = self.weights.size
+        self.basis, self.basis_t, self.neg_basis_t, self.eye_k, self.eye_n = _packing(k)
+        self.n = n = self.basis.shape[1]
+        # [chol(Sigma), Sigma + Sigma_N_j] of `_inverses` (buf_a: the A_j), read
+        # before it is filled again
+        self.buf = np.empty((nj + 1, k, k))
+        self.buf_a = self.buf[1:]
+        # `_jacobian`'s coefficients [1, 2 alpha lambda_j] (coef_w: the second
+        # part), Kronecker sum (as (K, K, K, K) for the einsum) and projected product
+        self.coef = np.empty(nj + 1)
+        self.coef[0] = 1.0
+        self.coef_w = self.coef[1:]
+        self.kron = np.empty((k * k, k * k))
+        self.kron4 = self.kron.reshape(k, k, k, k)
+        self.proj = np.empty((n, k * k))
         self.jacobians = self.steps = 0
 
-    def pack(self, m, out=None):
-        return np.matmul(self.basis.T, m.ravel(), out=out)
-
     def unpack_sigma(self, v):  # packed whitened X -> L0 X L0^T
-        return self.l0 @ (self.basis @ v).reshape(self.k, self.k) @ self.l0.T
+        return self.l0 @ (self.basis @ v).reshape(self.k, self.k) @ self.l0t
 
     def lift(self, m, out=None):  # whitened precision-like L0^T M L0
-        return np.matmul(self.l0.T @ m, self.l0, out=out)
+        return np.matmul(self.l0t @ m, self.l0, out=out)
 
 
 def _chol(m):
     """The Cholesky factor of a finite positive definite m, else None."""
-    if not np.isfinite(m).all():
+    if not _all(np.isfinite(m), None):
         return None
-    c = _cholesky(m)
+    c = _gufuncs.cholesky_lo(m, signature="d->d")  # `_cholesky`, minus a call per trial
     return None if math.isnan(c[0, 0]) else c  # of a finite m, NaN is LAPACK's failure
 
 
-def _gradient(ctx, ai, cm=None):
+def _gradient(ctx, ai, cm=None, out=None):
     """S from A_j^-1 = (Sigma + Sigma_N_j)^-1, with the W_j^T W_j written to
-    `cm` where given."""
+    `cm` and S to `out` where given."""
     wt = ai @ ctx.noise
-    return np.einsum("j,jab->ab", ctx.weights, np.matmul(wt, wt.swapaxes(1, 2), out=cm))
+    wtw = np.matmul(wt, wt.swapaxes(1, 2), out=cm)
+    if out is None:  # c_einsum rejects out=None
+        return _einsum("j,jab->ab", ctx.weights, wtw)
+    return _einsum("j,jab->ab", ctx.weights, wtw, out=out)
 
 
-def _inverses(ctx, sigma, chol):
+def _inverses(ctx, sigma, chol, out=None):
     """chol^-1 and every A_j^-1 = (Sigma + Sigma_N_j)^-1 from one stacked
-    inverse of the solve's buffer, which keeps the A_j. A Cholesky factor,
-    and A_j with Sigma positive definite, are invertible: LAPACK cannot fail."""
+    inverse of the solve's buffer, which keeps the A_j, written to `out`
+    where given. A Cholesky factor, and A_j with Sigma positive definite,
+    are invertible: LAPACK cannot fail."""
     buf = ctx.buf
     buf[0] = chol
-    np.add(sigma, ctx.noise, out=buf[1:])
-    return _inv(buf)
+    np.add(sigma, ctx.noise, out=ctx.buf_a)
+    return _gufuncs.inv(buf, signature="d->d", out=out)  # `_inv`, minus a call per evaluation
 
 
 def _s(ctx, sigma):
@@ -237,8 +267,8 @@ def _value(ctx, sigma):
 
 def _kl(ctx, sigma, ci):
     """kl(Sigma, Sigma_0) from ci = chol(Sigma)^-1."""
-    return (0.5 * ((ctx.sigma0_inv * sigma).sum() - ctx.k + ctx.logdet0)
-            + np.log(ci.diagonal()).sum())
+    return (0.5 * (_sum(ctx.sigma0_inv * sigma, None) - ctx.k + ctx.logdet0)
+            + _sum(np.log(ci.diagonal()), None))
 
 
 def _evaluate(ctx, sigma, chol, alpha, t2):
@@ -251,36 +281,34 @@ def _evaluate(ctx, sigma, chol, alpha, t2):
     if ctx.jacobians >= _MAX_JACOBIANS:
         raise NoConvergence("Jacobian evaluation cap reached", iterations=ctx.jacobians)
     ctx.jacobians += 1
-    k, n, nj = ctx.k, ctx.n, ctx.weights.size
-    inv = _inverses(ctx, sigma, chol)
-    ci = inv[0]
+    k, n, nj = ctx.k, ctx.n, ctx.nj
     # one product L0^T (.) L0 whitens all of them; the Jacobian's einsum reads the
     # first two runs of J + 1 as they lie
     stack = np.empty((2 * nj + 4, k, k))
-    si = np.matmul(ci.T, ci, out=stack[0])
-    stack[nj + 1] = si
-    stack[1:nj + 1] = inv[1:]
-    stack[-2] = _gradient(ctx, inv[1:], stack[nj + 2:-2])
-    np.subtract(si, ctx.sigma0_inv, out=stack[-1])
-    stack[-1] += alpha * stack[-2]
-    ctx.lift(stack, out=stack)
+    ci = _inverses(ctx, sigma, chol, out=stack[:nj + 1])[0]
     res = np.empty(n + 1)
-    ctx.pack(stack[-1], out=res[:n])
-    res[n] = _kl(ctx, sigma, ci) - t2
+    res[n] = _kl(ctx, sigma, ci) - t2  # before Sigma^-1 overwrites ci
+    si = np.matmul(ci.T, ci, out=stack[nj + 1])
+    stack[0] = si
+    s, r = stack[-2], stack[-1]
+    _gradient(ctx, stack[1:nj + 1], stack[nj + 2:-2], out=s)
+    np.subtract(si, ctx.sigma0_inv, out=r)
+    r += alpha * s
+    ctx.lift(stack, out=stack)
+    np.matmul(ctx.basis_t, r.ravel(), out=res[:n])  # packed residual matrix
     return res, stack
 
 
 def _jacobian(ctx, alpha, stack):
     """The bordered Jacobian at the point `_evaluate` left `stack` for."""
-    k, n, nj = ctx.k, ctx.n, ctx.weights.size
-    coef = np.empty(nj + 1)
-    coef[0], coef[1:] = 1.0, 2.0 * alpha * ctx.weights
+    n, nj = ctx.n, ctx.nj
+    np.multiply(2.0 * alpha, ctx.weights, out=ctx.coef_w)
     # kron(X^-1, X^-1) + 2 alpha sum_j lambda_j kron(L0^T A_j^-1 L0, L0^T W_j^T W_j L0)
-    g = np.einsum("j,jab,jcd->acbd", coef, stack[:nj + 1], stack[nj + 1:-2]).reshape(k * k, k * k)
+    _einsum("j,jab,jcd->acbd", ctx.coef, stack[:nj + 1], stack[nj + 1:-2], out=ctx.kron4)
     jac = np.empty((n + 1, n + 1))
-    np.matmul(ctx.neg_basis_t @ g, ctx.basis, out=jac[:n, :n])
-    ctx.pack(stack[-2], out=jac[:n, n])
-    ctx.pack(0.5 * (ctx.eye_k - stack[0]), out=jac[n, :n])
+    np.matmul(np.matmul(ctx.neg_basis_t, ctx.kron, out=ctx.proj), ctx.basis, out=jac[:n, :n])
+    np.matmul(ctx.basis_t, stack[-2].ravel(), out=jac[:n, n])  # packed S
+    np.matmul(ctx.basis_t, (0.5 * (ctx.eye_k - stack[0])).ravel(), out=jac[n, :n])  # kl's
     jac[n, n] = 0.0
     return jac
 
@@ -315,7 +343,7 @@ def _correct(ctx, sigma, alpha, t2, final, iters=_NEWTON_ITER):
         return None
     for i in range(1, iters + 1):
         res, stack = _evaluate(ctx, sigma, chol, alpha, t2)
-        rel = _norm(res[:-1]) / np.abs(stack[0]).max()
+        rel = _norm(res[:-1]) / _max(np.abs(stack[0]), None)
         if abs(res[-1]) <= kl_tol and (rel <= tol or _FLOOR_TOL > rel > 0.25 * prev):
             return sigma, alpha, stack
         if i == iters:  # no Newton step that nothing would evaluate
@@ -344,11 +372,12 @@ def _sphere(ctx, tau, q, t2, sign, alpha=None):
             b = min(2.0 * np.sqrt(t2) / _norm(tau), 0.5 * hi)  # first order
             for _ in range(100):
                 x = 1.0 / (1.0 - sign * b * tau)
-                g = 0.5 * (x - 1.0 - np.log(x)).sum() - t2
+                xm1 = x - 1.0
+                g = 0.5 * _sum(xm1 - np.log(x), None) - t2
                 if abs(g) <= 1e-13 * t2:
                     break
                 lo, hi = (lo, b) if g > 0 else (b, hi)
-                b_new = b - g / (0.5 * sign * (tau * x * (x - 1.0)).sum())
+                b_new = b - g / (0.5 * sign * _sum(tau * x * xm1, None))
                 b = b_new if lo < b_new < hi else (0.5 * (lo + hi) if hi < np.inf else 2.0 * b)
             alpha = sign * b
         lq = ctx.l0 @ q
@@ -371,15 +400,15 @@ def _settle(ctx, sigma, alpha, t2, sign, final, iters=_NEWTON_ITER):
             return sigma, alpha, None if final else _jacobian(ctx, alpha, stack)
         jac = _jacobian(ctx, alpha, stack)
         g = jac[-1, :-1] / _norm(jac[-1, :-1])
-        proj = ctx.eye_n - np.outer(g, g)
+        proj = ctx.eye_n - g[:, None] * g
         ev, vec = _eigh(proj @ (jac[:-1, :-1] + jac[:-1, :-1].T) @ proj / (2 * alpha))
-        if ev[0] >= -1e-9 * np.abs(ev).max():
+        if ev[0] >= -1e-9 * _max(np.abs(ev), None):
             return sigma, alpha, jac
         # half-way to the edge of the cone both ways, then a
         # majorize-minimize step back onto the sphere; keep the lower side
         x_min = _eigvalsh(ctx.l0i @ sigma @ ctx.l0i.T)[0]
         dx = (ctx.basis @ vec[:, 0]).reshape(ctx.k, ctx.k)
-        d = ctx.unpack_sigma(0.5 * x_min / np.abs(_eigvalsh(dx)).max() * vec[:, 0])
+        d = ctx.unpack_sigma(0.5 * x_min / _max(np.abs(_eigvalsh(dx)), None) * vec[:, 0])
         sigma, alpha = min((_mm_step(ctx, sigma + s * d, t2, sign) for s in (1.0, -1.0)),
                            key=lambda c: _value(ctx, c[0]))
         hit = _correct(ctx, sigma, alpha, t2, final)
@@ -445,7 +474,7 @@ def _residual(ctx, sigma, alpha, s):
     if math.isnan(c[0, 0]):
         return np.inf
     mi = _inv(c)  # a Cholesky factor
-    scale = np.ldexp(1.0, -np.frexp(np.abs(sigma).max())[1])
+    scale = np.ldexp(1.0, -np.frexp(_max(np.abs(sigma), None))[1])
     return float(_norm(scale * (mi.T @ mi - sigma)) / _norm(scale * sigma))
 
 
@@ -580,7 +609,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
                         add(_mm_step, ctx, ctx.sigma0, eps, sign, alpha)
             if sign < 0 and ctx.k > 1:
                 w = _eigvalsh(ctx.l0i @ found[0][1] @ ctx.l0i.T) if found else [0.0, 0.0]
-                if np.min(np.diff(w)) <= 1e-6 * w[-1]:
+                if _min(np.diff(w), None) <= 1e-6 * w[-1]:
                     # no answer, or one with a repeated eigenvalue: break the symmetry
                     add(_split_start, ctx, eps)
         except (NoConvergence, LinAlgError) as exc:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mmse_bounds import ChannelEnsemble, DivergenceBall, GaussianReference
+from mmse_bounds import ChannelEnsemble, DivergenceBall, Gaussian
 
 # Four correlated 3x3 noise covariances with fixed positive weights; the
 # same ensemble the bundled example config and reference curves use.
@@ -34,7 +34,7 @@ def demo_ensemble() -> ChannelEnsemble:
 
 def isotropic_ball(k: int, variance: float, epsilon: float) -> DivergenceBall:
     """Zero-mean isotropic reference N(0, variance*I_k) with radius epsilon."""
-    return DivergenceBall(GaussianReference(np.zeros(k), variance * np.eye(k)),
+    return DivergenceBall(Gaussian(np.zeros(k), variance * np.eye(k)),
                           epsilon)
 
 

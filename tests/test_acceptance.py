@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 from mmse_bounds import (
     ChannelEnsemble,
     DivergenceBall,
-    GaussianReference,
+    Gaussian,
     GeneralizedGaussian,
     PriorSpec,
     UniformBall,
@@ -129,7 +129,7 @@ def test_a2_gaussian_degeneracy(capsys, demo_ensemble):
     """p = 2: eps = 0 and lower = upper = LMMSE to 1e-8 relative."""
     eps = gen_gauss_epsilon(2.0, 3)
     sigma0 = gen_gauss_covariance(2.0, 3) * np.eye(3)
-    ball = DivergenceBall(GaussianReference(np.zeros(3), sigma0), eps)
+    ball = DivergenceBall(Gaussian(np.zeros(3), sigma0), eps)
     lo = solve_bound("lower", demo_ensemble, ball).bound_value
     up = solve_bound("upper", demo_ensemble, ball).bound_value
     lm = lmmse_upper(sigma0, demo_ensemble)
@@ -158,7 +158,7 @@ def _bisect_ratio(epsilon: float, lower: bool) -> float:
 def test_a3_scalar_oracle(capsys):
     """K = J = 1, Sigma_0 = Sigma_N = [[1]]: bound = s/(s+1) to 1e-8 absolute."""
     ens = ChannelEnsemble.from_arrays([[[1.0]]], [1.0])
-    ref = GaussianReference(np.zeros(1), np.eye(1))
+    ref = Gaussian(np.zeros(1), np.eye(1))
     worst = 0.0
     for eps in (0.01, 0.1, 0.5):
         ball = DivergenceBall(ref, eps)
@@ -181,7 +181,7 @@ def test_a4_monte_carlo_bracketing(capsys, demo_ensemble):
     for p in (1.0, 3.0):
         sigma0 = gen_gauss_covariance(p, 3) * np.eye(3)
         eps = gen_gauss_epsilon(p, 3)
-        ball = DivergenceBall(GaussianReference(np.zeros(3), sigma0), eps)
+        ball = DivergenceBall(Gaussian(np.zeros(3), sigma0), eps)
         lo = solve_bound("lower", demo_ensemble, ball).bound_value
         up = solve_bound("upper", demo_ensemble, ball).bound_value
         spec = PriorSpec(GeneralizedGaussian(p), 3)
@@ -270,7 +270,7 @@ def test_a6_robust_estimator_guarantee(capsys, demo_ensemble):
     k = 3
     eps = gen_gauss_epsilon(0.51, k)
     sigma0 = gen_gauss_covariance(0.51, k) * np.eye(k)
-    ball = DivergenceBall(GaussianReference(np.zeros(k), sigma0), eps)
+    ball = DivergenceBall(Gaussian(np.zeros(k), sigma0), eps)
     t0 = time.perf_counter()
     up = solve_bound("upper", demo_ensemble, ball)
     gains = [weight_matrix(up.sigma_x, sn) for sn in demo_ensemble.noise_stack]
@@ -310,7 +310,7 @@ def test_a7_invariant_suite(capsys):
             weights = rng.uniform(0.5, 1.5, size=j)
             sigma0 = random_spd(rng, k, scale=float(rng.uniform(0.5, 3.0)))
             ens = ChannelEnsemble.from_arrays(noise, weights)
-            ref = GaussianReference(np.zeros(k), sigma0)
+            ref = Gaussian(np.zeros(k), sigma0)
             uppers, lowers = [], []
             for eps in eps_grid:
                 ball = DivergenceBall(ref, eps)
@@ -346,7 +346,7 @@ def test_a7_invariant_suite(capsys):
                       uniform_ball_epsilon(2.0, k)))
         for spec, eps_true in cases:
             mom = prior_moments(spec)
-            value, std_error = mc_kl(spec, GaussianReference(mom.mean, mom.covariance),
+            value, std_error = mc_kl(spec, Gaussian(mom.mean, mom.covariance),
                                      20000, seed=7)
             max_z = max(max_z, abs(value - eps_true) / std_error)
     mc_ok = max_z <= 3.0

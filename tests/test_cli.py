@@ -11,7 +11,7 @@ from mmse_bounds import (
     DegenerateWeights,
     DivergenceBall,
     FisherUndefined,
-    GaussianReference,
+    Gaussian,
     McEstimate,
     NoConvergence,
     Problem,
@@ -354,7 +354,7 @@ class TestBoundCommand:
         outputs = []
         for name, s0 in (("skewed", skewed), ("symmetric", 0.5 * (skewed + skewed.T))):
             path = tmp_path / f"{name}.json"
-            save_config(path, demo_ensemble, DivergenceBall(GaussianReference(np.zeros(3), s0),
+            save_config(path, demo_ensemble, DivergenceBall(Gaussian(np.zeros(3), s0),
                                                             0.2))
             assert cli.main(["bound", "--config", str(path)]) == EXIT_OK
             outputs.append(capsys.readouterr().out)
@@ -484,7 +484,7 @@ class TestSweepP:
         monkeypatch.undo()
         # the local columns equal the solves that validate every channel
         for p, row in zip(parse_grid("0.51:10:5"), rows):
-            ball = DivergenceBall(GaussianReference(np.zeros(3),
+            ball = DivergenceBall(Gaussian(np.zeros(3),
                                                     gen_gauss_covariance(p, 3) * np.eye(3)),
                                   gen_gauss_epsilon(p, 3))
             for col, direction in ((4, "lower"), (5, "upper")):
@@ -531,7 +531,7 @@ class TestSweepDriver:
                 sigma0, eps = gen_gauss_covariance(x, 3) * np.eye(3), gen_gauss_epsilon(x, 3)
             else:
                 sigma0, eps = uniform_ball_moments(x, 3).covariance, uniform_ball_epsilon(x, 3)
-            ball = DivergenceBall(GaussianReference(np.zeros(3), sigma0), eps)
+            ball = DivergenceBall(Gaussian(np.zeros(3), sigma0), eps)
             expect = [x, eps]
             for d in both:
                 start = {}

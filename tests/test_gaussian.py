@@ -7,7 +7,7 @@ from mmse_bounds import (
     ChannelEnsemble,
     DimensionMismatch,
     DivergenceBall,
-    GaussianReference,
+    Gaussian,
     NonSymmetric,
     SingularReference,
     SingularSum,
@@ -136,7 +136,7 @@ class TestStackedKernel:
             noise = [corpus_spd(rng, k, n_scale, n_cond) for _ in range(j)]
             weights = 10.0 ** rng.uniform(-1, 1, j)
             ens = ChannelEnsemble.from_arrays(noise, weights)
-            ref = GaussianReference(np.zeros(k), sigma0)
+            ref = Gaussian(np.zeros(k), sigma0)
             got = weighted_mmse_sum(sx, ens)
             loop = [mmse_matrix(sx, sn) for sn in noise]
             traces = [np.trace(m) for m in loop]

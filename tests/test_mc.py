@@ -10,7 +10,6 @@ from mmse_bounds import (
     DegenerateWeights,
     DimensionMismatch,
     Gaussian,
-    GaussianReference,
     GeneralizedGaussian,
     PriorSpec,
     UniformBall,
@@ -496,7 +495,7 @@ class TestMcKl:
     def test_gaussian_against_itself_is_zero(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
         spec = PriorSpec(Gaussian(np.zeros(2), cov), 2)
-        value, std_error = mc_kl(spec, GaussianReference(np.zeros(2), cov), 5000, seed=3)
+        value, std_error = mc_kl(spec, Gaussian(np.zeros(2), cov), 5000, seed=3)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert std_error == pytest.approx(0.0, abs=1e-12)
 
@@ -504,21 +503,21 @@ class TestMcKl:
         for p, k in ((1.0, 2), (3.0, 3)):
             spec = PriorSpec(GeneralizedGaussian(p), k)
             mom = prior_moments(spec)
-            ref = GaussianReference(mom.mean, mom.covariance)
+            ref = Gaussian(mom.mean, mom.covariance)
             value, std_error = mc_kl(spec, ref, 20000, seed=7)
             assert abs(value - gen_gauss_epsilon(p, k)) < 3 * std_error
 
     def test_ball_matches_analytic(self):
         spec = PriorSpec(UniformBall(2.0), 3)
         mom = prior_moments(spec)
-        ref = GaussianReference(mom.mean, mom.covariance)
+        ref = Gaussian(mom.mean, mom.covariance)
         value, std_error = mc_kl(spec, ref, 20000, seed=7)
         assert abs(value - uniform_ball_epsilon(2.0, 3)) < 3 * std_error
 
     def test_n_guard(self):
         spec = PriorSpec(GeneralizedGaussian(1.0), 1)
         with pytest.raises(ValueError):
-            mc_kl(spec, GaussianReference(np.zeros(1), np.eye(1)), 99, seed=1)
+            mc_kl(spec, Gaussian(np.zeros(1), np.eye(1)), 99, seed=1)
 
 
 class TestGuards:
@@ -540,7 +539,7 @@ class TestGuards:
                 mc_weighted_sum(spec, demo_ensemble, 100, 100, seed=1)
             with pytest.raises(DimensionMismatch, match="Gaussian prior has dimension 3, "
                                                         "spec has 2"):
-                mc_kl(spec, GaussianReference(np.zeros(3), np.eye(3)), 100, seed=1)
+                mc_kl(spec, Gaussian(np.zeros(3), np.eye(3)), 100, seed=1)
 
     def test_degenerate_threshold(self):
         # raises strictly above 1% of outer draws, never at or below

@@ -19,7 +19,6 @@ from mmse_bounds import (
     DimensionMismatch,
     FisherUndefined,
     Gaussian,
-    GaussianReference,
     GeneralizedGaussian,
     NotPositiveDefinite,
     PriorSpec,
@@ -292,7 +291,7 @@ class TestLogDensityForms:
                  "gaussian": PriorSpec(Gaussian(np.array([1.0, -1.0, 0.5]), cov), 3)}
         for name, spec in specs.items():
             mom = prior_moments(spec)
-            ref = GaussianReference(mom.mean + 0.1, 1.3 * mom.covariance)
+            ref = Gaussian(mom.mean + 0.1, 1.3 * mom.covariance)
             np.testing.assert_allclose(mc_kl(spec, ref, 5000, seed), expect[name],
                                        rtol=1e-13, atol=0.0, err_msg=name)
 

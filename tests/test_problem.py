@@ -12,7 +12,6 @@ from mmse_bounds import (
     DimensionMismatch,
     DivergenceBall,
     Gaussian,
-    GaussianReference,
     NegativeRadius,
     NonPositiveWeight,
     NonSymmetric,
@@ -87,12 +86,12 @@ class TestValidation:
             ChannelEnsemble.from_arrays([sn], [1.0])
         for mean in ([np.nan, 0.0], [0.0, -np.inf]):
             with pytest.raises(ProblemValidationError, match="reference mean"):
-                ball = DivergenceBall(GaussianReference(np.array(mean), np.eye(2)), 0.1)
+                ball = DivergenceBall(Gaussian(np.array(mean), np.eye(2)), 0.1)
                 validate_problem(small_ensemble(), ball)
 
     def test_indefinite_reference(self):
         with pytest.raises(NotPositiveDefinite):
-            ball = DivergenceBall(GaussianReference(np.zeros(2), -np.eye(2)), 0.1)
+            ball = DivergenceBall(Gaussian(np.zeros(2), -np.eye(2)), 0.1)
             validate_problem(small_ensemble(), ball)
 
     def test_dimension_mismatch_channel(self):
@@ -104,7 +103,7 @@ class TestValidation:
 
     def test_dimension_mismatch_mean(self):
         with pytest.raises(DimensionMismatch):
-            ball = DivergenceBall(GaussianReference(np.zeros(3), np.eye(2)), 0.1)
+            ball = DivergenceBall(Gaussian(np.zeros(3), np.eye(2)), 0.1)
             validate_problem(small_ensemble(), ball)
 
     def test_nonsquare_matrix(self):
@@ -114,7 +113,7 @@ class TestValidation:
             ChannelEnsemble.from_arrays([np.eye(0)], [1.0])
         with pytest.raises(DimensionMismatch, match="reference covariance must be a nonempty"):
             validate_problem(small_ensemble(),
-                             DivergenceBall(GaussianReference(np.zeros(0), np.eye(0)), 0.1))
+                             DivergenceBall(Gaussian(np.zeros(0), np.eye(0)), 0.1))
 
     def test_zero_weight(self):
         for weight in (0.0, np.inf):

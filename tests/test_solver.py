@@ -27,7 +27,7 @@ from mmse_bounds import (
     ChannelEnsemble,
     DimensionMismatch,
     DivergenceBall,
-    GaussianReference,
+    Gaussian,
     GeneralizedGaussian,
     NoConvergence,
     PriorSpec,
@@ -397,7 +397,7 @@ class TestSeparableLocal:
         near = 2.0 * np.eye(3)
         near[1, 1] = np.nextafter(2.0, 3.0)  # not exactly isotropic
         for sigma0 in (random_spd(rng, 3, 2.0), near):
-            ball = DivergenceBall(GaussianReference(np.zeros(3), sigma0), 0.3)
+            ball = DivergenceBall(Gaussian(np.zeros(3), sigma0), 0.3)
             got = local_bound(direction, demo_ensemble, 2, ball)
             want = solve_bound(direction, demo_ensemble.single(2), ball)
             assert got.outer_iterations > 0
@@ -413,7 +413,7 @@ class TestSeparableLocal:
         # one route per problem, whichever function is called
         sigma0 = (HARD_VAR * np.eye(3) if isotropic
                   else random_spd(np.random.default_rng(TEST_SEED), 3, HARD_VAR))
-        ball = DivergenceBall(GaussianReference(np.zeros(3), sigma0), HARD_EPS)
+        ball = DivergenceBall(Gaussian(np.zeros(3), sigma0), HARD_EPS)
         for j in range(demo_ensemble.count):
             got = local_bound(direction, demo_ensemble, j, ball)
             want = solve_bound(direction, demo_ensemble.single(j), ball)
@@ -482,7 +482,7 @@ class TestJacobian:
         rng = np.random.default_rng([k, j, sign > 0])
         ens = ChannelEnsemble.from_arrays([random_spd(rng, k, s) for s in rng.uniform(0.3, 3.0, j)],
                                           rng.uniform(0.2, 2.0, j))
-        ball = DivergenceBall(GaussianReference(np.zeros(k), random_spd(rng, k, 2.0)), 0.3)
+        ball = DivergenceBall(Gaussian(np.zeros(k), random_spd(rng, k, 2.0)), 0.3)
         ctx = solver._Ctx(validate_problem(ens, ball))
         sigma, alpha, h = random_spd(rng, k, 1.5), sign * rng.uniform(0.1, 1.0), 1e-5
 
@@ -536,7 +536,7 @@ class TestLapackHelpers:
         rng = np.random.default_rng([TEST_SEED, k, j])
         ens = ChannelEnsemble.from_arrays([random_spd(rng, k, s) for s in rng.uniform(0.3, 3, j)],
                                           rng.uniform(0.2, 2.0, j))
-        ball = DivergenceBall(GaussianReference(np.zeros(k), random_spd(rng, k, 2.0)), 0.3)
+        ball = DivergenceBall(Gaussian(np.zeros(k), random_spd(rng, k, 2.0)), 0.3)
         ctx = solver._Ctx(validate_problem(ens, ball))
         sigma = random_spd(rng, k, 1.5)
         chol = solver._chol(sigma)
@@ -575,6 +575,71 @@ class TestLapackHelpers:
             self._same(got, want)
         self._same(solver._eigvalsh(m), np.linalg.eigvalsh(m))
         self._same(solver._solve(m, np.ones(2)), np.linalg.solve(m, np.ones(2)))
+
+
+class TestDirectKernels:
+    """The solver calls numpy's einsum and reductions without their Python
+    wrappers, and keeps per-solve scratch in `_Ctx`. Each kernel must give
+    the bits of the call it replaces, and no array a call returns may be
+    scratch: callers hold two at once (the Jacobian's central-difference
+    test holds two residuals)."""
+
+    _same = staticmethod(TestLapackHelpers._same)
+
+    @pytest.mark.parametrize("j", range(1, 6))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_einsum_bitwise(self, k, j):
+        rng = np.random.default_rng([TEST_SEED, k, j])
+        w, a, b = rng.normal(size=j), rng.normal(size=(j, k, k)), rng.normal(size=(j, k, k))
+        for spec, ops, shape in (("j,jab->ab", (w, a), (k, k)),
+                                 ("j,jab,jcd->acbd", (w, a, b), (k, k, k, k))):
+            want = np.einsum(spec, *ops)
+            self._same(solver._einsum(spec, *ops), want)
+            out = np.empty(shape)
+            assert solver._einsum(spec, *ops, out=out) is out
+            self._same(out, want)
+
+    @pytest.mark.parametrize("x", [
+        np.arange(12.0).reshape(3, 4) - 5.5,
+        np.array([[1.0, np.nan], [-2.0, 3.0]]),
+        np.array([-0.0, 0.0]),
+        np.array([0.0, -0.0]),
+        np.array([-0.0]),
+        np.array([np.inf, 1.0, -2.0]),
+    ], ids=["finite", "nan", "neg-zero-first", "zero-first", "neg-zero", "inf"])
+    def test_reductions_bitwise(self, x):
+        self._same(solver._sum(x, None), x.sum())
+        self._same(solver._max(x, None), x.max())
+        self._same(solver._min(x, None), np.min(x))
+        finite = np.isfinite(x)
+        self._same(solver._all(finite, None), finite.all())
+
+    @staticmethod
+    def _ctx_and_point(k, j):
+        rng = np.random.default_rng([TEST_SEED, k, j])
+        ens = ChannelEnsemble.from_arrays([random_spd(rng, k, s) for s in rng.uniform(0.3, 3, j)],
+                                          rng.uniform(0.2, 2.0, j))
+        ball = DivergenceBall(Gaussian(np.zeros(k), random_spd(rng, k, 2.0)), 0.3)
+        return solver._Ctx(validate_problem(ens, ball)), random_spd(rng, k, 1.5)
+
+    @pytest.mark.parametrize("k, j", [(1, 1), (3, 4), (6, 5)])
+    def test_returned_arrays_are_fresh(self, k, j):
+        ctx, sigma = self._ctx_and_point(k, j)
+        chol = solver._chol(sigma)
+        res1, stack1 = solver._evaluate(ctx, sigma, chol, -0.5, 0.3)
+        res2, stack2 = solver._evaluate(ctx, sigma, chol, 0.5, 0.3)
+        jac1 = solver._jacobian(ctx, -0.5, stack1)
+        jac2 = solver._jacobian(ctx, 0.5, stack2)
+        returned = [res1, stack1, res2, stack2, jac1, jac2]
+        scratch = [ctx.buf, ctx.coef, ctx.kron, ctx.proj]
+        for i, a in enumerate(returned):
+            for b in returned[i + 1:] + scratch:
+                assert not np.shares_memory(a, b)
+
+    def test_packing_constants_are_read_only(self):
+        ctx, _ = self._ctx_and_point(3, 2)
+        for a in (ctx.basis, ctx.basis_t, ctx.neg_basis_t, ctx.eye_k, ctx.eye_n):
+            assert not a.flags.writeable
 
 
 class TestFailureDiagnostics:
@@ -641,7 +706,7 @@ class TestFailureDiagnostics:
         # the generalized Gaussian's moment-matched balls at these p: the
         # path stalls, and the descent from the centre meets a singular
         # Sigma + Sigma_N, which once escaped as numpy's LinAlgError
-        ball = DivergenceBall(GaussianReference(np.zeros(3), gen_gauss_covariance(p, 3)
+        ball = DivergenceBall(Gaussian(np.zeros(3), gen_gauss_covariance(p, 3)
                                                 * np.eye(3)), gen_gauss_epsilon(p, 3))
         with pytest.raises(NoConvergence, match="none certified") as info:
             solve_bound("lower", demo_ensemble, ball)
@@ -694,7 +759,7 @@ class TestStart:
 def _solve(direction, sigma0, noise, weights, epsilon):
     ens = ChannelEnsemble.from_arrays(noise, weights)
     sigma0 = np.asarray(sigma0, dtype=float)
-    ball = DivergenceBall(GaussianReference(np.zeros(len(sigma0)), sigma0), epsilon)
+    ball = DivergenceBall(Gaussian(np.zeros(len(sigma0)), sigma0), epsilon)
     return solve_bound(direction, ens, ball)
 
 

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from mmse_bounds import (
     ChannelEnsemble,
     DivergenceBall,
-    GaussianReference,
+    Gaussian,
     kl_same_mean_gaussians,
     opt_covariance_residual,
     solve_bound,
@@ -90,7 +90,7 @@ def problems(draw, k_max=6, j_max=5):
 
 def solve(direction, sigma0, noise, weights, eps):
     ens = ChannelEnsemble.from_arrays(noise, weights)
-    ball = DivergenceBall(GaussianReference(np.zeros(len(sigma0)), sigma0), eps)
+    ball = DivergenceBall(Gaussian(np.zeros(len(sigma0)), sigma0), eps)
     return solve_bound(direction, ens, ball), ens, ball
 
 

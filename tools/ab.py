@@ -53,6 +53,15 @@ reference N(0, I), epsilon = 0.2) unless named otherwise:
   `solve_corpus` corpus (`make_corpus(301, 1)`, its K = 1 or K = 4 cell
   with J = 4 channels), lower then upper; CPU per solve, 20 or 10 pairs of
   solves a sample.
+* `corpus_batch`: `solve_bound` on every problem of that corpus batch
+  (`make_corpus(301, 1)[0]`, one problem per (K, J) cell), lower then
+  upper each, one batch a sample; CPU per solve over the batch, and CPU
+  per solve over the batch's solves of at least 10 Jacobians
+  (`corpus_batch_tail`, the solves chosen on the untimed run). The first
+  is an in-process proxy for perfbench `solve_corpus`'s rate, the second
+  for its tail (`op_cpu_p90_ms`). Counts: the Jacobians of all lower and of
+  all upper solves, the number of tail solves and a digest of the answers
+  (a `NoConvergence` enters it as its message).
 * `paper_sweeps_pass`: `cli.main` for each command of the perfbench
   `paper_sweeps` pass, with its CSV written to a scratch directory; CPU
   per pass.
@@ -123,8 +132,10 @@ SWEEP_BALL_GRID = "0.1:40:25"
 LOCAL_CHANNEL = 1
 CORPUS_SEED = 301
 CORPUS_CELLS = {"corpus_k1": (1, 4), "corpus_k4": (4, 4)}  # task -> (K, J)
+TAIL_JACOBIANS = 10  # a corpus_batch solve of at least this many Jacobians is in its tail
 SOLVER_TASKS = ("evaluate", "correct", "certify", "demo_lower", "demo_upper", "local_lower",
-                "local_upper", *CORPUS_CELLS, "paper_sweeps_pass", "sweep_ball_lower")
+                "local_upper", *CORPUS_CELLS, "corpus_batch", "paper_sweeps_pass",
+                "sweep_ball_lower")
 KERNELS = {  # name -> (prior family, K, J, n_inner)
     "kernel_K3_J1": ("gen-gauss", 3, 1, 2000), "kernel_K3_J4": ("gen-gauss", 3, 4, 2000),
     "kernel_K1_J4": ("gen-gauss", 1, 4, 2000), "kernel_K6_J4": ("gen-gauss", 6, 4, 2000),
@@ -159,19 +170,22 @@ class Worker:
         ensemble = mmse_bounds.ChannelEnsemble.from_arrays(
             [np.array(m) for m in workloads.DEMO_NOISE], workloads.DEMO_WEIGHTS)
         self.demo = mmse_bounds.validate_problem(ensemble, mmse_bounds.DivergenceBall(
-            mmse_bounds.GaussianReference(np.zeros(3), np.eye(3)), workloads.DEMO_EPSILON))
+            mmse_bounds.Gaussian(np.zeros(3), np.eye(3)), workloads.DEMO_EPSILON))
         self.balls = [mmse_bounds.DivergenceBall(mmse_bounds.uniform_ball_moments(r, 3),
                                                  mmse_bounds.uniform_ball_epsilon(r, 3))
                       for r in mmse_bounds.cli.parse_grid(SWEEP_BALL_GRID)]
         self.local_ball = mmse_bounds.cli._family("gen-gauss", 1.0, 3)[1]
         corpus = workloads.make_corpus(CORPUS_SEED, 1)[0]
+        self.batch = [mmse_bounds.validate_problem(
+            mmse_bounds.ChannelEnsemble.from_arrays(p["noise"], p["weights"]),
+            mmse_bounds.DivergenceBall(mmse_bounds.Gaussian(p["mu0"], p["sigma0"]),
+                                       p["epsilon"])) for p in corpus]
         self.corpus = {}
         for task, shape in CORPUS_CELLS.items():
-            p, = (p for p in corpus if (len(p["sigma0"]), len(p["noise"])) == shape)
-            self.corpus[task] = mmse_bounds.validate_problem(
-                mmse_bounds.ChannelEnsemble.from_arrays(p["noise"], p["weights"]),
-                mmse_bounds.DivergenceBall(mmse_bounds.GaussianReference(p["mu0"], p["sigma0"]),
-                                           p["epsilon"]))
+            prob, = (prob for p, prob in zip(corpus, self.batch)
+                     if (len(p["sigma0"]), len(p["noise"])) == shape)
+            self.corpus[task] = prob
+        self.batch_tail = None  # corpus_batch's tail solves, chosen on its untimed run
         self.sweeps_counted = False  # paper_sweeps_pass counts its Jacobians once
 
     def _noise(self, k, n_channels):
@@ -350,6 +364,33 @@ class Worker:
                  "steps": [r.outer_iterations for r in results],
                  "answers_sha256": _digest(*(np.append(r.sigma_x, [r.bound_value, r.alpha])
                                              for r in results))})
+
+    def corpus_batch(self):
+        """Each solve of the corpus batch timed on its own; the tail is the
+        solves of at least TAIL_JACOBIANS Jacobians on the first run."""
+        np, mb = self.np, self.mb
+        cpu, counts, answers = [], [], []
+        for prob in self.batch:
+            for direction in ("lower", "upper"):
+                t0 = time.process_time()
+                try:
+                    res = mb.solve_bound(direction, prob, prob.ball)
+                except mb.NoConvergence as exc:
+                    cpu.append(time.process_time() - t0)
+                    counts.append(exc.iterations or 0)
+                    answers.append(f"{exc}".encode())
+                else:
+                    cpu.append(time.process_time() - t0)
+                    counts.append(res.inner_iterations)
+                    answers.append(np.append(res.sigma_x, [res.bound_value, res.alpha]))
+        if self.batch_tail is None:
+            self.batch_tail = [i for i, n in enumerate(counts) if n >= TAIL_JACOBIANS]
+        metrics = {"corpus_batch_cpu_ms_per_solve": 1e3 * sum(cpu) / len(cpu)}
+        if self.batch_tail:
+            metrics["corpus_batch_tail_cpu_ms_per_solve"] = (
+                1e3 * sum(cpu[i] for i in self.batch_tail) / len(self.batch_tail))
+        return metrics, {"jacobians": {"lower": sum(counts[::2]), "upper": sum(counts[1::2])},
+                         "tail_solves": len(self.batch_tail), "answers_sha256": _digest(*answers)}
 
     def paper_sweeps_pass(self):
         """The perfbench paper_sweeps commands; their Jacobians are counted

@@ -50,7 +50,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from mmse_bounds import (ChannelEnsemble, DivergenceBall, GaussianReference,  # noqa: E402
+from mmse_bounds import (ChannelEnsemble, DivergenceBall, Gaussian,  # noqa: E402
                          NoConvergence, solve_bound, validate_problem)
 from perfbench.workloads import make_corpus  # noqa: E402
 
@@ -69,7 +69,7 @@ def gate(seed_lo, seed_hi):
     for seed in range(seed_lo, seed_hi):
         for b, batch in enumerate(make_corpus(seed, BATCHES)):
             for i, p in enumerate(batch):
-                ball = DivergenceBall(GaussianReference(p["mu0"], p["sigma0"]), p["epsilon"])
+                ball = DivergenceBall(Gaussian(p["mu0"], p["sigma0"]), p["epsilon"])
                 prob = validate_problem(ChannelEnsemble.from_arrays(p["noise"], p["weights"]),
                                         ball)
                 cell = cells.setdefault((len(p["sigma0"]), len(p["noise"])), hashlib.sha256())
