@@ -46,44 +46,23 @@ exactly c I); the first that passes the same certificate is the answer,
 without the ranked list, and continuation runs only if none passes.
 README "Solver notes" gives the details.
 
-A solve is a few hundred LAPACK calls on K <= 6 matrices, so numpy's
-per-call overhead, not arithmetic, sets its cost. The solver therefore
-calls numpy.linalg's own LAPACK gufuncs (the private
-`numpy.linalg._umath_linalg`, named once, below) without the wrapper:
-bitwise numpy.linalg's results. A gufunc reports a LAPACK failure as an
-all-NaN output and the floating-point invalid flag, not as LinAlgError:
-`_solve`, `_eigh` and `_eigvalsh` hand a NaN answer back to numpy.linalg,
-which raises exactly where LAPACK failed; `_chol` gives None and
-`_residual` inf (silently, outside a solve too); the other calls cannot
-fail, as their comments say. Likewise einsum is numpy's C `c_einsum`
-(`_einsum`, what `np.einsum` calls without `optimize`), and `.sum()`,
-`.all()`, `.max()` and `np.min` are the ufunc reductions they call
-(`_sum`, `_all`, `_max`, `_min`, at axis None), bitwise the same without
-the Python layers. An evaluation writes its products into its stack and
-Jacobian. What a call uses and drops (the matrices it inverts, the
-Jacobian's coefficients, Kronecker sum and projected product) is scratch
-that `_Ctx` holds for the solve; what a call returns (an evaluation's
-residual and stack, a Jacobian) is fresh, since callers hold two at once:
-a residual written into scratch failed every case of the Jacobian's
-central-difference test, which holds the residuals at Sigma + d and
-Sigma - d together. Two bit-level traps: the negated packing must keep the
-transposed layout of `basis.T` (BLAS runs another kernel on a contiguous
-copy, which moved every K = 5 and K = 6 corpus answer), and the scalars
-of `_sphere`'s Newton loop must stay numpy scalars (in Python floats its
-division by zero raises ZeroDivisionError at extreme radii).
+The hot linear algebra goes through `_kernels`: numpy's LAPACK gufuncs,
+C einsum and ufunc reductions without numpy's Python layers, bitwise
+numpy's results; that module states how each kernel reports a LAPACK
+failure. An evaluation writes its products into its stack and Jacobian;
+the scratch of `_Ctx` holds what a call uses and drops, and what a call
+returns is fresh.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy._core.multiarray import c_einsum as _einsum
 from numpy.linalg import LinAlgError
-from numpy.linalg import _umath_linalg as _gufuncs
 
+from ._kernels import cholesky, eigh, einsum, inv, max_, norm, solve, solve_stack, sum_
 from .exceptions import DimensionMismatch, NoConvergence, SingularSum
 from .gaussian import mmse_matrix
 from .problem import DivergenceBall, validate_problem
@@ -100,41 +79,6 @@ _KICKS = 6  # escapes from saddles per corrector
 _MM_STEPS = 100  # majorize-minimize steps when the path stalls
 _SMOOTH = 4  # fixed-alpha majorize-minimize steps after a lower-bound predictor
 _SPLIT_STEPS = 10  # majorize-minimize steps from each symmetry-breaking split
-
-# numpy.linalg's own LAPACK gufuncs without its wrapper: a LAPACK failure is
-# an all-NaN output and the invalid flag (which a solve ignores), and each
-# caller reads it as the module docstring says
-_inv = functools.partial(_gufuncs.inv, signature="d->d")
-_solve_stack = functools.partial(_gufuncs.solve, signature="dd->d")
-_cholesky = functools.partial(_gufuncs.cholesky_lo, signature="d->d")
-# the ufunc reductions that ndarray.sum, .all and .max and np.min call, without
-# numpy/_core/_methods.py; each call passes axis None, as those do
-_sum, _all = np.add.reduce, np.logical_and.reduce
-_max, _min = np.maximum.reduce, np.minimum.reduce
-
-
-def _solve(a, b):
-    """np.linalg.solve(a, b) for a vector b."""
-    x = _gufuncs.solve1(a, b, signature="dd->d")
-    return np.linalg.solve(a, b) if math.isnan(x[0]) else x
-
-
-def _eigh(a):
-    """np.linalg.eigh(a)."""
-    w, v = _gufuncs.eigh_lo(a, signature="d->dd")
-    return np.linalg.eigh(a) if math.isnan(w[0]) else (w, v)
-
-
-def _eigvalsh(a):
-    """np.linalg.eigvalsh(a)."""
-    w = _gufuncs.eigvalsh_lo(a, signature="d->d")
-    return np.linalg.eigvalsh(a) if math.isnan(w[0]) else w
-
-
-def _norm(x):
-    """np.linalg.norm(x), the Frobenius norm, summed as numpy sums it."""
-    x = x.ravel("K")
-    return np.sqrt(x.dot(x))
 
 
 def _sign(direction) -> float:
@@ -196,9 +140,9 @@ class _Ctx:
         self.k = k = self.sigma0.shape[0]
         self.l0 = prob.ball.reference_chol
         self.l0t = self.l0.T
-        self.l0i = _inv(self.l0)  # a Cholesky factor: triangular, positive diagonal
+        self.l0i = inv(self.l0)  # a Cholesky factor: triangular, positive diagonal
         self.sigma0_inv = self.l0i.T @ self.l0i
-        self.logdet0 = 2.0 * _sum(np.log(np.diag(self.l0)), None)
+        self.logdet0 = 2.0 * sum_(np.log(np.diag(self.l0)), None)
         self.noise, self.weights = prob.noise_stack, prob.weights
         self.nj = nj = self.weights.size
         self.basis, self.basis_t, self.neg_basis_t, self.eye_k, self.eye_n = _packing(k)
@@ -224,22 +168,14 @@ class _Ctx:
         return np.matmul(self.l0t @ m, self.l0, out=out)
 
 
-def _chol(m):
-    """The Cholesky factor of a finite positive definite m, else None."""
-    if not _all(np.isfinite(m), None):
-        return None
-    c = _gufuncs.cholesky_lo(m, signature="d->d")  # `_cholesky`, minus a call per trial
-    return None if math.isnan(c[0, 0]) else c  # of a finite m, NaN is LAPACK's failure
-
-
 def _gradient(ctx, ai, cm=None, out=None):
     """S from A_j^-1 = (Sigma + Sigma_N_j)^-1, with the W_j^T W_j written to
     `cm` and S to `out` where given."""
     wt = ai @ ctx.noise
     wtw = np.matmul(wt, wt.swapaxes(1, 2), out=cm)
-    if out is None:  # c_einsum rejects out=None
-        return _einsum("j,jab->ab", ctx.weights, wtw)
-    return _einsum("j,jab->ab", ctx.weights, wtw, out=out)
+    if out is None:  # einsum rejects out=None
+        return einsum("j,jab->ab", ctx.weights, wtw)
+    return einsum("j,jab->ab", ctx.weights, wtw, out=out)
 
 
 def _inverses(ctx, sigma, chol, out=None):
@@ -250,14 +186,14 @@ def _inverses(ctx, sigma, chol, out=None):
     buf = ctx.buf
     buf[0] = chol
     np.add(sigma, ctx.noise, out=ctx.buf_a)
-    return _gufuncs.inv(buf, signature="d->d", out=out)  # `_inv`, minus a call per evaluation
+    return inv(buf, out=out)
 
 
 def _s(ctx, sigma):
     """S(Sigma), the gradient of f: all NaN where a Sigma + Sigma_N_j is
-    singular, and a start that gives it is dropped (`_eigh` raises, or the
+    singular, and a start that gives it is dropped (`eigh` raises, or the
     corrector finds no finite Sigma)."""
-    return _gradient(ctx, _inv(sigma + ctx.noise))
+    return _gradient(ctx, inv(sigma + ctx.noise))
 
 
 def _value(ctx, sigma):
@@ -267,8 +203,8 @@ def _value(ctx, sigma):
 
 def _kl(ctx, sigma, ci):
     """kl(Sigma, Sigma_0) from ci = chol(Sigma)^-1."""
-    return (0.5 * (_sum(ctx.sigma0_inv * sigma, None) - ctx.k + ctx.logdet0)
-            + _sum(np.log(ci.diagonal()), None))
+    return (0.5 * (sum_(ctx.sigma0_inv * sigma, None) - ctx.k + ctx.logdet0)
+            + sum_(np.log(ci.diagonal()), None))
 
 
 def _evaluate(ctx, sigma, chol, alpha, t2):
@@ -304,7 +240,7 @@ def _jacobian(ctx, alpha, stack):
     n, nj = ctx.n, ctx.nj
     np.multiply(2.0 * alpha, ctx.weights, out=ctx.coef_w)
     # kron(X^-1, X^-1) + 2 alpha sum_j lambda_j kron(L0^T A_j^-1 L0, L0^T W_j^T W_j L0)
-    _einsum("j,jab,jcd->acbd", ctx.coef, stack[:nj + 1], stack[nj + 1:-2], out=ctx.kron4)
+    einsum("j,jab,jcd->acbd", ctx.coef, stack[:nj + 1], stack[nj + 1:-2], out=ctx.kron4)
     jac = np.empty((n + 1, n + 1))
     np.matmul(np.matmul(ctx.neg_basis_t, ctx.kron, out=ctx.proj), ctx.basis, out=jac[:n, :n])
     np.matmul(ctx.basis_t, stack[-2].ravel(), out=jac[:n, n])  # packed S
@@ -317,13 +253,13 @@ def _newton_step(ctx, sigma, alpha, res, jac):
     """Newton step, shortened only to keep Sigma positive definite; the
     new (Sigma, alpha, chol(Sigma)) or None."""
     try:
-        step = _solve(jac, -res)
+        step = solve(jac, -res)
     except LinAlgError:
         return None
     lam, d = 1.0, ctx.unpack_sigma(step[:ctx.n])
     trial = sigma + d  # lam = 1
     while lam >= 1e-6:
-        chol = _chol(trial)
+        chol = cholesky(trial)
         if chol is not None:
             return trial, alpha + lam * step[ctx.n], chol
         lam *= 0.5
@@ -338,12 +274,12 @@ def _correct(ctx, sigma, alpha, t2, final, iters=_NEWTON_ITER):
     floor. Returns (Sigma, alpha, the evaluation's whitened stack) or None,
     after at most `iters` evaluations."""
     tol, kl_tol = (_FINAL_TOL, 0.1 * _OUTER_TOL) if final else (_PATH_TOL, 1e-9 * t2)
-    prev, chol = np.inf, _chol(sigma)
+    prev, chol = np.inf, cholesky(sigma)
     if chol is None:
         return None
     for i in range(1, iters + 1):
         res, stack = _evaluate(ctx, sigma, chol, alpha, t2)
-        rel = _norm(res[:-1]) / _max(np.abs(stack[0]), None)
+        rel = norm(res[:-1]) / max_(np.abs(stack[0]), None)
         if abs(res[-1]) <= kl_tol and (rel <= tol or _FLOOR_TOL > rel > 0.25 * prev):
             return sigma, alpha, stack
         if i == iters:  # no Newton step that nothing would evaluate
@@ -358,7 +294,7 @@ def _correct(ctx, sigma, alpha, t2, final, iters=_NEWTON_ITER):
 def _mm_step(ctx, sigma, t2, sign, alpha=None):
     """Majorize-minimize step (Sigma, alpha): L0 (I - alpha T(Sigma))^-1 L0^T,
     with alpha of the direction's sign putting it on kl = t2 unless given."""
-    return _sphere(ctx, *_eigh(ctx.lift(_s(ctx, sigma))), t2, sign, alpha)
+    return _sphere(ctx, *eigh(ctx.lift(_s(ctx, sigma))), t2, sign, alpha)
 
 
 def _sphere(ctx, tau, q, t2, sign, alpha=None):
@@ -369,15 +305,15 @@ def _sphere(ctx, tau, q, t2, sign, alpha=None):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if alpha is None:
             lo, hi = 0.0, (1.0 / tau[-1] if sign > 0 else np.inf)
-            b = min(2.0 * np.sqrt(t2) / _norm(tau), 0.5 * hi)  # first order
+            b = min(2.0 * np.sqrt(t2) / norm(tau), 0.5 * hi)  # first order
             for _ in range(100):
                 x = 1.0 / (1.0 - sign * b * tau)
                 xm1 = x - 1.0
-                g = 0.5 * _sum(xm1 - np.log(x), None) - t2
+                g = 0.5 * sum_(xm1 - np.log(x), None) - t2
                 if abs(g) <= 1e-13 * t2:
                     break
                 lo, hi = (lo, b) if g > 0 else (b, hi)
-                b_new = b - g / (0.5 * sign * _sum(tau * x * xm1, None))
+                b_new = b - g / (0.5 * sign * sum_(tau * x * xm1, None))
                 b = b_new if lo < b_new < hi else (0.5 * (lo + hi) if hi < np.inf else 2.0 * b)
             alpha = sign * b
         lq = ctx.l0 @ q
@@ -399,16 +335,16 @@ def _settle(ctx, sigma, alpha, t2, sign, final, iters=_NEWTON_ITER):
         if sign > 0:
             return sigma, alpha, None if final else _jacobian(ctx, alpha, stack)
         jac = _jacobian(ctx, alpha, stack)
-        g = jac[-1, :-1] / _norm(jac[-1, :-1])
+        g = jac[-1, :-1] / norm(jac[-1, :-1])
         proj = ctx.eye_n - g[:, None] * g
-        ev, vec = _eigh(proj @ (jac[:-1, :-1] + jac[:-1, :-1].T) @ proj / (2 * alpha))
-        if ev[0] >= -1e-9 * _max(np.abs(ev), None):
+        ev, vec = eigh(proj @ (jac[:-1, :-1] + jac[:-1, :-1].T) @ proj / (2 * alpha))
+        if ev[0] >= -1e-9 * max_(np.abs(ev), None):
             return sigma, alpha, jac
         # half-way to the edge of the cone both ways, then a
         # majorize-minimize step back onto the sphere; keep the lower side
-        x_min = _eigvalsh(ctx.l0i @ sigma @ ctx.l0i.T)[0]
+        x_min = np.linalg.eigvalsh(ctx.l0i @ sigma @ ctx.l0i.T)[0]
         dx = (ctx.basis @ vec[:, 0]).reshape(ctx.k, ctx.k)
-        d = ctx.unpack_sigma(0.5 * x_min / _max(np.abs(_eigvalsh(dx)), None) * vec[:, 0])
+        d = ctx.unpack_sigma(0.5 * x_min / max_(np.abs(np.linalg.eigvalsh(dx)), None) * vec[:, 0])
         sigma, alpha = min((_mm_step(ctx, sigma + s * d, t2, sign) for s in (1.0, -1.0)),
                            key=lambda c: _value(ctx, c[0]))
         hit = _correct(ctx, sigma, alpha, t2, final)
@@ -419,7 +355,7 @@ def _split_start(ctx, eps):
     """The lowest of majorize-minimize descents from the splits that spend
     the whole radius shrinking the m steepest directions of T(Sigma_0)
     alike, m < K: a start off the symmetric subspace a path stays in."""
-    q = _eigh(ctx.lift(_s(ctx, ctx.sigma0)))[1]
+    q = eigh(ctx.lift(_s(ctx, ctx.sigma0)))[1]
     splits = (_sphere(ctx, (np.arange(ctx.k) >= ctx.k - m).astype(float), q, eps, -1.0)[0]
               for m in range(1, ctx.k))
     return min((_descent(ctx, start, eps, _SPLIT_STEPS) for start in splits),
@@ -443,9 +379,9 @@ def _path(ctx, sign, eps):
         if tangent is None:
             s_p, a_p = _mm_step(ctx, ctx.sigma0, t_new**2, sign)
         else:  # Sigma^1/2 exp(dt Sigma^-1/2 Sigma' Sigma^-1/2) Sigma^1/2 stays definite
-            c = _cholesky(sigma)  # a corrected Sigma: positive definite
-            ci = _inv(c)
-            w, v = _eigh(ci @ ctx.unpack_sigma((t_new - t) * tangent[:n]) @ ci.T)
+            c = cholesky(sigma)  # a corrected Sigma: positive definite
+            ci = inv(c)
+            w, v = eigh(ci @ ctx.unpack_sigma((t_new - t) * tangent[:n]) @ ci.T)
             s_p = (c @ v * np.exp(np.minimum(w, 30.0))) @ (c @ v).T
             a_p = alpha + (t_new - t) * tangent[n]
             for _ in range(_SMOOTH if sign < 0 and a_p < 0 else 0):  # descend the Lagrangian
@@ -459,7 +395,7 @@ def _path(ctx, sign, eps):
             continue
         t, (sigma, alpha, jac), h = t_new, hit, 1.5 * h
         if t < target:
-            tangent = _solve(jac, np.append(np.zeros(n), 2.0 * t))
+            tangent = solve(jac, np.append(np.zeros(n), 2.0 * t))
     return sigma, alpha
 
 
@@ -469,13 +405,13 @@ def _residual(ctx, sigma, alpha, s):
     alpha S(Sigma) is not positive definite. Both norms read their matrix
     scaled by the power of two of max|Sigma|: exact, and the squares of a
     tiny Sigma's entries do not underflow."""
-    with np.errstate(invalid="ignore"):  # LAPACK's failure is read below, silently
-        c = _cholesky(ctx.sigma0_inv - alpha * s)
-    if math.isnan(c[0, 0]):
+    with np.errstate(invalid="ignore"):  # silent outside a solve too
+        c = cholesky(ctx.sigma0_inv - alpha * s)
+    if c is None:
         return np.inf
-    mi = _inv(c)  # a Cholesky factor
-    scale = np.ldexp(1.0, -np.frexp(_max(np.abs(sigma), None))[1])
-    return float(_norm(scale * (mi.T @ mi - sigma)) / _norm(scale * sigma))
+    mi = inv(c)  # a Cholesky factor
+    scale = np.ldexp(1.0, -np.frexp(max_(np.abs(sigma), None))[1])
+    return float(norm(scale * (mi.T @ mi - sigma)) / norm(scale * sigma))
 
 
 def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
@@ -608,8 +544,8 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
                     if sign < 0 and not (ctx.steps == 1 and isinstance(cert, BoundResult)):
                         add(_mm_step, ctx, ctx.sigma0, eps, sign, alpha)
             if sign < 0 and ctx.k > 1:
-                w = _eigvalsh(ctx.l0i @ found[0][1] @ ctx.l0i.T) if found else [0.0, 0.0]
-                if _min(np.diff(w), None) <= 1e-6 * w[-1]:
+                w = np.linalg.eigvalsh(ctx.l0i @ found[0][1] @ ctx.l0i.T) if found else [0.0, 0.0]
+                if np.min(np.diff(w)) <= 1e-6 * w[-1]:
                     # no answer, or one with a repeated eigenvalue: break the symmetry
                     add(_split_start, ctx, eps)
         except (NoConvergence, LinAlgError) as exc:
@@ -633,18 +569,18 @@ def _certify(direction, ctx, eps, sigma, alpha, value=None, inner=None):
     symmetrized Sigma, and the solve sets its inner_iterations when it
     returns it."""
     sigma = 0.5 * (sigma + sigma.T)
-    chol = _chol(sigma)
+    chol = cholesky(sigma)
     if chol is None:
         return np.inf
-    inv = _inverses(ctx, sigma, chol)
-    res = _residual(ctx, sigma, alpha, _gradient(ctx, inv[1:]))
-    kl = float(_kl(ctx, sigma, inv[0]))
+    inverses = _inverses(ctx, sigma, chol)
+    res = _residual(ctx, sigma, alpha, _gradient(ctx, inverses[1:]))
+    kl = float(_kl(ctx, sigma, inverses[0]))
     if not (res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL):
         return res
     if value is None:
         # f through the solve `mmse_matrix` makes, of the A_j (positive definite) that the
         # buffer still holds; the trace needs no symmetrizing
-        value = float(ctx.weights @ np.trace(sigma @ _solve_stack(ctx.buf[1:], ctx.noise),
+        value = float(ctx.weights @ np.trace(sigma @ solve_stack(ctx.buf[1:], ctx.noise),
                                              axis1=1, axis2=2))
     return BoundResult(direction, float(alpha), sigma, value, kl, inner, ctx.steps,
                        (res, abs(kl - eps)))

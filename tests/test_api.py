@@ -1,11 +1,13 @@
 """Public surface: `__all__` is exactly PUBLIC, every exported name
 resolves, and the names the benchmark under perfbench/ reads still exist.
-A change to the public API is an edit to PUBLIC.
+A change to the public API is an edit to PUBLIC. numpy's private API is
+named by `_kernels.py` alone.
 
 The benchmark's tracer skips a module attribute it cannot find instead of
 failing, so a removal there would only show as a layer that reads 0.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -90,6 +92,33 @@ def test_all_names_resolve():
 def test_benchmark_name_is_exported(name):
     assert name in mmse_bounds.__all__
     assert getattr(mmse_bounds, name) is not None
+
+
+PRIVATE_NUMPY = {"_core", "_umath_linalg", "c_einsum"}
+
+
+def _private_numpy_names(path):
+    """The names of numpy's private API that the module at `path` imports or
+    reads as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [name for name in names if PRIVATE_NUMPY & set(name.split("."))]
+    return found
+
+
+def test_only_kernels_names_private_numpy():
+    package = Path(mmse_bounds.__file__).parent
+    names = {path.name: _private_numpy_names(path) for path in sorted(package.glob("*.py"))}
+    assert names.pop("_kernels.py")  # the scan sees the one module that names them
+    assert {module: found for module, found in names.items() if found} == {}
 
 
 def test_cli_main_is_reachable():
