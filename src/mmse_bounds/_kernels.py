@@ -27,12 +27,15 @@ rule for it:
   on (a Cholesky factor; Sigma + Sigma_N_j with Sigma positive definite),
   as each call site says.
 
-The invalid flag is numpy's to report. Where numpy.linalg only raises, a
-failed `cholesky`, `solve` or `eigh` also emits `RuntimeWarning: invalid
+The kernels set no floating-point state: numpy reports their flags as
+its error state says, by default as a RuntimeWarning. Where numpy.linalg
+only raises, a failed `cholesky`, `solve` or `eigh` also flags `invalid
 value encountered in cholesky_lo` (`solve1`, `eigh_lo`) before it gives
-None or raises, unless the flag is ignored. `solve_bound` runs inside
-`np.errstate(invalid="ignore")`; callers outside a solve wrap their calls
-in such an errstate.
+None or raises, and `eigh` of an extreme matrix may flag a division by
+zero. The one rule: `solve_bound` runs a solve inside
+`np.errstate(all="ignore")`, and nothing inside it sets its own, so no
+flag of a solve warns or raises whatever the caller's state; a caller
+outside a solve (`solver._residual`) sets its own errstate.
 """
 
 import math

@@ -16,7 +16,10 @@ answers with the first that passes. Two classes of problem reduce:
   / 2 = epsilon. `upper_candidates` and `lower_candidates` return its
   stationary points of each direction's sign of alpha (`_one_channel`).
 
-Every other problem has no closed form and goes to continuation.
+Every other problem has no closed form and goes to continuation. The
+lower bound's chain takes logit 0 and 1 at its brackets, and a candidate
+may overflow: the arrays' floating-point flags are `solve_bound`'s, which
+ignores them all, and the certificate decides.
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ _MAX_ITER = 40  # Newton iterations per solve
 _ROOT_ITER = 100  # cap on the Newton iterations for the end of a K = 1 ball
 _M_PIECES = 8  # pieces of each middle-branch segment of the lower bound's chain
 _M_ENDS = np.linspace(0.0, 1.0, _M_PIECES + 1)
-# the chain's brackets take logit 0 and 1, and a candidate may overflow;
-# its certificate, not a warning, decides
-_QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore")
 
 
 def _branch(y, rho, sign, xp=np):
@@ -96,7 +96,6 @@ def _newton(y, u, rho, eps, sign, box=None):
         return None
 
 
-@_QUIET
 def upper_candidates(rho, eps):
     """[(x, |alpha| c, iterations)] of the upper bound's one stationary
     point, by Newton from x = 1 / (1 - b tau) with b the first-order
@@ -108,7 +107,6 @@ def upper_candidates(rho, eps):
     return [found] if found else []
 
 
-@_QUIET
 def lower_candidates(rho, eps):
     """[(x, |alpha| c, iterations)] of the lower bound's candidates.
 

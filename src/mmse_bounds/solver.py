@@ -173,8 +173,7 @@ def _gradient(ctx, ai, cm=None, out=None):
     `cm` and S to `out` where given."""
     wt = ai @ ctx.noise
     wtw = np.matmul(wt, wt.swapaxes(1, 2), out=cm)
-    if out is None:  # einsum rejects out=None
-        return einsum("j,jab->ab", ctx.weights, wtw)
+    out = np.empty((ctx.k, ctx.k)) if out is None else out  # einsum rejects out=None
     return einsum("j,jab->ab", ctx.weights, wtw, out=out)
 
 
@@ -300,24 +299,24 @@ def _mm_step(ctx, sigma, t2, sign, alpha=None):
 def _sphere(ctx, tau, q, t2, sign, alpha=None):
     """(L0 q diag(1 / (1 - alpha tau)) q^T L0^T, alpha) for T = q diag(tau) q^T.
     At extreme radii the safeguarded Newton's trial points overflow or leave
-    the domain of the log; those steps are rejected, silently. Its scalars
-    stay numpy scalars: in Python floats a division by zero raises."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if alpha is None:
-            lo, hi = 0.0, (1.0 / tau[-1] if sign > 0 else np.inf)
-            b = min(2.0 * np.sqrt(t2) / norm(tau), 0.5 * hi)  # first order
-            for _ in range(100):
-                x = 1.0 / (1.0 - sign * b * tau)
-                xm1 = x - 1.0
-                g = 0.5 * sum_(xm1 - np.log(x), None) - t2
-                if abs(g) <= 1e-13 * t2:
-                    break
-                lo, hi = (lo, b) if g > 0 else (b, hi)
-                b_new = b - g / (0.5 * sign * sum_(tau * x * xm1, None))
-                b = b_new if lo < b_new < hi else (0.5 * (lo + hi) if hi < np.inf else 2.0 * b)
-            alpha = sign * b
-        lq = ctx.l0 @ q
-        return (lq / (1.0 - alpha * tau)) @ lq.T, alpha
+    the domain of the log; those steps are rejected, and the flags they
+    raise are the solve's (`solve_bound`). Its scalars stay numpy scalars:
+    in Python floats a division by zero raises."""
+    if alpha is None:
+        lo, hi = 0.0, (1.0 / tau[-1] if sign > 0 else np.inf)
+        b = min(2.0 * np.sqrt(t2) / norm(tau), 0.5 * hi)  # first order
+        for _ in range(100):
+            x = 1.0 / (1.0 - sign * b * tau)
+            xm1 = x - 1.0
+            g = 0.5 * sum_(xm1 - np.log(x), None) - t2
+            if abs(g) <= 1e-13 * t2:
+                break
+            lo, hi = (lo, b) if g > 0 else (b, hi)
+            b_new = b - g / (0.5 * sign * sum_(tau * x * xm1, None))
+            b = b_new if lo < b_new < hi else (0.5 * (lo + hi) if hi < np.inf else 2.0 * b)
+        alpha = sign * b
+    lq = ctx.l0 @ q
+    return (lq / (1.0 - alpha * tau)) @ lq.T, alpha
 
 
 def _settle(ctx, sigma, alpha, t2, sign, final, iters=_NEWTON_ITER):
@@ -482,44 +481,46 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
     """
     sign = _sign(direction)
     prob = validate_problem(ensemble, ball)
-    ctx = _Ctx(prob)
     if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (ctx.k, ctx.k):
-            raise DimensionMismatch(f"start has shape {start.shape}, expected {(ctx.k, ctx.k)}")
-    eps = prob.epsilon
-    if eps <= _OUTER_TOL:
-        # the ball is (numerically) a point; both bounds sit at the center
-        return BoundResult(direction, 0.0, ctx.sigma0.copy(), _value(ctx, ctx.sigma0), 0.0,
-                           0, 0, (0.0, abs(eps)))
+        start, k = np.asarray(start, dtype=float), prob.dimension
+        if start.shape != (k, k):
+            raise DimensionMismatch(f"start has shape {start.shape}, expected {(k, k)}")
+    # the solve's one floating-point state, set nowhere inside it: at extreme radii
+    # the search's trial points overflow, divide by zero or leave the log's domain
+    # (the closed forms' brackets take logit 0 and 1), and a tiny candidate's norms
+    # underflow. The certificate decides, whatever the caller's numpy error state.
+    with np.errstate(all="ignore"):
+        ctx = _Ctx(prob)
+        eps = prob.epsilon
+        if eps <= _OUTER_TOL:
+            # the ball is (numerically) a point; both bounds sit at the center
+            return BoundResult(direction, 0.0, ctx.sigma0.copy(), _value(ctx, ctx.sigma0), 0.0,
+                               0, 0, (0.0, abs(eps)))
 
-    found = []  # [f or None, Sigma, BoundResult or residual], best first
+        found = []  # [f or None, Sigma, BoundResult or residual], best first
 
-    def offer(sigma, alpha):
-        """Certify the candidate (Sigma, alpha) and rank it into `found` by f
-        at Sigma as given; its BoundResult or residual. A lone candidate
-        needs no f; each gets its f once, when there are two."""
-        cert = _certify(direction, ctx, eps, sigma, alpha)
-        found.append([None, sigma, cert])
-        if len(found) > 1:
-            for c in found:
-                if c[0] is None:
-                    c[0] = _value(ctx, c[1])
-            found.sort(key=lambda c: -sign * c[0])
-        return cert
+        def offer(sigma, alpha):
+            """Certify the candidate (Sigma, alpha) and rank it into `found` by f
+            at Sigma as given; its BoundResult or residual. A lone candidate
+            needs no f; each gets its f once, when there are two."""
+            cert = _certify(direction, ctx, eps, sigma, alpha)
+            found.append([None, sigma, cert])
+            if len(found) > 1:
+                for c in found:
+                    if c[0] is None:
+                        c[0] = _value(ctx, c[1])
+                found.sort(key=lambda c: -sign * c[0])
+            return cert
 
-    def add(start, *args):
-        """Correct the start(*args) at kl = eps and offer it; its BoundResult
-        or residual, None when the corrector fails or the start breaks down."""
-        try:
-            hit = _settle(ctx, *start(*args), eps, sign, True, 3 * _NEWTON_ITER)
-        except (LinAlgError, SingularSum):
-            return None
-        return None if hit is None else offer(*hit[:2])
+        def add(start, *args):
+            """Correct the start(*args) at kl = eps and offer it; its BoundResult
+            or residual, None when the corrector fails or the start breaks down."""
+            try:
+                hit = _settle(ctx, *start(*args), eps, sign, True, 3 * _NEWTON_ITER)
+            except (LinAlgError, SingularSum):
+                return None
+            return None if hit is None else offer(*hit[:2])
 
-    # at extreme radii the search's trial points overflow, and a tiny candidate's
-    # norms underflow; the certificate decides
-    with np.errstate(over="ignore", invalid="ignore"):
         # a K = 1 end past the double range, a failed upper path, or the
         # Jacobian cap, ends the solve
         try:
@@ -551,13 +552,13 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
         except (NoConvergence, LinAlgError) as exc:
             raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {exc}",
                                 getattr(exc, "residual", None), ctx.jacobians) from exc
-    for _, _, cert in found:
-        if isinstance(cert, BoundResult):
-            return replace(cert, inner_iterations=ctx.jacobians)
-    res = found[-1][2] if found else np.inf
-    raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {len(found)} local "
-                        f"extrema found, none certified (residual {res:.3g})", residual=res,
-                        iterations=ctx.jacobians)
+        for _, _, cert in found:
+            if isinstance(cert, BoundResult):
+                return replace(cert, inner_iterations=ctx.jacobians)
+        res = found[-1][2] if found else np.inf
+        raise NoConvergence(f"{direction} bound at epsilon={eps!r}: {len(found)} local "
+                            f"extrema found, none certified (residual {res:.3g})", residual=res,
+                            iterations=ctx.jacobians)
 
 
 def _certify(direction, ctx, eps, sigma, alpha, value=None, inner=None):

@@ -39,6 +39,7 @@ from mmse_bounds.cli import (
     parse_grid,
 )
 from conftest import isotropic_ball
+from test_solver import FLAGGED_CASE, FLAGGED_UPPER
 
 
 @pytest.fixture()
@@ -276,6 +277,23 @@ class TestBoundCommand:
         ensemble, ball = load_config(config)
         upper = solve_bound("upper", ensemble, DivergenceBall(ball.reference, 1000.0))
         assert f"upper bound: {upper.bound_value:.12g}  " in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_flagged_lower_bound_is_one_solver_error(self, tmp_path, capsys):
+        # the lower bound's search divides by zero at this radius; the flag
+        # stays inside the solve, and the failure is one solver error line
+        config = tmp_path / "case.json"
+        save_config(config, ChannelEnsemble.from_arrays(FLAGGED_CASE["noise"],
+                                                        FLAGGED_CASE["weights"]),
+                    DivergenceBall(Gaussian(np.zeros(2), np.array(FLAGGED_CASE["sigma0"])), 1.0))
+        rc = cli.main(["bound", "--config", str(config), "--epsilon", "1000"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_SOLVER
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("solver error: lower bound at epsilon=1000.0: 0 local extrema")
+        assert f"upper bound: {FLAGGED_UPPER:.12g}  " in out
+        assert "lower bound: " not in out
 
     def test_missing_config(self, capsys):
         rc = cli.main(["bound", "--config", "/nonexistent/c.json"])

@@ -17,6 +17,7 @@ Analytic oracles used here:
 Both are independent of the solver's own continuation machinery.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -982,6 +983,37 @@ class TestFrozenCases:
         best = multistart_lower(np.asarray(case["sigma0"]), np.asarray(case["noise"]),
                                 case["weights"], case["epsilon"], starts=20)
         assert best == pytest.approx(expect, rel=1e-8)
+
+
+FLAGGED_CASE = dict(  # make_corpus(300, 1)[0][5]; reference condition about 56
+    sigma0=[[646.0001616351767, 1539.3167911109576],
+            [1539.3167911109576, 4333.557554959791]],
+    noise=[[[1541.7280821202437, 1117.177664435443],
+            [1117.177664435443, 813.2601584552549]]],
+    weights=[0.7703430959097135],
+)
+FLAGGED_UPPER = 1806.2934067847848  # at epsilon = 1e3
+
+
+class TestFloatingPointState:
+    """`solve_bound` ignores every floating-point flag of a solve and
+    nothing inside it sets its own, so its answer and its failure type do
+    not depend on the caller's numpy error state or warning filters. At
+    these radii the lower bound's search divides by zero in `eigh` and
+    underflows in its products; it once leaked `RuntimeWarning: divide by
+    zero encountered in eigh_lo` and, under a raising error state, raised
+    FloatingPointError in place of NoConvergence."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("state", ["default", "raise"])
+    @pytest.mark.parametrize("epsilon", [1e3, 1e4])
+    def test_outcome_ignores_the_callers_state(self, epsilon, state):
+        with np.errstate(all="raise") if state == "raise" else contextlib.nullcontext():
+            with pytest.raises(NoConvergence, match="0 local extrema found, none certified"):
+                _solve("lower", epsilon=epsilon, **FLAGGED_CASE)
+            if epsilon == 1e3:
+                res = _solve("upper", epsilon=epsilon, **FLAGGED_CASE)
+                assert res.bound_value == pytest.approx(FLAGGED_UPPER, rel=1e-8)
 
 
 # Lower bounds the solver does not certify (ROADMAP items 2 and 4), frozen

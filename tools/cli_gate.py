@@ -11,15 +11,19 @@ field.json`, so the printed path is the same on every tree, and a
 `sweep-ball` grid on which one row's start from the row before fails
 the certificate and that row is solved from the centre. A
 `scenario` line also gives the SHA-256 of the config it wrote (`none`
-when it wrote none). Last come three `bound` runs, each on a config a
+when it wrote none). Then come three `bound` runs, each on a config a
 `scenario` run wrote in the same temporary directory, which reach the
 closed forms: a K = 1 config (the end of its interval), a one-channel
 K = 3 config on the reference I (K scalars), and the K = 1 config at an
 epsilon whose lower end leaves the double range (exit 2, and the upper
-bound is still printed). The last line is one SHA-256 over every
-command line.
+bound is still printed). Then comes one SHA-256 over every command line
+so far. Last, one `bound` run at epsilon 1000 on a K = 2 config from the
+benchmark's corpus, which the tool writes as `case.json` into a fresh
+temporary working directory: the lower bound's search divides by zero
+there and fails (exit 2), the upper bound is still printed, and stderr
+holds the one solver error line and no numpy warning.
 
-Two trees that print the same final hash give byte-identical output and
+Two trees that print the same `sha256` line give byte-identical output and
 the same exit codes on every command: the solver's answers through
 `bound` (on the paper config and on both closed forms), both sweeps and
 `verify`, the config `scenario` writes, and the messages of a failed
@@ -27,6 +31,9 @@ sweep row (exit 2), of an invalid prior parameter or family (exit 1), of
 an `--out` path that cannot be written (exit 1), of a negative KL radius
 (exit 1), of a negative sensor distance (exit 1), of a zero channel
 weight (exit 1) and of a K = 1 bound past the double range (exit 2).
+Two trees that also print the same last line give the same output and
+exit code on that run, stderr included: a numpy warning that escapes the
+solve changes its stderr hash.
 
 Run from anywhere, once on each tree to compare:
 
@@ -38,6 +45,7 @@ The tool uses the standard library only.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -77,14 +85,27 @@ CLOSED_FORM_COMMANDS = [  # (scenario, the bound run on the config it wrote)
     (ONE_CHANNEL, ["bound", "--config", OUT]),
     (K1, ["bound", "--config", OUT, "--epsilon", "1000"]),  # a lower end that underflows: exit 2
 ]
+CASE = "case.json"  # relative to a scratch working directory
+FLAGGED_CASE = {  # perfbench make_corpus(300, 1)[0][5], K = 2, J = 1
+    "dimension": 2,
+    "mu0": [-1.303599484227624, -0.06833446230563332],
+    "sigma0": [[646.0001616351767, 1539.3167911109576],
+               [1539.3167911109576, 4333.557554959791]],
+    "channels": [{"lambda": 0.7703430959097135,
+                  "sigma_n": [[1541.7280821202437, 1117.177664435443],
+                              [1117.177664435443, 813.2601584552549]]}],
+    "epsilon": 0.0018488516964113215,
+}
+FLAGGED_COMMAND = ["bound", "--config", CASE, "--epsilon", "1000"]  # lower fails: exit 2
 
 
-def run(command, then=None):
+def run(command, then=None, case=None):
     """(exit code, stdout SHA-256, stderr SHA-256, written config SHA-256
     or None) of one CLI command; `scenario` runs in a scratch directory,
     every other subcommand on CONFIG from ROOT. `then` is a command run
     after `scenario`, in its directory; the exit code and hashes are then
-    that command's."""
+    that command's. With `case`, a config dict, the command runs in a
+    scratch directory that holds it as CASE."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
     def cli(args, cwd):
@@ -92,7 +113,10 @@ def run(command, then=None):
                               env=env, capture_output=True, check=False)
 
     with tempfile.TemporaryDirectory() as scratch:
-        if command[0] == "scenario":
+        if case is not None:
+            (Path(scratch) / CASE).write_text(json.dumps(case, indent=2) + "\n")
+            proc = cli(command, scratch)
+        elif command[0] == "scenario":
             proc = cli(command, scratch)
         else:
             proc = cli([command[0], "--config", CONFIG, *command[1:]], ROOT)
@@ -122,6 +146,8 @@ def main() -> int:
         print(line)
         total.update(line.encode() + b"\n")
     print(f"sha256 {total.hexdigest()}")
+    code, out, err, _ = run(FLAGGED_COMMAND, case=FLAGGED_CASE)
+    print(f"{' '.join(FLAGGED_COMMAND)}: exit {code} stdout {out} stderr {err}")
     return 0
 
 
