@@ -32,6 +32,7 @@ from .gaussian import (
     linear_estimator_mse,
     mmse_matrix,
     mmse_trace,
+    opt_covariance_residual,
     weight_matrix,
     weighted_mmse_sum,
 )
@@ -62,7 +63,6 @@ from .solver import (
     BoundResult,
     local_bound,
     local_bounds_weighted,
-    opt_covariance_residual,
     solve_bound,
 )
 

@@ -6,11 +6,14 @@ and the Gaussian prior family itself. Its one check (`_checked`) and the
 covariance check it shares with every noise covariance (`_check_spd`)
 live here too.
 
-Estimator gain matrices, MMSE matrices and traces, same-mean Gaussian KL
+Estimator gain matrices, MMSE matrices and traces, the additive-form
+residual of the bounds' optimality condition, same-mean Gaussian KL
 divergence, and the exact MSE of a fixed affine estimator under an
-arbitrary Gaussian prior. Every Sigma_X + Sigma_N and every reference
-Sigma_0 passes a Cholesky factorization, so is positive definite, before
-a system with it is solved; KL is in nats.
+arbitrary Gaussian prior. These closed forms are the checks of the
+solver's answers, so they share no code with `solver.py`. Every Sigma_X
++ Sigma_N and every reference Sigma_0 passes a Cholesky factorization,
+so is positive definite, before a system with it is solved; KL is in
+nats.
 """
 
 from __future__ import annotations
@@ -178,6 +181,24 @@ def weighted_mmse_sum(sigma_x, ensemble) -> MmseSummary:
     traces = np.trace(m, axis1=1, axis2=2)
     weighted = float(ensemble.weights @ traces)
     return MmseSummary(tuple(m), tuple(traces.tolist()), weighted)
+
+
+def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
+    """Relative Frobenius residual of the additive-form optimality condition.
+
+    Checks Sigma_X = Sigma_0 + alpha (sum_j lambda_j MMSE_j^T MMSE_j) SNR_0^-1
+    at the given point; equivalent to the inverse form Sigma_X = (Sigma_0^-1 -
+    alpha S(Sigma_X))^-1 that `solve_bound` certifies, but computed without
+    the solver's code, so this is an independent verification of a solution
+    (`ensemble`: a ChannelEnsemble or Problem)."""
+    sigma_x = np.asarray(sigma_x, dtype=float)
+    sigma0 = np.asarray(reference.covariance, dtype=float)
+    m = mmse_matrix(sigma_x, ensemble.noise_stack)
+    acc = np.sum(ensemble.weights[:, None, None] * (m.swapaxes(1, 2) @ m), axis=0)
+    # SNR_0^-1 = Sigma_X^-1 Sigma_0
+    inv_snr = np.linalg.solve(sigma_x, sigma0)
+    rhs = sigma0 + alpha * acc @ inv_snr
+    return float(np.linalg.norm(sigma_x - rhs) / np.linalg.norm(sigma_x))
 
 
 def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:

@@ -139,6 +139,7 @@ def _rotations(gauss):
     return q
 
 
+@np.errstate(over="ignore", under="ignore")
 def _mmse_channels(spec, noise_stack, x, ys, inner_seed, rotation_seed, n_inner):
     """Squared conditional-mean errors and inner effective sample sizes.
 
@@ -217,6 +218,13 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, rotation_seed, n_inner)
     draws before it, the first n draws of a call give bitwise the answers
     of a call on those n draws alone.
 
+    The whole call, set-up, blocks and `_redo_at_row_max`, runs in one
+    floating-point state that ignores overflow and underflow: a weight
+    that overflows is redone at its row max, one that underflows is 0 as
+    it should be, and the estimate does not depend on the caller's numpy
+    error state. It is set here, not in `mc_weighted_sum`, because tests
+    and tools call this kernel directly.
+
     Expanded, q0 can round a near-zero norm below zero, so it is clipped
     at zero. A draw whose inner weights all vanish (for the ball, every
     inner point off the support) has no estimate, so any such draw raises
@@ -287,18 +295,17 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, rotation_seed, n_inner)
         # took 316 ms of CPU against 142 (tools/ab.py, 4 rounds).
         np.matmul(rows[:b], feat, out=products[:b])
         q0, wts = forms[:b, 0], forms[:b, 1]  # the weights overwrite q1
-        with np.errstate(over="ignore"):  # an overflowing row is redone below
-            if g is None:
-                inside = np.less_equal(q0, q_max, out=inside_buf[:b])
-                wts *= inside
-                np.exp(wts, out=wts)
-                wts *= inside
-            else:
-                wts -= g(np.maximum(q0, 0.0, out=q0))
-                np.exp(wts, out=wts)
-            if odd:
-                wts[..., -1] = 0.0  # the -z an odd n_inner drops
-            totals = wts.sum(axis=2)
+        if g is None:
+            inside = np.less_equal(q0, q_max, out=inside_buf[:b])
+            wts *= inside
+            np.exp(wts, out=wts)
+            wts *= inside
+        else:
+            wts -= g(np.maximum(q0, 0.0, out=q0))
+            np.exp(wts, out=wts)
+        if odd:
+            wts[..., -1] = 0.0  # the -z an odd n_inner drops
+        totals = wts.sum(axis=2)
         redo = ~((totals >= _SAFE_SUMS[0]) & (totals <= _SAFE_SUMS[1]))
         if redo.any():
             _redo_at_row_max(redo, wts, totals, rows_buf[:b], feat, g, q_max, odd)
@@ -344,7 +351,7 @@ def _redo_at_row_max(redo, wts, totals, block_rows, feat, g, q_max, odd):
     totals[bi, ji] = log_w.sum(axis=1)
 
 
-def _check_degenerate(n_bad, n_outer, n_inner):
+def _check_degenerate(n_bad, n_outer):
     if n_bad > 0.01 * n_outer:
         raise DegenerateWeights(
             f"inner effective sample size fell below 0.01*n_inner on "
@@ -357,7 +364,7 @@ def _estimate(per_draw, ess, n_inner, seed) -> McEstimate:
     importance-weight diagnostics pooled over every inner sample set."""
     n_outer = per_draw.size
     n_bad = int(np.count_nonzero(ess < 0.01 * n_inner))
-    _check_degenerate(n_bad, ess.size, n_inner)
+    _check_degenerate(n_bad, ess.size)
     return McEstimate(float(per_draw.mean()),
                       float(per_draw.std(ddof=1) / math.sqrt(n_outer)),
                       n_outer, n_inner, seed,

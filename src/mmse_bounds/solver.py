@@ -49,9 +49,11 @@ README "Solver notes" gives the details.
 The hot linear algebra goes through `_kernels`: numpy's LAPACK gufuncs,
 C einsum and ufunc reductions without numpy's Python layers, bitwise
 numpy's results; that module states how each kernel reports a LAPACK
-failure. An evaluation writes its products into its stack and Jacobian;
-the scratch of `_Ctx` holds what a call uses and drops, and what a call
-returns is fresh.
+failure. The solver imports nothing from `gaussian`, whose closed forms
+(`weighted_mmse_sum`, `opt_covariance_residual`) check its answers
+independently; `_value` is its one formula for f. An evaluation writes
+its products into its stack and Jacobian; the scratch of `_Ctx` holds
+what a call uses and drops, and what a call returns is fresh.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._kernels import cholesky, eigh, einsum, inv, max_, norm, solve, solve_stack, sum_
-from .exceptions import DimensionMismatch, NoConvergence, SingularSum
-from .gaussian import mmse_matrix
+from .exceptions import DimensionMismatch, NoConvergence
 from .problem import DivergenceBall, validate_problem
 from .separable import closed_forms
 
@@ -196,8 +197,15 @@ def _s(ctx, sigma):
 
 
 def _value(ctx, sigma):
-    """f(Sigma) = sum_j lambda_j tr(MMSE_j)."""
-    return float(ctx.weights @ np.trace(mmse_matrix(sigma, ctx.noise), axis1=1, axis2=2))
+    """f(Sigma) = sum_j lambda_j tr(Sigma A_j^-1 Sigma_N_j), the solve's one
+    formula for f. Each A_j = Sigma + Sigma_N_j is symmetrized as
+    `gaussian.mmse_matrix` symmetrizes it, so the value is bitwise that
+    function's. Sigma is positive definite (the reference, a corrected
+    iterate or a majorize-minimize step), so LAPACK cannot fail on the A_j;
+    a step that overflowed gives NaN."""
+    a = sigma + ctx.noise
+    a = 0.5 * (a + a.swapaxes(1, 2))
+    return float(ctx.weights @ np.trace(sigma @ solve_stack(a, ctx.noise), axis1=1, axis2=2))
 
 
 def _kl(ctx, sigma, ci):
@@ -413,24 +421,6 @@ def _residual(ctx, sigma, alpha, s):
     return float(norm(scale * (mi.T @ mi - sigma)) / norm(scale * sigma))
 
 
-def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
-    """Relative Frobenius residual of the additive-form optimality condition.
-
-    Checks Sigma_X = Sigma_0 + alpha (sum_j lambda_j MMSE_j^T MMSE_j) SNR_0^-1
-    at the given point; equivalent to the inverse form Sigma_X = (Sigma_0^-1 -
-    alpha S(Sigma_X))^-1 that `solve_bound` certifies, but computed without
-    the solver's code, so this is an independent verification of a solution
-    (`ensemble`: a ChannelEnsemble or Problem)."""
-    sigma_x = np.asarray(sigma_x, dtype=float)
-    sigma0 = np.asarray(reference.covariance, dtype=float)
-    m = mmse_matrix(sigma_x, ensemble.noise_stack)
-    acc = np.sum(ensemble.weights[:, None, None] * (m.swapaxes(1, 2) @ m), axis=0)
-    # SNR_0^-1 = Sigma_X^-1 Sigma_0
-    inv_snr = np.linalg.solve(sigma_x, sigma0)
-    rhs = sigma0 + alpha * acc @ inv_snr
-    return float(np.linalg.norm(sigma_x - rhs) / np.linalg.norm(sigma_x))
-
-
 def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundResult:
     """Solve for the upper or lower bound on the weighted MMSE sum.
 
@@ -517,7 +507,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
             or residual, None when the corrector fails or the start breaks down."""
             try:
                 hit = _settle(ctx, *start(*args), eps, sign, True, 3 * _NEWTON_ITER)
-            except (LinAlgError, SingularSum):
+            except LinAlgError:
                 return None
             return None if hit is None else offer(*hit[:2])
 
@@ -566,7 +556,7 @@ def _certify(direction, ctx, eps, sigma, alpha, value=None, inner=None):
     symmetrized, it passes the certificate: a fixed-point residual of at
     most 1e-11 and |kl - epsilon| <= 1e-10; else its residual (inf where
     Sigma is not positive definite). A closed form gives its value and
-    iteration count; a continuation candidate's value is f at the
+    iteration count; a continuation candidate's value is `_value` at the
     symmetrized Sigma, and the solve sets its inner_iterations when it
     returns it."""
     sigma = 0.5 * (sigma + sigma.T)
@@ -578,11 +568,7 @@ def _certify(direction, ctx, eps, sigma, alpha, value=None, inner=None):
     kl = float(_kl(ctx, sigma, inverses[0]))
     if not (res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL):
         return res
-    if value is None:
-        # f through the solve `mmse_matrix` makes, of the A_j (positive definite) that the
-        # buffer still holds; the trace needs no symmetrizing
-        value = float(ctx.weights @ np.trace(sigma @ solve_stack(ctx.buf[1:], ctx.noise),
-                                             axis1=1, axis2=2))
+    value = _value(ctx, sigma) if value is None else value
     return BoundResult(direction, float(alpha), sigma, value, kl, inner, ctx.steps,
                        (res, abs(kl - eps)))
 

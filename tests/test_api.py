@@ -1,7 +1,8 @@
 """Public surface: `__all__` is exactly PUBLIC, every exported name
 resolves, and the names the benchmark under perfbench/ reads still exist.
 A change to the public API is an edit to PUBLIC. numpy's private API is
-named by `_kernels.py` alone.
+named by `_kernels.py` alone, and the solver and the closed forms that
+check it (`gaussian.py`) import nothing from each other.
 
 The benchmark's tracer skips a module attribute it cannot find instead of
 failing, so a removal there would only show as a layer that reads 0.
@@ -119,6 +120,31 @@ def test_only_kernels_names_private_numpy():
     names = {path.name: _private_numpy_names(path) for path in sorted(package.glob("*.py"))}
     assert names.pop("_kernels.py")  # the scan sees the one module that names them
     assert {module: found for module, found in names.items() if found} == {}
+
+
+def _package_imports(path):
+    """The modules the module at `path` imports from, the package's by bare
+    name (`from . import gaussian` and `from .gaussian import f` alike)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found |= ({alias.name for alias in node.names}
+                      if node.module in (None, "mmse_bounds") else {node.module})
+        elif isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+    return {name.removeprefix("mmse_bounds.") for name in found}
+
+
+def test_solver_shares_no_arithmetic_with_its_checks():
+    # the closed forms that certify a solve in tests and in the benchmark
+    # (`weighted_mmse_sum`, `opt_covariance_residual`) live in gaussian.py,
+    # which imports none of the solver's code; the solver imports none of
+    # theirs and computes f itself (`solver._value`)
+    package = Path(mmse_bounds.__file__).parent
+    assert "gaussian" not in _package_imports(package / "solver.py")
+    assert "SingularSum" not in (package / "solver.py").read_text(encoding="utf-8")
+    assert _package_imports(package / "gaussian.py") & {"solver", "_kernels", "separable"} == set()
+    assert mmse_bounds.opt_covariance_residual.__module__ == "mmse_bounds.gaussian"
 
 
 def test_cli_main_is_reachable():

@@ -21,6 +21,15 @@ Run from the repository root, once on each tree to compare:
 
     python tools/corpus_gate.py 301 331
 
+`--batches N` takes N batches of 30 problems per seed instead of 6, and
+`--eps E[,E...]` solves each problem at each listed radius in turn
+instead of at its own. The large-radius grid, where many upper bounds
+are not certified, is
+
+    python tools/corpus_gate.py 300 303 --batches 1 --eps 10,100,1000,10000
+
+720 solves. A failed solve's line names its radius in the error.
+
 A change that moves answers on purpose is compared solve by solve
 instead: `--save FILE` on one tree writes every answer to FILE (a numpy
 .npz), and `--against FILE` on the other prints, per direction, how many
@@ -31,6 +40,9 @@ tree's, and every failure gained or lost:
 
     python tools/corpus_gate.py 301 331 --save parent.npz     # parent tree
     python tools/corpus_gate.py 301 331 --against parent.npz  # changed tree
+
+Both take `--batches`, which must match; neither takes `--eps`, since a
+record names its problem and not its radius.
 
 The corpus comes from perfbench, which this script only imports. It uses
 numpy and the standard library only.
@@ -58,22 +70,21 @@ BATCHES = 6  # per seed: 6 x 30 (K, J) cells, 360 solves
 DIRECTIONS = ("lower", "upper")
 
 
-def gate(seed_lo, seed_hi):
+def gate(seed_lo, seed_hi, batches=BATCHES, radii=None):
     """(hex digest, answers hex digest, {(K, J): answers hex digest}, solves,
-    failures, records) over seeds seed_lo..seed_hi - 1; `records` holds one
-    array per field of every solve, in corpus order (what `--save` writes)."""
+    failures, records) over `batches` batches of seeds seed_lo..seed_hi - 1,
+    each problem at its own radius or, where `radii` are given, at each of
+    them; `records` holds one array per field of every solve, in corpus
+    order (what `--save` writes)."""
     digest, answers, solves, failures = hashlib.sha256(), hashlib.sha256(), 0, []
     cells = {}
     records = {name: [] for name in ("key", "failed", "answer", "bound_value", "jacobians",
                                      "steps")}
     for seed in range(seed_lo, seed_hi):
-        for b, batch in enumerate(make_corpus(seed, BATCHES)):
+        for b, batch in enumerate(make_corpus(seed, batches)):
             for i, p in enumerate(batch):
-                ball = DivergenceBall(Gaussian(p["mu0"], p["sigma0"]), p["epsilon"])
-                prob = validate_problem(ChannelEnsemble.from_arrays(p["noise"], p["weights"]),
-                                        ball)
                 cell = cells.setdefault((len(p["sigma0"]), len(p["noise"])), hashlib.sha256())
-                for d, direction in enumerate(DIRECTIONS):
+                for d, direction, ball, prob in _solves(p, radii):
                     solves += 1
                     records["key"].append((seed, b, i, d))
                     try:
@@ -106,6 +117,17 @@ def gate(seed_lo, seed_hi):
                for name, values in records.items()}
     return (digest.hexdigest(), answers.hexdigest(),
             {kj: h.hexdigest() for kj, h in sorted(cells.items())}, solves, failures, records)
+
+
+def _solves(p, radii):
+    """(index, direction, ball, validated problem) of the corpus problem p's
+    solves: at its own radius, or at each of `radii`, both directions."""
+    ensemble = ChannelEnsemble.from_arrays(p["noise"], p["weights"])
+    for eps in (p["epsilon"],) if radii is None else radii:
+        ball = DivergenceBall(Gaussian(p["mu0"], p["sigma0"]), eps)
+        prob = validate_problem(ensemble, ball)
+        for d, direction in enumerate(DIRECTIONS):
+            yield d, direction, ball, prob
 
 
 def jacobian_lines(records, label=""):
@@ -157,20 +179,32 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("seed_lo", type=int, help="first corpus seed")
     parser.add_argument("seed_hi", type=int, help="one past the last corpus seed")
+    parser.add_argument("--batches", type=int, default=BATCHES, metavar="N",
+                        help=f"batches of 30 problems per seed (default {BATCHES})")
+    parser.add_argument("--eps", metavar="E[,E...]",
+                        type=lambda v: [float(e) for e in v.split(",")],
+                        help="solve each problem at each of these radii, not its own")
     parser.add_argument("--save", metavar="FILE", help="write every answer to FILE (.npz)")
     parser.add_argument("--against", metavar="FILE",
                         help="compare every answer with those --save wrote to FILE")
     args = parser.parse_args(argv)
     if args.seed_hi <= args.seed_lo:
         parser.error("SEED_HI must be greater than SEED_LO")
+    if args.batches < 1:
+        parser.error("--batches must be at least 1")
+    if args.eps and (args.save or args.against):
+        parser.error("--eps does not combine with --save or --against")
     saved = None
     if args.against:
         with np.load(args.against) as data:
             saved = dict(data)
         if (saved["key"][0, 0], saved["key"][-1, 0]) != (args.seed_lo, args.seed_hi - 1):
             parser.error(f"{args.against} holds the answers of other seeds")
+        if saved["key"][:, 1].max() + 1 != args.batches:
+            parser.error(f"{args.against} holds the answers of another --batches")
     t0 = time.perf_counter()
-    hexdigest, answers, cells, solves, failures, records = gate(args.seed_lo, args.seed_hi)
+    hexdigest, answers, cells, solves, failures, records = gate(args.seed_lo, args.seed_hi,
+                                                                args.batches, args.eps)
     print(f"seeds {args.seed_lo}-{args.seed_hi - 1}: {solves} solves, "
           f"{len(failures)} failed, {time.perf_counter() - t0:.1f} s")
     print(f"sha256 {hexdigest}")
