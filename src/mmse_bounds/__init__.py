@@ -22,8 +22,6 @@ from .exceptions import (
     NonSymmetric,
     NotPositiveDefinite,
     ProblemValidationError,
-    SingularReference,
-    SingularSum,
 )
 from .gaussian import (
     Gaussian,
@@ -31,7 +29,6 @@ from .gaussian import (
     kl_same_mean_gaussians,
     linear_estimator_mse,
     mmse_matrix,
-    mmse_trace,
     opt_covariance_residual,
     weight_matrix,
     weighted_mmse_sum,
@@ -91,8 +88,6 @@ __all__ = [
     "PriorSpec",
     "Problem",
     "ProblemValidationError",
-    "SingularReference",
-    "SingularSum",
     "UniformBall",
     "cramer_rao_lower",
     "gen_gauss_covariance",
@@ -107,7 +102,6 @@ __all__ = [
     "log_density",
     "mc_weighted_sum",
     "mmse_matrix",
-    "mmse_trace",
     "opt_covariance_residual",
     "prior_moments",
     "problem_from_config",

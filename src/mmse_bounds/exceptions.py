@@ -18,7 +18,10 @@ class NonSymmetric(ProblemValidationError):
 
 
 class NotPositiveDefinite(ProblemValidationError):
-    """A matrix required to be positive definite has a nonpositive eigenvalue."""
+    """A matrix required to be positive definite is not: it has a non-finite
+    entry, or its Cholesky factorization fails. Every input covariance and
+    every matrix a closed form factors is checked by this one rule, and the
+    message names the matrix."""
 
 
 class DimensionMismatch(ProblemValidationError):
@@ -31,14 +34,6 @@ class NonPositiveWeight(ProblemValidationError):
 
 class NegativeRadius(ProblemValidationError):
     """The divergence-ball radius is not a finite nonnegative number."""
-
-
-class SingularSum(ValueError):
-    """Factorization of a covariance sum failed; signals numerical breakdown."""
-
-
-class SingularReference(ValueError):
-    """Factorization of the reference covariance failed."""
 
 
 class NoConvergence(ArithmeticError):

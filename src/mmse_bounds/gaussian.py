@@ -10,10 +10,11 @@ Estimator gain matrices, MMSE matrices and traces, the additive-form
 residual of the bounds' optimality condition, same-mean Gaussian KL
 divergence, and the exact MSE of a fixed affine estimator under an
 arbitrary Gaussian prior. These closed forms are the checks of the
-solver's answers, so they share no code with `solver.py`. Every Sigma_X
-+ Sigma_N and every reference Sigma_0 passes a Cholesky factorization,
-so is positive definite, before a system with it is solved; KL is in
-nats.
+solver's answers, so they share no code with `solver.py`. One check,
+`_cholesky`, decides that a matrix is positive definite: every input
+covariance, every Sigma_X + Sigma_N and both arguments of the KL
+divergence pass it before a system with them is solved, and a non-finite
+or indefinite matrix raises NotPositiveDefinite naming it. KL is in nats.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (DimensionMismatch, NonSymmetric, NotPositiveDefinite,
-                         ProblemValidationError, SingularReference, SingularSum)
+                         ProblemValidationError)
 
 SYMMETRY_RTOL = 1e-12
 
@@ -44,17 +45,27 @@ def _check_symmetric(m, name, channel=None):
         raise NonSymmetric(f"{name} is not symmetric within tolerance", channel=channel)
 
 
-def _check_spd(m, name, channel=None):
-    """Validate symmetry to relative tolerance, then return the symmetrized
-    matrix and its Cholesky factor, which checks positive definiteness."""
-    if not np.all(np.isfinite(m)):
+def _cholesky(m, name, channel=None):
+    """Cholesky factor of the symmetric `m`, or of each matrix of a stack: the
+    module's one check that a matrix is positive definite. NotPositiveDefinite
+    naming `name` for a non-finite entry (numpy's factor of one is NaN, not
+    an error) or a failed factorization."""
+    if not np.isfinite(m).all():
         raise NotPositiveDefinite(f"{name} has non-finite entries", channel=channel)
-    _check_symmetric(m, name, channel)
-    sym = 0.5 * (m + m.T)
     try:
-        return sym, np.linalg.cholesky(sym)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{name} is not positive definite", channel=channel)
+
+
+def _check_spd(m, name, channel=None):
+    """Validate symmetry to relative tolerance, then return the symmetrized
+    matrix and its `_cholesky` factor. A non-finite `m` goes to `_cholesky`
+    unsymmetrized, since the symmetry test and the sum would warn on it."""
+    if np.isfinite(m).all():
+        _check_symmetric(m, name, channel)
+        m = 0.5 * (m + m.T)
+    return m, _cholesky(m, name, channel)
 
 
 @dataclass(frozen=True)
@@ -99,13 +110,10 @@ def _check_same_shape(a, b, name_a, name_b):
 
 def _gain_transpose(sigma_x, sigma_n):
     """W^T = (Sigma_X + Sigma_N)^-1 Sigma_N for a (K, K) Sigma_N or a (J, K, K)
-    stack; raises SingularSum when a symmetrized sum fails its Cholesky check."""
+    stack, once every symmetrized sum has passed `_cholesky`."""
     total = sigma_x + sigma_n
     total = 0.5 * (total + total.swapaxes(-1, -2))
-    try:
-        np.linalg.cholesky(total)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSum(f"Sigma_X + Sigma_N factorization failed: {exc}") from exc
+    _cholesky(total, "sigma_x + sigma_n")
     return np.linalg.solve(total, sigma_n)
 
 
@@ -143,11 +151,6 @@ def mmse_matrix(sigma_x, sigma_n):
     sigma_x = np.asarray(sigma_x, dtype=float)
     m = sigma_x @ weight_matrix(sigma_x, sigma_n).swapaxes(-1, -2)
     return 0.5 * (m + m.swapaxes(-1, -2))
-
-
-def mmse_trace(sigma_x, sigma_n) -> float:
-    """Trace of the MMSE matrix; the scalar MMSE of the channel."""
-    return float(np.trace(mmse_matrix(sigma_x, sigma_n)))
 
 
 @dataclass(frozen=True)
@@ -205,26 +208,18 @@ def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:
     """KL divergence (nats) between same-mean Gaussians N(m, Sigma_X), N(m, Sigma_0).
 
     Equals (tr(SNR_0) - K - log det(SNR_0)) / 2 with SNR_0 = Sigma_0^-1 Sigma_X,
-    formed from the Cholesky factor of Sigma_0 (SingularReference when it
-    fails); log det Sigma_X comes from its own Cholesky factor (SingularSum
-    when it fails). NonSymmetric, naming the argument, for either not
-    symmetric to SYMMETRY_RTOL, since a Cholesky factorization reads one
-    triangle. Nonnegative; zero iff the covariances coincide.
+    formed from the Cholesky factors of the two arguments, each checked as
+    every input covariance is (`_check_spd`) and read symmetrized: a
+    non-finite or indefinite argument raises NotPositiveDefinite, and one
+    not symmetric to SYMMETRY_RTOL raises NonSymmetric, each naming the
+    argument. Nonnegative; zero iff the covariances coincide.
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
     sigma_0 = np.asarray(sigma_0, dtype=float)
     _check_same_shape(sigma_x, sigma_0, "sigma_x", "sigma_0")
-    _check_symmetric(sigma_x, "sigma_x")
-    _check_symmetric(sigma_0, "sigma_0")
+    sigma_x, chol_x = _check_spd(sigma_x, "sigma_x")
+    chol = _check_spd(sigma_0, "sigma_0")[1]
     k = sigma_x.shape[0]
-    try:
-        chol = np.linalg.cholesky(sigma_0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularReference(f"reference covariance factorization failed: {exc}") from exc
-    try:
-        chol_x = np.linalg.cholesky(sigma_x)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSum(f"sigma_x factorization failed: {exc}") from exc
     ci = np.linalg.inv(chol)
     logdet_0 = 2.0 * float(np.sum(np.log(np.diag(chol))))
     logdet_x = 2.0 * float(np.sum(np.log(np.diag(chol_x))))

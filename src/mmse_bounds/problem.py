@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,11 +93,13 @@ class ChannelEnsemble:
     def single(self, j: int) -> "ChannelEnsemble":
         """The one-channel ensemble {(Sigma_N_j, 1)} used by local bounds: a
         read-only view of channel j of the checked stack, not checked again
-        (its symmetrized form is itself, bitwise)."""
+        (its symmetrized form is itself, bitwise). `j` indexes as a list
+        index does (`operator.index`), so a bool is 0 or 1 and not a mask."""
         one = object.__new__(ChannelEnsemble)
         weights = np.ones(1)
         weights.flags.writeable = False
-        object.__setattr__(one, "noise_covariances", self.noise_covariances[j][None])
+        stack = self.noise_covariances[operator.index(j)][None]
+        object.__setattr__(one, "noise_covariances", stack)
         object.__setattr__(one, "weights", weights)
         return one
 

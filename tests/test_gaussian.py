@@ -1,5 +1,7 @@
 """Closed-form Gaussian quantities against hand-computed and identity oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,16 @@ from mmse_bounds import (
     DivergenceBall,
     Gaussian,
     NonSymmetric,
-    SingularReference,
-    SingularSum,
+    NotPositiveDefinite,
     kl_same_mean_gaussians,
     linear_estimator_mse,
     mmse_matrix,
-    mmse_trace,
+    opt_covariance_residual,
     weight_matrix,
     validate_problem,
     weighted_mmse_sum,
 )
-from conftest import TEST_SEED, corpus_spd, random_spd
+from conftest import TEST_SEED, corpus_spd, isotropic_ball, random_spd
 
 
 def rel_error(a, b):
@@ -34,7 +35,7 @@ class TestScalarOracles:
 
     def test_mmse(self):
         np.testing.assert_allclose(mmse_matrix([[2.0]], [[3.0]]), [[1.2]], rtol=1e-14)
-        assert mmse_trace([[2.0]], [[3.0]]) == pytest.approx(1.2, rel=1e-14)
+        assert np.trace(mmse_matrix([[2.0]], [[3.0]])) == pytest.approx(1.2, rel=1e-14)
 
     def test_kl(self):
         # s = 4: (s - 1 - ln s)/2
@@ -78,7 +79,8 @@ class TestMatrixIdentities:
     def test_kl_rejects_a_non_covariance(self, sigma_x):
         # both have determinant sign +1, which slogdet alone would accept; the
         # second is not symmetric, so is rejected before any factorization
-        error = SingularSum if np.array_equal(sigma_x, np.transpose(sigma_x)) else NonSymmetric
+        error = (NotPositiveDefinite if np.array_equal(sigma_x, np.transpose(sigma_x))
+                 else NonSymmetric)
         with pytest.raises(error):
             kl_same_mean_gaussians(sigma_x, np.eye(2))
 
@@ -89,12 +91,12 @@ class TestMatrixIdentities:
     ])
     def test_kl_rejects_an_asymmetric_argument(self, sigma_x, sigma_0, name):
         # a Cholesky factorization reads one triangle: the first two gave
-        # 0.0, the third SingularReference
+        # 0.0, the third a failed factorization
         with pytest.raises(NonSymmetric, match=f"{name} is not symmetric"):
             kl_same_mean_gaussians(sigma_x, sigma_0)
 
     def test_kl_singular_reference(self):
-        with pytest.raises(SingularReference):
+        with pytest.raises(NotPositiveDefinite):
             kl_same_mean_gaussians(np.eye(2), np.zeros((2, 2)))
 
     def test_shape_mismatch(self):
@@ -102,11 +104,43 @@ class TestMatrixIdentities:
             weight_matrix(np.eye(2), np.eye(3))
 
 
+NON_FINITE = {"nan": np.full((3, 3), np.nan), "inf": np.diag([np.inf, 1.0, 1.0])}
+
+
+class TestNonFiniteArguments:
+    """A closed form rejects a non-finite matrix by name, as it rejects an
+    indefinite one, and warns nothing: numpy's Cholesky factor of a
+    non-finite matrix is NaN, not an error, so each once returned NaN."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", ["sigma_x", "sigma_0"])
+    def test_kl(self, bad, name):
+        args = {"sigma_x": 2.0 * np.eye(3), "sigma_0": np.eye(3), name: NON_FINITE[bad]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match=f"^{name} has non-finite entries$"):
+                kl_same_mean_gaussians(**args)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_mmse_closed_forms(self, demo_ensemble, bad):
+        sx = NON_FINITE[bad]
+        reference = isotropic_ball(3, 2.0, 0.3).reference
+        calls = [lambda: weighted_mmse_sum(sx, demo_ensemble),
+                 lambda: mmse_matrix(sx, demo_ensemble.noise_stack[0]),
+                 lambda: opt_covariance_residual(-0.5, sx, demo_ensemble, reference)]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotPositiveDefinite,
+                                   match=r"^sigma_x \+ sigma_n has non-finite entries$"):
+                    call()
+
+
 class TestWeightedSum:
     def test_matches_manual_sum(self, demo_ensemble):
         sx = 3.0 * np.eye(3)
         summary = weighted_mmse_sum(sx, demo_ensemble)
-        manual = sum(w * mmse_trace(sx, sn) for w, sn in
+        manual = sum(w * np.trace(mmse_matrix(sx, sn)) for w, sn in
                      zip(demo_ensemble.weights, demo_ensemble.noise_stack))
         assert summary.weighted_sum == pytest.approx(manual, rel=1e-14)
         assert len(summary.per_channel_trace) == 4
@@ -161,9 +195,9 @@ class TestStackedKernel:
         noise = [(1.0 if j == bad else 10.0) * np.eye(3) for j in range(5)]
         ens = ChannelEnsemble.from_arrays(noise, np.ones(5))
         mmse_matrix(sx, noise[bad - 1])  # the other channels factorize
-        with pytest.raises(SingularSum):
+        with pytest.raises(NotPositiveDefinite):
             weighted_mmse_sum(sx, ens)
-        with pytest.raises(SingularSum):
+        with pytest.raises(NotPositiveDefinite):
             mmse_matrix(sx, noise[bad])
 
 
@@ -173,7 +207,7 @@ class TestAffineEstimator:
         sx, sn = random_spd(rng, 3, 1.3), random_spd(rng, 3, 0.4)
         w = weight_matrix(sx, sn)
         mse = linear_estimator_mse(w, sx, sn)
-        assert mse == pytest.approx(mmse_trace(sx, sn), rel=1e-12)
+        assert mse == pytest.approx(np.trace(mmse_matrix(sx, sn)), rel=1e-12)
 
     def test_perturbed_gain_is_worse(self):
         rng = np.random.default_rng(TEST_SEED + 2)

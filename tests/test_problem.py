@@ -263,6 +263,21 @@ class TestEnsemble:
             with pytest.raises(IndexError):
                 local_bound("upper", source, 4, ball)
 
+    def test_single_reads_its_index_as_a_list_does(self, demo_ensemble):
+        # numpy would read True as a mask: a (1, 1, 4, 3, 3) stack of
+        # dimension 1, whose local bound was a DimensionMismatch
+        ball = isotropic_ball(3, 2.0, 0.3)
+        prob = validate_problem(demo_ensemble, ball)
+        for source in (demo_ensemble, prob):
+            for j, same in ((True, 1), (False, 0), (np.int64(2), 2)):
+                one = source.single(j)
+                assert one.dimension == 3
+                np.testing.assert_array_equal(one.noise_stack, source.single(same).noise_stack)
+            with pytest.raises(TypeError):
+                source.single(1.0)
+        a = local_bound("upper", prob, True, ball)
+        assert a.bound_value == local_bound("upper", prob, 1, ball).bound_value
+
 
 class TestConfig:
     def test_round_trip(self, tmp_path, demo_ensemble):

@@ -42,6 +42,7 @@ from mmse_bounds import (
     local_bound,
     local_bounds_weighted,
     mc_weighted_sum,
+    mmse_matrix,
     opt_covariance_residual,
     solve_bound,
     uniform_ball_epsilon,
@@ -65,8 +66,9 @@ HARD_UPPER = 20.1322578679
 
 PAPER_CONFIG = Path(__file__).resolve().parents[1] / "examples" / "paper_fig1.json"
 # relative distance the central difference of a bound in epsilon may lie
-# from 2 / alpha, the constraint's multiplier (the envelope theorem); at
-# h = 1e-4 epsilon the paper's problem measures 1.2e-9 to 7.4e-9
+# from 2 / alpha, the constraint's multiplier, and in a weight lambda_j from
+# tr MMSE_j(Sigma*) (the envelope theorem); at h = 1e-4 epsilon the paper's
+# problem measures 1.2e-9 to 7.4e-9, at h = 1e-4 lambda_j at most 2.4e-10
 ENVELOPE_RTOL = 1e-6
 
 
@@ -252,6 +254,25 @@ class TestPostconditions:
                for e in (epsilon - h, epsilon, epsilon + h)}
         slope = (res[epsilon + h].bound_value - res[epsilon - h].bound_value) / (2.0 * h)
         assert slope == pytest.approx(2.0 / res[epsilon].alpha, rel=ENVELOPE_RTOL)
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.2, 1.0, 3.0])
+    def test_envelope_slope_in_a_weight_is_its_mmse(self, direction, epsilon):
+        # dV/d lambda_j = tr MMSE_j(Sigma*) at a certified answer: the central
+        # difference of three solves on the paper's problem, for each channel
+        ensemble, ball = load_config(PAPER_CONFIG)
+        ball = DivergenceBall(ball.reference, epsilon)
+        res = solve_bound(direction, ensemble, ball)
+        for j, noise in enumerate(ensemble.noise_stack):
+            ends = []
+            for step in (1e-4, -1e-4):
+                weights = ensemble.weights.copy()
+                weights[j] *= 1.0 + step
+                ends.append(solve_bound(direction, ChannelEnsemble.from_arrays(
+                    ensemble.noise_stack, weights), ball).bound_value)
+            slope = (ends[0] - ends[1]) / (2e-4 * ensemble.weights[j])
+            mmse = np.trace(mmse_matrix(res.sigma_x, noise))
+            assert slope == pytest.approx(mmse, rel=ENVELOPE_RTOL)
 
     def test_deterministic(self, demo_ensemble):
         ball = isotropic_ball(3, HARD_VAR, 0.2)
@@ -1385,3 +1406,189 @@ class TestSymmetryMechanisms:
         assert abs(res.sigma_x[0, 1]) > 0.1
         best = multistart_lower(sigma0, np.array(noise), [1.0, 1.0], 1.0, starts=20)
         assert best == pytest.approx(0.0569394396620, rel=1e-8)
+
+
+# How an answer moves when its problem moves (ROADMAP item 30), for both
+# bounds. A common rotation Q of Sigma_0 and every Sigma_N leaves the value
+# and alpha alone and turns Sigma* by Q; scaling them by c multiplies the
+# value and Sigma* by c and alpha by 1/c; multiplying the weights by c does
+# that to the value and alpha and leaves Sigma*; splitting channel 0 into two
+# copies with weights lambda/4 and 3 lambda/4 changes nothing. Relative
+# tolerances, in value and Sigma* and in alpha; these inputs measure at most
+# 1.4e-12 and 3.3e-13, and 7.6e-11.
+INVARIANCE_RTOL = 1e-9
+INVARIANCE_ALPHA_RTOL = 1e-7
+RELATIONS = ["rotate", "scale by 8", "scale by 10", "weights times 3", "split channel 0"]
+INVARIANCE_CASES = {  # three cells of make_corpus(301, 1)[0]
+    "K=3 J=2": dict(  # make_corpus(301, 1)[0][11]
+        sigma0=[[3.0372907701131138, 0.06268718300470463, -3.4019731567535656],
+                [0.06268718300470463, 0.25273979050928785, -0.1553078608058736],
+                [-3.4019731567535656, -0.1553078608058736, 4.252235816437164]],
+        noise=[[[34046.636634472554, 14680.0761747721, -3073.3659122179142],
+                [14680.0761747721, 8036.510593769248, 406.68430674866454],
+                [-3073.3659122179142, 406.68430674866454, 2125.5743151945467]],
+               [[0.8058479062508793, 0.009175894745859097, 0.16742337858872108],
+                [0.009175894745859097, 1.0403014673993782, -0.04651872237976776],
+                [0.16742337858872108, -0.04651872237976776, 0.49780036435040137]]],
+        weights=[3.913827209993203, 4.236420506848121],
+        epsilon=0.00019517267173527243,
+    ),
+    "K=4 J=3": dict(  # make_corpus(301, 1)[0][17]
+        sigma0=[[162.75042657353114, -187.08254083885868, 300.1769597156233,
+                 -66.39510834965463],
+                [-187.08254083885868, 1195.365513782811, -1151.9408763725532,
+                 588.3798216699021],
+                [300.1769597156233, -1151.9408763725532, 1280.7878529974705,
+                 -457.1238644269034],
+                [-66.39510834965463, 588.3798216699021, -457.1238644269034,
+                 424.02582899326086]],
+        noise=[[[957.4969317531247, -77.88572648433865, 368.52191919396626,
+                 886.4499203424765],
+                [-77.88572648433865, 76.54150499720039, -29.85027144818462,
+                 -170.63087448301525],
+                [368.52191919396626, -29.85027144818462, 153.55867581451614,
+                 354.2213393020729],
+                [886.4499203424765, -170.63087448301525, 354.2213393020729,
+                 1020.3650488409467]],
+               [[2.2729681879982224, 0.7556386859421077, 0.40680717291335405,
+                 1.1842334175835603],
+                [0.7556386859421077, 2.375403361505304, 0.6209024883012522,
+                 0.3148248921622023],
+                [0.40680717291335405, 0.6209024883012522, 4.157744050496903,
+                 -1.380255015400076],
+                [1.1842334175835603, 0.3148248921622023, -1.380255015400076,
+                 1.6589209120487018]],
+               [[40210.48289767035, 22001.526009353773, -25806.322908848953,
+                 56846.436449654415],
+                [22001.526009353773, 12124.038742291346, -14172.234786286894,
+                 31263.322872615816],
+                [-25806.322908848953, -14172.234786286894, 17016.154401739183,
+                 -36954.844926149795],
+                [56846.436449654415, 31263.322872615816, -36954.844926149795,
+                 81147.28646890596]]],
+        weights=[1.9205011062912816, 1.8432177886080578, 1.7445091524458685],
+        epsilon=0.0005545407743194124,
+    ),
+    "K=6 J=5": dict(  # make_corpus(301, 1)[0][29]
+        sigma0=[[1072.6236224509564, 628.5843816973813, -727.6395736573246,
+                 403.43489467284655, 115.7089613353318, 1048.5780886966472],
+                [628.5843816973813, 506.5159669887042, -567.336466109954,
+                 81.63266372543734, 165.76136347717826, 628.4177690133372],
+                [-727.6395736573246, -567.336466109954, 884.9878474439587,
+                 -15.76298811231288, -348.4094287959946, -603.4193677327626],
+                [403.43489467284655, 81.63266372543734, -15.76298811231288,
+                 975.8796386421448, -463.1663038029066, 1229.2138823329556],
+                [115.7089613353318, 165.76136347717826, -348.4094287959946,
+                 -463.1663038029066, 539.2574035588666, -614.007331437861],
+                [1048.5780886966472, 628.4177690133372, -603.4193677327626,
+                 1229.2138823329556, -614.007331437861, 2926.107549778878]],
+        noise=[[[2047.7544802388416, -2502.998784381193, 787.9938461916255,
+                 -304.5090937630567, 815.5553300116524, -327.9726627091575],
+                [-2502.998784381193, 3651.672592838726, -1099.0450856110892,
+                 293.61031832775916, -1109.8505225835713, 355.5582485576961],
+                [787.9938461916255, -1099.0450856110892, 598.6157865074076,
+                 -120.20981726359057, 339.23466847850386, -183.59495142250657],
+                [-304.5090937630567, 293.61031832775916, -120.20981726359057,
+                 320.61602777216234, -156.68919719106682, -66.43327990065028],
+                [815.5553300116524, -1109.8505225835713, 339.23466847850386,
+                 -156.68919719106682, 695.4174796084329, -74.51310582730929],
+                [-327.9726627091575, 355.5582485576961, -183.59495142250657,
+                 -66.43327990065028, -74.51310582730929, 218.09806565299255]],
+               [[1.0443442800188232, -0.5386506347508837, 0.49761368323884536,
+                 0.868249595088701, 1.177909090942934, -0.010536311620974657],
+                [-0.5386506347508837, 1.0898326978691297, -0.5168587922553055,
+                 -0.8780954814413531, -1.0644000146506498, -0.4095731563080809],
+                [0.49761368323884536, -0.5168587922553055, 0.5717184234304612,
+                 0.6131352953076559, 0.7800898862483471, 0.2175882978327866],
+                [0.868249595088701, -0.8780954814413531, 0.6131352953076559,
+                 1.407362907720682, 1.452117078441042, -0.036823894889481706],
+                [1.177909090942934, -1.0644000146506498, 0.7800898862483471,
+                 1.452117078441042, 1.9441298570067562, 0.07408990286492073],
+                [-0.010536311620974657, -0.4095731563080809, 0.2175882978327866,
+                 -0.036823894889481706, 0.07408990286492073, 0.7772654888873392]],
+               [[34.82873240447466, 0.9106745454685143, -2.8915553955948736,
+                 -3.8608567959065163, 1.5065168986462314, -3.8034183767442866],
+                [0.9106745454685143, 49.198059219305485, -0.3558465723651498,
+                 -0.18614746118075848, 2.468744983510026, 3.6266042717741653],
+                [-2.8915553955948736, -0.3558465723651498, 80.14770787629828,
+                 -19.393072537384278, -25.620833849384606, 10.348635405042454],
+                [-3.8608567959065163, -0.18614746118075848, -19.393072537384278,
+                 57.659346689088444, 12.331463325451768, -2.1785194429194883],
+                [1.5065168986462314, 2.468744983510026, -25.620833849384606,
+                 12.331463325451768, 54.19930730106893, -8.717222051122647],
+                [-3.8034183767442866, 3.6266042717741653, 10.348635405042454,
+                 -2.1785194429194883, -8.717222051122647, 22.538215571292756]],
+               [[3435.426038476937, 1909.683940838012, 4870.618422099604,
+                 -4852.782491483042, -2653.554457131531, 3090.1218574731347],
+                [1909.683940838012, 7383.249939331792, 4651.4663835814445,
+                 -4040.366055562996, -3184.442081216781, 2417.4784643502553],
+                [4870.618422099604, 4651.4663835814445, 9482.367530624577,
+                 -5358.145687865326, -5967.105228702671, 4195.51942861452],
+                [-4852.782491483042, -4040.366055562996, -5358.145687865326,
+                 10902.669014395671, 3829.3080268269246, -5714.284614850692],
+                [-2653.554457131531, -3184.442081216781, -5967.105228702671,
+                 3829.3080268269246, 5292.639052666261, -3113.5053318878536],
+                [3090.1218574731347, 2417.4784643502553, 4195.51942861452,
+                 -5714.284614850692, -3113.5053318878536, 3938.089559288518]],
+               [[10.160760893889874, -3.7179240553419586, 1.8751774743741785,
+                 0.7645042251727932, -0.23030576305353026, 2.659203721705978],
+                [-3.7179240553419586, 5.948655727444327, -2.6235006966603214,
+                 1.0805919253820075, -4.8165236576677115, -0.13193001701100396],
+                [1.8751774743741785, -2.6235006966603214, 6.5022776990240505,
+                 -8.688155599821927, 4.385802245909642, -0.7509386601390065],
+                [0.7645042251727932, 1.0805919253820075, -8.688155599821927,
+                 20.746395724094327, -13.23189446429505, 4.640090694951171],
+                [-0.23030576305353026, -4.8165236576677115, 4.385802245909642,
+                 -13.23189446429505, 22.85262174847688, -6.203103320744733],
+                [2.659203721705978, -0.13193001701100396, -0.7509386601390065,
+                 4.640090694951171, -6.203103320744733, 6.435975933530967]]],
+        weights=[1.1855391173249634, 2.483000293957795, 0.5227679059810616,
+                 0.25052540413441904, 2.829647496856509],
+        epsilon=0.9685825781382733,
+    ),
+}
+
+
+def _invariance_case(name):
+    """(sigma0, noise, weights, epsilon) of INVARIANCE_CASES[name] or, for
+    "paper eps=E", of the paper's problem at radius E."""
+    if name.startswith("paper"):
+        ensemble, ball = load_config(PAPER_CONFIG)
+        return (ball.reference.covariance, list(ensemble.noise_stack), ensemble.weights,
+                float(name.split("=")[1]))
+    case = INVARIANCE_CASES[name]
+    return (np.array(case["sigma0"]), [np.array(n) for n in case["noise"]],
+            np.array(case["weights"]), case["epsilon"])
+
+
+def _moved(relation, sigma0, noise, weights, q):
+    """The problem `relation` makes of (sigma0, noise, weights), the factor f
+    that multiplies its value (and divides its alpha), and its map of Sigma*."""
+    if relation == "rotate":
+        def turn(m):
+            return q @ m @ q.T
+        return turn(sigma0), [turn(n) for n in noise], weights, 1.0, turn
+    if relation.startswith("scale"):
+        c = float(relation.split()[-1])
+        return c * sigma0, [c * n for n in noise], weights, c, lambda m: c * m
+    if relation == "weights times 3":
+        return sigma0, noise, 3.0 * weights, 3.0, lambda m: m
+    split = [weights[0] / 4.0, 3.0 * weights[0] / 4.0, *weights[1:]]
+    return sigma0, [noise[0], *noise], split, 1.0, lambda m: m
+
+
+class TestInvariances:
+    @pytest.mark.parametrize("relation", RELATIONS)
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("name", ["paper eps=0.2", "paper eps=1", *INVARIANCE_CASES])
+    def test_answer_moves_with_its_problem(self, name, direction, relation):
+        sigma0, noise, weights, epsilon = _invariance_case(name)
+        k = len(sigma0)
+        q = np.linalg.qr(np.random.default_rng(TEST_SEED).normal(size=(k, k)))[0]
+        base = _solve(direction, sigma0, noise, weights, epsilon)
+        *problem, f, move = _moved(relation, sigma0, noise, weights, q)
+        got = _solve(direction, *problem, epsilon)
+        assert got.bound_value == pytest.approx(f * base.bound_value, rel=INVARIANCE_RTOL, abs=0)
+        assert got.alpha == pytest.approx(base.alpha / f, rel=INVARIANCE_ALPHA_RTOL, abs=0)
+        expect = move(base.sigma_x)
+        assert np.linalg.norm(got.sigma_x - expect) <= INVARIANCE_RTOL * np.linalg.norm(expect)

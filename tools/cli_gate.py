@@ -17,11 +17,18 @@ closed forms: a K = 1 config (the end of its interval), a one-channel
 K = 3 config on the reference I (K scalars), and the K = 1 config at an
 epsilon whose lower end leaves the double range (exit 2, and the upper
 bound is still printed). Then comes one SHA-256 over every command line
-so far. Last, one `bound` run at epsilon 1000 on a K = 2 config from the
+so far. Next, one `bound` run at epsilon 1000 on a K = 2 config from the
 benchmark's corpus, which the tool writes as `case.json` into a fresh
 temporary working directory: the lower bound's search divides by zero
 there and fails (exit 2), the upper bound is still printed, and stderr
-holds the one solver error line and no numpy warning.
+holds the one solver error line and no numpy warning. Last come three
+`bound` runs on that config made invalid, each written the same way:
+channel 1's noise covariance indefinite, the reference covariance
+indefinite, and a JSON `NaN` in the reference covariance. Each exits 1,
+and its stderr is the one line of the definiteness check that names the
+matrix ("channel 1 noise covariance is not positive definite",
+"reference covariance is not positive definite", "reference covariance
+has non-finite entries").
 
 Two trees that print the same `sha256` line give byte-identical output and
 the same exit codes on every command: the solver's answers through
@@ -31,9 +38,10 @@ sweep row (exit 2), of an invalid prior parameter or family (exit 1), of
 an `--out` path that cannot be written (exit 1), of a negative KL radius
 (exit 1), of a negative sensor distance (exit 1), of a zero channel
 weight (exit 1) and of a K = 1 bound past the double range (exit 2).
-Two trees that also print the same last line give the same output and
-exit code on that run, stderr included: a numpy warning that escapes the
-solve changes its stderr hash.
+Two trees that also print the same line for the flagged run give the
+same output and exit code on that run, stderr included: a numpy warning
+that escapes the solve changes its stderr hash. The three lines after it
+pin the messages of an indefinite or non-finite input covariance.
 
 Run from anywhere, once on each tree to compare:
 
@@ -97,6 +105,14 @@ FLAGGED_CASE = {  # perfbench make_corpus(300, 1)[0][5], K = 2, J = 1
     "epsilon": 0.0018488516964113215,
 }
 FLAGGED_COMMAND = ["bound", "--config", CASE, "--epsilon", "1000"]  # lower fails: exit 2
+REJECTED_COMMAND = ["bound", "--config", CASE]  # on each of REJECTED_CASES: exit 1
+INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]
+REJECTED_CASES = {  # the message names the matrix
+    "channel 1 indefinite": {**FLAGGED_CASE, "channels": [
+        *FLAGGED_CASE["channels"], {"lambda": 1.0, "sigma_n": INDEFINITE}]},
+    "sigma0 indefinite": {**FLAGGED_CASE, "sigma0": INDEFINITE},
+    "sigma0 NaN": {**FLAGGED_CASE, "sigma0": [[float("nan"), 0.0], [0.0, 1.0]]},
+}
 
 
 def run(command, then=None, case=None):
@@ -148,6 +164,9 @@ def main() -> int:
     print(f"sha256 {total.hexdigest()}")
     code, out, err, _ = run(FLAGGED_COMMAND, case=FLAGGED_CASE)
     print(f"{' '.join(FLAGGED_COMMAND)}: exit {code} stdout {out} stderr {err}")
+    for label, case in REJECTED_CASES.items():
+        code, out, err, _ = run(REJECTED_COMMAND, case=case)
+        print(f"{' '.join(REJECTED_COMMAND)} ({label}): exit {code} stdout {out} stderr {err}")
     return 0
 
 
