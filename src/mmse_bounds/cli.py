@@ -198,7 +198,7 @@ def _sweep(args, kind, abscissa, columns) -> int:
         if "local_lower" in columns:
             for d in ("lower", "upper"):
                 row[f"local_{d}"] = _labelled(f"{abscissa}={x} local {d}", local_bounds_weighted,
-                                              d, prob, prob.ball)[0]
+                                              d, prob, prob.ball)
         if "cramer_rao" in columns:  # left empty where the Fisher information is undefined
             with contextlib.suppress(FisherUndefined):
                 row["cramer_rao"] = cramer_rao_lower(gen_gauss_fisher(x, base.dimension),

@@ -12,9 +12,10 @@ divergence, and the exact MSE of a fixed affine estimator under an
 arbitrary Gaussian prior. These closed forms are the checks of the
 solver's answers, so they share no code with `solver.py`. One check,
 `_cholesky`, decides that a matrix is positive definite: every input
-covariance, every Sigma_X + Sigma_N and both arguments of the KL
-divergence pass it before a system with them is solved, and a non-finite
-or indefinite matrix raises NotPositiveDefinite naming it. KL is in nats.
+covariance, the Sigma_X of every MMSE closed form (in `weight_matrix`),
+every Sigma_X + Sigma_N and both arguments of the KL divergence pass it
+before a system with them is solved, and a non-finite, singular or
+indefinite matrix raises NotPositiveDefinite naming it. KL is in nats.
 """
 
 from __future__ import annotations
@@ -61,10 +62,13 @@ def _cholesky(m, name, channel=None):
 def _check_spd(m, name, channel=None):
     """Validate symmetry to relative tolerance, then return the symmetrized
     matrix and its `_cholesky` factor. A non-finite `m` goes to `_cholesky`
-    unsymmetrized, since the symmetry test and the sum would warn on it."""
+    unsymmetrized, since the symmetry test would warn on it. Each half is
+    taken before the sum, so entries near the double maximum cannot
+    overflow; halving is exact, so this is 0.5 (m + m^T) bit for bit
+    unless an entry is subnormal."""
     if np.isfinite(m).all():
         _check_symmetric(m, name, channel)
-        m = 0.5 * (m + m.T)
+        m = 0.5 * m + 0.5 * m.T
     return m, _cholesky(m, name, channel)
 
 
@@ -123,6 +127,11 @@ def weight_matrix(sigma_x, sigma_n):
     The conditional-mean estimator for a Gaussian prior is
     f(y) = (I - W) y + W mu_0.
 
+    The one entry through which the MMSE closed forms take Sigma_X: a
+    non-finite, singular or indefinite Sigma_X raises NotPositiveDefinite
+    naming `sigma_x`, and a Sigma_X + Sigma_N_j that fails Cholesky (Sigma_N
+    is not checked here) one naming `sigma_x + sigma_n`.
+
     Parameters
     ----------
     sigma_x : (K, K) ndarray
@@ -138,6 +147,7 @@ def weight_matrix(sigma_x, sigma_n):
     sigma_n = np.asarray(sigma_n, dtype=float)
     _check_same_shape(sigma_x, sigma_n[0] if sigma_n.ndim == 3 else sigma_n,
                       "sigma_x", "sigma_n")
+    _cholesky(sigma_x, "sigma_x")
     return _gain_transpose(sigma_x, sigma_n).swapaxes(-1, -2)
 
 
@@ -155,10 +165,9 @@ def mmse_matrix(sigma_x, sigma_n):
 
 @dataclass(frozen=True)
 class MmseSummary:
-    """Per-channel MMSE matrices and traces with their weighted sum."""
+    """The weighted MMSE sum sum_j lambda_j tr(MMSE_j); the per-channel
+    matrices are `mmse_matrix(sigma_x, ensemble.noise_stack)`."""
 
-    per_channel_matrix: tuple
-    per_channel_trace: tuple
     weighted_sum: float
 
 
@@ -166,8 +175,9 @@ def weighted_mmse_sum(sigma_x, ensemble) -> MmseSummary:
     """Weighted sum of per-channel MMSE traces for a common prior covariance.
 
     All channels are computed at once: `mmse_matrix` on the ensemble's
-    (J, K, K) noise stack checks every Sigma_X + Sigma_N_j with one batched
-    Cholesky factorization and gives every W_j^T with one batched solve.
+    (J, K, K) noise stack checks Sigma_X's shape and definiteness and every
+    Sigma_X + Sigma_N_j (one batched Cholesky factorization), and gives
+    every W_j^T with one batched solve.
 
     Parameters
     ----------
@@ -175,15 +185,8 @@ def weighted_mmse_sum(sigma_x, ensemble) -> MmseSummary:
         Prior covariance.
     ensemble : ChannelEnsemble or Problem
     """
-    sigma_x = np.asarray(sigma_x, dtype=float)
-    if sigma_x.shape != (ensemble.dimension, ensemble.dimension):
-        raise DimensionMismatch(
-            f"sigma_x has shape {sigma_x.shape}, ensemble dimension is "
-            f"{ensemble.dimension}")
-    m = mmse_matrix(sigma_x, ensemble.noise_stack)
-    traces = np.trace(m, axis1=1, axis2=2)
-    weighted = float(ensemble.weights @ traces)
-    return MmseSummary(tuple(m), tuple(traces.tolist()), weighted)
+    traces = np.trace(mmse_matrix(sigma_x, ensemble.noise_stack), axis1=1, axis2=2)
+    return MmseSummary(float(ensemble.weights @ traces))
 
 
 def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:

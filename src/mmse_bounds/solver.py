@@ -569,7 +569,7 @@ def _certify(direction, ctx, eps, sigma, alpha, value=None, inner=None):
     if not (res <= _INNER_TOL and abs(kl - eps) <= _OUTER_TOL):
         return res
     value = _value(ctx, sigma) if value is None else value
-    return BoundResult(direction, float(alpha), sigma, value, kl, inner, ctx.steps,
+    return BoundResult(direction, float(alpha), sigma, float(value), kl, inner, ctx.steps,
                        (res, abs(kl - eps)))
 
 
@@ -582,17 +582,14 @@ def local_bound(direction, ensemble, channel_index: int, ball: DivergenceBall) -
     return solve_bound(direction, ensemble.single(channel_index), ball)
 
 
-def local_bounds_weighted(direction, ensemble, ball: DivergenceBall):
+def local_bounds_weighted(direction, ensemble, ball: DivergenceBall) -> float:
     """Weighted sum of per-channel bounds: sum_j lambda_j local_bound(j).
 
     Optimizing each channel separately under the full KL budget is looser
     than the joint problem, so this brackets the joint bound from outside.
 
-    Returns
-    -------
-    (value, results) : (float, tuple[BoundResult, ...])
+    Returns the sum as a float; channel j's own `BoundResult` is
+    `local_bound(direction, ensemble, j, ball)`.
     """
-    results = tuple(local_bound(direction, ensemble, j, ball)
-                    for j in range(len(ensemble.weights)))
-    value = float(np.dot(ensemble.weights, [r.bound_value for r in results]))
-    return value, results
+    return float(np.dot(ensemble.weights, [local_bound(direction, ensemble, j, ball).bound_value
+                                           for j in range(len(ensemble.weights))]))

@@ -320,8 +320,8 @@ def test_a7_invariant_suite(capsys):
                 for res in (up, lo):
                     max_kl_gap = max(max_kl_gap, abs(res.kl_at_solution - eps))
                     max_fp_res = max(max_fp_res, res.residuals[0])
-                loc_lo, _ = local_bounds_weighted("lower", prob, ball)
-                loc_up, _ = local_bounds_weighted("upper", prob, ball)
+                loc_lo = local_bounds_weighted("lower", prob, ball)
+                loc_up = local_bounds_weighted("upper", prob, ball)
                 lm = lmmse_upper(sigma0, ens)
                 chain = (loc_lo, lo.bound_value, lm, up.bound_value, loc_up)
                 if not all(a <= b + slack * max(1.0, abs(b))

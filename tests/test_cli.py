@@ -506,7 +506,7 @@ class TestSweepP:
                                                     gen_gauss_covariance(p, 3) * np.eye(3)),
                                   gen_gauss_epsilon(p, 3))
             for col, direction in ((4, "lower"), (5, "upper")):
-                value = local_bounds_weighted(direction, demo_ensemble, ball)[0]
+                value = local_bounds_weighted(direction, demo_ensemble, ball)
                 assert row[col] == "%.15g" % value
 
 
@@ -561,7 +561,7 @@ class TestSweepDriver:
                 previous[d] = res.sigma_x, ball.reference_chol
                 expect.append(res.bound_value)
             if command == "sweep-p":
-                expect += [local_bounds_weighted(d, ens, ball)[0] for d in both]
+                expect += [local_bounds_weighted(d, ens, ball) for d in both]
             expect.append(lmmse_upper(sigma0, ens))
             if command == "sweep-p":
                 try:

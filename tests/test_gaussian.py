@@ -1,5 +1,6 @@
 """Closed-form Gaussian quantities against hand-computed and identity oracles."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,10 +11,12 @@ from mmse_bounds import (
     DimensionMismatch,
     DivergenceBall,
     Gaussian,
+    MmseSummary,
     NonSymmetric,
     NotPositiveDefinite,
     kl_same_mean_gaussians,
     linear_estimator_mse,
+    lmmse_upper,
     mmse_matrix,
     opt_covariance_residual,
     weight_matrix,
@@ -131,8 +134,28 @@ class TestNonFiniteArguments:
         for call in calls:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(NotPositiveDefinite,
-                                   match=r"^sigma_x \+ sigma_n has non-finite entries$"):
+                with pytest.raises(NotPositiveDefinite, match="^sigma_x has non-finite entries$"):
+                    call()
+
+
+class TestPriorCovarianceCheck:
+    """`weight_matrix` checks Sigma_X where the MMSE closed forms take it:
+    a singular or indefinite Sigma_X raises by name and warns nothing. An
+    indefinite one once gave a negative MMSE sum (-1.0 at K = 1, Sigma_N =
+    1, Sigma_X = -0.5), and Sigma_X = 0 numpy's bare LinAlgError."""
+
+    @pytest.mark.parametrize("scale", [-0.5, 0.0])
+    def test_closed_forms_reject_sigma_x(self, scale):
+        ens = ChannelEnsemble.from_arrays([np.eye(1)], [1.0])
+        sx = scale * np.eye(1)
+        reference = isotropic_ball(1, 1.0, 0.1).reference
+        calls = [lambda: weighted_mmse_sum(sx, ens), lambda: lmmse_upper(sx, ens),
+                 lambda: mmse_matrix(sx, ens.noise_stack),
+                 lambda: opt_covariance_residual(0.5, sx, ens, reference)]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotPositiveDefinite, match="^sigma_x is not positive definite$"):
                     call()
 
 
@@ -143,7 +166,15 @@ class TestWeightedSum:
         manual = sum(w * np.trace(mmse_matrix(sx, sn)) for w, sn in
                      zip(demo_ensemble.weights, demo_ensemble.noise_stack))
         assert summary.weighted_sum == pytest.approx(manual, rel=1e-14)
-        assert len(summary.per_channel_trace) == 4
+        stacked = mmse_matrix(sx, demo_ensemble.noise_stack)
+        loop = [mmse_matrix(sx, sn) for sn in demo_ensemble.noise_stack]
+        np.testing.assert_array_equal(stacked, loop)
+        np.testing.assert_array_equal(np.trace(stacked, axis1=1, axis2=2),
+                                      [np.trace(m) for m in loop])
+
+    def test_summary_is_the_sum_alone(self, demo_ensemble):
+        assert [f.name for f in dataclasses.fields(MmseSummary)] == ["weighted_sum"]
+        assert type(weighted_mmse_sum(np.eye(3), demo_ensemble).weighted_sum) is float
 
     def test_dimension_guard(self, demo_ensemble):
         with pytest.raises(DimensionMismatch):
@@ -151,8 +182,8 @@ class TestWeightedSum:
 
 
 class TestStackedKernel:
-    """weighted_mmse_sum factorizes all channels at once; the per-channel
-    loop over mmse_matrix is the reference."""
+    """mmse_matrix on a noise stack, which weighted_mmse_sum reads,
+    factorizes all channels at once; the per-channel loop is the reference."""
 
     # (smallest eigenvalue, condition number) as powers of ten: the corners
     # of the corpus ranges, then random draws inside them
@@ -172,14 +203,15 @@ class TestStackedKernel:
             ens = ChannelEnsemble.from_arrays(noise, weights)
             ref = Gaussian(np.zeros(k), sigma0)
             got = weighted_mmse_sum(sx, ens)
+            stacked = mmse_matrix(sx, ens.noise_stack)
             loop = [mmse_matrix(sx, sn) for sn in noise]
             traces = [np.trace(m) for m in loop]
             # the stack argument makes the same per-channel calls as the loop
-            np.testing.assert_array_equal(mmse_matrix(sx, ens.noise_stack), loop)
+            np.testing.assert_array_equal(stacked, loop)
             np.testing.assert_array_equal(weight_matrix(sx, ens.noise_stack),
                                           [weight_matrix(sx, sn) for sn in noise])
-            for m, expect, tr, tr_expect in zip(got.per_channel_matrix, loop,
-                                                got.per_channel_trace, traces):
+            for m, expect, tr, tr_expect in zip(stacked, loop,
+                                                np.trace(stacked, axis1=1, axis2=2), traces):
                 assert rel_error(m, expect) <= 1e-12
                 np.testing.assert_array_equal(m, m.T)
                 assert tr == pytest.approx(tr_expect, rel=1e-12)
@@ -190,15 +222,22 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("bad", [1, 4])
     def test_singular_sum_raised_for_any_channel(self, bad):
-        # Sigma_X + Sigma_N_j is indefinite for channel `bad` only
-        sx = np.diag([-2.0, 1.0, 1.0])
-        noise = [(1.0 if j == bad else 10.0) * np.eye(3) for j in range(5)]
-        ens = ChannelEnsemble.from_arrays(noise, np.ones(5))
+        # a raw stack reaches mmse_matrix unchecked: Sigma_X + Sigma_N_j is
+        # indefinite for channel `bad` only
+        sx = np.eye(3)
+        noise = np.array([np.diag([-3.0, 1.0, 1.0]) if j == bad else 10.0 * np.eye(3)
+                          for j in range(5)])
         mmse_matrix(sx, noise[bad - 1])  # the other channels factorize
-        with pytest.raises(NotPositiveDefinite):
-            weighted_mmse_sum(sx, ens)
-        with pytest.raises(NotPositiveDefinite):
-            mmse_matrix(sx, noise[bad])
+        for arg in (noise, noise[bad]):
+            with pytest.raises(NotPositiveDefinite,
+                               match="^sigma_x \\+ sigma_n is not positive definite$"):
+                mmse_matrix(sx, arg)
+        # an indefinite Sigma_X is rejected by name, whatever the channels
+        sx = np.diag([-2.0, 1.0, 1.0])
+        ens = ChannelEnsemble.from_arrays([10.0 * np.eye(3)] * 5, np.ones(5))
+        for call in (lambda: weighted_mmse_sum(sx, ens), lambda: mmse_matrix(sx, 10.0 * np.eye(3))):
+            with pytest.raises(NotPositiveDefinite, match="^sigma_x is not positive definite$"):
+                call()
 
 
 class TestAffineEstimator:

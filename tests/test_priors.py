@@ -8,6 +8,7 @@ for every value pinned here.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,14 @@ class TestGeneralizedGaussian:
     def test_epsilon_positive_away_from_p2(self):
         for p in (0.6, 1.0, 1.5, 3.0, 6.0):
             assert gen_gauss_epsilon(p, 3) > 0.0
+
+    @pytest.mark.parametrize("p, k", [(1.99999999, 100), (2.0000001, 300)])
+    def test_rounding_below_zero_is_clamped_silently(self, p, k):
+        # a difference of terms of size K log K: near p = 2 it rounds to
+        # -2.1e-12 and -1.2e-11 here, which is no evidence of a bug
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gen_gauss_epsilon(p, k) == 0.0
 
     def test_fisher_undefined_at_small_p_k1(self):
         # (K + 2p - 2)/p <= 0 only for K = 1, p <= 1/2

@@ -1,6 +1,7 @@
 """Validation and config round trips for the problem data layer."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,16 @@ class TestValidation:
             with pytest.raises(ProblemValidationError, match="reference mean"):
                 ball = DivergenceBall(Gaussian(np.array(mean), np.eye(2)), 0.1)
                 validate_problem(small_ensemble(), ball)
+
+    def test_symmetrizing_near_the_double_maximum_cannot_overflow(self):
+        big = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = ChannelEnsemble.from_arrays([big * np.eye(2)], [1.0])
+            np.testing.assert_array_equal(ens.noise_stack[0], big * np.eye(2))
+            with pytest.raises(NotPositiveDefinite,
+                               match="^channel 0 noise covariance is not positive definite$"):
+                ChannelEnsemble.from_arrays([big * np.ones((2, 2))], [1.0])
 
     def test_indefinite_reference(self):
         with pytest.raises(NotPositiveDefinite):

@@ -196,6 +196,26 @@ class TestPointBall:
             np.testing.assert_array_equal(res.sigma_x, 5.0 * np.eye(3))
 
 
+class TestResultTypes:
+    """`bound_value` is a Python float on every route, as `alpha` is."""
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_bound_value_is_a_float(self, demo_ensemble, direction):
+        one = ChannelEnsemble.from_arrays([[[0.5]]], [1.7])
+        ball = isotropic_ball(3, 5.0, 0.2)
+        answers = {
+            "K = 1 end": solve_bound(direction, one, isotropic_ball(1, 2.0, 0.1)),
+            "K scalars": local_bound(direction, demo_ensemble, 0, ball),
+            "continuation": solve_bound(direction, demo_ensemble, ball),
+            "point ball": solve_bound(direction, demo_ensemble, isotropic_ball(3, 5.0, 0.0)),
+        }
+        answers["warm start"] = solve_bound(direction, demo_ensemble, ball,
+                                            start=answers["continuation"].sigma_x)
+        for route, res in answers.items():
+            assert type(res.bound_value) is float, route
+            assert type(res.alpha) is float, route
+
+
 class TestPostconditions:
     @pytest.mark.parametrize("direction, sign", [("upper", 1.0), ("lower", -1.0)])
     @pytest.mark.parametrize("epsilon", [0.05, 0.2, HARD_EPS])
@@ -304,14 +324,24 @@ class TestOrdering:
         sx0 = HARD_VAR * np.eye(3)
         lo = solve_bound("lower", demo_ensemble, ball).bound_value
         up = solve_bound("upper", demo_ensemble, ball).bound_value
-        loc_lo, _ = local_bounds_weighted("lower", demo_ensemble, ball)
-        loc_up, _ = local_bounds_weighted("upper", demo_ensemble, ball)
+        loc_lo = local_bounds_weighted("lower", demo_ensemble, ball)
+        loc_up = local_bounds_weighted("upper", demo_ensemble, ball)
         lm = lmmse_upper(sx0, demo_ensemble)
         slack = 1e-9
         assert loc_lo <= lo + slack
         assert lo <= lm + slack
         assert lm <= up + slack
         assert up <= loc_up + slack
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_local_bounds_weighted_is_the_weighted_sum(self, demo_ensemble, direction):
+        ball = isotropic_ball(3, HARD_VAR, 0.2)
+        got = local_bounds_weighted(direction, demo_ensemble, ball)
+        assert type(got) is float
+        expect = float(np.dot(demo_ensemble.weights,
+                              [local_bound(direction, demo_ensemble, j, ball).bound_value
+                               for j in range(4)]))
+        assert got == expect
 
     def test_local_bound_ignores_channel_weight(self, demo_ensemble):
         ball = isotropic_ball(3, HARD_VAR, 0.2)

@@ -1,0 +1,38 @@
+"""The gate scripts under tools/ run on this tree.
+
+Each change is compared with its parent through `tools/corpus_gate.py` and
+`tools/code_lines.py`; these tests run both in a subprocess, as they are run
+from the command line, so a change to what they import (`solve_bound`'s
+signature, `BoundResult`'s fields, the corpus) breaks them here first.
+`tools/cli_gate.py` takes several seconds and is left out.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(*args):
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_corpus_gate_round_trip(tmp_path):
+    saved = tmp_path / "answers.npz"
+    _run("tools/corpus_gate.py", "301", "302", "--batches", "1", "--save", str(saved))
+    lines = _run("tools/corpus_gate.py", "301", "302", "--batches", "1", "--against", str(saved))
+    assert not [line for line in lines if line.startswith("FAIL")]
+    for direction in ("lower", "upper"):
+        assert any(line.startswith(f"{direction}: 30 bitwise equal, 0 moved") for line in lines)
+
+
+def test_code_lines_total():
+    rows = [line.split() for line in _run("tools/code_lines.py")]
+    *modules, (total, label) = rows
+    assert label == "total"
+    assert modules and all(path.endswith(".py") for _, path in modules)
+    assert int(total) == sum(int(n) for n, _ in modules)
