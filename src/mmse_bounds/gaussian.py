@@ -2,20 +2,20 @@
 
 `Gaussian(mean, covariance)` is N(m, C) in each of its roles: the
 reference P_0 at the centre of a KL ball, a prior family's moment match,
-and the Gaussian prior family itself. Its one check (`_checked`) and the
-covariance check it shares with every noise covariance (`_check_spd`)
-live here too.
+and the Gaussian prior family itself. Its one check (`_checked`) lives
+here too.
 
 Estimator gain matrices, MMSE matrices and traces, the additive-form
 residual of the bounds' optimality condition, same-mean Gaussian KL
 divergence, and the exact MSE of a fixed affine estimator under an
 arbitrary Gaussian prior. These closed forms are the checks of the
 solver's answers, so they share no code with `solver.py`. One check,
-`_cholesky`, decides that a matrix is positive definite: every input
-covariance, the Sigma_X of every MMSE closed form (in `weight_matrix`),
-every Sigma_X + Sigma_N and both arguments of the KL divergence pass it
-before a system with them is solved, and a non-finite, singular or
-indefinite matrix raises NotPositiveDefinite naming it. KL is in nats.
+`_check_spd`, decides what a covariance is: every input covariance, the
+Sigma_X of every MMSE closed form (in `weight_matrix`), every stack of
+sums Sigma_X + Sigma_N and both arguments of the KL divergence pass it
+before a system with them is solved. A non-finite, singular or
+indefinite matrix raises NotPositiveDefinite, and one not symmetric to
+SYMMETRY_RTOL NonSymmetric, naming it. KL is in nats.
 """
 
 from __future__ import annotations
@@ -38,38 +38,28 @@ def _as_matrix(a, name, channel=None):
     return m
 
 
-def _check_symmetric(m, name, channel=None):
-    """NonSymmetric naming `name` unless |m - m^T| <= SYMMETRY_RTOL |m| (Frobenius)."""
-    peak = np.abs(m).max()
-    unit = m / peak if peak > 0 else m  # so that the norms cannot overflow
-    if np.linalg.norm(unit - unit.T, "fro") > SYMMETRY_RTOL * np.linalg.norm(unit, "fro"):
-        raise NonSymmetric(f"{name} is not symmetric within tolerance", channel=channel)
-
-
-def _cholesky(m, name, channel=None):
-    """Cholesky factor of the symmetric `m`, or of each matrix of a stack: the
-    module's one check that a matrix is positive definite. NotPositiveDefinite
-    naming `name` for a non-finite entry (numpy's factor of one is NaN, not
-    an error) or a failed factorization."""
+def _check_spd(m, name, channel=None):
+    """The module's one check that `m` is a covariance: a (K, K) matrix or a
+    (J, K, K) stack, finite (NotPositiveDefinite), symmetric within
+    SYMMETRY_RTOL in relative Frobenius norm (NonSymmetric) and positive
+    definite by Cholesky (NotPositiveDefinite), each error naming `name`.
+    A stack is symmetric when its antisymmetric part is within
+    SYMMETRY_RTOL of the whole stack. Returns the symmetrized `m` and its
+    Cholesky factor (one per matrix of a stack). The norms are taken of
+    `m` scaled to a peak of 1, and each half before the sum, so that
+    entries near the double maximum cannot overflow; halving is exact, so
+    this is 0.5 (m + m^T) bit for bit unless an entry is subnormal."""
     if not np.isfinite(m).all():
         raise NotPositiveDefinite(f"{name} has non-finite entries", channel=channel)
+    peak = np.abs(m).max()
+    unit = m / peak if peak > 0 else m
+    if np.linalg.norm(unit - unit.swapaxes(-1, -2)) > SYMMETRY_RTOL * np.linalg.norm(unit):
+        raise NonSymmetric(f"{name} is not symmetric within tolerance", channel=channel)
+    m = 0.5 * m + 0.5 * m.swapaxes(-1, -2)
     try:
-        return np.linalg.cholesky(m)
+        return m, np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{name} is not positive definite", channel=channel)
-
-
-def _check_spd(m, name, channel=None):
-    """Validate symmetry to relative tolerance, then return the symmetrized
-    matrix and its `_cholesky` factor. A non-finite `m` goes to `_cholesky`
-    unsymmetrized, since the symmetry test would warn on it. Each half is
-    taken before the sum, so entries near the double maximum cannot
-    overflow; halving is exact, so this is 0.5 (m + m^T) bit for bit
-    unless an entry is subnormal."""
-    if np.isfinite(m).all():
-        _check_symmetric(m, name, channel)
-        m = 0.5 * m + 0.5 * m.T
-    return m, _cholesky(m, name, channel)
 
 
 @dataclass(frozen=True)
@@ -114,10 +104,10 @@ def _check_same_shape(a, b, name_a, name_b):
 
 def _gain_transpose(sigma_x, sigma_n):
     """W^T = (Sigma_X + Sigma_N)^-1 Sigma_N for a (K, K) Sigma_N or a (J, K, K)
-    stack, once every symmetrized sum has passed `_cholesky`."""
-    total = sigma_x + sigma_n
-    total = 0.5 * (total + total.swapaxes(-1, -2))
-    _cholesky(total, "sigma_x + sigma_n")
+    stack, solved with the symmetrized sums once the sum, or the whole
+    stack of sums, has passed `_check_spd` as `sigma_x + sigma_n`: an
+    asymmetric Sigma_N in a raw stack raises NonSymmetric under that name."""
+    total = _check_spd(sigma_x + sigma_n, "sigma_x + sigma_n")[0]
     return np.linalg.solve(total, sigma_n)
 
 
@@ -127,10 +117,13 @@ def weight_matrix(sigma_x, sigma_n):
     The conditional-mean estimator for a Gaussian prior is
     f(y) = (I - W) y + W mu_0.
 
-    The one entry through which the MMSE closed forms take Sigma_X: a
-    non-finite, singular or indefinite Sigma_X raises NotPositiveDefinite
-    naming `sigma_x`, and a Sigma_X + Sigma_N_j that fails Cholesky (Sigma_N
-    is not checked here) one naming `sigma_x + sigma_n`.
+    The one entry through which the MMSE closed forms take Sigma_X, which
+    passes `_check_spd` as every input covariance does and is read
+    symmetrized: a non-finite, singular or indefinite Sigma_X raises
+    NotPositiveDefinite, and one not symmetric to SYMMETRY_RTOL
+    NonSymmetric, each naming `sigma_x`. Sigma_N is not checked on its own;
+    the sums Sigma_X + Sigma_N_j pass `_check_spd` together, and their
+    errors name `sigma_x + sigma_n`.
 
     Parameters
     ----------
@@ -147,7 +140,7 @@ def weight_matrix(sigma_x, sigma_n):
     sigma_n = np.asarray(sigma_n, dtype=float)
     _check_same_shape(sigma_x, sigma_n[0] if sigma_n.ndim == 3 else sigma_n,
                       "sigma_x", "sigma_n")
-    _cholesky(sigma_x, "sigma_x")
+    sigma_x = _check_spd(sigma_x, "sigma_x")[0]
     return _gain_transpose(sigma_x, sigma_n).swapaxes(-1, -2)
 
 
@@ -156,7 +149,9 @@ def mmse_matrix(sigma_x, sigma_n):
     Sigma_N or, one per channel, a (J, K, K) stack.
 
     Equals Sigma_X W^T and, algebraically, (Sigma_X^-1 + Sigma_N^-1)^-1;
-    symmetric positive definite for SPD inputs.
+    symmetric positive definite for SPD inputs. Sigma_X and the sums
+    Sigma_X + Sigma_N_j are checked, and named, as `weight_matrix` checks
+    them.
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
     m = sigma_x @ weight_matrix(sigma_x, sigma_n).swapaxes(-1, -2)

@@ -80,6 +80,15 @@ def test_one_gaussian_type():
     assert prob.reference == ball.reference
 
 
+@pytest.mark.parametrize("value", [
+    mmse_bounds.Gaussian(np.zeros(2), np.eye(2)),
+    mmse_bounds.ChannelEnsemble.from_arrays([np.eye(2)], [1.0]),
+], ids=["Gaussian", "ChannelEnsemble"])
+def test_equality_with_another_type(value):
+    assert type(value).__eq__(value, object()) is NotImplemented
+    assert value != object()
+
+
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert not hasattr(mmse_bounds, name)
@@ -145,6 +154,32 @@ def test_solver_shares_no_arithmetic_with_its_checks():
     assert "gaussian" not in _package_imports(package / "solver.py")
     assert _package_imports(package / "gaussian.py") & {"solver", "_kernels", "separable"} == set()
     assert mmse_bounds.opt_covariance_residual.__module__ == "mmse_bounds.gaussian"
+
+
+def _covariance_decisions(node):
+    """The Cholesky calls and the raises of NonSymmetric and NotPositiveDefinite
+    under `node`, by name."""
+    found = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call) and ast.unparse(n.func).rpartition(".")[2] == "cholesky":
+            found.append("cholesky")
+        elif isinstance(n, ast.Raise) and n.exc is not None:
+            exc = ast.unparse(n.exc.func if isinstance(n.exc, ast.Call) else n.exc)
+            if exc in {"NonSymmetric", "NotPositiveDefinite"}:
+                found.append(exc)
+    return sorted(found)
+
+
+def test_one_covariance_check():
+    # gaussian.py decides what a covariance is in `_check_spd` alone: it
+    # holds the module's one Cholesky factorization and every raise of the
+    # two errors that say a matrix is not a covariance
+    path = Path(mmse_bounds.__file__).parent / "gaussian.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert {"_check_symmetric", "_cholesky"} & set(functions) == set()
+    assert _covariance_decisions(tree) == _covariance_decisions(functions["_check_spd"]) == [
+        "NonSymmetric", "NotPositiveDefinite", "NotPositiveDefinite", "cholesky"]
 
 
 def test_cli_main_is_reachable():

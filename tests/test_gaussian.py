@@ -159,6 +159,37 @@ class TestPriorCovarianceCheck:
                     call()
 
 
+    @pytest.mark.parametrize("sx", [[[1.0, 0.5], [0.0, 1.0]], [[1.0, 5.0], [0.0, 1.0]]])
+    def test_closed_forms_reject_an_asymmetric_sigma_x(self, sx):
+        # as kl does: a Cholesky factorization reads one triangle, so the
+        # first gave the symmetrized Sigma_X's values and the second an
+        # indefinite sigma_x + sigma_n
+        ens = ChannelEnsemble.from_arrays([np.eye(2)], [1.0])
+        sx = np.array(sx)
+        reference = isotropic_ball(2, 1.0, 0.1).reference
+        calls = [lambda: weight_matrix(sx, np.eye(2)), lambda: mmse_matrix(sx, ens.noise_stack),
+                 lambda: weighted_mmse_sum(sx, ens), lambda: lmmse_upper(sx, ens),
+                 lambda: opt_covariance_residual(0.5, sx, ens, reference)]
+        for call in calls:
+            with pytest.raises(NonSymmetric, match="^sigma_x is not symmetric within tolerance$"):
+                call()
+
+    def test_nearly_symmetric_sigma_x_is_read_symmetrized(self, demo_ensemble):
+        rng = np.random.default_rng(TEST_SEED)
+        sym = random_spd(rng, 3, 2.0)
+        skew = np.triu(rng.normal(size=(3, 3)), 1)
+        skew -= skew.T
+        sx = sym + 1e-14 * np.linalg.norm(sym) / np.linalg.norm(skew) * skew
+        sym = 0.5 * sx + 0.5 * sx.T
+        reference = isotropic_ball(3, 2.0, 0.3).reference
+        assert kl_same_mean_gaussians(sx, np.eye(3)) == kl_same_mean_gaussians(sym, np.eye(3))
+        for read in [lambda s: weight_matrix(s, demo_ensemble.noise_stack),
+                     lambda s: weighted_mmse_sum(s, demo_ensemble).weighted_sum,
+                     lambda s: lmmse_upper(s, demo_ensemble),
+                     lambda s: opt_covariance_residual(0.5, s, demo_ensemble, reference)]:
+            assert rel_error(read(sx), read(sym)) <= 1e-13
+
+
 class TestWeightedSum:
     def test_matches_manual_sum(self, demo_ensemble):
         sx = 3.0 * np.eye(3)
@@ -238,6 +269,15 @@ class TestStackedKernel:
         for call in (lambda: weighted_mmse_sum(sx, ens), lambda: mmse_matrix(sx, 10.0 * np.eye(3))):
             with pytest.raises(NotPositiveDefinite, match="^sigma_x is not positive definite$"):
                 call()
+
+    def test_asymmetric_member_of_a_raw_stack(self):
+        # the stack of sums is checked as one, and by the sum's name: the
+        # member was once symmetrized silently
+        noise = np.array([10.0 * np.eye(3)] * 4)
+        noise[2, 0, 1] += 0.3
+        with pytest.raises(NonSymmetric,
+                           match="^sigma_x \\+ sigma_n is not symmetric within tolerance$"):
+            mmse_matrix(np.eye(3), noise)
 
 
 class TestAffineEstimator:

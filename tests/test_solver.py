@@ -244,6 +244,12 @@ class TestPostconditions:
         ctx = solver._Ctx(validate_problem(demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2)))
         assert solver._residual(ctx, np.eye(3), 1e6, solver._s(ctx, np.eye(3))) == np.inf
 
+    def test_indefinite_candidate_is_not_certified(self, demo_ensemble):
+        # no Cholesky factor of the symmetrized Sigma, so no residual to pass
+        ctx = solver._Ctx(validate_problem(demo_ensemble, isotropic_ball(3, HARD_VAR, 0.2)))
+        with np.errstate(invalid="ignore"):  # as inside solve_bound
+            assert solver._certify("lower", ctx, 0.2, -np.eye(3), 1.0) == np.inf
+
     def test_fold_regression(self, demo_ensemble):
         ball = isotropic_ball(3, HARD_VAR, HARD_EPS)
         lo = solve_bound("lower", demo_ensemble, ball)
@@ -447,6 +453,16 @@ class TestSeparableLocal:
         res = local_bound("lower", ens, 0, ball)
         self._check(res, "lower", ens, ball)
         assert res.bound_value <= reduced_lower(c, nu, eps) * (1.0 + 1e-10)
+
+    def test_newton_overflow_is_no_candidate(self):
+        # exp(800) overflows in the first branch evaluation
+        assert separable._newton([800.0, 1.0], 0.0, [1.0, 2.0], 1.0, 1.0) is None
+
+    @pytest.mark.parametrize("sign, root", [(1.0, np.inf), (-1.0, 0.0)])
+    def test_ratio_stops_at_a_step_no_shorter(self, sign, root):
+        # at epsilon = 1e308 the start is infinite and the first step NaN,
+        # which is not shorter than the infinite one before it
+        assert separable._ratio(sign, 1e308) == (root, 1)
 
     def test_rearrangement_inequalities(self):
         # for fixed spectra s and nu, tr((Sigma^-1 + Sigma_N^-1)^-1) lies
