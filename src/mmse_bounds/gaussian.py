@@ -10,12 +10,15 @@ residual of the bounds' optimality condition, same-mean Gaussian KL
 divergence, and the exact MSE of a fixed affine estimator under an
 arbitrary Gaussian prior. These closed forms are the checks of the
 solver's answers, so they share no code with `solver.py`. One check,
-`_check_spd`, decides what a covariance is: every input covariance, the
-Sigma_X of every MMSE closed form (in `weight_matrix`), every stack of
-sums Sigma_X + Sigma_N and both arguments of the KL divergence pass it
-before a system with them is solved. A non-finite, singular or
-indefinite matrix raises NotPositiveDefinite, and one not symmetric to
-SYMMETRY_RTOL NonSymmetric, naming it. KL is in nats.
+`_check_spd`, decides what a covariance is, and every covariance passes
+it once, where it enters: every input covariance, the Sigma_X of every
+MMSE closed form (in `weight_matrix`), both arguments of the KL
+divergence and both covariances of `linear_estimator_mse`. A non-finite,
+singular or indefinite matrix raises NotPositiveDefinite, and one not
+symmetric to SYMMETRY_RTOL NonSymmetric, naming it. The MMSE closed forms
+read their channels from a ChannelEnsemble or Problem, whose noise
+covariances were checked when it was built, so a sum Sigma_X + Sigma_N_j
+of two checked covariances is solved as it is. KL is in nats.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ def _check_spd(m, name, channel=None):
     Cholesky factor (one per matrix of a stack). The norms are taken of
     `m` scaled to a peak of 1, and each half before the sum, so that
     entries near the double maximum cannot overflow; halving is exact, so
-    this is 0.5 (m + m^T) bit for bit unless an entry is subnormal."""
+    this is 0.5 (m + m^T) bit for bit unless an entry is subnormal. It is
+    called where a covariance enters, on the matrix as given, never on one
+    computed from checked covariances, such as their sum."""
     if not np.isfinite(m).all():
         raise NotPositiveDefinite(f"{name} has non-finite entries", channel=channel)
     peak = np.abs(m).max()
@@ -102,66 +107,64 @@ def _check_same_shape(a, b, name_a, name_b):
             f"{name_a} {a.shape} and {name_b} {b.shape} must be equal square shapes")
 
 
-def _gain_transpose(sigma_x, sigma_n):
-    """W^T = (Sigma_X + Sigma_N)^-1 Sigma_N for a (K, K) Sigma_N or a (J, K, K)
-    stack, solved with the symmetrized sums once the sum, or the whole
-    stack of sums, has passed `_check_spd` as `sigma_x + sigma_n`: an
-    asymmetric Sigma_N in a raw stack raises NonSymmetric under that name."""
-    total = _check_spd(sigma_x + sigma_n, "sigma_x + sigma_n")[0]
-    return np.linalg.solve(total, sigma_n)
+def _gain_transpose(sigma_x, noise):
+    """W^T = (Sigma_X + Sigma_N)^-1 Sigma_N for a (J, K, K) noise stack,
+    one W_j^T per channel. Both terms are covariances checked where they
+    entered, so the sums are not checked again. They are formed from
+    halves, which cannot overflow; halving is exact, so this is the solve
+    with the plain sums bit for bit unless an entry is subnormal."""
+    return np.linalg.solve(0.5 * sigma_x + 0.5 * noise, 0.5 * noise)
 
 
-def weight_matrix(sigma_x, sigma_n):
-    """Gain matrix W = Sigma_N (Sigma_X + Sigma_N)^-1.
+def weight_matrix(sigma_x, ensemble):
+    """Gain matrices W_j = Sigma_N_j (Sigma_X + Sigma_N_j)^-1, one per channel.
 
-    The conditional-mean estimator for a Gaussian prior is
-    f(y) = (I - W) y + W mu_0.
+    The conditional-mean estimator of channel j for a Gaussian prior is
+    f(y) = (I - W_j) y + W_j mu_0; at the extremal Sigma_X of the upper
+    bound, `weight_matrix(upper.sigma_x, ensemble)[j]` is channel j's
+    minimax-robust gain.
 
     The one entry through which the MMSE closed forms take Sigma_X, which
     passes `_check_spd` as every input covariance does and is read
     symmetrized: a non-finite, singular or indefinite Sigma_X raises
     NotPositiveDefinite, and one not symmetric to SYMMETRY_RTOL
-    NonSymmetric, each naming `sigma_x`. Sigma_N is not checked on its own;
-    the sums Sigma_X + Sigma_N_j pass `_check_spd` together, and their
-    errors name `sigma_x + sigma_n`.
+    NonSymmetric, each naming `sigma_x`. The noise covariances were checked
+    when the ensemble was built.
 
     Parameters
     ----------
     sigma_x : (K, K) ndarray
         Prior covariance, symmetric positive definite.
-    sigma_n : (K, K) or (J, K, K) ndarray
-        One noise covariance or a stack of J, symmetric positive definite.
+    ensemble : ChannelEnsemble or Problem
 
     Returns
     -------
-    ndarray of sigma_n's shape: W, or the J gains W_j
+    (J, K, K) ndarray: the J gains W_j
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
-    sigma_n = np.asarray(sigma_n, dtype=float)
-    _check_same_shape(sigma_x, sigma_n[0] if sigma_n.ndim == 3 else sigma_n,
-                      "sigma_x", "sigma_n")
+    _check_same_shape(sigma_x, ensemble.noise_stack[0], "sigma_x", "sigma_n")
     sigma_x = _check_spd(sigma_x, "sigma_x")[0]
-    return _gain_transpose(sigma_x, sigma_n).swapaxes(-1, -2)
+    return _gain_transpose(sigma_x, ensemble.noise_stack).swapaxes(-1, -2)
 
 
-def mmse_matrix(sigma_x, sigma_n):
-    """MMSE matrix Sigma_X (Sigma_X + Sigma_N)^-1 Sigma_N, for a (K, K)
-    Sigma_N or, one per channel, a (J, K, K) stack.
+def mmse_matrix(sigma_x, ensemble):
+    """MMSE matrices Sigma_X (Sigma_X + Sigma_N_j)^-1 Sigma_N_j, one per
+    channel of a ChannelEnsemble or Problem, as a (J, K, K) array.
 
-    Equals Sigma_X W^T and, algebraically, (Sigma_X^-1 + Sigma_N^-1)^-1;
-    symmetric positive definite for SPD inputs. Sigma_X and the sums
-    Sigma_X + Sigma_N_j are checked, and named, as `weight_matrix` checks
-    them.
+    Each equals Sigma_X W_j^T and, algebraically, (Sigma_X^-1 +
+    Sigma_N_j^-1)^-1; symmetric positive definite for SPD inputs, and
+    returned symmetrized, from halves. Sigma_X is checked, and named, as
+    `weight_matrix` checks it.
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
-    m = sigma_x @ weight_matrix(sigma_x, sigma_n).swapaxes(-1, -2)
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    m = sigma_x @ weight_matrix(sigma_x, ensemble).swapaxes(-1, -2)
+    return 0.5 * m + 0.5 * m.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class MmseSummary:
     """The weighted MMSE sum sum_j lambda_j tr(MMSE_j); the per-channel
-    matrices are `mmse_matrix(sigma_x, ensemble.noise_stack)`."""
+    matrices are `mmse_matrix(sigma_x, ensemble)`."""
 
     weighted_sum: float
 
@@ -169,10 +172,9 @@ class MmseSummary:
 def weighted_mmse_sum(sigma_x, ensemble) -> MmseSummary:
     """Weighted sum of per-channel MMSE traces for a common prior covariance.
 
-    All channels are computed at once: `mmse_matrix` on the ensemble's
-    (J, K, K) noise stack checks Sigma_X's shape and definiteness and every
-    Sigma_X + Sigma_N_j (one batched Cholesky factorization), and gives
-    every W_j^T with one batched solve.
+    All channels are computed at once: `mmse_matrix` checks Sigma_X's
+    shape and definiteness and gives every W_j^T with one batched solve on
+    the ensemble's (J, K, K) noise stack.
 
     Parameters
     ----------
@@ -180,7 +182,7 @@ def weighted_mmse_sum(sigma_x, ensemble) -> MmseSummary:
         Prior covariance.
     ensemble : ChannelEnsemble or Problem
     """
-    traces = np.trace(mmse_matrix(sigma_x, ensemble.noise_stack), axis1=1, axis2=2)
+    traces = np.trace(mmse_matrix(sigma_x, ensemble), axis1=1, axis2=2)
     return MmseSummary(float(ensemble.weights @ traces))
 
 
@@ -194,7 +196,7 @@ def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
     (`ensemble`: a ChannelEnsemble or Problem)."""
     sigma_x = np.asarray(sigma_x, dtype=float)
     sigma0 = np.asarray(reference.covariance, dtype=float)
-    m = mmse_matrix(sigma_x, ensemble.noise_stack)
+    m = mmse_matrix(sigma_x, ensemble)
     acc = np.sum(ensemble.weights[:, None, None] * (m.swapaxes(1, 2) @ m), axis=0)
     # SNR_0^-1 = Sigma_X^-1 Sigma_0
     inv_snr = np.linalg.solve(sigma_x, sigma0)
@@ -232,12 +234,15 @@ def linear_estimator_mse(w, prior_cov, sigma_n) -> float:
     Valid for any prior with mean mu_0 and covariance `prior_cov` under
     noise N(0, Sigma_N): the error is -W (X - mu_0) + (I - W) N, so the MSE
     is tr(W Sigma W^T) + tr((I - W) Sigma_N (I - W)^T) regardless of the
-    prior's shape beyond its first two moments.
+    prior's shape beyond its first two moments. Both covariances pass
+    `_check_spd`, named `prior_cov` and `sigma_n`, and are read symmetrized.
     """
     w = np.asarray(w, dtype=float)
     prior_cov = np.asarray(prior_cov, dtype=float)
     sigma_n = np.asarray(sigma_n, dtype=float)
     _check_same_shape(prior_cov, sigma_n, "prior_cov", "sigma_n")
+    prior_cov = _check_spd(prior_cov, "prior_cov")[0]
+    sigma_n = _check_spd(sigma_n, "sigma_n")[0]
     if w.shape != prior_cov.shape:
         raise DimensionMismatch(f"gain shape {w.shape} != covariance shape "
                                 f"{prior_cov.shape}")

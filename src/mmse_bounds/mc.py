@@ -143,9 +143,10 @@ def _rotations(gauss):
 def _mmse_channels(spec, noise_stack, x, ys, inner_seed, rotation_seed, n_inner):
     """Squared conditional-mean errors and inner effective sample sizes.
 
-    `noise_stack` holds the J noise covariances and `ys` the J observation
-    arrays, one per channel, each (n_outer, K) like `x`: a list, an
-    iterator or a (J, n_outer, K) array, stacked once. Returns
+    `noise_stack` holds the J noise covariances, a list or a (J, K, K)
+    array, stacked once, and `ys` the J observation arrays, one per
+    channel, each (n_outer, K) like `x`: a list, an iterator or a
+    (J, n_outer, K) array, stacked once. Returns
     (squared_errors, ess), each (J, n_outer): per channel and outer draw,
     ||E[X|y_j] - x||^2 and the effective sample size (sum w)^2 / sum w^2 of
     its inner weights. `inner_seed` seeds the pools of inner normals and
@@ -172,8 +173,10 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, rotation_seed, n_inner)
     (n_outer, 2, J, K) and (n_outer, 2, J) arrays computed before any
     block, so no coefficient depends on the block its draw falls in. That
     set-up runs on the (J, K, K) stacks at once, with one Sigma_X + Sigma_N
-    solve per channel giving both W^T and the MMSE matrix C_post; each
-    stacked product makes the same per-channel calls a loop would.
+    solve per channel giving both W^T and the MMSE matrix C_post (the
+    unchecked solve of `weight_matrix`: the moment covariance and the noise
+    covariances were checked where they entered); each stacked product
+    makes the same per-channel calls a loop would.
 
     The outer draws are taken _CHUNK at a time, and the draws of a block
     share one pool of n_plus = ceil(n_inner/2) inner normals z, each draw
@@ -233,6 +236,7 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, rotation_seed, n_inner)
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
     centre, whiten, g, _, q_max = _quadratic_log_density(spec)
+    noise_stack = np.asarray(noise_stack, dtype=float)
     n_outer, k = x.shape
     n_ch = len(noise_stack)
     n_quad = k * (k + 1) // 2

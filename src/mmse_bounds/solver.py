@@ -198,11 +198,14 @@ def _s(ctx, sigma):
 
 def _value(ctx, sigma):
     """f(Sigma) = sum_j lambda_j tr(Sigma A_j^-1 Sigma_N_j), the solve's one
-    formula for f. Each A_j = Sigma + Sigma_N_j is symmetrized as
-    `gaussian.mmse_matrix` symmetrizes it, so the value is bitwise that
-    function's. Sigma is positive definite (the reference, a corrected
-    iterate or a majorize-minimize step), so LAPACK cannot fail on the A_j;
-    a step that overflowed gives NaN."""
+    formula for f, with each A_j = Sigma + Sigma_N_j symmetrized. At a
+    symmetric Sigma, which covers every certified value (`_certify`
+    symmetrizes first), the value is bitwise `gaussian.weighted_mmse_sum`'s.
+    At an unsymmetrized iterate, whose value only ranks candidates, the two
+    agree to rounding: that function symmetrizes Sigma before the sum.
+    Sigma is positive definite (the reference, a corrected iterate or a
+    majorize-minimize step), so LAPACK cannot fail on the A_j; a step that
+    overflowed gives NaN."""
     a = sigma + ctx.noise
     a = 0.5 * (a + a.swapaxes(1, 2))
     return float(ctx.weights @ np.trace(sigma @ solve_stack(a, ctx.noise), axis1=1, axis2=2))

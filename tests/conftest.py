@@ -32,6 +32,12 @@ def demo_ensemble() -> ChannelEnsemble:
         [np.array(m, dtype=float) for m in DEMO_NOISE], DEMO_WEIGHTS)
 
 
+def one_channel(sigma_n) -> ChannelEnsemble:
+    """The one-channel ensemble {(sigma_n, 1)}, through which a test hands
+    one noise covariance to `weight_matrix` and `mmse_matrix`."""
+    return ChannelEnsemble.from_arrays([sigma_n], [1.0])
+
+
 def isotropic_ball(k: int, variance: float, epsilon: float) -> DivergenceBall:
     """Zero-mean isotropic reference N(0, variance*I_k) with radius epsilon."""
     return DivergenceBall(Gaussian(np.zeros(k), variance * np.eye(k)),

@@ -273,7 +273,7 @@ def test_a6_robust_estimator_guarantee(capsys, demo_ensemble):
     ball = DivergenceBall(Gaussian(np.zeros(k), sigma0), eps)
     t0 = time.perf_counter()
     up = solve_bound("upper", demo_ensemble, ball)
-    gains = [weight_matrix(up.sigma_x, sn) for sn in demo_ensemble.noise_stack]
+    gains = weight_matrix(up.sigma_x, demo_ensemble)
 
     rng = np.random.default_rng(MC_SEED)
     worst_excess = -np.inf

@@ -182,6 +182,16 @@ def test_one_covariance_check():
         "NonSymmetric", "NotPositiveDefinite", "NotPositiveDefinite", "cholesky"]
 
 
+def test_covariances_are_checked_where_they_enter():
+    # in gaussian.py `_check_spd` reads a covariance as it was given, never a
+    # matrix computed from checked ones such as `sigma_x + sigma_n`
+    path = Path(mmse_bounds.__file__).parent / "gaussian.py"
+    calls = [n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(n, ast.Call) and ast.unparse(n.func) == "_check_spd"]
+    assert len(calls) >= 5
+    assert [ast.unparse(c.args[0]) for c in calls if not isinstance(c.args[0], ast.Name)] == []
+
+
 def test_cli_main_is_reachable():
     importlib.import_module("mmse_bounds.cli")  # as the benchmark loads it
     assert callable(mmse_bounds.cli.main)

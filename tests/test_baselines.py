@@ -35,7 +35,7 @@ class TestCramerRao:
             for s, sn in ((1.0, 1.0), (2.5, 0.7)):
                 ens = ChannelEnsemble.from_arrays([sn * np.eye(k)], [1.0])
                 cr = cramer_rao_lower(k / s, ens)
-                exact = np.trace(mmse_matrix(s * np.eye(k), sn * np.eye(k)))
+                exact = np.trace(mmse_matrix(s * np.eye(k), ens)[0])
                 assert cr == pytest.approx(exact, rel=1e-12)
 
     def test_strictly_below_for_anisotropic_noise(self):
@@ -43,7 +43,7 @@ class TestCramerRao:
         ens = ChannelEnsemble.from_arrays([sn], [1.0])
         s = 1.3
         cr = cramer_rao_lower(2 / s, ens)
-        exact = np.trace(mmse_matrix(s * np.eye(2), sn))
+        exact = np.trace(mmse_matrix(s * np.eye(2), ens)[0])
         assert cr < exact
 
     def test_weighted_sum_over_channels(self, demo_ensemble):

@@ -23,7 +23,7 @@ from mmse_bounds import (
     validate_problem,
     weighted_mmse_sum,
 )
-from conftest import TEST_SEED, corpus_spd, isotropic_ball, random_spd
+from conftest import TEST_SEED, corpus_spd, isotropic_ball, one_channel, random_spd
 
 
 def rel_error(a, b):
@@ -33,12 +33,13 @@ def rel_error(a, b):
 class TestScalarOracles:
     # sigma_x^2 = 2, sigma_n^2 = 3: W = 3/5, mmse = 2*3/(2+3) = 6/5
     def test_weight(self):
-        w = weight_matrix([[2.0]], [[3.0]])
+        w = weight_matrix([[2.0]], one_channel([[3.0]]))[0]
         np.testing.assert_allclose(w, [[0.6]], rtol=1e-14)
 
     def test_mmse(self):
-        np.testing.assert_allclose(mmse_matrix([[2.0]], [[3.0]]), [[1.2]], rtol=1e-14)
-        assert np.trace(mmse_matrix([[2.0]], [[3.0]])) == pytest.approx(1.2, rel=1e-14)
+        m = mmse_matrix([[2.0]], one_channel([[3.0]]))[0]
+        np.testing.assert_allclose(m, [[1.2]], rtol=1e-14)
+        assert np.trace(m) == pytest.approx(1.2, rel=1e-14)
 
     def test_kl(self):
         # s = 4: (s - 1 - ln s)/2
@@ -56,15 +57,16 @@ class TestMatrixIdentities:
     def test_weight_matrix_identity(self, pair):
         sx, sn = pair
         expect = sn @ np.linalg.inv(sx + sn)
-        np.testing.assert_allclose(weight_matrix(sx, sn), expect, rtol=1e-12)
+        np.testing.assert_allclose(weight_matrix(sx, one_channel(sn))[0], expect, rtol=1e-12)
 
     def test_mmse_matrix_harmonic_form(self, pair):
         sx, sn = pair
         expect = np.linalg.inv(np.linalg.inv(sx) + np.linalg.inv(sn))
-        np.testing.assert_allclose(mmse_matrix(sx, sn), expect, rtol=1e-11)
+        np.testing.assert_allclose(mmse_matrix(sx, one_channel(sn))[0], expect, rtol=1e-11)
 
     def test_mmse_matrix_symmetric(self, pair):
-        m = mmse_matrix(*pair)
+        sx, sn = pair
+        m = mmse_matrix(sx, one_channel(sn))[0]
         np.testing.assert_array_equal(m, m.T)
 
     def test_kl_properties(self, pair):
@@ -104,7 +106,7 @@ class TestMatrixIdentities:
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            weight_matrix(np.eye(2), np.eye(3))
+            weight_matrix(np.eye(2), one_channel(np.eye(3)))
 
 
 NON_FINITE = {"nan": np.full((3, 3), np.nan), "inf": np.diag([np.inf, 1.0, 1.0])}
@@ -129,7 +131,7 @@ class TestNonFiniteArguments:
         sx = NON_FINITE[bad]
         reference = isotropic_ball(3, 2.0, 0.3).reference
         calls = [lambda: weighted_mmse_sum(sx, demo_ensemble),
-                 lambda: mmse_matrix(sx, demo_ensemble.noise_stack[0]),
+                 lambda: mmse_matrix(sx, one_channel(demo_ensemble.noise_stack[0])),
                  lambda: opt_covariance_residual(-0.5, sx, demo_ensemble, reference)]
         for call in calls:
             with warnings.catch_warnings():
@@ -150,7 +152,7 @@ class TestPriorCovarianceCheck:
         sx = scale * np.eye(1)
         reference = isotropic_ball(1, 1.0, 0.1).reference
         calls = [lambda: weighted_mmse_sum(sx, ens), lambda: lmmse_upper(sx, ens),
-                 lambda: mmse_matrix(sx, ens.noise_stack),
+                 lambda: mmse_matrix(sx, ens),
                  lambda: opt_covariance_residual(0.5, sx, ens, reference)]
         for call in calls:
             with warnings.catch_warnings():
@@ -167,7 +169,7 @@ class TestPriorCovarianceCheck:
         ens = ChannelEnsemble.from_arrays([np.eye(2)], [1.0])
         sx = np.array(sx)
         reference = isotropic_ball(2, 1.0, 0.1).reference
-        calls = [lambda: weight_matrix(sx, np.eye(2)), lambda: mmse_matrix(sx, ens.noise_stack),
+        calls = [lambda: weight_matrix(sx, one_channel(np.eye(2))), lambda: mmse_matrix(sx, ens),
                  lambda: weighted_mmse_sum(sx, ens), lambda: lmmse_upper(sx, ens),
                  lambda: opt_covariance_residual(0.5, sx, ens, reference)]
         for call in calls:
@@ -183,22 +185,40 @@ class TestPriorCovarianceCheck:
         sym = 0.5 * sx + 0.5 * sx.T
         reference = isotropic_ball(3, 2.0, 0.3).reference
         assert kl_same_mean_gaussians(sx, np.eye(3)) == kl_same_mean_gaussians(sym, np.eye(3))
-        for read in [lambda s: weight_matrix(s, demo_ensemble.noise_stack),
+        for read in [lambda s: weight_matrix(s, demo_ensemble),
                      lambda s: weighted_mmse_sum(s, demo_ensemble).weighted_sum,
                      lambda s: lmmse_upper(s, demo_ensemble),
                      lambda s: opt_covariance_residual(0.5, s, demo_ensemble, reference)]:
             assert rel_error(read(sx), read(sym)) <= 1e-13
 
 
+def test_checked_covariances_near_the_double_maximum():
+    # Sigma_X and every Sigma_N_j were checked where they entered, so their
+    # sums are solved as they are, formed from halves: 1e308 + 1e308 would
+    # overflow, warn and then fail a definiteness check. The values are
+    # those at unit scale times 1e308 to rounding, not bit for bit: the
+    # solve scales by a pivot's reciprocal, about 1e-308 and so subnormal,
+    # which costs W_j = 0.5 I its last bit
+    big = 1e308 * np.eye(2)
+    ens = ChannelEnsemble.from_arrays([big, big], [0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert weighted_mmse_sum(big, ens).weighted_sum == pytest.approx(1e308, rel=1e-15)
+        assert lmmse_upper(big, ens) == pytest.approx(1e308, rel=1e-15)
+        np.testing.assert_allclose(mmse_matrix(big, ens), [0.5 * big] * 2, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(weight_matrix(big, ens), [0.5 * np.eye(2)] * 2, rtol=1e-15,
+                                   atol=0.0)
+
+
 class TestWeightedSum:
     def test_matches_manual_sum(self, demo_ensemble):
         sx = 3.0 * np.eye(3)
         summary = weighted_mmse_sum(sx, demo_ensemble)
-        manual = sum(w * np.trace(mmse_matrix(sx, sn)) for w, sn in
+        manual = sum(w * np.trace(mmse_matrix(sx, one_channel(sn))[0]) for w, sn in
                      zip(demo_ensemble.weights, demo_ensemble.noise_stack))
         assert summary.weighted_sum == pytest.approx(manual, rel=1e-14)
-        stacked = mmse_matrix(sx, demo_ensemble.noise_stack)
-        loop = [mmse_matrix(sx, sn) for sn in demo_ensemble.noise_stack]
+        stacked = mmse_matrix(sx, demo_ensemble)
+        loop = [mmse_matrix(sx, one_channel(sn))[0] for sn in demo_ensemble.noise_stack]
         np.testing.assert_array_equal(stacked, loop)
         np.testing.assert_array_equal(np.trace(stacked, axis1=1, axis2=2),
                                       [np.trace(m) for m in loop])
@@ -213,8 +233,9 @@ class TestWeightedSum:
 
 
 class TestStackedKernel:
-    """mmse_matrix on a noise stack, which weighted_mmse_sum reads,
-    factorizes all channels at once; the per-channel loop is the reference."""
+    """mmse_matrix on an ensemble, which weighted_mmse_sum reads, solves
+    for all channels at once; the loop over one-channel ensembles is the
+    reference."""
 
     # (smallest eigenvalue, condition number) as powers of ten: the corners
     # of the corpus ranges, then random draws inside them
@@ -234,13 +255,13 @@ class TestStackedKernel:
             ens = ChannelEnsemble.from_arrays(noise, weights)
             ref = Gaussian(np.zeros(k), sigma0)
             got = weighted_mmse_sum(sx, ens)
-            stacked = mmse_matrix(sx, ens.noise_stack)
-            loop = [mmse_matrix(sx, sn) for sn in noise]
+            stacked = mmse_matrix(sx, ens)
+            loop = [mmse_matrix(sx, one_channel(sn))[0] for sn in noise]
             traces = [np.trace(m) for m in loop]
-            # the stack argument makes the same per-channel calls as the loop
+            # the ensemble makes the same per-channel calls as the loop
             np.testing.assert_array_equal(stacked, loop)
-            np.testing.assert_array_equal(weight_matrix(sx, ens.noise_stack),
-                                          [weight_matrix(sx, sn) for sn in noise])
+            np.testing.assert_array_equal(weight_matrix(sx, ens),
+                                          [weight_matrix(sx, one_channel(sn))[0] for sn in noise])
             for m, expect, tr, tr_expect in zip(stacked, loop,
                                                 np.trace(stacked, axis1=1, axis2=2), traces):
                 assert rel_error(m, expect) <= 1e-12
@@ -253,45 +274,33 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("bad", [1, 4])
     def test_singular_sum_raised_for_any_channel(self, bad):
-        # a raw stack reaches mmse_matrix unchecked: Sigma_X + Sigma_N_j is
-        # indefinite for channel `bad` only
-        sx = np.eye(3)
-        noise = np.array([np.diag([-3.0, 1.0, 1.0]) if j == bad else 10.0 * np.eye(3)
-                          for j in range(5)])
-        mmse_matrix(sx, noise[bad - 1])  # the other channels factorize
-        for arg in (noise, noise[bad]):
-            with pytest.raises(NotPositiveDefinite,
-                               match="^sigma_x \\+ sigma_n is not positive definite$"):
-                mmse_matrix(sx, arg)
-        # an indefinite Sigma_X is rejected by name, whatever the channels
+        # an indefinite Sigma_X is rejected by name, whatever the channels:
+        # also where Sigma_X + Sigma_N_j is indefinite for channel `bad` only,
+        # since the sums of checked covariances are not checked again
         sx = np.diag([-2.0, 1.0, 1.0])
         ens = ChannelEnsemble.from_arrays([10.0 * np.eye(3)] * 5, np.ones(5))
-        for call in (lambda: weighted_mmse_sum(sx, ens), lambda: mmse_matrix(sx, 10.0 * np.eye(3))):
+        one_bad = ChannelEnsemble.from_arrays(
+            [np.diag([1.0, 10.0, 10.0]) if j == bad else 10.0 * np.eye(3) for j in range(5)],
+            np.ones(5))
+        for call in (lambda: weighted_mmse_sum(sx, ens),
+                     lambda: mmse_matrix(sx, one_channel(10.0 * np.eye(3))),
+                     lambda: mmse_matrix(sx, one_bad)):
             with pytest.raises(NotPositiveDefinite, match="^sigma_x is not positive definite$"):
                 call()
-
-    def test_asymmetric_member_of_a_raw_stack(self):
-        # the stack of sums is checked as one, and by the sum's name: the
-        # member was once symmetrized silently
-        noise = np.array([10.0 * np.eye(3)] * 4)
-        noise[2, 0, 1] += 0.3
-        with pytest.raises(NonSymmetric,
-                           match="^sigma_x \\+ sigma_n is not symmetric within tolerance$"):
-            mmse_matrix(np.eye(3), noise)
 
 
 class TestAffineEstimator:
     def test_optimal_gain_attains_mmse(self):
         rng = np.random.default_rng(TEST_SEED + 1)
         sx, sn = random_spd(rng, 3, 1.3), random_spd(rng, 3, 0.4)
-        w = weight_matrix(sx, sn)
+        w = weight_matrix(sx, one_channel(sn))[0]
         mse = linear_estimator_mse(w, sx, sn)
-        assert mse == pytest.approx(np.trace(mmse_matrix(sx, sn)), rel=1e-12)
+        assert mse == pytest.approx(np.trace(mmse_matrix(sx, one_channel(sn))[0]), rel=1e-12)
 
     def test_perturbed_gain_is_worse(self):
         rng = np.random.default_rng(TEST_SEED + 2)
         sx, sn = random_spd(rng, 3, 1.3), random_spd(rng, 3, 0.4)
-        w = weight_matrix(sx, sn)
+        w = weight_matrix(sx, one_channel(sn))[0]
         base = linear_estimator_mse(w, sx, sn)
         for _ in range(5):
             mse = linear_estimator_mse(w + 0.05 * rng.normal(size=(3, 3)), sx, sn)
@@ -303,6 +312,36 @@ class TestAffineEstimator:
             expect = w * w * 2.0 + (1.0 - w) ** 2 * 3.0
             got = linear_estimator_mse([[w]], [[2.0]], [[3.0]])
             assert got == pytest.approx(expect, rel=1e-14)
+
+    @pytest.mark.parametrize("w, prior_cov, sigma_n, error, message", [
+        (0.0, np.eye(2), -np.eye(2), NotPositiveDefinite, "sigma_n is not positive definite"),
+        (1.0, -np.eye(2), np.eye(2), NotPositiveDefinite, "prior_cov is not positive definite"),
+        (1.0, np.zeros((2, 2)), np.eye(2), NotPositiveDefinite,
+         "prior_cov is not positive definite"),
+        (0.5, np.eye(2), [[1.0, np.nan], [np.nan, 1.0]], NotPositiveDefinite,
+         "sigma_n has non-finite entries"),
+        (0.5, np.eye(2), [[1.0, 5.0], [0.0, 1.0]], NonSymmetric,
+         "sigma_n is not symmetric within tolerance"),
+    ], ids=["negative-noise", "negative-prior", "zero-prior", "nan-noise", "asymmetric-noise"])
+    def test_mse_checks_its_covariances(self, w, prior_cov, sigma_n, error, message):
+        # each was read unchecked: the first two gave a negative MSE, -2.0,
+        # the third 0.0, the fourth nan, and the fifth was accepted as it stood
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^{message}$"):
+                linear_estimator_mse(w * np.eye(2), prior_cov, sigma_n)
+
+    def test_mse_reads_its_covariances_symmetrized(self):
+        # a covariance asymmetric within SYMMETRY_RTOL gives the MSE of its
+        # symmetrization, bit for bit; read as given, about a quarter did not
+        rng = np.random.default_rng(TEST_SEED + 3)
+        for _ in range(20):
+            sx, sn = random_spd(rng, 3, 1.3), random_spd(rng, 3, 0.4)
+            w = rng.normal(size=(3, 3))
+            sx[0, 1] *= 1.0 + 1e-13
+            sn[1, 2] *= 1.0 + 1e-13
+            assert linear_estimator_mse(w, sx, sn) == linear_estimator_mse(
+                w, 0.5 * sx + 0.5 * sx.T, 0.5 * sn + 0.5 * sn.T)
 
     def test_mse_shape_guard(self):
         with pytest.raises(DimensionMismatch):

@@ -24,7 +24,7 @@ from mmse_bounds import mc
 from mmse_bounds.exceptions import NoiseLost
 from mmse_bounds.mc import _check_degenerate, _mmse_channels, _rng_from
 from mmse_bounds.priors import _sample_with, log_density
-from conftest import TEST_SEED, random_spd
+from conftest import TEST_SEED, one_channel, random_spd
 from oracles import mc_kl
 
 
@@ -56,8 +56,8 @@ def _oracle_one_channel(spec, sigma_n, x, y, inner_seed, rotation_seed, n_inner)
     moments = prior_moments(spec)
     m, c = moments.mean, moments.covariance
     k = x.shape[1]
-    gain = np.eye(k) - weight_matrix(c, sigma_n)
-    c_post = mmse_matrix(c, sigma_n)
+    gain = np.eye(k) - weight_matrix(c, one_channel(sigma_n))[0]
+    c_post = mmse_matrix(c, one_channel(sigma_n))[0]
     chol_post = np.linalg.cholesky(c_post)
     rng = mc._rng_from(inner_seed)
     rot = []
@@ -135,7 +135,7 @@ def _mostly_outside_ball(n_outer):
     noise = [random_spd(rng, k, 0.2) for _ in range(4)]
     u = rng.standard_normal((n_outer, k))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    ys = [np.linalg.solve(np.eye(k) - weight_matrix(c, sigma_n), 1.1 * u.T).T
+    ys = [np.linalg.solve(np.eye(k) - weight_matrix(c, one_channel(sigma_n))[0], 1.1 * u.T).T
           for sigma_n in noise]
     return spec, noise, 0.9 * u, ys
 
@@ -186,7 +186,7 @@ class TestKernel:
         c = spec.family.covariance
         for j, (sigma_n, y) in enumerate(zip(noise, ys)):
             m_post = spec.family.mean + (y - spec.family.mean) @ (
-                np.eye(k) - weight_matrix(c, sigma_n)).T
+                np.eye(k) - weight_matrix(c, one_channel(sigma_n))[0]).T
             np.testing.assert_allclose(sq_err[j], np.sum((m_post - x) ** 2, axis=1),
                                        rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(ess, 300, rtol=1e-12, atol=0.0)
@@ -201,8 +201,9 @@ class TestKernel:
         c = prior_moments(spec).covariance
         x = np.tile([1.0, -2.0, 0.5], (100, 1))
         y = x + 0.3
-        m_post = y[0] @ (np.eye(3) - weight_matrix(c, sigma_n)).T
-        z_centre = np.linalg.solve(np.linalg.cholesky(mmse_matrix(c, sigma_n)), -m_post)
+        m_post = y[0] @ (np.eye(3) - weight_matrix(c, one_channel(sigma_n))[0]).T
+        z_centre = np.linalg.solve(np.linalg.cholesky(mmse_matrix(c, one_channel(sigma_n))[0]),
+                                   -m_post)
 
         class Clustered:
             def standard_normal(self, size=None, out=None):
@@ -238,6 +239,18 @@ class TestKernel:
             err_j, ess_j = _mmse_channels(spec, [sigma_n], x, [y], s_inner, s_rot, n_inner)
             np.testing.assert_allclose(sq_err[j], err_j[0], rtol=1e-13, atol=0.0)
             np.testing.assert_array_equal(ess[j], ess_j[0])
+
+    @pytest.mark.parametrize("spec, noise_scale", _kernel_cases())
+    def test_halves_solve_is_the_plain_sum_bitwise(self, monkeypatch, spec, noise_scale):
+        # The set-up solves with the sums Sigma_X + Sigma_N_j formed from
+        # halves; since halving is exact, every answer is the one the plain
+        # sums give, bit for bit.
+        noise, x, ys, s_inner, s_rot = _kernel_input(spec, noise_scale, 150, n_channels=4)
+        got = _mmse_channels(spec, noise, x, ys, s_inner, s_rot, 301)
+        monkeypatch.setattr(mc, "_gain_transpose", lambda c, n: np.linalg.solve(c + n, n))
+        want = _mmse_channels(spec, noise, x, ys, s_inner, s_rot, 301)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
     def test_ball_with_most_points_off_the_support(self):
         # The ball's off-support points are masked, not given -inf: against
@@ -363,7 +376,7 @@ class TestGaussianExactness:
         sigma_n = np.array([[0.5, 0.1], [0.1, 0.7]])
         spec = PriorSpec(Gaussian(np.array([1.0, -1.0]), cov), 2)
         est = _one_channel(spec, sigma_n, n_outer=400, n_inner=1000, seed=TEST_SEED)
-        exact = np.trace(mmse_matrix(cov, sigma_n))
+        exact = np.trace(mmse_matrix(cov, one_channel(sigma_n))[0])
         assert abs(est.value - exact) < 4 * est.std_error
         assert est.std_error < 0.2 * exact
 

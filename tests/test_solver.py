@@ -51,7 +51,7 @@ from mmse_bounds import (
     weighted_mmse_sum,
 )
 from mmse_bounds import _kernels, separable, solver
-from conftest import TEST_SEED, corpus_spd, isotropic_ball, random_spd
+from conftest import TEST_SEED, corpus_spd, isotropic_ball, one_channel, random_spd
 from oracles import isotropic_bounds, multistart_lower, reduced_lower, scalar_ratio
 
 # Frozen regression values for the bundled four-channel ensemble with
@@ -297,7 +297,7 @@ class TestPostconditions:
                 ends.append(solve_bound(direction, ChannelEnsemble.from_arrays(
                     ensemble.noise_stack, weights), ball).bound_value)
             slope = (ends[0] - ends[1]) / (2e-4 * ensemble.weights[j])
-            mmse = np.trace(mmse_matrix(res.sigma_x, noise))
+            mmse = np.trace(mmse_matrix(res.sigma_x, one_channel(noise))[0])
             assert slope == pytest.approx(mmse, rel=ENVELOPE_RTOL)
 
     def test_deterministic(self, demo_ensemble):
@@ -737,6 +737,28 @@ class TestDirectKernels:
         assert _kernels.cholesky(sigma) is not None
         got = solver._value(solver._Ctx(prob), sigma)
         assert got == weighted_mmse_sum(sigma, prob).weighted_sum
+
+    def test_value_is_the_closed_form_over_many_draws(self):
+        # bitwise at a symmetric Sigma, as every certified value is (`_certify`
+        # symmetrizes first); at a Sigma skewed in one entry, as a corrector
+        # iterate that only ranks candidates may be, equal up to rounding:
+        # the solver symmetrizes each A_j = Sigma + Sigma_N_j, the closed
+        # form Sigma before the sum, and these round apart
+        rng = np.random.default_rng([TEST_SEED, 29])
+        skewed = 0
+        for _ in range(500):
+            k, j = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            noise = [corpus_spd(rng, k, *rng.uniform([-1, 0], [2, 4])) for _ in range(j)]
+            ens = ChannelEnsemble.from_arrays(noise, 10.0 ** rng.uniform(-1, 1, j))
+            prob = validate_problem(ens, isotropic_ball(k, 1.0, 0.1))
+            ctx, sigma = solver._Ctx(prob), corpus_spd(rng, k, *rng.uniform([-1, 0], [2, 4]))
+            assert solver._value(ctx, sigma) == weighted_mmse_sum(sigma, prob).weighted_sum
+            if k > 1:
+                sigma[0, 1] += 1e-13 * abs(sigma[0, 1])
+                want = weighted_mmse_sum(sigma, prob).weighted_sum
+                assert solver._value(ctx, sigma) == pytest.approx(want, rel=1e-11, abs=0.0)
+                skewed += 1
+        assert skewed > 300
 
     def test_packing_constants_are_read_only(self):
         ctx, _ = self._ctx_and_point(3, 2)

@@ -71,6 +71,12 @@ reference N(0, I), epsilon = 0.2) unless named otherwise:
   previous answer recoloured to its reference (`cli._recoloured`); CPU of
   the 25 solves.
 
+Closed-form task:
+
+* `lmmse_upper`: `lmmse_upper` at the demo reference's covariance on the
+  demo channels, as `cli` calls it for every sweep row; CPU per call,
+  2000 calls a sample. The digest covers the value.
+
 Each solver task reports its exact Jacobian count (`jacobians`: per call
 or solve, or over all of the task's solves; `paper_sweeps_pass` counts
 through a wrapped `solver._evaluate` on its untimed first run; a solve
@@ -128,6 +134,7 @@ KERNEL_N_OUTER = 256
 SOLVER_REPS = {"evaluate": 200, "correct": 40, "certify": 200, "demo_lower": 10,
                "demo_upper": 10, "local_lower": 20, "local_upper": 20, "corpus_k1": 20,
                "corpus_k4": 10}
+LMMSE_REPS = 2000
 SWEEP_BALL_GRID = "0.1:40:25"
 LOCAL_CHANNEL = 1
 CORPUS_SEED = 301
@@ -440,6 +447,15 @@ class Worker:
                  "answers_sha256": _digest(*(self.np.append(r.sigma_x, [r.bound_value, r.alpha])
                                              for r in results))})
 
+    def lmmse_upper(self):
+        cov, ensemble = self.demo.reference.covariance, self.demo.ensemble
+        t0 = time.process_time()
+        for _ in range(LMMSE_REPS):
+            value = self.mb.lmmse_upper(cov, ensemble)
+        cpu = time.process_time() - t0
+        return ({"lmmse_upper_cpu_us_per_call": 1e6 * cpu / LMMSE_REPS},
+                {"answers_sha256": _digest(self.np.array([value]))})
+
     def run(self, task):
         if task == "mc_verify_pass":
             return self.mc_verify_pass()
@@ -452,7 +468,7 @@ class Worker:
                                LOCAL_CHANNEL, self.local_ball)
         if task in CORPUS_CELLS:
             return self.corpus_solves(task)
-        if task in SOLVER_TASKS:
+        if task in (*SOLVER_TASKS, "lmmse_upper"):
             return getattr(self, task)()
         return self.kernel(task)
 
@@ -498,7 +514,7 @@ def _quartiles(values):
 
 
 def compare(parent_dir, change_dir, rounds):
-    tasks = ["mc_verify_pass", *KERNELS, *SOLVER_TASKS]
+    tasks = ["mc_verify_pass", *KERNELS, *SOLVER_TASKS, "lmmse_upper"]
     samples = {}  # metric -> ([parent samples], [change samples])
     counts = {}  # task -> [parent counts, change counts]
     errors = {}  # task -> {side: message}
