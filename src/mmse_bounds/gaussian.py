@@ -7,18 +7,25 @@ here too.
 
 Estimator gain matrices, MMSE matrices and traces, the additive-form
 residual of the bounds' optimality condition, same-mean Gaussian KL
-divergence, and the exact MSE of a fixed affine estimator under an
-arbitrary Gaussian prior. These closed forms are the checks of the
+divergence, and the exact weighted MSE of fixed affine estimators under
+an arbitrary prior covariance. These closed forms are the checks of the
 solver's answers, so they share no code with `solver.py`. One check,
-`_check_spd`, decides what a covariance is, and every covariance passes
-it once, where it enters: every input covariance, the Sigma_X of every
-MMSE closed form (in `weight_matrix`), both arguments of the KL
-divergence and both covariances of `linear_estimator_mse`. A non-finite,
-singular or indefinite matrix raises NotPositiveDefinite, and one not
-symmetric to SYMMETRY_RTOL NonSymmetric, naming it. The MMSE closed forms
-read their channels from a ChannelEnsemble or Problem, whose noise
-covariances were checked when it was built, so a sum Sigma_X + Sigma_N_j
-of two checked covariances is solved as it is. KL is in nats.
+`_check_spd`, decides what a (K, K) covariance is, and every covariance
+passes it once, where it enters:
+
+- a reference covariance and a Gaussian prior's, in `_checked`;
+- every noise covariance, when its `ChannelEnsemble` is built;
+- each covariance argument of a closed form (Sigma_X, the reference's
+  Sigma_0 in `opt_covariance_residual`, both arguments of the KL
+  divergence, `linear_estimator_mse`'s `prior_cov`), in `_read`, the one
+  entry of a closed form's input, which also tests its shape.
+
+A non-finite, singular or indefinite matrix raises NotPositiveDefinite,
+and one not symmetric to SYMMETRY_RTOL NonSymmetric, naming it. A closed
+form computes only with the symmetrized matrix `_read` returns, never
+with its argument as given. The MMSE closed forms read their channels
+from a ChannelEnsemble or Problem, so a sum Sigma_X + Sigma_N_j of two
+checked covariances is solved as it is. KL is in nats.
 """
 
 from __future__ import annotations
@@ -42,29 +49,39 @@ def _as_matrix(a, name, channel=None):
 
 
 def _check_spd(m, name, channel=None):
-    """The module's one check that `m` is a covariance: a (K, K) matrix or a
-    (J, K, K) stack, finite (NotPositiveDefinite), symmetric within
+    """The module's one check that `m`, a float (K, K) matrix, is a
+    covariance: finite (NotPositiveDefinite), symmetric within
     SYMMETRY_RTOL in relative Frobenius norm (NonSymmetric) and positive
     definite by Cholesky (NotPositiveDefinite), each error naming `name`.
-    A stack is symmetric when its antisymmetric part is within
-    SYMMETRY_RTOL of the whole stack. Returns the symmetrized `m` and its
-    Cholesky factor (one per matrix of a stack). The norms are taken of
-    `m` scaled to a peak of 1, and each half before the sum, so that
-    entries near the double maximum cannot overflow; halving is exact, so
-    this is 0.5 (m + m^T) bit for bit unless an entry is subnormal. It is
-    called where a covariance enters, on the matrix as given, never on one
-    computed from checked covariances, such as their sum."""
+    Returns the symmetrized `m` and its Cholesky factor. The norms are
+    taken of `m` scaled to a peak of 1, and each half before the sum, so
+    that entries near the double maximum cannot overflow; halving is exact,
+    so this is 0.5 (m + m^T) bit for bit unless an entry is subnormal. It
+    is called where a covariance enters, on the matrix as given, never on
+    one computed from checked covariances, such as their sum."""
     if not np.isfinite(m).all():
         raise NotPositiveDefinite(f"{name} has non-finite entries", channel=channel)
     peak = np.abs(m).max()
     unit = m / peak if peak > 0 else m
-    if np.linalg.norm(unit - unit.swapaxes(-1, -2)) > SYMMETRY_RTOL * np.linalg.norm(unit):
+    if np.linalg.norm(unit - unit.T) > SYMMETRY_RTOL * np.linalg.norm(unit):
         raise NonSymmetric(f"{name} is not symmetric within tolerance", channel=channel)
-    m = 0.5 * m + 0.5 * m.swapaxes(-1, -2)
+    m = 0.5 * m + 0.5 * m.T
     try:
         return m, np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{name} is not positive definite", channel=channel)
+
+
+def _read(a, name, k=None):
+    """The one entry of a closed form's covariance argument `a`: a float
+    nonempty square matrix, k x k when `k` is given (DimensionMismatch
+    otherwise), that passes `_check_spd`, each error naming `name`. Returns
+    its symmetrization and Cholesky factor; the closed form computes with
+    these alone, never with `a` as given."""
+    m = _as_matrix(a, name)
+    if k is not None and m.shape[0] != k:
+        raise DimensionMismatch(f"{name} is {m.shape[0]}x{m.shape[0]}, expected {k}x{k}")
+    return _check_spd(m, name)
 
 
 @dataclass(frozen=True)
@@ -101,12 +118,6 @@ def _checked(g: Gaussian, name: str):
     return mean, sym, chol
 
 
-def _check_same_shape(a, b, name_a, name_b):
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(
-            f"{name_a} {a.shape} and {name_b} {b.shape} must be equal square shapes")
-
-
 def _gain_transpose(sigma_x, noise):
     """W^T = (Sigma_X + Sigma_N)^-1 Sigma_N for a (J, K, K) noise stack,
     one W_j^T per channel. Both terms are covariances checked where they
@@ -116,20 +127,27 @@ def _gain_transpose(sigma_x, noise):
     return np.linalg.solve(0.5 * sigma_x + 0.5 * noise, 0.5 * noise)
 
 
+def _mmse(sigma_x, gain_t):
+    """The MMSE matrices Sigma_X W_j^T of a checked Sigma_X, given its gains
+    W^T (`_gain_transpose`), one per channel, symmetrized from halves."""
+    m = sigma_x @ gain_t
+    return 0.5 * m + 0.5 * m.swapaxes(-1, -2)
+
+
 def weight_matrix(sigma_x, ensemble):
     """Gain matrices W_j = Sigma_N_j (Sigma_X + Sigma_N_j)^-1, one per channel.
 
     The conditional-mean estimator of channel j for a Gaussian prior is
     f(y) = (I - W_j) y + W_j mu_0; at the extremal Sigma_X of the upper
-    bound, `weight_matrix(upper.sigma_x, ensemble)[j]` is channel j's
-    minimax-robust gain.
+    bound, `weight_matrix(upper.sigma_x, ensemble)` are the minimax-robust
+    gains, whose weighted MSE `linear_estimator_mse` gives.
 
-    The one entry through which the MMSE closed forms take Sigma_X, which
-    passes `_check_spd` as every input covariance does and is read
-    symmetrized: a non-finite, singular or indefinite Sigma_X raises
-    NotPositiveDefinite, and one not symmetric to SYMMETRY_RTOL
-    NonSymmetric, each naming `sigma_x`. The noise covariances were checked
-    when the ensemble was built.
+    Sigma_X is read through `_read`, as every MMSE closed form reads it:
+    a Sigma_X not K x K raises DimensionMismatch, a non-finite, singular
+    or indefinite one NotPositiveDefinite, and one not symmetric to
+    SYMMETRY_RTOL NonSymmetric, each naming `sigma_x`; the gains are those
+    of its symmetrization. The noise covariances were checked when the
+    ensemble was built.
 
     Parameters
     ----------
@@ -141,9 +159,7 @@ def weight_matrix(sigma_x, ensemble):
     -------
     (J, K, K) ndarray: the J gains W_j
     """
-    sigma_x = np.asarray(sigma_x, dtype=float)
-    _check_same_shape(sigma_x, ensemble.noise_stack[0], "sigma_x", "sigma_n")
-    sigma_x = _check_spd(sigma_x, "sigma_x")[0]
+    sigma_x = _read(sigma_x, "sigma_x", ensemble.dimension)[0]
     return _gain_transpose(sigma_x, ensemble.noise_stack).swapaxes(-1, -2)
 
 
@@ -153,12 +169,11 @@ def mmse_matrix(sigma_x, ensemble):
 
     Each equals Sigma_X W_j^T and, algebraically, (Sigma_X^-1 +
     Sigma_N_j^-1)^-1; symmetric positive definite for SPD inputs, and
-    returned symmetrized, from halves. Sigma_X is checked, and named, as
-    `weight_matrix` checks it.
+    returned symmetrized, from halves. Sigma_X is read, checked and named
+    as `weight_matrix` reads it, and only its symmetrization enters.
     """
-    sigma_x = np.asarray(sigma_x, dtype=float)
-    m = sigma_x @ weight_matrix(sigma_x, ensemble).swapaxes(-1, -2)
-    return 0.5 * m + 0.5 * m.swapaxes(-1, -2)
+    sigma_x = _read(sigma_x, "sigma_x", ensemble.dimension)[0]
+    return _mmse(sigma_x, _gain_transpose(sigma_x, ensemble.noise_stack))
 
 
 @dataclass(frozen=True)
@@ -193,14 +208,18 @@ def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
     at the given point; equivalent to the inverse form Sigma_X = (Sigma_0^-1 -
     alpha S(Sigma_X))^-1 that `solve_bound` certifies, but computed without
     the solver's code, so this is an independent verification of a solution
-    (`ensemble`: a ChannelEnsemble or Problem)."""
-    sigma_x = np.asarray(sigma_x, dtype=float)
-    sigma0 = np.asarray(reference.covariance, dtype=float)
-    m = mmse_matrix(sigma_x, ensemble)
+    (`ensemble`: a ChannelEnsemble or Problem). Sigma_X and the reference's
+    covariance, named `sigma_x` and `sigma_0`, are each read through `_read`
+    as `weight_matrix` reads Sigma_X, and only their symmetrizations enter.
+    """
+    k = ensemble.dimension
+    sigma_x = _read(sigma_x, "sigma_x", k)[0]
+    sigma_0 = _read(reference.covariance, "sigma_0", k)[0]
+    m = _mmse(sigma_x, _gain_transpose(sigma_x, ensemble.noise_stack))
     acc = np.sum(ensemble.weights[:, None, None] * (m.swapaxes(1, 2) @ m), axis=0)
     # SNR_0^-1 = Sigma_X^-1 Sigma_0
-    inv_snr = np.linalg.solve(sigma_x, sigma0)
-    rhs = sigma0 + alpha * acc @ inv_snr
+    inv_snr = np.linalg.solve(sigma_x, sigma_0)
+    rhs = sigma_0 + alpha * acc @ inv_snr
     return float(np.linalg.norm(sigma_x - rhs) / np.linalg.norm(sigma_x))
 
 
@@ -208,17 +227,14 @@ def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:
     """KL divergence (nats) between same-mean Gaussians N(m, Sigma_X), N(m, Sigma_0).
 
     Equals (tr(SNR_0) - K - log det(SNR_0)) / 2 with SNR_0 = Sigma_0^-1 Sigma_X,
-    formed from the Cholesky factors of the two arguments, each checked as
-    every input covariance is (`_check_spd`) and read symmetrized: a
-    non-finite or indefinite argument raises NotPositiveDefinite, and one
-    not symmetric to SYMMETRY_RTOL raises NonSymmetric, each naming the
-    argument. Nonnegative; zero iff the covariances coincide.
+    formed from the Cholesky factors of the two arguments, each read through
+    `_read` (Sigma_0 of Sigma_X's shape): a non-finite or indefinite
+    argument raises NotPositiveDefinite, and one not symmetric to
+    SYMMETRY_RTOL raises NonSymmetric, each naming the argument.
+    Nonnegative; zero iff the covariances coincide.
     """
-    sigma_x = np.asarray(sigma_x, dtype=float)
-    sigma_0 = np.asarray(sigma_0, dtype=float)
-    _check_same_shape(sigma_x, sigma_0, "sigma_x", "sigma_0")
-    sigma_x, chol_x = _check_spd(sigma_x, "sigma_x")
-    chol = _check_spd(sigma_0, "sigma_0")[1]
+    sigma_x, chol_x = _read(sigma_x, "sigma_x")
+    chol = _read(sigma_0, "sigma_0", len(sigma_x))[1]
     k = sigma_x.shape[0]
     ci = np.linalg.inv(chol)
     logdet_0 = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -228,23 +244,28 @@ def kl_same_mean_gaussians(sigma_x, sigma_0) -> float:
     return max(value, 0.0)
 
 
-def linear_estimator_mse(w, prior_cov, sigma_n) -> float:
-    """Exact MSE of the fixed affine estimator (I - W) y + W mu_0.
+def linear_estimator_mse(gains, prior_cov, ensemble) -> float:
+    """Exact weighted MSE sum_j lambda_j MSE_j of the fixed affine
+    estimators (I - W_j) y_j + W_j mu_0, one per channel of a
+    ChannelEnsemble or Problem.
 
-    Valid for any prior with mean mu_0 and covariance `prior_cov` under
-    noise N(0, Sigma_N): the error is -W (X - mu_0) + (I - W) N, so the MSE
-    is tr(W Sigma W^T) + tr((I - W) Sigma_N (I - W)^T) regardless of the
-    prior's shape beyond its first two moments. Both covariances pass
-    `_check_spd`, named `prior_cov` and `sigma_n`, and are read symmetrized.
+    Valid for any prior with mean mu_0 and covariance `prior_cov`: channel
+    j's error is -W_j (X - mu_0) + (I - W_j) N_j, so MSE_j is
+    tr(W_j Sigma W_j^T) + tr((I - W_j) Sigma_N_j (I - W_j)^T) regardless of
+    the prior's shape beyond its first two moments. With the upper bound's
+    gains, `linear_estimator_mse(weight_matrix(upper.sigma_x, ensemble),
+    sigma, ensemble) <= upper.bound_value` for every Gaussian prior
+    covariance `sigma` in the ball: the estimators are minimax robust.
+
+    `gains` is a (J, K, K) array, one W_j per channel (DimensionMismatch
+    otherwise). `prior_cov` is read through `_read` as `weight_matrix`
+    reads Sigma_X, named `prior_cov`, and only its symmetrization enters;
+    the noise covariances were checked when the ensemble was built.
     """
-    w = np.asarray(w, dtype=float)
-    prior_cov = np.asarray(prior_cov, dtype=float)
-    sigma_n = np.asarray(sigma_n, dtype=float)
-    _check_same_shape(prior_cov, sigma_n, "prior_cov", "sigma_n")
-    prior_cov = _check_spd(prior_cov, "prior_cov")[0]
-    sigma_n = _check_spd(sigma_n, "sigma_n")[0]
-    if w.shape != prior_cov.shape:
-        raise DimensionMismatch(f"gain shape {w.shape} != covariance shape "
-                                f"{prior_cov.shape}")
-    iw = np.eye(w.shape[0]) - w
-    return float(np.sum((w @ prior_cov) * w) + np.sum((iw @ sigma_n) * iw))
+    prior_cov = _read(prior_cov, "prior_cov", ensemble.dimension)[0]
+    w, noise = np.asarray(gains, dtype=float), ensemble.noise_stack
+    if w.shape != noise.shape:
+        raise DimensionMismatch(f"gains have shape {w.shape}, the channels {noise.shape}")
+    iw = np.eye(noise.shape[1]) - w
+    mse = np.sum((w @ prior_cov) * w, axis=(1, 2)) + np.sum((iw @ noise) * iw, axis=(1, 2))
+    return float(ensemble.weights @ mse)

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateWeights, DimensionMismatch, NoiseLost
-from .gaussian import _gain_transpose
+from .gaussian import _gain_transpose, _mmse
 from .priors import PriorSpec, _quadratic_log_density, _sample_with, prior_moments
 
 # outer draws per block. The draws of a block share one pool of inner
@@ -173,10 +173,11 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, rotation_seed, n_inner)
     (n_outer, 2, J, K) and (n_outer, 2, J) arrays computed before any
     block, so no coefficient depends on the block its draw falls in. That
     set-up runs on the (J, K, K) stacks at once, with one Sigma_X + Sigma_N
-    solve per channel giving both W^T and the MMSE matrix C_post (the
-    unchecked solve of `weight_matrix`: the moment covariance and the noise
-    covariances were checked where they entered); each stacked product
-    makes the same per-channel calls a loop would.
+    solve per channel giving W^T (`gaussian._gain_transpose`, the unchecked
+    solve of `weight_matrix`: the moment covariance and the noise
+    covariances were checked where they entered) and, from it, the MMSE
+    matrix C_post by `mmse_matrix`'s own formula (`gaussian._mmse`); each
+    stacked product makes the same per-channel calls a loop would.
 
     The outer draws are taken _CHUNK at a time, and the draws of a block
     share one pool of n_plus = ceil(n_inner/2) inner normals z, each draw
@@ -244,8 +245,7 @@ def _mmse_channels(spec, noise_stack, x, ys, inner_seed, rotation_seed, n_inner)
     odd = n_inner % 2 == 1
 
     gain_t = _gain_transpose(c, noise_stack)
-    c_post = c @ gain_t  # the MMSE matrices, as `mmse_matrix` forms them
-    chol_posts = np.linalg.cholesky(0.5 * (c_post + c_post.swapaxes(1, 2)))
+    chol_posts = np.linalg.cholesky(_mmse(c, gain_t))
     inv_chol_n = np.linalg.inv(np.linalg.cholesky(noise_stack))
     y = np.stack(list(ys))
     m_posts = m + (y - m) @ (np.eye(k) - gain_t)  # m + (I - W)(y - m)

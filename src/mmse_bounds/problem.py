@@ -36,17 +36,18 @@ GaussianReference = Gaussian  # the reference's former class name, still read by
 class ChannelEnsemble:
     """The J >= 1 channels (Sigma_N_j, lambda_j) sharing input dimension K,
     checked where they are built: one read-only (J, K, K) float stack of
-    symmetrized noise covariances and read-only (J,) weights. A matrix that
+    symmetrized noise covariances, `noise_stack`, which every reader of
+    channel data reads, and read-only (J,) `weights`. A matrix that
     is not square or of channel 0's shape (DimensionMismatch), asymmetric
     (NonSymmetric) or not finite positive definite (NotPositiveDefinite), or
     a weight that is not finite and positive (NonPositiveWeight), names its
     channel."""
 
-    noise_covariances: np.ndarray
+    noise_stack: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        covs, weights = self.noise_covariances, np.array(self.weights, dtype=float)
+        covs, weights = self.noise_stack, np.array(self.weights, dtype=float)
         if len(covs) != len(weights):
             raise DimensionMismatch(f"{len(covs)} noise covariances for {len(weights)} weights")
         if not len(weights):
@@ -64,7 +65,7 @@ class ChannelEnsemble:
                 raise NonPositiveWeight(f"channel {j} weight {w} is not a finite "
                                         f"positive number", channel=j)
         stack.flags.writeable = weights.flags.writeable = False
-        object.__setattr__(self, "noise_covariances", stack)
+        object.__setattr__(self, "noise_stack", stack)
         object.__setattr__(self, "weights", weights)
 
     @classmethod
@@ -75,7 +76,7 @@ class ChannelEnsemble:
         if not isinstance(other, ChannelEnsemble):
             return NotImplemented
         return (np.array_equal(self.weights, other.weights)
-                and np.array_equal(self.noise_covariances, other.noise_covariances))
+                and np.array_equal(self.noise_stack, other.noise_stack))
 
     @property
     def count(self) -> int:
@@ -83,12 +84,7 @@ class ChannelEnsemble:
 
     @property
     def dimension(self) -> int:
-        return self.noise_covariances.shape[1]
-
-    @property
-    def noise_stack(self) -> np.ndarray:
-        """All noise covariances as one read-only (J, K, K) array."""
-        return self.noise_covariances
+        return self.noise_stack.shape[1]
 
     def single(self, j: int) -> "ChannelEnsemble":
         """The one-channel ensemble {(Sigma_N_j, 1)} used by local bounds: a
@@ -98,8 +94,8 @@ class ChannelEnsemble:
         one = object.__new__(ChannelEnsemble)
         weights = np.ones(1)
         weights.flags.writeable = False
-        stack = self.noise_covariances[operator.index(j)][None]
-        object.__setattr__(one, "noise_covariances", stack)
+        stack = self.noise_stack[operator.index(j)][None]
+        object.__setattr__(one, "noise_stack", stack)
         object.__setattr__(one, "weights", weights)
         return one
 
@@ -291,7 +287,7 @@ def save_config(path, ensemble: ChannelEnsemble, ball: DivergenceBall) -> None:
         "sigma0": np.asarray(ball.reference.covariance, dtype=float).tolist(),
         "channels": [
             {"lambda": float(w), "sigma_n": sn.tolist()}
-            for sn, w in zip(ensemble.noise_covariances, ensemble.weights)
+            for sn, w in zip(ensemble.noise_stack, ensemble.weights)
         ],
         "epsilon": float(ball.epsilon),
     }

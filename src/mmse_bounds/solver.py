@@ -202,7 +202,8 @@ def _value(ctx, sigma):
     symmetric Sigma, which covers every certified value (`_certify`
     symmetrizes first), the value is bitwise `gaussian.weighted_mmse_sum`'s.
     At an unsymmetrized iterate, whose value only ranks candidates, the two
-    agree to rounding: that function symmetrizes Sigma before the sum.
+    differ by a term of first order in the skew, not by rounding alone:
+    that function reads only Sigma's symmetrization, this one Sigma as it is.
     Sigma is positive definite (the reference, a corrected iterate or a
     majorize-minimize step), so LAPACK cannot fail on the A_j; a step that
     overflowed gives NaN."""

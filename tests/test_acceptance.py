@@ -280,9 +280,7 @@ def test_a6_robust_estimator_guarantee(capsys, demo_ensemble):
     for _ in range(100):
         sigma = _random_feasible_covariance(rng, sigma0, eps)
         assert kl_same_mean_gaussians(sigma, sigma0) <= eps + 1e-10
-        mse = sum(w * linear_estimator_mse(g, sigma, sn)
-                  for w, g, sn in zip(demo_ensemble.weights, gains,
-                                      demo_ensemble.noise_stack))
+        mse = linear_estimator_mse(gains, sigma, demo_ensemble)
         worst_excess = max(worst_excess, mse - up.bound_value)
     elapsed = time.perf_counter() - t0
     ok = worst_excess <= 1e-8 and elapsed < 5.0

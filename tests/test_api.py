@@ -184,12 +184,22 @@ def test_one_covariance_check():
 
 def test_covariances_are_checked_where_they_enter():
     # in gaussian.py `_check_spd` reads a covariance as it was given, never a
-    # matrix computed from checked ones such as `sigma_x + sigma_n`
+    # matrix computed from checked ones such as `sigma_x + sigma_n`, and only
+    # through the entries of a Gaussian (`_checked`) and of a closed form's
+    # argument (`_read`); channel data was checked when its ensemble was built
     path = Path(mmse_bounds.__file__).parent / "gaussian.py"
-    calls = [n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(n, ast.Call) and ast.unparse(n.func) == "_check_spd"]
-    assert len(calls) >= 5
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and ast.unparse(n.func) == "_check_spd":
+                    callers.setdefault(fn.name, []).append(n)
+    assert sorted(callers) == ["_checked", "_read"]
+    calls = [c for found in callers.values() for c in found]
     assert [ast.unparse(c.args[0]) for c in calls if not isinstance(c.args[0], ast.Name)] == []
+    assert [ast.unparse(c) for c in calls if "sigma_n" in ast.unparse(c)
+            or "noise" in ast.unparse(c)] == []
 
 
 def test_cli_main_is_reachable():

@@ -223,11 +223,11 @@ class TestEnsemble:
         sn = [[2, 1], [1, 2]]  # integers
         for ens in (ChannelEnsemble.from_arrays([sn, np.eye(2)], [1, 2]),
                     ChannelEnsemble((np.array(sn), np.eye(2)), np.array([1, 2]))):
-            for data, shape in ((ens.noise_covariances, (2, 2, 2)), (ens.weights, (2,))):
+            for data, shape in ((ens.noise_stack, (2, 2, 2)), (ens.weights, (2,))):
                 assert data.dtype == float and data.shape == shape
                 with pytest.raises(ValueError, match="read-only"):
                     data[0] = 1.0
-            assert ens.noise_stack is ens.noise_covariances
+            assert not hasattr(ens, "noise_covariances")
 
     def test_raw_empty_ensemble_has_no_dimension(self):
         with pytest.raises(DimensionMismatch, match="ensemble has no channels"):

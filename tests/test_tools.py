@@ -1,12 +1,14 @@
 """The gate scripts under tools/ run on this tree.
 
-Each change is compared with its parent through `tools/corpus_gate.py` and
-`tools/code_lines.py`; these tests run both in a subprocess, as they are run
-from the command line, so a change to what they import (`solve_bound`'s
-signature, `BoundResult`'s fields, the corpus) breaks them here first.
-`tools/cli_gate.py` takes several seconds and is left out.
+Each change is compared with its parent through `tools/corpus_gate.py`,
+`tools/code_lines.py` and `tools/ab.py`; these tests run each in a
+subprocess, as they are run from the command line, so a change to what
+they import (`solve_bound`'s signature, `BoundResult`'s fields, the corpus)
+breaks them here first. `tools/cli_gate.py` takes several seconds and is
+left out, and `tools/ab.py` runs one short task.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +38,11 @@ def test_code_lines_total():
     assert label == "total"
     assert modules and all(path.endswith(".py") for _, path in modules)
     assert int(total) == sum(int(n) for n, _ in modules)
+
+
+def test_ab_runs_the_tasks_it_is_named():
+    out = json.loads("\n".join(_run("tools/ab.py", ".", ".", "lmmse_upper", "--rounds", "2")))
+    (row,) = out["rows"]
+    assert row["name"] == "lmmse_upper_cpu_us_per_call" and row["samples"] == 2
+    assert out["same_counts_and_answers"] == {"lmmse_upper": True}
+    assert out["errors"] == {}

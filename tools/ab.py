@@ -1,9 +1,12 @@
 """Paired CPU comparison of two trees of this repository, task by task.
 
-    python tools/ab.py PARENT_DIR CHANGE_DIR [--rounds 15] > rows.json
+    python tools/ab.py PARENT_DIR CHANGE_DIR [TASK ...] [--rounds 15] > rows.json
+
+With no TASK names it runs every task below and the `draw_counts`
+counts; with names, only those tasks (`lmmse_upper`, say).
 
 Starts one persistent worker process per tree. Each worker imports the
-`mmse_bounds` package from its own tree's `src/` and runs every task once
+`mmse_bounds` package from its own tree's `src/` and runs each task once
 untimed before any sample is kept. Then, for each round, the driver asks
 each worker in turn for one sample of each task; which side goes first
 alternates by round, so a drift in the machine's speed falls on both
@@ -149,6 +152,7 @@ KERNELS = {  # name -> (prior family, K, J, n_inner)
     "kernel_ball_K3_J4": ("uniform-ball", 3, 4, 2000),
     "kernel_K3_J4_odd": ("gen-gauss", 3, 4, 2001),
 }
+TASKS = ("mc_verify_pass", *KERNELS, *SOLVER_TASKS, "lmmse_upper")
 
 
 def _digest(*parts):
@@ -513,8 +517,11 @@ def _quartiles(values):
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def compare(parent_dir, change_dir, rounds):
-    tasks = ["mc_verify_pass", *KERNELS, *SOLVER_TASKS, "lmmse_upper"]
+def compare(parent_dir, change_dir, rounds, tasks=()):
+    """The rows of `tasks`, or of every task and the draw counts if none."""
+    tasks = list(dict.fromkeys(tasks))
+    warm_up = tasks or ["draw_counts", *TASKS]
+    tasks = tasks or list(TASKS)
     samples = {}  # metric -> ([parent samples], [change samples])
     counts = {}  # task -> [parent counts, change counts]
     errors = {}  # task -> {side: message}
@@ -525,7 +532,7 @@ def compare(parent_dir, change_dir, rounds):
         Path(config_path).write_text(json.dumps(workloads.demo_config(), indent=2) + "\n")
         sides = [Side(parent_dir, config_path), Side(change_dir, config_path)]
         try:
-            for task in ["draw_counts", *tasks]:  # warm-up, untimed
+            for task in warm_up:  # untimed
                 for i, side in enumerate(sides):
                     reply = side.ask(task)
                     if "error" in reply:
@@ -566,14 +573,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_dir")
     parser.add_argument("change_dir")
+    parser.add_argument("tasks", nargs="*", metavar="TASK",
+                        help="tasks to run (default: every task and the draw counts)")
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args(argv)
+    unknown = [t for t in args.tasks if t not in TASKS]
+    if unknown:
+        parser.error(f"unknown task(s) {', '.join(unknown)}; valid: {', '.join(TASKS)}")
     for tree in (args.parent_dir, args.change_dir):
         if not (Path(tree) / "src" / "mmse_bounds").is_dir():
             parser.error(f"{tree} has no src/mmse_bounds")
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
-    print(json.dumps(compare(args.parent_dir, args.change_dir, args.rounds), indent=1))
+    print(json.dumps(compare(args.parent_dir, args.change_dir, args.rounds, args.tasks),
+                     indent=1))
     return 0
 
 
