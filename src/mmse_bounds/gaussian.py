@@ -9,23 +9,24 @@ Estimator gain matrices, MMSE matrices and traces, the additive-form
 residual of the bounds' optimality condition, same-mean Gaussian KL
 divergence, and the exact weighted MSE of fixed affine estimators under
 an arbitrary prior covariance. These closed forms are the checks of the
-solver's answers, so they share no code with `solver.py`. One check,
-`_check_spd`, decides what a (K, K) covariance is, and every covariance
-passes it once, where it enters:
+solver's answers, so they share no code with `solver.py`. One reader,
+`_read`, decides what a (K, K) covariance is, and every covariance passes
+it once, where it enters. It has three kinds of caller:
 
-- a reference covariance and a Gaussian prior's, in `_checked`;
-- every noise covariance, when its `ChannelEnsemble` is built;
-- each covariance argument of a closed form (Sigma_X, the reference's
-  Sigma_0 in `opt_covariance_residual`, both arguments of the KL
-  divergence, `linear_estimator_mse`'s `prior_cov`), in `_read`, the one
-  entry of a closed form's input, which also tests its shape.
+- `ChannelEnsemble`, for each noise covariance, naming its channel;
+- `_checked`, for a reference's covariance and a Gaussian prior's;
+- each public closed form, for each covariance argument (Sigma_X, the
+  reference's Sigma_0 in `opt_covariance_residual`, both arguments of the
+  KL divergence, `linear_estimator_mse`'s `prior_cov`), of the channels'
+  K, or of Sigma_X's in the KL divergence.
 
-A non-finite, singular or indefinite matrix raises NotPositiveDefinite,
-and one not symmetric to SYMMETRY_RTOL NonSymmetric, naming it. A closed
-form computes only with the symmetrized matrix `_read` returns, never
-with its argument as given. The MMSE closed forms read their channels
-from a ChannelEnsemble or Problem, so a sum Sigma_X + Sigma_N_j of two
-checked covariances is solved as it is. KL is in nats.
+A matrix that is not square or of the expected K raises
+DimensionMismatch, a non-finite, singular or indefinite one
+NotPositiveDefinite, and one not symmetric to SYMMETRY_RTOL NonSymmetric,
+each naming it. A caller computes only with the symmetrized matrix `_read`
+returns, never with its argument as given. The MMSE closed forms read
+their channels from a ChannelEnsemble or Problem, so a sum Sigma_X +
+Sigma_N_j of two checked covariances is solved as it is. KL is in nats.
 """
 
 from __future__ import annotations
@@ -40,25 +41,26 @@ from .exceptions import (DimensionMismatch, NonSymmetric, NotPositiveDefinite,
 SYMMETRY_RTOL = 1e-12
 
 
-def _as_matrix(a, name, channel=None):
+def _read(a, name, k=None, channel=None):
+    """The package's one reader of a covariance `a`: a float nonempty
+    square matrix, k x k when `k` is given (DimensionMismatch), finite
+    (NotPositiveDefinite), symmetric within SYMMETRY_RTOL in relative
+    Frobenius norm (NonSymmetric) and positive definite by Cholesky
+    (NotPositiveDefinite), each error naming `name` and carrying `channel`.
+    Returns the symmetrized matrix and its Cholesky factor; the caller
+    computes with these alone, never with `a` as given. The norms are
+    taken of the matrix scaled to a peak of 1, and each half before the
+    sum, so that entries near the double maximum cannot overflow; halving
+    is exact, so this is 0.5 (m + m^T) bit for bit unless an entry is
+    subnormal. It reads a covariance as given, never one computed from
+    checked covariances, such as their sum."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise DimensionMismatch(f"{name} must be a nonempty square matrix, got shape "
                                 f"{m.shape}", channel=channel)
-    return m
-
-
-def _check_spd(m, name, channel=None):
-    """The module's one check that `m`, a float (K, K) matrix, is a
-    covariance: finite (NotPositiveDefinite), symmetric within
-    SYMMETRY_RTOL in relative Frobenius norm (NonSymmetric) and positive
-    definite by Cholesky (NotPositiveDefinite), each error naming `name`.
-    Returns the symmetrized `m` and its Cholesky factor. The norms are
-    taken of `m` scaled to a peak of 1, and each half before the sum, so
-    that entries near the double maximum cannot overflow; halving is exact,
-    so this is 0.5 (m + m^T) bit for bit unless an entry is subnormal. It
-    is called where a covariance enters, on the matrix as given, never on
-    one computed from checked covariances, such as their sum."""
+    if k is not None and m.shape[0] != k:
+        raise DimensionMismatch(f"{name} is {m.shape[0]}x{m.shape[0]}, expected {k}x{k}",
+                                channel=channel)
     if not np.isfinite(m).all():
         raise NotPositiveDefinite(f"{name} has non-finite entries", channel=channel)
     peak = np.abs(m).max()
@@ -70,18 +72,6 @@ def _check_spd(m, name, channel=None):
         return m, np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(f"{name} is not positive definite", channel=channel)
-
-
-def _read(a, name, k=None):
-    """The one entry of a closed form's covariance argument `a`: a float
-    nonempty square matrix, k x k when `k` is given (DimensionMismatch
-    otherwise), that passes `_check_spd`, each error naming `name`. Returns
-    its symmetrization and Cholesky factor; the closed form computes with
-    these alone, never with `a` as given."""
-    m = _as_matrix(a, name)
-    if k is not None and m.shape[0] != k:
-        raise DimensionMismatch(f"{name} is {m.shape[0]}x{m.shape[0]}, expected {k}x{k}")
-    return _check_spd(m, name)
 
 
 @dataclass(frozen=True)
@@ -101,21 +91,19 @@ class Gaussian:
 
 def _checked(g: Gaussian, name: str):
     """(mean, covariance, Cholesky factor) of `g` as float arrays: the mean
-    a read-only flattened copy, the covariance a read-only symmetrized one,
-    so no later write to the caller's arrays reaches them. DimensionMismatch
-    unless the covariance is a nonempty square matrix and the mean has its
-    size, ProblemValidationError for a non-finite mean, and the `_check_spd`
-    errors for the covariance; `name` ("reference", say) leads each message."""
-    mean = np.array(g.mean, dtype=float).reshape(-1)
-    cov = _as_matrix(g.covariance, f"{name} covariance")
-    k = cov.shape[0]
-    if mean.shape[0] != k:
-        raise DimensionMismatch(f"{name} mean has length {mean.shape[0]}, covariance is {k}x{k}")
+    a read-only copy, the covariance a read-only symmetrized one, so no
+    later write to the caller's arrays reaches them. The covariance is read
+    first, by `_read` as "{name} covariance"; then DimensionMismatch unless
+    the mean has shape (K,), and ProblemValidationError for a non-finite
+    mean; `name` ("reference", say) leads each message."""
+    cov, chol = _read(g.covariance, f"{name} covariance")
+    mean = np.array(g.mean, dtype=float)
+    if mean.shape != cov.shape[:1]:
+        raise DimensionMismatch(f"{name} mean has shape {mean.shape}, expected {cov.shape[:1]}")
     if not np.isfinite(mean).all():
         raise ProblemValidationError(f"{name} mean has non-finite entries")
-    sym, chol = _check_spd(cov, f"{name} covariance")
-    mean.flags.writeable = sym.flags.writeable = False
-    return mean, sym, chol
+    mean.flags.writeable = cov.flags.writeable = False
+    return mean, cov, chol
 
 
 def _gain_transpose(sigma_x, noise):

@@ -18,8 +18,9 @@ D_KL(P || Q) over Gaussians Q) of a zero-mean family is the moment-matched
 zero-mean Gaussian, so epsilon here is always the KL to the moment match.
 
 A `PriorSpec` checks its family and K where it is built, as a ball checks
-its reference: a Gaussian family passes that same check and is held as
-read-only copies, so no reader checks it again.
+its reference: a Gaussian family passes that same check (`gaussian._checked`,
+whose covariance `gaussian._read` reads) and is held as read-only copies,
+so no reader checks it again.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class PriorSpec:
     """A prior family instance in dimension K, checked where it is built:
     K an integer >= 1 (ValueError naming it), the family one of the three
     (TypeError), and a Gaussian family checked as a reference is
-    (`gaussian._checked`, held as its read-only copies) and of dimension K
+    (`gaussian._checked`: its covariance read by `gaussian._read`, its mean
+    of shape (K,); held as its read-only copies) and of dimension K
     (DimensionMismatch)."""
 
     family: Gaussian | GeneralizedGaussian | UniformBall

@@ -12,8 +12,9 @@ read-only (J, K, K) stack of symmetrized noise covariances with read-only
 `DivergenceBall` checks its reference, a `gaussian.Gaussian`
 (`GaussianReference` is the same class), holds it as read-only copies
 with the check's Cholesky factor, and checks its radius. A `Problem`
-checks that the ball's K is the channels'. The covariance checks are the
-ones in `gaussian.py` that a Gaussian prior passes too, and
+checks that the ball's K is the channels'. Every covariance, a channel's
+or the reference's, is read by `gaussian._read`, the one reader that a
+Gaussian prior's and every closed form's covariance pass too, and
 `validate_problem` only pairs a checked ensemble with a checked ball.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatch, NegativeRadius, NonPositiveWeight
-from .gaussian import Gaussian, _as_matrix, _check_spd, _checked
+from .gaussian import Gaussian, _checked, _read
 
 GaussianReference = Gaussian  # the reference's former class name, still read by perfbench
 
@@ -37,8 +38,10 @@ class ChannelEnsemble:
     """The J >= 1 channels (Sigma_N_j, lambda_j) sharing input dimension K,
     checked where they are built: one read-only (J, K, K) float stack of
     symmetrized noise covariances, `noise_stack`, which every reader of
-    channel data reads, and read-only (J,) `weights`. A matrix that
-    is not square or of channel 0's shape (DimensionMismatch), asymmetric
+    channel data reads, and read-only (J,) `weights`. Weights that are not
+    one 1-D array of one entry per matrix raise DimensionMismatch. Each
+    matrix is read by `gaussian._read`, at channel 0's K from channel 1 on:
+    one that is not square or of that K (DimensionMismatch), asymmetric
     (NonSymmetric) or not finite positive definite (NotPositiveDefinite), or
     a weight that is not finite and positive (NonPositiveWeight), names its
     channel."""
@@ -48,19 +51,18 @@ class ChannelEnsemble:
 
     def __post_init__(self):
         covs, weights = self.noise_stack, np.array(self.weights, dtype=float)
+        if weights.ndim != 1:
+            raise DimensionMismatch(f"weights must be one-dimensional, got shape {weights.shape}")
         if len(covs) != len(weights):
             raise DimensionMismatch(f"{len(covs)} noise covariances for {len(weights)} weights")
         if not len(weights):
             raise DimensionMismatch("ensemble has no channels")
         for j, (s, w) in enumerate(zip(covs, weights)):
-            name = f"channel {j} noise covariance"
-            sn = _as_matrix(s, name, channel=j)
-            if j == 0:
+            k = stack.shape[1] if j else None
+            sn = _read(s, f"channel {j} noise covariance", k, channel=j)[0]
+            if not j:
                 stack = np.empty((len(weights), *sn.shape))
-            elif sn.shape != stack.shape[1:]:
-                raise DimensionMismatch(f"{name} has shape {sn.shape}, channel 0 has "
-                                        f"{stack.shape[1:]}", channel=j)
-            stack[j] = _check_spd(sn, name, channel=j)[0]
+            stack[j] = sn
             if not 0.0 < w < math.inf:
                 raise NonPositiveWeight(f"channel {j} weight {w} is not a finite "
                                         f"positive number", channel=j)
@@ -70,7 +72,7 @@ class ChannelEnsemble:
 
     @classmethod
     def from_arrays(cls, noise_covariances, weights):
-        return cls(tuple(noise_covariances), [float(w) for w in weights])
+        return cls(tuple(noise_covariances), weights)
 
     def __eq__(self, other):
         if not isinstance(other, ChannelEnsemble):
@@ -104,11 +106,12 @@ class ChannelEnsemble:
 class DivergenceBall:
     """KL ball of radius epsilon (nats) centered at the reference prior,
     checked where it is built: the reference as `gaussian._checked` checks
-    it (symmetry to 1e-12 relative Frobenius, which it symmetrizes away,
-    positive definiteness, a finite mean of the covariance's size), held as
-    read-only float copies, and a finite nonnegative radius (NegativeRadius),
-    held as a float. The check's Cholesky factor of the reference covariance
-    is kept, read-only, as `reference_chol`."""
+    it (its covariance read by `gaussian._read`: square, symmetric to 1e-12
+    relative Frobenius, which it symmetrizes away, and positive definite;
+    then a finite mean of shape (K,)), held as read-only float copies, and
+    a finite nonnegative radius (NegativeRadius), held as a float. The
+    check's Cholesky factor of the reference covariance is kept, read-only,
+    as `reference_chol`."""
 
     reference: Gaussian
     epsilon: float

@@ -171,35 +171,42 @@ def _covariance_decisions(node):
 
 
 def test_one_covariance_check():
-    # gaussian.py decides what a covariance is in `_check_spd` alone: it
-    # holds the module's one Cholesky factorization and every raise of the
-    # two errors that say a matrix is not a covariance
+    # gaussian.py decides what a covariance is in `_read` alone: it holds
+    # the module's one Cholesky factorization and every raise of the two
+    # errors that say a matrix is not a covariance
     path = Path(mmse_bounds.__file__).parent / "gaussian.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
-    assert {"_check_symmetric", "_cholesky"} & set(functions) == set()
-    assert _covariance_decisions(tree) == _covariance_decisions(functions["_check_spd"]) == [
+    assert {"_as_matrix", "_check_spd", "_check_symmetric", "_cholesky"} & set(functions) == set()
+    assert _covariance_decisions(tree) == _covariance_decisions(functions["_read"]) == [
         "NonSymmetric", "NotPositiveDefinite", "NotPositiveDefinite", "cholesky"]
 
 
 def test_covariances_are_checked_where_they_enter():
-    # in gaussian.py `_check_spd` reads a covariance as it was given, never a
-    # matrix computed from checked ones such as `sigma_x + sigma_n`, and only
-    # through the entries of a Gaussian (`_checked`) and of a closed form's
-    # argument (`_read`); channel data was checked when its ensemble was built
-    path = Path(mmse_bounds.__file__).parent / "gaussian.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    callers = {}
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef):
-            for n in ast.walk(fn):
-                if isinstance(n, ast.Call) and ast.unparse(n.func) == "_check_spd":
-                    callers.setdefault(fn.name, []).append(n)
-    assert sorted(callers) == ["_checked", "_read"]
-    calls = [c for found in callers.values() for c in found]
-    assert [ast.unparse(c.args[0]) for c in calls if not isinstance(c.args[0], ast.Name)] == []
-    assert [ast.unparse(c) for c in calls if "sigma_n" in ast.unparse(c)
-            or "noise" in ast.unparse(c)] == []
+    # `_read` is called by a Gaussian's check (`_checked`), by the ensemble
+    # for each channel and by the public closed forms, and nowhere else in
+    # the package; each call reads a covariance as it was given (a name or
+    # an attribute), never a matrix computed from checked ones such as
+    # `sigma_x + sigma_n`
+    package = Path(mmse_bounds.__file__).parent
+    callers, calls = set(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for parent in ast.walk(tree):
+            for fn in ast.iter_child_nodes(parent):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                prefix = f"{parent.name}." if isinstance(parent, ast.ClassDef) else ""
+                found = [n for n in ast.walk(fn)
+                         if isinstance(n, ast.Call) and ast.unparse(n.func) == "_read"]
+                if found:
+                    callers.add(prefix + fn.name)
+                    calls += found
+    assert callers == {"_checked", "ChannelEnsemble.__post_init__", "weight_matrix",
+                       "mmse_matrix", "opt_covariance_residual", "kl_same_mean_gaussians",
+                       "linear_estimator_mse"}
+    assert [ast.unparse(c.args[0]) for c in calls
+            if not isinstance(c.args[0], (ast.Name, ast.Attribute))] == []
 
 
 def test_cli_main_is_reachable():

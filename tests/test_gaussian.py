@@ -14,6 +14,7 @@ from mmse_bounds import (
     MmseSummary,
     NonSymmetric,
     NotPositiveDefinite,
+    PriorSpec,
     kl_same_mean_gaussians,
     linear_estimator_mse,
     lmmse_upper,
@@ -237,6 +238,36 @@ class TestReferenceCheck:
             warnings.simplefilter("error")
             with pytest.raises(error, match=f"^{message}$"):
                 opt_covariance_residual(0.5, np.eye(2), one_channel(np.eye(2)), reference)
+
+
+class TestOneReader:
+    """Every covariance enters through `_read`, so a bad matrix gets the same
+    exception class at every entry, each naming what it read."""
+
+    BAD = {
+        "non-square": (np.ones((2, 3)), DimensionMismatch),
+        "nan": (np.array([[1.0, np.nan], [np.nan, 1.0]]), NotPositiveDefinite),
+        "asymmetric": (np.array([[1.0, 5.0], [0.0, 1.0]]), NonSymmetric),
+        "negative": (-np.eye(2), NotPositiveDefinite),
+        "zero": (np.zeros((2, 2)), NotPositiveDefinite),
+    }
+    ENTRIES = {
+        "channel 0 noise covariance": lambda m: ChannelEnsemble.from_arrays([m], [1.0]),
+        "reference covariance": lambda m: DivergenceBall(Gaussian(np.zeros(2), m), 0.3),
+        "Gaussian prior covariance": lambda m: PriorSpec(Gaussian(np.zeros(2), m), 2),
+        "sigma_x": lambda m: weighted_mmse_sum(m, one_channel(np.eye(2))),
+        "sigma_0": lambda m: kl_same_mean_gaussians(np.eye(2), m),
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD))
+    @pytest.mark.parametrize("name", list(ENTRIES))
+    def test_same_error_at_every_entry(self, name, bad):
+        matrix, error = self.BAD[bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^{name} "):
+                self.ENTRIES[name](matrix)
+
 
 def test_checked_covariances_near_the_double_maximum():
     # Sigma_X and every Sigma_N_j were checked where they entered, so their

@@ -1,6 +1,7 @@
 """Validation and config round trips for the problem data layer."""
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -117,6 +118,18 @@ class TestValidation:
             ball = DivergenceBall(Gaussian(np.zeros(3), np.eye(2)), 0.1)
             validate_problem(small_ensemble(), ball)
 
+    @pytest.mark.parametrize("mean, cov", [
+        (np.zeros((2, 2)), np.eye(4)), (0.0, np.eye(1)),
+    ], ids=["2x2", "scalar"])
+    def test_mean_must_have_shape_k(self, mean, cov):
+        # both were flattened and read as a length-K vector
+        for build, name in ((lambda g: DivergenceBall(g, 0.3), "reference"),
+                            (lambda g: PriorSpec(g, len(cov)), "Gaussian prior")):
+            with pytest.raises(DimensionMismatch,
+                               match=re.escape(f"{name} mean has shape {np.shape(mean)}, "
+                                               f"expected ({len(cov)},)")):
+                build(Gaussian(mean, cov))
+
     def test_nonsquare_matrix(self):
         with pytest.raises(DimensionMismatch):
             ChannelEnsemble.from_arrays([np.ones((2, 3))], [1.0])
@@ -199,7 +212,7 @@ class TestEnsemble:
     ], ids=["weighted_mmse_sum", "lmmse_upper", "cramer_rao_lower", "mc_weighted_sum"])
     def test_raw_shape_mismatch_names_the_channel(self, read):
         # a ragged ensemble is rejected where it is built, so no reader receives one
-        match = r"channel 2 noise covariance has shape \(3, 3\), channel 0 has \(2, 2\)"
+        match = "channel 2 noise covariance is 3x3, expected 2x2"
         with pytest.raises(DimensionMismatch, match=match) as exc:
             read(ChannelEnsemble.from_arrays([np.eye(2), 2.0 * np.eye(2), np.eye(3)], [1.0] * 3))
         assert exc.value.channel == 2
@@ -218,6 +231,18 @@ class TestEnsemble:
             with pytest.raises(error, match=f"channel {channel} ") as exc:
                 build(noise, weights)
             assert exc.value.channel == channel
+
+    @pytest.mark.parametrize("weights, shape", [
+        ([[1.0]], (1, 1)), ([[1.0, 2.0]], (1, 2)), (1.0, ()),
+    ], ids=["column", "row", "scalar"])
+    def test_weights_must_be_one_dimensional(self, weights, shape):
+        # built, (1, 1) weights later failed in numpy inside the readers;
+        # the others failed in the constructor with numpy's bare errors
+        for build in (ChannelEnsemble.from_arrays, ChannelEnsemble):
+            with pytest.raises(DimensionMismatch,
+                               match=re.escape(f"weights must be one-dimensional, got shape "
+                                               f"{shape}")):
+                build((np.eye(2),), weights)
 
     def test_built_ensemble_is_one_read_only_stack(self):
         sn = [[2, 1], [1, 2]]  # integers
