@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import FisherUndefined
-from .gaussian import weighted_mmse_sum
+from .gaussian import _real, weighted_mmse_sum
 
 
 def lmmse_upper(sigma_x, ensemble) -> float:
@@ -37,11 +37,10 @@ def cramer_rao_lower(fisher, ensemble) -> float:
     Raises
     ------
     FisherUndefined
-        When `fisher` is None, non-finite, or not positive; callers with
-        such priors must use the solver's lower bound instead.
+        When `fisher` is not a finite positive number (`gaussian._real`): None,
+        an array, non-finite or not positive; callers with such priors must
+        use the solver's lower bound instead.
     """
-    if fisher is None or not np.isfinite(fisher) or fisher <= 0:
-        raise FisherUndefined(
-            f"Cramer-Rao bound needs finite positive Fisher information, got {fisher!r}")
+    fisher = _real(fisher, "fisher", "positive", FisherUndefined)
     trace_inv = np.trace(np.linalg.inv(ensemble.noise_stack), axis1=1, axis2=2)
     return float(np.sum(ensemble.weights * ensemble.dimension**2 / (trace_inv + fisher)))

@@ -8,7 +8,7 @@ sweep-ball  sweep the uniform-ball radius R; three curves as CSV
 verify      Monte Carlo bracketing check for a chosen prior family
 scenario    write a problem config from a sensor-field description
 
-Exit codes: 0 success, 1 config/validation or file error, 2 solver
+Exit codes: 0 success, 1 usage, config/validation or file error, 2 solver
 failure, 3 verification failure.
 
 sweep-p, sweep-ball and verify solve at one ball per family parameter p or
@@ -34,7 +34,7 @@ import numpy as np
 from .baselines import cramer_rao_lower, lmmse_upper
 from .exceptions import (ConfigError, DegenerateWeights, FisherUndefined, NoConvergence,
                          NoiseLost)
-from .gaussian import Gaussian
+from .gaussian import Gaussian, _integer, _real
 from .mc import MIN_DRAWS, mc_weighted_sum
 from .priors import (
     GeneralizedGaussian,
@@ -77,14 +77,17 @@ def noise_from_distances(distances, decay, exponent, base_noise, dimension,
     Received power at distance d_j is rho_0^2/(1 + gamma d_j^m), gamma =
     `decay` and m = `exponent`; at unit gain (Y = X + N) the noise is
     Sigma_N_j = sigma_0^2 (1 + gamma d_j^m) I with sigma_0^2 = `base_noise`,
-    and the source power rho_0^2 cancels. Weights default to 1 per sensor."""
-    # d = 0 is allowed: a sensor at the source sees the base noise
-    if not distances or not all(0.0 <= d < math.inf for d in distances):
-        raise ValueError(f"distances must be finite and nonnegative, got {distances}")
-    for name, value in (("decay", decay), ("base noise", base_noise)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-    if not 2.0 <= exponent <= 3.0:
+    and the source power rho_0^2 cancels. Weights default to 1 per sensor.
+    Each scalar is read by `gaussian._real` (ValueError naming it). A
+    distance may be 0, a sensor at the source, which sees the base noise; no
+    distance at all is refused as a NaN one is. The exponent's range [2, 3]
+    is the sensor model's own rule."""
+    bad = ValueError(f"distances must be finite and nonnegative, got {distances}")
+    for d in distances or [math.nan]:
+        _real(d, "distances", "nonnegative", lambda _: bad)
+    decay = _real(decay, "decay", "positive")
+    base_noise = _real(base_noise, "base noise", "positive")
+    if not 2.0 <= _real(exponent, "path-loss exponent m") <= 3.0:
         raise ValueError("path-loss exponent m must lie in [2, 3]")
     covs = [base_noise * (1.0 + decay * d**exponent) * np.eye(dimension) for d in distances]
     return ChannelEnsemble.from_arrays(covs, [1.0] * len(covs) if weights is None else weights)
@@ -101,8 +104,7 @@ def parse_grid(text: str) -> np.ndarray:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"bad grid {text!r}: {exc}") from exc
-        if count < 1:
-            raise ConfigError("grid count must be >= 1")
+        _integer(count, "grid count", 1, error=ConfigError)
         try:
             with np.errstate(invalid="ignore"):  # a non-finite end is rejected below
                 grid = np.linspace(start, stop, count)
@@ -239,12 +241,11 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the sampling flags are checked before the two bound solves they follow
-    for flag, value, floor in (("--n-outer", args.n_outer, MIN_DRAWS),
-                               ("--n-inner", args.n_inner, MIN_DRAWS),
-                               ("--seed", args.seed, 0)):
-        if value < floor:
-            raise ConfigError(f"{flag} must be >= {floor}, got {value}")
+    # the sampling flags are checked, as mc_weighted_sum checks them, before
+    # the two bound solves they follow
+    _integer(args.n_outer, "--n-outer", MIN_DRAWS, error=ConfigError)
+    _integer(args.n_inner, "--n-inner", MIN_DRAWS, error=ConfigError)
+    _integer(args.seed, "--seed", 0, math.inf, ConfigError)
     ensemble, ball = load_config(args.config)
     spec = None  # for the gaussian prior, the config's own validated reference, at its radius
     if args.prior != "gaussian":
@@ -276,9 +277,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    k = args.dimension
-    if k < 1:
-        raise ConfigError(f"--dimension must be >= 1, got {k}")
+    k = _integer(args.dimension, "--dimension", 1, error=ConfigError)
     distances = tuple(float(tok) for tok in args.distances.split(",") if tok.strip())
     weights = None
     if args.weights:
@@ -339,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 2, the solver-failure code; --help 0
+        raise SystemExit(exc.code and EXIT_CONFIG) from None
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:

@@ -1,4 +1,5 @@
-"""Gaussians and their closed-form quantities.
+"""Gaussians and their closed-form quantities, and the package's readers
+of its inputs.
 
 `Gaussian(mean, covariance)` is N(m, C) in each of its roles: the
 reference P_0 at the centre of a KL ball, a prior family's moment match,
@@ -27,18 +28,78 @@ each naming it. A caller computes only with the symmetrized matrix `_read`
 returns, never with its argument as given. The MMSE closed forms read
 their channels from a ChannelEnsemble or Problem, so a sum Sigma_X +
 Sigma_N_j of two checked covariances is solved as it is. KL is in nats.
+
+Beside `_read` sit the readers of the other inputs, each raising the
+exception class its caller names, with a message that names the
+argument: `_floats` reads every array argument and refuses complex input,
+which numpy would read as its real part; `_real` reads a finite real
+scalar (a radius, a weight, a family parameter, a multiplier), positive
+or nonnegative where its caller asks; `_integer` reads an integer in a
+range (a dimension, a draw count, a seed, a channel index). No other code
+of the package compares a scalar argument with a bound, but for the
+sensor model's own rule on its path-loss exponent (`cli`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (DimensionMismatch, NonSymmetric, NotPositiveDefinite,
+from .exceptions import (ConfigError, DimensionMismatch, NonSymmetric, NotPositiveDefinite,
                          ProblemValidationError)
 
 SYMMETRY_RTOL = 1e-12
+
+
+def _floats(a, name, channel=None):
+    """`a` as a float array (itself when it is one). DimensionMismatch naming
+    `name` and carrying `channel` where numpy cannot read it as a
+    rectangular array of real numbers: a ragged list, a string, an integer
+    beyond the float range, or a complex array, whose imaginary part numpy
+    would drop with only a warning."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        m = np.asarray(a)
+        if m.dtype.kind != "c":
+            return np.asarray(m, dtype=float)
+    raise DimensionMismatch(f"{name} is not an array of real numbers", channel=channel)
+
+
+def _number(x, name, error=ConfigError):
+    """`x` as a float: error("{name} must be a number, got {x!r}") where it is
+    a bool or not a real number (None, a string, a complex number, an
+    array), and error("{name} is out of range") for an integer beyond the
+    float range. Alone, it reads a config's JSON numbers (ConfigError)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise error(f"{name} is out of range") from None
+
+
+def _real(x, name, floor=None, error=ValueError):
+    """`x` read by `_number`, then checked finite, and positive or
+    nonnegative where `floor` ("positive", "nonnegative") asks; returned as
+    a float. `error` makes the exception from the message: the caller's
+    exception class, or a callable that keeps the caller's own wording."""
+    v = _number(x, name, error)
+    if not (math.isfinite(v) and (floor is None or v > 0 or floor == "nonnegative" and v == 0)):
+        raise error(f"{name} must be a finite {floor + ' ' if floor else ''}number, got {v!r}")
+    return v
+
+
+def _integer(n, name, lo, hi=np.iinfo(np.intp).max, error=ValueError):
+    """`n`, an integer that is not a bool (a numpy integer too), with lo <= n
+    <= hi, as an int; `error` naming `name` otherwise. `hi` defaults to the
+    largest size numpy can allocate; math.inf leaves `n` unbounded."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise error(f"{name} must be an integer >= {lo}, got {n!r}")
+    if not lo <= n <= hi:
+        raise error(f"{name} must be {f'>= {lo}' if n < lo else f'<= {hi}'}, got {n!r}")
+    return int(n)
 
 
 def _read(a, name, k=None, channel=None):
@@ -53,8 +114,8 @@ def _read(a, name, k=None, channel=None):
     sum, so that entries near the double maximum cannot overflow; halving
     is exact, so this is 0.5 (m + m^T) bit for bit unless an entry is
     subnormal. It reads a covariance as given, never one computed from
-    checked covariances, such as their sum."""
-    m = np.asarray(a, dtype=float)
+    checked covariances, such as their sum; `_floats` reads it first."""
+    m = _floats(a, name, channel)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise DimensionMismatch(f"{name} must be a nonempty square matrix, got shape "
                                 f"{m.shape}", channel=channel)
@@ -94,10 +155,10 @@ def _checked(g: Gaussian, name: str):
     a read-only copy, the covariance a read-only symmetrized one, so no
     later write to the caller's arrays reaches them. The covariance is read
     first, by `_read` as "{name} covariance"; then DimensionMismatch unless
-    the mean has shape (K,), and ProblemValidationError for a non-finite
-    mean; `name` ("reference", say) leads each message."""
+    the mean (read by `_floats`) has shape (K,), and ProblemValidationError
+    for a non-finite mean; `name` ("reference", say) leads each message."""
     cov, chol = _read(g.covariance, f"{name} covariance")
-    mean = np.array(g.mean, dtype=float)
+    mean = np.array(_floats(g.mean, f"{name} mean"))
     if mean.shape != cov.shape[:1]:
         raise DimensionMismatch(f"{name} mean has shape {mean.shape}, expected {cov.shape[:1]}")
     if not np.isfinite(mean).all():
@@ -198,9 +259,10 @@ def opt_covariance_residual(alpha, sigma_x, ensemble, reference) -> float:
     the solver's code, so this is an independent verification of a solution
     (`ensemble`: a ChannelEnsemble or Problem). Sigma_X and the reference's
     covariance, named `sigma_x` and `sigma_0`, are each read through `_read`
-    as `weight_matrix` reads Sigma_X, and only their symmetrizations enter.
+    as `weight_matrix` reads Sigma_X, and only their symmetrizations enter;
+    alpha must be a finite number (ValueError naming it).
     """
-    k = ensemble.dimension
+    alpha, k = _real(alpha, "alpha"), ensemble.dimension
     sigma_x = _read(sigma_x, "sigma_x", k)[0]
     sigma_0 = _read(reference.covariance, "sigma_0", k)[0]
     m = _mmse(sigma_x, _gain_transpose(sigma_x, ensemble.noise_stack))
@@ -245,13 +307,14 @@ def linear_estimator_mse(gains, prior_cov, ensemble) -> float:
     sigma, ensemble) <= upper.bound_value` for every Gaussian prior
     covariance `sigma` in the ball: the estimators are minimax robust.
 
-    `gains` is a (J, K, K) array, one W_j per channel (DimensionMismatch
-    otherwise). `prior_cov` is read through `_read` as `weight_matrix`
-    reads Sigma_X, named `prior_cov`, and only its symmetrization enters;
-    the noise covariances were checked when the ensemble was built.
+    `gains` is a real (J, K, K) array (`_floats`), one W_j per channel
+    (DimensionMismatch otherwise). `prior_cov` is read through `_read` as
+    `weight_matrix` reads Sigma_X, named `prior_cov`, and only its
+    symmetrization enters; the noise covariances were checked when the
+    ensemble was built.
     """
     prior_cov = _read(prior_cov, "prior_cov", ensemble.dimension)[0]
-    w, noise = np.asarray(gains, dtype=float), ensemble.noise_stack
+    w, noise = _floats(gains, "gains"), ensemble.noise_stack
     if w.shape != noise.shape:
         raise DimensionMismatch(f"gains have shape {w.shape}, the channels {noise.shape}")
     iw = np.eye(noise.shape[1]) - w

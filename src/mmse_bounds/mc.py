@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateWeights, DimensionMismatch, NoiseLost
-from .gaussian import _gain_transpose, _mmse
+from .gaussian import _gain_transpose, _integer, _mmse
 from .priors import PriorSpec, _quadratic_log_density, _sample_with, prior_moments
 
 # outer draws per block. The draws of a block share one pool of inner
@@ -423,9 +423,13 @@ def mc_weighted_sum(spec: PriorSpec, ensemble, n_outer: int, n_inner: int,
     matrix per outer draw, in draw order. Neither stream depends on J, so
     a one-channel estimate keeps the one-stream-per-channel layout, and
     the first n draws get the pools and rotations of a call on n draws.
+
+    n_outer and n_inner must be integers of at least MIN_DRAWS, and seed a
+    nonnegative integer (`gaussian._integer`, ValueError naming each).
     """
-    if n_outer < MIN_DRAWS or n_inner < MIN_DRAWS:
-        raise ValueError(f"n_outer and n_inner must both be >= {MIN_DRAWS}")
+    _integer(n_outer, "n_outer", MIN_DRAWS)
+    _integer(n_inner, "n_inner", MIN_DRAWS)
+    _integer(seed, "seed", 0, math.inf)
     if spec.dimension != ensemble.dimension:
         raise DimensionMismatch(f"prior has dimension {spec.dimension}, ensemble dimension is "
                                 f"{ensemble.dimension}")

@@ -20,7 +20,10 @@ zero-mean Gaussian, so epsilon here is always the KL to the moment match.
 A `PriorSpec` checks its family and K where it is built, as a ball checks
 its reference: a Gaussian family passes that same check (`gaussian._checked`,
 whose covariance `gaussian._read` reads) and is held as read-only copies,
-so no reader checks it again.
+so no reader checks it again. A family parameter (p, R) is read by
+`gaussian._real` as a finite positive number, and K by `gaussian._integer`
+as an integer >= 1, in the family constructors, `PriorSpec` and each
+closed form, each raising ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -31,17 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, FisherUndefined
-from .gaussian import Gaussian, _checked
-
-
-def _check_parameter(value, what, k=1):
-    """Raise ValueError unless the family parameter is finite and positive
-    and the dimension K is at least 1."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{what} must be a finite positive number, got {value}")
-    if k < 1:
-        raise ValueError(f"dimension must be >= 1, got {k}")
+from .exceptions import DimensionMismatch, FisherUndefined, ProblemValidationError
+from .gaussian import Gaussian, _checked, _floats, _integer, _real
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,7 @@ class GeneralizedGaussian:
     p: float
 
     def __post_init__(self):
-        _check_parameter(self.p, "exponent p")
+        _real(self.p, "exponent p", "positive")
 
 
 @dataclass(frozen=True)
@@ -57,14 +51,14 @@ class UniformBall:
     radius: float
 
     def __post_init__(self):
-        _check_parameter(self.radius, "radius")
+        _real(self.radius, "radius", "positive")
 
 
 @dataclass(frozen=True)
 class PriorSpec:
     """A prior family instance in dimension K, checked where it is built:
-    K an integer >= 1 (ValueError naming it), the family one of the three
-    (TypeError), and a Gaussian family checked as a reference is
+    K an integer >= 1 (`_integer`, ValueError naming it), the family one of
+    the three (TypeError), and a Gaussian family checked as a reference is
     (`gaussian._checked`: its covariance read by `gaussian._read`, its mean
     of shape (K,); held as its read-only copies) and of dimension K
     (DimensionMismatch)."""
@@ -73,9 +67,7 @@ class PriorSpec:
     dimension: int
 
     def __post_init__(self):
-        k, fam = self.dimension, self.family
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {k!r}")
+        k, fam = _integer(self.dimension, "dimension", 1), self.family
         if isinstance(fam, Gaussian):
             mean, cov, _ = _checked(fam, "Gaussian prior")
             if len(mean) != k:
@@ -88,15 +80,16 @@ class PriorSpec:
 
 def gen_gauss_covariance(p: float, k: int) -> float:
     """Per-coordinate variance of the generalized Gaussian: covariance is
-    sigma^2 I with sigma^2 = p^(2/p) Gamma((K+2)/p) / (K Gamma(K/p))."""
-    _check_parameter(p, "exponent p", k)
+    sigma^2 I with sigma^2 = p^(2/p) Gamma((K+2)/p) / (K Gamma(K/p)). A
+    variance beyond the double range raises ValueError naming p and K, and
+    so does a subnormal p, whose log variance comes out inf - inf, NaN."""
+    p, k = _real(p, "exponent p", "positive"), _integer(k, "dimension", 1)
     log_val = ((2.0 / p) * math.log(p) + math.lgamma((k + 2.0) / p)
                - math.log(k) - math.lgamma(k / p))
-    try:
-        return float(math.exp(log_val))
-    except OverflowError:
+    if not log_val <= math.log(sys.float_info.max):  # exp overflows just past it
         raise ValueError(f"generalized Gaussian variance at exponent p={p}, K={k} "
-                         f"overflows double precision (log variance {log_val:.6g})") from None
+                         f"overflows double precision (log variance {log_val:.6g})")
+    return math.exp(log_val)
 
 
 def gen_gauss_fisher(p: float, k: int) -> float:
@@ -105,7 +98,7 @@ def gen_gauss_fisher(p: float, k: int) -> float:
     Raises FisherUndefined when (K + 2p - 2)/p <= 0, i.e. the defining
     integral diverges (possible only for K = 1 and p <= 1/2).
     """
-    _check_parameter(p, "exponent p", k)
+    p, k = _real(p, "exponent p", "positive"), _integer(k, "dimension", 1)
     arg = (k + 2.0 * p - 2.0) / p
     if arg <= 0:
         raise FisherUndefined(
@@ -130,7 +123,7 @@ def gen_gauss_epsilon(p: float, k: int) -> float:
     can round below zero (to -5e-11 at K = 300); it is clamped to zero
     silently, as `uniform_ball_epsilon` clamps the same cancellation.
     """
-    _check_parameter(p, "exponent p", k)
+    p, k = _real(p, "exponent p", "positive"), _integer(k, "dimension", 1)
     if p == 2.0:
         return 0.0  # N(0, I) is its own moment match; the formula leaves rounding noise
     sigma2 = gen_gauss_covariance(p, k)
@@ -148,15 +141,12 @@ def _ball_variance(radius: float, k: int) -> float:
     """R^2/(K+2), the per-coordinate variance of the uniform K-ball. Raises
     ValueError naming R and K where it or 2 pi R^2, the largest term of
     `uniform_ball_epsilon`, leaves the normal double range."""
-    _check_parameter(radius, "radius", k)
-    with np.errstate(over="ignore"):  # a numpy radius; a Python float raises instead
-        try:
-            r2 = radius**2
-        except OverflowError:
-            r2 = math.inf
-        in_range = (sys.float_info.min <= r2 / (k + 2.0)
-                    and 2.0 * math.pi * r2 <= sys.float_info.max)
-    if not in_range:
+    radius, k = _real(radius, "radius", "positive"), _integer(k, "dimension", 1)
+    try:
+        r2 = radius**2
+    except OverflowError:
+        r2 = math.inf
+    if not (sys.float_info.min <= r2 / (k + 2.0) and 2.0 * math.pi * r2 <= sys.float_info.max):
         raise ValueError(f"uniform ball at radius R={radius}, K={k}: R^2/(K+2) or 2 pi R^2 "
                          f"leaves the normal double range")
     return r2 / (k + 2.0)
@@ -165,7 +155,8 @@ def _ball_variance(radius: float, k: int) -> float:
 def uniform_ball_moments(radius: float, k: int) -> Gaussian:
     """Moments of the uniform distribution on the K-ball of given radius:
     mean zero, covariance (R^2/(K+2)) I."""
-    return Gaussian(np.zeros(k), _ball_variance(radius, k) * np.eye(k))
+    variance = _ball_variance(radius, k)  # reads R and K before numpy sees K
+    return Gaussian(np.zeros(k), variance * np.eye(k))
 
 
 def _ball_log_volume(radius: float, k: int) -> float:
@@ -239,9 +230,15 @@ def _quadratic_log_density(spec: PriorSpec):
 
 
 def log_density(spec: PriorSpec, x) -> np.ndarray:
-    """Log density evaluated row-wise on an (n, K) array (or a single point)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """Log density evaluated row-wise on an (n, K) array (or a single point),
+    read by `gaussian._floats`; other shapes raise DimensionMismatch, and
+    non-finite points ProblemValidationError."""
+    x = np.atleast_2d(_floats(x, "points"))
     k = spec.dimension
+    if x.ndim != 2:
+        raise DimensionMismatch(f"points must be a point or an (n, K) array, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ProblemValidationError("points have non-finite entries")
     if x.shape[1] != k:
         raise DimensionMismatch(f"points have dimension {x.shape[1]}, spec has {k}")
     c, w, g, log_norm, q_max = _quadratic_log_density(spec)

@@ -21,14 +21,13 @@ Gaussian prior's and every closed form's covariance pass too, and
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatch, NegativeRadius, NonPositiveWeight
-from .gaussian import Gaussian, _checked, _read
+from .gaussian import Gaussian, _checked, _floats, _integer, _number, _read, _real
 
 GaussianReference = Gaussian  # the reference's former class name, still read by perfbench
 
@@ -38,19 +37,21 @@ class ChannelEnsemble:
     """The J >= 1 channels (Sigma_N_j, lambda_j) sharing input dimension K,
     checked where they are built: one read-only (J, K, K) float stack of
     symmetrized noise covariances, `noise_stack`, which every reader of
-    channel data reads, and read-only (J,) `weights`. Weights that are not
-    one 1-D array of one entry per matrix raise DimensionMismatch. Each
-    matrix is read by `gaussian._read`, at channel 0's K from channel 1 on:
-    one that is not square or of that K (DimensionMismatch), asymmetric
-    (NonSymmetric) or not finite positive definite (NotPositiveDefinite), or
-    a weight that is not finite and positive (NonPositiveWeight), names its
+    channel data reads, and read-only (J,) `weights`. Covariances that are
+    not a sequence, or weights that are not one 1-D real array (`_floats`)
+    of one entry per matrix, raise DimensionMismatch. Each matrix is read
+    by `gaussian._read`, at channel 0's K from channel 1 on: one that is
+    not square or of that K (DimensionMismatch), asymmetric (NonSymmetric)
+    or not finite positive definite (NotPositiveDefinite), or a weight that
+    is not finite and positive (NonPositiveWeight, from `_real`), names its
     channel."""
 
     noise_stack: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        covs, weights = self.noise_stack, np.array(self.weights, dtype=float)
+        covs = self.noise_stack if np.iterable(self.noise_stack) else ()  # a float holds none
+        weights = np.array(_floats(self.weights, "weights"))
         if weights.ndim != 1:
             raise DimensionMismatch(f"weights must be one-dimensional, got shape {weights.shape}")
         if len(covs) != len(weights):
@@ -63,9 +64,8 @@ class ChannelEnsemble:
             if not j:
                 stack = np.empty((len(weights), *sn.shape))
             stack[j] = sn
-            if not 0.0 < w < math.inf:
-                raise NonPositiveWeight(f"channel {j} weight {w} is not a finite "
-                                        f"positive number", channel=j)
+            _real(w, f"channel {j} weight", "positive", lambda _: NonPositiveWeight(
+                f"channel {j} weight {w} is not a finite positive number", channel=j))
         stack.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "noise_stack", stack)
         object.__setattr__(self, "weights", weights)
@@ -92,11 +92,15 @@ class ChannelEnsemble:
         """The one-channel ensemble {(Sigma_N_j, 1)} used by local bounds: a
         read-only view of channel j of the checked stack, not checked again
         (its symmetrized form is itself, bitwise). `j` indexes as a list
-        index does (`operator.index`), so a bool is 0 or 1 and not a mask."""
+        index does (`operator.index`), so a bool is 0 or 1 and not a mask, a
+        float is a TypeError, and an index outside -J..J-1 an IndexError
+        from `_integer` naming `channel_index` and J."""
         one = object.__new__(ChannelEnsemble)
         weights = np.ones(1)
         weights.flags.writeable = False
-        stack = self.noise_stack[operator.index(j)][None]
+        j, count = operator.index(j), self.count
+        j = _integer(j, f"channel_index of {count} channels", -count, count - 1, IndexError)
+        stack = self.noise_stack[j][None]
         object.__setattr__(one, "noise_stack", stack)
         object.__setattr__(one, "weights", weights)
         return one
@@ -109,9 +113,9 @@ class DivergenceBall:
     it (its covariance read by `gaussian._read`: square, symmetric to 1e-12
     relative Frobenius, which it symmetrizes away, and positive definite;
     then a finite mean of shape (K,)), held as read-only float copies, and
-    a finite nonnegative radius (NegativeRadius), held as a float. The
-    check's Cholesky factor of the reference covariance is kept, read-only,
-    as `reference_chol`."""
+    a finite nonnegative radius (NegativeRadius, from `_real`), held as a
+    float. The check's Cholesky factor of the reference covariance is kept,
+    read-only, as `reference_chol`."""
 
     reference: Gaussian
     epsilon: float
@@ -119,12 +123,11 @@ class DivergenceBall:
 
     def __post_init__(self):
         mean, cov, chol = _checked(self.reference, "reference")
-        if not 0.0 <= self.epsilon < math.inf:
-            raise NegativeRadius(
-                f"radius epsilon={self.epsilon} must be a finite nonnegative number")
+        eps = _real(self.epsilon, "epsilon", "nonnegative", lambda _: NegativeRadius(
+            f"radius epsilon={self.epsilon} must be a finite nonnegative number"))
         chol.flags.writeable = False
         object.__setattr__(self, "reference", Gaussian(mean, cov))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "reference_chol", chol)
 
 
@@ -207,18 +210,9 @@ _TOP_KEYS = {"dimension", "mu0", "sigma0", "channels", "epsilon"}
 _CHANNEL_KEYS = {"lambda", "sigma_n"}
 
 
-def _number(value, name) -> float:
-    """A JSON number (not a boolean) as a float; ConfigError naming `name` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{name} is out of range") from None
-
-
 def _numbers(value, name) -> np.ndarray:
-    """A nested JSON array as a float array; each entry as `_number` reads it."""
+    """A nested JSON array as a float array; each entry as `gaussian._number`
+    reads a JSON number (not a boolean), with ConfigError naming `name`."""
     entries = np.asarray(value, dtype=object)
     return np.array([_number(v, f"{name} entry") for v in entries.flat]).reshape(entries.shape)
 
@@ -240,9 +234,7 @@ def problem_from_config(cfg: dict) -> tuple[ChannelEnsemble, DivergenceBall]:
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
 
-    k = cfg["dimension"]
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ConfigError(f"dimension must be a positive integer, got {k!r}")
+    k = _integer(cfg["dimension"], "dimension", 1, error=ConfigError)
     mu0 = _numbers(cfg["mu0"], "mu0")
     if mu0.shape != (k,):
         raise ConfigError(f"mu0 must be a length-{k} array")

@@ -51,14 +51,17 @@ C einsum and ufunc reductions without numpy's Python layers, bitwise
 numpy's results; that module states how each kernel reports a LAPACK
 failure. The solver imports nothing from `gaussian`, whose closed forms
 (`weighted_mmse_sum`, `opt_covariance_residual`) check its answers
-independently; `_value` is its one formula for f. An evaluation writes
-its products into its stack and Jacobian; the scratch of `_Ctx` holds
-what a call uses and drops, and what a call returns is fresh.
+independently; `_value` is its one formula for f. It reads `start` with
+`_floats`, the package's reader of real arrays, which it takes from
+`problem` with the problem's own checks. An evaluation writes its
+products into its stack and Jacobian; the scratch of `_Ctx` holds what a
+call uses and drops, and what a call returns is fresh.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,7 +69,7 @@ from numpy.linalg import LinAlgError
 
 from ._kernels import cholesky, eigh, einsum, inv, max_, norm, solve, solve_stack, sum_
 from .exceptions import DimensionMismatch, NoConvergence
-from .problem import DivergenceBall, validate_problem
+from .problem import DivergenceBall, _floats, validate_problem
 from .separable import closed_forms
 
 _NEWTON_ITER = 12  # Newton iterations per corrector
@@ -313,10 +316,15 @@ def _sphere(ctx, tau, q, t2, sign, alpha=None):
     At extreme radii the safeguarded Newton's trial points overflow or leave
     the domain of the log; those steps are rejected, and the flags they
     raise are the solve's (`solve_bound`). Its scalars stay numpy scalars:
-    in Python floats a division by zero raises."""
+    in Python floats a division by zero raises. The first guess takes the
+    norm of tau scaled by the power of two of its largest entry, tau[-1],
+    since the squares of tau, which carries the problem's units, leave the
+    double range from a scale of about 2^512 up and 2^-539 down; the
+    scaling is exact, so elsewhere this is norm(tau) bit for bit."""
     if alpha is None:
         lo, hi = 0.0, (1.0 / tau[-1] if sign > 0 else np.inf)
-        b = min(2.0 * np.sqrt(t2) / norm(tau), 0.5 * hi)  # first order
+        sc = math.ldexp(1.0, -math.frexp(tau[-1])[1])
+        b = min(2.0 * np.sqrt(t2) / (norm(sc * tau) / sc), 0.5 * hi)  # first order
         for _ in range(100):
             x = 1.0 / (1.0 - sign * b * tau)
             xm1 = x - 1.0
@@ -464,7 +472,8 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
     Raises
     ------
     DimensionMismatch
-        If the ball's K is not the channels', or `start` is not (K, K).
+        If the ball's K is not the channels', or `start` is not a real (K, K)
+        array (a complex one among them).
     ValueError
         If the direction is neither "upper" nor "lower", or a `Problem`
         comes with a ball other than its own.
@@ -476,7 +485,7 @@ def solve_bound(direction, ensemble, ball: DivergenceBall, start=None) -> BoundR
     sign = _sign(direction)
     prob = validate_problem(ensemble, ball)
     if start is not None:
-        start, k = np.asarray(start, dtype=float), prob.dimension
+        start, k = _floats(start, "start"), prob.dimension
         if start.shape != (k, k):
             raise DimensionMismatch(f"start has shape {start.shape}, expected {(k, k)}")
     # the solve's one floating-point state, set nowhere inside it: at extreme radii

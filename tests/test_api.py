@@ -182,12 +182,9 @@ def test_one_covariance_check():
         "NonSymmetric", "NotPositiveDefinite", "NotPositiveDefinite", "cholesky"]
 
 
-def test_covariances_are_checked_where_they_enter():
-    # `_read` is called by a Gaussian's check (`_checked`), by the ensemble
-    # for each channel and by the public closed forms, and nowhere else in
-    # the package; each call reads a covariance as it was given (a name or
-    # an attribute), never a matrix computed from checked ones such as
-    # `sigma_x + sigma_n`
+def _calls_of(name):
+    """The functions of the package that call `name` (a method as
+    `Class.method`), and those calls."""
     package = Path(mmse_bounds.__file__).parent
     callers, calls = set(), []
     for path in sorted(package.glob("*.py")):
@@ -198,15 +195,70 @@ def test_covariances_are_checked_where_they_enter():
                     continue
                 prefix = f"{parent.name}." if isinstance(parent, ast.ClassDef) else ""
                 found = [n for n in ast.walk(fn)
-                         if isinstance(n, ast.Call) and ast.unparse(n.func) == "_read"]
+                         if isinstance(n, ast.Call) and ast.unparse(n.func) == name]
                 if found:
                     callers.add(prefix + fn.name)
                     calls += found
+    return callers, calls
+
+
+def test_covariances_are_checked_where_they_enter():
+    # `_read` is called by a Gaussian's check (`_checked`), by the ensemble
+    # for each channel and by the public closed forms, and nowhere else in
+    # the package; each call reads a covariance as it was given (a name or
+    # an attribute), never a matrix computed from checked ones such as
+    # `sigma_x + sigma_n`
+    callers, calls = _calls_of("_read")
     assert callers == {"_checked", "ChannelEnsemble.__post_init__", "weight_matrix",
                        "mmse_matrix", "opt_covariance_residual", "kl_same_mean_gaussians",
                        "linear_estimator_mse"}
     assert [ast.unparse(c.args[0]) for c in calls
             if not isinstance(c.args[0], (ast.Name, ast.Attribute))] == []
+
+
+def test_scalars_are_read_where_they_enter():
+    # a scalar argument is compared with a bound in `gaussian._real` (a
+    # finite number, positive or nonnegative) and `gaussian._integer` (an
+    # integer in a range) alone, called where the argument enters: the
+    # entries below and nothing else. The per-module checks they replaced
+    # are gone
+    assert _calls_of("_real")[0] == {
+        "GeneralizedGaussian.__post_init__", "UniformBall.__post_init__",
+        "gen_gauss_covariance", "gen_gauss_fisher", "gen_gauss_epsilon", "_ball_variance",
+        "ChannelEnsemble.__post_init__", "DivergenceBall.__post_init__",
+        "opt_covariance_residual", "cramer_rao_lower", "noise_from_distances"}
+    assert _calls_of("_integer")[0] == {
+        "PriorSpec.__post_init__", "gen_gauss_covariance", "gen_gauss_fisher",
+        "gen_gauss_epsilon", "_ball_variance", "ChannelEnsemble.single", "problem_from_config",
+        "mc_weighted_sum", "parse_grid", "cmd_verify", "cmd_scenario"}
+    assert _calls_of("_number")[0] == {"_real", "_numbers", "problem_from_config"}
+    from mmse_bounds import priors
+    assert not hasattr(priors, "_check_parameter")
+
+
+def test_no_scalar_bound_outside_the_readers():
+    # no public function or method, nor a `__post_init__`, compares one of
+    # its parameters, or an attribute of one (`self.epsilon`, `args.seed`),
+    # with <, <=, > or >=: each hands it to a reader. The sensor model's
+    # exponent range compares what `_real` returns. separable.py is skipped:
+    # the solver alone calls it, with checked data
+    package = Path(mmse_bounds.__file__).parent
+    found = []
+    for path in sorted(set(package.glob("*.py")) - {package / "separable.py"}):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef) or (
+                    fn.name.startswith("_") and fn.name != "__post_init__"):
+                continue
+            params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Compare) or not all(
+                        isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops):
+                    continue
+                for side in (node.left, *node.comparators):
+                    base = side.value if isinstance(side, ast.Attribute) else side
+                    if isinstance(base, ast.Name) and base.id in params:
+                        found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
 
 
 def test_cli_main_is_reachable():

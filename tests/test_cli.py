@@ -797,3 +797,23 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["verify", "--config", "c.json", "--prior", "gaussian", "--n-outer", "abc"],
+         "argument --n-outer: invalid int value: 'abc'"),
+        (["bound", "--config", "c.json", "--epsilon", "x"],
+         "argument --epsilon: invalid float value: 'x'"),
+        (["bound"], "the following arguments are required: --config"),
+    ])
+    def test_usage_error_exits_with_the_config_code(self, capsys, argv, fragment):
+        # argparse exits 2, which is the solver-failure code here
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == EXIT_CONFIG
+        assert fragment in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["bound", "--help"])
+        assert info.value.code == EXIT_OK
+        assert "--config" in capsys.readouterr().out

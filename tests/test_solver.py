@@ -1652,3 +1652,18 @@ class TestInvariances:
         assert got.alpha == pytest.approx(base.alpha / f, rel=INVARIANCE_ALPHA_RTOL, abs=0)
         expect = move(base.sigma_x)
         assert np.linalg.norm(got.sigma_x - expect) <= INVARIANCE_RTOL * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("power", [-1000, -539, 512, 1000])
+    def test_paper_problem_in_other_units(self, direction, power):
+        # every covariance times 2^power, exactly: the first guess of
+        # `_sphere`'s multiplier squared the eigenvalues that carry the
+        # units, so the lower bound failed from 2^512 up and 2^-539 down
+        sigma0, noise, weights, epsilon = _invariance_case("paper eps=0.2")
+        base = _solve(direction, sigma0, noise, weights, epsilon)
+        got = _solve(direction, np.ldexp(sigma0, power), [np.ldexp(n, power) for n in noise],
+                     weights, epsilon)
+        assert np.ldexp(got.bound_value, -power) == pytest.approx(base.bound_value, rel=1e-12,
+                                                                  abs=0)
+        back = np.ldexp(got.sigma_x, -power)
+        assert np.linalg.norm(back - base.sigma_x) <= 1e-12 * np.linalg.norm(base.sigma_x)

@@ -28,7 +28,10 @@ indefinite, and a JSON `NaN` in the reference covariance. Each exits 1,
 and its stderr is the one line of the definiteness check that names the
 matrix ("channel 1 noise covariance is not positive definite",
 "reference covariance is not positive definite", "reference covariance
-has non-finite entries").
+has non-finite entries"). After those come two `bound` runs on the paper
+config with every covariance multiplied by 2^600, and by 2^-600, written
+the same way: the problem in other units, whose both bounds certify
+(exit 0). Last comes `verify --n-outer abc`, a usage error (exit 1).
 
 Two trees that print the same `sha256` line give byte-identical output and
 the same exit codes on every command: the solver's answers through
@@ -41,7 +44,9 @@ weight (exit 1) and of a K = 1 bound past the double range (exit 2).
 Two trees that also print the same line for the flagged run give the
 same output and exit code on that run, stderr included: a numpy warning
 that escapes the solve changes its stderr hash. The three lines after it
-pin the messages of an indefinite or non-finite input covariance.
+pin the messages of an indefinite or non-finite input covariance, the
+next two the bounds of the paper's problem at two scales far from its
+own, and the last the exit code and message of a usage error.
 
 Run from anywhere, once on each tree to compare:
 
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -105,7 +111,7 @@ FLAGGED_CASE = {  # perfbench make_corpus(300, 1)[0][5], K = 2, J = 1
     "epsilon": 0.0018488516964113215,
 }
 FLAGGED_COMMAND = ["bound", "--config", CASE, "--epsilon", "1000"]  # lower fails: exit 2
-REJECTED_COMMAND = ["bound", "--config", CASE]  # on each of REJECTED_CASES: exit 1
+CASE_COMMAND = ["bound", "--config", CASE]  # on each of REJECTED_CASES (exit 1), SCALED_CASES
 INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]
 REJECTED_CASES = {  # the message names the matrix
     "channel 1 indefinite": {**FLAGGED_CASE, "channels": [
@@ -113,6 +119,19 @@ REJECTED_CASES = {  # the message names the matrix
     "sigma0 indefinite": {**FLAGGED_CASE, "sigma0": INDEFINITE},
     "sigma0 NaN": {**FLAGGED_CASE, "sigma0": [[float("nan"), 0.0], [0.0, 1.0]]},
 }
+
+
+def _scaled(power):
+    """The paper config with every covariance times 2^power, exactly."""
+    cfg = json.loads((ROOT / CONFIG).read_text())
+    cfg["sigma0"] = [[math.ldexp(v, power) for v in row] for row in cfg["sigma0"]]
+    for channel in cfg["channels"]:
+        channel["sigma_n"] = [[math.ldexp(v, power) for v in row] for row in channel["sigma_n"]]
+    return cfg
+
+
+SCALED_CASES = {f"every covariance times 2^{k}": _scaled(k) for k in (600, -600)}  # exit 0
+USAGE_COMMAND = ["verify", "--prior", "gaussian", "--n-outer", "abc"]  # exit 1
 
 
 def run(command, then=None, case=None):
@@ -164,9 +183,11 @@ def main() -> int:
     print(f"sha256 {total.hexdigest()}")
     code, out, err, _ = run(FLAGGED_COMMAND, case=FLAGGED_CASE)
     print(f"{' '.join(FLAGGED_COMMAND)}: exit {code} stdout {out} stderr {err}")
-    for label, case in REJECTED_CASES.items():
-        code, out, err, _ = run(REJECTED_COMMAND, case=case)
-        print(f"{' '.join(REJECTED_COMMAND)} ({label}): exit {code} stdout {out} stderr {err}")
+    for label, case in {**REJECTED_CASES, **SCALED_CASES}.items():
+        code, out, err, _ = run(CASE_COMMAND, case=case)
+        print(f"{' '.join(CASE_COMMAND)} ({label}): exit {code} stdout {out} stderr {err}")
+    code, out, err, _ = run(USAGE_COMMAND)
+    print(f"{' '.join(USAGE_COMMAND)}: exit {code} stdout {out} stderr {err}")
     return 0
 
 
